@@ -2,7 +2,7 @@
 """Fold every ``benchmarks/BENCH_*.json`` baseline into one trajectory report.
 
 Each benchmark writes its own JSON baseline with its own schema — sweep
-throughput keeps ``configs`` + a ``headline`` speedup, the runtime and
+throughput keeps ``configs`` + a frozen ``history`` block, the runtime and
 recovery benchmarks keep ``rows`` + a sim-unit calibration — so this report
 is deliberately generic: for every baseline file it extracts the benchmark
 name, the quick flag, the measured-point count, any top-level scalar

@@ -6,16 +6,16 @@ reproduce the slow path's bytes):
 
 * :class:`BucketQueue` — a calendar-style event queue for the scheduler.
   Events are grouped into per-timestamp buckets holding one FIFO list per
-  priority; a small heap orders the *distinct* timestamps.  Because the
-  scheduler's global ``seq`` counter is monotone, arrival order within one
-  ``(time, priority)`` FIFO *is* seq order, so popping the minimum timestamp
-  and scanning priorities 0..4 reproduces the binary heap's strict
-  ``(time, priority, seq)`` total order exactly — for any push pattern, with
-  no monotonicity assumption (see ``docs/performance.md`` for the argument).
-  The win over ``heapq`` is that the heap only ever holds distinct
-  timestamps: under :class:`~repro.sim.network.FixedDelay` a whole wave of
-  n² messages shares a handful of receive times, so pushes and pops become
-  list appends and index bumps instead of O(log n) sift operations.
+  priority; a small heap orders the *distinct* timestamps.  Arrival order
+  within one ``(time, priority)`` FIFO is push order, so popping the minimum
+  timestamp and scanning priorities 0..4 reproduces the strict ``(time,
+  priority, seq)`` total order of a binary heap whose ``seq`` counts pushes
+  — for any push pattern, with no monotonicity assumption (see
+  ``docs/performance.md`` for the argument).  The win over such a heap is
+  that ``heapq`` only ever holds distinct timestamps: under
+  :class:`~repro.sim.network.FixedDelay` a whole wave of n² messages shares a
+  handful of receive times, so pushes and pops become list appends and index
+  bumps instead of O(log n) sift operations.
 
 * :class:`BatchedDelaySampler` — pre-draws delay arrays from a delay model
   instead of paying one ``random.Random`` method call per message.  Models
@@ -42,7 +42,7 @@ try:  # numpy is optional: everything below has a pure-python fallback
 except ImportError:  # pragma: no cover - exercised by monkeypatching np to None
     np = None
 
-#: event priorities are 0..4 (crash, recover/propose, delivery, timer, control)
+#: event priorities are 0..4 (crash, recover, propose, delivery, timer)
 N_PRIORITIES = 5
 
 #: below this many draws the numpy state round-trip costs more than it saves
@@ -137,11 +137,11 @@ class BucketQueue:
     ``times`` is a heap over the *distinct* timestamps with live buckets —
     each timestamp appears exactly once, and its bucket is deleted (and the
     timestamp popped, always at the heap minimum) when the count drains.
-    Entries are opaque to the queue; the scheduler stores bare tuples for
-    deliveries/timers and full :class:`~repro.sim.events.Event` objects for
-    everything rare.  The scheduler's hot loop inlines these operations
-    against ``times``/``buckets`` directly; the methods here are the
-    reference implementation the tests compare against a binary heap.
+    Entries are opaque to the queue; the scheduler stores one bare tuple
+    shape per event kind.  The scheduler's loop inlines :meth:`pop` against
+    ``times``/``buckets`` directly; the methods here are the reference
+    implementation the tests compare against a binary heap, and this module
+    is the only place the bucket layout is written down.
     """
 
     __slots__ = ("times", "buckets")

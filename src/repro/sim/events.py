@@ -1,8 +1,8 @@
-"""Event types processed by the discrete-event scheduler.
+"""Event kinds processed by the discrete-event scheduler.
 
 Ordering
 --------
-Events are totally ordered by ``(time, priority, seq)``.  The priority encodes
+Events are totally ordered by ``(time, kind, post order)``.  The kind encodes
 the paper's scheduling remark from Appendix A: *"a message delivery event has
 a higher priority than a timeout event; i.e., if both events occur at a
 process, the process is first triggered by the delivery event and then the
@@ -10,76 +10,47 @@ timeout event"*.  Crash events carry the highest priority so that a process
 crashing at time ``t`` does not handle any other event scheduled at ``t``
 ("crashes before sending any message that is expected to send upon the
 message received at t").
+
+Queue entries and views
+-----------------------
+Inside the scheduler an event is a bare tuple in the FIFO of its kind (the
+kind constant *is* the FIFO's slot in a :class:`~repro.sim.batch.BucketQueue`
+bucket), and FIFO position is the tie-break among equal ``(time, kind)``.
+The dataclasses below are the *view* a schedule controller is handed: a
+view's fields after ``time`` are exactly its kind's entry tuple, so
+``EVENT_VIEWS[kind](time, *entry)`` builds one — and only controlled runs
+ever do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-# Priorities: lower value == processed earlier at equal time.
+# Kinds: lower value == processed earlier at equal time.
 PRIORITY_CRASH = 0
 # a recovery at time t happens before any traffic scheduled at t reaches the
-# rejoining process (ties against propose events break on seq, which is
-# deterministic); it shares the propose slot so existing orderings are
-# untouched on recovery-free runs
+# rejoining process; recoveries are only ever queued at construction, ahead
+# of every proposal, so a slot of their own just before the propose slot is
+# the order the two always fired in
 PRIORITY_RECOVER = 1
-PRIORITY_PROPOSE = 1
-PRIORITY_DELIVERY = 2
-PRIORITY_TIMER = 3
-PRIORITY_CONTROL = 4
+PRIORITY_PROPOSE = 2
+PRIORITY_DELIVERY = 3
+PRIORITY_TIMER = 4
 
 
 @dataclass(frozen=True)
 class Event:
-    """Base class for scheduler events."""
+    """Base class of the controller-facing event views."""
 
     time: float
-    priority: int
-    seq: int
-
-    def sort_key(self) -> tuple:
-        return (self.time, self.priority, self.seq)
-
-
-@dataclass(frozen=True)
-class ProposeEvent(Event):
-    """Delivery of the initial ``Propose`` event to a process.
-
-    ``value`` is the process' vote (1 = willing to commit, 0 = abort) for
-    atomic-commit protocols, or an arbitrary proposal for consensus.
-    """
-
-    pid: int = 0
-    value: Any = None
-
-
-@dataclass(frozen=True)
-class MessageDeliveryEvent(Event):
-    """Arrival of a message at its destination."""
-
-    src: int = 0
-    dst: int = 0
-    payload: Any = None
-    send_time: float = 0.0
-    msg_id: int = -1
-
-
-@dataclass(frozen=True)
-class TimerEvent(Event):
-    """Expiry of a timer previously set by a process."""
-
-    pid: int = 0
-    name: str = "timer"
-    generation: int = 0
-    deadline_units: float = 0.0
 
 
 @dataclass(frozen=True)
 class CrashEvent(Event):
     """Scheduled crash of a process (it halts and sends nothing afterwards)."""
 
-    pid: int = 0
+    pid: int
 
 
 @dataclass(frozen=True)
@@ -92,13 +63,40 @@ class RecoverEvent(Event):
     write-ahead log.
     """
 
-    pid: int = 0
+    pid: int
 
 
 @dataclass(frozen=True)
-class ControlEvent(Event):
-    """Generic control callback (used by higher layers such as workloads)."""
+class ProposeEvent(Event):
+    """Delivery of the initial ``Propose`` event to a process.
 
-    pid: int = 0
-    action: Any = None
-    payload: Any = field(default=None)
+    ``value`` is the process' vote (1 = willing to commit, 0 = abort) for
+    atomic-commit protocols, or an arbitrary proposal for consensus.
+    """
+
+    pid: int
+    value: Any
+
+
+@dataclass(frozen=True)
+class MessageDeliveryEvent(Event):
+    """Arrival of a message at its destination."""
+
+    src: int
+    dst: int
+    payload: Any
+    msg_id: int
+    send_time: float
+
+
+@dataclass(frozen=True)
+class TimerEvent(Event):
+    """Expiry of a timer previously set by a process."""
+
+    pid: int
+    name: str
+    generation: int
+
+
+#: kind -> view class, in slot order
+EVENT_VIEWS = (CrashEvent, RecoverEvent, ProposeEvent, MessageDeliveryEvent, TimerEvent)

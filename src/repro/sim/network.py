@@ -28,17 +28,15 @@ class DelayModel(Protocol):
     Implementations must be deterministic given their own state (seeded RNGs)
     so that simulations are reproducible.
 
-    Two optional class attributes let the scheduler pick fast paths:
+    One optional class attribute lets the scheduler pick a fast path (the
+    event queue needs no declaration: it is exact for any delay, bounded or
+    not):
 
-    * ``bucketable`` — delays are bounded and positive, so the bucket/calendar
-      event queue (:class:`~repro.sim.batch.BucketQueue`) is applicable; the
-      scheduler falls back to the binary heap otherwise.
     * ``iid_delays`` — draws depend only on the model's own RNG (never on
       src/dst/payload/send_time), so a :class:`~repro.sim.batch.\
 BatchedDelaySampler` may pre-draw them in batches via ``sample_batch(k)``,
       whose k results must be byte-identical to k successive ``delay`` calls.
-
-    Both default to False for models that do not declare them.
+      Defaults to False for models that do not declare it.
     """
 
     def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
@@ -61,8 +59,7 @@ class FixedDelay:
 
     u: float = 1.0
 
-    #: degenerate bounded delays: bucket queue and batched sampling both apply
-    bucketable = True
+    #: degenerate i.i.d. delays: batched sampling applies
     iid_delays = True
 
     def __post_init__(self) -> None:
@@ -86,8 +83,7 @@ class UniformDelay:
     non-degenerate timing while remaining within the synchronous bound.
     """
 
-    #: bounded i.i.d. draws: bucket queue and batched sampling both apply
-    bucketable = True
+    #: i.i.d. draws: batched sampling applies
     iid_delays = True
 
     def __init__(self, lo: float, hi: float, u: Optional[float] = None, seed: int = 0):
@@ -125,10 +121,9 @@ class LognormalDelay:
     the bound, occasional samples approach it.
     """
 
-    #: clipped at u and i.i.d.; batching uses the scalar loop (CPython's
+    #: i.i.d. draws; batching uses the scalar loop (CPython's
     #: ``gauss`` consumes generator words in a pattern numpy cannot replay
     #: bit-exactly), so only the per-call method dispatch is amortised
-    bucketable = True
     iid_delays = True
 
     def __init__(self, median: float, sigma: float, u: float, seed: int = 0):
@@ -175,9 +170,7 @@ class FlakyLinkDelay:
     so the model is fingerprint-deterministic like every other delay model.
     """
 
-    #: outages push delays past u (unbounded) and draws depend on
-    #: (src, dst, send_time) (not i.i.d.): heap queue, per-message sampling
-    bucketable = False
+    #: draws depend on (src, dst, send_time) (not i.i.d.): per-message sampling
     iid_delays = False
 
     def __init__(
@@ -234,9 +227,7 @@ class AdversarialDelay:
     paper's proofs (e.g. ``E_async`` in Lemma 1).
     """
 
-    #: arbitrary user function: unbounded and message-dependent, so neither
-    #: the bucket queue nor batched sampling applies
-    bucketable = False
+    #: arbitrary user function, message-dependent: per-message sampling
     iid_delays = False
 
     def __init__(self, fn: Callable[[int, int, object, float], float], u: float = 1.0):

@@ -2,7 +2,7 @@
 
 Two layers:
 
-* :class:`Scheduler` — the generic event loop: an event heap, the network, the
+* :class:`Scheduler` — the generic event loop: the event queue, the network, the
   per-process environments, crash injection and the trace recorder.  The
   database cluster (:mod:`repro.db.cluster`) drives this layer directly.
 * :class:`Simulation` — the protocol-level driver used for all complexity
@@ -31,35 +31,32 @@ the common "stop once every correct process has decided" condition is a
 decremented counter maintained by :meth:`Scheduler.record_decision`, not a
 predicate re-evaluated over every process id on every event.
 
-Event queues
-------------
-The scheduler runs on one of two queues selected by ``event_queue``:
-
-* ``"heap"`` — the reference binary heap over ``(time, priority, seq)`` keys.
-* ``"bucket"`` — a :class:`~repro.sim.batch.BucketQueue` grouping events into
-  per-timestamp priority FIFOs; exact for any delay model (see
-  ``docs/performance.md``) and much cheaper when many messages share receive
-  times, as under the bounded-delay models.
-* ``"auto"`` (default) — bucket when the delay model declares
-  ``bucketable = True`` and no schedule controller is attached (controllers
-  re-queue deferred events and inspect Event objects, which is heap
-  territory); heap otherwise.
-
-Both queues fire events in the identical strict ``(time, priority, seq)``
-order, so traces and fingerprints are byte-identical between them — pinned by
-the bucket-vs-heap equivalence battery in ``tests/test_scheduler_bucket.py``.
+The event queue
+---------------
+There is one queue and one loop.  Every event is a bare tuple in a
+:class:`~repro.sim.batch.BucketQueue`: one bucket per distinct timestamp, one
+FIFO per event kind inside it (crash, recover, propose, delivery, timer — the
+kind constants of :mod:`repro.sim.events` are the FIFO slots).  Popping the
+minimum timestamp, then the lowest non-empty kind, then the FIFO front fires
+events in the strict ``(time, kind, post order)`` order of the paper's
+Appendix A, for any delay model and any push pattern (the argument is in
+``docs/performance.md``); :meth:`Scheduler.run` is the only place that order
+and the per-kind semantics are written down, and
+``tests/goldens/kernel_fingerprints.json`` pins what it must produce.
 
 Schedule controllers
 --------------------
-By default the scheduler fires events in strict ``(time, priority, seq)``
-order — that path is untouched and fingerprint-guarded.  An optional
+By default the scheduler fires events in that strict order.  An optional
 ``controller`` (see :mod:`repro.explore`) is consulted once per popped event
-and may perturb the schedule within the paper's admissible-execution space:
+— from the same loop, through an :class:`~repro.sim.events.Event` view built
+only when a controller is attached — and may perturb the schedule within the
+paper's admissible-execution space:
 
-* ``("defer", extra)`` — postpone the delivery by ``extra`` time units
-  (extending a message delay is exactly what the eventually-synchronous
-  adversary is allowed to do; a deferred delivery whose effective delay
-  exceeds the bound ``U`` turns the run into a network-failure execution);
+* ``("defer", extra)`` — postpone the delivery by ``extra`` time units: the
+  same entry is re-queued at its later bucket (extending a message delay is
+  exactly what the eventually-synchronous adversary is allowed to do; a
+  deferred delivery whose effective delay exceeds the bound ``U`` turns the
+  run into a network-failure execution);
 * ``("crash", pid)`` — crash ``pid`` immediately, before the current event is
   dispatched, provided the fault budget ``f`` is not exhausted.
 
@@ -72,7 +69,6 @@ builds its replayable :class:`~repro.explore.ScheduleTrace`.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -81,28 +77,18 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from repro.errors import ConfigurationError, ProtocolViolationError, SimulationError
 from repro.sim.clock import VirtualClock
 from repro.sim.events import (
-    PRIORITY_CONTROL,
+    EVENT_VIEWS,
     PRIORITY_CRASH,
     PRIORITY_DELIVERY,
     PRIORITY_PROPOSE,
     PRIORITY_RECOVER,
     PRIORITY_TIMER,
-    ControlEvent,
-    CrashEvent,
-    Event,
-    MessageDeliveryEvent,
-    ProposeEvent,
-    RecoverEvent,
-    TimerEvent,
 )
 from repro.sim.batch import BatchedDelaySampler, BucketQueue
 from repro.sim.faults import FaultPlan
 from repro.sim.network import DelayModel, FixedDelay, Network
 from repro.env import Process
 from repro.sim.trace import TRACE_LEVELS, CounterTrace, MessageRecord, Trace
-
-#: event-queue selection knobs accepted by :class:`Scheduler`
-EVENT_QUEUES = ("auto", "heap", "bucket")
 
 ProcessFactory = Callable[[int, int, int, "SimEnv"], Process]
 
@@ -146,7 +132,6 @@ class Scheduler:
         protocol_name: str = "",
         trace_level: str = "full",
         controller: Optional[Any] = None,
-        event_queue: str = "auto",
         delay_sampler: Optional[BatchedDelaySampler] = None,
     ):
         if n < 2:
@@ -156,16 +141,6 @@ class Scheduler:
         if trace_level not in TRACE_LEVELS:
             raise ConfigurationError(
                 f"unknown trace_level {trace_level!r}; expected one of {TRACE_LEVELS}"
-            )
-        if event_queue not in EVENT_QUEUES:
-            raise ConfigurationError(
-                f"unknown event_queue {event_queue!r}; expected one of {EVENT_QUEUES}"
-            )
-        if event_queue == "bucket" and controller is not None:
-            raise ConfigurationError(
-                "event_queue='bucket' cannot run under a schedule controller; "
-                "controllers defer and inspect Event objects, which requires "
-                "the heap queue (use event_queue='auto' or 'heap')"
             )
         self.n = n
         self.f = f
@@ -184,20 +159,12 @@ class Scheduler:
         self.trace = trace_cls(n=n, f=f, u=self.network.u, protocol=protocol_name)
         self.processes: Dict[int, Process] = {}
         self.envs: Dict[int, SimEnv] = {pid: SimEnv(self, pid) for pid in range(1, n + 1)}
-        self._heap: List[tuple] = []
-        use_bucket = event_queue == "bucket" or (
-            event_queue == "auto"
-            and controller is None
-            and getattr(self.network.delay_model, "bucketable", False)
-        )
-        self._bucketq: Optional[BucketQueue] = BucketQueue() if use_bucket else None
-        # batched sampling is orthogonal to the queue choice: bind the
-        # sampler (a per-cell object when the sweep engine passes one in)
-        # to this run's delay model; models that are not i.i.d. refuse
+        self._queue = BucketQueue()
+        # bind the sampler (a per-cell object when the sweep engine passes
+        # one in) to this run's delay model; models that are not i.i.d. refuse
         sampler = delay_sampler if delay_sampler is not None else BatchedDelaySampler()
         self._delay_sampler = sampler if sampler.bind(self.network.delay_model) else None
         self.network.attach_sampler(self._delay_sampler)
-        self._seq = 0
         self._msg_counter = 0
         #: in-flight records by msg id, so delivery marking is O(1) (records
         #: are popped on delivery); empty at the counters level
@@ -227,11 +194,9 @@ class Scheduler:
         ] = None
         # schedule crashes (and planned rejoins) up front
         for pid, at in self.fault_plan.crashes.items():
-            self._push(CrashEvent(time=at, priority=PRIORITY_CRASH, seq=self._next_seq(), pid=pid))
+            self._queue.push(at, PRIORITY_CRASH, (pid,))
         for pid, at in self.fault_plan.recoveries.items():
-            self._push(
-                RecoverEvent(time=at, priority=PRIORITY_RECOVER, seq=self._next_seq(), pid=pid)
-            )
+            self._queue.push(at, PRIORITY_RECOVER, (pid,))
 
     # ------------------------------------------------------------------ #
     # wiring
@@ -250,37 +215,8 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     # event production
     # ------------------------------------------------------------------ #
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _push(self, event: Event) -> None:
-        bucketq = self._bucketq
-        if bucketq is None:
-            heapq.heappush(self._heap, (event.sort_key(), event))
-        else:
-            # full Event objects ride the bucket FIFOs too (rare events, and
-            # any event pushed by a subclass); the loop dispatches them
-            # through _dispatch so overrides keep working
-            bucketq.push(event.time, event.priority, event)
-
     def post_propose(self, pid: int, value: Any, at: float = 0.0) -> None:
-        self._push(
-            ProposeEvent(time=at, priority=PRIORITY_PROPOSE, seq=self._next_seq(), pid=pid, value=value)
-        )
-
-    def post_control(self, pid: int, action: Any, payload: Any = None, at: float = 0.0) -> None:
-        """Schedule an arbitrary callback delivered to the driver (not a process)."""
-        self._push(
-            ControlEvent(
-                time=at,
-                priority=PRIORITY_CONTROL,
-                seq=self._next_seq(),
-                pid=pid,
-                action=action,
-                payload=payload,
-            )
-        )
+        self._queue.push(at, PRIORITY_PROPOSE, (pid, value))
 
     def post_message(self, src: int, dst: int, payload: Any, module: str = "main") -> None:
         """Send a message; called (indirectly) by processes through their env."""
@@ -308,33 +244,12 @@ class Scheduler:
         )
         if record is not None:  # the counters level keeps no records
             self._pending_records[msg_id] = record
-        bucketq = self._bucketq
-        if bucketq is None:
-            self._push(
-                MessageDeliveryEvent(
-                    time=recv_time,
-                    priority=PRIORITY_DELIVERY,
-                    seq=self._next_seq(),
-                    src=src,
-                    dst=dst,
-                    payload=payload,
-                    send_time=send_time,
-                    msg_id=msg_id,
-                )
-            )
-        else:
-            # deliveries are the hot event: a bare tuple in the priority-2
-            # FIFO carries everything dispatch needs (the bucket key is the
-            # receive time, FIFO position is the seq order), skipping the
-            # frozen-dataclass Event allocation entirely
-            bucket = bucketq.buckets.get(recv_time)
-            if bucket is None:
-                bucket = bucketq.buckets[recv_time] = [
-                    [], [], [], [], [], [0, 0, 0, 0, 0], 0,
-                ]
-                heapq.heappush(bucketq.times, recv_time)
-            bucket[PRIORITY_DELIVERY].append((src, dst, payload, msg_id))
-            bucket[6] += 1
+        # deliveries are the hot event: a bare tuple in the delivery FIFO
+        # carries everything dispatch (and a controller's view) needs; the
+        # bucket key is the receive time, FIFO position the post order
+        self._queue.push(
+            recv_time, PRIORITY_DELIVERY, (src, dst, payload, msg_id, send_time)
+        )
 
     def set_timer(self, pid: int, at_units: float, name: str) -> None:
         """Arm (or re-arm) the named timer; re-arming supersedes the pending fire."""
@@ -342,30 +257,7 @@ class Scheduler:
         generation = self._timer_generation.get(key, 0) + 1
         self._timer_generation[key] = generation
         fire_time = max(self.clock.now, self.clock.units_to_time(at_units))
-        bucketq = self._bucketq
-        if bucketq is None:
-            self._push(
-                TimerEvent(
-                    time=fire_time,
-                    priority=PRIORITY_TIMER,
-                    seq=self._next_seq(),
-                    pid=pid,
-                    name=name,
-                    generation=generation,
-                    deadline_units=at_units,
-                )
-            )
-        else:
-            # timers ride the priority-3 FIFO as bare tuples; the fire time
-            # is the bucket key
-            bucket = bucketq.buckets.get(fire_time)
-            if bucket is None:
-                bucket = bucketq.buckets[fire_time] = [
-                    [], [], [], [], [], [0, 0, 0, 0, 0], 0,
-                ]
-                heapq.heappush(bucketq.times, fire_time)
-            bucket[PRIORITY_TIMER].append((pid, name, generation))
-            bucket[6] += 1
+        self._queue.push(fire_time, PRIORITY_TIMER, (pid, name, generation))
 
     def cancel_timer(self, pid: int, name: str) -> None:
         key = (pid, name)
@@ -409,53 +301,27 @@ class Scheduler:
         )
 
     def run(self) -> Trace:
-        """Process events until the queue drains, max_time passes, or stop fires."""
-        if self._controller is not None and not self._controller_began:
-            self._controller_began = True
-            begin = getattr(self._controller, "begin", None)
-            if begin is not None:
-                begin(self)
-        if self._bucketq is not None:
-            self._run_bucket()
-        else:
-            self._run_heap()
-        self.trace.end_time = self.clock.time_to_units(self.clock.now)
-        return self.trace
+        """Process events until the queue drains, max_time passes, or stop fires.
 
-    def _run_heap(self) -> None:
-        """The reference loop over the binary heap."""
-        while self._heap:
-            _, event = heapq.heappop(self._heap)
-            if event.time > self.max_time:
-                break
-            if self._controller is not None:
-                event = self._consult_controller(event)
-                if event is None:  # deferred: re-queued at a later time
-                    continue
-            self.clock.advance_to(event.time)
-            self._dispatch(event)
-            if self._stopped:
-                break
-            if self._correct_pids is not None and self._undecided_correct == 0:
-                break
-            if self._stop_predicate is not None and self._stop_predicate(self):
-                break
-
-    def _run_bucket(self) -> None:
-        """The bucket-queue loop: same event order, inlined hot dispatch.
-
-        Pops are inlined against the bucket structure and the two hot event
-        kinds (deliveries, timers) arrive as bare tuples that never became
-        Event objects; everything else is a real Event dispatched through
-        :meth:`_dispatch` so subclass overrides behave identically.  The
-        max_time check peeks before popping where the heap pops then breaks
-        — observationally identical, since the heap's discarded event is
-        past max_time and never dispatched.  No controller ever runs here
-        (construction forbids it), so the consult step is simply absent.
+        The one event loop.  Pops are inlined against the bucket structure
+        (:meth:`BucketQueue.pop <repro.sim.batch.BucketQueue.pop>` is the
+        reference for them) and each kind's semantics are written exactly
+        once, below.  The max_time check peeks: an overdue event stays
+        queued, so raising ``max_time`` and calling ``run()`` again resumes
+        the execution without losing it.  A schedule controller, when
+        attached, is consulted between the pop and the clock advance; runs
+        without one never touch the hook.
         """
-        bucketq = self._bucketq
-        times = bucketq.times
-        buckets = bucketq.buckets
+        consult = None
+        if self._controller is not None:
+            consult = self._consult_controller
+            if not self._controller_began:
+                self._controller_began = True
+                begin = getattr(self._controller, "begin", None)
+                if begin is not None:
+                    begin(self)
+        times = self._queue.times
+        buckets = self._queue.buckets
         clock = self.clock
         max_time = self.max_time
         processes = self.processes
@@ -468,19 +334,21 @@ class Scheduler:
                 break
             bucket = buckets[time]
             cursors = bucket[5]
-            for priority in range(5):
-                index = cursors[priority]
-                fifo = bucket[priority]
+            for kind in range(5):
+                index = cursors[kind]
+                fifo = bucket[kind]
                 if index < len(fifo):
                     break
             entry = fifo[index]
-            cursors[priority] = index + 1
+            cursors[kind] = index + 1
             remaining = bucket[6] - 1
             if remaining:
                 bucket[6] = remaining
             else:
                 del buckets[time]
                 heapq.heappop(times)
+            if consult is not None and consult(time, kind, entry):
+                continue  # deferred: the entry is back in a later bucket
             # inline clock.advance_to(time): same monotonicity guard
             now = clock._now
             if time > now:
@@ -489,33 +357,51 @@ class Scheduler:
                 raise SimulationError(
                     f"clock cannot run backwards: {time} < {now}"
                 )
-            if entry.__class__ is tuple:
-                if priority == PRIORITY_DELIVERY:
-                    src, dst, payload, msg_id = entry
-                    record = pending.pop(msg_id, None) if pending else None
-                    process = processes.get(dst)
-                    if process is not None and not process.crashed:
-                        if record is not None:
-                            record.delivered = True
-                        process.deliver(src, payload)
-                else:  # PRIORITY_TIMER: (pid, name, generation)
-                    pid, name, generation = entry
-                    process = processes.get(pid)
-                    if (
-                        process is not None
-                        and not process.crashed
-                        and timer_generation.get((pid, name), 0) == generation
-                    ):
-                        trace.record_timer(pid, name, clock.time_to_units(time))
-                        process.timeout(name)
-            else:
-                self._dispatch(entry)
+            # ordered by frequency: deliveries dominate every run, then timers
+            if kind == PRIORITY_DELIVERY:
+                src, dst, payload, msg_id, _ = entry
+                # popped even when the destination is gone, so the map stays
+                # bounded by in-flight messages; only real deliveries are marked
+                record = pending.pop(msg_id, None) if pending else None
+                process = processes.get(dst)
+                if process is not None and not process.crashed:
+                    if record is not None:
+                        record.delivered = True
+                    process.deliver(src, payload)
+            elif kind == PRIORITY_TIMER:
+                pid, name, generation = entry
+                process = processes.get(pid)
+                if (
+                    process is not None
+                    and not process.crashed
+                    # a mismatch means superseded or cancelled
+                    and timer_generation.get((pid, name), 0) == generation
+                ):
+                    trace.record_timer(pid, name, clock.time_to_units(time))
+                    process.timeout(name)
+            elif kind == PRIORITY_PROPOSE:
+                pid, value = entry
+                process = processes.get(pid)
+                if process is not None and not process.crashed:
+                    trace.record_proposal(pid, value, clock.time_to_units(time))
+                    process.on_propose(value)
+            elif kind == PRIORITY_CRASH:
+                pid = entry[0]
+                process = processes.get(pid)
+                if process is not None and not process.crashed:
+                    process.crashed = True
+                    process.on_crash()
+                trace.record_crash(pid, clock.time_to_units(time))
+            else:  # PRIORITY_RECOVER
+                self.recover(entry[0])
             if self._stopped:
                 break
             if self._correct_pids is not None and self._undecided_correct == 0:
                 break
             if self._stop_predicate is not None and self._stop_predicate(self):
                 break
+        trace.end_time = clock.time_to_units(clock.now)
+        return trace
 
     def stop(self) -> None:
         self._stopped = True
@@ -523,39 +409,39 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     # schedule control (exploration subsystem; see module docstring)
     # ------------------------------------------------------------------ #
-    def _consult_controller(self, event: Event) -> Optional[Event]:
-        """Offer the next event to the controller; apply its decision.
+    def _consult_controller(self, time: float, kind: int, entry: tuple) -> bool:
+        """Offer the popped entry to the controller; apply its decision.
 
-        Returns the event to dispatch now, or ``None`` when the event was
-        deferred (it is back on the heap at a later time).  Inapplicable
+        Returns True when the entry was deferred (it is back in the queue at
+        a later time) and must not be dispatched now.  Inapplicable
         decisions (deferring a timer, crashing past the budget) are ignored,
         which keeps replay of a *shrunk* decision list well-defined.
         """
         step = self._schedule_step
         self._schedule_step += 1
-        action = self._controller.intercept(self, event, step)
+        action = self._controller.intercept(self, EVENT_VIEWS[kind](time, *entry), step)
         if not action:
-            return event
-        kind = action[0]
-        if kind == "defer":
+            return False
+        verb = action[0]
+        if verb == "defer":
             extra = float(action[1])
-            if self._defer_delivery(event, extra):
+            if self._defer_delivery(time, kind, entry, extra):
                 self.applied_schedule_actions.append((step, "defer", extra))
-                return None
-            return event
-        if kind == "crash":
+                return True
+            return False
+        if verb == "crash":
             pid = int(action[1])
-            if self.inject_crash(pid, at=event.time):
+            if self.inject_crash(pid, at=time):
                 self.applied_schedule_actions.append((step, "crash", pid))
-            return event
-        if kind == "recover":
+            return False
+        if verb == "recover":
             pid = int(action[1])
-            if self.inject_recovery(pid, at=event.time):
+            if self.inject_recovery(pid, at=time):
                 self.applied_schedule_actions.append((step, "recover", pid))
-            return event
+            return False
         raise ConfigurationError(f"unknown schedule action {action!r}")
 
-    def _defer_delivery(self, event: Event, extra: float) -> bool:
+    def _defer_delivery(self, time: float, kind: int, entry: tuple, extra: float) -> bool:
         """Postpone a delivery by ``extra`` time units; True if applied.
 
         Only real (non-self) message deliveries can be deferred — timers,
@@ -565,19 +451,20 @@ class Scheduler:
         to the new receive time, and an effective delay beyond the bound
         ``U`` marks the execution as a network failure.
         """
-        if not isinstance(event, MessageDeliveryEvent) or event.src == event.dst:
+        if kind != PRIORITY_DELIVERY or extra <= 0:
             return False
-        if extra <= 0:
+        src, dst, _, msg_id, send_time = entry
+        if src == dst:
             return False
-        new_time = max(self.clock.now, event.time) + extra
-        record = self._pending_records.get(event.msg_id)
+        new_time = max(self.clock.now, time) + extra
+        record = self._pending_records.get(msg_id)
         if record is not None:
             record.recv_time = new_time
         else:
-            self.trace.adjust_recv_time(event.time, new_time)
-        if new_time - event.send_time > self.network.u + 1e-9:
+            self.trace.adjust_recv_time(time, new_time)
+        if new_time - send_time > self.network.u + 1e-9:
             self._schedule_overdue = True
-        self._push(dataclasses.replace(event, time=new_time, seq=self._next_seq()))
+        self._queue.push(new_time, PRIORITY_DELIVERY, entry)
         return True
 
     def can_inject_crash(self, pid: int) -> bool:
@@ -684,52 +571,6 @@ class Scheduler:
             return "crash-failure"
         return "failure-free"
 
-    def _dispatch(self, event: Event) -> None:
-        # ordered by frequency: deliveries dominate every run, then timers
-        if isinstance(event, MessageDeliveryEvent):
-            # popped even when the destination is gone, so the map stays
-            # bounded by in-flight messages; only real deliveries are marked
-            record = self._pending_records.pop(event.msg_id, None)
-            process = self.processes.get(event.dst)
-            if process is None or process.crashed:
-                return
-            if record is not None:
-                record.delivered = True
-            process.deliver(event.src, event.payload)
-            return
-        if isinstance(event, TimerEvent):
-            process = self.processes.get(event.pid)
-            if process is None or process.crashed:
-                return
-            key = (event.pid, event.name)
-            if self._timer_generation.get(key, 0) != event.generation:
-                return  # superseded or cancelled
-            self.trace.record_timer(event.pid, event.name, self.clock.time_to_units(event.time))
-            process.timeout(event.name)
-            return
-        if isinstance(event, CrashEvent):
-            process = self.processes.get(event.pid)
-            if process is not None and not process.crashed:
-                process.crashed = True
-                process.on_crash()
-            self.trace.record_crash(event.pid, self.clock.time_to_units(event.time))
-            return
-        if isinstance(event, RecoverEvent):
-            self.recover(event.pid)
-            return
-        if isinstance(event, ControlEvent):
-            if callable(event.action):
-                event.action(self, event)
-            return
-        if isinstance(event, ProposeEvent):
-            process = self.processes.get(event.pid)
-            if process is None or process.crashed:
-                return
-            self.trace.record_proposal(
-                event.pid, event.value, self.clock.time_to_units(event.time)
-            )
-            process.on_propose(event.value)
-
 
 @dataclass
 class SimulationResult:
@@ -775,7 +616,6 @@ class Simulation:
         stop_when_all_correct_decided: bool = True,
         protocol_kwargs: Optional[Dict[str, Any]] = None,
         trace_level: str = "full",
-        event_queue: str = "auto",
     ):
         if (process_class is None) == (process_factory is None):
             raise ConfigurationError(
@@ -784,10 +624,6 @@ class Simulation:
         if trace_level not in TRACE_LEVELS:
             raise ConfigurationError(
                 f"unknown trace_level {trace_level!r}; expected one of {TRACE_LEVELS}"
-            )
-        if event_queue not in EVENT_QUEUES:
-            raise ConfigurationError(
-                f"unknown event_queue {event_queue!r}; expected one of {EVENT_QUEUES}"
             )
         self.n = n
         self.f = f
@@ -800,7 +636,6 @@ class Simulation:
         self._max_time = max_time
         self._stop_when_decided = stop_when_all_correct_decided
         self._trace_level = trace_level
-        self._event_queue = event_queue
         self._factory = self._make_factory()
         self._protocol_name = (
             process_class.__name__ if process_class is not None else "custom"
@@ -824,7 +659,6 @@ class Simulation:
         fault_plan: Optional[FaultPlan] = None,
         seed: Optional[int] = None,
         controller: Optional[Any] = None,
-        event_queue: Optional[str] = None,
         delay_sampler: Optional[BatchedDelaySampler] = None,
     ) -> SimulationResult:
         """Run one execution with the given per-process votes.
@@ -834,14 +668,19 @@ class Simulation:
         one ``Simulation`` per grid cell across per-trial-seeded models.
         ``controller`` attaches a schedule controller (see
         :mod:`repro.explore`) to this run; the applied schedule decisions
-        land in ``trace.metadata["schedule_decisions"]``.  ``event_queue``
-        overrides the constructor's queue choice for this run;
-        ``delay_sampler`` supplies a reusable
-        :class:`~repro.sim.batch.BatchedDelaySampler` (the sweep engine keeps
-        one per cell so its buffer survives across trials).
+        land in ``trace.metadata["schedule_decisions"]``.  ``delay_sampler``
+        supplies a reusable :class:`~repro.sim.batch.BatchedDelaySampler`
+        (the sweep engine keeps one per cell so its buffer survives across
+        trials).  ``votes`` is a sequence of ``n`` votes or a dict keyed by
+        pid; a partial dict is legal (the missing processes never propose).
         """
         if isinstance(votes, dict):
             vote_map = dict(votes)
+            for pid in vote_map:
+                if not (isinstance(pid, int) and 1 <= pid <= self.n):
+                    raise ConfigurationError(
+                        f"vote for unknown process {pid!r}: pids are 1..{self.n}"
+                    )
         else:
             if len(votes) != self.n:
                 raise ConfigurationError(
@@ -859,10 +698,6 @@ class Simulation:
             protocol_name=self._protocol_name,
             trace_level=self._trace_level,
             controller=controller,
-            # a controller forces the heap even when the constructor asked
-            # for auto; an explicit "bucket" request with a controller is
-            # rejected by the Scheduler itself
-            event_queue=event_queue if event_queue is not None else self._event_queue,
             delay_sampler=delay_sampler,
         )
         scheduler.bind_processes(self._factory)

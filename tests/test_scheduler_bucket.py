@@ -1,30 +1,48 @@
-"""Bucket-queue scheduler: gating, trace equivalence, timer semantics.
+"""The event kernel against its frozen reference, plus timer semantics.
 
-The bucket queue is only allowed to exist because it is *invisible*: for
-every registered delay model and fault plan, a run on the bucket queue must
-produce a trace byte-identical (same fingerprint) to the same run on the
-binary heap.  These tests pin that equivalence plus the auto-gating rules
-and the ``cancel_timer`` regression from the same PR.
+The scheduler once carried two queues — a binary heap over ``(time,
+priority, seq)`` keys and the bucket queue — and this file compared them run
+by run.  The heap path is gone; what it produced is frozen in
+``tests/goldens/kernel_fingerprints.json``, generated at the last commit that
+still had it (``event_queue="heap"`` forced onto every ``Scheduler``).  A
+kernel change is correct iff every fingerprint and every applied schedule
+decision below still matches that file.
 """
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.exp import GridSpec, run_trial
 from repro.exp.registry import (
     NamedDelayFactory,
     NamedFaultFactory,
     delay_model_names,
     fault_plan_names,
 )
-from repro.explore.schedule import ScheduleController
+from repro.explore.strategies import make_strategy
 from repro.protocols import INBAC, TwoPhaseCommit
-from repro.sim.network import FixedDelay, FlakyLinkDelay, UniformDelay
+from repro.sim.network import FixedDelay
 from repro.sim.runner import Scheduler, Simulation
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "goldens", "kernel_fingerprints.json")
 
-def _run_fingerprint(protocol, delay_name, fault_name, event_queue, seed=7):
+#: one controlled protocol run per registered strategy, parameters chosen so
+#: that every decision kind (defer, crash, recover) actually applies
+CONTROLLED = {
+    "random-walk": ("random-walk", dict(seed=3, defer_prob=0.3, crash_prob=0.1)),
+    "delay-reorder": ("delay-reorder", dict(seed=1, k=3, window=12)),
+    "crash-point": ("crash-point", dict(pid=2, point=1)),
+    "crash-point+recover_after": (
+        "crash-point", dict(pid=2, point=1, recover_after=2),
+    ),
+}
+
+
+def _run_fingerprint(protocol, delay_name, fault_name, seed=7):
     sim = Simulation(
         n=4,
         f=1,
@@ -33,76 +51,118 @@ def _run_fingerprint(protocol, delay_name, fault_name, event_queue, seed=7):
         fault_plan=NamedFaultFactory(fault_name, {})(),
         seed=seed,
         trace_level="full",
-        event_queue=event_queue,
     )
     return sim.run(votes=[1, 1, 0, 1]).trace.fingerprint()
 
 
-class TestQueueGating:
-    @pytest.mark.parametrize(
-        "model",
-        [FixedDelay(1.0), UniformDelay(0.2, 1.0, seed=3)],
-        ids=["fixed", "uniform"],
+def _controlled_protocol_run(label):
+    name, params = CONTROLLED[label]
+    sim = Simulation(
+        n=5,
+        f=2,
+        process_class=INBAC,
+        delay_model=NamedDelayFactory("uniform", {})(11),
+        seed=11,
+        trace_level="full",
     )
-    def test_auto_picks_bucket_for_bounded_models(self, model):
-        scheduler = Scheduler(n=4, f=1, delay_model=model)
-        assert scheduler._bucketq is not None
+    trace = sim.run([1] * 5, controller=make_strategy(name, **params)).trace
+    return {
+        "fingerprint": trace.fingerprint(),
+        "schedule_decisions": [list(d) for d in trace.metadata["schedule_decisions"]],
+    }
 
-    def test_auto_picks_heap_for_unbounded_models(self):
-        model = FlakyLinkDelay(u=1.0, outages=((1, 2, 0.0, 3.0),))
-        scheduler = Scheduler(n=4, f=1, delay_model=model)
-        assert scheduler._bucketq is None
 
-    def test_controller_forces_heap_under_auto(self):
-        # controllers defer/inspect Event objects, which only the heap holds
-        scheduler = Scheduler(
-            n=4, f=1, delay_model=FixedDelay(1.0), controller=ScheduleController()
-        )
-        assert scheduler._bucketq is None
+def _controlled_cluster_run():
+    grid = GridSpec(
+        protocols=["2PC"],
+        systems=[(3, 1)],
+        workloads=[("uniform3", "uniform", {"transactions": 4})],
+        schedules=[("rw", "random-walk", {"defer_prob": 0.3})],
+        seeds=[0],
+        max_time=150.0,
+    )
+    result = run_trial(grid.trials()[0], trace_level="full")
+    assert result.error is None
+    return {
+        "fingerprint": result.extra["trace_fingerprint"],
+        "schedule_decisions": [
+            list(d) for d in result.extra["schedule_trace"]["decisions"]
+        ],
+    }
 
-    def test_explicit_bucket_with_controller_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Scheduler(
-                n=4,
-                f=1,
-                delay_model=FixedDelay(1.0),
-                controller=ScheduleController(),
-                event_queue="bucket",
+
+def compute_kernel_fingerprints():
+    """Everything the golden pins, computed on the scheduler as it stands.
+
+    The generator that wrote the golden called this at the heap-path commit;
+    the tests below check the same runs cell by cell.
+    """
+    return {
+        "matrix": {
+            f"{protocol.__name__}/{delay_name}/{fault_name}": _run_fingerprint(
+                protocol, delay_name, fault_name
             )
+            for protocol in (TwoPhaseCommit, INBAC)
+            for delay_name in sorted(delay_model_names())
+            for fault_name in sorted(fault_plan_names())
+        },
+        "seeds": {
+            f"INBAC/uniform/crash/{seed}": _run_fingerprint(
+                INBAC, "uniform", "crash", seed=seed
+            )
+            for seed in (0, 1, 2)
+        },
+        "controlled": {label: _controlled_protocol_run(label) for label in CONTROLLED},
+        "cluster": {"random-walk": _controlled_cluster_run()},
+    }
 
-    def test_explicit_heap_is_honored(self):
-        scheduler = Scheduler(
-            n=4, f=1, delay_model=FixedDelay(1.0), event_queue="heap"
-        )
-        assert scheduler._bucketq is None
 
-    def test_unknown_queue_name_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Scheduler(n=4, f=1, event_queue="calendar")
-        with pytest.raises(ConfigurationError):
-            Simulation(n=4, f=1, process_class=TwoPhaseCommit, event_queue="x")
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN) as handle:
+        return json.load(handle)
 
 
-class TestBucketHeapEquivalence:
+class TestKernelGolden:
     @pytest.mark.parametrize("fault_name", sorted(fault_plan_names()))
     @pytest.mark.parametrize("delay_name", sorted(delay_model_names()))
     @pytest.mark.parametrize("protocol", [TwoPhaseCommit, INBAC])
-    def test_fingerprints_identical_across_queues(
-        self, protocol, delay_name, fault_name
+    def test_fingerprint_matches_heap_reference(
+        self, golden, protocol, delay_name, fault_name
     ):
-        # the full registered matrix; for unbounded models "bucket" is an
-        # explicit request, exercising the forced-bucket path too
-        heap_fp = _run_fingerprint(protocol, delay_name, fault_name, "heap")
-        bucket_fp = _run_fingerprint(protocol, delay_name, fault_name, "bucket")
-        auto_fp = _run_fingerprint(protocol, delay_name, fault_name, "auto")
-        assert bucket_fp == heap_fp
-        assert auto_fp == heap_fp
+        # the full registered matrix, unbounded models (flaky links) included
+        key = f"{protocol.__name__}/{delay_name}/{fault_name}"
+        assert _run_fingerprint(protocol, delay_name, fault_name) == golden["matrix"][key]
+
+    def test_golden_covers_exactly_the_registered_matrix(self, golden):
+        assert sorted(golden["matrix"]) == sorted(
+            f"{protocol}/{delay_name}/{fault_name}"
+            for protocol in ("TwoPhaseCommit", "INBAC")
+            for delay_name in delay_model_names()
+            for fault_name in fault_plan_names()
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_equivalence_holds_across_seeds(self, seed):
-        heap_fp = _run_fingerprint(INBAC, "uniform", "crash", "heap", seed=seed)
-        bucket_fp = _run_fingerprint(INBAC, "uniform", "crash", "bucket", seed=seed)
-        assert bucket_fp == heap_fp
+    def test_reference_holds_across_seeds(self, golden, seed):
+        fingerprint = _run_fingerprint(INBAC, "uniform", "crash", seed=seed)
+        assert fingerprint == golden["seeds"][f"INBAC/uniform/crash/{seed}"]
+
+    @pytest.mark.parametrize("label", sorted(CONTROLLED))
+    def test_controlled_protocol_run_matches_heap_reference(self, golden, label):
+        # fingerprint AND the applied decisions: the controller saw the same
+        # events at the same steps as it did over the heap
+        assert _controlled_protocol_run(label) == golden["controlled"][label]
+
+    def test_controlled_runs_exercise_every_decision_kind(self, golden):
+        kinds = {
+            kind
+            for run in golden["controlled"].values()
+            for _, kind, _ in run["schedule_decisions"]
+        }
+        assert kinds == {"defer", "crash", "recover"}
+
+    def test_controlled_cluster_run_matches_heap_reference(self, golden):
+        assert _controlled_cluster_run() == golden["cluster"]["random-walk"]
 
 
 class TestCancelTimer:
@@ -128,22 +188,19 @@ class TestCancelTimer:
                     fired.append(self.pid)
                 super().timeout(name)
 
-        for event_queue in ("heap", "bucket"):
-            fired.clear()
-            sim = Simulation(
-                n=4,
-                f=1,
-                process_class=OneTimer,
-                delay_model=FixedDelay(0.5),
-                max_time=10.0,
-                # keep running past the decision so the timer window elapses
-                stop_when_all_correct_decided=False,
-                event_queue=event_queue,
-            )
-            sim.run(votes=[1, 1, 1, 1])
-            assert fired == []
+        sim = Simulation(
+            n=4,
+            f=1,
+            process_class=OneTimer,
+            delay_model=FixedDelay(0.5),
+            max_time=10.0,
+            # keep running past the decision so the timer window elapses
+            stop_when_all_correct_decided=False,
+        )
+        sim.run(votes=[1, 1, 1, 1])
+        assert fired == []
 
-    def test_rearmed_timer_fires_once_on_both_queues(self):
+    def test_rearmed_timer_fires_once(self):
         fired = []
 
         class Rearm(TwoPhaseCommit):
@@ -158,16 +215,13 @@ class TestCancelTimer:
                     fired.append(self.env.now())
                 super().timeout(name)
 
-        for event_queue in ("heap", "bucket"):
-            fired.clear()
-            sim = Simulation(
-                n=4,
-                f=1,
-                process_class=Rearm,
-                delay_model=FixedDelay(0.2),
-                max_time=10.0,
-                stop_when_all_correct_decided=False,
-                event_queue=event_queue,
-            )
-            sim.run(votes=[1, 1, 1, 1])
-            assert fired == [2.0]
+        sim = Simulation(
+            n=4,
+            f=1,
+            process_class=Rearm,
+            delay_model=FixedDelay(0.2),
+            max_time=10.0,
+            stop_when_all_correct_decided=False,
+        )
+        sim.run(votes=[1, 1, 1, 1])
+        assert fired == [2.0]

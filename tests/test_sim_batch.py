@@ -44,16 +44,16 @@ class TestBucketQueue:
 
     def test_priority_order_within_one_time(self):
         queue = BucketQueue()
-        queue.push(1.0, 3, "timer")
+        queue.push(1.0, 4, "timer")
         queue.push(1.0, 0, "crash")
-        queue.push(1.0, 2, "delivery")
-        assert [queue.pop()[1] for _ in range(3)] == [0, 2, 3]
+        queue.push(1.0, 3, "delivery")
+        assert [queue.pop()[1] for _ in range(3)] == [0, 3, 4]
 
     def test_time_dominates_priority(self):
         queue = BucketQueue()
         queue.push(2.0, 0, "later-crash")
-        queue.push(1.0, 4, "earlier-control")
-        assert queue.pop() == (1.0, 4, "earlier-control")
+        queue.push(1.0, 4, "earlier-timer")
+        assert queue.pop() == (1.0, 4, "earlier-timer")
         assert queue.pop() == (2.0, 0, "later-crash")
 
     def test_peek_time_and_bucket_cleanup(self):

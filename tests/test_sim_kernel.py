@@ -6,16 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.clock import VirtualClock
-from repro.sim.events import (
-    PRIORITY_CRASH,
-    PRIORITY_DELIVERY,
-    PRIORITY_PROPOSE,
-    PRIORITY_TIMER,
-    CrashEvent,
-    MessageDeliveryEvent,
-    ProposeEvent,
-    TimerEvent,
-)
 from repro.sim.faults import FAR_FUTURE, DelayRule, FaultPlan
 from repro.sim.network import (
     AdversarialDelay,
@@ -24,6 +14,8 @@ from repro.sim.network import (
     Network,
     UniformDelay,
 )
+from repro.sim.process import Process
+from repro.sim.runner import Scheduler
 
 
 class TestVirtualClock:
@@ -54,27 +46,74 @@ class TestVirtualClock:
         assert clock.now == 0.0
 
 
+class Recorder(Process):
+    """Logs every event it handles as ``(kind, detail, now)``."""
+
+    def __init__(self, pid, n, f, env, log):
+        super().__init__(pid, n, f, env)
+        self.log = log
+
+    def on_propose(self, value):
+        self.log.append((self.pid, "propose", value, self.now()))
+
+    def on_deliver(self, src, payload):
+        self.log.append((self.pid, "deliver", payload, self.now()))
+
+    def on_timeout(self, name):
+        self.log.append((self.pid, "timeout", name, self.now()))
+
+
 class TestEventOrdering:
-    def test_time_dominates(self):
-        early = TimerEvent(time=1.0, priority=PRIORITY_TIMER, seq=5, pid=1)
-        late = MessageDeliveryEvent(time=2.0, priority=PRIORITY_DELIVERY, seq=1, dst=1)
-        assert early.sort_key() < late.sort_key()
+    """Appendix A's ordering rule, observed at the scheduler's interface."""
 
-    def test_delivery_before_timer_at_equal_time(self):
-        # the paper's Appendix A scheduling remark
-        delivery = MessageDeliveryEvent(time=1.0, priority=PRIORITY_DELIVERY, seq=9, dst=1)
-        timer = TimerEvent(time=1.0, priority=PRIORITY_TIMER, seq=2, pid=1)
-        assert delivery.sort_key() < timer.sort_key()
+    @staticmethod
+    def scheduler(fault_plan=None):
+        log = []
+        scheduler = Scheduler(n=3, f=1, delay_model=FixedDelay(1.0), fault_plan=fault_plan)
+        scheduler.bind_processes(lambda pid, n, f, env: Recorder(pid, n, f, env, log))
+        return scheduler, log
 
-    def test_crash_before_everything_at_equal_time(self):
-        crash = CrashEvent(time=1.0, priority=PRIORITY_CRASH, seq=7, pid=1)
-        propose = ProposeEvent(time=1.0, priority=PRIORITY_PROPOSE, seq=1, pid=1)
-        assert crash.sort_key() < propose.sort_key()
+    def test_time_dominates_kind(self):
+        scheduler, log = self.scheduler()
+        scheduler.post_message(2, 1, "late-delivery")  # arrives at t=1
+        scheduler.set_timer(1, 0.5, "early-timer")
+        scheduler.run()
+        assert log == [(1, "timeout", "early-timer", 0.5), (1, "deliver", "late-delivery", 1.0)]
 
-    def test_sequence_breaks_ties_deterministically(self):
-        a = TimerEvent(time=1.0, priority=PRIORITY_TIMER, seq=1, pid=1)
-        b = TimerEvent(time=1.0, priority=PRIORITY_TIMER, seq=2, pid=1)
-        assert a.sort_key() < b.sort_key()
+    def test_delivery_before_timer_at_one_instant(self):
+        # the paper's Appendix A scheduling remark; the timer is armed first,
+        # so post order alone would have fired it first
+        scheduler, log = self.scheduler()
+        scheduler.set_timer(1, 1.0, "timer")
+        scheduler.post_message(2, 1, "message")
+        scheduler.run()
+        assert log == [(1, "deliver", "message", 1.0), (1, "timeout", "timer", 1.0)]
+
+    def test_crash_preempts_everything_at_its_instant(self):
+        scheduler, log = self.scheduler(FaultPlan.crash(1, at=1.0))
+        scheduler.post_propose(1, "vote", at=1.0)
+        scheduler.post_message(2, 1, "message")
+        scheduler.set_timer(1, 1.0, "timer")
+        scheduler.post_message(1, 2, "to-a-live-process")
+        scheduler.run()
+        assert log == [(2, "deliver", "to-a-live-process", 1.0)]
+        assert scheduler.trace.crashes == {1: 1.0}
+
+    def test_propose_before_delivery_at_one_instant(self):
+        scheduler, log = self.scheduler()
+        scheduler.post_message(2, 1, "message")
+        scheduler.post_propose(1, "vote", at=1.0)
+        scheduler.run()
+        assert [entry[1] for entry in log] == ["propose", "deliver"]
+
+    def test_equal_time_and_kind_fire_in_post_order(self):
+        scheduler, log = self.scheduler()
+        for tag in ("a", "b", "c"):
+            scheduler.post_message(2, 1, tag)
+            scheduler.set_timer(3, 1.0, tag)
+        scheduler.run()
+        assert [entry[2] for entry in log if entry[1] == "deliver"] == ["a", "b", "c"]
+        assert [entry[2] for entry in log if entry[1] == "timeout"] == ["a", "b", "c"]
 
 
 class TestDelayModels:

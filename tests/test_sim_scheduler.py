@@ -6,7 +6,9 @@ import pytest
 
 from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.sim.faults import FaultPlan
-from repro.sim.network import FixedDelay
+from repro.explore.schedule import ScheduleController
+from repro.protocols import INBAC, TwoPhaseCommit
+from repro.sim.network import FixedDelay, FlakyLinkDelay
 from repro.sim.process import Process, ProcessComponent
 from repro.sim.runner import Scheduler, Simulation, run_nice_execution
 from repro.sim.trace import Trace
@@ -83,6 +85,22 @@ class TestSchedulerBasics:
         sim = Simulation(n=3, f=1, process_class=EchoProcess)
         result = sim.run({1: 1, 2: 0, 3: 1})
         assert set(result.decisions().values()) == {2}
+
+    def test_partial_votes_dict_is_legal(self):
+        # processes without a vote simply never propose
+        sim = Simulation(n=3, f=1, process_class=EchoProcess, max_time=5)
+        result = sim.run({1: 1, 3: 1})
+        assert sorted(result.trace.proposals) == [1, 3]
+        assert result.trace.metadata["votes"] == {1: 1, 3: 1}
+
+    @pytest.mark.parametrize("bad_pid", [0, 4, 9, -1, "2"])
+    def test_votes_dict_with_unknown_pid_is_rejected(self, bad_pid):
+        # regression: a vote for a pid outside 1..n used to be dropped
+        # silently while trace.metadata["votes"] still recorded it
+        sim = Simulation(n=3, f=1, process_class=EchoProcess)
+        with pytest.raises(ConfigurationError) as err:
+            sim.run({1: 1, 2: 1, 3: 1, bad_pid: 0})
+        assert repr(bad_pid) in str(err.value)
 
     def test_message_counting_excludes_self_messages(self):
         sim = Simulation(n=3, f=1, process_class=EchoProcess)
@@ -431,3 +449,56 @@ class TestCountingStopCondition:
         trace = scheduler.run()
         assert scheduler._undecided_correct == 0
         assert set(trace.decisions) >= set(trace.correct_pids())
+
+
+class TestResumedRun:
+    """``run()`` is re-entrant: raising ``max_time`` resumes the execution.
+
+    Regression: the heap loop popped the next event *before* comparing it to
+    ``max_time``, so the first overdue event — here a vote delivery held back
+    by a link outage — was discarded and the resumed run aborted on a
+    reliable channel.  The loop peeks; nothing is lost.
+    """
+
+    @staticmethod
+    def run_in_stages(protocol, stops, controller=None):
+        scheduler = Scheduler(
+            n=4,
+            f=1,
+            delay_model=FlakyLinkDelay(u=1.0, outages=((1, 2, 0.0, 3.0),)),
+            protocol_name=protocol.__name__,
+            controller=controller,
+        )
+        scheduler.bind_processes(lambda pid, n, f, env: protocol(pid, n, f, env))
+        for process in scheduler.processes.values():
+            process.on_start()
+        for pid in range(1, 5):
+            scheduler.post_propose(pid, 1)
+        scheduler.stop_when_all_correct_decided()
+        for max_time in stops:
+            scheduler.max_time = max_time
+            trace = scheduler.run()
+        return trace
+
+    @pytest.mark.parametrize("controlled", [False, True], ids=["plain", "controller"])
+    @pytest.mark.parametrize("protocol", [TwoPhaseCommit, INBAC])
+    def test_resumed_run_equals_uninterrupted_run(self, protocol, controlled):
+        def controller():
+            return ScheduleController() if controlled else None
+
+        whole = self.run_in_stages(protocol, [500.0], controller())
+        resumed = self.run_in_stages(protocol, [0.5, 500.0], controller())
+        assert {rec.value for rec in whole.decisions.values()} == {1}
+        assert {rec.value for rec in resumed.decisions.values()} == {1}
+        assert resumed.fingerprint() == whole.fingerprint()
+
+    def test_overdue_event_stays_queued(self):
+        scheduler = Scheduler(n=3, f=1, max_time=0.5)
+        scheduler.bind_processes(lambda pid, n, f, env: EchoProcess(pid, n, f, env))
+        for pid in (1, 2, 3):
+            scheduler.post_propose(pid, 1)
+        scheduler.run()
+        in_flight = len(scheduler._queue)
+        assert in_flight == 6 + 3  # six votes at t=1, three timers at t=2
+        scheduler.run()  # still past max_time: a no-op, not a drain
+        assert len(scheduler._queue) == in_flight
