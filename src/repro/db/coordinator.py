@@ -121,6 +121,10 @@ class ClientCoordinator(Process):
         #: band, never consulted for any decision this process makes
         self.tracer = tracer
         self.outcomes: Dict[str, TransactionOutcome] = {}
+        #: submitted transactions still waiting for their first DONE; what
+        #: all_completed() answers from, so the simulator's per-event stop
+        #: predicate does not re-walk ``outcomes``
+        self._incomplete = 0
         #: resubmissions per transaction id (only transactions that retried)
         self.retry_counts: Dict[str, int] = {}
         self._attempts: Dict[str, int] = {}
@@ -171,6 +175,7 @@ class ClientCoordinator(Process):
                 submit_time=self.now(),
                 participants=participants,
             )
+            self._incomplete += 1
         for partition in participants:
             self.send(
                 partition,
@@ -242,6 +247,7 @@ class ClientCoordinator(Process):
         outcome.decision = decision
         outcome.decide_time = decide_time
         outcome.ack_time = self.now()
+        self._incomplete -= 1
         if self.tracer is not None:
             # first participant decision -> ack at the client (ack latency),
             # and the end of the whole-transaction envelope
@@ -256,9 +262,7 @@ class ClientCoordinator(Process):
     # queries used by the cluster driver
     # ------------------------------------------------------------------ #
     def all_completed(self) -> bool:
-        return len(self.outcomes) == len(self.workload) and all(
-            o.completed for o in self.outcomes.values()
-        )
+        return self._incomplete == 0 and len(self.outcomes) == len(self.workload)
 
     def completed_outcomes(self) -> List[TransactionOutcome]:
         return [o for o in self.outcomes.values() if o.completed]

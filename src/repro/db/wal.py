@@ -20,7 +20,7 @@ COMMIT = "COMMIT"
 ABORT = "ABORT"
 
 
-@dataclass
+@dataclass(slots=True)
 class WalRecord:
     """One append-only log record.
 
@@ -44,10 +44,19 @@ class WalRecord:
 
 
 class WriteAheadLog:
-    """Append-only per-partition log."""
+    """Append-only per-partition log.
+
+    The record list is the log.  ``_by_txn`` indexes the *same* record
+    objects by transaction id, in log order, so the per-transaction questions
+    the commit path asks on every EXEC (``outcome_of``, ``prepare_record_of``)
+    read that transaction's two or three records instead of the whole log.
+    ``torn`` is consulted on the record at read time, so tearing a record
+    needs no index maintenance.
+    """
 
     def __init__(self) -> None:
         self._records: List[WalRecord] = []
+        self._by_txn: Dict[str, List[WalRecord]] = {}
 
     def append(
         self,
@@ -68,6 +77,7 @@ class WriteAheadLog:
             participants=tuple(participants),
         )
         self._records.append(record)
+        self._by_txn.setdefault(txn_id, []).append(record)
         return record
 
     def tear_final_record(self) -> Optional[WalRecord]:
@@ -86,7 +96,7 @@ class WriteAheadLog:
         return list(self._records)
 
     def records_for(self, txn_id: str) -> List[WalRecord]:
-        return [r for r in self._records if r.txn_id == txn_id]
+        return list(self._by_txn.get(txn_id, ()))
 
     def transaction_ids(self) -> List[str]:
         """Distinct transaction ids with at least one intact record, in
@@ -100,10 +110,8 @@ class WriteAheadLog:
 
     def outcome_of(self, txn_id: str) -> Optional[str]:
         """COMMIT / ABORT if decided, None if only prepared (in doubt)."""
-        for record in reversed(self._records):
-            if record.torn:
-                continue
-            if record.txn_id == txn_id and record.kind in (COMMIT, ABORT):
+        for record in reversed(self._by_txn.get(txn_id, ())):
+            if not record.torn and record.kind in (COMMIT, ABORT):
                 return record.kind
         return None
 
@@ -113,19 +121,26 @@ class WriteAheadLog:
         Recovery reads the buffered writes and the participant set from here
         when re-installing locks and issuing termination queries.
         """
-        for record in reversed(self._records):
-            if record.torn:
-                continue
-            if record.txn_id == txn_id and record.kind == PREPARE:
+        for record in reversed(self._by_txn.get(txn_id, ())):
+            if not record.torn and record.kind == PREPARE:
                 return record
         return None
 
     def in_doubt(self) -> List[str]:
-        """Transactions prepared on this partition without a recorded outcome."""
-        prepared = [
-            r.txn_id for r in self._records if r.kind == PREPARE and not r.torn
-        ]
-        return [txn for txn in prepared if self.outcome_of(txn) is None]
+        """Transactions prepared on this partition without a recorded outcome.
+
+        One entry per intact PREPARE record, in log order.
+        """
+        prepared: List[str] = []
+        decided = set()
+        for record in self._records:
+            if record.torn:
+                continue
+            if record.kind == PREPARE:
+                prepared.append(record.txn_id)
+            else:
+                decided.add(record.txn_id)
+        return [txn for txn in prepared if txn not in decided]
 
     def replay(self, store: Optional[VersionedStore] = None) -> VersionedStore:
         """Rebuild the committed store state from the log.

@@ -1,10 +1,10 @@
 """The asyncio harness for the :mod:`repro.env.conformance` suite.
 
 Runs the same probe processes the simulator harness runs, on the wall clock.
-The stated ``tolerance_units`` covers event-loop scheduling jitter only:
-``asyncio.sleep`` never returns early, so timers cannot fire before their
-deadline, but ``now()`` is sampled when the handler *runs*, which can trail
-the nominal fire time by however long the loop was busy.
+The stated ``tolerance_units`` covers event-loop scheduling jitter only: a
+``loop.call_later`` handle never runs early, so timers cannot fire before
+their deadline, but ``now()`` is sampled when the handler *runs*, which can
+trail the nominal fire time by however long the loop was busy.
 """
 
 from __future__ import annotations

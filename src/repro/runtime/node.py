@@ -10,7 +10,7 @@ no awareness that they left the simulator.
 
 :class:`AsyncEnv` is the runtime's :class:`~repro.env.ProcessEnv`: sends go
 straight to the transport, timers and decisions go through the runtime (which
-owns the generation counters and the decide-once ledger), and ``now()`` is
+owns the timer table and the decide-once ledger), and ``now()`` is
 the wall clock rebased to units of U.
 """
 
@@ -81,11 +81,11 @@ class AsyncNode:
                     _, src, payload = item
                     process.deliver(src, payload)
                 elif kind == "timer":
-                    _, name, generation = item
-                    # Re-check the generation at handling time: a rearm or
-                    # cancel that happened while this expiry sat in the inbox
+                    _, name, token = item
+                    # Re-check the token at handling time: a rearm or cancel
+                    # that happened while this expiry sat in the inbox
                     # supersedes it.
-                    if self.runtime.timer_generation(self.pid, name) == generation:
+                    if self.runtime.take_expiry(self.pid, name, token):
                         process.timeout(name)
                 elif kind == "propose":
                     process.on_propose(item[1])

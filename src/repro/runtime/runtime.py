@@ -8,14 +8,25 @@ dwarf the local queue hop (~0.1 ms): in fault-free runs decisions are driven
 by message flow exactly as in the paper's nice executions, while timeout
 paths remain reachable by shrinking ``unit`` or injecting link delays.
 
-Timers reproduce the simulator's semantics:
+Timers reproduce the simulator's semantics on plain event-loop handles:
 
-* ``set_timer`` (re-)arms the *named* timer to fire at an absolute time;
-  rearming bumps a per-``(pid, name)`` generation, and a pending expiry whose
-  generation is stale by the time the node's consumer dequeues it is dropped
-  — rearm-before-fire supersedes, fires exactly once.
-* ``cancel_timer`` is a generation bump with no new sleep task; cancelling a
-  fired or never-armed timer is a no-op.
+* ``set_timer`` (re-)arms the *named* timer to fire at an absolute time: one
+  ``loop.call_later`` :class:`asyncio.TimerHandle` per armed timer, no task
+  and no coroutine.  The timer table maps ``(pid, name)`` to the armed
+  ``(token, handle)``; tokens are unique across the whole runtime.  Rearming
+  cancels the superseded handle and stores a fresh token — rearm-before-fire
+  supersedes, fires exactly once, at the new deadline.
+* when the handle runs it puts ``("timer", name, token)`` into the node's
+  inbox; the node's consumer *takes* the expiry (:meth:`AsyncRuntime.take_expiry`)
+  when it dequeues it, which drops the table entry and tells it whether the
+  token is still the armed one.  A rearm or cancel that happened while the
+  expiry sat in the inbox therefore supersedes it — and because a token is
+  never reused, a cancel followed by a re-arm cannot be mistaken for the
+  stale expiry still queued.
+* ``cancel_timer`` cancels the handle and drops the entry; cancelling a
+  fired or never-armed timer finds no entry and is a no-op.  The table holds
+  only armed timers (and expiries not yet handled), never one key per name
+  ever used.
 * a deadline in the past fires as soon as possible, never before the current
   handler returns (the expiry goes through the inbox like any other event).
 
@@ -32,6 +43,7 @@ purpose, not an accident.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -89,8 +101,10 @@ class AsyncRuntime:
         #: pids currently down (liveness, as opposed to the crash history)
         self._down: Set[int] = set()
         self.errors: List[Tuple[int, BaseException]] = []
-        self._timer_generation: Dict[Tuple[int, str], int] = {}
-        self._timer_tasks: Set[asyncio.Task] = set()
+        #: (pid, name) -> (token, handle) of every armed timer whose expiry
+        #: has not been handled yet
+        self._timers: Dict[Tuple[int, str], Tuple[int, asyncio.TimerHandle]] = {}
+        self._timer_tokens = itertools.count(1)
         self._undecided_correct = n
         self._all_decided = asyncio.Event()
         self._t0: Optional[float] = None
@@ -136,13 +150,9 @@ class AsyncRuntime:
 
     async def stop(self) -> None:
         """Stop consumers, cancel pending timers and in-flight deliveries."""
-        # lint: allow[DET001] cancel-all over wall-clock tasks; order immaterial
-        timer_tasks = [task for task in self._timer_tasks if not task.done()]
-        for task in timer_tasks:
-            task.cancel()
-        if timer_tasks:
-            await asyncio.gather(*timer_tasks, return_exceptions=True)
-        self._timer_tasks.clear()
+        for _, handle in self._timers.values():
+            handle.cancel()
+        self._timers.clear()
         await self.transport.close()
         for pid in sorted(self.nodes):
             await self.nodes[pid].stop()
@@ -157,45 +167,52 @@ class AsyncRuntime:
         return (time.monotonic() - self._t0) / self.unit
 
     # ------------------------------------------------------------------ #
-    # timers (generation-superseded, simulator semantics)
+    # timers (token-superseded loop handles, simulator semantics)
     # ------------------------------------------------------------------ #
-    def timer_generation(self, pid: int, name: str) -> int:
-        return self._timer_generation.get((pid, name), 0)
-
     def set_timer(self, pid: int, at_units: float, name: str) -> None:
         key = (pid, name)
-        generation = self._timer_generation.get(key, 0) + 1
-        self._timer_generation[key] = generation
+        armed = self._timers.get(key)
+        if armed is not None:
+            armed[1].cancel()
         if self.metrics is not None:
             self.metrics.inc(
-                "runtime.timer_set" if generation == 1 else "runtime.timer_rearm"
+                "runtime.timer_set" if armed is None else "runtime.timer_rearm"
             )
+        token = next(self._timer_tokens)
         delay_units = max(0.0, at_units - self.now_units())
-        task = asyncio.get_running_loop().create_task(
-            self._fire_timer(pid, name, generation, delay_units * self.unit)
+        handle = asyncio.get_running_loop().call_later(
+            delay_units * self.unit, self._expire, pid, name, token
         )
-        self._timer_tasks.add(task)
-        task.add_done_callback(self._timer_tasks.discard)
+        self._timers[key] = (token, handle)
 
     def cancel_timer(self, pid: int, name: str) -> None:
-        key = (pid, name)
-        if key in self._timer_generation:
-            self._timer_generation[key] += 1
+        armed = self._timers.pop((pid, name), None)
+        if armed is not None:
+            armed[1].cancel()
             if self.metrics is not None:
                 self.metrics.inc("runtime.timer_cancel")
 
-    async def _fire_timer(
-        self, pid: int, name: str, generation: int, delay_seconds: float
-    ) -> None:
-        if delay_seconds > 0:
-            await asyncio.sleep(delay_seconds)
-        # First check at fire time; the node re-checks at handling time so a
-        # rearm/cancel racing with the inbox still supersedes this expiry.
-        if self._timer_generation.get((pid, name)) != generation:
-            return
+    def _expire(self, pid: int, name: str, token: int) -> None:
+        """The armed handle ran: route the expiry through the node's inbox.
+
+        A superseded handle was cancelled and never gets here; the node
+        re-checks the token at handling time (:meth:`take_expiry`) so a
+        rearm/cancel racing with the inbox still supersedes this expiry.
+        """
         node = self.nodes.get(pid)
-        if node is not None and pid not in self._down:
-            node.inbox.put_nowait(("timer", name, generation))
+        if node is None or pid in self._down:
+            del self._timers[(pid, name)]
+            return
+        node.inbox.put_nowait(("timer", name, token))
+
+    def take_expiry(self, pid: int, name: str, token: int) -> bool:
+        """Whether a dequeued expiry is still the armed one; consumes it if so."""
+        key = (pid, name)
+        armed = self._timers.get(key)
+        if armed is None or armed[0] != token:
+            return False
+        del self._timers[key]
+        return True
 
     # ------------------------------------------------------------------ #
     # decisions, crashes, errors
@@ -240,9 +257,10 @@ class AsyncRuntime:
     def recover(self, pid: int, process: Optional[Process] = None) -> None:
         """Rejoin a crashed pid with ``process`` (default: the crashed object).
 
-        Timer-generation-safe restart of the actor loop: every timer armed by
-        the previous incarnation is superseded before the replacement process
-        is bound, so no stale expiry can fire into the new one; the node's
+        Timer-safe restart of the actor loop: every timer the previous
+        incarnation still has armed is cancelled and dropped before the
+        replacement process is bound, so no stale expiry — scheduled or
+        already queued in the inbox — can fire into the new one; the node's
         consumer task never exited (it skips events while crashed — losing
         in-crash traffic is the point), so rebinding the process and
         re-opening the transport resumes service.  The pid stays in
@@ -253,9 +271,8 @@ class AsyncRuntime:
         if pid not in self._down:
             raise ConfigurationError(f"P{pid} is not crashed; nothing to recover")
         replacement = process if process is not None else self.processes[pid]
-        for key in self._timer_generation:
-            if key[0] == pid:
-                self._timer_generation[key] += 1
+        for key in [key for key in self._timers if key[0] == pid]:
+            self._timers.pop(key)[1].cancel()
         self._down.discard(pid)
         replacement.crashed = False
         self.processes[pid] = replacement

@@ -116,12 +116,14 @@ class TestTimerMetrics:
             runtime.set_timer(2, 5.0, "retry")       # first arm, other pid
             runtime.cancel_timer(1, "retry")
             runtime.cancel_timer(1, "never-set")     # no-op: nothing to cancel
-            runtime.set_timer(1, 12.0, "retry")      # rearm-after-cancel
+            # arm-after-cancel: the cancel dropped the table entry, so this
+            # supersedes nothing and counts as a set
+            runtime.set_timer(1, 12.0, "retry")
 
         asyncio.run(drive())
         counters = metrics.snapshot().counters
-        assert counters["runtime.timer_set"] == 2
-        assert counters["runtime.timer_rearm"] == 2
+        assert counters["runtime.timer_set"] == 3
+        assert counters["runtime.timer_rearm"] == 1
         assert counters["runtime.timer_cancel"] == 1
 
     def test_commit_run_arms_timers(self):

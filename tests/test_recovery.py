@@ -297,6 +297,46 @@ class TestWalRejoinEdgeCases:
         assert answers == [(1, ("OUTCOME", "t1", COMMIT))]
 
 
+class _CountingList(list):
+    """A record list that counts how often anything walks all of it."""
+
+    full_iterations = 0
+
+    def __iter__(self):
+        self.full_iterations += 1
+        return super().__iter__()
+
+    def __reversed__(self):
+        self.full_iterations += 1
+        return super().__reversed__()
+
+
+def test_exec_to_done_never_walks_the_whole_log():
+    """The recovery questions ``_prepare`` asks on every EXEC (decided by a
+    previous incarnation? in doubt from one?) are answered from that
+    transaction's own records: counted here, because a log scan per EXEC
+    shows in no assertion, only in CPU per transaction growing with run
+    length."""
+    cycles = 2500
+    env = _StubEnv()
+    server = PartitionServer(1, 3, 1, env)
+    server.wal._records = _CountingList()
+    for index in range(cycles):
+        txn = f"t{index}"
+        exec_request = ("EXEC", txn, 1.0, (1, 2), (f"r{index}",), {f"k{index}": index})
+        server.deliver(3, exec_request)
+        server.on_commit_decision(txn, COMMIT)
+        server.deliver(3, exec_request)  # client retry: DONE is re-sent
+    assert server.statistics["committed"] == cycles
+    assert len(server.wal) == 2 * cycles
+    assert sum(p[0] == "DONE" for _, p in env.sent) == 2 * cycles
+    assert server.wal._records.full_iterations == 0
+    # what recovery and the end-of-run report ask costs one pass, not one
+    # per prepared transaction
+    assert server.in_doubt_transactions() == []
+    assert server.wal._records.full_iterations == 1
+
+
 # --------------------------------------------------------------------------- #
 # gray failures: the flaky-link delay model
 # --------------------------------------------------------------------------- #

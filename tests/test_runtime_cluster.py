@@ -15,7 +15,9 @@ import pytest
 from repro.db.cluster import BACKENDS, ClusterConfig, run_cluster
 from repro.db.coordinator import RetryPolicy
 from repro.db.transaction import Operation, Transaction
+from repro.env.conformance import ObservingProcess
 from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry
 from repro.protocols.base import COMMIT
 from repro.protocols.registry import get_protocol
 from repro.runtime import (
@@ -24,6 +26,7 @@ from repro.runtime import (
     LocalTransport,
     run_commit,
 )
+from repro.runtime.runtime import AsyncRuntime
 from repro.sim.faults import FaultPlan
 from repro.sim.network import FixedDelay
 from repro.workloads.transactions import bank_transfer_workload, uniform_workload
@@ -406,3 +409,175 @@ class TestRecovery:
             LinkPolicy(slow_factor=0.0)
         with pytest.raises(ConfigurationError):
             LinkPolicy(outages=((5.0, 3.0),))
+
+
+# --------------------------------------------------------------------------- #
+# timers: one loop handle per armed timer, a table of armed timers only
+# --------------------------------------------------------------------------- #
+def _probe_runtime(unit=0.005, metrics=None):
+    runtime = AsyncRuntime(2, 1, unit=unit, metrics=metrics)
+    runtime.bind_processes(ObservingProcess)
+    return runtime
+
+
+class TestTimerHandles:
+    def test_rearm_before_fire_fires_once_at_the_new_deadline(self):
+        async def drive():
+            runtime = _probe_runtime()
+            await runtime.start()
+            runtime.set_timer(1, 1.0, "re")
+            first = runtime._timers[(1, "re")]
+            runtime.set_timer(1, 3.0, "re")
+            assert first[1].cancelled()
+            assert list(runtime._timers) == [(1, "re")]
+            assert runtime._timers[(1, "re")][0] != first[0]
+            await asyncio.sleep(5.0 * runtime.unit)
+            table = dict(runtime._timers)
+            await runtime.stop()
+            return runtime.processes[1].of("timeout"), table
+
+        fires, table = asyncio.run(drive())
+        assert [name for _, name, _ in fires] == ["re"]
+        assert fires[0][2] >= 3.0
+        assert table == {}  # a handled expiry leaves nothing behind
+
+    def test_cancel_of_a_fired_or_never_armed_timer_is_a_noop(self):
+        metrics = MetricsRegistry()
+
+        async def drive():
+            runtime = _probe_runtime(metrics=metrics)
+            await runtime.start()
+            runtime.cancel_timer(1, "never-armed")
+            runtime.set_timer(1, 0.5, "once")
+            await asyncio.sleep(2.0 * runtime.unit)
+            assert runtime._timers == {}
+            runtime.cancel_timer(1, "once")  # already fired and handled
+            assert runtime._timers == {}
+            await runtime.stop()
+            return runtime.processes[1].of("timeout")
+
+        fires = asyncio.run(drive())
+        assert [name for _, name, _ in fires] == ["once"]
+        assert metrics.counter_value("runtime.timer_cancel") == 0
+
+    def test_cancel_then_rearm_beats_the_expiry_still_queued_in_the_inbox(self):
+        """A per-name generation would restart at 1 once the entry is
+        dropped, and the stale expiry would pass for the new arm."""
+
+        async def drive():
+            runtime = _probe_runtime()
+            await runtime.start()
+            inbox = runtime.nodes[1].inbox
+            runtime.set_timer(1, 0.0, "t")
+            for _ in range(50):
+                if not inbox.empty():
+                    break
+                await asyncio.sleep(0)
+            # the handle ran and queued the expiry; the consumer has not
+            # dequeued it yet
+            assert inbox.qsize() == 1 and (1, "t") in runtime._timers
+            runtime.cancel_timer(1, "t")
+            rearmed_at = runtime.now_units()
+            runtime.set_timer(1, rearmed_at + 2.0, "t")
+            await asyncio.sleep(4.0 * runtime.unit)
+            table = dict(runtime._timers)
+            await runtime.stop()
+            return runtime.processes[1].of("timeout"), rearmed_at, table
+
+        fires, rearmed_at, table = asyncio.run(drive())
+        assert [name for _, name, _ in fires] == ["t"]
+        assert fires[0][2] >= rearmed_at + 2.0
+        assert table == {}
+
+    def test_a_past_deadline_never_fires_before_the_handler_returns(self):
+        class PastDeadline(ObservingProcess):
+            def on_start(self):
+                self.set_timer(self.now() - 1.0, name="past")
+                self.note("handler-end")
+
+        async def drive():
+            runtime = AsyncRuntime(2, 1, unit=0.005)
+            runtime.bind_processes(PastDeadline)
+            await runtime.start()
+            runtime.call(1, lambda process: process.on_start())
+            await asyncio.sleep(2.0 * runtime.unit)
+            await runtime.stop()
+            return [kind for kind, _, _ in runtime.processes[1].observations]
+
+        assert asyncio.run(drive()) == ["handler-end", "timeout"]
+
+    def test_recover_cancels_only_the_crashed_pids_timers(self):
+        async def drive():
+            runtime = _probe_runtime()
+            await runtime.start()
+            runtime.set_timer(1, 1.0, "mine")
+            runtime.set_timer(2, 1.0, "theirs")
+            runtime.crash(1)
+            runtime.recover(1)
+            assert list(runtime._timers) == [(2, "theirs")]
+            await asyncio.sleep(3.0 * runtime.unit)
+            await runtime.stop()
+            return {pid: runtime.processes[pid].of("timeout") for pid in (1, 2)}
+
+        fires = asyncio.run(drive())
+        assert fires[1] == [] and len(fires[2]) == 1
+
+
+class TestTimerTableStaysSmall:
+    def test_a_quiesced_run_leaves_no_timers_handles_or_per_timer_tasks(self):
+        clients, per_client = 6, 40
+        workload = uniform_workload(
+            num_transactions=clients * per_client, num_partitions=4,
+            participants_per_txn=2, keys_per_partition=100_000, seed=5,
+        ).transactions
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(
+                    num_partitions=4, commit_protocol="2PC", seed=5,
+                    max_time=400.0,
+                ),
+                unit=0.002,
+            )
+            await service.start()
+            loop = asyncio.get_running_loop()
+            runtime = service.runtime
+            created = []
+
+            def counting_create_task(coro, **kwargs):
+                created.append(coro.__qualname__)
+                return type(loop).create_task(loop, coro, **kwargs)
+
+            loop.create_task = counting_create_task
+
+            async def client(index):
+                mine = workload[index * per_client:(index + 1) * per_client]
+                return [await service.submit(txn) for txn in mine]
+
+            try:
+                outcomes = await asyncio.gather(*(client(i) for i in range(clients)))
+            finally:
+                del loop.create_task
+            armed_in_flight = len(runtime._timers)
+            # every 2PC timer (two round starts, one vote collection) is
+            # within 2 U of its submit: let the stragglers fire
+            await asyncio.sleep(4.0 * service.unit)
+            quiesced = dict(runtime._timers)
+            report = await service.shutdown()
+            ours = [
+                handle
+                for handle in loop._scheduled
+                if not handle.cancelled()
+                and getattr(handle._callback, "__self__", None) is runtime
+            ]
+            return outcomes, created, armed_in_flight, quiesced, ours, report
+
+        outcomes, created, in_flight, quiesced, ours, report = asyncio.run(drive())
+        assert all(o is not None and o.completed for batch in outcomes for o in batch)
+        assert report.committed + report.aborted == clients * per_client
+        # one task per client coroutine, none per timer or per transaction
+        assert len(created) == clients
+        # bounded by what is in flight, not by the 3 x 240 names ever armed
+        assert in_flight <= 3 * clients
+        assert quiesced == {}
+        assert ours == []
