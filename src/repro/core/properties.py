@@ -71,6 +71,10 @@ def check_validity(trace: Trace, execution_class: str = None) -> PropertyCheck:
 
 def check_agreement(trace: Trace) -> PropertyCheck:
     """Check that no two processes decide differently."""
+    values = [rec.value for rec in trace.decisions.values()]
+    if not values or values.count(values[0]) == len(values):
+        # everyone decided what the first one did: no pair to enumerate
+        return PropertyCheck(name="agreement", holds=True)
     violations: List[str] = []
     decided = sorted(trace.decisions.items())
     for i, (pid_a, rec_a) in enumerate(decided):

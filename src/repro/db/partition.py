@@ -20,7 +20,7 @@ it participates in, it:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.db.conflict import ConflictDetector
 from repro.db.locks import LockManager, LockMode
@@ -66,6 +66,15 @@ class EmbeddedCommitEnv:
     def send(self, dst: int, payload: Any, module: str = "main") -> None:
         self.host.env.send(
             self.global_pid(dst),
+            (_TXN_TAG, self.txn_id, payload),
+            module=f"commit:{module}",
+        )
+
+    def send_many(self, dsts: Iterable[int], payload: Any, module: str = "main") -> None:
+        # mapped lazily, so a bad local pid fails where the loop of sends would
+        participants = self.participants
+        self.host.env.send_many(
+            (participants[dst - 1] for dst in dsts),
             (_TXN_TAG, self.txn_id, payload),
             module=f"commit:{module}",
         )

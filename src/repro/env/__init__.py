@@ -9,7 +9,8 @@ pseudocode structure:
 * ``on_timeout(name)``    — the ``<timer, Timeout>`` event.
 
 A process interacts with the world exclusively through its :class:`ProcessEnv`
-(send, set_timer, cancel_timer, decide, now).  Two runtimes provide it:
+(send, send_many, set_timer, cancel_timer, decide, now).  Two runtimes provide
+it:
 
 * the discrete-event simulator (:class:`repro.sim.runner.SimEnv`) — virtual
   time, deterministic, the repo's test oracle;
@@ -33,6 +34,12 @@ both bundled runtimes pass (``tests/test_env_conformance.py``):
 * **send** is a perfect point-to-point link under the configured fault model:
   no duplication, no corruption; a message to self arrives locally and is not
   counted as a network message (footnote 10 of the paper).
+* **send_many(dsts, payload, module)** is *exactly*
+  ``for dst in dsts: send(dst, payload, module)`` — same messages, same order,
+  same counting, and an error at the i-th destination leaves the first i-1
+  sent — offered so a runtime can post a broadcast as one operation.  ``dsts``
+  is any iterable (consumed once); the one ``payload`` object is shared by
+  every destination, so receivers must treat payloads as immutable.
 * **set_timer(at_units, name)** (re-)arms the *named* timer to fire at the
   absolute time ``at_units`` (units of U).  Re-arming before the fire
   supersedes the pending fire — the timer fires exactly once, at the last
@@ -59,7 +66,7 @@ namespaced timer names (``"module:name"``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Protocol
+from typing import Any, Dict, Iterable, Optional, Protocol
 
 from repro.errors import ProtocolViolationError
 
@@ -71,6 +78,10 @@ class ProcessEnv(Protocol):
 
     def send(self, dst: int, payload: Any, module: str = "main") -> None:
         """Send ``payload`` to process ``dst`` over a perfect point-to-point link."""
+        ...  # pragma: no cover
+
+    def send_many(self, dsts: Iterable[int], payload: Any, module: str = "main") -> None:
+        """Exactly ``for dst in dsts: send(dst, payload, module)``, as one call."""
         ...  # pragma: no cover
 
     def set_timer(self, at_units: float, name: str = "timer") -> None:
@@ -107,11 +118,15 @@ class ProcessComponent:
     def send(self, dst: int, payload: Any) -> None:
         self.host.env.send(dst, (MODULE_ENVELOPE, self.name, payload), module=self.name)
 
+    def send_many(self, dsts: Iterable[int], payload: Any) -> None:
+        """One envelope for every destination in ``dsts``."""
+        self.host.env.send_many(
+            dsts, (MODULE_ENVELOPE, self.name, payload), module=self.name
+        )
+
     def broadcast(self, payload: Any, include_self: bool = True) -> None:
-        for dst in self.host.all_pids():
-            if not include_self and dst == self.host.pid:
-                continue
-            self.send(dst, payload)
+        host = self.host
+        self.send_many(host.all_pids() if include_self else host.other_pids(), payload)
 
     def set_timer(self, at_units: float, name: str = "timer") -> None:
         self.host.env.set_timer(at_units, name=f"{self.name}:{name}")
@@ -189,12 +204,15 @@ class Process:
     def send(self, dst: int, payload: Any) -> None:
         self.env.send(dst, payload)
 
+    def send_many(self, dsts: Iterable[int], payload: Any) -> None:
+        """Send one payload to every process in ``dsts``, in order."""
+        self.env.send_many(dsts, payload)
+
     def send_all(self, payload: Any, include_self: bool = True) -> None:
         """Send to every process in ``Ω`` (``forall q ∈ Ω`` in the pseudocode)."""
-        for dst in self.all_pids():
-            if not include_self and dst == self.pid:
-                continue
-            self.env.send(dst, payload)
+        self.env.send_many(
+            self.all_pids() if include_self else self.other_pids(), payload
+        )
 
     def set_timer(self, at_units: float, name: str = "timer") -> None:
         self.env.set_timer(at_units, name=name)

@@ -30,7 +30,11 @@ clauses runtimes most easily get wrong:
 * ``decide-once`` — the second ``decide`` raises
   :class:`~repro.errors.ProtocolViolationError` and the first value sticks;
 * ``now-monotonic`` — ``now()`` never goes backwards and timers never fire
-  early (beyond the harness' stated tolerance).
+  early (beyond the harness' stated tolerance);
+* ``send-many`` — ``send_many`` is the loop of ``send`` it is defined as: each
+  listed destination gets the payload once per listing, a link delivers in
+  send order, the message to self arrives and is not counted, and a
+  component's broadcast keeps its module tag.
 
 ``run_conformance(harness)`` returns a list of human-readable failures; an
 empty list means the runtime honours the contract.
@@ -57,6 +61,9 @@ class HarnessResult:
     decisions: Dict[int, Any] = field(default_factory=dict)
     #: unexpected handler exceptions the runtime swallowed, as strings
     errors: List[str] = field(default_factory=list)
+    #: counted (non-self) messages per module tag, as the runtime tallied
+    #: them; None when a harness cannot tell
+    messages_by_module: Optional[Dict[str, int]] = None
 
 
 class EnvHarness(Protocol):
@@ -201,6 +208,21 @@ class _MonotonicProbe(ObservingProcess):
             self.send(src, ("echo-reply",))
 
 
+class _SendManyProbe(ObservingProcess):
+    """P1 broadcasts through ``send_many``: lists, a generator, a component."""
+
+    def __init__(self, pid: int, n: int, f: int, env):
+        super().__init__(pid, n, f, env)
+        self.echo = self.attach_component(_EchoComponent(self))
+
+    def on_start(self) -> None:
+        if self.pid == 1:
+            self.send_many([2, 3, 1, 2], ("batch", 1))  # self, and P2 twice
+            self.send_many((pid for pid in (3, 2)), ("batch", 2))
+            self.send_many([], ("batch", "nobody"))
+            self.echo.broadcast(("note", "all"))
+
+
 def _passive(pid: int, n: int, f: int, env) -> Process:
     return ObservingProcess(pid, n, f, env)
 
@@ -326,6 +348,36 @@ def _check_monotonic(result: HarnessResult, tol: float) -> List[str]:
     return failures
 
 
+def _check_send_many(result: HarnessResult, tol: float) -> List[str]:
+    failures = []
+    note = ("component-deliver", ("note", "all"))
+    expected = {
+        # per destination, in the order P1 sent them
+        1: [("deliver", ("batch", 1)), note],
+        2: [("deliver", ("batch", 1)), ("deliver", ("batch", 1)),
+            ("deliver", ("batch", 2)), note],
+        3: [("deliver", ("batch", 1)), ("deliver", ("batch", 2)), note],
+    }
+    for pid, want in expected.items():
+        got = [
+            (kind, detail[1])
+            for kind, detail, _ in result.processes[pid].observations
+            if kind in ("deliver", "component-deliver") and detail[0] == 1
+        ]
+        if got != want:
+            failures.append(
+                f"send-many: P{pid} received {got} from P1, expected {want}"
+            )
+    counted = result.messages_by_module
+    if counted is not None and counted != {"main": 5, "echo": 2}:
+        failures.append(
+            "send-many: counted messages per module are "
+            f"{dict(sorted(counted.items()))}, expected main=5 (the message "
+            "to self is not counted) and echo=2"
+        )
+    return failures
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One conformance scenario: probe factories plus a result checker."""
@@ -348,6 +400,12 @@ SCENARIOS: Tuple[Scenario, ...] = (
     Scenario("module-envelope", {1: _EnvelopeProbe, 2: _EnvelopeProbe}, _check_envelope),
     Scenario("decide-once", {1: _DecideOnceProbe, 2: _passive}, _check_decide_once),
     Scenario("now-monotonic", {1: _MonotonicProbe, 2: _MonotonicProbe}, _check_monotonic),
+    Scenario(
+        "send-many",
+        {1: _SendManyProbe, 2: _SendManyProbe, 3: _SendManyProbe},
+        _check_send_many,
+        n=3,
+    ),
 )
 
 
@@ -411,6 +469,7 @@ class SimHarness:
         return HarnessResult(
             processes=dict(scheduler.processes),
             decisions={pid: rec.value for pid, rec in trace.decisions.items()},
+            messages_by_module=trace.module_histogram(),
         )
 
 

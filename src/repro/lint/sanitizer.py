@@ -9,9 +9,10 @@ the fingerprint contract; this module catches the *behaviour*.  Two parts:
    rebuilt in reversed insertion order.  If the bytes change, the result
    depended on insertion order (which differs between the per-trial and
    chunked fold paths) and a :class:`~repro.errors.DeterminismError` is
-   raised naming the diverging field.  ``record_send`` is also wrapped to
-   reject payloads carrying bare ``set``/``frozenset`` values — their repr
-   order is implementation-defined and feeds the full-level fingerprint.
+   raised naming the diverging field.  ``record_send`` (and the counters
+   level's ``record_send_batch``) is also wrapped to reject payloads
+   carrying bare ``set``/``frozenset`` values — their repr order is
+   implementation-defined and feeds the full-level fingerprint.
 
 2. **Hash-seed harness** — :func:`run_hashseed_check` re-runs a small
    reference sweep plus one schedule replay in subprocesses under two
@@ -122,6 +123,7 @@ def install() -> None:
     orig_fingerprint = Trace.fingerprint
     orig_send_full = Trace.record_send
     orig_send_counters = CounterTrace.record_send
+    orig_send_batch = CounterTrace.record_send_batch
     orig_row = CellAccumulator.row
 
     def checked_fingerprint(self):
@@ -139,22 +141,30 @@ def install() -> None:
             )
         return fingerprint
 
+    def _check_payload(trace, payload):
+        observations["record_send"] += 1
+        unordered = _find_unordered(payload)
+        if unordered is not None:
+            raise DeterminismError(
+                f"protocol {trace.protocol or '?'} sent a payload "
+                f"containing an unordered {type(unordered).__name__} "
+                f"({payload!r}); its repr feeds the trace fingerprint — "
+                f"send tuple(sorted(...)) instead"
+            )
+
     def _checked_send(orig):
         def checked_record_send(self, msg_id, src, dst, payload, send_time,
                                 recv_time, counted, module="main"):
-            observations["record_send"] += 1
-            unordered = _find_unordered(payload)
-            if unordered is not None:
-                raise DeterminismError(
-                    f"protocol {self.protocol or '?'} sent a payload "
-                    f"containing an unordered {type(unordered).__name__} "
-                    f"({payload!r}); its repr feeds the trace fingerprint — "
-                    f"send tuple(sorted(...)) instead"
-                )
+            _check_payload(self, payload)
             return orig(self, msg_id, src, dst, payload, send_time,
                         recv_time, counted, module=module)
 
         return checked_record_send
+
+    def checked_record_send_batch(self, payload, module, recv_time, count):
+        # the counters level sees a broadcast's counted messages as one call
+        _check_payload(self, payload)
+        return orig_send_batch(self, payload, module, recv_time, count)
 
     def checked_row(self):
         observations["row"] += 1
@@ -178,10 +188,12 @@ def install() -> None:
     _originals[(Trace, "fingerprint")] = orig_fingerprint
     _originals[(Trace, "record_send")] = orig_send_full
     _originals[(CounterTrace, "record_send")] = orig_send_counters
+    _originals[(CounterTrace, "record_send_batch")] = orig_send_batch
     _originals[(CellAccumulator, "row")] = orig_row
     Trace.fingerprint = checked_fingerprint
     Trace.record_send = _checked_send(orig_send_full)
     CounterTrace.record_send = _checked_send(orig_send_counters)
+    CounterTrace.record_send_batch = checked_record_send_batch
     CellAccumulator.row = checked_row
 
 

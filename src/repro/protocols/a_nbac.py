@@ -45,8 +45,7 @@ class ANBAC(NMinus1PlusFNBAC):
     def on_propose(self, value: Any) -> None:
         super().on_propose(value)
         if self.vote == ABORT:
-            for q in self.all_pids():
-                self.send(q, ("V", ABORT))
+            self.send_all(("V", ABORT))
             self.set_timer_units(3, name="timer0")
         else:
             self.set_timer_units(2, name="timer0")
@@ -84,8 +83,7 @@ class ANBAC(NMinus1PlusFNBAC):
     # ------------------------------------------------------------------ #
     def _timer0_timeout(self) -> None:
         if self.vote == COMMIT and self.delivered_v and self.phase0 == 0:
-            for q in self.all_pids():
-                self.send(q, ("B", ABORT))
+            self.send_all(("B", ABORT))
             self.set_timer_units(4, name="timer0")
             self.phase0 = 1
             return

@@ -39,8 +39,7 @@ class AvNBACDelayOptimal(AtomicCommitProcess):
     def on_propose(self, value: Any) -> None:
         self.vote = COMMIT if value else ABORT
         self.votes_and = self.votes_and and self.vote
-        for q in self.all_pids():
-            self.send(q, ("V", self.vote))
+        self.send_all(("V", self.vote))
         self.set_timer(1)
 
     def on_deliver(self, src: int, payload: Any) -> None:
@@ -97,8 +96,7 @@ class AvNBACMessageOptimal(AtomicCommitProcess):
             return
         if self.pid == self.n:
             if self.collection == set(self.all_pids()):
-                for q in self.all_pids():
-                    self.send(q, ("B", self.votes))
+                self.send_all(("B", self.votes))
                 self.decide_once(self.votes)
         else:
             if self.received_b:

@@ -58,9 +58,35 @@ BRANCH_FAST_ABORT = "fast-abort"
 # makes a recycled id a miss, never a wrong answer — and stores
 # (collection, first_votes, covered_pids, n_pids, covers_all).  Mutable
 # collections (a sender seen twice, a merged set) are never memoised.
+#
+# Hits only ever happen within one execution (the next one builds new
+# tuples), so the memo is bounded by what one execution can hold live: at
+# most n acknowledged collections of at most n pairs.  Inserting past n²
+# retained pairs drops everything kept so far — entries of earlier runs,
+# and at worst once per run a few of the current one, which are re-analysed.
 # ---------------------------------------------------------------------- #
-_ACK_MEMO: Dict[int, tuple] = {}
-_ACK_MEMO_MAX = 1024
+class _AckMemo:
+    """``id(collection)`` → analysis entry, bounded by retained pairs."""
+
+    __slots__ = ("entries", "pairs")
+
+    def __init__(self) -> None:
+        self.entries: Dict[int, tuple] = {}
+        self.pairs = 0
+
+    def keep(self, entry: tuple) -> None:
+        collection, _, _, n_pids, _ = entry
+        stale = self.entries.pop(id(collection), None)
+        if stale is not None:
+            self.pairs -= len(stale[0])
+        if self.pairs + len(collection) > n_pids * n_pids:
+            self.entries.clear()
+            self.pairs = 0
+        self.entries[id(collection)] = entry
+        self.pairs += len(collection)
+
+
+_ACK_MEMO = _AckMemo()
 
 
 def _ack_analysis(collection, n_pids: int, all_pids) -> tuple:
@@ -72,7 +98,7 @@ def _ack_analysis(collection, n_pids: int, all_pids) -> tuple:
     ``all_pids <= covered`` for the given ``n_pids`` (re-derived on a hit
     with a different n, which only happens across grid cells).
     """
-    entry = _ACK_MEMO.get(id(collection))
+    entry = _ACK_MEMO.entries.get(id(collection))
     if entry is not None and entry[0] is collection and entry[3] == n_pids:
         return entry
     first_votes: Dict[int, int] = {}
@@ -83,9 +109,7 @@ def _ack_analysis(collection, n_pids: int, all_pids) -> tuple:
             first_votes[pid] = vote
     entry = (collection, first_votes, covered, n_pids, all_pids <= covered)
     if type(collection) is tuple:
-        if len(_ACK_MEMO) >= _ACK_MEMO_MAX:
-            _ACK_MEMO.clear()
-        _ACK_MEMO[id(collection)] = entry
+        _ACK_MEMO.keep(entry)
     return entry
 
 
@@ -100,11 +124,20 @@ class INBAC(AtomicCommitProcess):
         # state variables, named as in Appendix A
         self.phase = 0
         self.proposed = False
-        self.collection0: Set[Tuple[int, int]] = set()
-        # acknowledged collections travel as sorted tuples, never as raw
-        # sets: payload reprs feed the trace fingerprint, and a set's repr
-        # order is implementation-defined (repro.lint rule FP002)
-        self.collection1: Set[Tuple[int, Tuple[Tuple[int, int], ...]]] = set()
+        self._collection0: Set[Tuple[int, int]] = set()
+        #: ``(acknowledged collections, own vote pair)`` as they stood at the
+        #: phase-1 timeout, until the first read of ``collection0`` folds
+        #: them in; a fast decision never reads it
+        self._union_at_timeout: Optional[tuple] = None
+        # collection1, keyed by sender.  Acknowledged collections travel as
+        # sorted tuples, never as raw sets: payload reprs feed the trace
+        # fingerprint, and a set's repr order is implementation-defined
+        # (repro.lint rule FP002).  Each is kept as the shared tuple object
+        # it travelled as, so a delivery never hashes one.
+        self._acks: Dict[int, Any] = {}
+        #: a sender's later, *different* collections (never the case on
+        #: reliable channels), as ``(sender, collection)``
+        self._more_acks: list = []
         self.collection_help: Set[Tuple[int, int]] = set()
         self.wait = False
         self.val: Optional[int] = None
@@ -115,6 +148,30 @@ class INBAC(AtomicCommitProcess):
         self.branch: Optional[str] = None
         self.branch_history: list = []
         self.iuc = self.make_consensus(name="iuc", on_decide=self._on_iuc_decide)
+
+    # ------------------------------------------------------------------ #
+    # Appendix A's collection0 / collection1
+    # ------------------------------------------------------------------ #
+    @property
+    def collection0(self) -> Set[Tuple[int, int]]:
+        """The votes this process backs up, plus — from the phase-1 timeout
+        on — every vote acknowledged to it by then and its own."""
+        pending = self._union_at_timeout
+        if pending is not None:
+            self._union_at_timeout = None
+            acked, own = pending
+            self._collection0 = self._collection0.union(*acked, (own,))
+        return self._collection0
+
+    @property
+    def collection1(self) -> Set[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+        """The acknowledgements received, as ``(sender, collection)`` pairs."""
+        pairs = set(self._acks.items())
+        pairs.update(self._more_acks)
+        return pairs
+
+    def _acked_collections(self) -> tuple:
+        return (*self._acks.values(), *(c for _, c in self._more_acks))
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -135,9 +192,13 @@ class INBAC(AtomicCommitProcess):
         votes: Dict[int, int] = {}
         for pid, vote in sorted(collections):
             votes.setdefault(pid, vote)
-        if all(pid in votes for pid in self.all_pids()):
+        if set(self.all_pids()) <= votes.keys():
             return votes
         return None
+
+    def _all_acked_votes(self) -> Optional[Dict[int, int]]:
+        """One vote per process out of everything acknowledged so far."""
+        return self._all_votes_from(set().union(*self._acked_collections()))
 
     def _full_backups(self, required_senders, required_full, required_partial=None):
         """Check the "f correct acknowledgements" condition of Figure 1.
@@ -148,22 +209,17 @@ class INBAC(AtomicCommitProcess):
         processes) must cover at least ``{P1..Pf}``.
         """
         required_partial = required_partial or set()
-        # each sender's acknowledged collection is kept as the shared tuple
-        # object it travelled as — materialising a set per sender is what the
-        # _ack_analysis memo exists to avoid; only a sender seen twice (never
-        # the case on reliable channels) pays for a merged set
-        by_sender: Dict[int, Any] = {}
-        for sender, collection in sorted(self.collection1):
-            existing = by_sender.get(sender)
-            if existing is None:
-                by_sender[sender] = collection
-            else:
-                merged = set(existing)
+        # materialising a set per sender is what the _ack_analysis memo
+        # exists to avoid; only a sender seen twice pays for a merged set
+        by_sender = self._acks
+        if self._more_acks:
+            by_sender = dict(by_sender)
+            for sender, collection in self._more_acks:
+                merged = set(by_sender[sender])
                 merged.update(collection)
                 by_sender[sender] = merged
-        for sender in required_senders:
-            if sender not in by_sender:
-                return None
+        if not required_senders <= by_sender.keys():
+            return None
         # hoisted out of the sender loops: these sets are loop-invariant, and
         # once one sender has contributed every process' vote the remaining
         # merge sweeps cannot add anything (backed-up pids are always drawn
@@ -199,7 +255,7 @@ class INBAC(AtomicCommitProcess):
                         votes.setdefault(pid, vote)
                 else:
                     votes.update(first_votes)
-        if not all(pid in votes for pid in all_pids):
+        if not all_pids <= votes.keys():
             return None
         return votes
 
@@ -222,17 +278,13 @@ class INBAC(AtomicCommitProcess):
         if self.fast_abort and self.val == ABORT:
             # Section 5.2 remark: a process voting 0 may tell everyone and
             # decide immediately; receivers decide 0 on receipt.
-            abort_msg = ("V0",)  # immutable: one copy for all destinations
-            for q in self.other_pids():
-                self.send(q, abort_msg)
+            self.send_all(("V0",), include_self=False)
             self._record_branch(BRANCH_FAST_ABORT)
             self.decide_once(ABORT)
             # it still participates as a backup so that others terminate
-        vote_msg = ("V", self.val)  # immutable: one copy for all destinations
-        for q in self.first_f():
-            self.send(q, vote_msg)
-        if 1 <= self.pid <= self.f:
-            self.send(self.f + 1, vote_msg)
+        # to B_P (and, for P1..Pf, to itself: local and uncounted)
+        backups = range(1, self.f + 2) if self.pid <= self.f else self.first_f()
+        self.send_many(backups, ("V", self.val))
         if 1 <= self.pid <= self.f + 1:
             self.set_timer(1)
         else:
@@ -245,13 +297,20 @@ class INBAC(AtomicCommitProcess):
     def on_deliver(self, src: int, payload: Any) -> None:
         kind = payload[0]
         if kind == "V" and self.phase == 0:
-            self.collection0.add((src, payload[1]))
+            self._collection0.add((src, payload[1]))
         elif kind == "V0" and self.fast_abort:
             if not self.decided:
                 self._record_branch(BRANCH_FAST_ABORT)
                 self.decide_once(ABORT)
         elif kind == "C":
-            self.collection1.add((src, payload[1]))
+            collection = payload[1]
+            first = self._acks.setdefault(src, collection)
+            if (
+                first is not collection
+                and first != collection
+                and (src, collection) not in self._more_acks
+            ):
+                self._more_acks.append((src, collection))
             self.cnt += 1
             self._maybe_finish_help()
         elif kind == "HELP" and self.phase == 2 and self.pid >= self.f + 1:
@@ -277,24 +336,22 @@ class INBAC(AtomicCommitProcess):
 
     def _phase0_timeout(self) -> None:
         """At time U the backup processes acknowledge the votes they back up."""
+        # the ack is immutable: one object for all destinations (the
+        # _ack_analysis memo relies on receivers seeing the same tuple)
         if 1 <= self.pid <= self.f:
-            ack = ("C", tuple(sorted(self.collection0)))  # immutable: one copy for all
-            for q in self.all_pids():
-                self.send(q, ack)
+            self.send_all(("C", tuple(sorted(self.collection0))))
         elif self.pid == self.f + 1:
-            ack = ("C", tuple(sorted(self.collection0)))
-            for q in self.first_f():
-                self.send(q, ack)
+            self.send_many(self.first_f(), ("C", tuple(sorted(self.collection0))))
         self.phase = 1
         self.set_timer(2)
 
     # -- processes P_{f+1} .. P_n ---------------------------------------- #
     def _phase1_timeout_outsider(self) -> None:
         self.phase = 2
-        collection_val = set()
-        for _, c in self.collection1:
-            collection_val.update(c)
-        self.collection0 = self.collection0 | collection_val | {(self.pid, self.val)}
+        # collection0 := collection0 ∪ (∪ collection1) ∪ {(p, val)}, folded
+        # in by the first reader (a HELP reply); acknowledgements arriving
+        # after this point are not part of it
+        self._union_at_timeout = (self._acked_collections(), (self.pid, self.val))
         votes = self._full_backups(
             required_senders=set(self.first_f()),
             required_full=set(self.first_f()),
@@ -304,8 +361,7 @@ class INBAC(AtomicCommitProcess):
             self.decide_once(logical_and(votes.values()))
             return
         if self.cnt >= 1:
-            # collection_val above is exactly this union of collection1
-            all_votes = self._all_votes_from(collection_val)
+            all_votes = self._all_acked_votes()
             if all_votes is not None:
                 self._record_branch(BRANCH_CONS_AND)
                 self._cons_propose(logical_and(all_votes.values()))
@@ -316,9 +372,7 @@ class INBAC(AtomicCommitProcess):
         # no acknowledgement from any backup process: ask for more acks
         self._record_branch(BRANCH_ASK_HELP)
         self.wait = True
-        help_msg = ("HELP",)  # immutable: one copy for all destinations
-        for q in self.beyond_f():
-            self.send(q, help_msg)
+        self.send_many(self.beyond_f(), ("HELP",))
 
     def _maybe_finish_help(self) -> None:
         """The "wait until >= n - f messages" transition of Figure 1."""
@@ -340,18 +394,9 @@ class INBAC(AtomicCommitProcess):
             self.decide_once(logical_and(votes.values()))
             return
         if self.cnt >= 1:
-            union = set()
-            for _, c in self.collection1:
-                union.update(c)
-            all_votes = self._all_votes_from(union)
-            if all_votes is not None:
-                self._record_branch(BRANCH_HELPED_CONS_AND)
-                self._cons_propose(logical_and(all_votes.values()))
-            else:
-                self._record_branch(BRANCH_HELPED_CONS_ZERO)
-                self._cons_propose(ABORT)
-            return
-        help_votes = self._all_votes_from(self.collection_help)
+            help_votes = self._all_acked_votes()
+        else:
+            help_votes = self._all_votes_from(self.collection_help)
         if help_votes is not None:
             self._record_branch(BRANCH_HELPED_CONS_AND)
             self._cons_propose(logical_and(help_votes.values()))
@@ -370,10 +415,7 @@ class INBAC(AtomicCommitProcess):
             self._record_branch(BRANCH_FAST_DECIDE)
             self.decide_once(logical_and(votes.values()))
             return
-        union = set()
-        for _, c in self.collection1:
-            union.update(c)
-        all_votes = self._all_votes_from(union)
+        all_votes = self._all_acked_votes()
         if all_votes is not None:
             self._record_branch(BRANCH_CONS_AND)
             self._cons_propose(logical_and(all_votes.values()))

@@ -67,8 +67,7 @@ class NMinus1PlusFNBAC(AtomicCommitProcess):
             # exponential flood in large failure scenarios.
             if self.decision_var == ABORT and not self._forwarded_zero:
                 self._forwarded_zero = True
-                for q in self.all_pids():
-                    self.send(q, ("CHAIN", self.decision_var))
+                self.send_all(("CHAIN", self.decision_var))
 
     def on_timeout(self, name: str) -> None:
         if name != "timer":
@@ -89,8 +88,7 @@ class NMinus1PlusFNBAC(AtomicCommitProcess):
         if self.decision_var == COMMIT:
             self.send(self.mod_index(self.pid + 1), ("CHAIN", self.decision_var))
         elif self.pid == self.n:
-            for q in self.all_pids():
-                self.send(q, ("CHAIN", self.decision_var))
+            self.send_all(("CHAIN", self.decision_var))
         self.delivered = False
         if self.pid >= self.f + 1:
             self.set_timer_units(self.n + 2 * self.f + 1)
@@ -105,8 +103,7 @@ class NMinus1PlusFNBAC(AtomicCommitProcess):
         if self.decision_var == COMMIT and self.pid != self.f:
             self.send(self.mod_index(self.pid + 1), ("CHAIN", self.decision_var))
         if self.decision_var == ABORT:
-            for q in self.all_pids():
-                self.send(q, ("CHAIN", self.decision_var))
+            self.send_all(("CHAIN", self.decision_var))
         self.delivered = False
         self.set_timer_units(self.n + 2 * self.f + 1)
         self.phase = 3

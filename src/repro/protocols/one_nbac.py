@@ -46,8 +46,7 @@ class OneNBAC(AtomicCommitProcess):
     def on_propose(self, value: Any) -> None:
         self.vote = COMMIT if value else ABORT
         self.decision_var = self.vote
-        for q in self.all_pids():
-            self.send(q, ("V", self.vote))
+        self.send_all(("V", self.vote))
         self.set_timer(1)
 
     def on_deliver(self, src: int, payload: Any) -> None:
@@ -64,8 +63,7 @@ class OneNBAC(AtomicCommitProcess):
             return
         if self.phase == 0:
             if self.collection0 == set(self.all_pids()):
-                for q in self.all_pids():
-                    self.send(q, ("D", self.decision_var))
+                self.send_all(("D", self.decision_var))
                 if not self.decided:
                     self.decide_once(self.decision_var)
             else:

@@ -84,8 +84,7 @@ class _PaxosCommitBase(AtomicCommitProcess):
     def _start_query(self) -> None:
         """Ask the acceptors for their accepted state (the recovery read)."""
         self._query_backoff = getattr(self, "_query_backoff", 2.5)
-        for acceptor in self.acceptors():
-            self.send(acceptor, ("QUERY",))
+        self.send_many(self.acceptors(), ("QUERY",))
         self.set_timer(self.now() + self._query_backoff, name="query")
 
     def _handle_query_reply(self, src: int, report: Dict[int, int]) -> None:
@@ -153,8 +152,7 @@ class PaxosCommit(_PaxosCommitBase):
     def on_propose(self, value: Any) -> None:
         self.vote = COMMIT if value else ABORT
         # phase 2a for this RM's instance, sent to every acceptor
-        for acceptor in self.acceptors():
-            self.send(acceptor, ("P2A", self.pid, self.vote))
+        self.send_many(self.acceptors(), ("P2A", self.pid, self.vote))
         if self.is_acceptor:
             self.set_timer(1, name="acceptor-report")
         if self.pid == self.leader:
@@ -193,8 +191,7 @@ class PaxosCommit(_PaxosCommitBase):
             # through consensus after reading the acceptors
             self._start_query()
             return
-        for q in self.other_pids():
-            self.send(q, ("OUTCOME", outcome))
+        self.send_all(("OUTCOME", outcome), include_self=False)
         self.decide_once(outcome)
 
 
@@ -205,8 +202,7 @@ class FasterPaxosCommit(_PaxosCommitBase):
 
     def on_propose(self, value: Any) -> None:
         self.vote = COMMIT if value else ABORT
-        for acceptor in self.acceptors():
-            self.send(acceptor, ("P2A", self.pid, self.vote))
+        self.send_many(self.acceptors(), ("P2A", self.pid, self.vote))
         if self.is_acceptor:
             self.set_timer(1, name="acceptor-broadcast")
         self.set_timer(2, name="rm-decide")
@@ -218,8 +214,8 @@ class FasterPaxosCommit(_PaxosCommitBase):
     def on_timeout_protocol(self, name: str) -> None:
         if name == "acceptor-broadcast" and self.is_acceptor:
             # phase 2b broadcast straight to every RM (the "faster" variant)
-            for q in self.all_pids():
-                self.send(q, ("P2B", dict(self.accepted)))
+            # one snapshot for all: receivers copy the report, never mutate it
+            self.send_all(("P2B", dict(self.accepted)))
         elif name == "rm-decide" and not self.decided and not self.proposed:
             if self._full_commit_reports(self.reports):
                 self.decide_once(COMMIT)

@@ -93,13 +93,11 @@ class ThreePhaseCommit(AtomicCommitProcess):
         if name == "votes" and self.is_coordinator:
             if len(self._votes) == self.n and logical_and(self._votes.values()) == COMMIT:
                 self.state = _PRECOMMIT
-                for q in self.other_pids():
-                    self.send(q, ("PRECOMMIT",))
+                self.send_all(("PRECOMMIT",), include_self=False)
                 self.set_timer(self.now() + 2.5, name="acks")
             else:
                 self.state = _ABORTED
-                for q in self.other_pids():
-                    self.send(q, ("GLOBAL-ABORT",))
+                self.send_all(("GLOBAL-ABORT",), include_self=False)
                 self.decide_once(ABORT)
         elif name == "acks" and self.is_coordinator and self.state == _PRECOMMIT:
             if len(self._acks) < self.n - 1 and not self.decided:
@@ -120,8 +118,7 @@ class ThreePhaseCommit(AtomicCommitProcess):
         if self.decided:
             return
         self.state = _COMMITTED
-        for q in self.other_pids():
-            self.send(q, ("GLOBAL-COMMIT",))
+        self.send_all(("GLOBAL-COMMIT",), include_self=False)
         self.decide_once(COMMIT)
 
     # ------------------------------------------------------------------ #
@@ -132,8 +129,7 @@ class ThreePhaseCommit(AtomicCommitProcess):
             return
         self._in_recovery = True
         self._recovery_states = {self.pid: self.state}
-        for q in self.other_pids():
-            self.send(q, ("STATE-REQ",))
+        self.send_all(("STATE-REQ",), include_self=False)
         self.set_timer(self.now() + 2.5, name="recovery-collect")
 
     def _finish_recovery(self) -> None:
@@ -143,6 +139,8 @@ class ThreePhaseCommit(AtomicCommitProcess):
         else:
             outcome = ABORT
         self.state = _COMMITTED if outcome == COMMIT else _ABORTED
-        for q in self.other_pids():
-            self.send(q, ("GLOBAL-COMMIT",) if outcome == COMMIT else ("GLOBAL-ABORT",))
+        self.send_all(
+            ("GLOBAL-COMMIT",) if outcome == COMMIT else ("GLOBAL-ABORT",),
+            include_self=False,
+        )
         self.decide_once(outcome)

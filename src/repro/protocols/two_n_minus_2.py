@@ -58,26 +58,22 @@ class TwoNMinus2NBAC(AtomicCommitProcess):
                 # before the nooping period ends (forwarding once per process
                 # is sufficient for the agreement argument)
                 self._forwarded_zero = True
-                for q in self.all_pids():
-                    self.send(q, ("B", ABORT))
+                self.send_all(("B", ABORT))
 
     def on_timeout(self, name: str) -> None:
         if name != "timer":
             return
         if self.phase == 0 and self.pid == self.n:
             if self.votes == COMMIT and self.collection == set(self.all_pids()):
-                for q in self.all_pids():
-                    self.send(q, ("B", COMMIT))
+                self.send_all(("B", COMMIT))
             else:
                 self.votes = ABORT
-                for q in self.all_pids():
-                    self.send(q, ("B", ABORT))
+                self.send_all(("B", ABORT))
             self.set_timer_units(3 + self.f)
             self.phase = 1
         elif self.phase == 0:
             if not self.received_b:
-                for q in self.all_pids():
-                    self.send(q, ("B", ABORT))
+                self.send_all(("B", ABORT))
                 self.votes = ABORT
             self.set_timer_units(3 + self.f)
             self.phase = 1

@@ -144,8 +144,7 @@ class TwoNMinus2PlusFNBAC(AtomicCommitProcess):
                 if not self.decided:
                     self.decide_once(self.votes)
             else:
-                for q in list(range(1, self.f + 1)) + [self.n]:
-                    self.send(q, ("HELP",))
+                self.send_many((*self.first_f(), self.n), ("HELP",))
 
     def _phase2_timeout(self) -> None:
         if not 1 <= self.pid <= self.f - 1:

@@ -74,6 +74,5 @@ class TwoPhaseCommit(AtomicCommitProcess):
             # late; the coordinator aborts (a failure occurred, so validity
             # still holds)
             outcome = ABORT
-        for q in self.other_pids():
-            self.send(q, ("OUTCOME", outcome))
+        self.send_all(("OUTCOME", outcome), include_self=False)
         self.decide_once(outcome)

@@ -45,8 +45,7 @@ class ZeroNBAC(AtomicCommitProcess):
         self.myvote = COMMIT if value else ABORT
         self.vote = self.myvote
         if self.myvote == ABORT:
-            for q in self.all_pids():
-                self.send(q, ("V", ABORT))
+            self.send_all(("V", ABORT))
         self.set_timer(1)
         self.phase = 1
 
@@ -71,8 +70,7 @@ class ZeroNBAC(AtomicCommitProcess):
                 # voted 1, decide commit without having sent anything
                 self.decide_once(COMMIT)
             elif self.zero and self.myvote == COMMIT:
-                for q in self.all_pids():
-                    self.send(q, ("B", ABORT))
+                self.send_all(("B", ABORT))
                 self.set_timer(3)
             else:  # myvote == ABORT
                 self.set_timer(2)

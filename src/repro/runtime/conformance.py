@@ -57,6 +57,7 @@ class AsyncHarness:
                 processes=dict(runtime.processes),
                 decisions=dict(runtime.decisions),
                 errors=[f"P{pid}: {exc!r}" for pid, exc in runtime.errors],
+                messages_by_module=dict(runtime.transport.messages_by_module),
             )
 
         return asyncio.run(_main())

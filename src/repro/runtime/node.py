@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, Iterable, Optional, TYPE_CHECKING
 
 from repro.env import Process
 
@@ -38,6 +38,11 @@ class AsyncEnv:
 
     def send(self, dst: int, payload: Any, module: str = "main") -> None:
         self._runtime.transport.send(self.pid, dst, payload, module=module)
+
+    def send_many(self, dsts: Iterable[int], payload: Any, module: str = "main") -> None:
+        send = self._runtime.transport.send
+        for dst in dsts:
+            send(self.pid, dst, payload, module=module)
 
     def set_timer(self, at_units: float, name: str = "timer") -> None:
         self._runtime.set_timer(self.pid, at_units, name)

@@ -156,12 +156,17 @@ class BucketQueue:
     def __len__(self) -> int:
         return sum(bucket[6] for bucket in self.buckets.values())
 
+    def open_bucket(self, time: float) -> list:
+        """Create the (absent) bucket of ``time`` and return it."""
+        bucket = self.buckets[time] = _new_bucket()
+        heapq.heappush(self.times, time)
+        return bucket
+
     def push(self, time: float, priority: int, entry: Any) -> None:
         """Append ``entry`` to the ``(time, priority)`` FIFO."""
         bucket = self.buckets.get(time)
         if bucket is None:
-            bucket = self.buckets[time] = _new_bucket()
-            heapq.heappush(self.times, time)
+            bucket = self.open_bucket(time)
         bucket[priority].append(entry)
         bucket[6] += 1
 

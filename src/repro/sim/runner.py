@@ -29,7 +29,11 @@ Event bookkeeping is O(1) per event at either level: message delivery marks
 records through an msg-id → record map (never a scan of the message log), and
 the common "stop once every correct process has decided" condition is a
 decremented counter maintained by :meth:`Scheduler.record_decision`, not a
-predicate re-evaluated over every process id on every event.
+predicate re-evaluated over every process id on every event.  A broadcast is
+one kernel operation: :meth:`Scheduler.send_many` is the only place a message
+is posted (a single send is a batch of one), so what the k messages of a
+broadcast share — send time, delay source, destination bucket under a fixed
+delay, the counters-level tally — is paid once, not k times.
 
 The event queue
 ---------------
@@ -72,7 +76,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, ProtocolViolationError, SimulationError
 from repro.sim.clock import VirtualClock
@@ -99,11 +103,24 @@ class SimEnv:
     def __init__(self, scheduler: "Scheduler", pid: int):
         self._scheduler = scheduler
         self.pid = pid
-        self.random = random.Random(scheduler.seed * 1_000_003 + pid)
+        self._random: Optional[random.Random] = None
+
+    @property
+    def random(self) -> random.Random:
+        """This process' seeded stream, built on first use (few runs read it)."""
+        rng = self._random
+        if rng is None:
+            rng = self._random = random.Random(
+                self._scheduler.seed * 1_000_003 + self.pid
+            )
+        return rng
 
     # -- ProcessEnv interface ------------------------------------------- #
     def send(self, dst: int, payload: Any, module: str = "main") -> None:
-        self._scheduler.post_message(self.pid, dst, payload, module=module)
+        self._scheduler.send_many(self.pid, (dst,), payload, module)
+
+    def send_many(self, dsts: Iterable[int], payload: Any, module: str = "main") -> None:
+        self._scheduler.send_many(self.pid, dsts, payload, module)
 
     def set_timer(self, at_units: float, name: str = "timer") -> None:
         self._scheduler.set_timer(self.pid, at_units, name)
@@ -165,6 +182,19 @@ class Scheduler:
         sampler = delay_sampler if delay_sampler is not None else BatchedDelaySampler()
         self._delay_sampler = sampler if sampler.bind(self.network.delay_model) else None
         self.network.attach_sampler(self._delay_sampler)
+        # what send_many needs per call and the run fixes once: the delay
+        # source — the sampler's draw when no override rule can fire (the
+        # nominal draw IS the delay then), else None for transit_delay — and
+        # the trace's hook: a record per message (full level) or a tally per
+        # run of messages (counters level keeps no records)
+        full = trace_level == "full"
+        self._posting = (
+            self._delay_sampler.next_delay
+            if self._delay_sampler is not None and not self.network._overrides
+            else None,
+            self.trace.record_send if full else None,
+            None if full else self.trace.record_send_batch,
+        )
         self._msg_counter = 0
         #: in-flight records by msg id, so delivery marking is O(1) (records
         #: are popped on delivery); empty at the counters level
@@ -219,37 +249,88 @@ class Scheduler:
         self._queue.push(at, PRIORITY_PROPOSE, (pid, value))
 
     def post_message(self, src: int, dst: int, payload: Any, module: str = "main") -> None:
-        """Send a message; called (indirectly) by processes through their env."""
-        if dst < 1 or dst > self.n:
-            raise SimulationError(f"message to unknown process P{dst}")
-        send_time = self.clock.now
-        self._msg_counter += 1
+        """Send one message: :meth:`send_many` to a single destination."""
+        self.send_many(src, (dst,), payload, module)
+
+    def send_many(
+        self, src: int, dsts: Iterable[int], payload: Any, module: str = "main"
+    ) -> None:
+        """Send ``payload`` from ``src`` to every process in ``dsts``, in order.
+
+        Called (indirectly) by processes through their env; the only place a
+        message is posted.  Exactly a loop of single sends — message ids in
+        ``dsts`` order, one delay draw per non-self message, and a failure at
+        one destination leaves the ones before it sent — but what a broadcast
+        shares is paid once: the clock read, the delay source, and per *run*
+        of consecutive counted messages with one receive time (a whole
+        fixed-delay broadcast is one run) one bucket lookup, one live-count
+        update and one counters-level tally.
+        """
+        send_time = self.clock._now
+        n = self.n
         msg_id = self._msg_counter
-        if src == dst:
-            # Local "message to self": arrives immediately, not counted
-            # (footnote 10 of the paper).
-            recv_time = send_time
-            counted = False
-        else:
-            sampler = self._delay_sampler
-            if sampler is not None and not self.network._overrides:
-                # no override rules can fire: the nominal draw IS the delay
-                delay = sampler.next_delay()
-            else:
-                delay = self.network.transit_delay(src, dst, payload, send_time, msg_id)
-            recv_time = send_time + delay
-            counted = True
-        record = self.trace.record_send(
-            msg_id, src, dst, payload, send_time, recv_time, counted, module
-        )
-        if record is not None:  # the counters level keeps no records
-            self._pending_records[msg_id] = record
-        # deliveries are the hot event: a bare tuple in the delivery FIFO
-        # carries everything dispatch (and a controller's view) needs; the
-        # bucket key is the receive time, FIFO position the post order
-        self._queue.push(
-            recv_time, PRIORITY_DELIVERY, (src, dst, payload, msg_id, send_time)
-        )
+        draw, record_send, tally = self._posting
+        pending = self._pending_records
+        queue = self._queue
+        run_time = bucket = fifo = None
+        run_start = 0
+        try:
+            for dst in dsts:
+                if dst < 1 or dst > n:
+                    raise SimulationError(f"message to unknown process P{dst}")
+                msg_id += 1
+                if dst == src:
+                    # Local "message to self": arrives immediately, not
+                    # counted (footnote 10 of the paper).
+                    record = self.trace.record_send(
+                        msg_id, src, dst, payload, send_time, send_time, False, module
+                    )
+                    if record is not None:
+                        pending[msg_id] = record
+                    queue.push(
+                        send_time, PRIORITY_DELIVERY, (src, dst, payload, msg_id, send_time)
+                    )
+                    if send_time == run_time:
+                        # a delay that underflowed to zero put the open run
+                        # into this very FIFO: a run counts counted messages
+                        run_start += 1
+                    continue
+                if draw is not None:
+                    recv_time = send_time + draw()
+                else:
+                    recv_time = send_time + self.network.transit_delay(
+                        src, dst, payload, send_time, msg_id
+                    )
+                if recv_time != run_time:
+                    if fifo is not None:
+                        added = len(fifo) - run_start
+                        bucket[6] += added
+                        if tally is not None:
+                            tally(payload, module, run_time, added)
+                    run_time = recv_time
+                    bucket = queue.buckets.get(recv_time)
+                    if bucket is None:
+                        bucket = queue.open_bucket(recv_time)
+                    fifo = bucket[PRIORITY_DELIVERY]
+                    run_start = len(fifo)
+                if record_send is not None:
+                    pending[msg_id] = record_send(
+                        msg_id, src, dst, payload, send_time, recv_time, True, module
+                    )
+                # deliveries are the hot event: a bare tuple in the delivery
+                # FIFO carries everything dispatch (and a controller's view)
+                # needs; the bucket key is the receive time, FIFO position
+                # the post order
+                fifo.append((src, dst, payload, msg_id, send_time))
+        finally:
+            # also on an error mid-batch: the state is then the one the same
+            # prefix of single sends would have left
+            self._msg_counter = msg_id
+            if fifo is not None:
+                added = len(fifo) - run_start
+                bucket[6] += added
+                if tally is not None:
+                    tally(payload, module, run_time, added)
 
     def set_timer(self, pid: int, at_units: float, name: str) -> None:
         """Arm (or re-arm) the named timer; re-arming supersedes the pending fire."""
@@ -305,13 +386,19 @@ class Scheduler:
 
         The one event loop.  Pops are inlined against the bucket structure
         (:meth:`BucketQueue.pop <repro.sim.batch.BucketQueue.pop>` is the
-        reference for them) and each kind's semantics are written exactly
-        once, below.  The max_time check peeks: an overdue event stays
-        queued, so raising ``max_time`` and calling ``run()`` again resumes
-        the execution without losing it.  A schedule controller, when
-        attached, is consulted between the pop and the clock advance; runs
-        without one never touch the hook.
+        reference for their order) and each kind's semantics are written
+        exactly once, below.  The loop finds the minimum ``(time, kind)``
+        FIFO and then stays on it — entry after entry, without re-finding it
+        — until it is exhausted, a handler queued something into the same
+        bucket (a lower kind would pre-empt the rest), or a stop condition
+        fired.  The max_time check peeks: an overdue event stays queued, so
+        raising ``max_time`` and calling ``run()`` again resumes the
+        execution without losing it; the same holds after ``stop()``, the
+        stop predicate or a handler that raised.  A schedule controller,
+        when attached, is consulted between the pop and the clock advance;
+        runs without one never touch the hook.
         """
+        self._stopped = False  # stop() ends the run() it was called from
         consult = None
         if self._controller is not None:
             consult = self._consult_controller
@@ -328,7 +415,8 @@ class Scheduler:
         pending = self._pending_records
         timer_generation = self._timer_generation
         trace = self.trace
-        while times:
+        running = True
+        while running and times:
             time = times[0]
             if time > max_time:
                 break
@@ -339,67 +427,88 @@ class Scheduler:
                 fifo = bucket[kind]
                 if index < len(fifo):
                     break
-            entry = fifo[index]
-            cursors[kind] = index + 1
-            remaining = bucket[6] - 1
-            if remaining:
-                bucket[6] = remaining
-            else:
-                del buckets[time]
-                heapq.heappop(times)
-            if consult is not None and consult(time, kind, entry):
-                continue  # deferred: the entry is back in a later bucket
-            # inline clock.advance_to(time): same monotonicity guard
-            now = clock._now
-            if time > now:
-                clock._now = time
-            elif time < now - 1e-12:
-                raise SimulationError(
-                    f"clock cannot run backwards: {time} < {now}"
-                )
-            # ordered by frequency: deliveries dominate every run, then timers
-            if kind == PRIORITY_DELIVERY:
-                src, dst, payload, msg_id, _ = entry
-                # popped even when the destination is gone, so the map stays
-                # bounded by in-flight messages; only real deliveries are marked
-                record = pending.pop(msg_id, None) if pending else None
-                process = processes.get(dst)
-                if process is not None and not process.crashed:
-                    if record is not None:
-                        record.delivered = True
-                    process.deliver(src, payload)
-            elif kind == PRIORITY_TIMER:
-                pid, name, generation = entry
-                process = processes.get(pid)
+            # drain this (time, kind) FIFO in place; len() is re-read because
+            # a handler may append to it (a send to self at the current time)
+            advanced = False
+            while index < len(fifo):
+                entry = fifo[index]
+                index += 1
+                # cursor and live count are settled before anything can
+                # raise or stop, so a later run() resumes at the next entry
+                cursors[kind] = index
+                live = bucket[6] - 1
+                if live:
+                    bucket[6] = live
+                else:
+                    del buckets[time]
+                    if times[0] == time:
+                        heapq.heappop(times)
+                    else:
+                        # a handler queued an event in the past while this
+                        # FIFO was drained; it is next, and fails the clock
+                        # guard below like any event that runs time backwards
+                        times.remove(time)
+                        heapq.heapify(times)
+                if consult is not None and consult(time, kind, entry):
+                    continue  # deferred: the entry is back in a later bucket
+                if not advanced:
+                    # inline clock.advance_to(time): same monotonicity guard
+                    now = clock._now
+                    if time > now:
+                        clock._now = time
+                    elif time < now - 1e-12:
+                        raise SimulationError(
+                            f"clock cannot run backwards: {time} < {now}"
+                        )
+                    advanced = True
+                # ordered by frequency: deliveries dominate every run, then timers
+                if kind == PRIORITY_DELIVERY:
+                    src, dst, payload, msg_id, _ = entry
+                    # popped even when the destination is gone, so the map stays
+                    # bounded by in-flight messages; only real deliveries are marked
+                    record = pending.pop(msg_id, None) if pending else None
+                    process = processes.get(dst)
+                    if process is not None and not process.crashed:
+                        if record is not None:
+                            record.delivered = True
+                        process.deliver(src, payload)
+                elif kind == PRIORITY_TIMER:
+                    pid, name, generation = entry
+                    process = processes.get(pid)
+                    if (
+                        process is not None
+                        and not process.crashed
+                        # a mismatch means superseded or cancelled
+                        and timer_generation.get((pid, name), 0) == generation
+                    ):
+                        trace.record_timer(pid, name, clock.time_to_units(time))
+                        process.timeout(name)
+                elif kind == PRIORITY_PROPOSE:
+                    pid, value = entry
+                    process = processes.get(pid)
+                    if process is not None and not process.crashed:
+                        trace.record_proposal(pid, value, clock.time_to_units(time))
+                        process.on_propose(value)
+                elif kind == PRIORITY_CRASH:
+                    pid = entry[0]
+                    process = processes.get(pid)
+                    if process is not None and not process.crashed:
+                        process.crashed = True
+                        process.on_crash()
+                    trace.record_crash(pid, clock.time_to_units(time))
+                else:  # PRIORITY_RECOVER
+                    self.recover(entry[0])
                 if (
-                    process is not None
-                    and not process.crashed
-                    # a mismatch means superseded or cancelled
-                    and timer_generation.get((pid, name), 0) == generation
+                    self._stopped
+                    or (self._correct_pids is not None and self._undecided_correct == 0)
+                    or (self._stop_predicate is not None and self._stop_predicate(self))
                 ):
-                    trace.record_timer(pid, name, clock.time_to_units(time))
-                    process.timeout(name)
-            elif kind == PRIORITY_PROPOSE:
-                pid, value = entry
-                process = processes.get(pid)
-                if process is not None and not process.crashed:
-                    trace.record_proposal(pid, value, clock.time_to_units(time))
-                    process.on_propose(value)
-            elif kind == PRIORITY_CRASH:
-                pid = entry[0]
-                process = processes.get(pid)
-                if process is not None and not process.crashed:
-                    process.crashed = True
-                    process.on_crash()
-                trace.record_crash(pid, clock.time_to_units(time))
-            else:  # PRIORITY_RECOVER
-                self.recover(entry[0])
-            if self._stopped:
-                break
-            if self._correct_pids is not None and self._undecided_correct == 0:
-                break
-            if self._stop_predicate is not None and self._stop_predicate(self):
-                break
+                    running = False
+                    break
+                if bucket[6] != live:
+                    # the handler queued something at the current time: a
+                    # lower kind may now pre-empt the rest of this FIFO
+                    break
         trace.end_time = clock.time_to_units(clock.now)
         return trace
 

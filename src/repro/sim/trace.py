@@ -13,9 +13,10 @@ Two trace levels (selected by the scheduler's ``trace_level``):
   audit-grade record every per-message query (``counted_messages``,
   ``messages_by_kind``, ``causal_depth``) is computed from.
 * ``"counters"`` — :class:`CounterTrace`: no per-message records at all.
-  ``record_send`` maintains a handful of running tallies (total counted
-  messages, per-module counts, a receive-time → multiplicity digest), which
-  is everything the sweep engine's aggregate tables need.  The aggregate
+  ``record_send_batch`` (and ``record_send``, its one-message case) maintains
+  a handful of running tallies (total counted messages, per-module counts, a
+  receive-time → multiplicity digest), which is everything the sweep engine's
+  aggregate tables need.  The aggregate
   queries (``message_count``, ``messages_received_by``,
   ``module_histogram``, decisions/crashes/proposals) return byte-identical
   answers to a full trace of the same execution; the per-message queries
@@ -389,12 +390,23 @@ class CounterTrace(Trace):
         module: str = "main",
     ) -> None:
         if counted:
-            self.counted_total += 1
-            counts = self.module_counts
-            counts[module] = counts.get(module, 0) + 1
-            digest = self.recv_time_counts
-            digest[recv_time] = digest.get(recv_time, 0) + 1
+            self.record_send_batch(payload, module, recv_time, 1)
         return None
+
+    def record_send_batch(
+        self, payload: Any, module: str, recv_time: float, count: int
+    ) -> None:
+        """Tally ``count`` counted messages of one broadcast in one call.
+
+        They share payload, module and receive time — under a fixed delay
+        that is the whole broadcast, so it costs one update of each tally
+        however wide it is.
+        """
+        self.counted_total += count
+        counts = self.module_counts
+        counts[module] = counts.get(module, 0) + count
+        digest = self.recv_time_counts
+        digest[recv_time] = digest.get(recv_time, 0) + count
 
     def record_timer(self, pid: int, name: str, time: float) -> None:
         self.timer_expiries += 1

@@ -81,6 +81,46 @@ class TestAgreementAndTermination:
     def test_agreement_vacuously_holds_with_no_decisions(self):
         assert check_agreement(make_trace()).holds
 
+    @staticmethod
+    def quadratic_agreement(trace):
+        """The pair enumeration ``check_agreement`` answers without, kept as
+        the reference: same verdict, same violation strings, same order."""
+        violations = []
+        decided = sorted(trace.decisions.items())
+        for i, (pid_a, rec_a) in enumerate(decided):
+            for pid_b, rec_b in decided[i + 1 :]:
+                if rec_a.value != rec_b.value:
+                    violations.append(
+                        f"P{pid_a} decided {rec_a.value} but P{pid_b} decided {rec_b.value}"
+                    )
+        return violations
+
+    @staticmethod
+    def decision_maps(n=7):
+        yield "empty", {}
+        yield "single", {4: 1}
+        for value in (0, 1):
+            yield f"all-{value}", {pid: value for pid in range(1, n + 1)}
+        for dissenter in range(1, n + 1):
+            yield f"dissenter-P{dissenter}", {
+                pid: int(pid != dissenter) for pid in range(1, n + 1)
+            }
+        yield "interleaved", {pid: pid % 2 for pid in range(1, n + 1)}
+        yield "three-values", {pid: pid % 3 for pid in range(1, n + 1)}
+        # recorded out of pid order: the strings still come out sorted by pid
+        yield "unordered", {5: 1, 2: 0, 7: 1, 1: 1}
+
+    def test_agreement_matches_the_pair_enumeration(self):
+        for label, decisions in self.decision_maps():
+            trace = make_trace(
+                n=7, decisions={pid: (value, 2.0) for pid, value in decisions.items()}
+            )
+            check = check_agreement(trace)
+            expected = self.quadratic_agreement(trace)
+            assert check.violations == expected, label
+            assert check.holds == (not expected), label
+            assert check.name == "agreement"
+
     def test_termination_requires_every_correct_process_to_decide(self):
         trace = make_trace(decisions={1: (1, 2), 2: (1, 2)})
         check = check_termination(trace)

@@ -72,6 +72,9 @@ class _InertEnv:
     def send(self, dst, payload, module="main"):
         pass
 
+    def send_many(self, dsts, payload, module="main"):
+        pass
+
     def set_timer(self, at_units, name="timer"):
         pass
 
@@ -108,6 +111,50 @@ def test_conformance_suite_catches_a_broken_environment():
     assert "sentinel" in text
     # double decide was silently accepted and the last value stuck
     assert "decide-once" in text
+    # nothing it is handed ever arrives
+    assert "send-many" in text
+
+
+# --------------------------------------------------------------------------- #
+# the embedding adapter: a commit instance's broadcast through its host
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("protocol", ["INBAC", "PaxosCommit", "3PC"])
+def test_embedded_env_send_many_equals_loop_of_sends(protocol, monkeypatch):
+    from repro.db import ClusterConfig, run_cluster
+    from repro.db.partition import EmbeddedCommitEnv
+    from repro.explore.schedule import ScheduleController
+    from repro.sim.network import UniformDelay
+    from repro.workloads import uniform_workload
+
+    def run():
+        config = ClusterConfig(
+            num_partitions=4,
+            commit_protocol=protocol,
+            commit_f=1,
+            delay_model=UniformDelay(0.3, 1.0, seed=5),
+            seed=5,
+            # a controller (here: the do-nothing one) makes the report
+            # carry the full trace fingerprint
+            controller=ScheduleController(),
+        )
+        workload = uniform_workload(
+            num_transactions=12, num_partitions=4, participants_per_txn=3, seed=5
+        )
+        return run_cluster(config, workload.transactions)
+
+    batched = run()
+
+    def loop_of_sends(self, dsts, payload, module="main"):
+        for dst in dsts:
+            self.send(dst, payload, module)
+
+    monkeypatch.setattr(EmbeddedCommitEnv, "send_many", loop_of_sends)
+    looped = run()
+    assert batched.committed == looped.committed == 12
+    assert batched.trace_fingerprint == looped.trace_fingerprint
+    assert batched.messages_by_module == looped.messages_by_module
+    # the module tag of a broadcast survives the embedding
+    assert batched.messages_by_module["commit:main"] > 0
 
 
 # --------------------------------------------------------------------------- #

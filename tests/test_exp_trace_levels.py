@@ -105,27 +105,31 @@ class TestCounterTrace:
         with pytest.raises(SimulationError):
             fast.messages_received_by(2.0, module="main")
 
-    def test_scheduler_inline_tallies_match_record_send(self):
-        # Scheduler.post_message inlines CounterTrace.record_send on the hot
-        # path; this guards the two implementations against drifting apart
+    def test_scheduler_batch_tallies_match_record_send(self):
+        # Scheduler.send_many tallies the counters level once per broadcast,
+        # through CounterTrace.record_send_batch (record_send is its
+        # one-message case); this guards the per-batch tally against drifting
+        # from the per-message one: replaying a full-level run's records one
+        # at a time must land the same values in the same fields
         from repro.protocols.inbac import INBAC
 
-        result = Simulation(
-            n=5, f=2, process_class=INBAC, trace_level="counters"
-        ).run([1] * 5)
-        driven = result.trace
-        replayed = CounterTrace(n=5, f=2)
-        # replay the same message volume through the real method: counts and
-        # digests must land in the same fields with the same values
-        for time, count in driven.recv_time_counts.items():
-            for _ in range(count):
+        for make_delay in (lambda: None, lambda: UniformDelay(0.2, 1.0, seed=4)):
+            full, driven = (
+                Simulation(
+                    n=5, f=2, process_class=INBAC, trace_level=level,
+                    delay_model=make_delay(),
+                ).run([1] * 5).trace
+                for level in ("full", "counters")
+            )
+            replayed = CounterTrace(n=5, f=2)
+            for m in full.messages:
                 replayed.record_send(
-                    msg_id=0, src=1, dst=2, payload=None,
-                    send_time=0.0, recv_time=time, counted=True,
+                    m.msg_id, m.src, m.dst, m.payload, m.send_time, m.recv_time,
+                    m.counted, m.module,
                 )
-        assert replayed.counted_total == driven.counted_total
-        assert replayed.recv_time_counts == driven.recv_time_counts
-        assert sum(driven.module_counts.values()) == driven.counted_total
+            assert replayed.counted_total == driven.counted_total > 0
+            assert replayed.module_counts == driven.module_counts
+            assert replayed.recv_time_counts == driven.recv_time_counts
 
     def test_property_checks_identical(self):
         from repro.core.checker import check_nbac

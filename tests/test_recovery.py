@@ -190,6 +190,10 @@ class _StubEnv:
     def send(self, dst, payload, module="main"):
         self.sent.append((dst, payload))
 
+    def send_many(self, dsts, payload, module="main"):
+        for dst in dsts:
+            self.send(dst, payload, module)
+
     def set_timer(self, at_units, name="timer"):
         pass
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, ProtocolViolationError
+from repro.errors import ConfigurationError, ProtocolViolationError, SimulationError
 from repro.sim.faults import FaultPlan
 from repro.explore.schedule import ScheduleController
 from repro.protocols import INBAC, TwoPhaseCommit
@@ -63,6 +63,18 @@ class TestSchedulerBasics:
             Scheduler(n=4, f=0)
         with pytest.raises(ConfigurationError):
             Scheduler(n=4, f=4)
+
+    def test_env_random_stream_is_built_on_first_use(self):
+        import random
+
+        scheduler = Scheduler(n=3, f=1, seed=9)
+        env = scheduler.env_for(2)
+        assert env._random is None  # most runs never read it
+        expected = random.Random(9 * 1_000_003 + 2)
+        assert [env.random.random() for _ in range(3)] == [
+            expected.random() for _ in range(3)
+        ]
+        assert env.random is env.random
 
     def test_simulation_needs_exactly_one_factory(self):
         with pytest.raises(ConfigurationError):
@@ -502,3 +514,170 @@ class TestResumedRun:
         assert in_flight == 6 + 3  # six votes at t=1, three timers at t=2
         scheduler.run()  # still past max_time: a no-op, not a drain
         assert len(scheduler._queue) == in_flight
+
+
+class TestFifoDrain:
+    """``run()`` stays on one ``(time, kind)`` FIFO instead of re-finding it.
+
+    What that must not change: a lower kind queued into the current bucket
+    pre-empts the rest of the FIFO, an entry appended to the FIFO being
+    drained is still served by that drain, and wherever the loop is
+    interrupted — a handler that raises, ``stop()``, ``max_time`` — the
+    queue holds exactly the entries not yet dispatched.
+    """
+
+    class Scripted(Process):
+        """Logs every event into a shared list; runs a hook per payload."""
+
+        def __init__(self, pid, n, f, env, log, hooks):
+            super().__init__(pid, n, f, env)
+            self.log = log
+            self.hooks = hooks
+
+        def on_propose(self, value):
+            self.log.append((self.pid, "propose", value, self.now()))
+
+        def on_deliver(self, src, payload):
+            self.log.append((self.pid, "deliver", payload, self.now()))
+            hook = self.hooks.get(payload)
+            if hook is not None:
+                hook(self)
+
+        def on_timeout(self, name):
+            self.log.append((self.pid, "timeout", name, self.now()))
+
+    def prepared(self, hooks, messages=("m1", "m2", "m3"), **kwargs):
+        """P2's ``messages`` to P1 sit in one delivery FIFO at t=1."""
+        log = []
+        scheduler = Scheduler(n=3, f=1, **kwargs)
+        scheduler.bind_processes(
+            lambda pid, n, f, env: self.Scripted(pid, n, f, env, log, hooks)
+        )
+        for tag in messages:
+            scheduler.post_message(2, 1, tag)
+        return scheduler, log
+
+    @staticmethod
+    def seen(log):
+        return [(kind, what) for _, kind, what, _ in log]
+
+    def test_lower_kind_queued_at_the_current_time_preempts_the_fifo(self):
+        scheduler = None
+
+        def hook(process):
+            scheduler.post_propose(1, "late", at=scheduler.clock.now)  # lower kind
+            process.set_timer(process.now(), name="now")  # higher kind
+            process.send(1, "to-self")  # same FIFO
+
+        scheduler, log = self.prepared({"m1": hook})
+        scheduler.run()
+        assert self.seen(log) == [
+            ("deliver", "m1"),
+            ("propose", "late"),  # before the deliveries already queued
+            ("deliver", "m2"),
+            ("deliver", "m3"),
+            ("deliver", "to-self"),  # same drain, after what was queued
+            ("timeout", "now"),  # timers of a bucket fire after its deliveries
+        ]
+        assert {at for _, _, _, at in log} == {1.0}
+        assert len(scheduler._queue) == 0 and not scheduler._queue
+
+    def test_self_send_from_the_last_entry_of_a_bucket_is_delivered(self):
+        # the bucket is released before its last entry is dispatched; a send
+        # to self from that handler opens a fresh bucket at the same time
+        scheduler, log = self.prepared({"m3": lambda p: p.send(1, "to-self")})
+        scheduler.run()
+        assert self.seen(log)[-2:] == [("deliver", "m3"), ("deliver", "to-self")]
+        assert log[-1][3] == 1.0
+
+    def test_handler_that_raises_leaves_the_rest_queued(self):
+        def boom(process):
+            raise RuntimeError("handler failed")
+
+        hooks = {"m2": boom}
+        scheduler, log = self.prepared(hooks)
+        scheduler.post_message(2, 3, "other")
+        with pytest.raises(RuntimeError, match="handler failed"):
+            scheduler.run()
+        assert self.seen(log) == [("deliver", "m1"), ("deliver", "m2")]
+        assert len(scheduler._queue) == 2  # m3 and the message to P3
+        del hooks["m2"]
+        scheduler.run()
+        assert self.seen(log) == [
+            ("deliver", "m1"), ("deliver", "m2"), ("deliver", "m3"), ("deliver", "other"),
+        ]
+        assert len(scheduler._queue) == 0
+
+    def test_stop_mid_fifo_then_resume(self):
+        scheduler = None
+        scheduler, log = self.prepared({"m1": lambda p: scheduler.stop()})
+        scheduler.run()
+        assert self.seen(log) == [("deliver", "m1")]
+        assert len(scheduler._queue) == 2
+        trace = scheduler.run()  # stop() ended that run(), not this one
+        assert self.seen(log) == [("deliver", "m1"), ("deliver", "m2"), ("deliver", "m3")]
+        assert len(scheduler._queue) == 0
+        assert sum(m.delivered for m in trace.messages) == 3
+
+    def test_stop_predicate_mid_fifo_then_resume(self):
+        scheduler, log = self.prepared({})
+        scheduler.set_stop_predicate(lambda s: len(log) == 2)
+        scheduler.run()
+        assert len(log) == 2 and len(scheduler._queue) == 1
+        scheduler.set_stop_predicate(None)
+        scheduler.run()
+        assert self.seen(log) == [("deliver", "m1"), ("deliver", "m2"), ("deliver", "m3")]
+
+    def test_max_time_between_two_buckets_then_resume(self):
+        def later(process):
+            process.send(2, "reply")  # arrives at t=2, past max_time
+
+        scheduler, log = self.prepared({"m3": later}, max_time=1.5)
+        scheduler.run()
+        assert self.seen(log) == [("deliver", "m1"), ("deliver", "m2"), ("deliver", "m3")]
+        assert len(scheduler._queue) == 1
+        assert scheduler.clock.now == 1.0
+        scheduler.max_time = 5.0
+        scheduler.run()
+        assert log[-1] == (2, "deliver", "reply", 2.0)
+        assert len(log) == 4 and len(scheduler._queue) == 0
+
+    def test_event_queued_in_the_past_mid_drain_is_a_clock_error(self):
+        scheduler = None
+        scheduler, log = self.prepared(
+            {"m1": lambda p: scheduler.post_propose(1, "past", at=0.5)}
+        )
+        with pytest.raises(SimulationError, match="clock cannot run backwards"):
+            scheduler.run()
+        # the FIFO in progress was finished first; nothing is lost or repeated
+        assert self.seen(log) == [("deliver", "m1"), ("deliver", "m2"), ("deliver", "m3")]
+        assert len(scheduler._queue) == 0 and not scheduler._queue.times
+
+    def test_deferring_controller_on_the_first_entry_of_a_bucket(self):
+        class DeferFirst(ScheduleController):
+            def intercept(self, scheduler, event, step):
+                return ("defer", 0.5) if step == 0 else None
+
+        scheduler, log = self.prepared({}, controller=DeferFirst())
+        trace = scheduler.run()
+        assert [(what, at) for _, _, what, at in log] == [
+            ("m2", 1.0), ("m3", 1.0), ("m1", 1.5),
+        ]
+        assert scheduler.applied_schedule_actions == [(0, "defer", 0.5)]
+        assert [m.recv_time for m in trace.messages] == [1.5, 1.0, 1.0]
+        assert len(scheduler._queue) == 0
+
+    def test_deferring_the_only_entry_does_not_advance_the_clock(self):
+        class DeferFirst(ScheduleController):
+            def intercept(self, scheduler, event, step):
+                return ("defer", 2.0) if step == 0 else None
+
+        scheduler, log = self.prepared({}, messages=("m1",), controller=DeferFirst(),
+                                       max_time=2.0)
+        scheduler.run()
+        # nothing was dispatched at t=1, so the clock never got there
+        assert log == [] and scheduler.clock.now == 0.0
+        assert len(scheduler._queue) == 1
+        scheduler.max_time = 10.0
+        scheduler.run()
+        assert log == [(1, "deliver", "m1", 3.0)]
