@@ -10,42 +10,39 @@
 #      bench_*.py experiments instead of silently reporting "no tests ran";
 #   3. a check that every benchmark runs on the repro.exp sweep engine
 #      (no hand-rolled protocol x grid loops may sneak back in);
-#   4. one small aggregate-mode sweep, asserting it reproduces the in-memory
-#      path's aggregate tables byte-for-byte — across trace levels and fold
-#      strategies;
-#   5. one fast benchmark end-to-end;
-#   6. all examples;
-#   7. a small sweep-throughput perf smoke: the core must emit its JSON
+#   4. one fast benchmark end-to-end;
+#   5. all examples;
+#   6. a small sweep-throughput perf smoke: the core must emit its JSON
 #      baseline and every core configuration (trace levels, fold paths) must
 #      produce identical aggregate fingerprints;
-#   8. a profile-first smoke: a profiled n=200 sweep (REPRO_PROFILE=1) must
+#   7. a profile-first smoke: a profiled n=200 sweep (REPRO_PROFILE=1) must
 #      dump cProfile data and `python -m repro.obs.profile` must fold it into
 #      a top-10 cumulative hot-spot report — the evidence any future perf PR
 #      starts from;
-#   9. a schedule-exploration smoke: a small adversarial budget over INBAC
+#   8. a schedule-exploration smoke: a small adversarial budget over INBAC
 #      (zero violations within the resilience bound) and 2PC (the known
 #      coordinator-crash termination violation, shrunk to <= 5 decisions),
 #      plus a replay-determinism check of one stored ScheduleTrace;
-#  10. a cluster-exploration smoke: a tiny cluster-anomaly budget must leave
+#   9. a cluster-exploration smoke: a tiny cluster-anomaly budget must leave
 #      the cluster-invariant battery (atomicity / durability / lock safety)
 #      clean for a real commit protocol, while the deliberately broken
 #      split-brain coordinator from the test tree is caught and shrunk to a
 #      1-minimal counterexample;
-#  11. the determinism & spawn-safety static-analysis pass (python -m
+#  10. the determinism & spawn-safety static-analysis pass (python -m
 #      repro.lint) must exit 0 over src/benchmarks/tests, and the runtime
 #      determinism sanitizer must run the reference sweep clean plus the
 #      cross-PYTHONHASHSEED fingerprint diff (see docs/determinism.md);
-#  12. a bounded runtime round-trip: every registered commit protocol must
+#  11. a bounded runtime round-trip: every registered commit protocol must
 #      commit one real transaction over the asyncio transport (repro.runtime,
 #      wall clock, hard timeout), and the packaging discovery must ship every
 #      subpackage (import repro.runtime from an emulated installed layout);
-#  13. a crash-recovery smoke: kill one partition mid-run and rejoin it from
+#  12. a crash-recovery smoke: kill one partition mid-run and rejoin it from
 #      its write-ahead log on BOTH backends (sim via FaultPlan.crash_recover,
 #      asyncio via the live service), asserting the rejoined run still
 #      commits with the invariant battery clean, plus the policy check that
 #      the lint scope table exempts DET002 only under src/repro/runtime/ and
 #      src/repro/obs/;
-#  14. an observability smoke: a sweep streamed through a jsonl progress
+#  13. an observability smoke: a sweep streamed through a jsonl progress
 #      reporter must fingerprint-match the unobserved run and emit a
 #      well-formed event stream, the Chrome trace export must carry every
 #      commit phase, and scripts/bench_report.py must fold every BENCH_*.json
@@ -55,10 +52,10 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "==> [1/14] tier-1 tests (pytest from the repo root)"
+echo "==> [1/13] tier-1 tests (pytest from the repo root)"
 python -m pytest -x -q
 
-echo "==> [2/14] benchmark collection (must be > 0 tests)"
+echo "==> [2/13] benchmark collection (must be > 0 tests)"
 collected=$(python -m pytest benchmarks --collect-only -q 2>/dev/null | grep -c '::' || true)
 if [ "${collected}" -eq 0 ]; then
     echo "ERROR: 'pytest benchmarks' collected zero tests" >&2
@@ -66,7 +63,7 @@ if [ "${collected}" -eq 0 ]; then
 fi
 echo "    collected ${collected} benchmark tests"
 
-echo "==> [3/14] every benchmark is ported onto repro.exp"
+echo "==> [3/13] every benchmark is ported onto repro.exp"
 for bench in benchmarks/bench_*.py; do
     if ! grep -q "from repro\.exp import" "${bench}"; then
         echo "ERROR: ${bench} does not import repro.exp (hand-rolled sweep loop?)" >&2
@@ -75,43 +72,16 @@ for bench in benchmarks/bench_*.py; do
 done
 echo "    all $(ls benchmarks/bench_*.py | wc -l | tr -d ' ') benchmarks import repro.exp"
 
-echo "==> [4/14] aggregate-mode sweep reproduces the in-memory aggregates"
-python - <<'EOF'
-from repro.exp import GridSpec, run_sweep
-
-grid = lambda: GridSpec(
-    protocols=["INBAC", "2PC"],
-    systems=[(5, 2)],
-    delays=["uniform"],  # registry-named: spawn-safe, lint-clean
-    seeds=range(20),
-)
-full = run_sweep(grid(), workers=1)
-agg = run_sweep(grid(), workers=1, mode="aggregate")
-assert agg.aggregate_rows() == full.aggregate_rows(), "aggregate rows diverged"
-assert agg.aggregate_fingerprint() == full.aggregate_fingerprint(), "fingerprints diverged"
-assert agg.error_count == 0
-# the cross-level / cross-fold equalities the fast-path core guarantees
-for trace_level in ("full", "counters"):
-    for fold in ("trial", "chunk"):
-        variant = run_sweep(grid(), workers=2, mode="aggregate",
-                            trace_level=trace_level, fold=fold)
-        assert variant.aggregate_fingerprint() == full.aggregate_fingerprint(), (
-            f"fingerprint diverged at trace_level={trace_level}, fold={fold}"
-        )
-print(f"    {len(agg)} trials -> {agg.cell_count} cells, fingerprint ok "
-      f"(both trace levels x both folds)")
-EOF
-
-echo "==> [5/14] one fast benchmark"
+echo "==> [4/13] one fast benchmark"
 python -m pytest benchmarks/bench_table2_delay_optimal.py -q --benchmark-disable
 
-echo "==> [6/14] examples"
+echo "==> [5/13] examples"
 for example in examples/*.py; do
     echo "--- ${example}"
     python "${example}" > /dev/null
 done
 
-echo "==> [7/14] sweep-throughput perf smoke (trace levels x fold paths)"
+echo "==> [6/13] sweep-throughput perf smoke (trace levels x fold paths)"
 bench_out=$(mktemp)
 python benchmarks/bench_sweep_throughput.py --quick --out "${bench_out}" > /dev/null
 python - "${bench_out}" <<'EOF'
@@ -134,7 +104,7 @@ print(f"    baseline emitted with {len(baseline['configs'])} configs, "
 EOF
 rm -f "${bench_out}"
 
-echo "==> [8/14] profile-first smoke (cProfile top-10 hot spots, n=200)"
+echo "==> [7/13] profile-first smoke (cProfile top-10 hot spots, n=200)"
 # measure before optimising: profile the heavy grid point the throughput
 # work targets and print where the cycles actually go.  REPRO_PROFILE dumps
 # one .prof per unit of work; the report folds them all.
@@ -150,7 +120,7 @@ EOF
 python -m repro.obs.profile "${profile_dir}" --sort cumulative --limit 10
 rm -rf "${profile_dir}"
 
-echo "==> [9/14] schedule-exploration smoke (adversarial search + replay)"
+echo "==> [8/13] schedule-exploration smoke (adversarial search + replay)"
 python - <<'EOF'
 from repro.explore import ScheduleTrace, explore, replay_trial
 from repro.exp.spec import GridSpec
@@ -184,7 +154,7 @@ print(f"    INBAC: 0 violations in {inbac.schedules_run} schedules; "
       f"{len(shrunk)} decision(s) replays deterministically")
 EOF
 
-echo "==> [10/14] cluster-exploration smoke (invariant battery + injected bug)"
+echo "==> [9/13] cluster-exploration smoke (invariant battery + injected bug)"
 python - <<'EOF'
 import sys
 sys.path.insert(0, "tests")  # the injected-bug fixture lives in the test tree
@@ -215,10 +185,10 @@ print(f"    INBAC: battery clean over {clean.schedules_run} schedules; "
       f"{len(hits[0].shrunk)} decision")
 EOF
 
-echo "==> [11/14] determinism lint + runtime sanitizer"
+echo "==> [10/13] determinism lint + runtime sanitizer"
 python -m repro.lint src benchmarks tests --sanitize
 
-echo "==> [12/14] runtime round-trip (asyncio transport, hard timeout)"
+echo "==> [11/13] runtime round-trip (asyncio transport, hard timeout)"
 python - <<'EOF2'
 import signal
 
@@ -252,7 +222,7 @@ print(f"    {len(protocol_names())} protocols committed for real over AsyncEnv")
 EOF2
 python -m pytest tests/test_packaging.py -q
 
-echo "==> [13/14] crash recovery: kill-and-rejoin one partition per backend"
+echo "==> [12/13] crash recovery: kill-and-rejoin one partition per backend"
 python - <<'EOF3'
 import signal
 
@@ -308,7 +278,7 @@ print("    both backends rejoined P2 from its WAL and kept committing; "
       "lint scope policy pinned")
 EOF3
 
-echo "==> [14/14] observability: progress stream, trace export, bench report"
+echo "==> [13/13] observability: progress stream, trace export, bench report"
 obs_dir=$(mktemp -d)
 python - "${obs_dir}" <<'EOF4'
 import json

@@ -25,6 +25,17 @@ class SimulationError(ReproError):
     """The simulator reached an inconsistent internal state."""
 
 
+class SweepError(ReproError):
+    """A sweep was abandoned because a pool worker process died.
+
+    Raised by :func:`repro.exp.run_trials` in place of waiting forever on a
+    lost peer; the message names the start method, the worker count and the
+    trial-index range of the first chunk that did not come back.  Failures
+    *inside* a trial never raise this: they are captured per trial in
+    ``TrialResult.error``.
+    """
+
+
 class DeterminismError(ReproError):
     """The runtime determinism sanitizer observed order-dependent bytes.
 

@@ -18,15 +18,19 @@ regimes.  This package turns those cross-product comparisons into one-liners:
   ``"one-no:3"``), all plain data, so lambda-free grids pickle under any
   multiprocessing start method (``run_sweep(start_method="spawn")``
   validates up front and names the offending field otherwise);
-* :mod:`repro.exp.engine` — :func:`run_sweep` fans the trials out across
-  worker processes (serial fallback included) with per-trial derived seeding,
-  so parallel and serial sweeps produce byte-identical aggregates;
+* :mod:`repro.exp.engine` — :func:`run_sweep` runs the trials through the
+  one sweep path (chunks of the trial list, in-process or across worker
+  processes, consumed in order) with per-trial derived seeding, so parallel
+  and serial sweeps produce byte-identical aggregates;
 * :mod:`repro.exp.results` — :class:`SweepResult` aggregates the structured
   per-trial measurements into table rows for :mod:`repro.analysis`;
   :class:`SweepAggregate` is the bounded-memory counterpart produced by
   streaming sweeps.
 
-Two execution shapes:
+One execution path, two sinks.  Every sweep is the same loop — the trial
+list cut into contiguous chunks, each chunk run in-process (serial) or by a
+pool worker, the chunks consumed in trial-index order — and ``mode`` only
+picks what they are folded into:
 
 * ``mode="full"`` (default) materialises every :class:`TrialResult` in a
   :class:`SweepResult` — per-trial selection, robustness matrices, canonical
@@ -41,11 +45,13 @@ Two execution shapes:
 Aggregate mode is also the *fast* path: it defaults to
 ``trace_level="counters"`` (the scheduler maintains running tallies instead
 of allocating one ``MessageRecord`` per message; see :mod:`repro.sim.trace`)
-and, in parallel runs, to ``fold="chunk"`` (each worker folds its contiguous
-trial chunk into partial accumulators and ships one bundle per chunk instead
-of one result per trial).  Both knobs are overridable per sweep and neither
-changes a single output byte: trace levels, fold strategies and worker
-counts all produce identical aggregate fingerprints.
+and, behind a pool, to ``fold="chunk"`` (a worker ships its chunk already
+folded into partial accumulators — one bundle per chunk instead of one
+result per trial — which merge exactly, so the parent's tables do not
+change).  Both knobs are overridable per sweep and neither changes a single
+output byte: trace levels, fold strategies, start methods and worker counts
+all produce identical aggregate fingerprints.  A pool worker that dies ends
+the sweep in a :class:`~repro.errors.SweepError` instead of a hang.
 
 The ``workers=`` argument defaults to one per CPU; the ``REPRO_EXP_WORKERS``
 environment variable overrides it and must be a positive integer —

@@ -4,29 +4,34 @@ Design constraints, in order:
 
 1. **Parallel == serial, exactly.**  Every trial's RNG seed is derived from
    its grid coordinates (:attr:`~repro.exp.spec.TrialSpec.derived_seed`), so
-   the schedule a trial sees is independent of which worker runs it.  Results
-   are re-ordered by trial index before aggregation.  A sweep with
-   ``workers=8`` therefore produces byte-identical aggregates to ``workers=1``
-   (asserted by :meth:`~repro.exp.results.SweepResult.fingerprint`).
+   the schedule a trial sees is independent of which worker runs it, and
+   results are consumed in trial-index order.  A sweep with ``workers=8``
+   therefore produces byte-identical aggregates to ``workers=1`` (asserted
+   by :meth:`~repro.exp.results.SweepResult.fingerprint`).
 
 2. **Arbitrary specs, including closures.**  Fault plans and delay models in
    this repo routinely carry lambdas (payload predicates, adversarial delay
    functions) that cannot cross a pickling process boundary.  The pool
-   therefore prefers the ``fork`` start method and ships the trial list to
-   the workers *by inheritance*: the parent parks it in a module-level slot
-   that the forked children share, and only integer trial indices and
-   plain-data :class:`~repro.exp.results.TrialResult` records travel over
-   the queues.  A *spawn-safe* spec — lambda-free, e.g. built from the
-   registry names in :mod:`repro.exp.registry` — may instead run under the
-   ``spawn`` start method (``start_method="spawn"``, or automatically where
-   fork does not exist); :func:`ensure_spawn_safe` validates the spec up
-   front and names the offending grid field rather than letting the pool
-   fail with an anonymous ``PicklingError``.
+   therefore prefers the ``fork`` start method and ships the sweep's job
+   (trial list, collector, trace levels, chunk size) to the workers *by
+   inheritance*: it is the pool initializer's argument, which forked
+   children receive as inherited memory, and only integer chunk indices and
+   plain-data results travel over the queues.  A *spawn-safe* spec —
+   lambda-free, e.g. built from the registry names in
+   :mod:`repro.exp.registry` — may instead run under the ``spawn`` start
+   method (``start_method="spawn"``, or automatically where fork does not
+   exist); :func:`ensure_spawn_safe` validates the spec up front and names
+   the offending grid field rather than letting the pool fail with an
+   anonymous ``PicklingError``.
 
-3. **Serial fallback.**  Where no usable start method remains (no ``fork``
-   and a spec that is not spawn-safe) or the sweep is too small to amortise
-   worker start-up, the engine runs the same trial loop in-process.
-   ``SweepResult.meta["mode"]`` records which path ran.
+3. **One execution path.**  Serial or pooled, full or streaming, a sweep is
+   the same code: contiguous trial-index chunks, one function that runs a
+   chunk, one loop that consumes the chunks in order into a sink
+   (:func:`run_trials` states the contract).  Serial is the fallback where
+   no usable start method remains (no ``fork`` and a spec that is not
+   spawn-safe) or the sweep is too small to amortise worker start-up;
+   ``meta["mode"]`` records which ran.  A worker that dies ends the sweep in
+   a :class:`~repro.errors.SweepError`: the parent never waits on a lost peer.
 
 4. **Bounded-memory aggregation.**  ``mode="aggregate"`` (or a custom
    ``reducer=``) streams results instead of collecting them: each
@@ -43,17 +48,16 @@ Design constraints, in order:
    measurement records, orders of magnitude heavier, that streaming never
    holds.
 
-5. **Worker-side chunk folds.**  In aggregate mode with the default
-   :class:`~repro.exp.results.SweepAggregate` sink, parallel sweeps default
-   to ``fold="chunk"``: each worker folds its contiguous trial-index chunk
-   into a *partial* accumulator set and ships one accumulator bundle per
-   chunk back to the parent, which merges the bundles in chunk (= trial
-   index) order.  IPC drops from one pickled TrialResult per trial to one
-   small bundle per chunk, and because every accumulator statistic merges
-   exactly (no float-sum reordering), the chunked fingerprints match the
-   per-trial fold — and the in-memory path — byte for byte at any worker
-   count.  ``fold="trial"`` forces the per-trial stream (required for, and
-   implied by, custom reducers, which only expose ``fold``).
+5. **Worker-side chunk folds.**  ``fold=`` decides only what a pooled chunk
+   ships back.  With the default :class:`~repro.exp.results.SweepAggregate`
+   sink a pooled sweep defaults to ``fold="chunk"``: each worker folds its
+   chunk into a *partial* accumulator set and the parent merges the bundles
+   in chunk (= trial index) order.  IPC drops from one pickled TrialResult
+   per trial to one small bundle per chunk, and because every accumulator
+   statistic merges exactly (no float-sum reordering), the chunked
+   fingerprints match the per-trial fold — and the in-memory path — byte for
+   byte at any worker count.  ``fold="trial"`` ships the TrialResults (as
+   required for, and implied by, custom reducers: they only expose ``fold``).
 
 6. **Trace levels.**  Aggregate-mode sweeps only consume the aggregate
    tallies a :class:`~repro.sim.trace.CounterTrace` maintains, so they
@@ -94,10 +98,11 @@ import multiprocessing
 import os
 import pickle
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.checker import check_nbac
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SweepError
 from repro.exp.results import SweepAggregate, SweepResult, TrialResult
 from repro.exp.spec import GridSpec, TrialSpec
 from repro.sim.batch import BatchedDelaySampler
@@ -113,22 +118,21 @@ Collector = Callable[[TrialSpec, Any], Dict[str, Any]]
 #: below this many trials a pool costs more than it saves
 _MIN_TRIALS_FOR_POOL = 4
 
-# ships (trials, collector, trace levels, chunk size) to forked workers by
-# memory inheritance
-_WORKER_TRIALS: List[TrialSpec] = []
-_WORKER_COLLECTOR: Optional[Collector] = None
-_WORKER_LEVELS: tuple = (None, "full")  # (explicit override, sweep default)
-_WORKER_CHUNK = 1
+#: cap on the pool chunk size, so a worker never buffers an unbounded slice
+#: of results (or folds an unbounded chunk) before shipping back to the parent
+_MAX_CHUNK = 64
+
+#: what run_trials/run_sweep accept for mode=, fold= and start_method=
+_MODES = ("full", "aggregate")
+_FOLDS = ("auto", "trial", "chunk")
+_START_METHODS = (None, "fork", "spawn")
 
 
 class _CellRuntime:
     """Per-cell objects resolved once and reused across the cell's trials.
 
-    Trials of one grid cell share everything but their seed, and grid
-    expansion keeps a cell's trials contiguous, so a one-slot memo (see
-    :func:`_cell_runtime`) amortises the protocol-kwargs dict, the vote
-    vector and the :class:`~repro.sim.runner.Simulation` (with its process
-    factory) over the whole seed axis instead of rebuilding them per trial.
+    What the one-slot memo of design point 8 (module docstring) holds: the
+    vote vector and the Simulation with its process factory and kwargs dict.
     """
 
     __slots__ = ("simulation", "votes", "sampler")
@@ -186,7 +190,7 @@ def run_trial(
     ``trace_level`` overrides the trial's own level; with both unset the
     trial runs at ``"full"``.  Measurements are identical at either level.
     """
-    level = trace_level or trial.trace_level or "full"
+    level = _effective_level(trial, trace_level, "full")
     seed = trial.derived_seed
     base = TrialResult(
         index=trial.index,
@@ -243,24 +247,43 @@ def run_trial(
     base.validity = report.validity.holds
     base.termination = report.termination.holds
     base.crashes = dict(trace.crashes)
+    replay = None
     if controller is not None:
+        replay = (trace.metadata.get("schedule_decisions", []), trace.fingerprint())
+    return _attach_extras(base, trial, collector, result, replay)
+
+
+def _attach_extras(
+    base: TrialResult,
+    trial: TrialSpec,
+    collector: Optional[Collector],
+    outcome: Any,
+    replay: Optional[Tuple[List[Any], Optional[str]]],
+) -> TrialResult:
+    """The tail every trial shares: replayable schedule extras, then the collector.
+
+    ``replay`` is ``(schedule decisions, trace fingerprint)`` when the trial
+    ran under a schedule controller; ``outcome`` is what the collector sees.
+    """
+    if replay is not None:
         # the replayable schedule plus the fingerprint replay is checked
         # against — all plain data, so it crosses the worker queue intact
         from repro.explore.schedule import ScheduleTrace
 
+        decisions, fingerprint = replay
         base.extra["schedule_trace"] = ScheduleTrace(
             strategy=trial.schedule.strategy,
-            seed=seed,
+            seed=base.derived_seed,
             params=trial.schedule.strategy_params(),
-            decisions=trace.metadata.get("schedule_decisions", []),
+            decisions=decisions,
         ).to_jsonable()
-        base.extra["trace_fingerprint"] = trace.fingerprint()
+        base.extra["trace_fingerprint"] = fingerprint
     if collector is not None:
         # collector failures (e.g. a per-message trace query against a trial
         # pinned to the counters level) are captured like simulation
         # failures, not allowed to abort the whole sweep
         try:
-            base.extra = {**base.extra, **dict(collector(trial, result) or {})}
+            base.extra = {**base.extra, **dict(collector(trial, outcome) or {})}
         except Exception:
             base.error = traceback.format_exc(limit=8)
     return base
@@ -282,10 +305,8 @@ def _run_cluster_trial(
     atomicity, ``validity`` is WAL-replay durability AND lock-table safety —
     always True for a correct commit protocol, so the flags only flip when a
     schedule (or a bug) produces an actual anomaly.  The full
-    ``ClusterReport.summary_row`` lands in ``extra``; a trial carrying a
-    :class:`~repro.exp.spec.ScheduleSpec` runs under the schedule controller
-    and additionally records its replayable ``schedule_trace`` and
-    ``trace_fingerprint``, exactly like a controlled protocol trial.
+    ``ClusterReport.summary_row`` lands in ``extra``, ahead of the same
+    replayable schedule extras a controlled protocol trial records.
     """
     # imported lazily: repro.db pulls in the whole store/partition stack,
     # which bare protocol sweeps never need
@@ -338,48 +359,44 @@ def _run_cluster_trial(
     summary["protocol"] = trial.protocol.label  # the sweep's label, not the class name
     if invariants is not None and not invariants.holds:
         summary["invariant_violations"] = list(invariants.violations)
-    if controller is not None:
-        # same replayable extras as a controlled protocol trial
-        from repro.explore.schedule import ScheduleTrace
-
-        summary["schedule_trace"] = ScheduleTrace(
-            strategy=trial.schedule.strategy,
-            seed=seed,
-            params=trial.schedule.strategy_params(),
-            decisions=report.schedule_decisions,
-        ).to_jsonable()
-        summary["trace_fingerprint"] = report.trace_fingerprint
     base.extra = summary
-    if collector is not None:
-        try:
-            base.extra = {**summary, **(collector(trial, report) or {})}
-        except Exception:
-            base.error = traceback.format_exc(limit=8)
-    return base
+    # same replayable extras as a controlled protocol trial
+    replay = None
+    if controller is not None:
+        replay = (report.schedule_decisions, report.trace_fingerprint)
+    return _attach_extras(base, trial, collector, report, replay)
 
 
 # --------------------------------------------------------------------------- #
-# worker plumbing (fork start method only; see module docstring)
+# chunk plumbing: the one unit of work, in-process or in a pool worker
 # --------------------------------------------------------------------------- #
-def _pool_init(
-    trials: List[TrialSpec],
-    collector: Optional[Collector],
-    levels: tuple = (None, "full"),
-    chunk: int = 1,
-) -> None:
-    global _WORKER_TRIALS, _WORKER_COLLECTOR, _WORKER_LEVELS, _WORKER_CHUNK
-    _WORKER_TRIALS = trials
-    _WORKER_COLLECTOR = collector
-    _WORKER_LEVELS = levels
-    _WORKER_CHUNK = chunk
+@dataclass(frozen=True)
+class _Job:
+    """What :func:`_run_chunk` needs to run any chunk of one sweep.
+
+    The serial path passes it directly, so the parent never parks a trial
+    list in a module slot; a pool hands it to each worker's initializer —
+    inherited under ``fork``, pickled once per worker under ``spawn``.
+    """
+
+    trials: List[TrialSpec]
+    collector: Optional[Collector]
+    levels: Tuple[Optional[str], str]  # (explicit override, sweep default)
+    chunk: int
+    folded: bool  # ship each chunk back folded into a partial SweepAggregate
+
+    @property
+    def n_chunks(self) -> int:
+        return -(-len(self.trials) // self.chunk)
 
 
-def _run_index(index: int) -> TrialResult:
-    trial = _WORKER_TRIALS[index]
-    override, default = _WORKER_LEVELS
-    return run_trial(
-        trial, _WORKER_COLLECTOR, trace_level=_effective_level(trial, override, default)
-    )
+#: set by the pool initializer, so only ever inside a worker process
+_POOL_JOB: Optional[_Job] = None
+
+
+def _pool_init(job: _Job) -> None:
+    global _POOL_JOB
+    _POOL_JOB = job
 
 
 def _maybe_profiled(label: str):
@@ -388,7 +405,8 @@ def _maybe_profiled(label: str):
     Profiling is observability: it perturbs wall-clock timings but never the
     aggregates, so the determinism battery runs a profiled sweep and checks
     the fingerprint is unchanged.  The import is lazy and the gate is a plain
-    environment lookup, so unprofiled sweeps pay one dict probe per unit.
+    environment lookup, so unprofiled sweeps pay one dict probe per unit — a
+    unit being a pooled chunk or a whole serial sweep, never a single trial.
     """
     if os.environ.get("REPRO_PROFILE", "") not in ("", "0", "false", "False"):
         from repro.obs.profile import profiled
@@ -397,19 +415,34 @@ def _maybe_profiled(label: str):
     return contextlib.nullcontext()
 
 
-def _emit_progress(
-    progress,
-    phase: str,
-    *,
-    trials_total: int,
-    trials_done: int,
-    chunks_total: int,
-    chunks_done: int,
-    workers: int,
-    mode: str,
-    fold: str,
-) -> None:
-    """Hand one count-only observation to the progress callback (parent side).
+def _run_chunk(
+    chunk_index: int, job: Optional[_Job] = None
+) -> Union[List[TrialResult], SweepAggregate]:
+    """Run one contiguous trial-index chunk, in index order.
+
+    Returns the chunk's TrialResults — or, for a ``job.folded`` sweep, the
+    chunk folded into a fresh :class:`SweepAggregate`, so a few cell
+    accumulators, not per-trial records, are the only thing shipped back over
+    the result queue.  Without ``job`` this is the pool-worker entry point:
+    the initializer parked the job, and the chunk is one profiling unit.
+    """
+    if job is None:
+        with _maybe_profiled(f"chunk{chunk_index:04d}"):
+            return _run_chunk(chunk_index, _POOL_JOB)
+    override, default = job.levels
+    out: Any = SweepAggregate() if job.folded else []
+    take = out.fold if job.folded else out.append
+    start = chunk_index * job.chunk
+    for trial in job.trials[start : start + job.chunk]:
+        level = _effective_level(trial, override, default)
+        take(run_trial(trial, job.collector, trace_level=level))
+    return out
+
+
+def _progress_emitter(
+    progress: Optional[Any], job: _Job, workers: int, mode: str
+) -> Callable[[str, int], None]:
+    """Build ``emit(phase, chunks_done)``: one count-only observation, parent side.
 
     The engine supplies raw counts and nothing else — no timestamps, no
     rates — so it stays inside the DET002 wall-clock rule; reporters in
@@ -418,49 +451,29 @@ def _emit_progress(
     silently observe nothing.
     """
     if progress is None:
-        return
-    from repro.obs.progress import ProgressEvent
+        return lambda phase, chunks_done: None
+    # lazy: the obs package is only imported when somebody observes
+    from repro.obs.progress import ProgressEvent, resolve_progress
 
-    progress(
-        ProgressEvent(
-            phase=phase,
-            trials_total=trials_total,
-            trials_done=trials_done,
-            chunks_total=chunks_total,
-            chunks_done=chunks_done,
-            queue_depth=max(0, chunks_total - chunks_done),
-            workers=workers,
-            mode=mode,
-            fold=fold,
-        )
-    )
+    callback = resolve_progress(progress)
 
-
-def _run_chunk(chunk_index: int) -> SweepAggregate:
-    """Fold one contiguous trial-index chunk into a partial aggregate.
-
-    Runs inside a worker: the chunk ``[start, stop)`` is folded in index
-    order into a fresh :class:`SweepAggregate`, and the whole bundle — a few
-    cell accumulators, not per-trial records — is the only thing shipped back
-    over the result queue.  The parent merges bundles in chunk order, which
-    (with order-independent accumulators) reproduces the per-trial fold
-    byte for byte.
-    """
-    start = chunk_index * _WORKER_CHUNK
-    stop = min(start + _WORKER_CHUNK, len(_WORKER_TRIALS))
-    override, default = _WORKER_LEVELS
-    partial = SweepAggregate()
-    with _maybe_profiled(f"chunk{chunk_index:04d}"):
-        for index in range(start, stop):
-            trial = _WORKER_TRIALS[index]
-            partial.fold(
-                run_trial(
-                    trial,
-                    _WORKER_COLLECTOR,
-                    trace_level=_effective_level(trial, override, default),
-                )
+    def emit(phase: str, chunks_done: int) -> None:
+        callback(
+            ProgressEvent(
+                phase=phase,
+                trials_total=len(job.trials),
+                # chunks complete whole, and only the last one can be short
+                trials_done=min(chunks_done * job.chunk, len(job.trials)),
+                chunks_total=job.n_chunks,
+                chunks_done=chunks_done,
+                queue_depth=job.n_chunks - chunks_done,
+                workers=workers,
+                mode=mode,
+                fold="chunk" if job.folded else "trial",
             )
-    return partial
+        )
+
+    return emit
 
 
 def _resolve_workers(workers: Optional[int], n_trials: int) -> int:
@@ -471,51 +484,33 @@ def _resolve_workers(workers: Optional[int], n_trials: int) -> int:
     offending value, rather than leaking a bare ``ValueError`` or silently
     clamping a negative count to 1.
     """
+    name, given = "workers", workers
     if workers is None:
-        env = os.environ.get("REPRO_EXP_WORKERS")
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_EXP_WORKERS must be a positive integer, got {env!r}"
-                ) from None
-            if workers <= 0:
-                raise ConfigurationError(
-                    f"REPRO_EXP_WORKERS must be a positive integer, got {env!r}"
-                )
-        else:
-            workers = os.cpu_count() or 1
+        name, given = "REPRO_EXP_WORKERS", os.environ.get("REPRO_EXP_WORKERS")
+        if not given:
+            return max(1, min(os.cpu_count() or 1, n_trials))
+    try:
+        count = int(given)
+    except (TypeError, ValueError):
+        count = 0
     else:
-        try:
-            workers = int(workers)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"workers must be a positive integer, got {workers!r}"
-            ) from None
-        if workers <= 0:
-            raise ConfigurationError(
-                f"workers must be a positive integer, got {workers}"
-            )
-    return max(1, min(workers, n_trials))
+        if workers is not None:
+            given = count  # an argument that parses is reported as parsed
+    if count <= 0:
+        raise ConfigurationError(f"{name} must be a positive integer, got {given!r}")
+    return max(1, min(count, n_trials))
 
 
-def _fork_available() -> bool:
+def _one_of(what: str, value: Any, allowed: tuple) -> None:
+    if value not in allowed:
+        raise ConfigurationError(f"unknown {what} {value!r}; expected one of {allowed}")
+
+
+def _start_method_available(name: str) -> bool:
     try:
-        return "fork" in multiprocessing.get_all_start_methods()
+        return name in multiprocessing.get_all_start_methods()
     except Exception:  # pragma: no cover - exotic platforms
         return False
-
-
-def _spawn_available() -> bool:
-    try:
-        return "spawn" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - exotic platforms
-        return False
-
-
-#: the start methods run_trials/run_sweep accept
-_START_METHODS = (None, "fork", "spawn")
 
 
 def ensure_spawn_safe(
@@ -571,50 +566,28 @@ def _resolve_start_method(
 ) -> Optional[str]:
     """Pick the pool start method; ``None`` means "no pool available".
 
-    Explicitly requested methods are validated loudly (a spawn request over a
-    lambda-carrying grid raises, naming the offending field).  The default
-    keeps the historical behaviour — fork where available — and otherwise
-    falls back to spawn only when the spec is verifiably spawn-safe, so
-    platforms without fork degrade to the serial path rather than crash.
+    Explicit requests are validated loudly; by default spawn is a fallback
+    only for a verifiably spawn-safe spec, so platforms without fork degrade
+    to the serial path rather than crash (``run_sweep``'s ``start_method``).
     """
-    if start_method not in _START_METHODS:
+    _one_of("start_method", start_method, _START_METHODS)
+    if start_method is not None and not _start_method_available(start_method):
         raise ConfigurationError(
-            f"unknown start_method {start_method!r}; expected one of {_START_METHODS}"
+            f"the {start_method!r} start method is not available on this platform"
         )
-    if start_method == "fork":
-        if not _fork_available():
-            raise ConfigurationError(
-                "the 'fork' start method is not available on this platform"
-            )
-        return "fork"
     if start_method == "spawn":
-        if not _spawn_available():  # pragma: no cover - spawn exists everywhere
-            raise ConfigurationError(
-                "the 'spawn' start method is not available on this platform"
-            )
         ensure_spawn_safe(trials, collector)
-        return "spawn"
-    if _fork_available():
+    if start_method is not None:
+        return start_method
+    if _start_method_available("fork"):
         return "fork"
-    if _spawn_available():
+    if _start_method_available("spawn"):
         try:
             ensure_spawn_safe(trials, collector)
         except ConfigurationError:
             return None  # not spawn-safe: silently keep the serial fallback
         return "spawn"
     return None  # pragma: no cover - platforms with neither method
-
-
-#: cap on the pool chunk size in streaming mode, so a worker never buffers an
-#: unbounded slice of results (or folds an unbounded chunk) before shipping
-#: back to the parent
-_MAX_STREAM_CHUNK = 64
-
-#: the modes run_trials/run_sweep accept
-_MODES = ("full", "aggregate")
-
-#: the fold strategies streaming sweeps accept
-_FOLDS = ("auto", "trial", "chunk")
 
 
 def run_trials(
@@ -628,298 +601,132 @@ def run_trials(
     start_method: Optional[str] = None,
     progress: Optional[Any] = None,
 ) -> Union[SweepResult, Any]:
-    """Run an explicit trial list (see :func:`repro.exp.spec.make_cases`)."""
-    if mode not in _MODES:
+    """Run an explicit trial list (see :func:`repro.exp.spec.make_cases`).
+
+    The parameters are :func:`run_sweep`'s; this is the one path behind them.
+    The list is cut into contiguous index chunks and :func:`_run_chunk` runs
+    each: in-process on chunks of one trial when serial (``workers=1``,
+    fewer than 4 trials, or no usable start method), otherwise through one
+    pool of ``workers`` processes on chunks of
+    ``max(1, min(64, len(trials) // (workers * 4)))`` trials.  One loop
+    consumes the chunks in chunk (= trial-index) order into the sink: the
+    ``reducer``, a :class:`~repro.exp.results.SweepAggregate`
+    (``mode="aggregate"``), or the list that becomes the
+    :class:`~repro.exp.results.SweepResult`.  A chunk arrives as its
+    TrialResults, folded one by one — or, only for the default aggregate
+    sink behind a pool with ``fold != "trial"``, as a partial the worker
+    already folded, which is merged.
+
+    ``meta`` records what ran: ``mode`` (``"serial"``/``"parallel"``),
+    ``workers``, ``requested_workers``, ``trials``, ``sweep_mode``,
+    ``trace_level``; ``start_method`` when pooled; ``fold`` when streaming;
+    ``chunk_size`` and ``chunks`` for worker-side folds.  ``progress``
+    receives one ``start`` event, one ``chunk`` event per consumed chunk
+    (``trials_done = min(chunks_done * chunk, trials_total)``; serial chunks
+    are single trials) and one ``summary``, always in the parent, after the
+    chunk crossed the worker queue.
+
+    A worker process that dies raises :class:`~repro.errors.SweepError`
+    naming the first chunk that did not come back.  Leaving the loop by any
+    exception — a reducer or progress callback that raises, Ctrl-C — drops
+    the chunks still pending instead of running them to completion first.
+    """
+    _one_of("sweep mode", mode, _MODES)
+    _one_of("fold strategy", fold, _FOLDS)
+    if trace_level is not None:
+        _one_of("trace_level", trace_level, TRACE_LEVELS)
+    if fold == "chunk" and reducer is not None:
         raise ConfigurationError(
-            f"unknown sweep mode {mode!r}; expected one of {_MODES}"
+            "fold='chunk' requires the default SweepAggregate sink; custom "
+            "reducers only expose per-trial fold() and cannot merge partials"
         )
-    if fold not in _FOLDS:
+    if fold == "chunk" and mode != "aggregate":
         raise ConfigurationError(
-            f"unknown fold strategy {fold!r}; expected one of {_FOLDS}"
-        )
-    if trace_level is not None and trace_level not in TRACE_LEVELS:
-        raise ConfigurationError(
-            f"unknown trace_level {trace_level!r}; expected one of {TRACE_LEVELS}"
+            "fold='chunk' only applies to streaming sweeps; pass "
+            "mode='aggregate' (mode='full' returns every TrialResult and "
+            "has nothing to fold)"
         )
     trials = list(trials)
-    if progress is not None:
-        # lazy: the obs package is only imported when somebody observes
-        from repro.obs.progress import resolve_progress
-
-        progress = resolve_progress(progress)
     if isinstance(reducer, str):
         # registry-named sinks are spawn-safe and keep grids lambda-free
         from repro.exp.registry import make_reducer
 
         reducer = make_reducer(reducer)
     streaming = mode == "aggregate" or reducer is not None
-    if fold == "chunk" and reducer is not None:
-        raise ConfigurationError(
-            "fold='chunk' requires the default SweepAggregate sink; custom "
-            "reducers only expose per-trial fold() and cannot merge partials"
-        )
-    if fold == "chunk" and not streaming:
-        raise ConfigurationError(
-            "fold='chunk' only applies to streaming sweeps; pass "
-            "mode='aggregate' (mode='full' returns every TrialResult and "
-            "has nothing to fold)"
-        )
     # aggregate-mode sweeps only read the tallies a CounterTrace maintains,
     # so they default to the counters level — unless a collector needs the
     # live (full) trace, or the caller/grid pinned a level
-    default_level = "counters" if (streaming and collector is None) else "full"
-    levels = (trace_level, default_level)
+    levels = (trace_level, "counters" if streaming and collector is None else "full")
     n_workers = _resolve_workers(workers, len(trials))
     method = _resolve_start_method(start_method, trials, collector)
-    use_pool = (
-        n_workers > 1 and len(trials) >= _MIN_TRIALS_FOR_POOL and method is not None
-    )
-    exec_mode = "parallel" if use_pool else "serial"
-    # the level(s) the trials actually run at: the sweep override wins, then
-    # any per-trial GridSpec pin, then the mode-dependent default
-    resolved_levels = {_effective_level(t, trace_level, default_level) for t in trials}
-    if len(resolved_levels) == 1:
-        level_label = resolved_levels.pop()
-    elif resolved_levels:
-        level_label = "mixed"
-    else:  # empty trial list
-        level_label = trace_level or default_level
+    pooled = n_workers > 1 and len(trials) >= _MIN_TRIALS_FOR_POOL and method is not None
+    # four chunks per worker, so uneven cells still balance
+    chunk = max(1, min(_MAX_CHUNK, len(trials) // (n_workers * 4))) if pooled else 1
+    # a worker ships its chunk folded only where that cuts IPC and the parent
+    # can merge it: across a process boundary, into the default sink, unless
+    # the caller asked for the per-trial stream
+    folded = pooled and streaming and reducer is None and fold != "trial"
+    job = _Job(trials, collector, levels, chunk, folded)
+    # the level(s) the trials actually run at, as _effective_level resolves them
+    ran_at = {_effective_level(t, *levels) for t in trials} or {levels[0] or levels[1]}
     meta = {
-        "mode": exec_mode,
-        "workers": n_workers if use_pool else 1,
+        "mode": "parallel" if pooled else "serial",
+        "workers": n_workers if pooled else 1,
         "requested_workers": workers,
         "trials": len(trials),
         "sweep_mode": "aggregate" if streaming else "full",
-        "trace_level": level_label,
+        "trace_level": ran_at.pop() if len(ran_at) == 1 else "mixed",
     }
-    if use_pool:
+    if pooled:
         meta["start_method"] = method
+    if streaming:
+        meta["fold"] = "chunk" if folded else "trial"
+    if folded:
+        meta.update(chunk_size=chunk, chunks=job.n_chunks)
+    emit = _progress_emitter(progress, job, meta["workers"], meta["mode"])
 
-    if not streaming:
-        # the pool ships work in imap chunks of this size; the serial path is
-        # chunk 1 (every trial is its own chunk).  chunks_total must reflect
-        # the real granularity — results arrive in bursts of `chunk`, so
-        # claiming len(trials) chunks would make queue_depth/chunks_done lie.
-        chunk = max(1, len(trials) // (n_workers * 4)) if use_pool else 1
-        n_chunks = (len(trials) + chunk - 1) // chunk
-        _emit_progress(
-            progress,
-            "start",
-            trials_total=len(trials),
-            trials_done=0,
-            chunks_total=n_chunks,
-            chunks_done=0,
-            workers=meta["workers"],
-            mode=exec_mode,
-            fold="trial",
-        )
-        if use_pool:
-            ctx = multiprocessing.get_context(method)
-            with ctx.Pool(
-                processes=n_workers,
-                initializer=_pool_init,
-                initargs=(trials, collector, levels),
-            ) as pool:
-                if progress is None:
-                    results = pool.map(_run_index, range(len(trials)), chunksize=chunk)
-                else:
-                    # imap yields in submission order, so the result list is
-                    # identical to pool.map's — it just arrives incrementally,
-                    # giving the parent a hook point per completed trial
-                    results = []
-                    for result in pool.imap(
-                        _run_index, range(len(trials)), chunksize=chunk
-                    ):
-                        results.append(result)
-                        done = len(results)
-                        _emit_progress(
-                            progress,
-                            "chunk",
-                            trials_total=len(trials),
-                            trials_done=done,
-                            chunks_total=n_chunks,
-                            # the final (possibly short) chunk completes with
-                            # the last trial; before that, count full chunks
-                            chunks_done=(
-                                n_chunks if done == len(trials) else done // chunk
-                            ),
-                            workers=meta["workers"],
-                            mode=exec_mode,
-                            fold="trial",
-                        )
-        else:
-            results = []
-            with _maybe_profiled("serial"):
-                for t in trials:
-                    results.append(
-                        run_trial(
-                            t, collector, trace_level=_effective_level(t, *levels)
-                        )
-                    )
-                    _emit_progress(
-                        progress,
-                        "chunk",
-                        trials_total=len(trials),
-                        trials_done=len(results),
-                        chunks_total=n_chunks,
-                        chunks_done=len(results),
-                        workers=meta["workers"],
-                        mode=exec_mode,
-                        fold="trial",
-                    )
-        _emit_progress(
-            progress,
-            "summary",
-            trials_total=len(trials),
-            trials_done=len(results),
-            chunks_total=n_chunks,
-            chunks_done=n_chunks if results else 0,
-            workers=meta["workers"],
-            mode=exec_mode,
-            fold="trial",
-        )
-        return SweepResult(trials=results, meta=meta)
+    sink = reducer if reducer is not None else SweepAggregate() if streaming else []
+    take = sink.fold if streaming else sink.append
+    emit("start", 0)
+    done = 0
+    lost = ()  # what a lost worker raises: nothing, while there is no pool
+    with contextlib.ExitStack() as stack:
+        try:
+            if pooled:
+                # lazy: only a pooled sweep pays for importing the executor machinery
+                from concurrent.futures import ProcessPoolExecutor
+                from concurrent.futures.process import BrokenProcessPool as lost
 
-    # streaming: per-trial folds stream every TrialResult back and fold it in
-    # trial-index order (imap yields in submission order); chunk folds let
-    # each worker fold its contiguous chunk locally and ship one partial
-    # accumulator bundle per chunk, merged in chunk order — byte-identical
-    # either way because the accumulators are order-independent
-    sink = reducer if reducer is not None else SweepAggregate()
-    chunked = fold != "trial" and reducer is None
-    if use_pool:
-        ctx = multiprocessing.get_context(method)
-        chunk = max(1, min(_MAX_STREAM_CHUNK, len(trials) // (n_workers * 4)))
-        with ctx.Pool(
-            processes=n_workers,
-            initializer=_pool_init,
-            initargs=(trials, collector, levels, chunk),
-        ) as pool:
-            if chunked:
-                n_chunks = (len(trials) + chunk - 1) // chunk
-                _emit_progress(
-                    progress,
-                    "start",
-                    trials_total=len(trials),
-                    trials_done=0,
-                    chunks_total=n_chunks,
-                    chunks_done=0,
-                    workers=meta["workers"],
-                    mode=exec_mode,
-                    fold="chunk",
+                executor = ProcessPoolExecutor(
+                    n_workers,
+                    mp_context=multiprocessing.get_context(method),
+                    initializer=_pool_init,
+                    initargs=(job,),
                 )
-                done = 0
-                for partial in pool.imap(_run_chunk, range(n_chunks), chunksize=1):
-                    sink.merge(partial)
-                    done += 1
-                    _emit_progress(
-                        progress,
-                        "chunk",
-                        trials_total=len(trials),
-                        trials_done=min(done * chunk, len(trials)),
-                        chunks_total=n_chunks,
-                        chunks_done=done,
-                        workers=meta["workers"],
-                        mode=exec_mode,
-                        fold="chunk",
-                    )
-                _emit_progress(
-                    progress,
-                    "summary",
-                    trials_total=len(trials),
-                    trials_done=len(trials),
-                    chunks_total=n_chunks,
-                    chunks_done=done,
-                    workers=meta["workers"],
-                    mode=exec_mode,
-                    fold="chunk",
-                )
-                meta["fold"] = "chunk"
-                meta["chunk_size"] = chunk
-                meta["chunks"] = n_chunks
+                # cancel_futures: on the way out by an exception the pending
+                # chunks are dropped, not run to completion before it surfaces
+                stack.callback(executor.shutdown, cancel_futures=True)
+                parts = executor.map(_run_chunk, range(job.n_chunks))
             else:
-                _emit_progress(
-                    progress,
-                    "start",
-                    trials_total=len(trials),
-                    trials_done=0,
-                    chunks_total=len(trials),
-                    chunks_done=0,
-                    workers=meta["workers"],
-                    mode=exec_mode,
-                    fold="trial",
-                )
-                done = 0
-                for result in pool.imap(_run_index, range(len(trials)), chunksize=chunk):
-                    sink.fold(result)
-                    done += 1
-                    _emit_progress(
-                        progress,
-                        "chunk",
-                        trials_total=len(trials),
-                        trials_done=done,
-                        chunks_total=len(trials),
-                        chunks_done=done,
-                        workers=meta["workers"],
-                        mode=exec_mode,
-                        fold="trial",
-                    )
-                _emit_progress(
-                    progress,
-                    "summary",
-                    trials_total=len(trials),
-                    trials_done=done,
-                    chunks_total=len(trials),
-                    chunks_done=done,
-                    workers=meta["workers"],
-                    mode=exec_mode,
-                    fold="trial",
-                )
-                meta["fold"] = "trial"
-    else:
-        _emit_progress(
-            progress,
-            "start",
-            trials_total=len(trials),
-            trials_done=0,
-            chunks_total=len(trials),
-            chunks_done=0,
-            workers=meta["workers"],
-            mode=exec_mode,
-            fold="trial",
-        )
-        done = 0
-        with _maybe_profiled("serial"):
-            for trial in trials:
-                sink.fold(
-                    run_trial(
-                        trial, collector, trace_level=_effective_level(trial, *levels)
-                    )
-                )
+                stack.enter_context(_maybe_profiled("serial"))
+                parts = (_run_chunk(index, job) for index in range(job.n_chunks))
+            for part in parts:
+                if folded:
+                    sink.merge(part)
+                else:
+                    for result in part:
+                        take(result)
                 done += 1
-                _emit_progress(
-                    progress,
-                    "chunk",
-                    trials_total=len(trials),
-                    trials_done=done,
-                    chunks_total=len(trials),
-                    chunks_done=done,
-                    workers=meta["workers"],
-                    mode=exec_mode,
-                    fold="trial",
-                )
-        _emit_progress(
-            progress,
-            "summary",
-            trials_total=len(trials),
-            trials_done=done,
-            chunks_total=len(trials),
-            chunks_done=done,
-            workers=meta["workers"],
-            mode=exec_mode,
-            fold="trial",
-        )
-        meta["fold"] = "trial"
+                emit("chunk", done)
+        except lost:
+            raise SweepError(
+                f"a pool worker died before chunk {done} (trials {done * chunk}-"
+                f"{min((done + 1) * chunk, len(trials)) - 1}) came back; the sweep "
+                f"was abandoned (start method {method!r}, {n_workers} workers)"
+            ) from None
+    emit("summary", done)
+    if not streaming:
+        return SweepResult(trials=sink, meta=meta)
     if hasattr(sink, "meta"):
         sink.meta.update(meta)
     return sink
@@ -938,6 +745,13 @@ def run_sweep(
 ) -> Union[SweepResult, Any]:
     """Expand a grid and run every trial, fanning out across workers.
 
+    This is ``run_trials(grid.trials(), ...)``: how trials are chunked,
+    ordered, folded, observed and abandoned on a lost worker is
+    :func:`run_trials`'s contract and is not restated here.  No option below
+    changes a byte: results, aggregate tables and fingerprints are identical
+    across worker counts, start methods, fold strategies and trace levels,
+    with or without ``progress``.
+
     Parameters
     ----------
     grid:
@@ -947,8 +761,7 @@ def run_sweep(
     workers:
         Worker process count.  ``None`` means "one per CPU" (overridable via
         the ``REPRO_EXP_WORKERS`` environment variable, which must be a
-        positive integer); ``1`` forces the serial path.  Parallel and serial
-        runs produce identical results.
+        positive integer); ``1`` forces the serial path.
     collector:
         Optional per-trial hook run *inside the worker* with the live
         :class:`~repro.sim.runner.SimulationResult` (the
@@ -959,8 +772,7 @@ def run_sweep(
         holding every trial.  ``"aggregate"`` streams: trial results are
         folded into a :class:`~repro.exp.results.SweepAggregate` and
         discarded, so memory is bounded by the grid's cell count instead of
-        its trial count, and the aggregate tables are byte-identical to the
-        in-memory path on the same grid and seeds.
+        its trial count.
     reducer:
         Custom streaming sink: any object with a ``fold(TrialResult)``
         method.  Implies streaming regardless of ``mode``; the engine folds
@@ -973,22 +785,19 @@ def run_sweep(
         for aggregate-mode sweeps without a collector — the fast path: no
         per-message records are allocated — and ``"full"`` otherwise; a
         per-grid ``GridSpec(trace_level=...)`` pin sits between the two.
-        Aggregate tables and fingerprints are byte-identical across levels.
         Note a ``"counters"`` pin wins over the collector-keeps-full-traces
         default: a collector that needs per-message records must not be
         combined with such a pin (its failure is captured per trial in
         ``TrialResult.error``, like any simulation failure).
     fold:
-        Streaming fold strategy.  ``"auto"`` (default) uses worker-side
-        chunk folds — one partial accumulator bundle shipped per contiguous
-        trial chunk instead of one TrialResult per trial — whenever the sink
-        is the default :class:`~repro.exp.results.SweepAggregate` and a pool
-        is in use; ``"trial"`` forces per-trial streaming.  ``"chunk"``
-        selects chunk folds for pooled runs and is rejected with a custom
-        reducer (which only exposes per-trial ``fold``); a serial run has no
-        result IPC to cut, so it always folds per trial and records the
-        executed path in ``meta["fold"]``.  Fingerprints are byte-identical
-        across fold strategies and worker counts.
+        What a pool worker ships back in a streaming sweep.  ``"auto"``
+        (default) uses worker-side chunk folds whenever the sink is the
+        default :class:`~repro.exp.results.SweepAggregate` and a pool is in
+        use; ``"trial"`` forces per-trial streaming.  ``"chunk"`` selects
+        chunk folds for pooled runs and is rejected with a custom reducer
+        (which only exposes per-trial ``fold``); a serial run has no result
+        IPC to cut, so it always folds per trial and records the executed
+        path in ``meta["fold"]``.
     start_method:
         Pool start method.  ``None`` (default) keeps the historical
         behaviour: ``fork`` where available, otherwise ``spawn`` when the
@@ -998,27 +807,14 @@ def run_sweep(
         naming the offending grid field if anything cannot be pickled;
         registry-named delay models, vote patterns, schedules and reducers
         (:mod:`repro.exp.registry`) are spawn-safe by construction.
-        Results are byte-identical across start methods.
     progress:
-        Live progress stream.  ``None`` (default) observes nothing; a
-        callable receives one count-only
-        :class:`~repro.obs.progress.ProgressEvent` per phase — ``start``,
-        one ``chunk`` per completed chunk (or trial, on per-trial paths),
-        ``summary`` — always in the parent process, after results crossed
-        the worker queue.  The strings ``"tty"`` and ``"jsonl:PATH"``
-        resolve to the stock reporters in :mod:`repro.obs.progress`.
-        Progress is strictly out of band: results, aggregates and
-        fingerprints are byte-identical with and without it.
+        Live progress stream, strictly out of band.  ``None`` (default)
+        observes nothing; a callable receives the count-only
+        :class:`~repro.obs.progress.ProgressEvent` stream, always in the
+        parent process.  The strings ``"tty"`` and ``"jsonl:PATH"`` resolve
+        to the stock reporters in :mod:`repro.obs.progress`.
     """
     trials = grid.trials() if isinstance(grid, GridSpec) else list(grid)
     return run_trials(
-        trials,
-        workers=workers,
-        collector=collector,
-        mode=mode,
-        reducer=reducer,
-        trace_level=trace_level,
-        fold=fold,
-        start_method=start_method,
-        progress=progress,
+        trials, workers, collector, mode, reducer, trace_level, fold, start_method, progress
     )

@@ -616,10 +616,6 @@ class GridSpec:
     #: ``None`` (default) lets the engine pick per sweep mode: "counters"
     #: for aggregate-mode sweeps, "full" otherwise.  Set explicitly to pin.
     trace_level: Optional[str] = None
-    #: alias for ``votes`` matching the mixed-vote-workload vocabulary
-    #: (``vote_pattern=[mixed_votes(0.3)]``); exactly one of the two may be
-    #: customised.
-    vote_pattern: Optional[Sequence[VoteLike]] = None
 
     def __post_init__(self) -> None:
         if self.trace_level is not None and self.trace_level not in TRACE_LEVELS:
@@ -627,13 +623,6 @@ class GridSpec:
                 f"unknown trace_level {self.trace_level!r}; "
                 f"expected one of {TRACE_LEVELS} (or None to defer to the engine)"
             )
-        if self.vote_pattern is not None:
-            if tuple(self.votes) != ("all-yes",):
-                raise ConfigurationError(
-                    "give either votes= or vote_pattern=, not both "
-                    "(vote_pattern is an alias for the votes axis)"
-                )
-            self.votes = tuple(self.vote_pattern)
         if not self.protocols:
             # registry-driven default: sweep every implemented protocol
             from repro.protocols.registry import protocol_names

@@ -1,12 +1,12 @@
 """Opt-in sweep profiling: ``REPRO_PROFILE=1`` + ``python -m repro.obs.profile``.
 
 When the environment variable ``REPRO_PROFILE`` is truthy, the sweep engine
-wraps each unit of work — a chunk fold in the streaming path, a serial trial
-loop otherwise — in :class:`cProfile.Profile` and dumps one ``.prof`` file
-per unit into ``REPRO_PROFILE_DIR`` (default ``.repro_profile/``).  Dumping
-happens in whatever process ran the work, so pooled runs produce one file
-per (process, chunk) pair; filenames carry ``os.getpid()`` plus a
-per-process sequence number to stay collision-free.
+wraps each unit of work — every chunk a pool worker runs, whatever the sink,
+or the whole of a serial sweep — in :class:`cProfile.Profile` and dumps one
+``.prof`` file per unit into ``REPRO_PROFILE_DIR`` (default
+``.repro_profile/``).  Dumping happens in whatever process ran the work, so
+pooled runs produce one file per (process, chunk) pair; filenames carry
+``os.getpid()`` plus a per-process sequence number to stay collision-free.
 
 Profiling is observability, not measurement: it perturbs wall-clock timings
 (so benchmarks refuse to certify overhead bars under it) but never the

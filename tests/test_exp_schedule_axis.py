@@ -143,7 +143,7 @@ class TestMixedVotes:
     def test_votes_are_a_pure_function_of_the_trial(self):
         grid = GridSpec(
             protocols=["2PC"], systems=[(6, 2)],
-            vote_pattern=[mixed_votes(0.1)], seeds=range(12),
+            votes=[mixed_votes(0.1)], seeds=range(12),
         )
         once = run_sweep(grid, workers=1)
         again = run_sweep(grid, workers=2)
@@ -175,16 +175,6 @@ class TestMixedVotes:
         with pytest.raises(ConfigurationError):
             coerce_votes("unknown-pattern")
 
-    def test_vote_pattern_is_an_alias_for_votes(self):
-        grid = GridSpec(
-            protocols=["2PC"], systems=[(5, 2)], vote_pattern=["all-no"], seeds=[0]
-        )
-        assert [t.votes.label for t in grid.trials()] == ["all-no"]
-        with pytest.raises(ConfigurationError):
-            GridSpec(
-                protocols=["2PC"], votes=["all-no"], vote_pattern=["all-yes"]
-            )
-
     def test_vote_spec_needs_exactly_one_pattern(self):
         from repro.exp import VoteSpec, all_yes
 
@@ -199,7 +189,7 @@ class TestMixedVotes:
             agg = run_sweep(
                 GridSpec(
                     protocols=["2PC"], systems=[(5, 2)],
-                    vote_pattern=[mixed_votes(p)], seeds=range(20),
+                    votes=[mixed_votes(p)], seeds=range(20),
                 ),
                 workers=1, mode="aggregate",
             )

@@ -10,6 +10,7 @@ under ``REPRO_PROFILE=1``.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -125,12 +126,27 @@ sys.stdout.write(agg.aggregate_fingerprint())
 """
 
 
-def _subprocess_fingerprint(extra_env):
+_SUBPROCESS_POOLED_FULL_SWEEP = """
+import os, sys
+from repro.exp import GridSpec, run_sweep
+
+grid = GridSpec(
+    protocols=["2PC", "INBAC"], systems=[(4, 1)], delays=["uniform"],
+    seeds=list(range(6)),
+)
+sweep = run_sweep(grid, workers=2, mode="full")
+assert sweep.meta["mode"] == "parallel", sweep.meta
+assert not sweep.errors()
+sys.stdout.write(f"{os.getpid()} {sweep.aggregate_fingerprint()}")
+"""
+
+
+def _subprocess_fingerprint(extra_env, script=_SUBPROCESS_SWEEP):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR
     env.update(extra_env)
     result = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SWEEP],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
@@ -154,6 +170,23 @@ class TestHardenedEnvironments:
         assert profiled == baseline
         dumps = [f for f in os.listdir(profile_dir) if f.endswith(".prof")]
         assert dumps, "REPRO_PROFILE=1 produced no .prof dumps"
+
+    def test_profiled_pooled_full_mode_sweep_dumps_from_the_workers(self, tmp_path):
+        """Every pooled chunk is a profiling unit, whatever the sink."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable; parallel path not exercised")
+        baseline = fingerprint(workers=1)
+        profile_dir = str(tmp_path / "prof")
+        parent_pid, profiled = _subprocess_fingerprint(
+            {"REPRO_PROFILE": "1", "REPRO_PROFILE_DIR": profile_dir},
+            script=_SUBPROCESS_POOLED_FULL_SWEEP,
+        ).split()
+        assert profiled == baseline
+        # dumps are named <label>-<pid>-<seq>.prof by whichever process ran the unit
+        dumps = [f for f in os.listdir(profile_dir) if f.endswith(".prof")]
+        worker_dumps = [f for f in dumps if f.split("-")[-2] != parent_pid]
+        assert worker_dumps, f"no worker-side dump among {dumps}"
+        assert all(f.startswith("chunk") for f in worker_dumps)
 
 
 class TestSpawnSafeConfiguration:
