@@ -106,7 +106,7 @@ def run_adversary_sweep(n=5, f=2):
     grid = GridSpec(
         protocols=VARIANTS,
         systems=[(n, f)],
-        faults=[("Lemma 1 adversary", lemma1_adversary)],
+        faults=[("Lemma 1 adversary", lemma1_adversary())],
         seeds=[2],
         max_time=500,
     )

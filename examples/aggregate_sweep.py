@@ -27,14 +27,13 @@ import tracemalloc
 
 from repro.analysis import render_table
 from repro.exp import GridSpec, run_sweep
-from repro.sim.network import UniformDelay
 
 
 def grid(seeds: int) -> GridSpec:
     return GridSpec(
         protocols=["INBAC", "2PC", "PaxosCommit"],
         systems=[(5, 2)],
-        delays=[("uniform", lambda seed: UniformDelay(0.3, 1.0, seed=seed))],
+        delays=[("uniform", "uniform", {"lo": 0.3, "hi": 1.0})],
         seeds=range(seeds),
         max_time=400,
     )

@@ -186,7 +186,7 @@ print(f"    INBAC: battery clean over {clean.schedules_run} schedules; "
 EOF
 
 echo "==> [10/13] determinism lint + runtime sanitizer"
-python -m repro.lint src benchmarks tests --sanitize
+python -m repro.lint src benchmarks tests examples --sanitize
 
 echo "==> [11/13] runtime round-trip (asyncio transport, hard timeout)"
 python - <<'EOF2'

@@ -34,8 +34,8 @@ search/shrink machinery it uses for bare protocols::
     from repro.explore import explore
     report = explore(
         "2PC", n=4, f=1, budget=24,
-        workload=("uniform", lambda n, seed: ...),   # or a registry name
-        preset="cluster-anomaly",                     # crash-point enumeration
+        workload=("small", "uniform", {"transactions": 8}),  # or just "uniform"
+        preset="cluster-anomaly",                            # crash-point enumeration
     )
 
 The ``cluster-anomaly`` preset enumerates crash points over every partition

@@ -12,12 +12,18 @@ regimes.  This package turns those cross-product comparisons into one-liners:
   trial with a :class:`ScheduleSpec` runs under a :mod:`repro.explore`
   schedule controller (adversarial event orderings and crash points) built
   from the trial's derived seed;
-* :mod:`repro.exp.registry` — the spawn-safe spec subset: registry-named
-  delay models (``delays=["uniform"]``), reducers
-  (``reducer="violations"``) and vote patterns (``"mixed:0.3"``,
-  ``"one-no:3"``), all plain data, so lambda-free grids pickle under any
-  multiprocessing start method (``run_sweep(start_method="spawn")``
-  validates up front and names the offending field otherwise);
+* :mod:`repro.exp.registry` — how a name becomes an object: every value of
+  the delay, fault, votes and workload axes is a label, a registry name and
+  plain-data parameters (``delays=["uniform"]``, ``votes=["mixed:0.3"]``,
+  ``faults=[("late", "crash", {"at": 0.5})]``; the grammar is tabulated in
+  :mod:`repro.exp.spec`), built per trial in whichever process runs the
+  trial — so grids pickle under any multiprocessing start method by
+  construction.  Callables are not axis values (``register_*`` a
+  module-level builder and name it); the only closures a sweep can still
+  carry are predicates inside a literal ``FaultPlan``, collectors and
+  locally-defined protocol classes, which ``run_sweep(start_method="spawn")``
+  checks for up front, naming the offending field.  Reducers are
+  registry-named too (``reducer="violations"``);
 * :mod:`repro.exp.engine` — :func:`run_sweep` runs the trials through the
   one sweep path (chunks of the trial list, in-process or across worker
   processes, consumed in order) with per-trial derived seeding, so parallel
@@ -80,6 +86,7 @@ from repro.exp.registry import (
     register_delay_model,
     register_fault_plan,
     register_reducer,
+    register_vote_pattern,
     register_workload,
 )
 from repro.exp.results import SweepAggregate, SweepResult, TrialResult
@@ -92,12 +99,8 @@ from repro.exp.spec import (
     TrialSpec,
     VoteSpec,
     WorkloadSpec,
-    all_no,
-    all_yes,
-    fixed_votes,
     make_cases,
     mixed_votes,
-    one_no,
 )
 
 __all__ = [
@@ -112,20 +115,17 @@ __all__ = [
     "TrialSpec",
     "VoteSpec",
     "WorkloadSpec",
-    "all_no",
-    "all_yes",
     "ensure_spawn_safe",
-    "fixed_votes",
     "make_cases",
     "make_reducer",
     "mixed_votes",
     "named_delay",
     "named_fault",
     "named_workload",
-    "one_no",
     "register_delay_model",
     "register_fault_plan",
     "register_reducer",
+    "register_vote_pattern",
     "register_workload",
     "run_sweep",
     "run_trial",

@@ -9,16 +9,20 @@ Design constraints, in order:
    therefore produces byte-identical aggregates to ``workers=1`` (asserted
    by :meth:`~repro.exp.results.SweepResult.fingerprint`).
 
-2. **Arbitrary specs, including closures.**  Fault plans and delay models in
-   this repo routinely carry lambdas (payload predicates, adversarial delay
-   functions) that cannot cross a pickling process boundary.  The pool
-   therefore prefers the ``fork`` start method and ships the sweep's job
-   (trial list, collector, trace levels, chunk size) to the workers *by
-   inheritance*: it is the pool initializer's argument, which forked
-   children receive as inherited memory, and only integer chunk indices and
-   plain-data results travel over the queues.  A *spawn-safe* spec —
-   lambda-free, e.g. built from the registry names in
-   :mod:`repro.exp.registry` — may instead run under the ``spawn`` start
+2. **Specs are names; closures ride along only where data cannot say it.**
+   Five of the axes are plain data by construction — a label, a registry
+   name and parameters, built per trial by ``spec.build(...)`` in whichever
+   process runs the trial (:mod:`repro.exp.spec`, :mod:`repro.exp.registry`).
+   Closures arrive in exactly three places: predicates inside a literal
+   :class:`~repro.sim.faults.FaultPlan` (payload matchers, which no
+   parameter dict can express), ``collector=`` hooks, and protocol classes
+   defined inside a function.  None of those can cross a pickling process
+   boundary, so the pool prefers the ``fork`` start method and ships
+   the sweep's job (trial list, collector, trace levels, chunk size) to the
+   workers *by inheritance*: it is the pool initializer's argument, which
+   forked children receive as inherited memory, and only integer chunk
+   indices and plain-data results travel over the queues.  A *spawn-safe*
+   spec — free of those three — may instead run under the ``spawn`` start
    method (``start_method="spawn"``, or automatically where fork does not
    exist); :func:`ensure_spawn_safe` validates the spec up front and names
    the offending grid field rather than letting the pool fail with an
@@ -85,10 +89,12 @@ Design constraints, in order:
 
 8. **Per-cell setup amortisation.**  Trials of one grid cell differ only in
    their seed, and the expansion order keeps a cell's trials contiguous, so
-   the per-trial hot path resolves the protocol factory, keyword arguments
-   and vote vector once per cell (a one-slot memo keyed by the cell's spec
-   objects) and reuses one :class:`~repro.sim.runner.Simulation` across the
-   cell's trials with per-trial delay/fault/seed overrides.
+   the per-trial hot path resolves the protocol factory and keyword
+   arguments once per cell (a one-slot memo keyed by the protocol spec, the
+   system size and the trace level) and reuses one
+   :class:`~repro.sim.runner.Simulation` across the cell's trials.  What
+   varies with the trial — votes, delay model, fault plan, controller — is
+   built per trial from the derived seed and passed in as overrides.
 """
 
 from __future__ import annotations
@@ -132,14 +138,13 @@ class _CellRuntime:
     """Per-cell objects resolved once and reused across the cell's trials.
 
     What the one-slot memo of design point 8 (module docstring) holds: the
-    vote vector and the Simulation with its process factory and kwargs dict.
+    Simulation with its process factory and kwargs dict, and a delay sampler.
     """
 
-    __slots__ = ("simulation", "votes", "sampler")
+    __slots__ = ("simulation", "sampler")
 
-    def __init__(self, simulation: Simulation, votes: List[Any]):
+    def __init__(self, simulation: Simulation):
         self.simulation = simulation
-        self.votes = votes
         # one delay sampler per cell: each trial rebinds it to that trial's
         # freshly seeded delay model, reusing the pre-draw buffer across the
         # cell instead of allocating one per trial
@@ -152,10 +157,10 @@ _LAST_RUNTIME: Optional[tuple] = None
 
 def _cell_runtime(trial: TrialSpec, trace_level: str) -> _CellRuntime:
     global _LAST_RUNTIME
-    # spec dataclasses compare by (label, callable identity), so two cells
-    # only share a runtime when they share the actual spec objects — labels
-    # alone can collide across grids within one process
-    signature = (trial.protocol, trial.n, trial.f, trial.votes, trial.max_time, trace_level)
+    # ProtocolSpec compares by (label, class identity, kwargs), so two cells
+    # only share a runtime when they run the same class — labels alone can
+    # collide across grids within one process
+    signature = (trial.protocol, trial.n, trial.f, trial.max_time, trace_level)
     if _LAST_RUNTIME is not None and _LAST_RUNTIME[0] == signature:
         return _LAST_RUNTIME[1]
     runtime = _CellRuntime(
@@ -166,10 +171,7 @@ def _cell_runtime(trial: TrialSpec, trace_level: str) -> _CellRuntime:
             max_time=trial.max_time,
             protocol_kwargs=trial.protocol.protocol_kwargs(),
             trace_level=trace_level,
-        ),
-        # per-trial (seeded) vote patterns cannot be resolved at the cell
-        # level; run_trial resolves them from the derived seed instead
-        votes=None if trial.votes.per_trial else trial.votes.resolve(trial.n, 0),
+        )
     )
     _LAST_RUNTIME = (signature, runtime)
     return runtime
@@ -209,16 +211,12 @@ def run_trial(
         return _run_cluster_trial(trial, base, collector, level)
     try:
         runtime = _cell_runtime(trial, level)
-        votes = (
-            runtime.votes
-            if runtime.votes is not None
-            else trial.votes.resolve(trial.n, seed)
-        )
+        votes = trial.votes.build(trial.n, seed)
         controller = trial.schedule.build(seed) if trial.schedule is not None else None
         result = runtime.simulation.run(
             votes,
-            delay_model=trial.delay.factory(seed),
-            fault_plan=trial.fault.factory(),
+            delay_model=trial.delay.build(seed),
+            fault_plan=trial.fault.build(),
             seed=seed,
             controller=controller,
             delay_sampler=runtime.sampler,
@@ -314,8 +312,8 @@ def _run_cluster_trial(
 
     try:
         seed = trial.derived_seed
-        delay_model = trial.delay.factory(seed)
-        fault_plan = trial.fault.factory()
+        delay_model = trial.delay.build(seed)
+        fault_plan = trial.fault.build()
         controller = trial.schedule.build(seed) if trial.schedule is not None else None
         config = ClusterConfig(
             num_partitions=trial.n,
@@ -329,7 +327,7 @@ def _run_cluster_trial(
             trace_level=trace_level,
             controller=controller,
         )
-        transactions = trial.workload.factory(trial.n, seed)
+        transactions = trial.workload.build(trial.n, seed)
         report = run_cluster(config, transactions)
     except Exception:
         base.error = traceback.format_exc(limit=8)
@@ -518,14 +516,16 @@ def ensure_spawn_safe(
 ) -> None:
     """Verify every spec component can cross a ``spawn`` process boundary.
 
-    The fork pool ships closures by memory inheritance, so grids may carry
-    lambdas; the spawn pool pickles everything.  This check pickles each
-    distinct axis-spec object individually and raises a
+    The fork pool ships closures by memory inheritance, so a grid may carry
+    one inside a literal plan; the spawn pool pickles everything.  This check
+    pickles each distinct axis-spec object individually and raises a
     :class:`~repro.errors.ConfigurationError` naming the offending grid field
     and label — instead of letting ``multiprocessing`` fail deep inside the
-    pool with an anonymous ``PicklingError``.  Registry-named delay models,
-    vote patterns, schedules and reducers (see :mod:`repro.exp.registry`)
-    are spawn-safe by construction.
+    pool with an anonymous ``PicklingError``.  Registry-named axis values
+    (see :mod:`repro.exp.registry`) are spawn-safe by construction; what this
+    catches is a literal ``FaultPlan`` whose ``DelayRule.predicate`` is a
+    lambda, a parameter value that does not pickle, an unpicklable collector
+    and a protocol class defined inside a function.
 
     The fields checked come from
     :data:`repro.lint.rules.spawn_safety.SPAWN_AXIS_FIELDS` — the same rule
@@ -805,8 +805,8 @@ def run_sweep(
         otherwise the serial path.  An explicit ``"spawn"`` validates the
         spec up front and raises a :class:`~repro.errors.ConfigurationError`
         naming the offending grid field if anything cannot be pickled;
-        registry-named delay models, vote patterns, schedules and reducers
-        (:mod:`repro.exp.registry`) are spawn-safe by construction.
+        registry-named axis values and reducers (:mod:`repro.exp.registry`)
+        are spawn-safe by construction.
     progress:
         Live progress stream, strictly out of band.  ``None`` (default)
         observes nothing; a callable receives the count-only

@@ -1,33 +1,50 @@
-"""Registry-named delay models, reducers and vote patterns.
+"""How a name becomes an object: the registries behind the sweep axes.
 
-The sweep engine's default ``fork`` pool ships closures to workers by memory
-inheritance, so grids may freely carry lambdas.  The ``spawn`` start method
-(the only one available on Windows, and the macOS default) pickles everything
-instead — and a lambda, or a factory closed over one, cannot cross that
-boundary.  This module provides the *spawn-safe spec subset*: named factories
-whose state is plain data, registered under short strings, so a grid built
-from registry names pickles by construction.
+An axis value of a sweep is a label, a registry name and plain-data
+parameters (:mod:`repro.exp.spec` states the grammar); this module owns the
+other half — the tables that turn ``(name, params)`` into a delay model, a
+fault plan, a vote vector, a transaction list or a reducer, per trial, in
+whichever process runs the trial.  That is what makes a grid *spawn-safe* by
+construction: the ``spawn`` start method (the only one on Windows, the macOS
+default) pickles everything it ships to a worker, a spec holding a name and
+plain data pickles, and the worker re-resolves the name against its own copy
+of these tables.  For that to work, custom registrations must happen at
+*import time* (module level) — a name registered only in the parent's
+``__main__`` block does not exist in a spawn worker.
 
-* :func:`named_delay` / ``delays=["uniform", ...]`` — delay-model factories
-  (``fixed``, ``uniform``, ``lognormal`` built in, extensible via
-  :func:`register_delay_model`);
-* :func:`named_workload` / ``workloads=["uniform", ...]`` — transaction
-  workload factories for cluster trials (``uniform``, ``hotspot``,
-  ``bank-transfer`` built in, extensible via :func:`register_workload`);
-  the builder receives ``(n, seed)`` — the trial's partition count and
-  derived seed — plus the registered parameters;
-* :func:`make_reducer` / ``run_sweep(reducer="violations")`` — streaming
-  sinks by name (``aggregate``, ``robustness``, ``violations``);
-* schedule strategies are registry-named at the source (see
-  :mod:`repro.explore.strategies`), so every
-  :class:`~repro.exp.spec.ScheduleSpec` is spawn-safe already.
+One :class:`Registry` per kind, each with its builder calling convention:
+
+* delay models — ``builder(seed, **params)``: ``fixed``, ``uniform``,
+  ``lognormal``, ``flaky-link``; :func:`register_delay_model`,
+  :func:`named_delay`;
+* fault plans — ``builder(**params)`` returning a plan whose rules the
+  scheduler resets: ``failure-free``, ``crash``, ``rejoin``, and ``plan``
+  (a literal :class:`~repro.sim.faults.FaultPlan`, returned as is);
+  :func:`register_fault_plan`, :func:`named_fault`;
+* vote patterns — ``builder(n, seed, **params)``: ``all-yes``, ``all-no``,
+  ``one-no``, ``mixed``, and ``fixed`` (a literal vote vector);
+  :func:`register_vote_pattern`;
+* transaction workloads — ``builder(n, seed, **params)`` with the trial's
+  partition count and derived seed: ``uniform``, ``hotspot``,
+  ``bank-transfer``, and ``verbatim`` (a literal transaction sequence);
+  :func:`register_workload`, :func:`named_workload`;
+* reducers — ``builder()``: ``aggregate``, ``robustness``, ``violations``;
+  :func:`register_reducer`, :func:`make_reducer`
+  (``run_sweep(reducer="violations")``).
+
+Schedule strategies are registry-named at the source
+(:mod:`repro.explore.strategies`), so every
+:class:`~repro.exp.spec.ScheduleSpec` is spawn-safe already.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+import functools
+import inspect
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.exp.results import RobustnessFold, SweepAggregate
 from repro.sim.faults import FaultPlan
 from repro.sim.network import (
     DelayModel,
@@ -37,26 +54,108 @@ from repro.sim.network import (
     UniformDelay,
 )
 
-# --------------------------------------------------------------------------- #
-# delay models
-# --------------------------------------------------------------------------- #
 
-#: name -> builder(seed, **params) -> DelayModel
-_DELAY_BUILDERS: Dict[str, Callable[..., DelayModel]] = {}
+class Registry:
+    """One table ``name -> builder`` and the two moments a name is resolved.
 
-
-def register_delay_model(name: str, builder: Callable[..., DelayModel]) -> None:
-    """Register a delay-model builder callable under ``name``.
-
-    The builder receives the trial seed as its first argument plus the
-    keyword parameters given to :func:`named_delay`; it must be a module-level
-    callable for the registration to be spawn-safe.
+    :meth:`check` runs where a spec is *written* (grid construction): the
+    name must be known and the parameters must bind to the builder's
+    signature.  :meth:`build` runs where a trial *executes* — possibly a
+    spawn worker that unpickled the name and has only its own import-time
+    registrations — and calls ``builder(*supplied, **params)``.
     """
-    _DELAY_BUILDERS[name] = builder
+
+    def __init__(self, kind: str, supplied: Tuple[str, ...] = ()):
+        self.kind = kind  # what the errors call an entry, e.g. "delay model"
+        self.supplied = supplied  # leading arguments the engine passes to build()
+        #: name -> (builder, its signature or None)
+        self._entries: Dict[str, Tuple[Callable[..., Any], Optional[inspect.Signature]]] = {}
+
+    def register(self, name: str, builder: Callable[..., Any]) -> None:
+        """Register ``builder`` under ``name`` (the public ``register_*`` calls).
+
+        A trial calls it as ``builder(*supplied, **params)`` with the
+        parameters written on the axis.  It must be a module-level callable,
+        registered at import time, for the name to be spawn-safe.
+        """
+        try:
+            signature = inspect.signature(builder)
+        except (TypeError, ValueError):  # builtins / C callables without signatures
+            signature = None
+        self._entries[name] = (builder, signature)
+
+    def names(self) -> List[str]:
+        return list(self._entries)
+
+    def check(self, name: str, params: Dict[str, Any]) -> None:
+        """Reject an unknown name, or parameters the builder cannot take.
+
+        Parameter *names* only: whether a value fits the trial (a vote
+        vector's length against ``n``) is only known per trial, where it is
+        captured in ``TrialResult.error`` like any other failure.
+        """
+        if name not in self._entries:
+            known = ", ".join(sorted(self._entries))
+            raise ConfigurationError(f"unknown {self.kind} {name!r}; known: {known}")
+        signature = self._entries[name][1]
+        if signature is not None:
+            try:
+                signature.bind(*self.supplied, **params)
+            except TypeError as exc:
+                raise ConfigurationError(f"{self.kind} {name!r}: {exc}") from None
+
+    def build(self, name: str, params: Any, *supplied: Any) -> Any:
+        try:
+            builder = self._entries[name][0]
+        except KeyError:
+            known = ", ".join(sorted(self._entries))
+            raise ConfigurationError(
+                f"{self.kind} {name!r} is not registered in this process "
+                f"(known: {known}); under the spawn start method its "
+                f"registration must run at import time (module level) so "
+                f"workers re-register it"
+            ) from None
+        return builder(*supplied, **dict(params))
 
 
-def delay_model_names() -> List[str]:
-    return list(_DELAY_BUILDERS)
+DELAYS = Registry("delay model", supplied=("seed",))
+FAULTS = Registry("fault plan")
+VOTES = Registry("vote pattern", supplied=("n", "seed"))
+WORKLOADS = Registry("workload", supplied=("n", "seed"))
+REDUCERS = Registry("reducer")
+
+register_delay_model = DELAYS.register
+register_fault_plan = FAULTS.register
+register_vote_pattern = VOTES.register
+register_workload = WORKLOADS.register
+register_reducer = REDUCERS.register
+
+delay_model_names = DELAYS.names
+fault_plan_names = FAULTS.names
+workload_names = WORKLOADS.names
+reducer_names = REDUCERS.names
+
+
+def _named(axis: str, name: str, label: Optional[str], params: Dict[str, Any]):
+    """What ``named_*`` return: the ``(label, name, params)`` shorthand, coerced."""
+    # spec imports this module at load, so the reverse edge resolves lazily
+    from repro.exp.spec import coerce_axis
+
+    if label is None:
+        label = name if not params else "{}({})".format(
+            name, ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+        )
+    return coerce_axis(axis, (label, name, params))
+
+
+# --------------------------------------------------------------------------- #
+# delay models: builder(seed, **params) -> DelayModel
+# --------------------------------------------------------------------------- #
+
+
+def named_delay(name: str, label: str = None, **params: Any):
+    """A spawn-safe :class:`~repro.exp.spec.DelaySpec` from a registry name."""
+    return _named("delays", name, label, params)
 
 
 def _build_fixed(seed: int, u: float = 1.0) -> DelayModel:
@@ -84,7 +183,7 @@ def _build_flaky_link(
 ) -> DelayModel:
     # gray-failure profile: P1->P2 slow-but-alive, P2->P1 partitioned over
     # [4, 8) then healed — an asymmetric degradation, not a clean crash.
-    # Parameters are nested tuples (not dicts) so the factory stays hashable
+    # Parameters are nested tuples (not dicts) so the spec stays hashable
     # and spawn-picklable.
     return FlakyLinkDelay(
         u=u,
@@ -101,96 +200,14 @@ register_delay_model("lognormal", _build_lognormal)
 register_delay_model("flaky-link", _build_flaky_link)
 
 
-class NamedDelayFactory:
-    """A picklable ``factory(seed) -> DelayModel`` resolved through the registry.
-
-    Instances carry only the registry name and plain-data parameters, so a
-    :class:`~repro.exp.spec.DelaySpec` built from one crosses a ``spawn``
-    process boundary; the worker re-resolves the name against its own copy of
-    the registry at build time.  For that to work, custom registrations must
-    happen at *import time* (module level) — a name registered only in the
-    parent's ``__main__`` block does not exist in a spawn worker, and the
-    per-trial build below raises a named ``ConfigurationError`` (captured in
-    ``TrialResult.error``) rather than an anonymous ``KeyError``.
-    """
-
-    __slots__ = ("name", "params")
-
-    def __init__(self, name: str, params: Dict[str, Any]):
-        if name not in _DELAY_BUILDERS:
-            known = ", ".join(sorted(_DELAY_BUILDERS))
-            raise ConfigurationError(
-                f"unknown delay model {name!r}; known: {known}"
-            )
-        self.name = name
-        self.params = dict(params)
-
-    def __call__(self, seed: int) -> DelayModel:
-        try:
-            builder = _DELAY_BUILDERS[self.name]
-        except KeyError:
-            known = ", ".join(sorted(_DELAY_BUILDERS))
-            raise ConfigurationError(
-                f"delay model {self.name!r} is not registered in this process "
-                f"(known: {known}); under the spawn start method, "
-                f"register_delay_model must run at import time so workers "
-                f"re-register it"
-            ) from None
-        return builder(seed, **self.params)
-
-    def __getstate__(self):
-        return (self.name, self.params)
-
-    def __setstate__(self, state):
-        self.name, self.params = state
-
-    def __eq__(self, other: Any) -> bool:
-        return (
-            isinstance(other, NamedDelayFactory)
-            and other.name == self.name
-            and other.params == self.params
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, tuple(sorted(self.params.items()))))
-
-
-def named_delay(name: str, label: str = None, **params: Any):
-    """A spawn-safe :class:`~repro.exp.spec.DelaySpec` from a registry name."""
-    from repro.exp.spec import DelaySpec
-
-    if label is None:
-        label = name if not params else "{}({})".format(
-            name, ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-        )
-    return DelaySpec(label=label, factory=NamedDelayFactory(name, params))
-
-
 # --------------------------------------------------------------------------- #
-# fault plans
+# fault plans: builder(**params) -> FaultPlan
 # --------------------------------------------------------------------------- #
 
-#: name -> builder(**params) -> FaultPlan
-_FAULT_BUILDERS: Dict[str, Callable[..., FaultPlan]] = {}
 
-
-def register_fault_plan(name: str, builder: Callable[..., FaultPlan]) -> None:
-    """Register a fault-plan builder callable under ``name``.
-
-    The builder receives the keyword parameters given to :func:`named_fault`
-    and returns a *fresh* :class:`~repro.sim.faults.FaultPlan` (plans are
-    stateful: DelayRules carry match counters); it must be a module-level
-    callable for the registration to be spawn-safe.
-    """
-    _FAULT_BUILDERS[name] = builder
-
-
-def fault_plan_names() -> List[str]:
-    return list(_FAULT_BUILDERS)
-
-
-def _build_failure_free() -> FaultPlan:
-    return FaultPlan.failure_free()
+def named_fault(name: str, label: str = None, **params: Any):
+    """A spawn-safe :class:`~repro.exp.spec.FaultSpec` from a registry name."""
+    return _named("faults", name, label, params)
 
 
 def _build_crash(pid: int = 1, at: float = 5.0) -> FaultPlan:
@@ -203,93 +220,77 @@ def _build_rejoin(
     return FaultPlan.crash_recover(pid, at=at, rejoin_at=rejoin_at)
 
 
-register_fault_plan("failure-free", _build_failure_free)
+def _build_literal_plan(plan: FaultPlan) -> FaultPlan:
+    # the literal form ``(label, FaultPlan)``: every trial of the cell gets
+    # the one plan object, and Scheduler.__init__ zeroes its rules' match
+    # counters, so no per-trial copy is needed.  Spawn-safe whenever the plan
+    # pickles (a DelayRule with a lambda predicate does not: fork only).
+    return plan
+
+
+register_fault_plan("failure-free", FaultPlan.failure_free)
 register_fault_plan("crash", _build_crash)
 register_fault_plan("rejoin", _build_rejoin)
-
-
-class NamedFaultFactory:
-    """A picklable ``factory() -> FaultPlan`` resolved through the registry.
-
-    The exact analogue of :class:`NamedDelayFactory` for the faults axis:
-    instances carry only the registry name and plain-data parameters, so a
-    :class:`~repro.exp.spec.FaultSpec` built from one crosses a ``spawn``
-    process boundary and equal factories compare equal.
-    """
-
-    __slots__ = ("name", "params")
-
-    def __init__(self, name: str, params: Dict[str, Any]):
-        if name not in _FAULT_BUILDERS:
-            known = ", ".join(sorted(_FAULT_BUILDERS))
-            raise ConfigurationError(
-                f"unknown fault plan {name!r}; known: {known}"
-            )
-        self.name = name
-        self.params = dict(params)
-
-    def __call__(self) -> FaultPlan:
-        try:
-            builder = _FAULT_BUILDERS[self.name]
-        except KeyError:
-            known = ", ".join(sorted(_FAULT_BUILDERS))
-            raise ConfigurationError(
-                f"fault plan {self.name!r} is not registered in this process "
-                f"(known: {known}); under the spawn start method, "
-                f"register_fault_plan must run at import time so workers "
-                f"re-register it"
-            ) from None
-        return builder(**self.params)
-
-    def __getstate__(self):
-        return (self.name, self.params)
-
-    def __setstate__(self, state):
-        self.name, self.params = state
-
-    def __eq__(self, other: Any) -> bool:
-        return (
-            isinstance(other, NamedFaultFactory)
-            and other.name == self.name
-            and other.params == self.params
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, tuple(sorted(self.params.items()))))
-
-
-def named_fault(name: str, label: str = None, **params: Any):
-    """A spawn-safe :class:`~repro.exp.spec.FaultSpec` from a registry name."""
-    from repro.exp.spec import FaultSpec
-
-    if label is None:
-        label = name if not params else "{}({})".format(
-            name, ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-        )
-    return FaultSpec(label=label, factory=NamedFaultFactory(name, params))
+register_fault_plan("plan", _build_literal_plan)
 
 
 # --------------------------------------------------------------------------- #
-# transaction workloads
+# vote patterns: builder(n, seed, **params) -> vote vector
 # --------------------------------------------------------------------------- #
 
-#: name -> builder(n, seed, **params) -> sequence of Transactions
-_WORKLOAD_BUILDERS: Dict[str, Callable[..., Any]] = {}
+
+@functools.cache
+def _vocabulary():
+    # repro.workloads.votes, imported on first use: that package pulls in the
+    # whole repro.db stack, which a bare protocol sweep otherwise never loads
+    from repro.workloads import votes
+
+    return votes
 
 
-def register_workload(name: str, builder: Callable[..., Any]) -> None:
-    """Register a transaction-workload builder callable under ``name``.
-
-    The builder receives the trial's partition count and derived seed as its
-    first two arguments plus the keyword parameters given to
-    :func:`named_workload`, and returns the transaction sequence; it must be
-    a module-level callable for the registration to be spawn-safe.
-    """
-    _WORKLOAD_BUILDERS[name] = builder
+def _build_all_yes(n: int, seed: int) -> List[int]:
+    return _vocabulary().all_yes(n)
 
 
-def workload_names() -> List[str]:
-    return list(_WORKLOAD_BUILDERS)
+def _build_all_no(n: int, seed: int) -> List[int]:
+    return _vocabulary().all_no(n)
+
+
+def _build_one_no(n: int, seed: int, pid: int) -> List[int]:
+    return _vocabulary().one_no(n, which=pid)
+
+
+def _build_mixed_votes(n: int, seed: int, no_probability: float) -> List[int]:
+    # a pure function of (n, derived seed): a trial's votes are identical
+    # wherever (and however many times) it runs, while the seeds axis sweeps
+    # genuinely different vote mixes through one grid cell
+    return _vocabulary().random_votes(n, no_probability=no_probability, seed=seed)
+
+
+def _build_fixed_votes(n: int, seed: int, values: Sequence[int]) -> List[int]:
+    # the literal form ``(label, [1, 1, 0])``; only valid for the matching n
+    if len(values) != n:
+        raise ConfigurationError(
+            f"fixed vote vector has {len(values)} entries but n={n}"
+        )
+    return list(values)
+
+
+register_vote_pattern("all-yes", _build_all_yes)
+register_vote_pattern("all-no", _build_all_no)
+register_vote_pattern("one-no", _build_one_no)
+register_vote_pattern("mixed", _build_mixed_votes)
+register_vote_pattern("fixed", _build_fixed_votes)
+
+
+# --------------------------------------------------------------------------- #
+# transaction workloads: builder(n, seed, **params) -> sequence of Transactions
+# --------------------------------------------------------------------------- #
+
+
+def named_workload(name: str, label: str = None, **params: Any):
+    """A spawn-safe :class:`~repro.exp.spec.WorkloadSpec` from a registry name."""
+    return _named("workloads", name, label, params)
 
 
 def _build_uniform_txns(n: int, seed: int, transactions: int = 6, **params: Any):
@@ -314,120 +315,36 @@ def _build_bank_transfer_txns(
     return bank_transfer_workload(transactions, n, seed=seed, **params).transactions
 
 
+def _build_verbatim_txns(n: int, seed: int, transactions: Sequence[Any]):
+    # the literal form ``(label, transactions)``: replayed identically in
+    # every trial, whatever n and the seed
+    return transactions
+
+
 register_workload("uniform", _build_uniform_txns)
 register_workload("hotspot", _build_hotspot_txns)
 register_workload("bank-transfer", _build_bank_transfer_txns)
-
-
-class NamedWorkloadFactory:
-    """A picklable ``factory(n, seed) -> transactions`` resolved by name.
-
-    The exact analogue of :class:`NamedDelayFactory` for the workload axis:
-    instances carry only the registry name and plain-data parameters, so a
-    :class:`~repro.exp.spec.WorkloadSpec` built from one crosses a ``spawn``
-    process boundary, and equal factories compare equal (feeding the
-    engine's per-cell memoisation).
-    """
-
-    __slots__ = ("name", "params")
-
-    def __init__(self, name: str, params: Dict[str, Any]):
-        if name not in _WORKLOAD_BUILDERS:
-            known = ", ".join(sorted(_WORKLOAD_BUILDERS))
-            raise ConfigurationError(
-                f"unknown workload {name!r}; known: {known}"
-            )
-        self.name = name
-        self.params = dict(params)
-
-    def __call__(self, n: int, seed: int):
-        try:
-            builder = _WORKLOAD_BUILDERS[self.name]
-        except KeyError:
-            known = ", ".join(sorted(_WORKLOAD_BUILDERS))
-            raise ConfigurationError(
-                f"workload {self.name!r} is not registered in this process "
-                f"(known: {known}); under the spawn start method, "
-                f"register_workload must run at import time so workers "
-                f"re-register it"
-            ) from None
-        return builder(n, seed, **self.params)
-
-    def __getstate__(self):
-        return (self.name, self.params)
-
-    def __setstate__(self, state):
-        self.name, self.params = state
-
-    def __eq__(self, other: Any) -> bool:
-        return (
-            isinstance(other, NamedWorkloadFactory)
-            and other.name == self.name
-            and other.params == self.params
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, tuple(sorted(self.params.items()))))
-
-
-def named_workload(name: str, label: str = None, **params: Any):
-    """A spawn-safe :class:`~repro.exp.spec.WorkloadSpec` from a registry name."""
-    from repro.exp.spec import WorkloadSpec
-
-    if label is None:
-        label = name if not params else "{}({})".format(
-            name, ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-        )
-    return WorkloadSpec(label=label, factory=NamedWorkloadFactory(name, params))
+register_workload("verbatim", _build_verbatim_txns)
 
 
 # --------------------------------------------------------------------------- #
-# reducers
+# reducers: builder() -> streaming sink
 # --------------------------------------------------------------------------- #
-
-#: name -> zero-argument reducer factory
-_REDUCER_BUILDERS: Dict[str, Callable[[], Any]] = {}
-
-
-def register_reducer(name: str, builder: Callable[[], Any]) -> None:
-    """Register a streaming-sink factory under ``name``."""
-    _REDUCER_BUILDERS[name] = builder
-
-
-def reducer_names() -> List[str]:
-    return list(_REDUCER_BUILDERS)
 
 
 def make_reducer(name: str) -> Any:
     """Instantiate a registered reducer (``run_sweep(reducer="...")``)."""
-    try:
-        builder = _REDUCER_BUILDERS[name]
-    except KeyError as exc:
-        known = ", ".join(sorted(_REDUCER_BUILDERS))
-        raise ConfigurationError(
-            f"unknown reducer {name!r}; known: {known}"
-        ) from exc
-    return builder()
-
-
-def _build_aggregate():
-    from repro.exp.results import SweepAggregate
-
-    return SweepAggregate()
-
-
-def _build_robustness():
-    from repro.exp.results import RobustnessFold
-
-    return RobustnessFold()
+    REDUCERS.check(name, {})
+    return REDUCERS.build(name, ())
 
 
 def _build_violations():
+    # lazily: repro.explore sits above the sim layer
     from repro.explore.fold import ViolationFold
 
     return ViolationFold()
 
 
-register_reducer("aggregate", _build_aggregate)
-register_reducer("robustness", _build_robustness)
+register_reducer("aggregate", SweepAggregate)
+register_reducer("robustness", RobustnessFold)
 register_reducer("violations", _build_violations)

@@ -1,29 +1,61 @@
 """Declarative experiment grids: what to run, not how to run it.
 
-A :class:`GridSpec` names one value set per experimental axis —
+A :class:`GridSpec` names one value set per experimental axis — protocol,
+system size ``(n, f)``, delay model, fault plan, votes, workload, schedule,
+base seed — and expands their cross product into a flat list of
+:class:`TrialSpec` records.  Each trial carries a *derived* seed computed
+from the base seed and the trial's coordinates, so the seed a trial uses is a
+pure function of what the trial *is*, never of where in the sweep (or on
+which worker process) it runs.  That property is what makes parallel and
+serial sweeps bit-identical.
 
-* **protocol** — registry names, process classes, or ``(label, class)`` pairs;
-* **system size** — ``(n, f)`` pairs;
-* **delay model** — factories so each trial gets a *fresh*, per-trial-seeded
-  model (stateful models such as :class:`~repro.sim.network.UniformDelay`
-  carry an RNG and must never be shared between trials);
-* **fault plan** — plans or plan factories, rebuilt per trial because
-  :class:`~repro.sim.faults.DelayRule` tracks match counts internally;
-* **votes** — named vote patterns, functions of ``n``;
-* **workload** — optional :mod:`repro.db` transaction batteries; a trial with
-  a workload runs a simulated cluster (``n`` partitions, the protocol axis
-  embedded as the commit protocol) instead of a bare protocol execution;
-* **schedule** — optional schedule-exploration strategies (see
-  :mod:`repro.explore`): a trial carrying a :class:`ScheduleSpec` runs under
-  a schedule controller built from ``(strategy, params, derived seed)``
-  instead of strict timestamp order;
-* **seed** — base seeds, one full grid repetition each
+Axis values
+-----------
+``protocols`` takes registry names, process classes or ``(label, class)``
+pairs; ``systems`` takes ``(n, f)`` pairs; ``seeds`` takes integers, one full
+grid repetition each.  A value of the other five axes is **a label, a
+registry name and plain-data parameters** — nothing is built until a trial
+runs, and then it is built fresh from the trial's derived seed (delay models
+and controllers carry RNG state and must never be shared between trials).
+:func:`coerce_axis` accepts, on every one of the five:
 
-— and expands their cross product into a flat list of :class:`TrialSpec`
-records.  Each trial carries a *derived* seed computed from the base seed and
-the trial's coordinates, so the seed a trial uses is a pure function of what
-the trial *is*, never of where in the sweep (or on which worker process) it
-runs.  That property is what makes parallel and serial sweeps bit-identical.
+========================== ========= ================================== ===========
+form                       axes      what a trial builds                spawn-safe?
+========================== ========= ================================== ===========
+``None``                   delays    ``fixed`` (label ``U=1``)          yes
+..                         faults    ``failure-free``                   yes
+..                         votes     ``all-yes``                        yes
+..                         workloads nothing: a bare protocol trial     yes
+..                         schedules nothing: strict timestamp order    yes
+``"name"``                 all five  the registered builder, no params  yes
+``"one-no:3"``             votes     ``one-no`` with ``pid=3``          yes
+``"mixed:0.3"``            votes     ``mixed``, ``no_probability=0.3``  yes
+``(label, "name")``        all five  the same, under another label      yes
+``(label, "name", {...})`` all five  the builder with those parameters  if the
+                                                                        values are
+``(label, FaultPlan)``,    faults    ``plan``: that plan object, its    unless a
+bare ``FaultPlan``                   rule counters reset per execution  rule holds
+                                                                        a lambda
+``(label, [1, 1, 0])``     votes     ``fixed``: that vote vector        yes
+``(label, transactions)``  workloads ``verbatim``: that transaction     yes
+                                     list (or ``TransactionWorkload``)
+a spec instance            its axis  itself                             as above
+========================== ========= ================================== ===========
+
+The label is the trial's grid coordinate (:meth:`TrialSpec.key`, hence its
+derived seed and its aggregate row), so labels must be unique per axis.  A
+bare ``"name"`` is its own label; a bare plan is labelled by its
+``description``.  Names resolve against :mod:`repro.exp.registry`
+(``register_delay_model`` / ``register_fault_plan`` / ``register_vote_pattern``
+/ ``register_workload``) when the grid is constructed — an unknown name, or a
+parameter the builder does not take, is a
+:class:`~repro.errors.ConfigurationError` there, not a per-trial failure —
+except on ``schedules``, whose registry (:mod:`repro.explore.strategies`)
+sits above the sim layer and is consulted per trial.  **Callables and
+delay-model instances are not axis values**: register the builder at import
+time and name it.  The only closures a grid can carry are predicates inside
+a literal ``FaultPlan`` (and collectors, and protocol classes), which is what
+:func:`~repro.exp.engine.ensure_spawn_safe` is for.
 
 For batteries that are not cross products (e.g. hand-picked scenario lists
 where votes and fault plan vary together), build :class:`TrialSpec` lists
@@ -32,104 +64,16 @@ directly with :func:`make_cases`.
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 import hashlib
-import inspect
-import random
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.exp.registry import DELAYS, FAULTS, VOTES, WORKLOADS, Registry
 from repro.sim.faults import FaultPlan
-from repro.sim.network import DelayModel
 from repro.sim.trace import TRACE_LEVELS
-
-# --------------------------------------------------------------------------- #
-# vote patterns
-# --------------------------------------------------------------------------- #
-
-
-def all_yes(n: int) -> List[int]:
-    """Every process votes 1 (the nice-execution vote vector)."""
-    return [1] * n
-
-
-def all_no(n: int) -> List[int]:
-    return [0] * n
-
-
-class _OneNoPattern:
-    """Everyone votes 1 except one process (picklable, unlike a closure)."""
-
-    __slots__ = ("pid",)
-
-    def __init__(self, pid: int):
-        self.pid = pid
-
-    def __call__(self, n: int) -> List[int]:
-        if not 1 <= self.pid <= n:
-            raise ConfigurationError(f"one_no({self.pid}) used with n={n}")
-        votes = [1] * n
-        votes[self.pid - 1] = 0
-        return votes
-
-
-def one_no(pid: int) -> Callable[[int], List[int]]:
-    """Everyone votes 1 except process ``pid``."""
-    return _OneNoPattern(pid)
-
-
-class _FixedVotesPattern:
-    """A literal vote vector (picklable, unlike a closure)."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Sequence[int]):
-        self.values = tuple(values)
-
-    def __call__(self, n: int) -> List[int]:
-        if len(self.values) != n:
-            raise ConfigurationError(
-                f"fixed vote vector has {len(self.values)} entries but n={n}"
-            )
-        return list(self.values)
-
-
-def fixed_votes(values: Sequence[int]) -> Callable[[int], List[int]]:
-    """A literal vote vector; only valid for the matching ``n``."""
-    return _FixedVotesPattern(values)
-
-
-class _WeightedVotesPattern:
-    """Weighted random votes, drawn per trial from the trial's derived seed."""
-
-    __slots__ = ("no_probability",)
-
-    def __init__(self, no_probability: float):
-        if not 0.0 <= no_probability <= 1.0:
-            raise ConfigurationError(
-                f"no_probability must be in [0, 1], got {no_probability}"
-            )
-        self.no_probability = no_probability
-
-    def __call__(self, n: int, seed: int) -> List[int]:
-        from repro.workloads.votes import random_votes
-
-        return random_votes(n, no_probability=self.no_probability, seed=seed)
-
-
-def mixed_votes(no_probability: float, label: Optional[str] = None) -> "VoteSpec":
-    """A mixed-vote axis value: each trial draws a fresh weighted vote vector.
-
-    The vector is a pure function of ``(n, derived seed)``, so a trial's votes
-    are identical wherever (and however many times) it runs, while the seeds
-    axis sweeps genuinely different vote mixes through one grid cell.
-    """
-    if label is None:
-        label = f"mixed({no_probability:g})"
-    return VoteSpec(label=label, seeded=_WeightedVotesPattern(no_probability))
-
 
 # --------------------------------------------------------------------------- #
 # axis specs
@@ -149,74 +93,69 @@ class ProtocolSpec:
 
 
 @dataclass(frozen=True)
-class DelaySpec:
-    """A named delay-model factory; called once per trial with the trial seed."""
+class NamedSpec:
+    """One labelled axis value: a registry name plus plain-data parameters.
 
-    label: str
-    factory: Callable[[int], DelayModel]
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """A named fault-plan factory; called once per trial (plans are stateful)."""
-
-    label: str
-    factory: Callable[[], FaultPlan]
-
-
-@dataclass(frozen=True)
-class VoteSpec:
-    """A named vote pattern: a function of ``n``, or of ``(n, trial seed)``.
-
-    Exactly one of ``pattern`` (deterministic in ``n``; resolvable once per
-    grid cell) or ``seeded`` (drawn per trial from the derived seed, e.g.
-    weighted random vote mixes — see :func:`mixed_votes`) must be set.
+    Pure plain data, so equal specs compare equal and a grid built from them
+    pickles under any multiprocessing start method (as long as the parameter
+    values do).  ``params`` is a tuple of ``(key, value)`` pairs.
+    ``build(...)`` takes what the engine knows per trial — see each subclass
+    — and resolves the name in :mod:`repro.exp.registry` *in the process
+    running the trial*.
     """
 
     label: str
-    pattern: Optional[Callable[[int], List[int]]] = None
-    seeded: Optional[Callable[[int, int], List[int]]] = None
+    name: str
+    params: Tuple[Tuple[str, Any], ...] = ()
+
+    axis: ClassVar[str]  # the GridSpec field, for error messages
+    registry: ClassVar[Registry]
 
     def __post_init__(self) -> None:
-        if (self.pattern is None) == (self.seeded is None):
-            raise ConfigurationError(
-                f"VoteSpec {self.label!r} needs exactly one of pattern= or seeded="
-            )
+        try:
+            self.registry.check(self.name, dict(self.params))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{self.axis}[{self.label!r}]: {exc}") from None
 
-    @property
-    def per_trial(self) -> bool:
-        """Whether the vote vector depends on the trial seed."""
-        return self.seeded is not None
-
-    def resolve(self, n: int, seed: int) -> List[int]:
-        if self.seeded is not None:
-            return self.seeded(n, seed)
-        return self.pattern(n)
+    def build(self, *supplied: Any) -> Any:
+        return self.registry.build(self.name, self.params, *supplied)
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """A named transaction-workload factory for :mod:`repro.db` cluster trials.
+class DelaySpec(NamedSpec):
+    """``build(seed)`` -> a fresh :class:`~repro.sim.network.DelayModel`."""
 
-    A trial carrying a workload runs a *cluster* battery instead of a bare
-    protocol execution: ``n`` becomes the partition count, ``f`` the embedded
-    commit protocol's resilience, and ``factory(n, seed)`` produces the
-    transaction list (rebuilt per trial so workloads can scale with the
-    partition count and reseed with the trial).  The votes axis does not apply
-    to cluster trials — votes come from lock conflicts inside the partitions.
+    axis, registry = "delays", DELAYS
+
+
+class FaultSpec(NamedSpec):
+    """``build()`` -> the trial's :class:`~repro.sim.faults.FaultPlan`."""
+
+    axis, registry = "faults", FAULTS
+
+
+class VoteSpec(NamedSpec):
+    """``build(n, seed)`` -> the trial's vote vector."""
+
+    axis, registry = "votes", VOTES
+
+
+class WorkloadSpec(NamedSpec):
+    """``build(n, seed)`` -> the transactions of a :mod:`repro.db` cluster trial.
+
+    ``n`` is the partition count there and ``f`` the embedded commit
+    protocol's resilience; the votes axis does not apply — votes come from
+    lock conflicts inside the partitions.
     """
 
-    label: str
-    factory: Callable[[int, int], Sequence[Any]]
+    axis, registry = "workloads", WORKLOADS
 
 
 @dataclass(frozen=True)
 class ScheduleSpec:
     """A named schedule-exploration strategy for the ``schedules`` axis.
 
-    Pure plain data — a registry strategy name plus parameter pairs — so a
-    grid carrying schedules pickles under any multiprocessing start method.
-    ``build(seed)`` resolves the name against
+    The same shape as :class:`NamedSpec` with the name field called
+    ``strategy``.  ``build(seed)`` resolves it against
     :mod:`repro.explore.strategies` and returns a fresh controller seeded
     with the trial's derived seed (controllers are single-use).
     """
@@ -236,18 +175,12 @@ class ScheduleSpec:
         return make_strategy(self.strategy, seed=seed, **dict(self.params))
 
 
-# Accepted shorthand for each axis (normalised by the coerce_* helpers below).
-ProtocolLike = Union[str, type, Tuple[str, type], ProtocolSpec]
-DelayLike = Union[None, str, DelayModel, Tuple[str, Callable[..., DelayModel]], DelaySpec]
-FaultLike = Union[None, str, FaultPlan, Tuple[str, Union[FaultPlan, Callable[[], FaultPlan]]], FaultSpec]
-VoteLike = Union[str, Tuple[str, Callable[[int], List[int]]], VoteSpec]
-WorkloadLike = Union[None, str, Tuple[str, Any], WorkloadSpec]
-ScheduleLike = Union[None, str, Tuple[str, str], Tuple[str, str, Dict[str, Any]], ScheduleSpec]
+# --------------------------------------------------------------------------- #
+# the axis grammar (the table in the module docstring)
+# --------------------------------------------------------------------------- #
 
-_NAMED_PATTERNS: Dict[str, Callable[[int], List[int]]] = {
-    "all-yes": all_yes,
-    "all-no": all_no,
-}
+ProtocolLike = Union[str, type, Tuple[str, type], ProtocolSpec]
+AxisLike = Union[None, str, tuple, FaultPlan, NamedSpec, ScheduleSpec]
 
 
 def coerce_protocol(value: ProtocolLike) -> ProtocolSpec:
@@ -267,269 +200,132 @@ def coerce_protocol(value: ProtocolLike) -> ProtocolSpec:
     raise ConfigurationError(f"cannot interpret {value!r} as a protocol axis value")
 
 
-class _TemplateDelayFactory:
-    """Per-trial deep copy of a delay-model instance, reseeded with the trial.
+#: a literal-data form: source -> (registry name, params, label of the bare
+#: form or None when it has none), or None when the source is not that literal
+Literal = Callable[[Any], Optional[Tuple[str, Dict[str, Any], Optional[str]]]]
 
-    A model instance on the axis must be deep-copied per trial so RNG state
-    is never shared, then reseeded with the trial seed — otherwise every seed
-    on the seeds axis would replay the identical delay sequence.  Picklable
-    whenever the template model is.
+
+def _literal_plan(source: Any):
+    if isinstance(source, FaultPlan):
+        return "plan", {"plan": source}, source.description or "fault-plan"
+    return None
+
+
+def _literal_votes(source: Any):
+    if isinstance(source, Sequence):
+        return "fixed", {"values": tuple(source)}, None
+    return None
+
+
+def _literal_transactions(source: Any):
+    # a TransactionWorkload or a plain transaction sequence
+    transactions = getattr(source, "transactions", source)
+    if isinstance(transactions, Sequence):
+        return "verbatim", {"transactions": tuple(transactions)}, None
+    return None
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"probability must be in [0, 1], got {value}")
+    return value
+
+
+#: GridSpec field -> what its axis adds to the shared grammar, in expansion
+#: order: the spec class; the (label, name) that ``None`` stands for (no pair:
+#: the axis is unused); the literal-data form; the string sugar
+#: "<name>:<text>" -> (the parameter the text sets, its parser); and where a
+#: callable belongs instead of on the axis
+_AXES: Dict[str, Tuple[type, Optional[Tuple[str, str]], Optional[Literal], dict, str]] = {
+    "delays": (DelaySpec, ("U=1", "fixed"), None, {}, "register_delay_model"),
+    "faults": (
+        FaultSpec, ("failure-free", "failure-free"), _literal_plan, {}, "register_fault_plan"
+    ),
+    "votes": (
+        VoteSpec,
+        ("all-yes", "all-yes"),
+        _literal_votes,
+        {"one-no": ("pid", int), "mixed": ("no_probability", _probability)},
+        "register_vote_pattern",
+    ),
+    "workloads": (WorkloadSpec, None, _literal_transactions, {}, "register_workload"),
+    "schedules": (ScheduleSpec, None, None, {}, "repro.explore.strategies.register_strategy"),
+}
+
+
+def coerce_axis(axis: str, value: AxisLike) -> Union[None, NamedSpec, ScheduleSpec]:
+    """Normalise one value of ``axis`` (a GridSpec field name) into its spec.
+
+    The one parser of the axis grammar (module docstring); returns ``None``
+    where the axis is unused.  Everything it rejects is a
+    :class:`~repro.errors.ConfigurationError` naming the axis and, where the
+    value has one, the label.
     """
-
-    __slots__ = ("template",)
-
-    def __init__(self, template: DelayModel):
-        self.template = template
-
-    def __call__(self, seed: int) -> DelayModel:
-        model = copy.deepcopy(self.template)
-        rng = getattr(model, "_rng", None)
-        if isinstance(rng, random.Random):
-            rng.seed(seed)
-        return model
-
-
-def coerce_delay(value: DelayLike) -> DelaySpec:
-    # resolved lazily to keep module import order simple
-    from repro.exp.registry import NamedDelayFactory, named_delay
-
-    if isinstance(value, DelaySpec):
+    spec_cls, default, literal, sugar, registrar = _AXES[axis]
+    if isinstance(value, spec_cls):
         return value
-    if value is None:
-        return DelaySpec(label="U=1", factory=NamedDelayFactory("fixed", {}))
-    if isinstance(value, str):
-        # a registry name: always spawn-safe (see repro.exp.registry)
-        return named_delay(value)
-    if isinstance(value, tuple):
-        if len(value) == 3:
-            label, name, params = value
-            if not isinstance(name, str):
-                raise ConfigurationError(
-                    f"cannot interpret {value!r} as a delay axis value: a "
-                    f"3-tuple must be (label, registry_name, params)"
-                )
-            return named_delay(name, label=label, **dict(params))
-        label, factory = value
-        if isinstance(factory, str):
-            return named_delay(factory, label=label)
-        return DelaySpec(label=label, factory=_seed_aware(factory))
-    if hasattr(value, "delay") and hasattr(value, "bound"):
-        return DelaySpec(
-            label=type(value).__name__, factory=_TemplateDelayFactory(value)
-        )
-    raise ConfigurationError(f"cannot interpret {value!r} as a delay axis value")
-
-
-class _SeedAwareFactory:
-    """Adapter letting a factory take the trial seed or no argument at all.
-
-    Picklable whenever the wrapped factory is (a lambda still is not — use a
-    registry name for spawn-safe grids).
-    """
-
-    __slots__ = ("factory", "takes_seed")
-
-    def __init__(self, factory: Callable[..., DelayModel], takes_seed: bool):
-        self.factory = factory
-        self.takes_seed = takes_seed
-
-    def __call__(self, seed: int) -> DelayModel:
-        return self.factory(seed) if self.takes_seed else self.factory()
-
-
-def _seed_aware(factory: Callable[..., DelayModel]) -> Callable[[int], DelayModel]:
-    """Wrap a factory so it may take the trial seed or no argument at all.
-
-    Arity is decided by signature inspection, not by catching TypeError — a
-    TypeError raised *inside* the factory body must propagate as-is rather
-    than trigger a misleading second, argument-less call.
-    """
-    try:
-        takes_seed = any(
-            p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD, p.VAR_POSITIONAL)
-            for p in inspect.signature(factory).parameters.values()
-        )
-    except (TypeError, ValueError):  # builtins / C callables without signatures
-        takes_seed = True
-    return _SeedAwareFactory(factory, takes_seed)
-
-
-def _fresh_plan(plan: FaultPlan) -> FaultPlan:
-    """Rebuild a plan with pristine DelayRules (their match counters reset)."""
-    rules = [dataclasses.replace(rule) for rule in plan.delay_rules]
-    return FaultPlan(
-        crashes=dict(plan.crashes),
-        delay_rules=rules,
-        description=plan.description,
-        recoveries=dict(plan.recoveries),
-    )
-
-
-class _PlanTemplateFactory:
-    """Per-trial fresh copy of a literal fault plan.
-
-    Picklable whenever the plan is (plans whose DelayRules carry lambda
-    predicates still are not — those need the fork start method).
-    """
-
-    __slots__ = ("plan",)
-
-    def __init__(self, plan: FaultPlan):
-        self.plan = plan
-
-    def __call__(self) -> FaultPlan:
-        return _fresh_plan(self.plan)
-
-
-def coerce_fault(value: FaultLike) -> FaultSpec:
-    # resolved lazily to keep module import order simple
-    from repro.exp.registry import named_fault
-
-    if isinstance(value, FaultSpec):
-        return value
-    if value is None:
-        return FaultSpec(label="failure-free", factory=FaultPlan.failure_free)
-    if isinstance(value, str):
-        # a registry name ("failure-free", "crash", "rejoin", ...):
-        # always spawn-safe (see repro.exp.registry)
-        return named_fault(value)
-    if isinstance(value, FaultPlan):
-        label = value.description or "fault-plan"
-        return FaultSpec(label=label, factory=_PlanTemplateFactory(value))
-    if isinstance(value, tuple):
-        if len(value) == 3:
-            label, name, params = value
-            if not isinstance(name, str) or not isinstance(params, dict):
-                raise ConfigurationError(
-                    f"cannot interpret {value!r} as a fault axis value: a "
-                    f"3-tuple must be (label, registry_name, params_dict)"
-                )
-            return named_fault(name, label=label, **params)
-        label, plan_or_factory = value
-        if isinstance(plan_or_factory, FaultPlan):
-            return FaultSpec(label=label, factory=_PlanTemplateFactory(plan_or_factory))
-        if plan_or_factory is None:
-            return FaultSpec(label=label, factory=FaultPlan.failure_free)
-        if isinstance(plan_or_factory, str):
-            return named_fault(plan_or_factory, label=label)
-        return FaultSpec(label=label, factory=plan_or_factory)
-    raise ConfigurationError(f"cannot interpret {value!r} as a fault axis value")
-
-
-def coerce_votes(value: VoteLike) -> VoteSpec:
-    if isinstance(value, VoteSpec):
-        return value
-    if isinstance(value, str):
-        if value in _NAMED_PATTERNS:
-            return VoteSpec(label=value, pattern=_NAMED_PATTERNS[value])
-        # parameterised registry names, always spawn-safe:
-        #   "one-no:3"    -> everyone votes 1 except P3
-        #   "mixed:0.25"  -> per-trial weighted random votes, P(no) = 0.25
-        if ":" in value:
-            name, _, arg = value.partition(":")
-            try:
-                if name == "one-no":
-                    return VoteSpec(label=value, pattern=_OneNoPattern(int(arg)))
-                if name == "mixed":
-                    return VoteSpec(
-                        label=value, seeded=_WeightedVotesPattern(float(arg))
-                    )
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"malformed vote pattern {value!r}: {exc}"
-                ) from None
-        known = ", ".join(sorted(_NAMED_PATTERNS) + ["one-no:<pid>", "mixed:<p>"])
-        raise ConfigurationError(f"unknown vote pattern {value!r}; known: {known}")
-    if isinstance(value, tuple):
-        label, pattern = value
-        if not callable(pattern):
-            pattern = fixed_votes(pattern)
-        return VoteSpec(label=label, pattern=pattern)
-    raise ConfigurationError(f"cannot interpret {value!r} as a votes axis value")
-
-
-class _VerbatimWorkload:
-    """A fixed transaction list replayed identically in every trial."""
-
-    __slots__ = ("transactions",)
-
-    def __init__(self, transactions: Sequence[Any]):
-        self.transactions = list(transactions)
-
-    def __call__(self, n: int, seed: int) -> Sequence[Any]:
-        return self.transactions
-
-
-def _workload_factory(source: Any) -> Callable[[int, int], Sequence[Any]]:
-    """Normalise a workload source into a ``factory(n, seed)`` callable.
-
-    Accepted sources: a factory callable, a
-    :class:`~repro.workloads.transactions.TransactionWorkload`, or a plain
-    transaction sequence (the latter two are replayed verbatim per trial).
-    """
-    if callable(source):
-        return source
-    return _VerbatimWorkload(getattr(source, "transactions", source))
-
-
-def coerce_workload(value: WorkloadLike) -> Optional[WorkloadSpec]:
-    if value is None:
-        return None
-    if isinstance(value, WorkloadSpec):
-        return value
-    if isinstance(value, str):
-        # a registry name: always spawn-safe (see repro.exp.registry)
-        from repro.exp.registry import named_workload
-
-        return named_workload(value)
-    if isinstance(value, tuple):
-        if len(value) == 3:
-            label, name, params = value
-            if not isinstance(name, str) or not isinstance(params, dict):
-                raise ConfigurationError(
-                    f"cannot interpret {value!r} as a workload axis value: a "
-                    f"3-tuple must be (label, registry_name, params_dict)"
-                )
-            from repro.exp.registry import named_workload
-
-            return named_workload(name, label=label, **params)
-        label, source = value
-        if isinstance(source, str):
-            from repro.exp.registry import named_workload
-
-            return named_workload(source, label=label)
-        return WorkloadSpec(label=label, factory=_workload_factory(source))
-    raise ConfigurationError(f"cannot interpret {value!r} as a workload axis value")
-
-
-def coerce_schedule(value: ScheduleLike) -> Optional[ScheduleSpec]:
-    """Normalise a schedules-axis value.
-
-    Accepted shorthand: ``None`` (strict timestamp order — the default
-    scheduling, no controller attached), a strategy name string, a
-    ``(label, strategy)`` pair, or ``(label, strategy, params)`` with a
-    plain-data params dict.
-    """
-    if value is None:
-        return None
-    if isinstance(value, ScheduleSpec):
-        return value
-    if isinstance(value, str):
-        return ScheduleSpec(label=value, strategy=value)
+    label, source, params = None, value, None
     if isinstance(value, tuple):
         if len(value) == 2:
-            label, strategy = value
-            params: Dict[str, Any] = {}
+            label, source = value
         elif len(value) == 3:
-            label, strategy, params = value
+            label, source, params = value
         else:
             raise ConfigurationError(
-                f"cannot interpret {value!r} as a schedules axis value"
+                f"cannot interpret {value!r} as a {axis} axis value: a tuple "
+                f"must be (label, name) or (label, name, params)"
             )
-        return ScheduleSpec(
-            label=label, strategy=strategy, params=tuple(sorted(dict(params).items()))
+    where = axis if label is None else f"{axis}[{label!r}]"
+    # `natural` is the label of the bare form, for the forms that have one
+    if source is None and default is not None:
+        natural, source = default
+    elif source is None and label is None:
+        return None
+    elif isinstance(source, str):
+        natural = source
+    else:
+        if callable(source) or (hasattr(source, "delay") and hasattr(source, "bound")):
+            # a factory, a vote function or a model instance: an object on the
+            # axis would be shared by the cell's trials, or need reseeding from
+            # outside; a name is built per trial from the derived seed
+            raise ConfigurationError(
+                f"{where}: {source!r} is not an axis value — callables and "
+                f"delay-model instances are not accepted; register a builder at "
+                f"import time with {registrar}(name, builder) and put the name "
+                f"(with its parameters) on the axis instead"
+            )
+        # a literal-data form stands for a registered name and its parameters
+        found = literal(source) if literal is not None and params is None else None
+        if found is None or (label is None and found[2] is None):
+            raise ConfigurationError(
+                f"{where}: cannot interpret {source!r} as a {axis} axis value "
+                f"(the accepted forms, all but a bare plan labelled, are "
+                f"tabulated in repro.exp.spec)"
+            )
+        source, params, natural = found
+    if params is None:
+        params = {}
+    elif not isinstance(params, dict):
+        raise ConfigurationError(
+            f"{where}: a 3-tuple must be (label, registry_name, params_dict), "
+            f"but the parameters given for {source!r} are {params!r}"
         )
-    raise ConfigurationError(f"cannot interpret {value!r} as a schedules axis value")
+    name, colon, text = source.partition(":")
+    if colon and name in sugar:
+        key, parse = sugar[name]
+        try:
+            source, params = name, {key: parse(text), **params}
+        except ValueError as exc:
+            raise ConfigurationError(f"{where}: malformed {source!r}: {exc}") from None
+    label = natural if label is None else label
+    return spec_cls(label, source, tuple(sorted(params.items())))
+
+
+def mixed_votes(no_probability: float, label: Optional[str] = None) -> VoteSpec:
+    """``"mixed:<p>"`` under the label ``"mixed(<p>)"`` (or the one given)."""
+    label = f"mixed({no_probability:g})" if label is None else label
+    return coerce_axis("votes", (label, "mixed", {"no_probability": no_probability}))
 
 
 # --------------------------------------------------------------------------- #
@@ -606,11 +402,11 @@ class GridSpec:
 
     protocols: Sequence[ProtocolLike] = ()
     systems: Sequence[Tuple[int, int]] = ((5, 2),)
-    delays: Sequence[DelayLike] = (None,)
-    faults: Sequence[FaultLike] = (None,)
-    votes: Sequence[VoteLike] = ("all-yes",)
-    workloads: Sequence[WorkloadLike] = (None,)
-    schedules: Sequence[ScheduleLike] = (None,)
+    delays: Sequence[AxisLike] = (None,)
+    faults: Sequence[AxisLike] = (None,)
+    votes: Sequence[AxisLike] = ("all-yes",)
+    workloads: Sequence[AxisLike] = (None,)
+    schedules: Sequence[AxisLike] = (None,)
     seeds: Sequence[int] = (0,)
     max_time: float = 500.0
     #: ``None`` (default) lets the engine pick per sweep mode: "counters"
@@ -628,33 +424,33 @@ class GridSpec:
             from repro.protocols.registry import protocol_names
 
             self.protocols = tuple(protocol_names())
-        self._protocol_specs = [coerce_protocol(p) for p in self.protocols]
-        self._delay_specs = [coerce_delay(d) for d in self.delays]
-        self._fault_specs = [coerce_fault(fp) for fp in self.faults]
-        self._vote_specs = [coerce_votes(v) for v in self.votes]
-        self._workload_specs = [coerce_workload(w) for w in self.workloads]
-        self._schedule_specs = [coerce_schedule(s) for s in self.schedules]
-        schedule_labels = [s.label for s in self._schedule_specs if s is not None]
-        if len(set(schedule_labels)) != len(schedule_labels):
-            raise ConfigurationError(
-                f"duplicate schedule labels in grid: {schedule_labels}"
-            )
+        self._specs: Dict[str, list] = {
+            "protocols": [coerce_protocol(p) for p in self.protocols]
+        }
+        for axis in _AXES:
+            self._specs[axis] = [coerce_axis(axis, v) for v in getattr(self, axis)]
+        for axis, specs in self._specs.items():
+            # the label is the coordinate: two values under one label would
+            # share their derived seeds and fold into one aggregate row
+            labels = [spec.label if spec is not None else "-" for spec in specs]
+            for label in labels:
+                if labels.count(label) > 1:
+                    raise ConfigurationError(
+                        f"duplicate label {label!r} on the {axis} axis "
+                        f"(labels: {labels}); every value of an axis needs "
+                        f"its own label"
+                    )
         for n, f in self.systems:
             if not 1 <= f <= n - 1:
                 raise ConfigurationError(f"invalid system size (n={n}, f={f})")
-        labels = [p.label for p in self._protocol_specs]
-        if len(set(labels)) != len(labels):
-            raise ConfigurationError(f"duplicate protocol labels in grid: {labels}")
         # cluster trials derive their votes from lock conflicts, so crossing a
         # workload with a multi-valued votes axis would just replay identical
         # cluster runs under different vote labels — misleading, not useful.
         # (schedules x workloads, by contrast, is a supported grid: a cluster
         # trial carrying a ScheduleSpec runs under the schedule controller.)
-        if any(w is not None for w in self._workload_specs) and len(self._vote_specs) > 1:
-            workload_labels = [
-                w.label for w in self._workload_specs if w is not None
-            ]
-            vote_labels = [v.label for v in self._vote_specs]
+        workload_labels = [w.label for w in self._specs["workloads"] if w is not None]
+        vote_labels = [v.label for v in self._specs["votes"]]
+        if workload_labels and len(vote_labels) > 1:
             raise ConfigurationError(
                 f"unsupported axis combination: workloads={workload_labels!r} "
                 f"cannot be crossed with the multi-valued votes axis "
@@ -666,47 +462,35 @@ class GridSpec:
 
     @property
     def size(self) -> int:
-        return (
-            len(self._protocol_specs)
-            * len(self.systems)
-            * len(self._delay_specs)
-            * len(self._fault_specs)
-            * len(self._vote_specs)
-            * len(self._workload_specs)
-            * len(self._schedule_specs)
-            * len(self.seeds)
-        )
+        axes = (*self._specs.values(), self.systems, self.seeds)
+        return math.prod(len(values) for values in axes)
 
     def trials(self) -> List[TrialSpec]:
         """Expand the grid into its flat, deterministically-ordered trial list."""
-        out: List[TrialSpec] = []
-        index = 0
-        for protocol in self._protocol_specs:
-            for n, f in self.systems:
-                for delay in self._delay_specs:
-                    for fault in self._fault_specs:
-                        for votes in self._vote_specs:
-                            for workload in self._workload_specs:
-                                for schedule in self._schedule_specs:
-                                    for seed in self.seeds:
-                                        out.append(
-                                            TrialSpec(
-                                                index=index,
-                                                protocol=protocol,
-                                                n=n,
-                                                f=f,
-                                                delay=delay,
-                                                fault=fault,
-                                                votes=votes,
-                                                base_seed=seed,
-                                                max_time=self.max_time,
-                                                workload=workload,
-                                                trace_level=self.trace_level,
-                                                schedule=schedule,
-                                            )
-                                        )
-                                        index += 1
-        return out
+        specs = self._specs
+        cells = itertools.product(
+            specs["protocols"], self.systems, specs["delays"], specs["faults"],
+            specs["votes"], specs["workloads"], specs["schedules"], self.seeds,
+        )
+        return [
+            TrialSpec(
+                index=index,
+                protocol=protocol,
+                n=n,
+                f=f,
+                delay=delay,
+                fault=fault,
+                votes=votes,
+                base_seed=seed,
+                max_time=self.max_time,
+                workload=workload,
+                trace_level=self.trace_level,
+                schedule=schedule,
+            )
+            for index, (
+                protocol, (n, f), delay, fault, votes, workload, schedule, seed
+            ) in enumerate(cells)
+        ]
 
 
 def make_cases(
@@ -745,14 +529,14 @@ def make_cases(
                 protocol=coerce_protocol(case.get("protocol", "INBAC")),
                 n=int(case.get("n", 5)),
                 f=int(case.get("f", 2)),
-                delay=coerce_delay(case.get("delay")),
-                fault=coerce_fault(case.get("fault")),
-                votes=coerce_votes(case.get("votes", "all-yes")),
+                delay=coerce_axis("delays", case.get("delay")),
+                fault=coerce_axis("faults", case.get("fault")),
+                votes=coerce_axis("votes", case.get("votes")),
                 base_seed=int(case.get("seed", base_seed)),
                 max_time=float(case.get("max_time", max_time)),
-                workload=coerce_workload(case.get("workload")),
+                workload=coerce_axis("workloads", case.get("workload")),
                 trace_level=trace_level,
-                schedule=coerce_schedule(case.get("schedule")),
+                schedule=coerce_axis("schedules", case.get("schedule")),
             )
         )
     return out

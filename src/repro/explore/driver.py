@@ -29,7 +29,7 @@ from repro.core.lattice import ALL_PROPS, Prop, PropertyPair
 from repro.errors import ConfigurationError
 from repro.exp.engine import run_trial, run_trials
 from repro.exp.results import TrialResult
-from repro.exp.spec import GridSpec, ScheduleSpec, TrialSpec, coerce_schedule
+from repro.exp.spec import GridSpec, ScheduleSpec, TrialSpec, coerce_axis
 from repro.explore.schedule import ScheduleTrace
 
 #: property name -> TrialResult attribute
@@ -208,20 +208,21 @@ def _schedule_specs(
     params = dict(params or {})
     if strategy == "crash-point":
         if "point" in params:
-            return [coerce_schedule((strategy, strategy, params))], [0]
+            return [coerce_axis("schedules", (strategy, strategy, params))], [0]
         # enumerate phase-boundary ordinals; each boundary's owning process
         # is crashed unless an explicit pid pins the victim
         points = int(params.pop("points", max(4, 2 * n)))
         pid = params.pop("pid", 0)
         specs = [
-            coerce_schedule(
+            coerce_axis(
+                "schedules",
                 (f"crash-point[pid={pid},point={point}]", "crash-point",
-                 {**params, "pid": pid, "point": point})
+                 {**params, "pid": pid, "point": point}),
             )
             for point in range(points)
         ]
         return specs[:budget], [0]
-    spec = coerce_schedule((strategy, strategy, params))
+    spec = coerce_axis("schedules", (strategy, strategy, params))
     return [spec], list(range(budget))
 
 
@@ -239,8 +240,9 @@ def _cluster_anomaly_specs(
     pids = list(range(1, n + 2))
     points = max(2, -(-budget // len(pids)))  # ceil(budget / processes)
     specs = [
-        coerce_schedule(
-            (f"crash[P{pid}@{point}]", "crash-point", {"pid": pid, "point": point})
+        coerce_axis(
+            "schedules",
+            (f"crash[P{pid}@{point}]", "crash-point", {"pid": pid, "point": point}),
         )
         for point in range(points)
         for pid in pids
@@ -264,12 +266,13 @@ def _cluster_rejoin_specs(
     per_point = len(pids) * len(gaps)
     points = max(2, -(-budget // per_point))  # ceil(budget / (pids x gaps))
     specs = [
-        coerce_schedule(
+        coerce_axis(
+            "schedules",
             (
                 f"rejoin[P{pid}@{point}+{gap}]",
                 "crash-point",
                 {"pid": pid, "point": point, "recover_after": gap},
-            )
+            ),
         )
         for point in range(points)
         for pid in pids
@@ -348,7 +351,7 @@ def explore(
             raise ConfigurationError(
                 f"preset={preset!r} explores cluster trials; pass a "
                 f"workload= (any GridSpec workloads-axis shorthand, e.g. "
-                f"'uniform' or ('name', factory))"
+                f"'uniform' or ('label', 'uniform', {{'transactions': 8}}))"
             )
         if preset == "cluster-rejoin":
             schedules, seed_axis = _cluster_rejoin_specs(budget, n)

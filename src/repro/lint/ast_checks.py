@@ -66,7 +66,7 @@ class FileContext:
 
     path: Path
     relpath: str
-    kind: str  # "src" | "benchmarks" | "tests" | "other"
+    kind: str  # "src" | "benchmarks" | "tests" | "examples" | "other"
     text: str
     tree: ast.Module
     lines: List[str]
@@ -451,7 +451,7 @@ def classify_path(path: Path, root: Optional[Path] = None) -> Tuple[str, str]:
     parts = rel.parts
     kind = "other"
     if parts:
-        if parts[0] in ("src", "benchmarks", "tests"):
+        if parts[0] in ("src", "benchmarks", "tests", "examples"):
             kind = parts[0]
         elif "site-packages" not in parts and "repro" in parts:
             kind = "src"

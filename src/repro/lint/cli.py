@@ -28,8 +28,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src", "benchmarks", "tests"],
-        help="files or directories to lint (default: src benchmarks tests)",
+        default=["src", "benchmarks", "tests", "examples"],
+        help="files or directories to lint (default: src benchmarks tests examples)",
     )
     parser.add_argument(
         "--format",

@@ -261,7 +261,7 @@ class IdHashOrderingRule(Rule):
 
     rule_id = "DET003"
     description = "id()/hash()-keyed ordering"
-    kinds = ("src", "benchmarks", "tests")
+    kinds = ("src", "benchmarks", "tests", "examples")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -44,8 +44,11 @@ SPEC_CALLS = frozenset(
         "DelayRule",
         "FaultPlan",
         "named_delay",
+        "named_fault",
         "named_workload",
         "register_delay_model",
+        "register_fault_plan",
+        "register_vote_pattern",
         "register_workload",
         "register_reducer",
         "register_strategy",
@@ -77,15 +80,17 @@ def _local_def_names(tree: ast.Module) -> Dict[ast.AST, Set[str]]:
 class SpawnSafetyRule(Rule):
     """SP001 — lambda / local closure in a spec field.
 
-    Such values cannot cross a ``spawn`` process boundary; use a
-    registry-named factory (``named_delay``/``named_workload``/register_*)
-    or a module-level callable instead.  The fields scanned are exactly the
-    ones :func:`repro.exp.engine.ensure_spawn_safe` pickles at runtime.
+    Such values cannot cross a ``spawn`` process boundary — and on the
+    delay, fault, votes and workload axes a callable is not an axis value at
+    all (:mod:`repro.exp.spec` rejects it when the grid is built); use a
+    registry name (``named_*`` / ``register_*`` with a module-level builder)
+    instead.  The fields scanned are exactly the ones
+    :func:`repro.exp.engine.ensure_spawn_safe` pickles at runtime.
     """
 
     rule_id = "SP001"
     description = "non-picklable value (lambda/local closure) in a spec field"
-    kinds = ("src", "benchmarks")
+    kinds = ("src", "benchmarks", "examples")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         local_defs = _local_def_names(ctx.tree)
@@ -121,8 +126,7 @@ class SpawnSafetyRule(Rule):
                                 sub,
                                 f"lambda in a {name}(...) spec field cannot "
                                 "cross a spawn process boundary; use a "
-                                "registry-named factory or a module-level "
-                                "callable",
+                                "registry name or a module-level callable",
                             )
                         elif (
                             func is not None

@@ -4,7 +4,7 @@
   (uniform and Zipfian key access, configurable read/write mix, bank-transfer
   style transfers, adjustable contention).
 * :mod:`repro.workloads.votes` — vote-pattern generators for protocol-level
-  experiments (all-yes, one-no, random-no with a given probability).
+  experiments (all-yes, all-no, one-no, random-no with a given probability).
 """
 
 from repro.workloads.transactions import (
@@ -13,10 +13,11 @@ from repro.workloads.transactions import (
     hotspot_workload,
     uniform_workload,
 )
-from repro.workloads.votes import all_yes, one_no, random_votes
+from repro.workloads.votes import all_no, all_yes, one_no, random_votes
 
 __all__ = [
     "TransactionWorkload",
+    "all_no",
     "all_yes",
     "bank_transfer_workload",
     "hotspot_workload",

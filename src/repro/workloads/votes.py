@@ -16,6 +16,13 @@ def all_yes(n: int) -> List[int]:
     return [COMMIT] * n
 
 
+def all_no(n: int) -> List[int]:
+    """Every process votes 0."""
+    if n < 1:
+        raise ConfigurationError(f"n must be positive, got {n}")
+    return [ABORT] * n
+
+
 def one_no(n: int, which: int = 1) -> List[int]:
     """Every process votes 1 except ``P_which``."""
     votes = all_yes(n)

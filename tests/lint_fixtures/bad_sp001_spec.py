@@ -1,6 +1,6 @@
 """Fixture: SP001 — lambda / local closure in a spec field."""
 
-from repro.exp import GridSpec
+from repro.exp import GridSpec, register_fault_plan, register_vote_pattern
 
 
 def build():
@@ -13,3 +13,7 @@ def build():
         delays=[("slow", lambda seed: seed)],
         workloads=[("w", local_delay)],
     )
+
+
+register_fault_plan("x", lambda: None)
+register_vote_pattern("y", lambda n, seed: [1] * n)

@@ -21,10 +21,24 @@ import pytest
 
 from repro.db import ClusterConfig, run_cluster
 from repro.errors import ConfigurationError
-from repro.exp import GridSpec, SweepAggregate, run_sweep
+from repro.exp import GridSpec, SweepAggregate, register_workload, run_sweep
 from repro.sim.faults import FaultPlan
-from repro.sim.network import UniformDelay
 from repro.workloads import bank_transfer_workload
+
+
+#: what the "test-probe" workload builder was called with, in call order
+PROBE_CALLS = []
+
+
+def probe_workload(n, seed, transfers):
+    PROBE_CALLS.append((n, seed, transfers))
+    return bank_transfer_workload(
+        num_transfers=transfers, num_partitions=n, seed=13
+    ).transactions
+
+
+# at import time, as a registration must be
+register_workload("test-probe", probe_workload)
 
 
 def stochastic_grid(seeds=(0, 1, 2)):
@@ -32,7 +46,7 @@ def stochastic_grid(seeds=(0, 1, 2)):
     return GridSpec(
         protocols=["INBAC", "2PC", "PaxosCommit"],
         systems=[(4, 1), (5, 2)],
-        delays=[None, ("uniform", lambda seed: UniformDelay(0.2, 1.0, seed=seed))],
+        delays=[None, ("uniform", "uniform", {"lo": 0.2, "hi": 1.0})],
         faults=[None, ("crash P1", FaultPlan.crash(1, at=0.0))],
         seeds=list(seeds),
     )
@@ -218,19 +232,17 @@ class TestClusterWorkloadAxis:
         seeds = {t.workload_label: t.derived_seed for t in two.trials() if t.protocol.label == "2PC"}
         assert seeds["bank"] != seeds["bank-2"]
 
-    def test_workload_factory_receives_n_and_seed(self):
-        seen = []
-
-        def factory(n, seed):
-            seen.append((n, seed))
-            return self.workload().transactions
-
+    def test_registered_workload_builder_receives_n_seed_and_params(self):
+        del PROBE_CALLS[:]
         sweep = run_sweep(
-            self.cluster_grid(protocols=["2PC"], workloads=[("factory", factory)]),
+            self.cluster_grid(
+                protocols=["2PC"],
+                workloads=[("probe", "test-probe", {"transfers": 6})],
+            ),
             workers=1,
         )
         assert not sweep.errors()
-        assert seen == [(4, sweep.trials[0].derived_seed)]
+        assert PROBE_CALLS == [(4, sweep.trials[0].derived_seed, 6)]
 
     def test_bad_workload_axis_value_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -18,14 +18,13 @@ from repro.errors import ConfigurationError
 from repro.exp import GridSpec, run_sweep
 from repro.exp.results import CellAccumulator, SweepAggregate
 from repro.sim.faults import FaultPlan
-from repro.sim.network import UniformDelay
 
 
 def stochastic_grid(seeds=(0, 1, 2)):
     return GridSpec(
         protocols=["INBAC", "2PC", "PaxosCommit"],
         systems=[(4, 1), (5, 2)],
-        delays=[None, ("uniform", lambda seed: UniformDelay(0.2, 1.0, seed=seed))],
+        delays=[None, ("uniform", "uniform", {"lo": 0.2, "hi": 1.0})],
         faults=[None, ("crash P1", FaultPlan.crash(1, at=0.0))],
         seeds=list(seeds),
     )
@@ -162,7 +161,7 @@ class TestMergePrimitives:
             GridSpec(
                 protocols=["2PC"],
                 systems=[(5, 2)],
-                delays=[("uniform", lambda seed: UniformDelay(0.2, 1.0, seed=seed))],
+                delays=[("uniform", "uniform", {"lo": 0.2, "hi": 1.0})],
                 seeds=range(9),
             ),
             workers=1,

@@ -12,7 +12,7 @@ from repro.exp import (
     run_sweep,
     run_trial,
 )
-from repro.exp.spec import coerce_schedule, coerce_votes, make_cases
+from repro.exp.spec import coerce_axis, make_cases
 
 
 class TestScheduleAxis:
@@ -128,15 +128,15 @@ class TestScheduleAxis:
         assert "separate, workload-free grid" in message
 
     def test_coerce_schedule_shorthands(self):
-        assert coerce_schedule(None) is None
-        spec = coerce_schedule("delay-reorder")
+        assert coerce_axis("schedules", None) is None
+        spec = coerce_axis("schedules", "delay-reorder")
         assert (spec.label, spec.strategy) == ("delay-reorder", "delay-reorder")
-        spec = coerce_schedule(("lbl", "crash-point"))
+        spec = coerce_axis("schedules", ("lbl", "crash-point"))
         assert (spec.label, spec.strategy, spec.params) == ("lbl", "crash-point", ())
         with pytest.raises(ConfigurationError):
-            coerce_schedule(("a", "b", {}, "extra"))
+            coerce_axis("schedules", ("a", "b", {}, "extra"))
         with pytest.raises(ConfigurationError):
-            coerce_schedule(42)
+            coerce_axis("schedules", 42)
 
 
 class TestMixedVotes:
@@ -153,35 +153,36 @@ class TestMixedVotes:
         outcomes = {t.all_committed for t in once}
         assert outcomes == {True, False}
 
-    def test_mixed_votes_resolve_from_derived_seed(self):
+    def test_mixed_votes_build_from_derived_seed(self):
         spec = mixed_votes(0.3)
-        assert spec.per_trial
-        assert spec.resolve(8, 42) == spec.resolve(8, 42)
-        assert spec.resolve(8, 42) != spec.resolve(8, 43) or spec.resolve(
+        assert (spec.label, spec.name) == ("mixed(0.3)", "mixed")
+        assert spec.build(8, 42) == spec.build(8, 42)
+        assert spec.build(8, 42) != spec.build(8, 43) or spec.build(
             8, 1
-        ) != spec.resolve(8, 2)
+        ) != spec.build(8, 2)
 
     def test_named_string_patterns(self):
-        one_no = coerce_votes("one-no:3")
-        assert one_no.resolve(5, 0) == [1, 1, 0, 1, 1]
-        mixed = coerce_votes("mixed:0.25")
-        assert mixed.per_trial
-        votes = mixed.resolve(10, 5)
+        one_no = coerce_axis("votes", "one-no:3")
+        assert one_no.build(5, 0) == [1, 1, 0, 1, 1]
+        mixed = coerce_axis("votes", "mixed:0.25")
+        assert mixed == coerce_axis("votes", ("mixed:0.25", "mixed", {"no_probability": 0.25}))
+        votes = mixed.build(10, 5)
         assert set(votes) <= {0, 1} and len(votes) == 10
         with pytest.raises(ConfigurationError):
-            coerce_votes("one-no:zero")
+            coerce_axis("votes", "one-no:zero")
         with pytest.raises(ConfigurationError):
-            coerce_votes("mixed:1.5")
+            coerce_axis("votes", "mixed:1.5")
         with pytest.raises(ConfigurationError):
-            coerce_votes("unknown-pattern")
+            coerce_axis("votes", "unknown-pattern")
 
-    def test_vote_spec_needs_exactly_one_pattern(self):
-        from repro.exp import VoteSpec, all_yes
+    def test_vote_spec_checks_its_name_and_parameters_when_constructed(self):
+        from repro.exp import VoteSpec
 
-        with pytest.raises(ConfigurationError):
-            VoteSpec(label="both", pattern=all_yes, seeded=lambda n, s: [1] * n)
-        with pytest.raises(ConfigurationError):
-            VoteSpec(label="neither")
+        assert VoteSpec("p3", "one-no", (("pid", 3),)).build(4, 0) == [1, 1, 0, 1]
+        with pytest.raises(ConfigurationError, match="votes"):
+            VoteSpec("x", "no-such-pattern")
+        with pytest.raises(ConfigurationError, match="pid"):
+            VoteSpec("x", "one-no")
 
     def test_mixed_votes_commit_rate_tracks_probability(self):
         # with P(no)=0 every trial commits; with P(no)=0.8 almost none do

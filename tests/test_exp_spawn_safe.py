@@ -16,8 +16,6 @@ from repro.exp import (
     run_trials,
 )
 from repro.exp.registry import (
-    NamedDelayFactory,
-    NamedWorkloadFactory,
     delay_model_names,
     reducer_names,
     workload_names,
@@ -44,27 +42,21 @@ class TestEnsureSpawnSafe:
     def test_registry_named_grid_passes(self):
         ensure_spawn_safe(registry_grid().trials())
 
-    def test_lambda_delay_is_named_in_the_error(self):
-        grid = GridSpec(
-            protocols=["2PC"], systems=[(4, 1)],
-            delays=[("adversary", lambda seed: None)], seeds=range(6),
-        )
-        with pytest.raises(ConfigurationError) as err:
-            ensure_spawn_safe(grid.trials())
-        assert "delays['adversary']" in str(err.value)
-        assert "spawn" in str(err.value)
-
-    def test_lambda_fault_predicate_is_named_in_the_error(self):
+    def predicate_grid(self, seeds):
+        # the one place a grid still carries a closure: inside a literal plan
         plan = FaultPlan(
             delay_rules=[DelayRule(predicate=lambda p: True, delay=30.0)],
             description="pred",
         )
-        grid = GridSpec(
-            protocols=["2PC"], systems=[(4, 1)], faults=[("pred", plan)], seeds=range(6)
+        return GridSpec(
+            protocols=["2PC"], systems=[(4, 1)], faults=[("pred", plan)], seeds=seeds
         )
+
+    def test_lambda_fault_predicate_is_named_in_the_error(self):
         with pytest.raises(ConfigurationError) as err:
-            ensure_spawn_safe(grid.trials())
+            ensure_spawn_safe(self.predicate_grid(range(6)).trials())
         assert "faults['pred']" in str(err.value)
+        assert "spawn" in str(err.value)
 
     def test_unpicklable_collector_is_reported(self):
         trials = GridSpec(protocols=["2PC"], systems=[(4, 1)], seeds=[0]).trials()
@@ -73,13 +65,9 @@ class TestEnsureSpawnSafe:
         assert "collector" in str(err.value)
 
     def test_explicit_spawn_request_validates_loudly(self):
-        grid = GridSpec(
-            protocols=["2PC"], systems=[(4, 1)],
-            delays=[("adversary", lambda seed: None)], seeds=range(8),
-        )
         with pytest.raises(ConfigurationError) as err:
-            run_sweep(grid, workers=2, start_method="spawn")
-        assert "delays['adversary']" in str(err.value)
+            run_sweep(self.predicate_grid(range(8)), workers=2, start_method="spawn")
+        assert "faults['pred']" in str(err.value)
 
     def test_unknown_start_method_rejected(self):
         grid = GridSpec(protocols=["2PC"], systems=[(4, 1)], seeds=range(4))
@@ -175,24 +163,26 @@ class TestDelayRegistry:
 
     def test_named_delay_builds_seeded_models(self):
         spec = named_delay("uniform", lo=0.5, hi=1.0)
-        model = spec.factory(7)
+        model = spec.build(7)
         assert isinstance(model, UniformDelay)
         assert (model.lo, model.hi) == (0.5, 1.0)
         # per-trial seeding: same seed, same sequence
-        a = spec.factory(7).delay(1, 2, None, 0.0)
-        b = spec.factory(7).delay(1, 2, None, 0.0)
+        a = spec.build(7).delay(1, 2, None, 0.0)
+        b = spec.build(7).delay(1, 2, None, 0.0)
         assert a == b
         assert spec.label == "uniform(hi=1.0,lo=0.5)"
-        heavy = named_delay("lognormal", label="tail").factory(3)
+        heavy = named_delay("lognormal", label="tail").build(3)
         assert isinstance(heavy, LognormalDelay)
 
     def test_unknown_delay_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NamedDelayFactory("no-such-model", {})
+        with pytest.raises(ConfigurationError, match="unknown delay model"):
+            named_delay("no-such-model")
 
-    def test_factory_equality_feeds_cell_memoisation(self):
-        assert NamedDelayFactory("fixed", {}) == NamedDelayFactory("fixed", {})
-        assert NamedDelayFactory("fixed", {}) != NamedDelayFactory("uniform", {})
+    def test_specs_compare_by_label_name_and_parameters(self):
+        assert named_delay("fixed") == named_delay("fixed")
+        assert named_delay("fixed") != named_delay("uniform")
+        assert named_delay("fixed") != named_delay("fixed", label="U=1")
+        assert named_delay("uniform", lo=0.5) != named_delay("uniform", lo=0.4)
 
 
 class TestWorkloadRegistry:
@@ -201,29 +191,29 @@ class TestWorkloadRegistry:
 
     def test_named_workload_builds_seeded_transactions(self):
         spec = named_workload("bank-transfer", transactions=3)
-        txns = spec.factory(4, 7)
+        txns = spec.build(4, 7)
         assert len(txns) == 3
         assert all(len(t.participants()) == 2 for t in txns)
         # per-trial seeding: same (n, seed) -> identical workload
-        again = spec.factory(4, 7)
+        again = spec.build(4, 7)
         assert [t.txn_id for t in txns] == [t.txn_id for t in again]
         assert [t.operations for t in txns] == [t.operations for t in again]
         assert spec.label == "bank-transfer(transactions=3)"
 
     def test_unknown_workload_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NamedWorkloadFactory("no-such-workload", {})
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="unknown workload"):
+            named_workload("no-such-workload")
+        with pytest.raises(ConfigurationError, match="unknown workload"):
             GridSpec(protocols=["2PC"], workloads=["no-such-workload"])
 
-    def test_factory_equality_and_pickling(self):
+    def test_spec_equality_and_pickling(self):
         import pickle
 
-        factory = NamedWorkloadFactory("uniform", {"transactions": 5})
-        assert factory == NamedWorkloadFactory("uniform", {"transactions": 5})
-        assert factory != NamedWorkloadFactory("uniform", {})
-        clone = pickle.loads(pickle.dumps(factory))
-        assert clone == factory
+        spec = named_workload("uniform", transactions=5)
+        assert spec == named_workload("uniform", transactions=5)
+        assert spec != named_workload("uniform")
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
 
     def test_spawn_pool_reproduces_a_cluster_schedule_sweep(self):
         grid = lambda: GridSpec(

@@ -19,18 +19,16 @@ from repro.errors import ConfigurationError
 from repro.exp import (
     GridSpec,
     TrialSpec,
-    all_yes,
     make_cases,
     run_sweep,
     run_trial,
     run_trials,
 )
 from repro.exp.results import _percentile
-from repro.exp.spec import coerce_delay, coerce_fault, coerce_protocol, coerce_votes
+from repro.exp.spec import coerce_axis, coerce_protocol
 from repro.protocols.inbac import INBAC
 from repro.protocols.registry import all_protocols, get_protocol, protocol_names
 from repro.sim.faults import DelayRule, FaultPlan
-from repro.sim.network import UniformDelay
 
 
 def stochastic_grid(seeds=(0, 1)):
@@ -38,7 +36,7 @@ def stochastic_grid(seeds=(0, 1)):
     return GridSpec(
         protocols=["INBAC", "2PC", "PaxosCommit", "1NBAC"],
         systems=[(4, 1), (5, 2), (6, 2)],
-        delays=[None, ("uniform", lambda seed: UniformDelay(0.2, 1.0, seed=seed))],
+        delays=[None, ("uniform", "uniform", {"lo": 0.2, "hi": 1.0})],
         faults=[None, ("crash P1", FaultPlan.crash(1, at=0.0))],
         seeds=list(seeds),
     )
@@ -79,9 +77,9 @@ class TestGridSpec:
             protocol=proto,
             n=5,
             f=2,
-            delay=coerce_delay(None),
-            fault=coerce_fault(None),
-            votes=coerce_votes("all-yes"),
+            delay=coerce_axis("delays", None),
+            fault=coerce_axis("faults", None),
+            votes=coerce_axis("votes", "all-yes"),
             base_seed=base,
         )
         # the derived seed depends on coordinates + base seed, not the index
@@ -138,28 +136,6 @@ class TestRunTrial:
                              "votes": ("truncated", [1, 1])}])[0]
         result = run_trial(trial)
         assert result.error is not None and "ConfigurationError" in result.error
-
-    def test_delay_model_instance_reseeded_per_trial(self):
-        # the instance shorthand must not replay one RNG sequence across seeds
-        grid = GridSpec(
-            protocols=["2PC"],
-            systems=[(4, 1)],
-            delays=[UniformDelay(0.2, 1.0)],
-            seeds=[0, 1, 2, 3],
-        )
-        sweep = run_sweep(grid, workers=1)
-        assert not sweep.errors()
-        assert len({tuple(t.decision_latencies) for t in sweep.trials}) > 1
-
-    def test_factory_internal_typeerror_propagates(self):
-        # a TypeError raised inside the factory body must not be mistaken for
-        # a wrong-arity call (which would re-invoke the factory and mask it)
-        def bad_factory(seed=0):
-            raise TypeError("inner bug")
-
-        spec = coerce_delay(("bad", bad_factory))
-        with pytest.raises(TypeError, match="inner bug"):
-            spec.factory(7)
 
     def test_percentile_is_nearest_rank(self):
         assert _percentile([1, 2, 3, 4, 5, 6], 50) == 3
@@ -247,7 +223,7 @@ class TestDeterminism:
         assert parallel.aggregate_rows() == serial.aggregate_rows()
 
     def test_parallel_handles_unpicklable_specs(self):
-        # lambdas in predicates/factories must survive the pool boundary
+        # a lambda predicate in a literal plan must survive the (fork) pool boundary
         grid = GridSpec(
             protocols=["INBAC", "2PC", "PaxosCommit", "3PC"],
             systems=[(5, 2)],
@@ -255,7 +231,7 @@ class TestDeterminism:
                 ("late tuples", FaultPlan(delay_rules=[
                     DelayRule(predicate=lambda p: isinstance(p, tuple), delay=30.0)])),
             ],
-            votes=[("one-no", lambda n: [0] + [1] * (n - 1))],
+            votes=[("one-no", "one-no:1")],
         )
         serial = run_sweep(grid, workers=1)
         parallel = run_sweep(grid, workers=2)

@@ -29,7 +29,7 @@ def stochastic_grid(seeds=(0, 1, 2), **overrides):
     params = dict(
         protocols=["INBAC", "2PC", "PaxosCommit"],
         systems=[(4, 1), (5, 2)],
-        delays=[None, ("uniform", lambda seed: UniformDelay(0.2, 1.0, seed=seed))],
+        delays=[None, ("uniform", "uniform", {"lo": 0.2, "hi": 1.0})],
         faults=[None, ("crash P1", FaultPlan.crash(1, at=0.0))],
         seeds=list(seeds),
     )

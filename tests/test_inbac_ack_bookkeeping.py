@@ -16,7 +16,7 @@ from typing import Any, Dict, Optional
 
 import pytest
 
-from repro.exp.registry import NamedDelayFactory, NamedFaultFactory
+from repro.exp import named_delay, named_fault
 from repro.explore.strategies import make_strategy
 from repro.protocols.base import ABORT, COMMIT, logical_and
 from repro.protocols.inbac import (
@@ -376,7 +376,7 @@ def mixed_votes(n):
 def test_explorer_strategies(strategy, n, f):
     new, ref = run_both(
         n, f, [1] * n, seed=11,
-        delay=NamedDelayFactory("uniform", {}),
+        delay=named_delay("uniform").build,
         controller=lambda: make_strategy(strategy, **STRATEGIES[strategy]),
     )
     assert_same_execution(new, ref)
@@ -389,8 +389,8 @@ def test_kernel_matrix_rows(delay, fault, votes, n, f):
     name, params = FAULTS[fault]
     new, ref = run_both(
         n, f, [1] * n if votes == "all-yes" else mixed_votes(n),
-        delay=NamedDelayFactory(delay, {}),
-        fault=NamedFaultFactory(name, params),
+        delay=named_delay(delay).build,
+        fault=named_fault(name, **params).build,
     )
     assert_same_execution(new, ref)
 

@@ -90,7 +90,13 @@ class TestBadFixtures:
 
     def test_sp001_lambda_and_local_closure_in_spec(self):
         report = findings_of("bad_sp001_spec.py", kind="benchmarks")
-        assert locations(report, "SP001") == [("SP001", 13), ("SP001", 14)]
+        assert locations(report, "SP001") == [
+            ("SP001", 13), ("SP001", 14), ("SP001", 18), ("SP001", 19),
+        ]
+
+    def test_sp001_covers_examples(self):
+        report = findings_of("bad_sp001_spec.py", kind="examples")
+        assert len(locations(report, "SP001")) == 4
 
     def test_lnt000_pragma_without_justification(self):
         report = findings_of("bad_lnt000_pragma.py")
@@ -126,10 +132,16 @@ class TestEngine:
 
     def test_full_tree_is_clean(self):
         report = lint_paths(
-            [REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT / "tests"],
+            [REPO_ROOT / name for name in ("src", "benchmarks", "tests", "examples")],
             root=REPO_ROOT,
         )
         assert report.ok, report.render_text()
+
+    def test_examples_are_a_kind_of_their_own(self):
+        from repro.lint.ast_checks import classify_path
+
+        path = REPO_ROOT / "examples" / "quickstart.py"
+        assert classify_path(path, REPO_ROOT) == ("examples", "examples/quickstart.py")
 
     def test_json_report_shape(self):
         report = findings_of("bad_fp001_digest.py")
@@ -150,7 +162,7 @@ class TestEngine:
         }
         for rule in rules:
             assert rule.kinds and all(
-                k in ("src", "benchmarks", "tests") for k in rule.kinds
+                k in ("src", "benchmarks", "tests", "examples") for k in rule.kinds
             )
 
 
