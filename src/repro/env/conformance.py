@@ -25,6 +25,10 @@ clauses runtimes most easily get wrong:
   last requested deadline);
 * ``timer-cancel`` — a cancelled timer never fires;
 * ``timer-cancel-after-fire`` — cancelling a fired timer is a silent no-op;
+* ``timer-cancel-then-rearm`` — a cancel followed by a re-arm of the same
+  name fires once, at the new deadline;
+* ``timer-past-deadline`` — a deadline already past fires once, as soon as
+  possible, never before the handler that armed it returned;
 * ``module-envelope`` — component messages route to the peer component,
   main-channel messages to the process, component timers to the component;
 * ``decide-once`` — the second ``decide`` raises
@@ -34,7 +38,9 @@ clauses runtimes most easily get wrong:
 * ``send-many`` — ``send_many`` is the loop of ``send`` it is defined as: each
   listed destination gets the payload once per listing, a link delivers in
   send order, the message to self arrives and is not counted, and a
-  component's broadcast keeps its module tag.
+  component's broadcast keeps its module tag;
+* ``self-send-deferred`` — a send to self made inside a handler is handled
+  after that handler returns, in send order, and is not counted.
 
 ``run_conformance(harness)`` returns a list of human-readable failures; an
 empty list means the runtime honours the contract.
@@ -146,6 +152,43 @@ class _CancelAfterFireProbe(ObservingProcess):
                 self.note("cancel-after-fire-raised", repr(exc))
 
 
+class _CancelRearmProbe(ObservingProcess):
+    """Arms a timer at 1.0, cancels it, then arms the same name at 2.0."""
+
+    def on_start(self) -> None:
+        self.set_timer(1.0, name="t")
+        self.env.cancel_timer(name="t")
+        self.set_timer(2.0, name="t")
+
+
+class _PastDeadlineProbe(ObservingProcess):
+    """From inside a handler: a deadline already past, and one 1 U ahead."""
+
+    def on_start(self) -> None:
+        self.set_timer(1.0, name="go")
+
+    def on_timeout(self, name: str) -> None:
+        super().on_timeout(name)
+        if name == "go":
+            self.set_timer(self.now() - 0.5, name="past")
+            self.set_timer(self.now() + 1.0, name="later")
+            self.note("handler-end")
+
+
+class _SelfSendProbe(ObservingProcess):
+    """From inside a timer handler, P1 sends to itself twice and to P2 once."""
+
+    def on_start(self) -> None:
+        if self.pid == 1:
+            self.set_timer(1.0, name="go")
+
+    def on_timeout(self, name: str) -> None:
+        self.send(self.pid, ("self", 1))
+        self.send(2, ("peer",))
+        self.send_many([self.pid], ("self", 2))
+        self.note("handler-end")
+
+
 class _EchoComponent(ProcessComponent):
     """Replies ``("pong", x)`` to ``("ping", x)``; records everything."""
 
@@ -230,49 +273,43 @@ def _passive(pid: int, n: int, f: int, env) -> Process:
 # --------------------------------------------------------------------------- #
 # scenarios
 # --------------------------------------------------------------------------- #
-def _check_rearm(result: HarnessResult, tol: float) -> List[str]:
-    probe = result.processes[1]
-    fires = probe.of("timeout")
-    if len(fires) != 1:
-        return [f"timer-rearm: expected exactly one fire, saw {fires}"]
-    _, name, at = fires[0]
-    if name != "re":
-        return [f"timer-rearm: unexpected timer name {name!r}"]
-    if at < 2.5 - tol:
-        return [
-            f"timer-rearm: fired at {at:.3f} < 2.5 — the re-arm did not "
-            "supersede the earlier deadline"
-        ]
-    return []
+def _observes(
+    scenario: str,
+    rule: str,
+    want: List[Tuple[str, Any]],
+    *,
+    deadlines: Optional[Dict[str, float]] = None,
+    counted: Optional[Dict[str, int]] = None,
+) -> Callable[[HarnessResult, float], List[str]]:
+    """Checker: P1's ``(kind, detail)`` observations are exactly ``want``.
 
+    In order, nothing more — one comparison for "fires once", "never fires"
+    and "after the handler returned".  ``deadlines``: timer name -> the time
+    it must not fire before; ``counted``: the per-module tally to report.
+    """
 
-def _check_cancel(result: HarnessResult, tol: float) -> List[str]:
-    probe = result.processes[1]
-    fired = {name for _, name, _ in probe.of("timeout")}
-    failures = []
-    if "gone" in fired:
-        failures.append("timer-cancel: a cancelled timer fired")
-    if "sentinel" not in fired:
-        failures.append("timer-cancel: the sentinel timer never fired")
-    return failures
+    def check(result: HarnessResult, tol: float) -> List[str]:
+        observations = result.processes[1].observations
+        seen = [(kind, detail) for kind, detail, _ in observations]
+        failures = []
+        if seen != want:
+            failures.append(f"P1 observed {seen}, expected {want} — {rule}")
+        for kind, name, at in observations:
+            deadline = (deadlines or {}).get(name) if kind == "timeout" else None
+            if deadline is not None and at < deadline - tol:
+                failures.append(
+                    f"timer {name!r} fired at {at:.3f} < {deadline} — the "
+                    "last arm did not supersede the earlier deadline"
+                )
+        tally = result.messages_by_module
+        if counted is not None and tally is not None and tally != counted:
+            failures.append(
+                f"counted messages per module are {dict(sorted(tally.items()))}, "
+                f"expected {counted} (a message to self is not counted)"
+            )
+        return [f"{scenario}: {failure}" for failure in failures]
 
-
-def _check_cancel_after_fire(result: HarnessResult, tol: float) -> List[str]:
-    probe = result.processes[1]
-    fires = [obs for obs in probe.of("timeout") if obs[1] == "once"]
-    failures = []
-    if len(fires) != 1:
-        failures.append(
-            f"timer-cancel-after-fire: expected one fire of 'once', saw {fires}"
-        )
-    if probe.of("cancel-after-fire-raised"):
-        failures.append(
-            "timer-cancel-after-fire: cancelling a fired timer raised "
-            f"{probe.of('cancel-after-fire-raised')[0][1]}"
-        )
-    elif not probe.of("cancel-after-fire-ok"):
-        failures.append("timer-cancel-after-fire: the probe never ran its cancel")
-    return failures
+    return check
 
 
 def _check_envelope(result: HarnessResult, tol: float) -> List[str]:
@@ -389,13 +426,37 @@ class Scenario:
     f: int = 1
 
 
+def _observing(name: str, probe: Any, rule: str, want: list, **expect: Any) -> Scenario:
+    return Scenario(name, {1: probe, 2: _passive}, _observes(name, rule, want, **expect))
+
+
 SCENARIOS: Tuple[Scenario, ...] = (
-    Scenario("timer-rearm", {1: _RearmProbe, 2: _passive}, _check_rearm),
-    Scenario("timer-cancel", {1: _CancelProbe, 2: _passive}, _check_cancel),
-    Scenario(
-        "timer-cancel-after-fire",
-        {1: _CancelAfterFireProbe, 2: _passive},
-        _check_cancel_after_fire,
+    _observing(
+        "timer-rearm", _RearmProbe,
+        "re-arming supersedes: one fire, at the last deadline",
+        [("timeout", "re")], deadlines={"re": 2.5},
+    ),
+    _observing(
+        "timer-cancel", _CancelProbe,
+        "a cancelled timer never fires, the sentinel does",
+        [("timeout", "sentinel")],
+    ),
+    _observing(
+        "timer-cancel-after-fire", _CancelAfterFireProbe,
+        "one fire, and cancelling the fired timer is a silent no-op",
+        [("timeout", "once"), ("cancel-after-fire-ok", None)],
+    ),
+    _observing(
+        "timer-cancel-then-rearm", _CancelRearmProbe,
+        "a cancel then a re-arm fires once, at the new deadline",
+        [("timeout", "t")], deadlines={"t": 2.0},
+    ),
+    _observing(
+        "timer-past-deadline", _PastDeadlineProbe,
+        "a deadline already past fires once, after the handler that armed "
+        "it returned and ahead of a deadline 1 U later",
+        [("timeout", "go"), ("handler-end", None),
+         ("timeout", "past"), ("timeout", "later")],
     ),
     Scenario("module-envelope", {1: _EnvelopeProbe, 2: _EnvelopeProbe}, _check_envelope),
     Scenario("decide-once", {1: _DecideOnceProbe, 2: _passive}, _check_decide_once),
@@ -405,6 +466,13 @@ SCENARIOS: Tuple[Scenario, ...] = (
         {1: _SendManyProbe, 2: _SendManyProbe, 3: _SendManyProbe},
         _check_send_many,
         n=3,
+    ),
+    _observing(
+        "self-send-deferred", _SelfSendProbe,
+        "a self-send is handled after the sending handler returns, in send order",
+        [("handler-end", None),
+         ("deliver", (1, ("self", 1))), ("deliver", (1, ("self", 2)))],
+        counted={"main": 1},
     ),
 )
 

@@ -24,6 +24,7 @@ the determinism-under-observation test battery).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -84,7 +85,7 @@ class Histogram:
         """Nearest-rank percentile over the digest (exact, byte-stable)."""
         if self.total == 0:
             return None
-        rank = max(1, int(round(q / 100.0 * self.total)))
+        rank = min(max(1, math.ceil(q / 100.0 * self.total)), self.total)
         cumulative = 0
         for value, count in sorted(self.counts.items()):
             cumulative += count

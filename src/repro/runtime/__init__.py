@@ -3,23 +3,23 @@
 Every protocol and database process in this repository is written against the
 runtime-neutral :class:`~repro.env.ProcessEnv` contract.  This package is the
 second implementation of that contract (the first is the discrete-event
-simulator, :mod:`repro.sim.runner`): in-process ``asyncio.Queue`` links, real
-concurrency, wall-clock timers scaled so one unit of simulated time ``U``
-maps to ``AsyncRuntime.unit`` seconds.  The *identical, unmodified* protocol
-classes — INBAC, 2PC, 3PC, Paxos commit and the rest of the registry — commit
-real transactions here, which is the strongest evidence the reproduction's
-protocol logic does not secretly depend on simulator scheduling.
+simulator, :mod:`repro.sim.runner`): one event queue and one table of armed
+deadlines on the asyncio loop, wall-clock timers scaled so one unit of
+simulated time ``U`` maps to ``AsyncRuntime.unit`` seconds.  The *identical,
+unmodified* protocol classes — INBAC, 2PC, 3PC, Paxos commit and the rest of
+the registry — commit real transactions here, which is the strongest evidence
+the reproduction's protocol logic does not secretly depend on simulator
+scheduling.
 
 Layout:
 
-* :mod:`~repro.runtime.transport` — :class:`LocalTransport` (queues) and
-  :class:`LinkPolicy` (per-link delay / jitter / drop injection);
-* :mod:`~repro.runtime.node` — :class:`AsyncEnv` (the contract impl) and
-  :class:`AsyncNode` (one inbox-draining consumer per process, so handlers
-  stay single-threaded per process exactly as under the simulator);
-* :mod:`~repro.runtime.runtime` — :class:`AsyncRuntime` (timers, decide-once
-  ledger, crash injection) and :func:`run_commit` (one commit instance,
-  synchronous entry point);
+* :mod:`~repro.runtime.transport` — :class:`LinkPolicy` (per-link delay /
+  jitter / drop / outage injection) and :class:`LocalTransport` (applies it
+  and counts messages);
+* :mod:`~repro.runtime.node` — :class:`AsyncEnv` (the contract impl);
+* :mod:`~repro.runtime.runtime` — :class:`AsyncRuntime` (the queue and its
+  dispatcher, the deadline table, decide-once ledger, crash injection) and
+  :func:`run_commit` (one commit instance, synchronous entry point);
 * :mod:`~repro.runtime.cluster` — the transactional KV cluster:
   :func:`run_cluster_async` (batch) and :class:`AsyncClusterService` (live
   concurrent clients);
@@ -42,7 +42,7 @@ from repro.runtime.cluster import (
     run_cluster_async,
 )
 from repro.runtime.conformance import AsyncHarness
-from repro.runtime.node import AsyncEnv, AsyncNode
+from repro.runtime.node import AsyncEnv
 from repro.runtime.runtime import (
     AsyncRuntime,
     CommitRunResult,
@@ -55,7 +55,6 @@ __all__ = [
     "AsyncClusterService",
     "AsyncEnv",
     "AsyncHarness",
-    "AsyncNode",
     "AsyncRuntime",
     "CommitRunResult",
     "DEFAULT_CLUSTER_UNIT_SECONDS",

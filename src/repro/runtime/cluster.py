@@ -3,7 +3,7 @@
 Runs the *same* :class:`~repro.db.partition.PartitionServer` and
 :class:`~repro.db.coordinator.ClientCoordinator` classes the simulator runs —
 built through the shared construction seam in :mod:`repro.db.cluster` — on
-wall-clock asyncio queues.  Two entry points:
+the wall-clock event loop.  Two entry points:
 
 * :func:`run_cluster_async` — batch mode, mirroring
   :func:`repro.db.cluster.run_cluster`: the coordinator submits a planned
@@ -127,7 +127,9 @@ class AsyncClusterService:
         )
         self.client: Optional[ClientCoordinator] = None
         self._waiters: Dict[str, asyncio.Future] = {}
-        self._crash_tasks: list = []
+        #: set while wait_all_completed() waits; resolved by the outcome that
+        #: completes the workload
+        self._all_done: Optional[asyncio.Future] = None
         self._recovery_events: list = []
         self._started = False
 
@@ -155,39 +157,23 @@ class AsyncClusterService:
         await self.runtime.start()
         for pid in range(1, n + 1):
             self.runtime.call(pid, lambda process: process.on_start())
-        if self.config.fault_plan is not None:
-            for pid in sorted(self.config.fault_plan.crashes):
-                at_units = self.config.fault_plan.crashes[pid]
-                self._crash_tasks.append(
-                    asyncio.get_running_loop().create_task(
-                        self._crash_later(pid, at_units)
-                    )
-                )
-            for pid in sorted(self.config.fault_plan.recoveries):
-                at_units = self.config.fault_plan.recoveries[pid]
-                self._crash_tasks.append(
-                    asyncio.get_running_loop().create_task(
-                        self._recover_later(pid, at_units)
-                    )
+        plan = self.config.fault_plan
+        if plan is not None:
+            for pid in sorted(plan.crashes):
+                self.runtime.call_at(plan.crashes[pid], self.crash_partition, pid)
+            for pid in sorted(plan.recoveries):
+                self.runtime.call_at(
+                    plan.recoveries[pid], self.recover_partition, pid
                 )
         self._started = True
-
-    async def _crash_later(self, pid: int, at_units: float) -> None:
-        delay_units = max(0.0, at_units - self.runtime.now_units())
-        if delay_units > 0:
-            await asyncio.sleep(delay_units * self.unit)
-        self.crash_partition(pid)
-
-    async def _recover_later(self, pid: int, at_units: float) -> None:
-        delay_units = max(0.0, at_units - self.runtime.now_units())
-        if delay_units > 0:
-            await asyncio.sleep(delay_units * self.unit)
-        self.recover_partition(pid)
 
     def _on_outcome(self, outcome: TransactionOutcome) -> None:
         waiter = self._waiters.pop(outcome.txn_id, None)
         if waiter is not None and not waiter.done():
             waiter.set_result(outcome)
+        done = self._all_done
+        if done is not None and not done.done() and self.client.all_completed():
+            done.set_result(None)
 
     # ------------------------------------------------------------------ #
     # the client surface
@@ -297,11 +283,15 @@ class AsyncClusterService:
         """Wait until the coordinator has an outcome for every transaction."""
         if self.client is None:
             raise ConfigurationError("service not started")
-        deadline = self.runtime.now_units() + timeout_units
-        while not self.client.all_completed():
-            if self.runtime.now_units() >= deadline:
-                return False
-            await asyncio.sleep(self.unit / 2)
+        if self.client.all_completed():
+            return True
+        self._all_done = asyncio.get_running_loop().create_future()
+        try:
+            await asyncio.wait_for(self._all_done, timeout=timeout_units * self.unit)
+        except asyncio.TimeoutError:
+            return False
+        finally:
+            self._all_done = None
         return True
 
     # ------------------------------------------------------------------ #
@@ -312,12 +302,6 @@ class AsyncClusterService:
         if self.client is None:
             raise ConfigurationError("service not started")
         end_time = self.runtime.now_units()
-        pending_crashes = [t for t in self._crash_tasks if not t.done()]
-        for task in pending_crashes:
-            task.cancel()
-        if pending_crashes:
-            await asyncio.gather(*pending_crashes, return_exceptions=True)
-        self._crash_tasks.clear()
         await self.runtime.stop()
         for waiter in self._waiters.values():
             if not waiter.done():

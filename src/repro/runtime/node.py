@@ -1,26 +1,18 @@
-"""One asyncio node: an inbox-draining task wrapped around a protocol process.
+"""The runtime's :class:`~repro.env.ProcessEnv`: one thin env per process.
 
-The simulator guarantees that a process handles one event at a time — handler
-code never races with itself.  The runtime preserves that guarantee with the
-classic actor shape: every process gets an ``asyncio.Queue`` inbox and a
-single consumer task that drains it, so ``on_deliver`` / ``on_timeout`` /
-``on_propose`` run strictly sequentially per process even though all nodes
-run concurrently on the loop.  Protocol handlers therefore need no locks and
-no awareness that they left the simulator.
-
-:class:`AsyncEnv` is the runtime's :class:`~repro.env.ProcessEnv`: sends go
-straight to the transport, timers and decisions go through the runtime (which
-owns the timer table and the decide-once ledger), and ``now()`` is
-the wall clock rebased to units of U.
+The simulator guarantees that a process handles one event at a time, and the
+runtime keeps that guarantee without an actor per process: handlers are
+synchronous functions on a single-threaded loop, so one dispatcher handling
+one queue in order (:mod:`repro.runtime.runtime`) already serialises them.
+:class:`AsyncEnv` is all a process holds: sends go straight to the transport,
+timers and decisions to the runtime, and ``now()`` is the wall clock rebased
+to units of U.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
-from typing import Any, Iterable, Optional, TYPE_CHECKING
-
-from repro.env import Process
+from typing import Any, Iterable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import AsyncRuntime
@@ -57,61 +49,4 @@ class AsyncEnv:
         return self._runtime.now_units()
 
 
-class AsyncNode:
-    """The inbox + consumer task hosting one process on the event loop."""
-
-    def __init__(self, pid: int, runtime: "AsyncRuntime"):
-        self.pid = pid
-        self.runtime = runtime
-        self.inbox: asyncio.Queue = asyncio.Queue()
-        self.process: Optional[Process] = None
-        self.task: Optional[asyncio.Task] = None
-
-    def start(self) -> None:
-        self.task = asyncio.get_running_loop().create_task(
-            self._consume(), name=f"node-P{self.pid}"
-        )
-
-    async def _consume(self) -> None:
-        while True:
-            item = await self.inbox.get()
-            kind = item[0]
-            if kind == "stop":
-                return
-            process = self.process
-            if process is None or process.crashed:
-                continue
-            try:
-                if kind == "deliver":
-                    _, src, payload = item
-                    process.deliver(src, payload)
-                elif kind == "timer":
-                    _, name, token = item
-                    # Re-check the token at handling time: a rearm or cancel
-                    # that happened while this expiry sat in the inbox
-                    # supersedes it.
-                    if self.runtime.take_expiry(self.pid, name, token):
-                        process.timeout(name)
-                elif kind == "propose":
-                    process.on_propose(item[1])
-                elif kind == "call":
-                    item[1](process)
-            except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-                self.runtime.record_error(self.pid, exc)
-
-    async def stop(self) -> None:
-        if self.task is None:
-            return
-        self.inbox.put_nowait(("stop",))
-        try:
-            await asyncio.wait_for(self.task, timeout=1.0)
-        except asyncio.TimeoutError:  # pragma: no cover - defensive
-            self.task.cancel()
-            try:
-                await self.task
-            except asyncio.CancelledError:
-                pass
-        self.task = None
-
-
-__all__ = ["AsyncEnv", "AsyncNode"]
+__all__ = ["AsyncEnv"]

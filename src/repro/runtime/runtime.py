@@ -1,34 +1,32 @@
 """The asyncio runtime: wall-clock host for unmodified protocol processes.
 
 :class:`AsyncRuntime` owns everything the simulator's :class:`Scheduler` owns
-— processes, timers, the decide-once ledger, crash injection — but on the
-event loop and the wall clock.  One unit of simulated time ``U`` maps to
-``unit`` seconds (default 20 ms), chosen so that protocol timers (a few U)
-dwarf the local queue hop (~0.1 ms): in fault-free runs decisions are driven
+— processes, events, deadlines, the decide-once ledger, crash injection — but
+on the event loop and the wall clock.  One unit of simulated time ``U`` maps
+to ``unit`` seconds (default 20 ms), chosen so that protocol timers (a few U)
+dwarf a turn of the loop (~0.1 ms): in fault-free runs decisions are driven
 by message flow exactly as in the paper's nice executions, while timeout
 paths remain reachable by shrinking ``unit`` or injecting link delays.
 
-Timers reproduce the simulator's semantics on plain event-loop handles:
+**One event queue.**  Handlers are synchronous functions on one thread, so
+"one event at a time per process" needs no task per process: every delivery,
+timer expiry, proposal and ``call`` is a ``(pid, kind, ...)`` tuple in one
+FIFO, and one dispatcher — a ``loop.call_soon`` callback — handles, in queue
+order, the events that were queued when its turn began.  What those handlers
+queue waits for the next turn, so a handler never nests inside another and
+loop timers and client coroutines interleave between turns.
 
-* ``set_timer`` (re-)arms the *named* timer to fire at an absolute time: one
-  ``loop.call_later`` :class:`asyncio.TimerHandle` per armed timer, no task
-  and no coroutine.  The timer table maps ``(pid, name)`` to the armed
-  ``(token, handle)``; tokens are unique across the whole runtime.  Rearming
-  cancels the superseded handle and stores a fresh token — rearm-before-fire
-  supersedes, fires exactly once, at the new deadline.
-* when the handle runs it puts ``("timer", name, token)`` into the node's
-  inbox; the node's consumer *takes* the expiry (:meth:`AsyncRuntime.take_expiry`)
-  when it dequeues it, which drops the table entry and tells it whether the
-  token is still the armed one.  A rearm or cancel that happened while the
-  expiry sat in the inbox therefore supersedes it — and because a token is
-  never reused, a cancel followed by a re-arm cannot be mistaken for the
-  stale expiry still queued.
-* ``cancel_timer`` cancels the handle and drops the entry; cancelling a
-  fired or never-armed timer finds no entry and is a no-op.  The table holds
-  only armed timers (and expiries not yet handled), never one key per name
-  ever used.
-* a deadline in the past fires as soon as possible, never before the current
-  handler returns (the expiry goes through the inbox like any other event).
+**One deadline table.**  ``key -> (token, handle)`` holds every
+``loop.call_later`` handle that is armed right now: a named timer under
+``(pid, name)``, a delayed delivery or a scheduled callback (a fault plan's
+crash or rejoin time) as a one-shot under ``(None, token)``.  Tokens come
+from one counter and are never reused.  A timer's handle queues its expiry,
+and the dispatcher takes it — drops the entry, calls the handler — only if
+its token is still the armed one, so a rearm or cancel that raced with the
+queue supersedes it and a cancel-then-rearm cannot be mistaken for the stale
+expiry.  ``recover()`` walks the crashed pid's entries, ``stop()`` cancels
+what is left in one loop; the simulator states the same token rule over its
+bucket queue.  ``docs/runtime.md`` ("The deadline table") has the cases.
 
 ``decide`` routes through :meth:`record_decision`, which raises
 :class:`~repro.errors.ProtocolViolationError` on a second decision from the
@@ -45,12 +43,13 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.env import Process
-from repro.errors import ConfigurationError, ProtocolViolationError
-from repro.runtime.node import AsyncEnv, AsyncNode
+from repro.errors import ConfigurationError, ProtocolViolationError, SimulationError
+from repro.runtime.node import AsyncEnv
 from repro.runtime.transport import LinkPolicy, LocalTransport
 
 ProcessFactory = Callable[[int, int, int, AsyncEnv], Process]
@@ -86,10 +85,13 @@ class AsyncRuntime:
         #: by the hosting service — this module never imports the obs package
         self.metrics = metrics
         self.transport = transport or LocalTransport(unit=unit, seed=seed)
+        # outage windows are in units since start: the transport reads the
+        # timers' clock, and hands what survived its link to the one queue
+        self.transport.now_units = self.now_units
+        self.transport.arrive = self._arrive
         self.envs: Dict[int, AsyncEnv] = {
             pid: AsyncEnv(self, pid) for pid in range(1, n + 1)
         }
-        self.nodes: Dict[int, AsyncNode] = {}
         self.processes: Dict[int, Process] = {}
         self.decisions: Dict[int, Any] = {}
         self.decision_times: Dict[int, float] = {}
@@ -101,14 +103,18 @@ class AsyncRuntime:
         #: pids currently down (liveness, as opposed to the crash history)
         self._down: Set[int] = set()
         self.errors: List[Tuple[int, BaseException]] = []
-        #: (pid, name) -> (token, handle) of every armed timer whose expiry
-        #: has not been handled yet
-        self._timers: Dict[Tuple[int, str], Tuple[int, asyncio.TimerHandle]] = {}
-        self._timer_tokens = itertools.count(1)
+        #: the one FIFO of ``(pid, kind, a, b)`` events awaiting the
+        #: dispatcher; a turn is scheduled on the loop iff it is non-empty
+        self._events: Deque[tuple] = deque()
+        #: key -> (token, handle) of every loop handle armed and not yet spent:
+        #: ``(pid, name)`` for a timer (kept until its expiry is handled),
+        #: ``(None, token)`` for a one-shot (delayed delivery, scheduled callback)
+        self._timers: Dict[tuple, Tuple[int, asyncio.TimerHandle]] = {}
+        self._tokens = itertools.count(1)
         self._undecided_correct = n
         self._all_decided = asyncio.Event()
         self._t0: Optional[float] = None
-        self._started = False
+        self._stopped = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -127,8 +133,8 @@ class AsyncRuntime:
         return self.envs[pid]
 
     async def start(self) -> None:
-        """Start the wall clock and one consumer task per process."""
-        if self._started:
+        """Start the wall clock."""
+        if self._t0 is not None:
             raise ConfigurationError("runtime already started")
         if len(self.processes) != self.n:
             raise ConfigurationError(
@@ -136,26 +142,20 @@ class AsyncRuntime:
                 "call bind_processes() first"
             )
         self._t0 = time.monotonic()
-        self._started = True
-        # outage windows on link policies are expressed in units since start;
-        # give the transport the same time base the timers use
-        self.transport.now_units = self.now_units
-        for pid in range(1, self.n + 1):
-            node = AsyncNode(pid, self)
-            node.process = self.processes[pid]
-            self.nodes[pid] = node
-            self.transport.register(pid, node.inbox)
-        for pid in range(1, self.n + 1):
-            self.nodes[pid].start()
 
     async def stop(self) -> None:
-        """Stop consumers, cancel pending timers and in-flight deliveries."""
+        """Handle what is already queued, cancel every deadline, go quiet.
+
+        Batch runs and the invariant battery read the state the queued events
+        leave; what their handlers queue or arm is dropped with the rest, and
+        from here on a post or an arm is inert.
+        """
+        self._dispatch()
+        self._stopped = True
         for _, handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
-        await self.transport.close()
-        for pid in sorted(self.nodes):
-            await self.nodes[pid].stop()
+        self._events.clear()
 
     # ------------------------------------------------------------------ #
     # the clock
@@ -167,8 +167,76 @@ class AsyncRuntime:
         return (time.monotonic() - self._t0) / self.unit
 
     # ------------------------------------------------------------------ #
-    # timers (token-superseded loop handles, simulator semantics)
+    # the event queue and its dispatcher
     # ------------------------------------------------------------------ #
+    def _post(self, event: tuple) -> None:
+        if self._stopped:
+            return
+        if not self._events:
+            asyncio.get_running_loop().call_soon(self._dispatch)
+        self._events.append(event)
+
+    def _dispatch(self) -> None:
+        """One turn: handle, in queue order, the events queued when it began."""
+        # what their handlers post starts a fresh queue, hence the next turn
+        events, self._events = self._events, deque()
+        for pid, kind, a, b in events:
+            if pid in self._down:
+                continue  # losing in-crash traffic is the point
+            try:
+                process = self.processes[pid]
+                if kind == "deliver":
+                    process.deliver(a, b)
+                elif kind == "timer":
+                    # Re-check the token at handling time: a rearm or cancel
+                    # that happened while this expiry sat in the queue
+                    # supersedes it.
+                    armed = self._timers.get((pid, a))
+                    if armed is not None and armed[0] == b:
+                        del self._timers[(pid, a)]
+                        process.timeout(a)
+                elif kind == "propose":
+                    process.on_propose(a)
+                else:  # "call"
+                    a(process)
+            except Exception as exc:  # noqa: BLE001 - fault isolation boundary
+                self.record_error(pid, exc)
+
+    def propose(self, pid: int, value: Any) -> None:
+        self._post((pid, "propose", value, None))
+
+    def call(self, pid: int, fn: Callable[[Process], None]) -> None:
+        """Run ``fn(process)`` from the queue (serialised with handlers)."""
+        self._post((pid, "call", fn, None))
+
+    def _arrive(self, src: int, dst: int, payload: Any, delay_units: float) -> None:
+        """The transport's arrival hook: a message that survived its link."""
+        if dst not in self.processes:
+            raise SimulationError(f"message to unknown process P{dst}")
+        if src in self._down or dst in self._down:
+            return  # a crash silences a process both ways
+        event = (dst, "deliver", src, payload)
+        if delay_units > 0:
+            # lost like any event if its destination is down when it lands
+            self._arm(None, delay_units, self._spend, self._post, event)
+        else:
+            self._post(event)
+
+    # ------------------------------------------------------------------ #
+    # the deadline table (token-superseded loop handles, simulator semantics)
+    # ------------------------------------------------------------------ #
+    def _arm(
+        self, key: Any, delay_units: float, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Arm ``callback(token, *args)`` under ``key`` (None: a one-shot's own)."""
+        if self._stopped:
+            return
+        token = next(self._tokens)
+        handle = asyncio.get_running_loop().call_later(
+            max(0.0, delay_units) * self.unit, callback, token, *args
+        )
+        self._timers[(None, token) if key is None else key] = (token, handle)
+
     def set_timer(self, pid: int, at_units: float, name: str) -> None:
         key = (pid, name)
         armed = self._timers.get(key)
@@ -178,12 +246,7 @@ class AsyncRuntime:
             self.metrics.inc(
                 "runtime.timer_set" if armed is None else "runtime.timer_rearm"
             )
-        token = next(self._timer_tokens)
-        delay_units = max(0.0, at_units - self.now_units())
-        handle = asyncio.get_running_loop().call_later(
-            delay_units * self.unit, self._expire, pid, name, token
-        )
-        self._timers[key] = (token, handle)
+        self._arm(key, at_units - self.now_units(), self._expire, pid, name)
 
     def cancel_timer(self, pid: int, name: str) -> None:
         armed = self._timers.pop((pid, name), None)
@@ -192,27 +255,27 @@ class AsyncRuntime:
             if self.metrics is not None:
                 self.metrics.inc("runtime.timer_cancel")
 
-    def _expire(self, pid: int, name: str, token: int) -> None:
-        """The armed handle ran: route the expiry through the node's inbox.
+    def call_at(self, at_units: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` on the loop at ``at_units`` (at once if past).
 
-        A superseded handle was cancelled and never gets here; the node
-        re-checks the token at handling time (:meth:`take_expiry`) so a
-        rearm/cancel racing with the inbox still supersedes this expiry.
+        A one-shot deadline of the runtime itself, not an event of a process:
+        it runs between dispatcher turns, and ``stop()`` cancels it.
         """
-        node = self.nodes.get(pid)
-        if node is None or pid in self._down:
-            del self._timers[(pid, name)]
-            return
-        node.inbox.put_nowait(("timer", name, token))
+        self._arm(None, at_units - self.now_units(), self._spend, fn, *args)
 
-    def take_expiry(self, pid: int, name: str, token: int) -> bool:
-        """Whether a dequeued expiry is still the armed one; consumes it if so."""
-        key = (pid, name)
-        armed = self._timers.get(key)
-        if armed is None or armed[0] != token:
-            return False
-        del self._timers[key]
-        return True
+    def _expire(self, token: int, pid: int, name: str) -> None:
+        """An armed timer's handle ran: route the expiry through the queue."""
+        # a superseded handle was cancelled and never gets here, so the entry
+        # is this token's; nobody would take it for a pid that is down
+        if pid in self._down:
+            del self._timers[(pid, name)]
+        else:
+            self._post((pid, "timer", name, token))
+
+    def _spend(self, token: int, fn: Callable[..., None], *args: Any) -> None:
+        """A one-shot's handle ran: drop its entry, then do what it was for."""
+        del self._timers[(None, token)]
+        fn(*args)
 
     # ------------------------------------------------------------------ #
     # decisions, crashes, errors
@@ -242,7 +305,6 @@ class AsyncRuntime:
         if process is not None and not process.crashed:
             process.crashed = True
             process.on_crash()
-        self.transport.crash(pid)
         # correctness accounting charges only the first crash: a recovered
         # pid never re-enters the correct set, so a re-crash changes nothing
         if first and pid not in self.decisions:
@@ -257,16 +319,13 @@ class AsyncRuntime:
     def recover(self, pid: int, process: Optional[Process] = None) -> None:
         """Rejoin a crashed pid with ``process`` (default: the crashed object).
 
-        Timer-safe restart of the actor loop: every timer the previous
-        incarnation still has armed is cancelled and dropped before the
-        replacement process is bound, so no stale expiry — scheduled or
-        already queued in the inbox — can fire into the new one; the node's
-        consumer task never exited (it skips events while crashed — losing
-        in-crash traffic is the point), so rebinding the process and
-        re-opening the transport resumes service.  The pid stays in
-        ``crashes``: recovery restores liveness, not the correctness
-        accounting.  ``on_recover()`` runs on the node's consumer, serialised
-        with handlers like any other event.
+        Timer-safe restart: every timer the previous incarnation still has
+        armed is cancelled and dropped before the replacement process is
+        bound, so no stale expiry — scheduled or already queued — can fire
+        into the new one.  Traffic sent while the pid was down stays lost
+        (at-most-once under faults).  The pid stays in ``crashes``: recovery
+        restores liveness, not the correctness accounting.  ``on_recover()``
+        runs from the queue, serialised with handlers like any other event.
         """
         if pid not in self._down:
             raise ConfigurationError(f"P{pid} is not crashed; nothing to recover")
@@ -276,10 +335,6 @@ class AsyncRuntime:
         self._down.discard(pid)
         replacement.crashed = False
         self.processes[pid] = replacement
-        node = self.nodes.get(pid)
-        if node is not None:
-            node.process = replacement
-        self.transport.recover(pid)
         self.recoveries[pid] = self.now_units()
         self.call(pid, lambda p: p.on_recover())
 
@@ -287,16 +342,6 @@ class AsyncRuntime:
         self.errors.append((pid, exc))
         # A handler fault must not hang run_commit forever: surface it.
         self._all_decided.set()
-
-    # ------------------------------------------------------------------ #
-    # driving events into processes
-    # ------------------------------------------------------------------ #
-    def propose(self, pid: int, value: Any) -> None:
-        self.nodes[pid].inbox.put_nowait(("propose", value))
-
-    def call(self, pid: int, fn: Callable[[Process], None]) -> None:
-        """Run ``fn(process)`` on the node's consumer (serialised with handlers)."""
-        self.nodes[pid].inbox.put_nowait(("call", fn))
 
     async def wait_all_correct_decided(self, timeout_units: float) -> bool:
         """Wait until every non-crashed process decided.  True iff it happened."""
@@ -383,20 +428,11 @@ def run_commit(
             runtime.call(pid, lambda process: process.on_start())
         for pid, vote in enumerate(votes, start=1):
             runtime.propose(pid, vote)
-        crash_tasks = []
         for pid in sorted(crash_at or {}):
-            crash_tasks.append(
-                asyncio.get_running_loop().create_task(
-                    _crash_later(runtime, pid, crash_at[pid])
-                )
-            )
+            runtime.call_at(crash_at[pid], runtime.crash, pid)
         budget = timeout_units + transport.worst_case_delay_units()
         decided = await runtime.wait_all_correct_decided(budget)
         elapsed = runtime.now_units()
-        for task in crash_tasks:
-            task.cancel()
-        if crash_tasks:
-            await asyncio.gather(*crash_tasks, return_exceptions=True)
         await runtime.stop()
         return CommitRunResult(
             protocol=label,
@@ -414,13 +450,6 @@ def run_commit(
         )
 
     return asyncio.run(_main())
-
-
-async def _crash_later(runtime: AsyncRuntime, pid: int, at_units: float) -> None:
-    delay_units = max(0.0, at_units - runtime.now_units())
-    if delay_units > 0:
-        await asyncio.sleep(delay_units * runtime.unit)
-    runtime.crash(pid)
 
 
 __all__ = [

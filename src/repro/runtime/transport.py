@@ -1,14 +1,14 @@
-"""The asyncio transport: in-process links with per-link fault injection.
+"""The runtime's transport: per-link fault injection and message accounting.
 
-:class:`LocalTransport` connects the runtime's nodes through one
-``asyncio.Queue`` inbox per process.  Every *link* (an ordered ``(src, dst)``
-pair) carries a :class:`LinkPolicy` — extra delay, uniform jitter and a drop
-probability — applied at the transport boundary, which is exactly where the
-paper's adversary lives: the protocol code above never sees anything but
-``deliver`` events, and the simulator's delay models have their runtime
-counterpart here.  Crashing a process at the transport (``crash(pid)``)
-silences it both ways: nothing it sends leaves, nothing addressed to it is
-delivered — the runtime face of a crash failure.
+Every *link* (an ordered ``(src, dst)`` pair) carries a :class:`LinkPolicy` —
+extra delay, uniform jitter, a drop probability, outage windows — applied at
+the transport boundary, which is exactly where the paper's adversary lives:
+the protocol code above never sees anything but ``deliver`` events, and the
+simulator's delay models have their runtime counterpart here.
+:class:`LocalTransport` keeps what only it knows — counting, drop, outage
+window, delay draw — and hands each surviving message, with the delay its
+link adds, to the arrival hook the runtime installs; queueing, deadlines and
+which pids are down are the runtime's (:mod:`repro.runtime.runtime`).
 
 Delays and drops are drawn from a seeded ``random.Random``, so a given
 policy produces the same drop/delay *choices* across runs; actual arrival
@@ -23,12 +23,11 @@ time, delivered or not.
 
 from __future__ import annotations
 
-import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class LinkPolicy:
 
 
 class LocalTransport:
-    """In-process asyncio links between the runtime's nodes.
+    """Link policies and message accounting between the runtime's processes.
 
     ``metrics`` is an optional duck-typed telemetry sink — any object with
     ``inc(name, amount=1)`` and ``observe(name, value)`` (e.g. a
@@ -98,11 +97,8 @@ class LocalTransport:
         self.seed = seed
         self.metrics = metrics
         self._rng = random.Random(seed)
-        self._queues: Dict[int, asyncio.Queue] = {}
         self._policies: Dict[Tuple[int, int], LinkPolicy] = {}
         self._default_policy = LinkPolicy()
-        self._crashed: Set[int] = set()
-        self._delay_tasks: Set[asyncio.Task] = set()
         #: counted (non-self) messages, by the simulator's convention
         self.messages_total = 0
         self.messages_by_module: Dict[str, int] = {}
@@ -111,15 +107,15 @@ class LocalTransport:
         #: messages dropped inside an outage window (also counted in dropped)
         self.outage_dropped = 0
         #: clock hook in units since runtime start; the runtime installs its
-        #: own on start() so outage windows share the timers' time base
+        #: own so outage windows share the timers' time base
         self.now_units: Callable[[], float] = lambda: 0.0
+        #: arrival hook ``(src, dst, payload, delay_units)``, installed by the
+        #: runtime: every message that survived its link goes through it
+        self.arrive: Optional[Callable[[int, int, Any, float], None]] = None
 
     # ------------------------------------------------------------------ #
     # wiring
     # ------------------------------------------------------------------ #
-    def register(self, pid: int, inbox: asyncio.Queue) -> None:
-        self._queues[pid] = inbox
-
     def set_default_policy(self, policy: LinkPolicy) -> None:
         self._default_policy = policy
 
@@ -128,21 +124,6 @@ class LocalTransport:
 
     def policy_for(self, src: int, dst: int) -> LinkPolicy:
         return self._policies.get((src, dst), self._default_policy)
-
-    def crash(self, pid: int) -> None:
-        """Silence ``pid`` both ways from this moment on."""
-        self._crashed.add(pid)
-
-    def recover(self, pid: int) -> None:
-        """Re-open the links of a previously crashed ``pid``.
-
-        Traffic sent while it was down stays lost (at-most-once under
-        faults); only messages sent from now on reach it again.
-        """
-        self._crashed.discard(pid)
-
-    def is_crashed(self, pid: int) -> bool:
-        return pid in self._crashed
 
     def worst_case_delay_units(self) -> float:
         """The largest extra delay any configured policy may add."""
@@ -156,22 +137,15 @@ class LocalTransport:
     # ------------------------------------------------------------------ #
     def send(self, src: int, dst: int, payload: Any, module: str = "main") -> None:
         """Ship one message; called synchronously from inside event handlers."""
-        if dst not in self._queues:
-            raise SimulationError(f"message to unknown process P{dst}")
-        if src != dst:
-            self.messages_total += 1
-            self.messages_by_module[module] = (
-                self.messages_by_module.get(module, 0) + 1
-            )
-            if self.metrics is not None:
-                self.metrics.inc("transport.sends")
-        if src in self._crashed or dst in self._crashed:
-            return
-        item = ("deliver", src, payload)
         if src == dst:
-            # local message to self: immediate, fault-free (not a network hop)
-            self._queues[dst].put_nowait(item)
+            # local message to self: immediate, fault-free, uncounted (not a
+            # network hop)
+            self.arrive(src, dst, payload, 0.0)
             return
+        self.messages_total += 1
+        self.messages_by_module[module] = self.messages_by_module.get(module, 0) + 1
+        if self.metrics is not None:
+            self.metrics.inc("transport.sends")
         policy = self.policy_for(src, dst)
         if policy.outages:
             now = self.now_units()
@@ -191,35 +165,12 @@ class LocalTransport:
         if policy.jitter_units > 0:
             delay_units += self._rng.uniform(0.0, policy.jitter_units)
         delay_units *= policy.slow_factor
-        if delay_units <= 0:
-            self._queues[dst].put_nowait(item)
-            return
-        self.delayed += 1
-        if self.metrics is not None:
-            self.metrics.inc("transport.delayed")
-            self.metrics.observe("transport.link_delay_units", delay_units)
-        task = asyncio.get_running_loop().create_task(
-            self._deliver_later(dst, item, delay_units * self.unit)
-        )
-        self._delay_tasks.add(task)
-        task.add_done_callback(self._delay_tasks.discard)
-
-    async def _deliver_later(self, dst: int, item: tuple, delay_seconds: float) -> None:
-        await asyncio.sleep(delay_seconds)
-        if dst not in self._crashed:
-            queue = self._queues.get(dst)
-            if queue is not None:
-                queue.put_nowait(item)
-
-    async def close(self) -> None:
-        """Cancel every in-flight delayed delivery."""
-        # lint: allow[DET001] cancel-all over wall-clock tasks; order immaterial
-        tasks = [task for task in self._delay_tasks if not task.done()]
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        self._delay_tasks.clear()
+        if delay_units > 0:
+            self.delayed += 1
+            if self.metrics is not None:
+                self.metrics.inc("transport.delayed")
+                self.metrics.observe("transport.link_delay_units", delay_units)
+        self.arrive(src, dst, payload, delay_units)
 
 
 __all__ = ["LinkPolicy", "LocalTransport"]

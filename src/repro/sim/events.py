@@ -91,11 +91,11 @@ class MessageDeliveryEvent(Event):
 
 @dataclass(frozen=True)
 class TimerEvent(Event):
-    """Expiry of a timer previously set by a process."""
+    """Expiry of a timer previously set by a process (``token``: which arming)."""
 
     pid: int
     name: str
-    generation: int
+    token: int
 
 
 #: kind -> view class, in slot order

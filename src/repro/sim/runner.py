@@ -74,6 +74,7 @@ builds its replayable :class:`~repro.explore.ScheduleTrace`.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
@@ -199,7 +200,11 @@ class Scheduler:
         #: in-flight records by msg id, so delivery marking is O(1) (records
         #: are popped on delivery); empty at the counters level
         self._pending_records: Dict[int, MessageRecord] = {}
-        self._timer_generation: Dict[tuple, int] = {}
+        #: (pid, name) -> token of every timer armed right now; an expiry is
+        #: the queued ``(pid, name, token)`` tuple and fires iff its token is
+        #: still the armed one (the deadline-table rule, docs/runtime.md)
+        self._timers: Dict[tuple, int] = {}
+        self._timer_tokens = itertools.count(1)
         self._stopped = False
         self._stop_predicate: Optional[Callable[["Scheduler"], bool]] = None
         # all-correct-decided stop condition as a decremented counter (see
@@ -334,21 +339,14 @@ class Scheduler:
 
     def set_timer(self, pid: int, at_units: float, name: str) -> None:
         """Arm (or re-arm) the named timer; re-arming supersedes the pending fire."""
-        key = (pid, name)
-        generation = self._timer_generation.get(key, 0) + 1
-        self._timer_generation[key] = generation
+        token = next(self._timer_tokens)
+        self._timers[(pid, name)] = token
         fire_time = max(self.clock.now, self.clock.units_to_time(at_units))
-        self._queue.push(fire_time, PRIORITY_TIMER, (pid, name, generation))
+        self._queue.push(fire_time, PRIORITY_TIMER, (pid, name, token))
 
     def cancel_timer(self, pid: int, name: str) -> None:
-        key = (pid, name)
-        generation = self._timer_generation.get(key)
-        if generation is None:
-            # nothing was ever armed under this name: cancelling is a no-op
-            # (bumping a fresh counter here would grow the map unboundedly
-            # for callers that cancel defensively)
-            return
-        self._timer_generation[key] = generation + 1
+        """Disarm the named timer; a fired or never-armed name has no entry."""
+        self._timers.pop((pid, name), None)
 
     def record_decision(self, pid: int, value: Any) -> None:
         if pid in self.trace.decisions:
@@ -413,7 +411,7 @@ class Scheduler:
         max_time = self.max_time
         processes = self.processes
         pending = self._pending_records
-        timer_generation = self._timer_generation
+        timers = self._timers
         trace = self.trace
         running = True
         while running and times:
@@ -473,16 +471,16 @@ class Scheduler:
                             record.delivered = True
                         process.deliver(src, payload)
                 elif kind == PRIORITY_TIMER:
-                    pid, name, generation = entry
-                    process = processes.get(pid)
-                    if (
-                        process is not None
-                        and not process.crashed
-                        # a mismatch means superseded or cancelled
-                        and timer_generation.get((pid, name), 0) == generation
-                    ):
-                        trace.record_timer(pid, name, clock.time_to_units(time))
-                        process.timeout(name)
+                    pid, name, token = entry
+                    key = (pid, name)
+                    # a mismatch means superseded or cancelled; the armed
+                    # expiry takes its entry whether or not the pid is up
+                    if timers.get(key) == token:
+                        del timers[key]
+                        process = processes.get(pid)
+                        if process is not None and not process.crashed:
+                            trace.record_timer(pid, name, clock.time_to_units(time))
+                            process.timeout(name)
                 elif kind == PRIORITY_PROPOSE:
                     pid, value = entry
                     process = processes.get(pid)
@@ -625,12 +623,6 @@ class Scheduler:
         """
         self._recovery_factory = factory
 
-    def _cancel_all_timers(self, pid: int) -> None:
-        """Supersede every pending timer of ``pid`` (pre-crash incarnation)."""
-        for key in self._timer_generation:
-            if key[0] == pid:
-                self._timer_generation[key] += 1
-
     def can_inject_recovery(self, pid: int) -> bool:
         process = self.processes.get(pid)
         return process is not None and process.crashed
@@ -648,7 +640,8 @@ class Scheduler:
         process = self.processes.get(pid)
         if process is None or not process.crashed:
             return False
-        self._cancel_all_timers(pid)
+        for key in [key for key in self._timers if key[0] == pid]:
+            del self._timers[key]
         replacement = process
         if self._recovery_factory is not None:
             built = self._recovery_factory(pid, self, process)

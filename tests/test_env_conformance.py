@@ -113,6 +113,9 @@ def test_conformance_suite_catches_a_broken_environment():
     assert "decide-once" in text
     # nothing it is handed ever arrives
     assert "send-many" in text
+    assert "self-send-deferred" in text
+    assert "timer-cancel-then-rearm" in text
+    assert "timer-past-deadline" in text
 
 
 # --------------------------------------------------------------------------- #

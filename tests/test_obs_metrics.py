@@ -10,6 +10,9 @@ from __future__ import annotations
 import json
 import pickle
 
+import pytest
+
+from repro.exp.results import _digest_percentile
 from repro.obs import MetricsRegistry, MetricsSnapshot
 from repro.obs.metrics import Histogram
 
@@ -43,6 +46,19 @@ class TestInstruments:
         assert histogram.mean() == 2.25
         assert histogram.percentile(50) == 2.0
         assert histogram.percentile(99) == 3.0
+
+    @pytest.mark.parametrize("size", [1, 5, 7, 101])
+    @pytest.mark.parametrize("q", [0, 1, 25, 50, 75, 99, 100])
+    def test_percentile_is_the_sweep_digests_nearest_rank_rule(self, size, q):
+        # odd sizes put q=50 on a .5 rank, where round() (to even) and ceil part
+        histogram = Histogram()
+        for value in range(1, size + 1):
+            histogram.observe(value)
+        assert histogram.percentile(q) == _digest_percentile(
+            histogram.counts, histogram.total, q
+        )
+        if q == 50:
+            assert histogram.percentile(q) == (size + 1) / 2  # 3.0 of {1..5}
 
     def test_empty_histogram_summaries_are_none(self):
         histogram = Histogram()

@@ -9,6 +9,7 @@ ones the simulator runs — that is the point.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 import pytest
 
@@ -412,12 +413,191 @@ class TestRecovery:
 
 
 # --------------------------------------------------------------------------- #
+# one event queue, one dispatcher, one table of armed deadlines
+# --------------------------------------------------------------------------- #
+def _probe_runtime(unit=0.005, metrics=None, transport=None, factory=ObservingProcess):
+    runtime = AsyncRuntime(2, 1, unit=unit, metrics=metrics, transport=transport)
+    runtime.bind_processes(factory)
+    return runtime
+
+
+def _live_handles(runtime):
+    """The runtime's timer handles still scheduled on the running loop."""
+    return [
+        handle
+        for handle in asyncio.get_running_loop()._scheduled
+        if not handle.cancelled()
+        and getattr(handle._callback, "__self__", None) is runtime
+    ]
+
+
+@contextlib.contextmanager
+def _created_tasks():
+    """Names of the coroutines handed to the running loop's ``create_task``."""
+    loop = asyncio.get_running_loop()
+    created = []
+
+    def counting_create_task(coro, **kwargs):
+        created.append(coro.__qualname__)
+        return type(loop).create_task(loop, coro, **kwargs)
+
+    loop.create_task = counting_create_task
+    try:
+        yield created
+    finally:
+        del loop.create_task
+
+
+def _seen(process):
+    return [(kind, detail) for kind, detail, _ in process.observations]
+
+
+class TestOneQueue:
+    def test_handlers_never_nest_and_events_are_handled_in_queue_order(self):
+        class Busy(ObservingProcess):
+            """One handler makes every kind of event for itself."""
+
+            def on_propose(self, value):
+                if value != "go":
+                    return super().on_propose(value)
+                runtime = self.env._runtime
+                self.send(self.pid, "self-send")
+                self.set_timer(self.now() - 1.0, name="past")
+                runtime.propose(self.pid, "proposal")
+                runtime.call(self.pid, lambda process: process.note("call"))
+                self.send(2, "to-peer")
+                self.send_many([self.pid], "self-send-many")
+                self.note("handler-end")
+
+        async def drive():
+            runtime = _probe_runtime(factory=Busy)
+            await runtime.start()
+            runtime.propose(1, "go")
+            await asyncio.sleep(2.0 * runtime.unit)
+            await runtime.stop()
+            return runtime
+
+        runtime = asyncio.run(drive())
+        assert runtime.errors == []
+        # everything after the handler returned; queue order, the expiry one
+        # loop turn behind (its handle has to run first)
+        assert _seen(runtime.processes[1]) == [
+            ("handler-end", None),
+            ("deliver", (1, "self-send")),
+            ("propose", "proposal"),
+            ("call", None),
+            ("deliver", (1, "self-send-many")),
+            ("timeout", "past"),
+        ]
+        assert _seen(runtime.processes[2]) == [("deliver", (1, "to-peer"))]
+
+    def test_a_turn_handles_only_what_was_queued_when_it_began(self):
+        order = []
+
+        class Chain(ObservingProcess):
+            def on_deliver(self, src, payload):
+                order.append(payload)
+                if payload < 3:
+                    # the loop callback is scheduled first: a dispatcher that
+                    # drained to empty would run the next link ahead of it
+                    asyncio.get_running_loop().call_soon(order.append, f"loop-{payload}")
+                    self.send(self.pid, payload + 1)
+
+        async def drive():
+            runtime = _probe_runtime(factory=Chain)
+            await runtime.start()
+            runtime.transport.send(1, 1, 1)
+            await asyncio.sleep(2.0 * runtime.unit)
+            await runtime.stop()
+
+        asyncio.run(drive())
+        assert order == [1, "loop-1", 2, "loop-2", 3]
+
+    def test_events_of_a_crashed_pid_are_skipped(self):
+        async def drive():
+            runtime = _probe_runtime()
+            await runtime.start()
+            runtime.propose(1, "lost")
+            runtime.propose(2, "kept")
+            runtime.set_timer(1, 0.5, "lost-too")
+            runtime.crash(1)  # before the dispatcher's turn
+            runtime.transport.send(2, 1, "to-the-dead")
+            await asyncio.sleep(2.0 * runtime.unit)
+            table = dict(runtime._timers)
+            await runtime.stop()
+            return runtime, table
+
+        runtime, table = asyncio.run(drive())
+        assert _seen(runtime.processes[1]) == []
+        assert _seen(runtime.processes[2]) == [("propose", "kept")]
+        assert table == {}  # the dead pid's expiry dropped its entry
+        assert runtime.transport.messages_total == 1  # counted at send time
+
+    def test_a_delayed_message_arriving_while_its_destination_is_down_is_lost(self):
+        async def drive():
+            transport = LocalTransport(unit=0.005)
+            transport.set_default_policy(LinkPolicy(delay_units=2.0))
+            runtime = _probe_runtime(transport=transport)
+            await runtime.start()
+            transport.send(1, 2, "lands-while-down")
+            assert len(runtime._timers) == 1  # one handle, no task
+            runtime.call_at(1.0, runtime.crash, 2)
+            runtime.call_at(3.0, runtime.recover, 2)
+            runtime.call_at(3.5, transport.send, 1, 2, "after-rejoin")
+            await asyncio.sleep(7.0 * runtime.unit)
+            table = dict(runtime._timers)
+            await runtime.stop()
+            return runtime, table
+
+        runtime, table = asyncio.run(drive())
+        assert runtime.errors == []
+        assert [d for k, d in _seen(runtime.processes[2]) if k == "deliver"] == [
+            (1, "after-rejoin")
+        ]
+        assert table == {}  # every one-shot dropped its entry when it ran
+        assert runtime.transport.delayed == 2
+
+    def test_stop_handles_what_is_queued_then_cancels_and_goes_quiet(self):
+        """Fails at the parent: ``stop()`` cleared the timer table first and
+        drained the inboxes second, so the drained handlers' timers (60
+        entries, 58 live handles for these 40 submits) survived it."""
+        workload = uniform_workload(
+            num_transactions=40, num_partitions=4, participants_per_txn=2,
+            keys_per_partition=100_000, seed=5,
+        ).transactions
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(
+                    num_partitions=4, commit_protocol="2PC", seed=5, max_time=400.0
+                ),
+                unit=0.002,
+            )
+            await service.start()
+            runtime = service.runtime
+            for txn in workload:
+                runtime.call(
+                    service.client_pid,
+                    lambda client, txn=txn: client.submit_transaction(txn),
+                )
+            await service.shutdown()
+            assert runtime._timers == {} and _live_handles(runtime) == []
+            # after stop() an arm or a post is inert
+            runtime.set_timer(1, runtime.now_units() + 1.0, "late")
+            runtime.call_at(runtime.now_units() + 1.0, runtime.crash, 1)
+            runtime.call(1, lambda process: process.on_start())
+            assert runtime._timers == {} and not runtime._events
+            return service
+
+        service = asyncio.run(drive())
+        # events queued when stop() was called were handled, in order
+        assert list(service.client.outcomes) == [txn.txn_id for txn in workload]
+        assert service.runtime.errors == []
+
+
+# --------------------------------------------------------------------------- #
 # timers: one loop handle per armed timer, a table of armed timers only
 # --------------------------------------------------------------------------- #
-def _probe_runtime(unit=0.005, metrics=None):
-    runtime = AsyncRuntime(2, 1, unit=unit, metrics=metrics)
-    runtime.bind_processes(ObservingProcess)
-    return runtime
 
 
 class TestTimerHandles:
@@ -460,22 +640,21 @@ class TestTimerHandles:
         assert [name for _, name, _ in fires] == ["once"]
         assert metrics.counter_value("runtime.timer_cancel") == 0
 
-    def test_cancel_then_rearm_beats_the_expiry_still_queued_in_the_inbox(self):
+    def test_cancel_then_rearm_beats_the_expiry_still_queued(self):
         """A per-name generation would restart at 1 once the entry is
         dropped, and the stale expiry would pass for the new arm."""
 
         async def drive():
             runtime = _probe_runtime()
             await runtime.start()
-            inbox = runtime.nodes[1].inbox
             runtime.set_timer(1, 0.0, "t")
             for _ in range(50):
-                if not inbox.empty():
+                if runtime._events:
                     break
                 await asyncio.sleep(0)
-            # the handle ran and queued the expiry; the consumer has not
-            # dequeued it yet
-            assert inbox.qsize() == 1 and (1, "t") in runtime._timers
+            # the handle ran and queued the expiry; the dispatcher has not
+            # handled it yet
+            assert len(runtime._events) == 1 and (1, "t") in runtime._timers
             runtime.cancel_timer(1, "t")
             rearmed_at = runtime.now_units()
             runtime.set_timer(1, rearmed_at + 2.0, "t")
@@ -488,23 +667,6 @@ class TestTimerHandles:
         assert [name for _, name, _ in fires] == ["t"]
         assert fires[0][2] >= rearmed_at + 2.0
         assert table == {}
-
-    def test_a_past_deadline_never_fires_before_the_handler_returns(self):
-        class PastDeadline(ObservingProcess):
-            def on_start(self):
-                self.set_timer(self.now() - 1.0, name="past")
-                self.note("handler-end")
-
-        async def drive():
-            runtime = AsyncRuntime(2, 1, unit=0.005)
-            runtime.bind_processes(PastDeadline)
-            await runtime.start()
-            runtime.call(1, lambda process: process.on_start())
-            await asyncio.sleep(2.0 * runtime.unit)
-            await runtime.stop()
-            return [kind for kind, _, _ in runtime.processes[1].observations]
-
-        assert asyncio.run(drive()) == ["handler-end", "timeout"]
 
     def test_recover_cancels_only_the_crashed_pids_timers(self):
         async def drive():
@@ -540,37 +702,21 @@ class TestTimerTableStaysSmall:
                 unit=0.002,
             )
             await service.start()
-            loop = asyncio.get_running_loop()
             runtime = service.runtime
-            created = []
-
-            def counting_create_task(coro, **kwargs):
-                created.append(coro.__qualname__)
-                return type(loop).create_task(loop, coro, **kwargs)
-
-            loop.create_task = counting_create_task
 
             async def client(index):
                 mine = workload[index * per_client:(index + 1) * per_client]
                 return [await service.submit(txn) for txn in mine]
 
-            try:
+            with _created_tasks() as created:
                 outcomes = await asyncio.gather(*(client(i) for i in range(clients)))
-            finally:
-                del loop.create_task
             armed_in_flight = len(runtime._timers)
             # every 2PC timer (two round starts, one vote collection) is
             # within 2 U of its submit: let the stragglers fire
             await asyncio.sleep(4.0 * service.unit)
             quiesced = dict(runtime._timers)
             report = await service.shutdown()
-            ours = [
-                handle
-                for handle in loop._scheduled
-                if not handle.cancelled()
-                and getattr(handle._callback, "__self__", None) is runtime
-            ]
-            return outcomes, created, armed_in_flight, quiesced, ours, report
+            return outcomes, created, armed_in_flight, quiesced, _live_handles(runtime), report
 
         outcomes, created, in_flight, quiesced, ours, report = asyncio.run(drive())
         assert all(o is not None and o.completed for batch in outcomes for o in batch)
@@ -581,3 +727,61 @@ class TestTimerTableStaysSmall:
         assert in_flight <= 3 * clients
         assert quiesced == {}
         assert ours == []
+
+    def test_timers_delayed_deliveries_and_a_planned_rejoin_share_the_table(self):
+        """The runtime's whole deadline surface in one run: protocol timers,
+        a delayed delivery per message, a fault plan's crash and rejoin."""
+        clients, per_client = 4, 5
+        # partitions 1..3 carry the workload; P4 crashes and rejoins by plan,
+        # so every transaction is fault-free and must commit
+        workload = uniform_workload(
+            num_transactions=clients * per_client, num_partitions=3,
+            participants_per_txn=2, keys_per_partition=100_000, seed=5,
+        ).transactions
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(
+                    num_partitions=4, commit_protocol="2PC", seed=5,
+                    max_time=400.0,
+                    fault_plan=FaultPlan.crash_recover(4, at=2.0, rejoin_at=6.0),
+                ),
+                unit=0.02,
+                # a worst case of 0.4 U leaves a vote 12 ms of slack against
+                # 2PC's 1 U collection timer on a loaded host
+                default_link_policy=LinkPolicy(delay_units=0.2, jitter_units=0.2),
+            )
+            runtime = service.runtime
+            sizes = []
+
+            async def client(index):
+                outcomes = []
+                for txn in workload[index * per_client:(index + 1) * per_client]:
+                    outcomes.append(await service.submit(txn))
+                    sizes.append(len(runtime._timers))
+                return outcomes
+
+            with _created_tasks() as created:
+                await service.start()  # arms the plan's crash and rejoin
+                sizes.append(len(runtime._timers))
+                outcomes = await asyncio.gather(*(client(i) for i in range(clients)))
+            report = await service.shutdown()
+            return outcomes, created, sizes, _live_handles(runtime), report, service
+
+        outcomes, created, sizes, live, report, service = asyncio.run(drive())
+        assert all(
+            o is not None and o.decision == COMMIT for batch in outcomes for o in batch
+        )
+        [event] = report.recovery_events
+        assert event.pid == 4 and event.rejoined_at >= 6.0
+        transport, runtime = service.transport, service.runtime
+        # every message took the delayed path (the last DONE may be unsent)
+        assert transport.delayed == transport.messages_total > 5 * len(workload)
+        # one task per client coroutine: none per message, crash or rejoin
+        assert len(created) == clients
+        # per transaction in flight at most its 3 timers and 6 messages, plus
+        # the plan's two entries — against 9 x 20 + 2 deadlines ever armed
+        assert sizes[0] == 2
+        assert max(sizes) <= 9 * clients + 2
+        assert next(runtime._tokens) > 9 * len(workload) + 2
+        assert runtime._timers == {} and live == []

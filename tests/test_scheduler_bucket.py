@@ -16,12 +16,14 @@ import os
 
 import pytest
 
+from repro.env.conformance import ObservingProcess
 from repro.exp import GridSpec, named_delay, named_fault, run_trial
 from repro.exp.registry import delay_model_names, fault_plan_names
 from repro.explore.strategies import make_strategy
 from repro.protocols import INBAC, TwoPhaseCommit
 from repro.sim.network import FixedDelay
 from repro.sim.runner import Scheduler, Simulation
+from repro.workloads.transactions import uniform_workload
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens", "kernel_fingerprints.json")
 
@@ -166,11 +168,64 @@ class TestKernelGolden:
 
 class TestCancelTimer:
     def test_cancel_of_never_armed_timer_is_a_noop(self):
-        # regression: cancelling a name that was never armed used to insert
-        # a generation entry, growing the map for defensive cancellers
+        # the table holds armed timers only: a defensive canceller adds nothing
         scheduler = Scheduler(n=4, f=1, delay_model=FixedDelay(1.0))
         scheduler.cancel_timer(1, "never-armed")
-        assert (1, "never-armed") not in scheduler._timer_generation
+        assert scheduler._timers == {}
+
+    def test_table_holds_armed_entries_only_and_tokens_are_never_reused(self):
+        scheduler = Scheduler(n=4, f=1, delay_model=FixedDelay(1.0), max_time=10.0)
+        scheduler.bind_processes(ObservingProcess)
+        scheduler.set_timer(1, 1.0, "t")
+        first = scheduler._timers[(1, "t")]
+        scheduler.cancel_timer(1, "t")
+        assert scheduler._timers == {}
+        # cancel-then-rearm: the stale expiry still queued at 1.0 carries the
+        # old token and loses to the new arm
+        scheduler.set_timer(1, 2.0, "t")
+        scheduler.set_timer(2, 3.0, "other")
+        assert scheduler._timers[(1, "t")] > first
+        assert len(set(scheduler._timers.values())) == 2
+        scheduler.run()
+        assert [(n, at) for _, n, at in scheduler.processes[1].of("timeout")] == [
+            ("t", 2.0)
+        ]
+        assert len(scheduler.processes[2].of("timeout")) == 1
+        assert scheduler._timers == {}  # a fired expiry took its entry
+
+    @pytest.mark.parametrize("protocol, names_per_txn", [("2PC", 5), ("INBAC", 7)])
+    def test_a_quiesced_cluster_trial_leaves_a_small_table(
+        self, monkeypatch, protocol, names_per_txn
+    ):
+        """The ``cluster_sim`` shape: 400 transactions arm ``names_per_txn``
+        timer names each; what is left at the end is what was in flight."""
+        import repro.db.cluster as cluster
+
+        schedulers = []
+
+        class Capturing(Scheduler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                schedulers.append(self)
+
+        monkeypatch.setattr(cluster, "Scheduler", Capturing)
+        workload = uniform_workload(
+            num_transactions=400, num_partitions=4, participants_per_txn=3,
+            keys_per_partition=1000, seed=3,
+        )
+        report = cluster.run_cluster(
+            cluster.ClusterConfig(
+                num_partitions=4, commit_protocol=protocol, seed=3,
+                max_time=5000.0, trace_level="counters",
+            ),
+            workload.transactions,
+        )
+        (scheduler,) = schedulers
+        assert report.committed + report.aborted == 400
+        armed_ever = next(scheduler._timer_tokens) - 1
+        assert armed_ever >= 400 * names_per_txn
+        # at most the last transaction's worth, not one key per name ever armed
+        assert len(scheduler._timers) <= names_per_txn
 
     def test_cancel_of_armed_timer_still_suppresses_it(self):
         fired = []
