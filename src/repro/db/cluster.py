@@ -22,7 +22,8 @@ Two backends serve the same cluster code:
 
 The construction seam is the trio :func:`build_partition`,
 :func:`build_client`, :func:`build_report` — each backend builds the same
-processes and renders the same report shape from its own trace source.
+processes and hands :func:`build_report` the execution record it wrote (a
+:class:`~repro.sim.trace.Trace`), which the report's statistics are read from.
 
 A sim run may also be placed under a schedule controller
 (:class:`~repro.explore.ScheduleController`, via ``ClusterConfig.controller``):
@@ -51,6 +52,7 @@ from repro.protocols.registry import get_protocol
 from repro.sim.faults import FaultPlan
 from repro.sim.network import DelayModel, FixedDelay
 from repro.sim.runner import Scheduler
+from repro.sim.trace import Trace
 
 #: the runtime backends run_cluster can dispatch to
 BACKENDS = ("sim", "asyncio")
@@ -187,6 +189,8 @@ class ClusterReport:
         latencies = sorted(self.commit_latencies())
         if not latencies:
             return None
+        # round(), not repro.sim.trace.digest_percentile's nearest-rank ceil():
+        # left alone, its output is pinned in sweep `extra` rows (bench/pins.json)
         index = max(0, int(round(0.95 * len(latencies))) - 1)
         return latencies[index]
 
@@ -264,19 +268,27 @@ def build_report(
     config: ClusterConfig,
     client: ClientCoordinator,
     partition_servers: Mapping[int, PartitionServer],
+    trace: Trace,
     *,
-    messages_total: int,
-    messages_by_module: Dict[str, int],
-    end_time: float,
-    messages_until_last_decision: int,
     execution_class: str,
-    crashes: Dict[int, float],
     schedule_decisions: Sequence[Tuple[int, str, Any]] = (),
     trace_fingerprint: Optional[str] = None,
     recovery_events: Sequence[RecoveryEvent] = (),
     backend: str = "sim",
 ) -> ClusterReport:
     """Render the backend-independent report: outcomes, state, invariants."""
+    messages_total = trace.message_count()
+    decide_times = [
+        o.decide_time for o in client.outcomes.values() if o.decide_time is not None
+    ]
+    # the paper's best-case accounting charges what was *received* by the
+    # last decision; a wall-clock record keeps no receive times, so there
+    # (and when nothing decided) it equals the total
+    messages_until_last = (
+        trace.messages_received_by(max(decide_times))
+        if decide_times and backend == "sim"
+        else messages_total
+    )
     partition_stats = {
         pid: dict(server.statistics) for pid, server in partition_servers.items()
     }
@@ -288,13 +300,13 @@ def build_report(
         num_partitions=config.num_partitions,
         outcomes=list(client.outcomes.values()),
         messages_total=messages_total,
-        messages_by_module=messages_by_module,
-        end_time=end_time,
+        messages_by_module=trace.module_histogram(),
+        end_time=trace.end_time,
         partition_stats=partition_stats,
         store_snapshots=store_snapshots,
-        messages_until_last_decision=messages_until_last_decision,
+        messages_until_last_decision=messages_until_last,
         execution_class=execution_class,
-        crashes=crashes,
+        crashes=dict(trace.crashes),
         invariants=check_cluster(partition_servers),
         pending_transactions=client.pending_transactions(),
         in_doubt_by_partition={
@@ -398,17 +410,6 @@ def _run_cluster_sim(
     scheduler.set_stop_predicate(lambda s: client.all_completed())
     trace = scheduler.run()
 
-    messages_by_module = trace.module_histogram()
-
-    decide_times = [
-        o.decide_time for o in client.outcomes.values() if o.decide_time is not None
-    ]
-    messages_until_last = (
-        trace.messages_received_by(max(decide_times))
-        if decide_times
-        else trace.message_count()
-    )
-
     partition_servers = {
         pid: scheduler.processes[pid] for pid in range(1, partitions + 1)
     }
@@ -416,12 +417,8 @@ def _run_cluster_sim(
         config,
         client,
         partition_servers,
-        messages_total=trace.message_count(),
-        messages_by_module=messages_by_module,
-        end_time=trace.end_time,
-        messages_until_last_decision=messages_until_last,
+        trace,
         execution_class=scheduler.execution_class(),
-        crashes=dict(trace.crashes),
         schedule_decisions=list(scheduler.applied_schedule_actions),
         # the fingerprint is O(trace); only controlled runs need it (replay
         # determinism), uncontrolled sweeps keep the fast path

@@ -15,7 +15,7 @@ executable.  A *harness* adapts one runtime to a tiny common driver surface:
 ``factories`` maps pid -> ``factory(pid, n, f, env) -> Process``; the harness
 builds an environment per pid, runs every process for ``duration_units`` units
 of (virtual or scaled wall-clock) time and returns the live process objects
-plus the decisions the environment recorded.  The simulator harness
+plus the execution record (a ``Trace``) it wrote.  The simulator harness
 (:class:`SimHarness`, defined here) and the asyncio harness
 (:class:`repro.runtime.conformance.AsyncHarness`) both drive exactly the same
 probe processes through :func:`run_conformance`; the scenarios cover the
@@ -53,6 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.env import Process, ProcessComponent
 from repro.errors import ProtocolViolationError
+from repro.sim.trace import Trace
 
 #: how long every scenario runs, in units of U — all probe timers fire
 #: strictly before this horizon
@@ -64,12 +65,11 @@ class HarnessResult:
     """What one harness run exposes to the scenario checkers."""
 
     processes: Dict[int, Process]
-    decisions: Dict[int, Any] = field(default_factory=dict)
+    #: the execution record the runtime wrote: the checkers read the recorded
+    #: decisions and the counted (non-self) messages per module tag from it
+    trace: Trace
     #: unexpected handler exceptions the runtime swallowed, as strings
     errors: List[str] = field(default_factory=list)
-    #: counted (non-self) messages per module tag, as the runtime tallied
-    #: them; None when a harness cannot tell
-    messages_by_module: Optional[Dict[str, int]] = None
 
 
 class EnvHarness(Protocol):
@@ -301,8 +301,8 @@ def _observes(
                     f"timer {name!r} fired at {at:.3f} < {deadline} — the "
                     "last arm did not supersede the earlier deadline"
                 )
-        tally = result.messages_by_module
-        if counted is not None and tally is not None and tally != counted:
+        tally = result.trace.module_histogram()
+        if counted is not None and tally != counted:
             failures.append(
                 f"counted messages per module are {dict(sorted(tally.items()))}, "
                 f"expected {counted} (a message to self is not counted)"
@@ -353,9 +353,9 @@ def _check_decide_once(result: HarnessResult, tol: float) -> List[str]:
             "decide-once: the second decide raised something other than "
             "ProtocolViolationError"
         )
-    if result.decisions.get(1) != 1:
+    if result.trace.decision_of(1) != 1:
         failures.append(
-            f"decide-once: recorded decision is {result.decisions.get(1)!r}, "
+            f"decide-once: recorded decision is {result.trace.decision_of(1)!r}, "
             "expected the first value 1"
         )
     return failures
@@ -405,8 +405,8 @@ def _check_send_many(result: HarnessResult, tol: float) -> List[str]:
             failures.append(
                 f"send-many: P{pid} received {got} from P1, expected {want}"
             )
-    counted = result.messages_by_module
-    if counted is not None and counted != {"main": 5, "echo": 2}:
+    counted = result.trace.module_histogram()
+    if counted != {"main": 5, "echo": 2}:
         failures.append(
             "send-many: counted messages per module are "
             f"{dict(sorted(counted.items()))}, expected main=5 (the message "
@@ -533,11 +533,8 @@ class SimHarness:
             scheduler.processes[pid].on_start()
         for pid, value in (proposals or {}).items():
             scheduler.post_propose(pid, value)
-        trace = scheduler.run()
         return HarnessResult(
-            processes=dict(scheduler.processes),
-            decisions={pid: rec.value for pid, rec in trace.decisions.items()},
-            messages_by_module=trace.module_histogram(),
+            processes=dict(scheduler.processes), trace=scheduler.run()
         )
 
 

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.sim.trace import digest_percentile, digest_sum
 
 #: grid-cell coordinates; trials explored under a schedule strategy carry an
 #: eighth element (the schedule label) so strategies aggregate separately
@@ -143,47 +144,6 @@ class TrialResult:
         return row
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile over an already-sorted sequence."""
-    if not sorted_values:
-        return None
-    rank = max(1, math.ceil(q / 100.0 * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
-def _digest_percentile(counts: Dict[float, int], total: int, q: float) -> Optional[float]:
-    """Nearest-rank percentile over a value -> multiplicity digest.
-
-    Walking the sorted distinct values while accumulating multiplicities
-    selects exactly the element that :func:`_percentile` would select from the
-    expanded sorted list, so digest- and list-based percentiles agree on the
-    same data down to the byte.
-    """
-    if total == 0:
-        return None
-    rank = min(max(1, math.ceil(q / 100.0 * total)), total)
-    seen = 0
-    for value in sorted(counts):
-        seen += counts[value]
-        if seen >= rank:
-            return value
-    return None  # pragma: no cover - rank <= total guarantees a hit
-
-
-def _digest_sum(counts: Dict[float, int]) -> float:
-    """Deterministic sum over a value → multiplicity digest.
-
-    Walking the *sorted* distinct values makes the floating-point operation
-    sequence a pure function of the digest contents — independent of the
-    order the values were folded in.  This is what lets partial accumulators
-    folded on different workers merge into byte-identical aggregates.
-    """
-    total = 0.0
-    for value in sorted(counts):
-        total += value * counts[value]
-    return total
-
-
 class CellAccumulator:
     """Streaming aggregate of all trials sharing one grid coordinate.
 
@@ -284,14 +244,14 @@ class CellAccumulator:
             "commit_rate": round(self.commits / self.count, 6),
             "solved_rate": round(self.solved / self.count, 6),
             "mean_delays": _round_opt(
-                _digest_sum(self.last_counts) / self.n_last if self.n_last else None
+                digest_sum(self.last_counts) / self.n_last if self.n_last else None
             ),
             "max_delays": max(self.last_counts) if self.last_counts else None,
             "p50_latency": _round_opt(
-                _digest_percentile(self.latency_counts, self.n_latencies, 50)
+                digest_percentile(self.latency_counts, self.n_latencies, 50)
             ),
             "p99_latency": _round_opt(
-                _digest_percentile(self.latency_counts, self.n_latencies, 99)
+                digest_percentile(self.latency_counts, self.n_latencies, 99)
             ),
             "mean_messages": _round_opt(self.sum_messages / self.count),
             "mean_messages_sent": _round_opt(self.sum_messages_sent / self.count),

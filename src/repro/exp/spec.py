@@ -47,15 +47,14 @@ derived seed and its aggregate row), so labels must be unique per axis.  A
 bare ``"name"`` is its own label; a bare plan is labelled by its
 ``description``.  Names resolve against :mod:`repro.exp.registry`
 (``register_delay_model`` / ``register_fault_plan`` / ``register_vote_pattern``
-/ ``register_workload``) when the grid is constructed — an unknown name, or a
-parameter the builder does not take, is a
-:class:`~repro.errors.ConfigurationError` there, not a per-trial failure —
-except on ``schedules``, whose registry (:mod:`repro.explore.strategies`)
-sits above the sim layer and is consulted per trial.  **Callables and
-delay-model instances are not axis values**: register the builder at import
-time and name it.  The only closures a grid can carry are predicates inside
-a literal ``FaultPlan`` (and collectors, and protocol classes), which is what
-:func:`~repro.exp.engine.ensure_spawn_safe` is for.
+/ ``register_workload``; ``schedules``: :mod:`repro.explore.strategies`) when
+the grid is constructed — an unknown name, or a parameter the builder does
+not take (a strategy takes its own per trial), is a
+:class:`~repro.errors.ConfigurationError` there, not a per-trial failure.
+**Callables and delay-model instances are not axis values**: register the
+builder at import time and name it.  The only closures a grid can carry are
+predicates inside a literal ``FaultPlan`` (and collectors, and protocol
+classes), which is what :func:`~repro.exp.engine.ensure_spawn_safe` is for.
 
 For batteries that are not cross products (e.g. hand-picked scenario lists
 where votes and fault plan vary together), build :class:`TrialSpec` lists
@@ -155,21 +154,29 @@ class ScheduleSpec:
     """A named schedule-exploration strategy for the ``schedules`` axis.
 
     The same shape as :class:`NamedSpec` with the name field called
-    ``strategy``.  ``build(seed)`` resolves it against
-    :mod:`repro.explore.strategies` and returns a fresh controller seeded
-    with the trial's derived seed (controllers are single-use).
+    ``strategy``, checked against :mod:`repro.explore.strategies` when the
+    spec is written.  ``build(seed)`` returns a fresh controller seeded with
+    the trial's derived seed (controllers are single-use).
     """
 
     label: str
     strategy: str
     params: Tuple[Tuple[str, Any], ...] = ()
 
+    def __post_init__(self) -> None:
+        # imported lazily, here and in build(): repro.explore sits above the
+        # sim layer and is only needed by grids that actually explore
+        from repro.explore.strategies import strategy_class
+
+        try:
+            strategy_class(self.strategy)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"schedules[{self.label!r}]: {exc}") from None
+
     def strategy_params(self) -> Dict[str, Any]:
         return dict(self.params)
 
     def build(self, seed: int):
-        # resolved lazily: repro.explore sits above the sim layer and is only
-        # needed by trials that actually explore
         from repro.explore.strategies import make_strategy
 
         return make_strategy(self.strategy, seed=seed, **dict(self.params))

@@ -240,13 +240,17 @@ def strategy_names() -> list:
     return list(STRATEGIES)
 
 
-def make_strategy(name: str, seed: int = 0, **params: Any) -> ScheduleController:
-    """Instantiate a registered strategy from plain data."""
+def strategy_class(name: str) -> Type[ScheduleController]:
+    """The class registered under ``name`` (a grid checks this when built)."""
     try:
-        cls = STRATEGIES[name]
-    except KeyError as exc:
+        return STRATEGIES[name]
+    except KeyError:
         known = ", ".join(sorted(STRATEGIES))
         raise ConfigurationError(
             f"unknown schedule strategy {name!r}; known: {known}"
-        ) from exc
-    return cls(seed=seed, **params)
+        ) from None
+
+
+def make_strategy(name: str, seed: int = 0, **params: Any) -> ScheduleController:
+    """Instantiate a registered strategy from plain data."""
+    return strategy_class(name)(seed=seed, **params)

@@ -49,8 +49,8 @@ SINK_FUNCS = frozenset(
         "_canonical_trial",
         "_rows_fingerprint",
         "_cell_rows",
-        "_digest_sum",
-        "_digest_percentile",
+        "digest_sum",
+        "digest_percentile",
         "row",
         "merge",
         "fold",
@@ -60,7 +60,7 @@ SINK_FUNCS = frozenset(
 
 #: consumers that stay order-insensitive even for float payloads
 #: (``sum`` is deliberately absent: float addition is not associative, which
-#: is exactly why ``_digest_sum`` walks sorted distinct values)
+#: is exactly why ``digest_sum`` walks sorted distinct values)
 _FOLD_SAFE_CONSUMERS = frozenset(
     {"sorted", "min", "max", "len", "any", "all", "set", "frozenset"}
 )

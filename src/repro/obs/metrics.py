@@ -24,9 +24,11 @@ the determinism-under-observation test battery).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+# obs may import the deterministic layers; OBS001 forbids only the reverse
+from repro.sim.trace import digest_percentile, digest_sum
 
 
 class Counter:
@@ -56,9 +58,9 @@ class Gauge:
 class Histogram:
     """A value -> multiplicity digest (exact, order-independent).
 
-    ``observe`` folds one measurement; summaries reduce over ``sorted``
-    digest items at read time, mirroring the ``_digest_percentile`` helper
-    in :mod:`repro.exp.results` so the same data always yields the same
+    ``observe`` folds one measurement; summaries reduce over the sorted
+    digest at read time through the digest functions of :mod:`repro.sim.trace`
+    (the sweep accumulators' too), so the same data always yields the same
     bytes regardless of observation order.
     """
 
@@ -74,7 +76,7 @@ class Histogram:
         self.total += 1
 
     def sum(self) -> float:
-        return sum(value * count for value, count in sorted(self.counts.items()))
+        return digest_sum(self.counts)
 
     def mean(self) -> Optional[float]:
         if self.total == 0:
@@ -83,15 +85,7 @@ class Histogram:
 
     def percentile(self, q: float) -> Optional[float]:
         """Nearest-rank percentile over the digest (exact, byte-stable)."""
-        if self.total == 0:
-            return None
-        rank = min(max(1, math.ceil(q / 100.0 * self.total)), self.total)
-        cumulative = 0
-        for value, count in sorted(self.counts.items()):
-            cumulative += count
-            if cumulative >= rank:
-                return value
-        return sorted(self.counts)[-1]  # pragma: no cover - rank <= total
+        return digest_percentile(self.counts, self.total, q)
 
 
 @dataclass
@@ -116,15 +110,13 @@ class MetricsSnapshot:
                 digest[value] = digest.get(value, 0) + count
 
     def histogram_summary(self, name: str) -> Dict[str, Optional[float]]:
-        histogram = Histogram()
-        for value, count in sorted(self.histograms.get(name, {}).items()):
-            histogram.counts[value] = count
-            histogram.total += count
+        digest = self.histograms.get(name, {})
+        total = sum(digest.values())
         return {
-            "count": float(histogram.total),
-            "mean": histogram.mean(),
-            "p50": histogram.percentile(50),
-            "p99": histogram.percentile(99),
+            "count": float(total),
+            "mean": digest_sum(digest) / total if total else None,
+            "p50": digest_percentile(digest, total, 50),
+            "p99": digest_percentile(digest, total, 99),
         }
 
     def to_jsonable(self) -> Dict[str, object]:

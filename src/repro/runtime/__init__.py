@@ -15,10 +15,10 @@ Layout:
 
 * :mod:`~repro.runtime.transport` — :class:`LinkPolicy` (per-link delay /
   jitter / drop / outage injection) and :class:`LocalTransport` (applies it
-  and counts messages);
+  and tallies counted messages into the runtime's record);
 * :mod:`~repro.runtime.node` — :class:`AsyncEnv` (the contract impl);
 * :mod:`~repro.runtime.runtime` — :class:`AsyncRuntime` (the queue and its
-  dispatcher, the deadline table, decide-once ledger, crash injection) and
+  dispatcher, the deadline table, the execution record, crash injection) and
   :func:`run_commit` (one commit instance, synchronous entry point);
 * :mod:`~repro.runtime.cluster` — the transactional KV cluster:
   :func:`run_cluster_async` (batch) and :class:`AsyncClusterService` (live

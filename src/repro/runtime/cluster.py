@@ -62,17 +62,6 @@ def _check_runtime_config(config: ClusterConfig) -> None:
         )
 
 
-def _execution_class(
-    transport: LocalTransport, crashes: Dict[int, float]
-) -> str:
-    """The runtime analogue of the simulator's execution classification."""
-    if transport.dropped > 0 or transport.worst_case_delay_units() > 1.0:
-        return "network-failure"
-    if crashes:
-        return "crash-failure"
-    return "failure-free"
-
-
 class AsyncClusterService:
     """A live transactional KV cluster on the asyncio runtime.
 
@@ -125,6 +114,7 @@ class AsyncClusterService:
             n, f, unit=unit, seed=config.seed, transport=self.transport,
             metrics=metrics,
         )
+        self.runtime.trace.protocol = f"db/{config.protocol_label()}"
         self.client: Optional[ClientCoordinator] = None
         self._waiters: Dict[str, asyncio.Future] = {}
         #: set while wait_all_completed() waits; resolved by the outcome that
@@ -217,7 +207,7 @@ class AsyncClusterService:
             self.metrics.inc("cluster.crashes")
         if self.events is not None:
             self.events.emit(
-                "cluster.crash", pid=pid, at_units=self.runtime.crashes.get(pid)
+                "cluster.crash", pid=pid, at_units=self.runtime.trace.crashes.get(pid)
             )
 
     def recover_partition(self, pid: int) -> RecoveryEvent:
@@ -250,8 +240,8 @@ class AsyncClusterService:
         self.runtime.recover(pid, server)
         event = RecoveryEvent(
             pid=pid,
-            crashed_at=self.runtime.crashes.get(pid, 0.0),
-            rejoined_at=self.runtime.recoveries[pid],
+            crashed_at=self.runtime.trace.crashes.get(pid, 0.0),
+            rejoined_at=self.runtime.trace.recoveries[pid],
             replayed_transactions=replayed,
             in_doubt_at_rejoin=tuple(server.wal.in_doubt()),
         )
@@ -301,8 +291,8 @@ class AsyncClusterService:
         """Stop the runtime and render the report from the surviving state."""
         if self.client is None:
             raise ConfigurationError("service not started")
-        end_time = self.runtime.now_units()
         await self.runtime.stop()
+        trace = self.runtime.trace
         for waiter in self._waiters.values():
             if not waiter.done():
                 waiter.cancel()
@@ -311,7 +301,6 @@ class AsyncClusterService:
             pid: self.runtime.processes[pid]
             for pid in range(1, self.config.num_partitions + 1)
         }
-        crashes = dict(self.runtime.crashes)
         if self.metrics is not None or self.events is not None:
             # in-doubt resolution: queried at rejoin minus still unresolved now
             queried = sum(
@@ -329,24 +318,18 @@ class AsyncClusterService:
             if self.events is not None:
                 self.events.emit(
                     "cluster.shutdown",
-                    end_units=end_time,
+                    end_units=trace.end_time,
                     transactions=len(self.client.outcomes),
                     in_doubt_resolved=resolved,
                     retries=retries,
-                    crashes=len(crashes),
+                    crashes=len(trace.crashes),
                 )
         return build_report(
             self.config,
             self.client,
             partition_servers,
-            messages_total=self.transport.messages_total,
-            messages_by_module=dict(self.transport.messages_by_module),
-            end_time=end_time,
-            # wall-clock runs have no retrospective trace: the best-case
-            # accounting equals the total
-            messages_until_last_decision=self.transport.messages_total,
-            execution_class=_execution_class(self.transport, crashes),
-            crashes=crashes,
+            trace,
+            execution_class=self.runtime.execution_class(),
             recovery_events=list(self._recovery_events),
             backend="asyncio",
         )

@@ -1,6 +1,7 @@
 """The asyncio harness for the :mod:`repro.env.conformance` suite.
 
-Runs the same probe processes the simulator harness runs, on the wall clock.
+Runs the same probe processes the simulator harness runs, on the wall clock,
+and hands the checkers the same thing: processes and ``runtime.trace``.
 The stated ``tolerance_units`` covers event-loop scheduling jitter only: a
 ``loop.call_later`` handle never runs early, so timers cannot fire before
 their deadline, but ``now()`` is sampled when the handler *runs*, which can
@@ -55,9 +56,8 @@ class AsyncHarness:
             await runtime.stop()
             return HarnessResult(
                 processes=dict(runtime.processes),
-                decisions=dict(runtime.decisions),
+                trace=runtime.trace,
                 errors=[f"P{pid}: {exc!r}" for pid, exc in runtime.errors],
-                messages_by_module=dict(runtime.transport.messages_by_module),
             )
 
         return asyncio.run(_main())

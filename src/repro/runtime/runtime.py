@@ -1,7 +1,7 @@
 """The asyncio runtime: wall-clock host for unmodified protocol processes.
 
 :class:`AsyncRuntime` owns everything the simulator's :class:`Scheduler` owns
-— processes, events, deadlines, the decide-once ledger, crash injection — but
+— processes, events, deadlines, the execution record, crash injection — but
 on the event loop and the wall clock.  One unit of simulated time ``U`` maps
 to ``unit`` seconds (default 20 ms), chosen so that protocol timers (a few U)
 dwarf a turn of the loop (~0.1 ms): in fault-free runs decisions are driven
@@ -30,7 +30,8 @@ bucket queue.  ``docs/runtime.md`` ("The deadline table") has the cases.
 
 ``decide`` routes through :meth:`record_decision`, which raises
 :class:`~repro.errors.ProtocolViolationError` on a second decision from the
-same process — the same integrity enforcement the simulator applies.
+same process, as the simulator does, and writes ``runtime.trace`` — the one
+execution record (``docs/runtime.md``, "What the runtime records").
 
 This module deliberately reads the wall clock (``time.monotonic``); the lint
 suite's determinism rule DET002 is *scoped out* of ``src/repro/runtime/``
@@ -51,6 +52,7 @@ from repro.env import Process
 from repro.errors import ConfigurationError, ProtocolViolationError, SimulationError
 from repro.runtime.node import AsyncEnv
 from repro.runtime.transport import LinkPolicy, LocalTransport
+from repro.sim.trace import CounterTrace
 
 ProcessFactory = Callable[[int, int, int, AsyncEnv], Process]
 
@@ -84,23 +86,19 @@ class AsyncRuntime:
         #: optional duck-typed telemetry sink (``inc``/``observe``), handed in
         #: by the hosting service — this module never imports the obs package
         self.metrics = metrics
+        #: the execution record, times in units of U
+        self.trace = CounterTrace(n=n, f=f)
         self.transport = transport or LocalTransport(unit=unit, seed=seed)
         # outage windows are in units since start: the transport reads the
         # timers' clock, and hands what survived its link to the one queue
         self.transport.now_units = self.now_units
         self.transport.arrive = self._arrive
+        self.transport.trace = self.trace
         self.envs: Dict[int, AsyncEnv] = {
             pid: AsyncEnv(self, pid) for pid in range(1, n + 1)
         }
         self.processes: Dict[int, Process] = {}
-        self.decisions: Dict[int, Any] = {}
-        self.decision_times: Dict[int, float] = {}
-        #: pid -> first crash time; *history*, never un-recorded by recovery
-        #: (a crashed-then-recovered pid stays out of correctness accounting)
-        self.crashes: Dict[int, float] = {}
-        #: pid -> last rejoin time
-        self.recoveries: Dict[int, float] = {}
-        #: pids currently down (liveness, as opposed to the crash history)
+        #: pids currently down (liveness; ``trace.crashes`` is the history)
         self._down: Set[int] = set()
         self.errors: List[Tuple[int, BaseException]] = []
         #: the one FIFO of ``(pid, kind, a, b)`` events awaiting the
@@ -111,6 +109,7 @@ class AsyncRuntime:
         #: ``(None, token)`` for a one-shot (delayed delivery, scheduled callback)
         self._timers: Dict[tuple, Tuple[int, asyncio.TimerHandle]] = {}
         self._tokens = itertools.count(1)
+        #: correct processes yet to decide: a cache of the record, not a fact
         self._undecided_correct = n
         self._all_decided = asyncio.Event()
         self._t0: Optional[float] = None
@@ -152,6 +151,8 @@ class AsyncRuntime:
         """
         self._dispatch()
         self._stopped = True
+        self.trace.end_time = self.now_units()
+        self.trace.metadata["execution_class"] = self.execution_class()
         for _, handle in self._timers.values():
             handle.cancel()
         self._timers.clear()
@@ -196,6 +197,7 @@ class AsyncRuntime:
                         del self._timers[(pid, a)]
                         process.timeout(a)
                 elif kind == "propose":
+                    self.trace.record_proposal(pid, a, self.now_units())
                     process.on_propose(a)
                 else:  # "call"
                     a(process)
@@ -218,7 +220,7 @@ class AsyncRuntime:
         event = (dst, "deliver", src, payload)
         if delay_units > 0:
             # lost like any event if its destination is down when it lands
-            self._arm(None, delay_units, self._spend, self._post, event)
+            self._arm(None, delay_units, self._spend, dst, self._post, event)
         else:
             self._post(event)
 
@@ -255,13 +257,17 @@ class AsyncRuntime:
             if self.metrics is not None:
                 self.metrics.inc("runtime.timer_cancel")
 
-    def call_at(self, at_units: float, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn(*args)`` on the loop at ``at_units`` (at once if past).
+    def call_at(
+        self, at_units: float, fn: Callable[..., None], pid: int, *args: Any
+    ) -> None:
+        """Run ``fn(pid, *args)`` on the loop at ``at_units`` (at once if past).
 
         A one-shot deadline of the runtime itself, not an event of a process:
-        it runs between dispatcher turns, and ``stop()`` cancels it.
+        it runs between dispatcher turns (also while ``pid`` is down: a
+        planned rejoin), and ``stop()`` cancels it.  A raise lands in
+        ``errors`` under ``pid``, like a handler's.
         """
-        self._arm(None, at_units - self.now_units(), self._spend, fn, *args)
+        self._arm(None, at_units - self.now_units(), self._spend, pid, fn, pid, *args)
 
     def _expire(self, token: int, pid: int, name: str) -> None:
         """An armed timer's handle ran: route the expiry through the queue."""
@@ -272,45 +278,43 @@ class AsyncRuntime:
         else:
             self._post((pid, "timer", name, token))
 
-    def _spend(self, token: int, fn: Callable[..., None], *args: Any) -> None:
+    def _spend(self, token: int, pid: int, fn: Callable[..., None], *args: Any) -> None:
         """A one-shot's handle ran: drop its entry, then do what it was for."""
         del self._timers[(None, token)]
-        fn(*args)
+        try:
+            fn(*args)
+        except Exception as exc:  # noqa: BLE001 - fault isolation boundary
+            self.record_error(pid, exc)
 
     # ------------------------------------------------------------------ #
     # decisions, crashes, errors
     # ------------------------------------------------------------------ #
     def record_decision(self, pid: int, value: Any) -> None:
-        if pid in self.decisions:
+        trace = self.trace
+        if pid in trace.decisions:
             raise ProtocolViolationError(
                 f"P{pid} attempted to decide twice "
-                f"({self.decisions[pid]!r} then {value!r})"
+                f"({trace.decisions[pid].value!r} then {value!r})"
             )
-        self.decisions[pid] = value
-        self.decision_times[pid] = self.now_units()
-        if pid not in self.crashes:
-            self._undecided_correct -= 1
-            if self._undecided_correct == 0:
-                self._all_decided.set()
+        trace.record_decision(pid, value, self.now_units())
+        if pid not in trace.crashes:
+            self._one_correct_fewer_undecided()
 
     def crash(self, pid: int) -> None:
         """Crash ``pid`` now: silence its links and stop handling its events."""
         if pid in self._down:
             return
-        first = pid not in self.crashes
-        if first:
-            self.crashes[pid] = self.now_units()
+        # the record keeps the first crash only: history, never un-recorded
+        # by recovery (a recovered pid never re-enters the correct set)
+        if pid not in self.trace.crashes:
+            self.trace.record_crash(pid, self.now_units())
+            if pid not in self.trace.decisions:
+                self._one_correct_fewer_undecided()
         self._down.add(pid)
         process = self.processes.get(pid)
         if process is not None and not process.crashed:
             process.crashed = True
             process.on_crash()
-        # correctness accounting charges only the first crash: a recovered
-        # pid never re-enters the correct set, so a re-crash changes nothing
-        if first and pid not in self.decisions:
-            self._undecided_correct -= 1
-            if self._undecided_correct == 0:
-                self._all_decided.set()
 
     def is_down(self, pid: int) -> bool:
         """Whether ``pid`` is currently crashed (and not yet recovered)."""
@@ -323,9 +327,9 @@ class AsyncRuntime:
         armed is cancelled and dropped before the replacement process is
         bound, so no stale expiry — scheduled or already queued — can fire
         into the new one.  Traffic sent while the pid was down stays lost
-        (at-most-once under faults).  The pid stays in ``crashes``: recovery
-        restores liveness, not the correctness accounting.  ``on_recover()``
-        runs from the queue, serialised with handlers like any other event.
+        (at-most-once under faults).  The pid stays in ``trace.crashes``:
+        recovery restores liveness, not the correctness accounting.
+        ``on_recover()`` runs from the queue, serialised like any other event.
         """
         if pid not in self._down:
             raise ConfigurationError(f"P{pid} is not crashed; nothing to recover")
@@ -335,8 +339,22 @@ class AsyncRuntime:
         self._down.discard(pid)
         replacement.crashed = False
         self.processes[pid] = replacement
-        self.recoveries[pid] = self.now_units()
+        self.trace.record_recovery(pid, self.now_units())
         self.call(pid, lambda p: p.on_recover())
+
+    def _one_correct_fewer_undecided(self) -> None:
+        self._undecided_correct -= 1
+        if self._undecided_correct == 0:
+            self._all_decided.set()
+
+    def execution_class(self) -> str:
+        """``Scheduler.execution_class()``'s rule over what this run observed:
+        a drop or a link able to delay past U, else a recorded crash."""
+        if self.transport.dropped or self.transport.worst_case_delay_units() > 1.0:
+            return "network-failure"
+        if self.trace.crashes:
+            return "crash-failure"
+        return "failure-free"
 
     def record_error(self, pid: int, exc: BaseException) -> None:
         self.errors.append((pid, exc))
@@ -356,32 +374,27 @@ class AsyncRuntime:
 
 @dataclass
 class CommitRunResult:
-    """Outcome of one :func:`run_commit` execution on the asyncio runtime."""
+    """One :func:`run_commit` execution: the runtime's record, as a
+    :class:`~repro.sim.runner.SimulationResult` carries the simulator's."""
 
-    protocol: str
-    n: int
-    f: int
+    trace: CounterTrace
     unit: float
-    decisions: Dict[int, int]
-    decision_times: Dict[int, float]
-    crashes: Dict[int, float]
-    elapsed_units: float
     timed_out: bool
     errors: List[str] = field(default_factory=list)
-    messages_total: int = 0
-    messages_by_module: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def decisions(self) -> Dict[int, int]:
+        return {pid: rec.value for pid, rec in self.trace.decisions.items()}
 
     @property
     def decision(self) -> Optional[int]:
         """The agreed decision, or None if absent or split (agreement breach)."""
-        values = set(self.decisions.values())
-        if len(values) == 1:
-            return next(iter(values))
-        return None
+        values = set(self.trace.decision_values())
+        return values.pop() if len(values) == 1 else None
 
     @property
     def all_agree(self) -> bool:
-        return bool(self.decisions) and len(set(self.decisions.values())) == 1
+        return len(set(self.trace.decision_values())) == 1
 
 
 def run_commit(
@@ -422,6 +435,7 @@ def run_commit(
         if link_policy is not None:
             transport.set_default_policy(link_policy)
         runtime = AsyncRuntime(n, f, unit=unit, seed=seed, transport=transport)
+        runtime.trace.protocol = label
         runtime.bind_processes(lambda pid, nn, ff, env: cls(pid, nn, ff, env, **kwargs))
         await runtime.start()
         for pid in range(1, n + 1):
@@ -432,21 +446,12 @@ def run_commit(
             runtime.call_at(crash_at[pid], runtime.crash, pid)
         budget = timeout_units + transport.worst_case_delay_units()
         decided = await runtime.wait_all_correct_decided(budget)
-        elapsed = runtime.now_units()
         await runtime.stop()
         return CommitRunResult(
-            protocol=label,
-            n=n,
-            f=f,
+            trace=runtime.trace,
             unit=unit,
-            decisions=dict(runtime.decisions),
-            decision_times=dict(runtime.decision_times),
-            crashes=dict(runtime.crashes),
-            elapsed_units=elapsed,
             timed_out=not decided,
             errors=[f"P{pid}: {exc!r}" for pid, exc in runtime.errors],
-            messages_total=transport.messages_total,
-            messages_by_module=dict(transport.messages_by_module),
         )
 
     return asyncio.run(_main())

@@ -17,8 +17,8 @@ point of the runtime — the simulator remains the deterministic oracle).
 
 Message accounting matches the simulator's convention: messages to self are
 delivered locally and not counted (footnote 10 of the paper); everything
-else increments ``messages_total`` and the per-module histogram at *send*
-time, delivered or not.
+else is tallied into the runtime's execution record at *send* time, delivered
+or not, and ``messages_total`` / ``messages_by_module`` read it back.
 """
 
 from __future__ import annotations
@@ -99,9 +99,8 @@ class LocalTransport:
         self._rng = random.Random(seed)
         self._policies: Dict[Tuple[int, int], LinkPolicy] = {}
         self._default_policy = LinkPolicy()
-        #: counted (non-self) messages, by the simulator's convention
-        self.messages_total = 0
-        self.messages_by_module: Dict[str, int] = {}
+        #: the runtime's execution record, installed like the two hooks below
+        self.trace: Optional[Any] = None
         self.dropped = 0
         self.delayed = 0
         #: messages dropped inside an outage window (also counted in dropped)
@@ -125,6 +124,14 @@ class LocalTransport:
     def policy_for(self, src: int, dst: int) -> LinkPolicy:
         return self._policies.get((src, dst), self._default_policy)
 
+    @property
+    def messages_total(self) -> int:
+        return self.trace.message_count()  # read off the record, mid-run too
+
+    @property
+    def messages_by_module(self) -> Dict[str, int]:
+        return self.trace.module_histogram()
+
     def worst_case_delay_units(self) -> float:
         """The largest extra delay any configured policy may add."""
         worst = self._default_policy.max_delay_units
@@ -142,8 +149,7 @@ class LocalTransport:
             # network hop)
             self.arrive(src, dst, payload, 0.0)
             return
-        self.messages_total += 1
-        self.messages_by_module[module] = self.messages_by_module.get(module, 0) + 1
+        self.trace.record_send_batch(payload, module, None, 1)
         if self.metrics is not None:
             self.metrics.inc("transport.sends")
         policy = self.policy_for(src, dst)

@@ -21,18 +21,57 @@ Two trace levels (selected by the scheduler's ``trace_level``):
   ``module_histogram``, decisions/crashes/proposals) return byte-identical
   answers to a full trace of the same execution; the per-message queries
   raise :class:`~repro.errors.SimulationError` because the records were
-  never kept.
+  never kept.  The asyncio runtime writes this level too
+  (``docs/runtime.md``, "What the runtime records").
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.errors import SimulationError
+
 #: the trace levels the scheduler accepts
 TRACE_LEVELS = ("full", "counters")
+
+
+# value -> multiplicity digests (``recv_time_counts`` below, the sweep
+# accumulators, the obs histograms): the one nearest-rank walk and the one sum
+def digest_percentile(counts: Dict[float, int], total: int, q: float) -> Optional[float]:
+    """Nearest-rank percentile over a value -> multiplicity digest.
+
+    Walking the sorted distinct values while accumulating multiplicities
+    selects exactly the element nearest-rank would select from the expanded
+    sorted list, so digest- and list-based percentiles agree on the same data
+    down to the byte.
+    """
+    if total == 0:
+        return None
+    rank = min(max(1, math.ceil(q / 100.0 * total)), total)
+    seen = 0
+    for value in sorted(counts):
+        seen += counts[value]
+        if seen >= rank:
+            return value
+    return None  # pragma: no cover - rank <= total guarantees a hit
+
+
+def digest_sum(counts: Dict[float, int]) -> float:
+    """Deterministic sum over a value -> multiplicity digest.
+
+    Walking the *sorted* distinct values makes the floating-point operation
+    sequence a pure function of the digest contents — independent of the
+    order the values were folded in.  This is what lets partial accumulators
+    folded on different workers merge into byte-identical aggregates.
+    """
+    total = 0.0
+    for value in sorted(counts):
+        total += value * counts[value]
+    return total
 
 
 @dataclass
@@ -394,7 +433,7 @@ class CounterTrace(Trace):
         return None
 
     def record_send_batch(
-        self, payload: Any, module: str, recv_time: float, count: int
+        self, payload: Any, module: str, recv_time: Optional[float], count: int
     ) -> None:
         """Tally ``count`` counted messages of one broadcast in one call.
 
@@ -405,8 +444,9 @@ class CounterTrace(Trace):
         self.counted_total += count
         counts = self.module_counts
         counts[module] = counts.get(module, 0) + count
-        digest = self.recv_time_counts
-        digest[recv_time] = digest.get(recv_time, 0) + count
+        if recv_time is not None:  # None on the wall clock: unknown at send time
+            digest = self.recv_time_counts
+            digest[recv_time] = digest.get(recv_time, 0) + count
 
     def record_timer(self, pid: int, name: str, time: float) -> None:
         self.timer_expiries += 1
@@ -437,6 +477,11 @@ class CounterTrace(Trace):
     def messages_received_by(self, deadline: float, module: Optional[str] = None) -> int:
         if module is not None:
             raise self._unavailable("messages_received_by(module=...)")
+        if self.counted_total and not self.recv_time_counts:
+            raise SimulationError(  # never a silent 0
+                "messages_received_by() needs receive times, which a "
+                "wall-clock record does not keep"
+            )
         cutoff = deadline + 1e-9
         return sum(
             count for time, count in self.recv_time_counts.items() if time <= cutoff
@@ -449,8 +494,6 @@ class CounterTrace(Trace):
     # per-message queries: not recorded at this level
     # ------------------------------------------------------------------ #
     def _unavailable(self, what: str) -> Exception:
-        from repro.errors import SimulationError
-
         return SimulationError(
             f"{what} needs per-message records, which trace_level='counters' "
             f"does not keep; run with trace_level='full'"

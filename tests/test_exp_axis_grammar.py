@@ -185,12 +185,14 @@ REJECTED = [
     *[(axis, ("lbl", "x", [("k", 1)]), ["'lbl'", "params_dict"]) for axis in AXES],
     # a literal where the name belongs in a 3-tuple
     ("faults", ("lbl", PLAN, {}), ["'lbl'"]),
-    # unknown names (the schedules axis resolves its names per trial)
+    # unknown names: every axis resolves its names where the grid is built
     ("delays", "no-such", ["unknown delay model 'no-such'", "known: fixed"]),
     ("faults", ("f", "no-such"), ["'f'", "unknown fault plan 'no-such'"]),
     ("votes", "most-yes", ["unknown vote pattern 'most-yes'", "known: all-no, all-yes"]),
     ("votes", "most-yes:3", ["unknown vote pattern 'most-yes:3'"]),
     ("workloads", ("w", "no-such", {}), ["'w'", "unknown workload 'no-such'"]),
+    ("schedules", "no-such-strategy",
+     ["schedules['no-such-strategy']: unknown schedule strategy", "known: crash-point"]),
     # unknown / missing parameters, named
     ("delays", ("u", "uniform", {"low": 0.2}), ["'u'", "'low'"]),
     ("delays", ("u", "uniform", {"seed": 3}), ["'u'", "'seed'"]),
@@ -229,6 +231,12 @@ class TestRejectedForms:
     def test_gridspec_rejects_a_callable_at_construction(self, axis):
         with pytest.raises(ConfigurationError, match=axis):
             GridSpec(protocols=["2PC"], **{axis: [("old", a_factory)]})
+
+    def test_gridspec_rejects_an_unknown_strategy_at_construction(self):
+        """Fails at the parent: the grid built, and ``run_sweep`` returned one
+        captured ``TrialResult.error`` per trial instead."""
+        with pytest.raises(ConfigurationError, match=r"schedules\['no-such-strategy'\]"):
+            GridSpec(protocols=["2PC"], schedules=["no-such-strategy"])
 
     def test_gridspec_rejects_a_model_instance_at_construction(self):
         with pytest.raises(ConfigurationError, match="delays"):

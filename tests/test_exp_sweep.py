@@ -24,11 +24,11 @@ from repro.exp import (
     run_trial,
     run_trials,
 )
-from repro.exp.results import _percentile
 from repro.exp.spec import coerce_axis, coerce_protocol
 from repro.protocols.inbac import INBAC
 from repro.protocols.registry import all_protocols, get_protocol, protocol_names
 from repro.sim.faults import DelayRule, FaultPlan
+from repro.sim.trace import digest_percentile
 
 
 def stochastic_grid(seeds=(0, 1)):
@@ -138,10 +138,13 @@ class TestRunTrial:
         assert result.error is not None and "ConfigurationError" in result.error
 
     def test_percentile_is_nearest_rank(self):
-        assert _percentile([1, 2, 3, 4, 5, 6], 50) == 3
-        assert _percentile(list(range(1, 101)), 99) == 99
-        assert _percentile([42], 99) == 42
-        assert _percentile([], 50) is None
+        def percentile(values, q):
+            return digest_percentile(dict.fromkeys(values, 1), len(values), q)
+
+        assert percentile([1, 2, 3, 4, 5, 6], 50) == 3
+        assert percentile(list(range(1, 101)), 99) == 99
+        assert percentile([42], 99) == 42
+        assert percentile([], 50) is None
 
     def test_collector_attaches_extra(self):
         trial = make_cases([{"protocol": "INBAC", "n": 5, "f": 2}])[0]

@@ -193,7 +193,7 @@ class TestDriverValidation:
         with pytest.raises(ConfigurationError):
             explore("2PC", n=5, f=2, budget=5, properties=("liveness",))
 
-    def test_unknown_strategy_surfaces_as_trial_errors(self):
-        report = explore("2PC", n=5, f=2, budget=3, strategy="no-such")
-        assert report.errors
-        assert "unknown schedule strategy" in report.errors[0]
+    def test_unknown_strategy_rejected(self):
+        # at construction, like an unknown delay model: not one error per trial
+        with pytest.raises(ConfigurationError, match="unknown schedule strategy"):
+            explore("2PC", n=5, f=2, budget=3, strategy="no-such")

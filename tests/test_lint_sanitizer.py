@@ -117,7 +117,7 @@ class TestRowPerturbation:
         # simulate the pre-PR-3 defect: a float reduction that walks the
         # digest in insertion order instead of sorted(counts)
         monkeypatch.setattr(
-            "repro.exp.results._digest_sum",
+            "repro.exp.results.digest_sum",
             lambda counts: next(iter(counts), 0.0),
         )
         sanitizer.install()

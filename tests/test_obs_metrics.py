@@ -8,13 +8,14 @@ JSON regardless of how the observations were split across registries.
 from __future__ import annotations
 
 import json
+import math
 import pickle
 
 import pytest
 
-from repro.exp.results import _digest_percentile
 from repro.obs import MetricsRegistry, MetricsSnapshot
 from repro.obs.metrics import Histogram
+from repro.sim.trace import digest_percentile, digest_sum
 
 
 class TestInstruments:
@@ -50,15 +51,33 @@ class TestInstruments:
     @pytest.mark.parametrize("size", [1, 5, 7, 101])
     @pytest.mark.parametrize("q", [0, 1, 25, 50, 75, 99, 100])
     def test_percentile_is_the_sweep_digests_nearest_rank_rule(self, size, q):
-        # odd sizes put q=50 on a .5 rank, where round() (to even) and ceil part
-        histogram = Histogram()
-        for value in range(1, size + 1):
-            histogram.observe(value)
-        assert histogram.percentile(q) == _digest_percentile(
-            histogram.counts, histogram.total, q
-        )
+        """The one walk (``repro.sim.trace.digest_percentile``), by table.
+
+        Multiplicity ``1 + value % 3`` so ranks fall inside runs; odd sizes
+        put q=50 on a .5 rank, where round() (to even) and ceil part."""
+        counts = {float(value): 1 + value % 3 for value in range(1, size + 1)}
+        expanded = sorted(v for v, c in counts.items() for _ in range(c))
+        total = len(expanded)
+        want = expanded[min(max(1, math.ceil(q / 100.0 * total)), total) - 1]
+        assert digest_percentile(counts, total, q) == want
         if q == 50:
-            assert histogram.percentile(q) == (size + 1) / 2  # 3.0 of {1..5}
+            plain = {float(value): 1 for value in range(1, size + 1)}
+            assert digest_percentile(plain, size, q) == (size + 1) / 2  # 3 of {1..5}
+        # and its three readers take it from there
+        histogram = Histogram()
+        for value in reversed(expanded):
+            histogram.observe(value)
+        assert histogram.percentile(q) == want
+        assert histogram.sum() == digest_sum(counts) == digest_sum(histogram.counts)
+        summary = MetricsSnapshot(histograms={"h": dict(counts)}).histogram_summary("h")
+        assert summary["count"] == total
+        assert summary["mean"] == histogram.mean()
+        assert summary["p50"] == digest_percentile(counts, total, 50)
+        assert summary["p99"] == digest_percentile(counts, total, 99)
+
+    def test_empty_digests_have_no_percentile_and_sum_to_zero(self):
+        assert digest_percentile({}, 0, 50) is None
+        assert digest_sum({}) == 0.0
 
     def test_empty_histogram_summaries_are_none(self):
         histogram = Histogram()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -368,12 +370,18 @@ class TestTraceInvariants:
 # percentile digests
 # --------------------------------------------------------------------------- #
 class TestPercentileDigests:
-    """``_digest_percentile`` must select the same element as ``_percentile``.
+    """``digest_percentile`` must select the nearest-rank element of the
+    expanded sorted list.
 
     The counters trace level ships a value -> multiplicity digest instead of
     the raw latency list; the aggregate fingerprint is only stable across
-    trace levels if both percentile paths agree down to the byte.
+    trace levels if the digest walk is exactly nearest-rank over the list.
     """
+
+    @staticmethod
+    def _nearest_rank(sorted_values, q):
+        rank = max(1, math.ceil(q / 100.0 * len(sorted_values)))
+        return sorted_values[min(rank, len(sorted_values)) - 1]
 
     @given(
         st.dictionaries(
@@ -387,31 +395,28 @@ class TestPercentileDigests:
     )
     @settings(max_examples=200, deadline=None)
     def test_digest_matches_expanded_list(self, counts, q):
-        from repro.exp.results import _digest_percentile, _percentile
+        from repro.sim.trace import digest_percentile
 
         expanded = sorted(
             value for value, mult in counts.items() for _ in range(mult)
         )
         total = sum(counts.values())
-        assert _digest_percentile(counts, total, q) == _percentile(expanded, q)
+        assert digest_percentile(counts, total, q) == self._nearest_rank(expanded, q)
 
     @given(st.floats(min_value=0.001, max_value=100.0,
                      allow_nan=False, allow_infinity=False),
            st.integers(min_value=1, max_value=50))
     @settings(max_examples=50, deadline=None)
     def test_single_value_digest_is_that_value_at_every_q(self, value, mult):
-        from repro.exp.results import _digest_percentile, _percentile
+        from repro.sim.trace import digest_percentile
 
         for q in (0.0, 50.0, 99.0, 100.0):
-            assert _digest_percentile({value: mult}, mult, q) == value
-            assert _percentile([value] * mult, q) == value
+            assert digest_percentile({value: mult}, mult, q) == value
 
     def test_empty_digest_is_none(self):
-        from repro.exp.results import _digest_percentile, _percentile
+        from repro.sim.trace import digest_percentile
 
-        assert _digest_percentile({}, 0, 50.0) is None
-        assert _percentile([], 50.0) is None
-
+        assert digest_percentile({}, 0, 50.0) is None
 
 # --------------------------------------------------------------------------- #
 # bucket queue vs a test-owned binary heap

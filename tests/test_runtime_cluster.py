@@ -46,7 +46,7 @@ class TestRunCommit:
         )
         assert not result.timed_out
         assert result.errors == []
-        assert 3 in result.crashes
+        assert 3 in result.trace.crashes
         survivors = {pid: d for pid, d in result.decisions.items() if pid != 3}
         assert len(survivors) == 3
         assert len(set(survivors.values())) == 1
@@ -59,7 +59,7 @@ class TestRunCommit:
             info = get_protocol(name)
             result = run_commit(name, 4, 1, [1, 1, 1, 1])
             assert not result.timed_out
-            assert result.messages_total >= info.expected_messages(4, 1)
+            assert result.trace.message_count() >= info.expected_messages(4, 1)
 
     def test_vote_validation_and_decide_once_surface_as_errors(self):
         with pytest.raises(ConfigurationError):
@@ -595,6 +595,36 @@ class TestOneQueue:
         assert service.runtime.errors == []
 
 
+    def test_a_planned_crash_that_raises_lands_in_errors_not_in_the_loop(self):
+        """Fails at the parent: ``call_at`` callbacks ran outside the fault
+        boundary, so the ``ConfigurationError`` reached the loop's exception
+        handler and ``runtime.errors`` stayed empty."""
+
+        async def drive():
+            escaped = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: escaped.append(context)
+            )
+            service = AsyncClusterService(
+                ClusterConfig(
+                    num_partitions=2, fault_plan=FaultPlan.crash(2, at=1.0)
+                ),
+                unit=0.005,
+            )
+            await service.start()
+            service.crash_partition(2)  # before the plan fires
+            await asyncio.sleep(3.0 * service.unit)
+            await service.shutdown()
+            return service.runtime, escaped
+
+        runtime, escaped = asyncio.run(drive())
+        assert escaped == []
+        [(pid, exc)] = runtime.errors
+        assert pid == 2 and isinstance(exc, ConfigurationError)
+        assert "already crashed" in str(exc)
+        assert runtime.trace.crashes.keys() == {2}  # the first crash, once
+
+
 # --------------------------------------------------------------------------- #
 # timers: one loop handle per armed timer, a table of armed timers only
 # --------------------------------------------------------------------------- #
@@ -780,8 +810,9 @@ class TestTimerTableStaysSmall:
         # one task per client coroutine: none per message, crash or rejoin
         assert len(created) == clients
         # per transaction in flight at most its 3 timers and 6 messages, plus
-        # the plan's two entries — against 9 x 20 + 2 deadlines ever armed
+        # the plan's two entries — against some 9 x 20 + 2 deadlines ever
+        # armed (the same slack as above: shutdown may beat the last DONEs)
         assert sizes[0] == 2
         assert max(sizes) <= 9 * clients + 2
-        assert next(runtime._tokens) > 9 * len(workload) + 2
+        assert next(runtime._tokens) > 8 * len(workload) + 2
         assert runtime._timers == {} and live == []

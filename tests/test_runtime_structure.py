@@ -6,7 +6,9 @@ events, one dispatcher and one table of ``loop.call_later`` handles
 — an ``asyncio.Queue`` and a consumer ``Task`` per process, a ``Task`` +
 ``asyncio.sleep`` per delayed message, crash or rejoin — each came back as a
 few innocent-looking lines, so they are refused by name here rather than
-noticed in a profile later.
+noticed in a profile later.  So is a second ledger: what happened in a run
+is written once, into ``runtime.trace`` (docs/runtime.md, "What the runtime
+records").
 """
 
 from __future__ import annotations
@@ -26,13 +28,16 @@ ALLOWED = {
 }
 
 
+def _modules():
+    for filename in sorted(os.listdir(PACKAGE)):
+        if filename.endswith(".py"):
+            with open(os.path.join(PACKAGE, filename), encoding="utf-8") as handle:
+                yield filename, ast.parse(handle.read(), filename)
+
+
 def _refused_uses():
     found = {}
-    for filename in sorted(os.listdir(PACKAGE)):
-        if not filename.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE, filename), encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), filename)
+    for filename, tree in _modules():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Attribute, ast.Name)):
                 continue
@@ -61,3 +66,33 @@ def test_the_transport_is_link_policy_and_accounting_only():
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module)
     assert not any(name.split(".")[0] == "asyncio" for name in imported)
+
+
+#: what the execution record (``runtime.trace``, the simulator's ``Trace``)
+#: holds: who decided what, who crashed and rejoined when, how many messages
+#: per module.  An attribute of one of these names is a second ledger.
+RECORD_FIELDS = {
+    "decisions", "decision_times", "crashes", "recoveries",
+    "messages_total", "messages_by_module",
+}
+
+
+def test_nothing_under_runtime_keeps_a_second_ledger():
+    found = []
+    for filename, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            found.extend(
+                f"{filename}:{node.lineno} self.{target.attr}"
+                for target in targets
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+                and target.attr in RECORD_FIELDS
+            )
+    assert found == []
