@@ -6,7 +6,7 @@ the three live core configurations:
 * ``full+trial`` — ``trace_level="full"`` with per-trial streaming folds.
 * ``counters+trial`` — the counters trace level, still folding per trial.
 * ``counters+chunk`` — the aggregate-mode default: counters level, chunk
-  folds, batched delay sampling.
+  folds.
 
 Every configuration must produce the *same* ``SweepAggregate`` fingerprint —
 a cheaper configuration buys speed, never different bytes — and the measured

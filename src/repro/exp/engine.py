@@ -91,8 +91,8 @@ Design constraints, in order:
    their seed, and the expansion order keeps a cell's trials contiguous, so
    the per-trial hot path resolves the protocol factory and keyword
    arguments once per cell (a one-slot memo keyed by the protocol spec, the
-   system size and the trace level) and reuses one
-   :class:`~repro.sim.runner.Simulation` across the cell's trials.  What
+   system size and the trace level): the memo holds the cell's
+   :class:`~repro.sim.runner.Simulation`, reused across its trials.  What
    varies with the trial — votes, delay model, fault plan, controller — is
    built per trial from the derived seed and passed in as overrides.
 """
@@ -111,7 +111,6 @@ from repro.core.checker import check_nbac
 from repro.errors import ConfigurationError, SweepError
 from repro.exp.results import SweepAggregate, SweepResult, TrialResult
 from repro.exp.spec import GridSpec, TrialSpec
-from repro.sim.batch import BatchedDelaySampler
 from repro.sim.runner import Simulation, SimulationResult
 from repro.sim.trace import TRACE_LEVELS
 
@@ -134,47 +133,29 @@ _FOLDS = ("auto", "trial", "chunk")
 _START_METHODS = (None, "fork", "spawn")
 
 
-class _CellRuntime:
-    """Per-cell objects resolved once and reused across the cell's trials.
-
-    What the one-slot memo of design point 8 (module docstring) holds: the
-    Simulation with its process factory and kwargs dict, and a delay sampler.
-    """
-
-    __slots__ = ("simulation", "sampler")
-
-    def __init__(self, simulation: Simulation):
-        self.simulation = simulation
-        # one delay sampler per cell: each trial rebinds it to that trial's
-        # freshly seeded delay model, reusing the pre-draw buffer across the
-        # cell instead of allocating one per trial
-        self.sampler = BatchedDelaySampler()
+#: (cell signature, Simulation) of the most recently run cell, per process:
+#: the one-slot memo of design point 8 (module docstring)
+_LAST_SIMULATION: Optional[tuple] = None
 
 
-#: (cell signature, runtime) of the most recently run cell, per process
-_LAST_RUNTIME: Optional[tuple] = None
-
-
-def _cell_runtime(trial: TrialSpec, trace_level: str) -> _CellRuntime:
-    global _LAST_RUNTIME
+def _cell_simulation(trial: TrialSpec, trace_level: str) -> Simulation:
+    global _LAST_SIMULATION
     # ProtocolSpec compares by (label, class identity, kwargs), so two cells
-    # only share a runtime when they run the same class — labels alone can
+    # only share a Simulation when they run the same class — labels alone can
     # collide across grids within one process
     signature = (trial.protocol, trial.n, trial.f, trial.max_time, trace_level)
-    if _LAST_RUNTIME is not None and _LAST_RUNTIME[0] == signature:
-        return _LAST_RUNTIME[1]
-    runtime = _CellRuntime(
-        simulation=Simulation(
-            n=trial.n,
-            f=trial.f,
-            process_class=trial.protocol.cls,
-            max_time=trial.max_time,
-            protocol_kwargs=trial.protocol.protocol_kwargs(),
-            trace_level=trace_level,
-        )
+    if _LAST_SIMULATION is not None and _LAST_SIMULATION[0] == signature:
+        return _LAST_SIMULATION[1]
+    simulation = Simulation(
+        n=trial.n,
+        f=trial.f,
+        process_class=trial.protocol.cls,
+        max_time=trial.max_time,
+        protocol_kwargs=trial.protocol.protocol_kwargs(),
+        trace_level=trace_level,
     )
-    _LAST_RUNTIME = (signature, runtime)
-    return runtime
+    _LAST_SIMULATION = (signature, simulation)
+    return simulation
 
 
 def _effective_level(trial: TrialSpec, override: Optional[str], default: str) -> str:
@@ -210,16 +191,15 @@ def run_trial(
     if trial.workload is not None:
         return _run_cluster_trial(trial, base, collector, level)
     try:
-        runtime = _cell_runtime(trial, level)
+        simulation = _cell_simulation(trial, level)
         votes = trial.votes.build(trial.n, seed)
         controller = trial.schedule.build(seed) if trial.schedule is not None else None
-        result = runtime.simulation.run(
+        result = simulation.run(
             votes,
             delay_model=trial.delay.build(seed),
             fault_plan=trial.fault.build(),
             seed=seed,
             controller=controller,
-            delay_sampler=runtime.sampler,
         )
     except Exception:
         base.error = traceback.format_exc(limit=8)

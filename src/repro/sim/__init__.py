@@ -16,11 +16,11 @@ implements that model as a deterministic discrete-event simulator:
 * :mod:`repro.sim.trace` — the execution trace (message log, decisions,
   crashes) from which all complexity metrics are computed.
 * :mod:`repro.sim.runner` — the :class:`~repro.sim.runner.Simulation` driver.
-* :mod:`repro.sim.batch` — batch-oriented execution: the bucket/calendar
-  event queue and vectorised delay sampling behind the fingerprint contract.
+* :mod:`repro.sim.batch` — the scheduler's bucket/calendar event queue,
+  behind the fingerprint contract.
 """
 
-from repro.sim.batch import BatchedDelaySampler, BucketQueue
+from repro.sim.batch import BucketQueue
 from repro.sim.clock import VirtualClock
 from repro.sim.events import (
     CrashEvent,
@@ -45,7 +45,6 @@ from repro.sim.trace import TRACE_LEVELS, CounterTrace, DecisionRecord, MessageR
 
 __all__ = [
     "AdversarialDelay",
-    "BatchedDelaySampler",
     "BucketQueue",
     "CounterTrace",
     "CrashEvent",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.batch import sample_uniform_batch
 
 
 class DelayModel(Protocol):
@@ -28,15 +27,13 @@ class DelayModel(Protocol):
     Implementations must be deterministic given their own state (seeded RNGs)
     so that simulations are reproducible.
 
-    One optional class attribute lets the scheduler pick a fast path (the
-    event queue needs no declaration: it is exact for any delay, bounded or
-    not):
-
-    * ``iid_delays`` — draws depend only on the model's own RNG (never on
-      src/dst/payload/send_time), so a :class:`~repro.sim.batch.\
-BatchedDelaySampler` may pre-draw them in batches via ``sample_batch(k)``,
-      whose k results must be byte-identical to k successive ``delay`` calls.
-      Defaults to False for models that do not declare it.
+    A model whose delays do not depend on the message (never on
+    src/dst/payload/send_time) additionally offers a zero-argument ``draw()``
+    and defines ``delay(...)`` as ``self.draw()``: the two are one stream, in
+    any interleaving.  Offering ``draw`` *is* the declaration — the scheduler
+    calls it once per counted message when no fault-plan override rule needs
+    the message's coordinates, and ``delay(...)`` otherwise.  Models keyed on
+    the message (flaky links, adversarial functions) offer no ``draw``.
     """
 
     def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
@@ -59,18 +56,15 @@ class FixedDelay:
 
     u: float = 1.0
 
-    #: degenerate i.i.d. delays: batched sampling applies
-    iid_delays = True
-
     def __post_init__(self) -> None:
         if self.u <= 0:
             raise ConfigurationError(f"delay bound must be positive, got {self.u}")
 
-    def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
+    def draw(self) -> float:
         return self.u
 
-    def sample_batch(self, k: int) -> list:
-        return [self.u] * k
+    def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
+        return self.draw()
 
     def bound(self) -> float:
         return self.u
@@ -82,9 +76,6 @@ class UniformDelay:
     Used by the database benchmarks to exercise protocols under realistic,
     non-degenerate timing while remaining within the synchronous bound.
     """
-
-    #: i.i.d. draws: batched sampling applies
-    iid_delays = True
 
     def __init__(self, lo: float, hi: float, u: Optional[float] = None, seed: int = 0):
         if lo <= 0:
@@ -103,11 +94,11 @@ class UniformDelay:
             raise ConfigurationError("bound u must be >= hi for a synchronous model")
         self._rng = random.Random(seed)
 
-    def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
+    def draw(self) -> float:
         return self._rng.uniform(self.lo, self.hi)
 
-    def sample_batch(self, k: int) -> list:
-        return sample_uniform_batch(self._rng, self.lo, self.hi, k)
+    def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
+        return self.draw()
 
     def bound(self) -> float:
         return self.u
@@ -121,11 +112,6 @@ class LognormalDelay:
     the bound, occasional samples approach it.
     """
 
-    #: i.i.d. draws; batching uses the scalar loop (CPython's
-    #: ``gauss`` consumes generator words in a pattern numpy cannot replay
-    #: bit-exactly), so only the per-call method dispatch is amortised
-    iid_delays = True
-
     def __init__(self, median: float, sigma: float, u: float, seed: int = 0):
         if median <= 0 or sigma < 0 or u <= median:
             raise ConfigurationError(
@@ -136,15 +122,12 @@ class LognormalDelay:
         self.u = u
         self._rng = random.Random(seed)
 
-    def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
+    def draw(self) -> float:
         sample = self.median * math.exp(self._rng.gauss(0.0, self.sigma))
         return min(sample, self.u)
 
-    def sample_batch(self, k: int) -> list:
-        gauss = self._rng.gauss
-        exp = math.exp
-        median, sigma, u = self.median, self.sigma, self.u
-        return [min(median * exp(gauss(0.0, sigma)), u) for _ in range(k)]
+    def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
+        return self.draw()
 
     def bound(self) -> float:
         return self.u
@@ -169,9 +152,6 @@ class FlakyLinkDelay:
     from its transport counters.  All randomness comes from the seeded RNG,
     so the model is fingerprint-deterministic like every other delay model.
     """
-
-    #: draws depend on (src, dst, send_time) (not i.i.d.): per-message sampling
-    iid_delays = False
 
     def __init__(
         self,
@@ -227,9 +207,6 @@ class AdversarialDelay:
     paper's proofs (e.g. ``E_async`` in Lemma 1).
     """
 
-    #: arbitrary user function, message-dependent: per-message sampling
-    iid_delays = False
-
     def __init__(self, fn: Callable[[int, int, object, float], float], u: float = 1.0):
         self.fn = fn
         self.u = u
@@ -261,10 +238,6 @@ class Network:
         self.delay_model = delay_model if delay_model is not None else FixedDelay(1.0)
         #: delay overrides installed by the fault plan, consulted first
         self._overrides: list = []
-        #: optional BatchedDelaySampler bound to delay_model; when present it
-        #: replaces the per-message delay() call for the *nominal* draw (the
-        #: draws are identical bytes, just pre-drawn in batches)
-        self._sampler = None
 
     @property
     def u(self) -> float:
@@ -275,24 +248,16 @@ class Network:
         """Install :class:`~repro.sim.faults.DelayRule` overrides."""
         self._overrides = list(rules)
 
-    def attach_sampler(self, sampler) -> None:
-        """Install a bound :class:`~repro.sim.batch.BatchedDelaySampler`.
-
-        The nominal draw still happens for every non-self message — override
-        rules receive it, and RNG consumption order is what keeps batched and
-        per-message runs byte-identical — it is merely served from the
-        sampler's pre-drawn buffer.
-        """
-        self._sampler = sampler
-
     def transit_delay(
         self, src: int, dst: int, payload: object, send_time: float, msg_index: int
     ) -> float:
-        """Compute the delay for a message, applying fault-plan overrides."""
-        if self._sampler is not None:
-            nominal = self._sampler.next_delay()
-        else:
-            nominal = self.delay_model.delay(src, dst, payload, send_time)
+        """Compute the delay for a message, applying fault-plan overrides.
+
+        The nominal delay is drawn for every message, overridden or not:
+        rules receive it, and the model's RNG advances once per counted
+        message whichever rule fires.
+        """
+        nominal = self.delay_model.delay(src, dst, payload, send_time)
         for rule in self._overrides:
             override = rule.apply(src, dst, payload, send_time, msg_index, nominal)
             if override is not None:

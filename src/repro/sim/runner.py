@@ -89,7 +89,7 @@ from repro.sim.events import (
     PRIORITY_RECOVER,
     PRIORITY_TIMER,
 )
-from repro.sim.batch import BatchedDelaySampler, BucketQueue
+from repro.sim.batch import BucketQueue
 from repro.sim.faults import FaultPlan
 from repro.sim.network import DelayModel, FixedDelay, Network
 from repro.env import Process
@@ -150,7 +150,6 @@ class Scheduler:
         protocol_name: str = "",
         trace_level: str = "full",
         controller: Optional[Any] = None,
-        delay_sampler: Optional[BatchedDelaySampler] = None,
     ):
         if n < 2:
             raise ConfigurationError(f"need at least 2 processes, got n={n}")
@@ -178,21 +177,17 @@ class Scheduler:
         self.processes: Dict[int, Process] = {}
         self.envs: Dict[int, SimEnv] = {pid: SimEnv(self, pid) for pid in range(1, n + 1)}
         self._queue = BucketQueue()
-        # bind the sampler (a per-cell object when the sweep engine passes
-        # one in) to this run's delay model; models that are not i.i.d. refuse
-        sampler = delay_sampler if delay_sampler is not None else BatchedDelaySampler()
-        self._delay_sampler = sampler if sampler.bind(self.network.delay_model) else None
-        self.network.attach_sampler(self._delay_sampler)
         # what send_many needs per call and the run fixes once: the delay
-        # source — the sampler's draw when no override rule can fire (the
-        # nominal draw IS the delay then), else None for transit_delay — and
-        # the trace's hook: a record per message (full level) or a tally per
-        # run of messages (counters level keeps no records)
+        # source — the model's draw() when it offers one and no override rule
+        # can fire (the nominal draw IS the delay then), else None for
+        # transit_delay — and the trace's hook: a record per message (full
+        # level) or a tally per run of messages (counters level keeps no
+        # records)
         full = trace_level == "full"
         self._posting = (
-            self._delay_sampler.next_delay
-            if self._delay_sampler is not None and not self.network._overrides
-            else None,
+            None
+            if self.network._overrides
+            else getattr(self.network.delay_model, "draw", None),
             self.trace.record_send if full else None,
             None if full else self.trace.record_send_batch,
         )
@@ -761,7 +756,6 @@ class Simulation:
         fault_plan: Optional[FaultPlan] = None,
         seed: Optional[int] = None,
         controller: Optional[Any] = None,
-        delay_sampler: Optional[BatchedDelaySampler] = None,
     ) -> SimulationResult:
         """Run one execution with the given per-process votes.
 
@@ -770,11 +764,9 @@ class Simulation:
         one ``Simulation`` per grid cell across per-trial-seeded models.
         ``controller`` attaches a schedule controller (see
         :mod:`repro.explore`) to this run; the applied schedule decisions
-        land in ``trace.metadata["schedule_decisions"]``.  ``delay_sampler``
-        supplies a reusable :class:`~repro.sim.batch.BatchedDelaySampler`
-        (the sweep engine keeps one per cell so its buffer survives across
-        trials).  ``votes`` is a sequence of ``n`` votes or a dict keyed by
-        pid; a partial dict is legal (the missing processes never propose).
+        land in ``trace.metadata["schedule_decisions"]``.  ``votes`` is a
+        sequence of ``n`` votes or a dict keyed by pid; a partial dict is
+        legal (the missing processes never propose).
         """
         if isinstance(votes, dict):
             vote_map = dict(votes)
@@ -800,7 +792,6 @@ class Simulation:
             protocol_name=self._protocol_name,
             trace_level=self._trace_level,
             controller=controller,
-            delay_sampler=delay_sampler,
         )
         scheduler.bind_processes(self._factory)
         for pid in range(1, self.n + 1):

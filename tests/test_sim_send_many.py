@@ -129,11 +129,8 @@ def queue_contents(scheduler):
 
 
 def delay_source_position(scheduler):
-    sampler = scheduler._delay_sampler
-    model = scheduler.network.delay_model
-    rng = getattr(model, "_rng", None)
+    rng = getattr(scheduler.network.delay_model, "_rng", None)
     return (
-        None if sampler is None else (sampler._pos, list(sampler._buffer)),
         None if rng is None else rng.getstate(),
         [rule._matches_seen for rule in scheduler.fault_plan.delay_rules],
     )
