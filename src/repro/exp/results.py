@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.trace import digest_percentile, digest_sum
@@ -527,8 +527,22 @@ def _rows_fingerprint(rows: List[Dict[str, Any]]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+@dataclass
+class _Extra:
+    """Lets ``asdict`` recurse over a trial's ``extra`` and nothing else."""
+
+    extra: Dict[str, Any]
+
+
+_TRIAL_FIELDS = tuple(f.name for f in fields(TrialResult))
+
+
 def _canonical_trial(trial: TrialResult) -> Dict[str, Any]:
-    data = asdict(trial)
+    # what ``asdict(trial)`` holds, without its deep copy of every container
+    # ``json.dumps`` is only going to read; ``extra`` alone keeps the
+    # recursion (a collector may return a nested dataclass)
+    data = {name: getattr(trial, name) for name in _TRIAL_FIELDS}
+    data["extra"] = asdict(_Extra(trial.extra))["extra"]
     # dict keys become strings in JSON; make that explicit and ordered
     data["decisions"] = {str(k): v for k, v in sorted(trial.decisions.items())}
     data["crashes"] = {str(k): v for k, v in sorted(trial.crashes.items())}

@@ -15,7 +15,8 @@ Queue entries and views
 -----------------------
 Inside the scheduler an event is a bare tuple in the FIFO of its kind (the
 kind constant *is* the FIFO's slot in a :class:`~repro.sim.batch.BucketQueue`
-bucket), and FIFO position is the tie-break among equal ``(time, kind)``.
+bucket; a delivery alone at its time is stored without the bucket), and FIFO
+position is the tie-break among equal ``(time, kind)``.
 The dataclasses below are the *view* a schedule controller is handed: a
 view's fields after ``time`` are exactly its kind's entry tuple, so
 ``EVENT_VIEWS[kind](time, *entry)`` builds one — and only controlled runs

@@ -40,12 +40,16 @@ The event queue
 There is one queue and one loop.  Every event is a bare tuple in a
 :class:`~repro.sim.batch.BucketQueue`: one bucket per distinct timestamp, one
 FIFO per event kind inside it (crash, recover, propose, delivery, timer — the
-kind constants of :mod:`repro.sim.events` are the FIFO slots).  Popping the
-minimum timestamp, then the lowest non-empty kind, then the FIFO front fires
-events in the strict ``(time, kind, post order)`` order of the paper's
-Appendix A, for any delay model and any push pattern (the argument is in
-``docs/performance.md``); :meth:`Scheduler.run` is the only place that order
-and the per-kind semantics are written down, and
+kind constants of :mod:`repro.sim.events` are the FIFO slots).  A timestamp
+that holds one delivery and nothing else holds no bucket: the slot is that
+delivery's tuple (a *lone entry* — every message under a continuous delay
+model), read as the bucket whose only non-empty FIFO is the delivery FIFO, of
+length one, and inflated into it when a second event lands on the time.
+Popping the minimum timestamp, then the lowest non-empty kind, then the FIFO
+front fires events in the strict ``(time, kind, post order)`` order of the
+paper's Appendix A, for any delay model and any push pattern (the argument is
+in ``docs/performance.md``); :meth:`Scheduler.run` is the only place that
+order and the per-kind semantics are written down, and
 ``tests/goldens/kernel_fingerprints.json`` pins what it must produce.
 
 Schedule controllers
@@ -89,7 +93,7 @@ from repro.sim.events import (
     PRIORITY_RECOVER,
     PRIORITY_TIMER,
 )
-from repro.sim.batch import BucketQueue
+from repro.sim.batch import BucketQueue, lone_bucket
 from repro.sim.faults import FaultPlan
 from repro.sim.network import DelayModel, FixedDelay, Network
 from repro.env import Process
@@ -189,8 +193,8 @@ class Scheduler:
             if self.network._overrides
             else getattr(self.network.delay_model, "draw", None),
             self.trace.record_send if full else None,
-            None if full else self.trace.record_send_batch,
         )
+        self._tally = None if full else self.trace.record_send_batch
         self._msg_counter = 0
         #: in-flight records by msg id, so delivery marking is O(1) (records
         #: are popped on delivery); empty at the counters level
@@ -263,17 +267,22 @@ class Scheduler:
         one destination leaves the ones before it sent — but what a broadcast
         shares is paid once: the clock read, the delay source, and per *run*
         of consecutive counted messages with one receive time (a whole
-        fixed-delay broadcast is one run) one bucket lookup, one live-count
-        update and one counters-level tally.
+        fixed-delay broadcast is one run) one slot lookup, one live-count
+        update and one counters-level tally.  A run is gathered in a list of
+        its own and queued when it closes (:meth:`_post_run`): alone at its
+        time it becomes the slot itself — a lone entry if it is one message,
+        the delivery FIFO of a new bucket if it is more — so under a
+        continuous delay model a message costs one dict store and one
+        ``heappush``, and under a fixed delay a broadcast still builds one
+        bucket.
         """
         send_time = self.clock._now
         n = self.n
         msg_id = self._msg_counter
-        draw, record_send, tally = self._posting
+        draw, record_send = self._posting
         pending = self._pending_records
         queue = self._queue
-        run_time = bucket = fifo = None
-        run_start = 0
+        run_time = run = None
         try:
             for dst in dsts:
                 if dst < 1 or dst > n:
@@ -287,13 +296,15 @@ class Scheduler:
                     )
                     if record is not None:
                         pending[msg_id] = record
+                    if send_time == run_time:
+                        # a delay that underflowed to zero put the open run
+                        # at this very time: it was posted first, so it is
+                        # queued first
+                        self._post_run(run_time, run, payload, module)
+                        run_time = run = None
                     queue.push(
                         send_time, PRIORITY_DELIVERY, (src, dst, payload, msg_id, send_time)
                     )
-                    if send_time == run_time:
-                        # a delay that underflowed to zero put the open run
-                        # into this very FIFO: a run counts counted messages
-                        run_start += 1
                     continue
                 if draw is not None:
                     recv_time = send_time + draw()
@@ -302,35 +313,42 @@ class Scheduler:
                         src, dst, payload, send_time, msg_id
                     )
                 if recv_time != run_time:
-                    if fifo is not None:
-                        added = len(fifo) - run_start
-                        bucket[6] += added
-                        if tally is not None:
-                            tally(payload, module, run_time, added)
+                    if run:
+                        self._post_run(run_time, run, payload, module)
                     run_time = recv_time
-                    bucket = queue.buckets.get(recv_time)
-                    if bucket is None:
-                        bucket = queue.open_bucket(recv_time)
-                    fifo = bucket[PRIORITY_DELIVERY]
-                    run_start = len(fifo)
+                    run = []
                 if record_send is not None:
                     pending[msg_id] = record_send(
                         msg_id, src, dst, payload, send_time, recv_time, True, module
                     )
-                # deliveries are the hot event: a bare tuple in the delivery
-                # FIFO carries everything dispatch (and a controller's view)
-                # needs; the bucket key is the receive time, FIFO position
-                # the post order
-                fifo.append((src, dst, payload, msg_id, send_time))
+                # deliveries are the hot event: a bare tuple carries
+                # everything dispatch (and a controller's view) needs; the
+                # slot key is the receive time, position in the run the
+                # post order
+                run.append((src, dst, payload, msg_id, send_time))
         finally:
             # also on an error mid-batch: the state is then the one the same
             # prefix of single sends would have left
             self._msg_counter = msg_id
-            if fifo is not None:
-                added = len(fifo) - run_start
-                bucket[6] += added
-                if tally is not None:
-                    tally(payload, module, run_time, added)
+            if run:
+                self._post_run(run_time, run, payload, module)
+
+    def _post_run(self, time: float, run: list, payload: Any, module: str) -> None:
+        """Queue a closed run of :meth:`send_many` at ``time`` and tally it.
+
+        :meth:`BucketQueue.push_run <repro.sim.batch.BucketQueue.push_run>`
+        with the case every message under a continuous delay model takes
+        inlined: a run of one whose time nothing else holds is stored as it
+        is.
+        """
+        queue = self._queue
+        if len(run) == 1 and time not in queue.buckets:
+            queue.buckets[time] = run[0]
+            heapq.heappush(queue.times, time)
+        else:
+            queue.push_run(time, run)
+        if self._tally is not None:
+            self._tally(payload, module, time, len(run))
 
     def set_timer(self, pid: int, at_units: float, name: str) -> None:
         """Arm (or re-arm) the named timer; re-arming supersedes the pending fire."""
@@ -384,12 +402,14 @@ class Scheduler:
         FIFO and then stays on it — entry after entry, without re-finding it
         — until it is exhausted, a handler queued something into the same
         bucket (a lower kind would pre-empt the rest), or a stop condition
-        fired.  The max_time check peeks: an overdue event stays queued, so
-        raising ``max_time`` and calling ``run()`` again resumes the
-        execution without losing it; the same holds after ``stop()``, the
-        stop predicate or a handler that raised.  A schedule controller,
-        when attached, is consulted between the pop and the clock advance;
-        runs without one never touch the hook.
+        fired.  Whether the slot is a bucket or a lone delivery is read once
+        per timestamp; a lone delivery is drained as the one-entry FIFO it
+        stands for, by the same code.  The max_time check peeks: an overdue
+        event stays queued, so raising ``max_time`` and calling ``run()``
+        again resumes the execution without losing it; the same holds after
+        ``stop()``, the stop predicate or a handler that raised.  A schedule
+        controller, when attached, is consulted between the pop and the
+        clock advance; runs without one never touch the hook.
         """
         self._stopped = False  # stop() ends the run() it was called from
         consult = None
@@ -402,6 +422,7 @@ class Scheduler:
                     begin(self)
         times = self._queue.times
         buckets = self._queue.buckets
+        lone = lone_bucket()
         clock = self.clock
         max_time = self.max_time
         processes = self.processes
@@ -414,12 +435,21 @@ class Scheduler:
             if time > max_time:
                 break
             bucket = buckets[time]
-            cursors = bucket[5]
-            for kind in range(5):
-                index = cursors[kind]
-                fifo = bucket[kind]
-                if index < len(fifo):
-                    break
+            if type(bucket) is list:
+                cursors = bucket[5]
+                for kind in range(5):
+                    index = cursors[kind]
+                    fifo = bucket[kind]
+                    if index < len(fifo):
+                        break
+            else:
+                # a lone delivery: the one-entry FIFO of the bucket it
+                # stands for, drained by the same code as any other
+                kind = PRIORITY_DELIVERY
+                fifo = (bucket,)
+                index = 0
+                bucket = lone
+                cursors = lone[5]
             # drain this (time, kind) FIFO in place; len() is re-read because
             # a handler may append to it (a send to self at the current time)
             advanced = False

@@ -155,16 +155,9 @@ class Trace:
         counted: bool,
         module: str = "main",
     ) -> MessageRecord:
-        rec = MessageRecord(
-            msg_id=msg_id,
-            src=src,
-            dst=dst,
-            payload=payload,
-            send_time=send_time,
-            recv_time=recv_time,
-            counted=counted,
-            module=module,
-        )
+        # positional, in the dataclass's own field order: one record per
+        # message at the full level, and keywords cost twice as much
+        rec = MessageRecord(msg_id, src, dst, payload, send_time, recv_time, counted, module)
         self.messages.append(rec)
         return rec
 

@@ -430,6 +430,11 @@ _QUEUE_TIMES = st.one_of(
 _QUEUE_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), _QUEUE_TIMES, st.integers(min_value=0, max_value=4)),
+        # deliveries colliding on three times: a lone entry, inflated into a
+        # bucket by the next push, drained, and lone again
+        st.tuples(
+            st.just("push"), st.sampled_from([0.5, 1.0, 1.0000000000000002]), st.just(3)
+        ),
         st.tuples(st.just("pop")),
     ),
     max_size=200,

@@ -14,6 +14,7 @@ import pytest
 
 from repro.env import Process
 from repro.errors import SimulationError
+from repro.sim.batch import _new_bucket
 from repro.sim.faults import DelayRule, FaultPlan
 from repro.sim.network import (
     AdversarialDelay,
@@ -118,11 +119,16 @@ def run_first_event(scheduler):
 def queue_contents(scheduler):
     """Every queued entry, bucket by bucket, with the live counts."""
     queue = scheduler._queue
+    # a lone entry reads as the one-delivery bucket it stands for
+    views = {
+        time: slot if type(slot) is list else _new_bucket([slot])
+        for time, slot in queue.buckets.items()
+    }
     return (
         sorted(queue.times),
         {
             time: ([fifo[cursor:] for fifo, cursor in zip(bucket[:5], bucket[5])], bucket[6])
-            for time, bucket in queue.buckets.items()
+            for time, bucket in views.items()
         },
         len(queue),
     )
