@@ -16,13 +16,15 @@ Two backends serve the same cluster code:
   controllers.  This is the measurement oracle.
 * ``backend="asyncio"`` — the wall-clock transport runtime
   (:func:`repro.runtime.cluster.run_cluster_async`): the *same* partition,
-  coordinator and commit-protocol classes on ``asyncio`` queues, with real
-  concurrency.  Schedule controllers and delay models are simulator-only and
-  rejected here; crash schedules (``fault_plan.crashes``) carry over.
+  coordinator and commit-protocol classes on the same scheduler paced by the
+  wall clock, with real concurrency.  Schedule controllers and delay models
+  are simulator-only and rejected here; fault plans (crashes and rejoins)
+  carry over.
 
-The construction seam is the trio :func:`build_partition`,
-:func:`build_client`, :func:`build_report` — each backend builds the same
-processes and hands :func:`build_report` the execution record it wrote (a
+The construction seam is :func:`build_partition`, :func:`build_client`,
+:func:`rejoin_partition` and :func:`build_report` — each backend builds the
+same processes, installs the same WAL rejoin as its recovery factory and hands
+:func:`build_report` the execution record it wrote (a
 :class:`~repro.sim.trace.Trace`), which the report's statistics are read from.
 
 A sim run may also be placed under a schedule controller
@@ -38,6 +40,7 @@ its ``(strategy, seed, decisions)`` triple.
 
 from __future__ import annotations
 
+import functools
 import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -243,6 +246,37 @@ def build_partition(
     )
 
 
+def rejoin_partition(
+    pid: int,
+    scheduler: Scheduler,
+    old: Any,
+    config: ClusterConfig,
+    recovery_events: List[RecoveryEvent],
+) -> Optional[PartitionServer]:
+    """The recovery factory of both backends: what a crashed pid rejoins with.
+
+    A partition is rebuilt from its durable WAL (the crashed object only
+    contributes its log) and its rejoin is appended to ``recovery_events``;
+    the client coordinator's outcome log is volatile, so its rejoin is
+    refused.  Installed with ``Scheduler.set_recovery_factory``.
+    """
+    n, f, client_pid = cluster_shape(config)
+    if pid == client_pid:
+        return None
+    server = build_partition(pid, n, f, scheduler.env_for(pid), config)
+    replayed = server.recover_from_wal(old.wal, coordinator=client_pid)
+    recovery_events.append(
+        RecoveryEvent(
+            pid=pid,
+            crashed_at=scheduler.trace.crashes.get(pid, 0.0),
+            rejoined_at=scheduler.clock.time_to_units(scheduler.clock.now),
+            replayed_transactions=replayed,
+            in_doubt_at_rejoin=tuple(server.wal.in_doubt()),
+        )
+    )
+    return server
+
+
 def build_client(
     pid: int,
     n: int,
@@ -383,29 +417,12 @@ def _run_cluster_sim(
     scheduler.bind_process(client_pid, client)
     for process in scheduler.processes.values():
         process.on_start()
-
-    # how a crashed pid rejoins: partitions are rebuilt from their durable
-    # WAL (the crashed object only contributes its log); the client's
-    # volatile outcome state is not recoverable, so its rejoin is refused
     recovery_events: List[RecoveryEvent] = []
-
-    def _partition_rejoin(pid: int, sched: Scheduler, old: Any) -> Optional[Any]:
-        if pid == client_pid:
-            return None
-        server = build_partition(pid, n, f, sched.env_for(pid), config)
-        replayed = server.recover_from_wal(old.wal, coordinator=client_pid)
-        recovery_events.append(
-            RecoveryEvent(
-                pid=pid,
-                crashed_at=sched.trace.crashes.get(pid, 0.0),
-                rejoined_at=sched.clock.time_to_units(sched.clock.now),
-                replayed_transactions=replayed,
-                in_doubt_at_rejoin=tuple(server.wal.in_doubt()),
-            )
+    scheduler.set_recovery_factory(
+        functools.partial(
+            rejoin_partition, config=config, recovery_events=recovery_events
         )
-        return server
-
-    scheduler.set_recovery_factory(_partition_rejoin)
+    )
 
     scheduler.set_stop_predicate(lambda s: client.all_completed())
     trace = scheduler.run()

@@ -14,9 +14,9 @@ it:
 
 * the discrete-event simulator (:class:`repro.sim.runner.SimEnv`) — virtual
   time, deterministic, the repo's test oracle;
-* the asyncio transport runtime (:class:`repro.runtime.AsyncEnv`) — wall
-  clock scaled so one unit of simulated time ``U`` maps to
-  ``AsyncRuntime.unit`` seconds, real concurrency.
+* the asyncio transport runtime (:class:`repro.runtime.AsyncRuntime`) — the
+  simulator's scheduler and env paced by the wall clock, one unit of
+  simulated time ``U`` per ``AsyncRuntime.unit`` seconds, real concurrency.
 
 Embedding adapters (e.g. :class:`repro.db.partition.EmbeddedCommitEnv`, which
 hosts a per-transaction commit instance inside a partition server) tunnel the
@@ -51,9 +51,7 @@ both bundled runtimes pass (``tests/test_env_conformance.py``):
   call raises :class:`~repro.errors.ProtocolViolationError` (the integrity
   property, enforced at the environment boundary).
 * **now()** is monotonically non-decreasing within a process, expressed in
-  units of U, and a timer never fires at ``now() < at_units`` (up to the
-  runtime's stated tolerance — exact in the simulator, scheduling jitter
-  only on the asyncio runtime).
+  units of U, and a timer never fires at ``now() < at_units``.
 
 Sub-modules
 -----------

@@ -7,7 +7,6 @@ executable.  A *harness* adapts one runtime to a tiny common driver surface:
 
     class EnvHarness(Protocol):
         name: str
-        tolerance_units: float          # timer-fire slack the runtime claims
 
         def run(self, factories, n, f, *, duration_units, proposals=None)
             -> HarnessResult
@@ -34,7 +33,7 @@ clauses runtimes most easily get wrong:
 * ``decide-once`` — the second ``decide`` raises
   :class:`~repro.errors.ProtocolViolationError` and the first value sticks;
 * ``now-monotonic`` — ``now()`` never goes backwards and timers never fire
-  early (beyond the harness' stated tolerance);
+  early;
 * ``send-many`` — ``send_many`` is the loop of ``send`` it is defined as: each
   listed destination gets the payload once per listing, a link delivers in
   send order, the message to self arrives and is not counted, and a
@@ -76,9 +75,6 @@ class EnvHarness(Protocol):
     """Adapter driving probe processes on one runtime."""
 
     name: str
-    #: slack allowed on timer fire times / now() samples, in units of U
-    #: (0 for the simulator; scheduling jitter for wall-clock runtimes)
-    tolerance_units: float
 
     def run(
         self,
@@ -280,7 +276,7 @@ def _observes(
     *,
     deadlines: Optional[Dict[str, float]] = None,
     counted: Optional[Dict[str, int]] = None,
-) -> Callable[[HarnessResult, float], List[str]]:
+) -> Callable[[HarnessResult], List[str]]:
     """Checker: P1's ``(kind, detail)`` observations are exactly ``want``.
 
     In order, nothing more — one comparison for "fires once", "never fires"
@@ -288,7 +284,7 @@ def _observes(
     it must not fire before; ``counted``: the per-module tally to report.
     """
 
-    def check(result: HarnessResult, tol: float) -> List[str]:
+    def check(result: HarnessResult) -> List[str]:
         observations = result.processes[1].observations
         seen = [(kind, detail) for kind, detail, _ in observations]
         failures = []
@@ -296,7 +292,7 @@ def _observes(
             failures.append(f"P1 observed {seen}, expected {want} — {rule}")
         for kind, name, at in observations:
             deadline = (deadlines or {}).get(name) if kind == "timeout" else None
-            if deadline is not None and at < deadline - tol:
+            if deadline is not None and at < deadline:
                 failures.append(
                     f"timer {name!r} fired at {at:.3f} < {deadline} — the "
                     "last arm did not supersede the earlier deadline"
@@ -312,7 +308,7 @@ def _observes(
     return check
 
 
-def _check_envelope(result: HarnessResult, tol: float) -> List[str]:
+def _check_envelope(result: HarnessResult) -> List[str]:
     p1, p2 = result.processes[1], result.processes[2]
     failures = []
     # the ping must land in P2's component, not its main handler
@@ -341,7 +337,7 @@ def _check_envelope(result: HarnessResult, tol: float) -> List[str]:
     return failures
 
 
-def _check_decide_once(result: HarnessResult, tol: float) -> List[str]:
+def _check_decide_once(result: HarnessResult) -> List[str]:
     probe = result.processes[1]
     failures = []
     if not probe.of("decided-first"):
@@ -361,7 +357,7 @@ def _check_decide_once(result: HarnessResult, tol: float) -> List[str]:
     return failures
 
 
-def _check_monotonic(result: HarnessResult, tol: float) -> List[str]:
+def _check_monotonic(result: HarnessResult) -> List[str]:
     failures = []
     for pid in (1, 2):
         probe = result.processes[pid]
@@ -377,7 +373,7 @@ def _check_monotonic(result: HarnessResult, tol: float) -> List[str]:
     deadlines = {"t0": 0.5, "t1": 1.2, "t2": 2.0}
     for _, name, at in probe.of("fire"):
         deadline = deadlines.get(name)
-        if deadline is not None and at < deadline - tol:
+        if deadline is not None and at < deadline:
             failures.append(
                 f"now-monotonic: timer {name} fired at {at:.4f}, "
                 f"{deadline - at:.4f} units before its deadline {deadline}"
@@ -385,7 +381,7 @@ def _check_monotonic(result: HarnessResult, tol: float) -> List[str]:
     return failures
 
 
-def _check_send_many(result: HarnessResult, tol: float) -> List[str]:
+def _check_send_many(result: HarnessResult) -> List[str]:
     failures = []
     note = ("component-deliver", ("note", "all"))
     expected = {
@@ -421,7 +417,7 @@ class Scenario:
 
     name: str
     factories: Dict[int, Callable[[int, int, int, Any], Process]]
-    check: Callable[[HarnessResult, float], List[str]]
+    check: Callable[[HarnessResult], List[str]]
     n: int = 2
     f: int = 1
 
@@ -485,8 +481,7 @@ def run_scenario(harness: EnvHarness, scenario: Scenario) -> List[str]:
         scenario.f,
         duration_units=SCENARIO_DURATION_UNITS,
     )
-    tolerance = getattr(harness, "tolerance_units", 0.0)
-    failures = list(scenario.check(result, tolerance))
+    failures = list(scenario.check(result))
     failures.extend(
         f"{scenario.name}: unexpected handler error: {error}"
         for error in result.errors
@@ -509,7 +504,6 @@ class SimHarness:
     """Drives probes on the discrete-event scheduler (exact timing)."""
 
     name = "sim"
-    tolerance_units = 0.0
 
     def __init__(self, seed: int = 0):
         self.seed = seed

@@ -1,25 +1,26 @@
 """The asyncio transport runtime: the wall-clock twin of the simulator.
 
 Every protocol and database process in this repository is written against the
-runtime-neutral :class:`~repro.env.ProcessEnv` contract.  This package is the
-second implementation of that contract (the first is the discrete-event
-simulator, :mod:`repro.sim.runner`): one event queue and one table of armed
-deadlines on the asyncio loop, wall-clock timers scaled so one unit of
-simulated time ``U`` maps to ``AsyncRuntime.unit`` seconds.  The *identical,
-unmodified* protocol classes — INBAC, 2PC, 3PC, Paxos commit and the rest of
-the registry — commit real transactions here, which is the strongest evidence
-the reproduction's protocol logic does not secretly depend on simulator
-scheduling.
+runtime-neutral :class:`~repro.env.ProcessEnv` contract.  This package runs
+them on the simulator's kernel, :class:`repro.sim.runner.Scheduler`, paced by
+the wall clock: one loop handle, armed for the earliest queued time,
+re-enters the scheduler's own loop up to "now" (one unit of simulated time
+``U`` per ``AsyncRuntime.unit`` seconds), every process gets the simulator's
+env, and messages cross a transport with per-link fault injection.  The
+*identical, unmodified* protocol classes — INBAC, 2PC, 3PC, Paxos commit and
+the rest of the registry — commit real transactions here for concurrent
+clients, and a stalled event loop changes when a run decides, not what it
+decides.
 
 Layout:
 
 * :mod:`~repro.runtime.transport` — :class:`LinkPolicy` (per-link delay /
   jitter / drop / outage injection) and :class:`LocalTransport` (applies it
   and tallies counted messages into the runtime's record);
-* :mod:`~repro.runtime.node` — :class:`AsyncEnv` (the contract impl);
-* :mod:`~repro.runtime.runtime` — :class:`AsyncRuntime` (the queue and its
-  dispatcher, the deadline table, the execution record, crash injection) and
-  :func:`run_commit` (one commit instance, synchronous entry point);
+* :mod:`~repro.runtime.runtime` — :class:`AsyncRuntime` (the scheduler paced
+  by the wall clock: the wake-up handle, calls from outside every handler,
+  error capture) and :func:`run_commit` (one commit instance, synchronous
+  entry point);
 * :mod:`~repro.runtime.cluster` — the transactional KV cluster:
   :func:`run_cluster_async` (batch) and :class:`AsyncClusterService` (live
   concurrent clients);
@@ -42,7 +43,6 @@ from repro.runtime.cluster import (
     run_cluster_async,
 )
 from repro.runtime.conformance import AsyncHarness
-from repro.runtime.node import AsyncEnv
 from repro.runtime.runtime import (
     AsyncRuntime,
     CommitRunResult,
@@ -53,7 +53,6 @@ from repro.runtime.transport import LinkPolicy, LocalTransport
 
 __all__ = [
     "AsyncClusterService",
-    "AsyncEnv",
     "AsyncHarness",
     "AsyncRuntime",
     "CommitRunResult",

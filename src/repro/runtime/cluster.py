@@ -18,7 +18,10 @@ the wall-clock event loop.  Two entry points:
 Simulator-only features (``delay_model``, ``controller``) are rejected with a
 :class:`~repro.errors.ConfigurationError`; runtime fault injection instead
 goes through :class:`~repro.runtime.transport.LinkPolicy` (per-link delay,
-jitter, drop) and ``fault_plan.crashes`` (which carries over unchanged).
+jitter, drop) and ``fault_plan`` crashes and rejoins, which carry over
+unchanged: they are the kernel's own entries, and a partition rejoins through
+the WAL replay the simulator installs too (:func:`repro.db.cluster.
+rejoin_partition`).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.db.cluster import (
     build_partition,
     build_report,
     cluster_shape,
+    rejoin_partition,
 )
 from repro.db.coordinator import ClientCoordinator, TransactionOutcome
 from repro.db.transaction import Transaction
@@ -45,7 +49,7 @@ from repro.runtime.transport import LinkPolicy, LocalTransport
 
 #: clusters run a finer clock than bare protocol runs: commit timers span
 #: tens of units, so 10 ms per U keeps batch runs short while still dwarfing
-#: the local queue hop
+#: a turn of the event loop
 DEFAULT_CLUSTER_UNIT_SECONDS = 0.01
 
 
@@ -115,6 +119,10 @@ class AsyncClusterService:
             metrics=metrics,
         )
         self.runtime.trace.protocol = f"db/{config.protocol_label()}"
+        self.runtime.on_crash = self._crashed
+        self.runtime.set_recovery_factory(self._rejoin)
+        if config.fault_plan is not None:
+            self.runtime.install_fault_plan(config.fault_plan)
         self.client: Optional[ClientCoordinator] = None
         self._waiters: Dict[str, asyncio.Future] = {}
         #: set while wait_all_completed() waits; resolved by the outcome that
@@ -145,16 +153,6 @@ class AsyncClusterService:
         self.client.on_outcome = self._on_outcome
         self.runtime.bind_process(self.client_pid, self.client)
         await self.runtime.start()
-        for pid in range(1, n + 1):
-            self.runtime.call(pid, lambda process: process.on_start())
-        plan = self.config.fault_plan
-        if plan is not None:
-            for pid in sorted(plan.crashes):
-                self.runtime.call_at(plan.crashes[pid], self.crash_partition, pid)
-            for pid in sorted(plan.recoveries):
-                self.runtime.call_at(
-                    plan.recoveries[pid], self.recover_partition, pid
-                )
         self._started = True
 
     def _on_outcome(self, outcome: TransactionOutcome) -> None:
@@ -200,15 +198,7 @@ class AsyncClusterService:
     def crash_partition(self, pid: int) -> None:
         """Crash-stop a partition (or the coordinator) right now."""
         self._check_known_pid(pid)
-        if self.runtime.is_down(pid):
-            raise ConfigurationError(f"P{pid} is already crashed")
         self.runtime.crash(pid)
-        if self.metrics is not None:
-            self.metrics.inc("cluster.crashes")
-        if self.events is not None:
-            self.events.emit(
-                "cluster.crash", pid=pid, at_units=self.runtime.trace.crashes.get(pid)
-            )
 
     def recover_partition(self, pid: int) -> RecoveryEvent:
         """Rejoin a crashed partition by WAL replay, right now.
@@ -227,25 +217,24 @@ class AsyncClusterService:
                 "the client coordinator cannot rejoin: its outcome log is "
                 "volatile; only partitions are recoverable"
             )
-        if not self.runtime.is_down(pid):
-            raise ConfigurationError(f"P{pid} is not crashed; nothing to recover")
-        n, f, _ = cluster_shape(self.config)
-        old = self.runtime.processes[pid]
-        server = build_partition(
-            pid, n, f, self.runtime.env_for(pid), self.config
-        )
+        self.runtime.rejoin(pid)
+        return self._recovery_events[-1]
+
+    def _crashed(self, pid: int) -> None:
+        """Report a crash, by hand or by plan."""
+        if self.metrics is not None:
+            self.metrics.inc("cluster.crashes")
+        if self.events is not None:
+            self.events.emit(
+                "cluster.crash", pid=pid, at_units=self.runtime.trace.crashes.get(pid)
+            )
+
+    def _rejoin(self, pid: int, runtime: AsyncRuntime, old: Any) -> Any:
+        """The recovery factory: the WAL rejoin both backends run, reported."""
         replay_t0 = time.monotonic()
-        replayed = server.recover_from_wal(old.wal, coordinator=self.client_pid)
+        server = rejoin_partition(pid, runtime, old, self.config, self._recovery_events)
         replay_seconds = time.monotonic() - replay_t0
-        self.runtime.recover(pid, server)
-        event = RecoveryEvent(
-            pid=pid,
-            crashed_at=self.runtime.trace.crashes.get(pid, 0.0),
-            rejoined_at=self.runtime.trace.recoveries[pid],
-            replayed_transactions=replayed,
-            in_doubt_at_rejoin=tuple(server.wal.in_doubt()),
-        )
-        self._recovery_events.append(event)
+        event = self._recovery_events[-1]
         if self.metrics is not None:
             self.metrics.inc("cluster.rejoins")
             self.metrics.inc("cluster.in_doubt_at_rejoin", len(event.in_doubt_at_rejoin))
@@ -254,12 +243,12 @@ class AsyncClusterService:
             self.events.emit(
                 "cluster.rejoin",
                 pid=pid,
-                replayed_transactions=replayed,
+                replayed_transactions=event.replayed_transactions,
                 in_doubt=len(event.in_doubt_at_rejoin),
                 downtime_units=event.downtime,
                 wal_replay_seconds=replay_seconds,
             )
-        return event
+        return server
 
     def _check_known_pid(self, pid: int) -> None:
         if pid not in self.runtime.processes:

@@ -2,10 +2,7 @@
 
 Runs the same probe processes the simulator harness runs, on the wall clock,
 and hands the checkers the same thing: processes and ``runtime.trace``.
-The stated ``tolerance_units`` covers event-loop scheduling jitter only: a
-``loop.call_later`` handle never runs early, so timers cannot fire before
-their deadline, but ``now()`` is sampled when the handler *runs*, which can
-trail the nominal fire time by however long the loop was busy.
+Proposals are posted at time 0, as the simulator harness posts them.
 """
 
 from __future__ import annotations
@@ -17,17 +14,11 @@ from repro.env import Process
 from repro.env.conformance import HarnessResult, ObservingProcess
 from repro.runtime.runtime import AsyncRuntime, DEFAULT_UNIT_SECONDS
 
-#: extra wall-clock seconds past the scenario horizon before tear-down
-_SETTLE_SECONDS = 0.1
-
 
 class AsyncHarness:
     """Drives probes on the asyncio runtime (wall-clock timing)."""
 
     name = "asyncio"
-    #: generous slack for loop scheduling jitter, in units of U — at the
-    #: default unit of 20 ms/U this absorbs a 10 ms loop stall
-    tolerance_units = 0.5
 
     def __init__(self, unit: float = DEFAULT_UNIT_SECONDS, seed: int = 0):
         self.unit = unit
@@ -47,12 +38,12 @@ class AsyncHarness:
             for pid in range(1, n + 1):
                 factory = factories.get(pid, ObservingProcess)
                 runtime.bind_process(pid, factory(pid, n, f, runtime.env_for(pid)))
-            await runtime.start()
-            for pid in range(1, n + 1):
-                runtime.call(pid, lambda process: process.on_start())
             for pid, value in (proposals or {}).items():
-                runtime.propose(pid, value)
-            await asyncio.sleep(duration_units * self.unit + _SETTLE_SECONDS)
+                runtime.post_propose(pid, value)
+            await runtime.start()
+            # stop() handles everything due by the wall clock, so the run
+            # covers the whole horizon
+            await asyncio.sleep(duration_units * self.unit)
             await runtime.stop()
             return HarnessResult(
                 processes=dict(runtime.processes),

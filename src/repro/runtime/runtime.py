@@ -1,66 +1,76 @@
-"""The asyncio runtime: wall-clock host for unmodified protocol processes.
+"""The asyncio runtime: the simulator's kernel, paced by the wall clock.
 
-:class:`AsyncRuntime` owns everything the simulator's :class:`Scheduler` owns
-— processes, events, deadlines, the execution record, crash injection — but
-on the event loop and the wall clock.  One unit of simulated time ``U`` maps
-to ``unit`` seconds (default 20 ms), chosen so that protocol timers (a few U)
-dwarf a turn of the loop (~0.1 ms): in fault-free runs decisions are driven
-by message flow exactly as in the paper's nice executions, while timeout
-paths remain reachable by shrinking ``unit`` or injecting link delays.
+:class:`AsyncRuntime` *is* a :class:`~repro.sim.runner.Scheduler` — the same
+event queue, the same token table of armed timers, the same per-kind dispatch
+in :meth:`Scheduler.run <repro.sim.runner.Scheduler.run>` (not overridden),
+the same crash and rejoin entries and the same execution record, a
+counters-level :class:`~repro.sim.trace.CounterTrace` — whose ``max_time`` is
+the wall clock.  One unit of time ``U`` maps to ``unit`` seconds (default
+20 ms), chosen so that protocol timers (a few U) dwarf a turn of the loop
+(~0.1 ms).
 
-**One event queue.**  Handlers are synchronous functions on one thread, so
-"one event at a time per process" needs no task per process: every delivery,
-timer expiry, proposal and ``call`` is a ``(pid, kind, ...)`` tuple in one
-FIFO, and one dispatcher — a ``loop.call_soon`` callback — handles, in queue
-order, the events that were queued when its turn began.  What those handlers
-queue waits for the next turn, so a handler never nests inside another and
-loop timers and client coroutines interleave between turns.
+**One wake-up handle.**  One loop handle is armed, for the earliest queued
+time.  When it fires, the runtime sets ``max_time`` to the wall clock in U and
+re-enters ``run()``: everything due by then is handled in ``(time, kind, post
+order)``, and a handler's ``now()`` is its event's own time, exactly as on the
+simulator.  A loop that stalled handles its overdue events late but in the
+same order and with the same stamps, so a stall changes *when* a run decides
+on the wall clock, not *what* it decides.
 
-**One deadline table.**  ``key -> (token, handle)`` holds every
-``loop.call_later`` handle that is armed right now: a named timer under
-``(pid, name)``, a delayed delivery or a scheduled callback (a fault plan's
-crash or rejoin time) as a one-shot under ``(None, token)``.  Tokens come
-from one counter and are never reused.  A timer's handle queues its expiry,
-and the dispatcher takes it — drops the entry, calls the handler — only if
-its token is still the armed one, so a rearm or cancel that raced with the
-queue supersedes it and a cancel-then-rearm cannot be mistaken for the stale
-expiry.  ``recover()`` walks the crashed pid's entries, ``stop()`` cancels
-what is left in one loop; the simulator states the same token rule over its
-bucket queue.  ``docs/runtime.md`` ("The deadline table") has the cases.
+**Where events come from.**  A handler's send goes through the
+:class:`~repro.runtime.transport.LocalTransport`, and a message that survives
+its link is a delivery at the kernel's time plus the link delay; a timer is an
+entry in the kernel's token table; a fault plan's crashes and rejoins are the
+kernel's own entries.  A call from outside every handler (:meth:`propose`,
+:meth:`call`) is an entry stamped with the loop step's *instant*: every
+outside post made before the handle next fires is stamped with the same one,
+so what a caller posts together is handled together, in kind order — a
+zero-delay vote cannot overtake the next proposal.  :meth:`crash` and
+:meth:`rejoin` post their entry at the instant and run the kernel up to it at
+once.  A handler that raises lands in :attr:`errors` under its pid.
 
-``decide`` routes through :meth:`record_decision`, which raises
-:class:`~repro.errors.ProtocolViolationError` on a second decision from the
-same process, as the simulator does, and writes ``runtime.trace`` — the one
-execution record (``docs/runtime.md``, "What the runtime records").
-
-This module deliberately reads the wall clock (``time.monotonic``); the lint
+This module deliberately reads the wall clock (``time.monotonic()``); the lint
 suite's determinism rule DET002 is *scoped out* of ``src/repro/runtime/``
 (see :mod:`repro.lint.rules`) because wall-clock time is this package's whole
-purpose, not an accident.
+purpose, not an accident.  Nothing under :mod:`repro.sim` reads it.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.env import Process
-from repro.errors import ConfigurationError, ProtocolViolationError, SimulationError
-from repro.runtime.node import AsyncEnv
+from repro.errors import ConfigurationError
 from repro.runtime.transport import LinkPolicy, LocalTransport
+from repro.sim.events import (
+    PRIORITY_CALL,
+    PRIORITY_CRASH,
+    PRIORITY_DELIVERY,
+    PRIORITY_RECOVER,
+)
+from repro.sim.faults import FaultPlan
+from repro.sim.runner import ProcessFactory, Scheduler
 from repro.sim.trace import CounterTrace
-
-ProcessFactory = Callable[[int, int, int, AsyncEnv], Process]
 
 #: default wall-clock seconds per unit of simulated time U
 DEFAULT_UNIT_SECONDS = 0.02
 
 
-class AsyncRuntime:
+def _culprit(exc: BaseException) -> int:
+    """The pid of the event ``Scheduler.run`` was handling when ``exc`` left it.
+
+    Read off the run frame the traceback keeps (the frame after the one that
+    caught ``exc``), so the kernel does no per-event bookkeeping for it.
+    """
+    local = exc.__traceback__.tb_next.tb_frame.f_locals
+    entry = local["entry"]
+    return entry[1] if local["kind"] == PRIORITY_DELIVERY else entry[0]
+
+
+class AsyncRuntime(Scheduler):
     """Hosts ``n`` protocol processes on the asyncio event loop."""
 
     def __init__(
@@ -73,66 +83,44 @@ class AsyncRuntime:
         transport: Optional[LocalTransport] = None,
         metrics: Optional[Any] = None,
     ):
-        if n < 2:
-            raise ConfigurationError(f"need at least 2 processes, got n={n}")
-        if not 1 <= f <= n - 1:
-            raise ConfigurationError(f"need 1 <= f <= n-1, got f={f} for n={n}")
         if unit <= 0:
             raise ConfigurationError(f"unit must be positive, got {unit}")
-        self.n = n
-        self.f = f
+        # max_time is the wall clock, set before every run()
+        super().__init__(n, f, seed=seed, max_time=0.0, trace_level="counters")
         self.unit = unit
-        self.seed = seed
         #: optional duck-typed telemetry sink (``inc``/``observe``), handed in
         #: by the hosting service — this module never imports the obs package
         self.metrics = metrics
-        #: the execution record, times in units of U
-        self.trace = CounterTrace(n=n, f=f)
         self.transport = transport or LocalTransport(unit=unit, seed=seed)
-        # outage windows are in units since start: the transport reads the
-        # timers' clock, and hands what survived its link to the one queue
-        self.transport.now_units = self.now_units
-        self.transport.arrive = self._arrive
-        self.transport.trace = self.trace
-        self.envs: Dict[int, AsyncEnv] = {
-            pid: AsyncEnv(self, pid) for pid in range(1, n + 1)
-        }
-        self.processes: Dict[int, Process] = {}
-        #: pids currently down (liveness; ``trace.crashes`` is the history)
-        self._down: Set[int] = set()
+        self.transport.runtime = self
         self.errors: List[Tuple[int, BaseException]] = []
-        #: the one FIFO of ``(pid, kind, a, b)`` events awaiting the
-        #: dispatcher; a turn is scheduled on the loop iff it is non-empty
-        self._events: Deque[tuple] = deque()
-        #: key -> (token, handle) of every loop handle armed and not yet spent:
-        #: ``(pid, name)`` for a timer (kept until its expiry is handled),
-        #: ``(None, token)`` for a one-shot (delayed delivery, scheduled callback)
-        self._timers: Dict[tuple, Tuple[int, asyncio.TimerHandle]] = {}
-        self._tokens = itertools.count(1)
-        #: correct processes yet to decide: a cache of the record, not a fact
-        self._undecided_correct = n
+        #: called with the pid after each crash, by hand or by plan (the
+        #: hosting service reports it)
+        self.on_crash: Optional[Callable[[int], None]] = None
         self._all_decided = asyncio.Event()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0: Optional[float] = None
-        self._stopped = False
+        #: the one loop handle, and the kernel time it is armed for
+        self._handle: Optional[asyncio.TimerHandle] = None
+        self._wake_at = 0.0
+        #: the current loop step's stamp for outside posts (None: none yet)
+        self._instant: Optional[float] = None
+        self._closed = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def bind_processes(self, factory: ProcessFactory) -> None:
-        """Create one process per id using ``factory(pid, n, f, env)``."""
-        for pid in range(1, self.n + 1):
-            self.bind_process(pid, factory(pid, self.n, self.f, self.envs[pid]))
-
-    def bind_process(self, pid: int, process: Process) -> None:
-        if not 1 <= pid <= self.n:
-            raise ConfigurationError(f"pid {pid} out of range 1..{self.n}")
-        self.processes[pid] = process
-
-    def env_for(self, pid: int) -> AsyncEnv:
-        return self.envs[pid]
+    def install_fault_plan(self, plan: FaultPlan) -> None:
+        """Queue ``plan``'s crashes and rejoins as the kernel's own entries."""
+        plan.validate(self.n, self.f)
+        self.fault_plan = plan
+        for pid, at in plan.crashes.items():
+            self._queue.push(at, PRIORITY_CRASH, (pid,))
+        for pid, at in plan.recoveries.items():
+            self._queue.push(at, PRIORITY_RECOVER, (pid,))
 
     async def start(self) -> None:
-        """Start the wall clock."""
+        """Start the wall clock at time 0 and run every ``on_start``."""
         if self._t0 is not None:
             raise ConfigurationError("runtime already started")
         if len(self.processes) != self.n:
@@ -140,26 +128,30 @@ class AsyncRuntime:
                 f"bound {len(self.processes)} of {self.n} processes; "
                 "call bind_processes() first"
             )
+        self._loop = asyncio.get_running_loop()
         self._t0 = time.monotonic()
+        for pid in range(1, self.n + 1):
+            try:
+                self.processes[pid].on_start()
+            except Exception as exc:  # noqa: BLE001 - fault isolation boundary
+                self.record_error(pid, exc)
+        self._wake()
 
     async def stop(self) -> None:
-        """Handle what is already queued, cancel every deadline, go quiet.
+        """Handle what is due, then go quiet.
 
-        Batch runs and the invariant battery read the state the queued events
-        leave; what their handlers queue or arm is dropped with the rest, and
-        from here on a post or an arm is inert.
+        Batch runs and the invariant battery read the state the due events
+        leave; from here on nothing is handled and no loop handle is live.
         """
-        self._dispatch()
-        self._stopped = True
-        self.trace.end_time = self.now_units()
+        self._advance(self.now_units())
+        self._closed = True
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
         self.trace.metadata["execution_class"] = self.execution_class()
-        for _, handle in self._timers.values():
-            handle.cancel()
-        self._timers.clear()
-        self._events.clear()
 
     # ------------------------------------------------------------------ #
-    # the clock
+    # pacing: the wall clock is max_time
     # ------------------------------------------------------------------ #
     def now_units(self) -> float:
         """Wall-clock time since start(), in units of U (0.0 before start)."""
@@ -167,185 +159,129 @@ class AsyncRuntime:
             return 0.0
         return (time.monotonic() - self._t0) / self.unit
 
-    # ------------------------------------------------------------------ #
-    # the event queue and its dispatcher
-    # ------------------------------------------------------------------ #
-    def _post(self, event: tuple) -> None:
-        if self._stopped:
+    def _wake(self) -> None:
+        """Arm the one loop handle for the earliest queued time or open instant."""
+        if self._closed or self._loop is None:
             return
-        if not self._events:
-            asyncio.get_running_loop().call_soon(self._dispatch)
-        self._events.append(event)
+        times = self._queue.times
+        at = self._instant
+        if times and (at is None or times[0] < at):
+            at = times[0]
+        if at is None:
+            return
+        if self._handle is not None:
+            if self._wake_at <= at:
+                return
+            self._handle.cancel()
+        self._wake_at = at
+        self._handle = self._loop.call_later(
+            self._t0 + at * self.unit - time.monotonic(), self._turn
+        )
 
-    def _dispatch(self) -> None:
-        """One turn: handle, in queue order, the events queued when it began."""
-        # what their handlers post starts a fresh queue, hence the next turn
-        events, self._events = self._events, deque()
-        for pid, kind, a, b in events:
-            if pid in self._down:
-                continue  # losing in-crash traffic is the point
+    def _turn(self) -> None:
+        """The handle fired: the loop step's instant closes, what is due runs."""
+        self._handle = None
+        self._instant = None
+        # a handle may fire up to the loop's clock resolution early
+        self._advance(max(self.now_units(), self._wake_at))
+
+    def _advance(self, until: float) -> None:
+        """Run the kernel up to ``until`` (units of U), then re-arm."""
+        if self._closed:
+            return
+        self.max_time = until
+        while True:
             try:
-                process = self.processes[pid]
-                if kind == "deliver":
-                    process.deliver(a, b)
-                elif kind == "timer":
-                    # Re-check the token at handling time: a rearm or cancel
-                    # that happened while this expiry sat in the queue
-                    # supersedes it.
-                    armed = self._timers.get((pid, a))
-                    if armed is not None and armed[0] == b:
-                        del self._timers[(pid, a)]
-                        process.timeout(a)
-                elif kind == "propose":
-                    self.trace.record_proposal(pid, a, self.now_units())
-                    process.on_propose(a)
-                else:  # "call"
-                    a(process)
+                self.run()
+                break
             except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-                self.record_error(pid, exc)
+                # the entry is consumed: the next run() resumes after it
+                self.record_error(_culprit(exc), exc)
+        if self._correct_pids is not None and not self._undecided_correct:
+            self._all_decided.set()
+        self._wake()
+
+    # ------------------------------------------------------------------ #
+    # calls from outside every handler
+    # ------------------------------------------------------------------ #
+    def _stamp(self) -> float:
+        """This loop step's instant: the wall clock at its first outside post."""
+        if self._instant is None:
+            self._instant = max(self.now_units(), self.clock.now)
+        return self._instant
 
     def propose(self, pid: int, value: Any) -> None:
-        self._post((pid, "propose", value, None))
+        """Propose ``value`` at ``pid`` (from outside every handler)."""
+        self.post_propose(pid, value, at=self._stamp())
+        self._wake()
 
     def call(self, pid: int, fn: Callable[[Process], None]) -> None:
-        """Run ``fn(process)`` from the queue (serialised with handlers)."""
-        self._post((pid, "call", fn, None))
-
-    def _arrive(self, src: int, dst: int, payload: Any, delay_units: float) -> None:
-        """The transport's arrival hook: a message that survived its link."""
-        if dst not in self.processes:
-            raise SimulationError(f"message to unknown process P{dst}")
-        if src in self._down or dst in self._down:
-            return  # a crash silences a process both ways
-        event = (dst, "deliver", src, payload)
-        if delay_units > 0:
-            # lost like any event if its destination is down when it lands
-            self._arm(None, delay_units, self._spend, dst, self._post, event)
-        else:
-            self._post(event)
-
-    # ------------------------------------------------------------------ #
-    # the deadline table (token-superseded loop handles, simulator semantics)
-    # ------------------------------------------------------------------ #
-    def _arm(
-        self, key: Any, delay_units: float, callback: Callable[..., None], *args: Any
-    ) -> None:
-        """Arm ``callback(token, *args)`` under ``key`` (None: a one-shot's own)."""
-        if self._stopped:
-            return
-        token = next(self._tokens)
-        handle = asyncio.get_running_loop().call_later(
-            max(0.0, delay_units) * self.unit, callback, token, *args
-        )
-        self._timers[(None, token) if key is None else key] = (token, handle)
-
-    def set_timer(self, pid: int, at_units: float, name: str) -> None:
-        key = (pid, name)
-        armed = self._timers.get(key)
-        if armed is not None:
-            armed[1].cancel()
-        if self.metrics is not None:
-            self.metrics.inc(
-                "runtime.timer_set" if armed is None else "runtime.timer_rearm"
-            )
-        self._arm(key, at_units - self.now_units(), self._expire, pid, name)
-
-    def cancel_timer(self, pid: int, name: str) -> None:
-        armed = self._timers.pop((pid, name), None)
-        if armed is not None:
-            armed[1].cancel()
-            if self.metrics is not None:
-                self.metrics.inc("runtime.timer_cancel")
-
-    def call_at(
-        self, at_units: float, fn: Callable[..., None], pid: int, *args: Any
-    ) -> None:
-        """Run ``fn(pid, *args)`` on the loop at ``at_units`` (at once if past).
-
-        A one-shot deadline of the runtime itself, not an event of a process:
-        it runs between dispatcher turns (also while ``pid`` is down: a
-        planned rejoin), and ``stop()`` cancels it.  A raise lands in
-        ``errors`` under ``pid``, like a handler's.
-        """
-        self._arm(None, at_units - self.now_units(), self._spend, pid, fn, pid, *args)
-
-    def _expire(self, token: int, pid: int, name: str) -> None:
-        """An armed timer's handle ran: route the expiry through the queue."""
-        # a superseded handle was cancelled and never gets here, so the entry
-        # is this token's; nobody would take it for a pid that is down
-        if pid in self._down:
-            del self._timers[(pid, name)]
-        else:
-            self._post((pid, "timer", name, token))
-
-    def _spend(self, token: int, pid: int, fn: Callable[..., None], *args: Any) -> None:
-        """A one-shot's handle ran: drop its entry, then do what it was for."""
-        del self._timers[(None, token)]
-        try:
-            fn(*args)
-        except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-            self.record_error(pid, exc)
-
-    # ------------------------------------------------------------------ #
-    # decisions, crashes, errors
-    # ------------------------------------------------------------------ #
-    def record_decision(self, pid: int, value: Any) -> None:
-        trace = self.trace
-        if pid in trace.decisions:
-            raise ProtocolViolationError(
-                f"P{pid} attempted to decide twice "
-                f"({trace.decisions[pid].value!r} then {value!r})"
-            )
-        trace.record_decision(pid, value, self.now_units())
-        if pid not in trace.crashes:
-            self._one_correct_fewer_undecided()
+        """Run ``fn(process)`` as an event of ``pid`` (serialised with handlers)."""
+        self._queue.push(self._stamp(), PRIORITY_CALL, (pid, fn))
+        self._wake()
 
     def crash(self, pid: int) -> None:
-        """Crash ``pid`` now: silence its links and stop handling its events."""
-        if pid in self._down:
-            return
-        # the record keeps the first crash only: history, never un-recorded
-        # by recovery (a recovered pid never re-enters the correct set)
-        if pid not in self.trace.crashes:
-            self.trace.record_crash(pid, self.now_units())
-            if pid not in self.trace.decisions:
-                self._one_correct_fewer_undecided()
-        self._down.add(pid)
-        process = self.processes.get(pid)
-        if process is not None and not process.crashed:
-            process.crashed = True
-            process.on_crash()
+        """Crash ``pid`` now (from outside every handler): it handles nothing
+        stamped from this instant on."""
+        if self.is_down(pid):
+            raise ConfigurationError(f"P{pid} is already crashed")
+        at = self._stamp()
+        self._queue.push(at, PRIORITY_CRASH, (pid,))
+        self._advance(at)
+
+    def rejoin(self, pid: int) -> None:
+        """Rejoin a crashed ``pid`` now (from outside every handler), with
+        what the recovery factory builds.
+
+        The kernel's :meth:`~repro.sim.runner.Scheduler.recover`: the old
+        incarnation's timers are dropped, the replacement runs
+        ``on_recover()``; traffic sent while the pid was down stays lost.
+        """
+        if not self.is_down(pid):
+            raise ConfigurationError(f"P{pid} is not crashed; nothing to recover")
+        at = self._stamp()
+        self._queue.push(at, PRIORITY_RECOVER, (pid,))
+        self._advance(at)
 
     def is_down(self, pid: int) -> bool:
         """Whether ``pid`` is currently crashed (and not yet recovered)."""
-        return pid in self._down
+        return self.processes[pid].crashed
 
-    def recover(self, pid: int, process: Optional[Process] = None) -> None:
-        """Rejoin a crashed pid with ``process`` (default: the crashed object).
+    # ------------------------------------------------------------------ #
+    # the kernel, where the runtime differs
+    # ------------------------------------------------------------------ #
+    def send_many(
+        self, src: int, dsts: Iterable[int], payload: Any, module: str = "main"
+    ) -> None:
+        """Each message through the transport: its link decides its fate."""
+        send = self.transport.send
+        for dst in dsts:
+            send(src, dst, payload, module)
 
-        Timer-safe restart: every timer the previous incarnation still has
-        armed is cancelled and dropped before the replacement process is
-        bound, so no stale expiry — scheduled or already queued — can fire
-        into the new one.  Traffic sent while the pid was down stays lost
-        (at-most-once under faults).  The pid stays in ``trace.crashes``:
-        recovery restores liveness, not the correctness accounting.
-        ``on_recover()`` runs from the queue, serialised like any other event.
-        """
-        if pid not in self._down:
-            raise ConfigurationError(f"P{pid} is not crashed; nothing to recover")
-        replacement = process if process is not None else self.processes[pid]
-        for key in [key for key in self._timers if key[0] == pid]:
-            self._timers.pop(key)[1].cancel()
-        self._down.discard(pid)
-        replacement.crashed = False
-        self.processes[pid] = replacement
-        self.trace.record_recovery(pid, self.now_units())
-        self.call(pid, lambda p: p.on_recover())
+    def arrive(self, src: int, dst: int, payload: Any, delay_units: float) -> None:
+        """Queue a message that survived its link, ``delay_units`` from now."""
+        now = self.clock.now
+        entry = (src, dst, payload, 0, now)
+        self._queue.push(now + delay_units, PRIORITY_DELIVERY, entry)
 
-    def _one_correct_fewer_undecided(self) -> None:
-        self._undecided_correct -= 1
-        if self._undecided_correct == 0:
-            self._all_decided.set()
+    def set_timer(self, pid: int, at_units: float, name: str) -> None:
+        if self.metrics is not None:
+            armed = (pid, name) in self._timers
+            self.metrics.inc("runtime.timer_rearm" if armed else "runtime.timer_set")
+        super().set_timer(pid, at_units, name)
+
+    def cancel_timer(self, pid: int, name: str) -> None:
+        if self.metrics is not None and (pid, name) in self._timers:
+            self.metrics.inc("runtime.timer_cancel")
+        super().cancel_timer(pid, name)
+
+    def _crash(self, pid: int, time: float) -> None:
+        # a planned crash of a pid crashed by hand is refused, not re-recorded
+        if self.is_down(pid):
+            raise ConfigurationError(f"P{pid} is already crashed")
+        super()._crash(pid, time)
+        if self.on_crash is not None:
+            self.on_crash(pid)
 
     def execution_class(self) -> str:
         """``Scheduler.execution_class()``'s rule over what this run observed:
@@ -356,20 +292,27 @@ class AsyncRuntime:
             return "crash-failure"
         return "failure-free"
 
+    # ------------------------------------------------------------------ #
+    # errors and waiting
+    # ------------------------------------------------------------------ #
     def record_error(self, pid: int, exc: BaseException) -> None:
         self.errors.append((pid, exc))
         # A handler fault must not hang run_commit forever: surface it.
         self._all_decided.set()
 
     async def wait_all_correct_decided(self, timeout_units: float) -> bool:
-        """Wait until every non-crashed process decided.  True iff it happened."""
-        try:
-            await asyncio.wait_for(
-                self._all_decided.wait(), timeout=timeout_units * self.unit
-            )
-        except asyncio.TimeoutError:
-            return False
-        return self._undecided_correct == 0
+        """Wait until every correct process decided; True iff it happened.
+
+        Needs :meth:`~repro.sim.runner.Scheduler.stop_when_all_correct_decided`.
+        """
+        if self._undecided_correct:
+            try:
+                await asyncio.wait_for(
+                    self._all_decided.wait(), timeout=timeout_units * self.unit
+                )
+            except asyncio.TimeoutError:
+                return False
+        return not self._undecided_correct
 
 
 @dataclass
@@ -414,10 +357,12 @@ def run_commit(
 
     ``protocol`` is a registry name (``"2PC"``, ``"INBAC"``, ...) or a
     :class:`~repro.env.Process` subclass; the class is used *unmodified* —
-    the same object the simulator executes.  ``crash_at`` maps pids to crash
-    times in units of U.  Returns a :class:`CommitRunResult`; ``timed_out``
-    is True when some correct process had not decided within
-    ``timeout_units`` (plus the worst configured link delay).
+    the same object the simulator executes.  The votes are proposed at time 0
+    and ``crash_at`` (pid -> crash time in units of U) is the fault plan, as
+    :meth:`Simulation.run <repro.sim.runner.Simulation.run>` has them.
+    Returns a :class:`CommitRunResult`; ``timed_out`` is True when some
+    correct process had not decided within ``timeout_units`` (plus the worst
+    configured link delay).
     """
     if isinstance(protocol, str):
         from repro.protocols.registry import get_protocol
@@ -437,13 +382,11 @@ def run_commit(
         runtime = AsyncRuntime(n, f, unit=unit, seed=seed, transport=transport)
         runtime.trace.protocol = label
         runtime.bind_processes(lambda pid, nn, ff, env: cls(pid, nn, ff, env, **kwargs))
-        await runtime.start()
-        for pid in range(1, n + 1):
-            runtime.call(pid, lambda process: process.on_start())
+        runtime.install_fault_plan(FaultPlan(crashes=dict(crash_at or {})))
         for pid, vote in enumerate(votes, start=1):
-            runtime.propose(pid, vote)
-        for pid in sorted(crash_at or {}):
-            runtime.call_at(crash_at[pid], runtime.crash, pid)
+            runtime.post_propose(pid, vote)
+        runtime.stop_when_all_correct_decided()
+        await runtime.start()
         budget = timeout_units + transport.worst_case_delay_units()
         decided = await runtime.wait_all_correct_decided(budget)
         await runtime.stop()

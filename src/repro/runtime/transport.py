@@ -7,13 +7,14 @@ the protocol code above never sees anything but ``deliver`` events, and the
 simulator's delay models have their runtime counterpart here.
 :class:`LocalTransport` keeps what only it knows — counting, drop, outage
 window, delay draw — and hands each surviving message, with the delay its
-link adds, to the arrival hook the runtime installs; queueing, deadlines and
-which pids are down are the runtime's (:mod:`repro.runtime.runtime`).
+link adds, to the runtime it serves (:mod:`repro.runtime.runtime`), which
+queues it in its kernel.  A message to a pid that is down when it is sent is
+counted and lost: nothing is drawn for it, since nobody can receive it.
 
 Delays and drops are drawn from a seeded ``random.Random``, so a given
-policy produces the same drop/delay *choices* across runs; actual arrival
-order still depends on wall-clock scheduling (that nondeterminism is the
-point of the runtime — the simulator remains the deterministic oracle).
+policy produces the same drop/delay *choices* across runs, and the runtime's
+kernel handles what arrives in ``(time, kind)`` order however late the event
+loop runs.
 
 Message accounting matches the simulator's convention: messages to self are
 delivered locally and not counted (footnote 10 of the paper); everything
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -99,18 +100,14 @@ class LocalTransport:
         self._rng = random.Random(seed)
         self._policies: Dict[Tuple[int, int], LinkPolicy] = {}
         self._default_policy = LinkPolicy()
-        #: the runtime's execution record, installed like the two hooks below
-        self.trace: Optional[Any] = None
+        #: the runtime this transport serves, installed by it: its record
+        #: counts the sends, its processes say who is down, its clock times
+        #: the outage windows and its ``arrive`` queues what survived a link
+        self.runtime: Optional[Any] = None
         self.dropped = 0
         self.delayed = 0
         #: messages dropped inside an outage window (also counted in dropped)
         self.outage_dropped = 0
-        #: clock hook in units since runtime start; the runtime installs its
-        #: own so outage windows share the timers' time base
-        self.now_units: Callable[[], float] = lambda: 0.0
-        #: arrival hook ``(src, dst, payload, delay_units)``, installed by the
-        #: runtime: every message that survived its link goes through it
-        self.arrive: Optional[Callable[[int, int, Any, float], None]] = None
 
     # ------------------------------------------------------------------ #
     # wiring
@@ -126,11 +123,11 @@ class LocalTransport:
 
     @property
     def messages_total(self) -> int:
-        return self.trace.message_count()  # read off the record, mid-run too
+        return self.runtime.trace.message_count()  # read off the record, mid-run too
 
     @property
     def messages_by_module(self) -> Dict[str, int]:
-        return self.trace.module_histogram()
+        return self.runtime.trace.module_histogram()
 
     def worst_case_delay_units(self) -> float:
         """The largest extra delay any configured policy may add."""
@@ -144,17 +141,20 @@ class LocalTransport:
     # ------------------------------------------------------------------ #
     def send(self, src: int, dst: int, payload: Any, module: str = "main") -> None:
         """Ship one message; called synchronously from inside event handlers."""
+        runtime = self.runtime
         if src == dst:
             # local message to self: immediate, fault-free, uncounted (not a
             # network hop)
-            self.arrive(src, dst, payload, 0.0)
+            runtime.arrive(src, dst, payload, 0.0)
             return
-        self.trace.record_send_batch(payload, module, None, 1)
+        runtime.trace.record_send_batch(payload, module, None, 1)
         if self.metrics is not None:
             self.metrics.inc("transport.sends")
+        if runtime.is_down(dst):
+            return  # lost: nothing to draw for a message nobody can receive
         policy = self.policy_for(src, dst)
         if policy.outages:
-            now = self.now_units()
+            now = runtime.clock.now
             if any(start <= now < end for start, end in policy.outages):
                 self.dropped += 1
                 self.outage_dropped += 1
@@ -176,7 +176,7 @@ class LocalTransport:
             if self.metrics is not None:
                 self.metrics.inc("transport.delayed")
                 self.metrics.observe("transport.link_delay_units", delay_units)
-        self.arrive(src, dst, payload, delay_units)
+        runtime.arrive(src, dst, payload, delay_units)
 
 
 __all__ = ["LinkPolicy", "LocalTransport"]

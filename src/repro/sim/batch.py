@@ -5,7 +5,7 @@ the fingerprint contract (it must reproduce a binary heap's bytes).  Events
 are grouped into per-timestamp buckets holding one FIFO list per priority; a
 small heap orders the *distinct* timestamps.  Arrival order within one
 ``(time, priority)`` FIFO is push order, so popping the minimum timestamp and
-scanning priorities 0..4 reproduces the strict ``(time, priority, seq)`` total
+scanning priorities 0..5 reproduces the strict ``(time, priority, seq)`` total
 order of a binary heap whose ``seq`` counts pushes — for any push pattern,
 with no monotonicity assumption (see ``docs/performance.md`` for the
 argument).  The win over such a heap is that ``heapq`` only ever holds
@@ -29,16 +29,16 @@ from typing import Any, List, Tuple
 from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_DELIVERY
 
-#: event priorities are 0..4 (crash, recover, propose, delivery, timer)
-N_PRIORITIES = 5
+#: event priorities are 0..5 (crash, recover, propose, delivery, timer, call)
+N_PRIORITIES = 6
 
 _ABSENT = object()
 
 
 def _new_bucket(deliveries: list) -> list:
-    # five per-priority FIFO lists (the delivery FIFO is the list handed in,
-    # kept, not copied), five consumed-index cursors, live count
-    return [[], [], [], deliveries, [], [0, 0, 0, 0, 0], len(deliveries)]
+    # six per-priority FIFO lists (the delivery FIFO is the list handed in,
+    # kept, not copied), six consumed-index cursors, live count
+    return [[], [], [], deliveries, [], [], [0, 0, 0, 0, 0, 0], len(deliveries)]
 
 
 def lone_bucket() -> list:
@@ -51,14 +51,14 @@ def lone_bucket() -> list:
     :meth:`Scheduler.run <repro.sim.runner.Scheduler.run>` call serves every
     lone entry it pops.
     """
-    return [(), (), (), (), (), [0, 0, 0, 1, 0], 1]
+    return [(), (), (), (), (), (), [0, 0, 0, 1, 0, 0], 1]
 
 
 class BucketQueue:
     """Distinct-timestamp calendar queue with per-priority FIFO buckets.
 
     Layout: ``buckets[time]`` is either a bucket, the list
-    ``[fifo0..fifo4, cursors, live_count]``, or — when the only thing queued
+    ``[fifo0..fifo5, cursors, live_count]``, or — when the only thing queued
     at ``time`` is one delivery — that delivery's entry itself (a *lone
     entry*).  A bucket is the only ``list`` the queue ever stores, so
     ``type(slot) is list`` tells the two apart and an entry may be anything
@@ -86,7 +86,7 @@ class BucketQueue:
 
     def __len__(self) -> int:
         return sum(
-            slot[6] if type(slot) is list else 1 for slot in self.buckets.values()
+            slot[7] if type(slot) is list else 1 for slot in self.buckets.values()
         )
 
     def push(self, time: float, priority: int, entry: Any) -> None:
@@ -105,7 +105,7 @@ class BucketQueue:
             else:
                 slot = buckets[time] = _new_bucket([slot])
         slot[priority].append(entry)
-        slot[6] += 1
+        slot[7] += 1
 
     def push_run(self, time: float, run: list) -> None:
         """Append the deliveries of ``run`` at ``time``, in order.
@@ -124,7 +124,7 @@ class BucketQueue:
         if type(slot) is not list:
             slot = buckets[time] = _new_bucket([slot])
         slot[PRIORITY_DELIVERY].extend(run)
-        slot[6] += len(run)
+        slot[7] += len(run)
 
     def peek_time(self) -> float:
         """The minimum live timestamp; raises IndexError when empty."""
@@ -143,7 +143,7 @@ class BucketQueue:
             del self.buckets[time]
             heapq.heappop(self.times)
             return time, PRIORITY_DELIVERY, bucket
-        cursors = bucket[5]
+        cursors = bucket[6]
         for priority in range(N_PRIORITIES):
             index = cursors[priority]
             fifo = bucket[priority]
@@ -153,9 +153,9 @@ class BucketQueue:
             raise SystemError("bucket queue invariant violated: empty live bucket")
         entry = fifo[index]
         cursors[priority] = index + 1
-        remaining = bucket[6] - 1
+        remaining = bucket[7] - 1
         if remaining:
-            bucket[6] = remaining
+            bucket[7] = remaining
         else:
             del self.buckets[time]
             heapq.heappop(self.times)

@@ -38,6 +38,10 @@ PRIORITY_RECOVER = 1
 PRIORITY_PROPOSE = 2
 PRIORITY_DELIVERY = 3
 PRIORITY_TIMER = 4
+# a call into a process from outside every handler (a client's submit on the
+# asyncio runtime, which paces this kernel by the wall clock); the simulator
+# never queues one, so its order cannot move
+PRIORITY_CALL = 5
 
 
 @dataclass(frozen=True)
@@ -99,5 +103,6 @@ class TimerEvent(Event):
     token: int
 
 
-#: kind -> view class, in slot order
+#: kind -> view class, in slot order (a call has none: only the asyncio
+#: runtime queues calls, and it takes no schedule controller)
 EVENT_VIEWS = (CrashEvent, RecoverEvent, ProposeEvent, MessageDeliveryEvent, TimerEvent)

@@ -39,7 +39,8 @@ The event queue
 ---------------
 There is one queue and one loop.  Every event is a bare tuple in a
 :class:`~repro.sim.batch.BucketQueue`: one bucket per distinct timestamp, one
-FIFO per event kind inside it (crash, recover, propose, delivery, timer — the
+FIFO per event kind inside it (crash, recover, propose, delivery, timer, and
+a call from outside every handler, which only the asyncio runtime queues — the
 kind constants of :mod:`repro.sim.events` are the FIFO slots).  A timestamp
 that holds one delivery and nothing else holds no bucket: the slot is that
 delivery's tuple (a *lone entry* — every message under a continuous delay
@@ -398,7 +399,8 @@ class Scheduler:
         The one event loop.  Pops are inlined against the bucket structure
         (:meth:`BucketQueue.pop <repro.sim.batch.BucketQueue.pop>` is the
         reference for their order) and each kind's semantics are written
-        exactly once, below.  The loop finds the minimum ``(time, kind)``
+        exactly once: below, or in the one method a kind calls
+        (:meth:`_crash`, :meth:`recover`).  The loop finds the minimum ``(time, kind)``
         FIFO and then stays on it — entry after entry, without re-finding it
         — until it is exhausted, a handler queued something into the same
         bucket (a lower kind would pre-empt the rest), or a stop condition
@@ -436,8 +438,8 @@ class Scheduler:
                 break
             bucket = buckets[time]
             if type(bucket) is list:
-                cursors = bucket[5]
-                for kind in range(5):
+                cursors = bucket[6]
+                for kind in range(6):
                     index = cursors[kind]
                     fifo = bucket[kind]
                     if index < len(fifo):
@@ -449,7 +451,7 @@ class Scheduler:
                 fifo = (bucket,)
                 index = 0
                 bucket = lone
-                cursors = lone[5]
+                cursors = lone[6]
             # drain this (time, kind) FIFO in place; len() is re-read because
             # a handler may append to it (a send to self at the current time)
             advanced = False
@@ -459,9 +461,9 @@ class Scheduler:
                 # cursor and live count are settled before anything can
                 # raise or stop, so a later run() resumes at the next entry
                 cursors[kind] = index
-                live = bucket[6] - 1
+                live = bucket[7] - 1
                 if live:
-                    bucket[6] = live
+                    bucket[7] = live
                 else:
                     del buckets[time]
                     if times[0] == time:
@@ -513,14 +515,14 @@ class Scheduler:
                         trace.record_proposal(pid, value, clock.time_to_units(time))
                         process.on_propose(value)
                 elif kind == PRIORITY_CRASH:
-                    pid = entry[0]
+                    self._crash(entry[0], time)
+                elif kind == PRIORITY_RECOVER:
+                    self.recover(entry[0])
+                else:  # PRIORITY_CALL: only the asyncio runtime queues one
+                    pid, fn = entry
                     process = processes.get(pid)
                     if process is not None and not process.crashed:
-                        process.crashed = True
-                        process.on_crash()
-                    trace.record_crash(pid, clock.time_to_units(time))
-                else:  # PRIORITY_RECOVER
-                    self.recover(entry[0])
+                        fn(process)
                 if (
                     self._stopped
                     or (self._correct_pids is not None and self._undecided_correct == 0)
@@ -528,7 +530,7 @@ class Scheduler:
                 ):
                     running = False
                     break
-                if bucket[6] != live:
+                if bucket[7] != live:
                     # the handler queued something at the current time: a
                     # lower kind may now pre-empt the rest of this FIFO
                     break
@@ -599,6 +601,17 @@ class Scheduler:
         self._queue.push(new_time, PRIORITY_DELIVERY, entry)
         return True
 
+    def _crash(self, pid: int, time: float) -> None:
+        """Crash ``pid`` at ``time``: a fault plan's crash and an injected one.
+
+        The process handles nothing from here on; the record keeps ``time``.
+        """
+        process = self.processes.get(pid)
+        if process is not None and not process.crashed:
+            process.crashed = True
+            process.on_crash()
+        self.trace.record_crash(pid, self.clock.time_to_units(time))
+
     def can_inject_crash(self, pid: int) -> bool:
         """Whether crashing ``pid`` now stays within the fault budget ``f``."""
         process = self.processes.get(pid)
@@ -621,11 +634,7 @@ class Scheduler:
             return False
         self._crash_budget -= 1
         self._injected_crashes.add(pid)
-        process = self.processes[pid]
-        process.crashed = True
-        process.on_crash()
-        crash_time = self.clock.now if at is None else max(self.clock.now, at)
-        self.trace.record_crash(pid, self.clock.time_to_units(crash_time))
+        self._crash(pid, self.clock.now if at is None else max(self.clock.now, at))
         if self._correct_pids is not None and pid in self._correct_pids:
             self._correct_pids = self._correct_pids - {pid}
             if pid not in self.trace.decisions:

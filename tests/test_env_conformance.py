@@ -33,7 +33,14 @@ from repro.env.conformance import (
 )
 from repro.errors import SimulationError
 from repro.protocols.registry import get_protocol, protocol_names
-from repro.runtime import AsyncClusterService, AsyncHarness, LinkPolicy, run_commit
+from repro.runtime import (
+    DEFAULT_UNIT_SECONDS,
+    AsyncClusterService,
+    AsyncHarness,
+    LinkPolicy,
+    run_commit,
+)
+from repro.sim.faults import FaultPlan
 from repro.sim.trace import CounterTrace
 
 from conftest import run_protocol
@@ -100,7 +107,6 @@ class _InertEnv:
 
 class _InertHarness:
     name = "inert"
-    tolerance_units = 0.0
 
     def run(self, factories, n, f, *, duration_units, proposals=None):
         trace = CounterTrace(n=n, f=f)  # the record its inert env writes
@@ -188,64 +194,11 @@ def _cell(name):
     return get_protocol(name).cell or PropertyPair.of("AV", "AV")
 
 
-class _LoopLag(asyncio.DefaultEventLoopPolicy):
-    """Every loop it makes carries a heartbeat that measures the loop's lag:
-    how much later than asked a ``call_later`` handle ran, at worst (seconds)."""
-
-    BEAT = 0.002
-
-    def __init__(self):
-        super().__init__()
-        self.worst = 0.0
-
-    def new_event_loop(self):
-        loop = super().new_event_loop()
-
-        def beat(due):
-            self.worst = max(self.worst, loop.time() - due)
-            loop.call_later(self.BEAT, beat, loop.time() + self.BEAT)
-
-        loop.call_later(self.BEAT, beat, loop.time() + self.BEAT)
-        return loop
-
-
 def _run_commit(name, votes, terminates=True, **kwargs):
-    # The timer-driven protocols keep their guarantees only while the
-    # synchronous-model assumption (delay <= 1 U) holds; a long event-loop
-    # stall on a loaded host violates it — deadlines a message apart collapse
-    # into one loop turn — and the runtime cannot see that (the record still
-    # says failure-free / crash-failure).  The harness answer is a bounded
-    # retry, not a wider timeout, decided by what was *measured*: the run
-    # timed out, or the loop ran a heartbeat a whole U late.  The property
-    # outcome plays no part: a breach on a run that kept time fails at once.
-    for _ in range(3):
-        lag = _LoopLag()
-        asyncio.set_event_loop_policy(lag)
-        try:
-            result = run_commit(name, AGREEMENT_N, AGREEMENT_F, list(votes), **kwargs)
-        finally:
-            asyncio.set_event_loop_policy(None)
-        stalled = lag.worst + lag.BEAT >= result.unit
-        if not (stalled or (terminates and result.timed_out)):
-            break
+    result = run_commit(name, AGREEMENT_N, AGREEMENT_F, list(votes), **kwargs)
     assert not (terminates and result.timed_out), f"{name} timed out on asyncio"
     assert result.errors == []
     return result
-
-
-@pytest.mark.runtime
-def test_the_loop_lag_probe_measures_a_blocked_loop():
-    async def block():
-        time.sleep(0.05)  # the heartbeat due meanwhile runs late
-        await asyncio.sleep(2 * _LoopLag.BEAT)
-
-    lag = _LoopLag()
-    asyncio.set_event_loop_policy(lag)
-    try:
-        asyncio.run(block())
-    finally:
-        asyncio.set_event_loop_policy(None)
-    assert lag.worst >= 0.04
 
 
 @pytest.mark.runtime
@@ -290,6 +243,98 @@ def test_a_lossy_link_is_classed_network_failure():
     assert result.trace.metadata["execution_class"] == "network-failure"
     evaluation = evaluate_problem(result.trace, _cell("2PC"))
     assert evaluation.satisfied, evaluation.failures
+
+
+# --------------------------------------------------------------------------- #
+# a stalled event loop changes when a run decides, not what it decides
+# --------------------------------------------------------------------------- #
+class _Stalls(asyncio.DefaultEventLoopPolicy):
+    """Every loop it makes is blocked with ``time.sleep`` for ``length`` U
+    every ``period`` U from ``phase`` U on (``count`` times; None: forever):
+    a host that stalls the event loop."""
+
+    def __init__(self, unit, phase, length=2.0, period=4.0, count=None):
+        super().__init__()
+        self.unit, self.phase, self.length = unit, phase, length
+        self.period, self.count = period, count
+
+    def new_event_loop(self):
+        loop = super().new_event_loop()
+        left = [self.count]
+
+        def stall():
+            time.sleep(self.length * self.unit)
+            if left[0] is not None:
+                left[0] -= 1
+                if not left[0]:
+                    return
+            loop.call_later((self.period - self.length) * self.unit, stall)
+
+        loop.call_later(self.phase * self.unit, stall)
+        return loop
+
+
+#: small enough to keep 117 stalled runs to a few seconds: on the paced
+#: kernel what a run decides does not depend on the unit
+STALL_UNIT = 0.002
+STALL_CASES = [
+    ((1, 1, 1, 1), {}),
+    ((1, 0, 1, 1), {}),
+    ((1, 1, 1, 1), {3: 0.5}),
+]
+
+
+def _stalled_run_commit(name, votes, crash_at, stalls):
+    asyncio.set_event_loop_policy(stalls)
+    try:
+        return run_commit(
+            name, AGREEMENT_N, AGREEMENT_F, list(votes), crash_at=crash_at,
+            unit=stalls.unit, timeout_units=40.0,
+        )
+    finally:
+        asyncio.set_event_loop_policy(None)
+
+
+@pytest.mark.runtime
+@pytest.mark.parametrize("name", protocol_names())
+def test_a_stalled_loop_does_not_change_what_a_run_decides(name):
+    """Fails at the parent: its runtime handled overdue events in loop-handle
+    order, so a 2 U stall every 4 U made 15 of these 117 runs decide other
+    than the simulator or break their Table 1 cell.  The paced kernel handles
+    them in ``(time, kind)`` order with their own stamps: every stall phase
+    records the same decisions, values and times."""
+    cls, cell = get_protocol(name).cls, _cell(name)
+    for votes, crash_at in STALL_CASES:
+        expected = run_protocol(
+            cls, AGREEMENT_N, AGREEMENT_F, list(votes),
+            fault_plan=FaultPlan(crashes=crash_at),
+        ).decisions()
+        records = set()
+        for phase in (0.5, 1.5, 2.5):
+            result = _stalled_run_commit(
+                name, votes, crash_at, _Stalls(STALL_UNIT, phase)
+            )
+            case = f"{name} {votes} crash_at={crash_at} phase={phase}"
+            assert result.errors == [], case
+            assert result.decisions == expected, case
+            evaluation = evaluate_problem(result.trace, cell)
+            assert evaluation.satisfied, f"{case}: {evaluation.failures}"
+            records.add(
+                tuple(sorted((p, d.value, d.time) for p, d in result.trace.decisions.items()))
+            )
+        assert len(records) == 1, (name, votes, crash_at, records)
+
+
+@pytest.mark.runtime
+def test_one_long_stall_no_longer_splits_n_minus_1_plus_f_nbac():
+    """Fails at the parent, which decided ``{1: 0, 2: 1, 4: 0}``: one 4 U
+    stall from 2.5 U collapsed deadlines a message apart into one loop turn."""
+    result = _stalled_run_commit(
+        "(n-1+f)NBAC", (1, 1, 1, 1), {3: 0.5},
+        _Stalls(DEFAULT_UNIT_SECONDS, phase=2.5, length=4.0, count=1),
+    )
+    assert result.errors == []
+    assert result.decisions == {1: 0, 2: 0, 4: 0}
 
 
 # --------------------------------------------------------------------------- #

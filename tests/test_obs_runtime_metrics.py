@@ -19,6 +19,7 @@ from repro.obs import EventBus, MemorySink, MetricsRegistry
 from repro.runtime import AsyncClusterService, LinkPolicy, LocalTransport
 from repro.runtime.cluster import run_cluster_async
 from repro.runtime.runtime import AsyncRuntime
+from repro.sim.faults import FaultPlan
 from repro.workloads.transactions import uniform_workload
 
 pytestmark = pytest.mark.runtime
@@ -189,6 +190,28 @@ class TestClusterLifecycleTelemetry:
         shutdown = next(e for e in sink.events if e.name == "cluster.shutdown")
         assert shutdown.fields["transactions"] == 2
         assert shutdown.fields["crashes"] == 1
+
+    def test_a_planned_crash_and_rejoin_are_reported_alike(self):
+        # the plan's crash and rejoin are the kernel's own entries, at their
+        # planned times exactly, under the names a crash by hand reports
+        metrics = MetricsRegistry()
+        sink = MemorySink()
+        report = run_cluster_async(
+            config(
+                commit_protocol="INBAC", commit_f=1, seed=5,
+                fault_plan=FaultPlan.crash_recover(2, at=20.0, rejoin_at=40.0),
+            ),
+            spaced_transfers(), metrics=metrics, events=EventBus([sink]),
+        )
+        assert report.committed == 2
+        counters = metrics.snapshot().counters
+        assert counters["cluster.crashes"] == counters["cluster.rejoins"] == 1
+        crash = next(e for e in sink.events if e.name == "cluster.crash")
+        rejoin = next(e for e in sink.events if e.name == "cluster.rejoin")
+        assert crash.fields == {"pid": 2, "at_units": 20.0}
+        assert rejoin.fields["downtime_units"] == 20.0
+        [event] = report.recovery_events
+        assert rejoin.fields["replayed_transactions"] == event.replayed_transactions
 
     def test_retries_reach_the_registry(self):
         metrics = MetricsRegistry()

@@ -430,7 +430,7 @@ class TestOneLoop:
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         )
-        for handler in ("deliver", "timeout", "on_propose", "on_crash", "_stop_predicate"):
+        for handler in ("deliver", "timeout", "on_propose", "_crash", "_stop_predicate"):
             assert calls[handler] == 1, handler
         per_timestamp, drain = [n for n in ast.walk(tree) if isinstance(n, ast.While)]
         assert _layout_tests(per_timestamp) == 1

@@ -127,7 +127,7 @@ def queue_contents(scheduler):
     return (
         sorted(queue.times),
         {
-            time: ([fifo[cursor:] for fifo, cursor in zip(bucket[:5], bucket[5])], bucket[6])
+            time: ([fifo[cursor:] for fifo, cursor in zip(bucket[:6], bucket[6])], bucket[7])
             for time, bucket in views.items()
         },
         len(queue),
