@@ -33,9 +33,11 @@
 #      determinism sanitizer must run the reference sweep clean plus the
 #      cross-PYTHONHASHSEED fingerprint diff (see docs/determinism.md);
 #  11. a bounded runtime round-trip: every registered commit protocol must
-#      commit one real transaction over the asyncio transport (repro.runtime,
-#      wall clock, hard timeout), and the packaging discovery must ship every
-#      subpackage (import repro.runtime from an emulated installed layout);
+#      commit one real transaction on the simulator's kernel paced by the
+#      wall clock (repro.runtime, hard timeout), one protocol must decide the
+#      same values at the same times on both backends under one delay model
+#      and seed, and the packaging discovery must ship every subpackage
+#      (import repro.runtime from an emulated installed layout);
 #  12. a crash-recovery smoke: kill one partition mid-run and rejoin it from
 #      its write-ahead log on BOTH backends (sim via FaultPlan.crash_recover,
 #      asyncio via the live service), asserting the rejoined run still
@@ -188,7 +190,7 @@ EOF
 echo "==> [10/13] determinism lint + runtime sanitizer"
 python -m repro.lint src benchmarks tests examples --sanitize
 
-echo "==> [11/13] runtime round-trip (asyncio transport, hard timeout)"
+echo "==> [11/13] runtime round-trip (one kernel paced by the wall clock, hard timeout)"
 python - <<'EOF2'
 import signal
 
@@ -201,8 +203,10 @@ signal.signal(signal.SIGALRM, _expired)
 signal.alarm(120)
 
 from repro.protocols.base import COMMIT
-from repro.protocols.registry import protocol_names
+from repro.protocols.registry import get_protocol, protocol_names
 from repro.runtime import run_commit
+from repro.sim.network import FixedDelay
+from repro.sim.runner import Simulation
 
 n, f = 4, 1
 for name in protocol_names():
@@ -213,8 +217,19 @@ for name in protocol_names():
     assert result.errors == [], (name, result.errors)
     assert result.all_agree and result.decision == COMMIT, (name, result.decisions)
     assert len(result.decisions) == n, (name, result.decisions)
+
+# one network model on both backends: same delay model and seed, same
+# decision values at the same stamped times
+votes = [0, 1, 1, 1]
+runtime = run_commit("INBAC", n, f, votes, delay_model=FixedDelay(1.0), seed=5, unit=0.002)
+sim = Simulation(
+    n, f, process_class=get_protocol("INBAC").cls, delay_model=FixedDelay(1.0), seed=5
+).run(votes)
+decided = lambda trace: {p: (r.value, r.time) for p, r in trace.decisions.items()}
+assert decided(runtime.trace) == decided(sim.trace), (decided(runtime.trace), decided(sim.trace))
 signal.alarm(0)
-print(f"    {len(protocol_names())} protocols committed for real on the asyncio runtime")
+print(f"    {len(protocol_names())} protocols committed for real on the paced kernel;"
+      " INBAC decides the same values at the same times on both backends")
 EOF2
 python -m pytest tests/test_packaging.py -q
 

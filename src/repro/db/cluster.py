@@ -17,9 +17,8 @@ Two backends serve the same cluster code:
 * ``backend="asyncio"`` — the wall-clock transport runtime
   (:func:`repro.runtime.cluster.run_cluster_async`): the *same* partition,
   coordinator and commit-protocol classes on the same scheduler paced by the
-  wall clock, with real concurrency.  Schedule controllers and delay models
-  are simulator-only and rejected here; fault plans (crashes and rejoins)
-  carry over.
+  wall clock, with real concurrency.  Delay models, fault plans and schedule
+  controllers carry over: they are the one kernel's.
 
 The construction seam is :func:`build_partition`, :func:`build_client`,
 :func:`rejoin_partition` and :func:`build_report` — each backend builds the

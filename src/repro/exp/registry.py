@@ -15,7 +15,7 @@ of these tables.  For that to work, custom registrations must happen at
 One :class:`Registry` per kind, each with its builder calling convention:
 
 * delay models — ``builder(seed, **params)``: ``fixed``, ``uniform``,
-  ``lognormal``, ``flaky-link``; :func:`register_delay_model`,
+  ``lognormal``, ``flaky-link``, ``link``; :func:`register_delay_model`,
   :func:`named_delay`;
 * fault plans — ``builder(**params)`` returning a plan whose rules the
   scheduler resets: ``failure-free``, ``crash``, ``rejoin``, and ``plan``
@@ -50,6 +50,8 @@ from repro.sim.network import (
     DelayModel,
     FixedDelay,
     FlakyLinkDelay,
+    LinkDelay,
+    LinkPolicy,
     LognormalDelay,
     UniformDelay,
 )
@@ -194,10 +196,30 @@ def _build_flaky_link(
     )
 
 
+def _build_link(
+    seed: int,
+    u: float = 1.0,
+    delay_units: float = 1.0,
+    jitter_units: float = 0.0,
+    slow_factor: float = 1.0,
+    outages: tuple = (),
+) -> DelayModel:
+    # one policy on every link, a fixed 1 U link by default; outages are
+    # nested tuples (not lists) so the spec stays hashable and spawn-picklable
+    return LinkDelay(
+        LinkPolicy(
+            delay_units, jitter_units, slow_factor, tuple(tuple(w) for w in outages)
+        ),
+        u=u,
+        seed=seed,
+    )
+
+
 register_delay_model("fixed", _build_fixed)
 register_delay_model("uniform", _build_uniform)
 register_delay_model("lognormal", _build_lognormal)
 register_delay_model("flaky-link", _build_flaky_link)
+register_delay_model("link", _build_link)
 
 
 # --------------------------------------------------------------------------- #

@@ -8,7 +8,7 @@ failure mode the determinism-under-observation test battery exists to catch,
 caught here statically instead.
 
 Obs objects reach deterministic code only as duck-typed constructor
-arguments (``ClusterConfig.tracer``, ``LocalTransport(metrics=...)``), so
+arguments (``ClusterConfig.tracer``, ``LinkDelay(metrics=...)``), so
 those layers compile against nothing.  The sanctioned import sites are the
 engine's lazy hooks (:mod:`repro.exp.engine` resolves ``progress=`` and the
 ``REPRO_PROFILE`` wrapper on demand), the CLI/analysis layers, and the obs

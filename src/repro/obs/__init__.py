@@ -8,7 +8,7 @@ enforced from both sides:
   ``repro.core``, ``repro.protocols``, ``repro.consensus``, and the spec /
   results modules of ``repro.exp``) from importing this package — obs
   objects reach them only as duck-typed constructor arguments
-  (``ClusterConfig.tracer``, ``LocalTransport(metrics=...)``);
+  (``ClusterConfig.tracer``, ``LinkDelay(metrics=...)``);
 * the determinism-under-observation battery pins that sweep aggregates and
   trace fingerprints are byte-identical with observability on and off,
   across trace levels, fold paths, and start methods.

@@ -6,7 +6,8 @@ them on the simulator's kernel, :class:`repro.sim.runner.Scheduler`, paced by
 the wall clock: one loop handle, armed for the earliest queued time,
 re-enters the scheduler's own loop up to "now" (one unit of simulated time
 ``U`` per ``AsyncRuntime.unit`` seconds), every process gets the simulator's
-env, and messages cross a transport with per-link fault injection.  The
+env, and messages cross the simulator's network: whatever delay model the
+run is given (per-link policies are :class:`repro.sim.network.LinkDelay`).  The
 *identical, unmodified* protocol classes — INBAC, 2PC, 3PC, Paxos commit and
 the rest of the registry — commit real transactions here for concurrent
 clients, and a stalled event loop changes when a run decides, not what it
@@ -14,9 +15,6 @@ decides.
 
 Layout:
 
-* :mod:`~repro.runtime.transport` — :class:`LinkPolicy` (per-link delay /
-  jitter / drop / outage injection) and :class:`LocalTransport` (applies it
-  and tallies counted messages into the runtime's record);
 * :mod:`~repro.runtime.runtime` — :class:`AsyncRuntime` (the scheduler paced
   by the wall clock: the wake-up handle, calls from outside every handler,
   error capture) and :func:`run_commit` (one commit instance, synchronous
@@ -49,7 +47,6 @@ from repro.runtime.runtime import (
     DEFAULT_UNIT_SECONDS,
     run_commit,
 )
-from repro.runtime.transport import LinkPolicy, LocalTransport
 
 __all__ = [
     "AsyncClusterService",
@@ -58,8 +55,6 @@ __all__ = [
     "CommitRunResult",
     "DEFAULT_CLUSTER_UNIT_SECONDS",
     "DEFAULT_UNIT_SECONDS",
-    "LinkPolicy",
-    "LocalTransport",
     "run_cluster_async",
     "run_commit",
 ]

@@ -15,20 +15,20 @@ the wall-clock event loop.  Two entry points:
   then ``await service.shutdown()`` for the report (invariant battery
   included, evaluated on the surviving state).
 
-Simulator-only features (``delay_model``, ``controller``) are rejected with a
-:class:`~repro.errors.ConfigurationError`; runtime fault injection instead
-goes through :class:`~repro.runtime.transport.LinkPolicy` (per-link delay,
-jitter, drop) and ``fault_plan`` crashes and rejoins, which carry over
-unchanged: they are the kernel's own entries, and a partition rejoins through
-the WAL replay the simulator installs too (:func:`repro.db.cluster.
-rejoin_partition`).
+The configuration means what it means on the simulator: ``delay_model`` is
+the network (default: a zero-delay :class:`~repro.sim.network.LinkDelay`;
+per-link delay, jitter, slow factors and outages are its
+:class:`~repro.sim.network.LinkPolicy` entries), ``fault_plan`` crashes and
+rejoins are the kernel's own entries, a ``controller`` is consulted on every
+event as it is there, and a partition rejoins through the WAL replay the
+simulator installs too (:func:`repro.db.cluster.rejoin_partition`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from repro.db.cluster import (
     ClusterConfig,
@@ -45,7 +45,8 @@ from repro.db.coordinator import ClientCoordinator, TransactionOutcome
 from repro.db.transaction import Transaction
 from repro.errors import ConfigurationError
 from repro.runtime.runtime import AsyncRuntime
-from repro.runtime.transport import LinkPolicy, LocalTransport
+from repro.sim.network import LinkDelay
+from repro.sim.trace import Trace
 
 #: clusters run a finer clock than bare protocol runs: commit timers span
 #: tens of units, so 10 ms per U keeps batch runs short while still dwarfing
@@ -53,17 +54,24 @@ from repro.runtime.transport import LinkPolicy, LocalTransport
 DEFAULT_CLUSTER_UNIT_SECONDS = 0.01
 
 
-def _check_runtime_config(config: ClusterConfig) -> None:
-    if config.controller is not None:
-        raise ConfigurationError(
-            "schedule controllers are simulator-only; the asyncio backend "
-            "cannot replay controlled schedules"
-        )
-    if config.delay_model is not None:
-        raise ConfigurationError(
-            "delay models are simulator-only; configure LinkPolicy delays "
-            "on the asyncio backend instead"
-        )
+class TransportView:
+    """Read-only message totals over a runtime's record.
+
+    Exists for the perf ledger, which reads ``service.transport`` (the
+    benchmark tree is not edited alongside the runtime); the benchmark-tree
+    rework in ROADMAP.md (item 7) deletes it.
+    """
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    @property
+    def messages_total(self) -> int:
+        return self._trace.message_count()
+
+    @property
+    def messages_by_module(self) -> Dict[str, int]:
+        return self._trace.module_histogram()
 
 
 class AsyncClusterService:
@@ -83,12 +91,9 @@ class AsyncClusterService:
         config: ClusterConfig,
         *,
         unit: float = DEFAULT_CLUSTER_UNIT_SECONDS,
-        default_link_policy: Optional[LinkPolicy] = None,
-        link_policies: Optional[Dict[Tuple[int, int], LinkPolicy]] = None,
         metrics: Optional[Any] = None,
         events: Optional[Any] = None,
     ):
-        _check_runtime_config(config)
         if config.num_partitions < 2:
             raise ConfigurationError("a cluster needs at least 2 partitions")
         if config.fault_plan is not None and cluster_shape(config)[2] in getattr(
@@ -100,8 +105,8 @@ class AsyncClusterService:
             )
         self.config = config
         self.unit = unit
-        #: optional duck-typed telemetry sinks, threaded into the transport
-        #: and runtime and fed by the service's own lifecycle hooks (crash,
+        #: optional duck-typed telemetry sinks, threaded into the default link
+        #: model and the runtime and fed by the service's own lifecycle hooks (crash,
         #: rejoin, WAL replay, in-doubt resolution, retries).  Strictly out
         #: of band — never consulted for any decision; this module never
         #: imports the obs package
@@ -109,20 +114,16 @@ class AsyncClusterService:
         self.events = events
         n, f, client_pid = cluster_shape(config)
         self.client_pid = client_pid
-        self.transport = LocalTransport(unit=unit, seed=config.seed, metrics=metrics)
-        if default_link_policy is not None:
-            self.transport.set_default_policy(default_link_policy)
-        for (src, dst), policy in sorted((link_policies or {}).items()):
-            self.transport.set_link_policy(src, dst, policy)
         self.runtime = AsyncRuntime(
-            n, f, unit=unit, seed=config.seed, transport=self.transport,
+            n, f, unit=unit, seed=config.seed,
+            delay_model=config.delay_model or LinkDelay(seed=config.seed, metrics=metrics),
+            fault_plan=config.fault_plan, controller=config.controller,
             metrics=metrics,
         )
+        self.transport = TransportView(self.runtime.trace)
         self.runtime.trace.protocol = f"db/{config.protocol_label()}"
         self.runtime.on_crash = self._crashed
         self.runtime.set_recovery_factory(self._rejoin)
-        if config.fault_plan is not None:
-            self.runtime.install_fault_plan(config.fault_plan)
         self.client: Optional[ClientCoordinator] = None
         self._waiters: Dict[str, asyncio.Future] = {}
         #: set while wait_all_completed() waits; resolved by the outcome that
@@ -319,6 +320,10 @@ class AsyncClusterService:
             partition_servers,
             trace,
             execution_class=self.runtime.execution_class(),
+            schedule_decisions=list(self.runtime.applied_schedule_actions),
+            trace_fingerprint=(
+                trace.fingerprint() if self.config.controller is not None else None
+            ),
             recovery_events=list(self._recovery_events),
             backend="asyncio",
         )
@@ -330,7 +335,6 @@ def run_cluster_async(
     *,
     unit: float = DEFAULT_CLUSTER_UNIT_SECONDS,
     timeout_units: Optional[float] = None,
-    default_link_policy: Optional[LinkPolicy] = None,
     metrics: Optional[Any] = None,
     events: Optional[Any] = None,
 ) -> ClusterReport:
@@ -342,14 +346,12 @@ def run_cluster_async(
     ``max_time``) of scaled wall-clock time elapsed.
     """
     _validate(config, transactions)
-    _check_runtime_config(config)
     budget = config.max_time if timeout_units is None else timeout_units
 
     async def _main() -> ClusterReport:
         service = AsyncClusterService(
             config,
             unit=unit,
-            default_link_policy=default_link_policy,
             metrics=metrics,
             events=events,
         )

@@ -17,17 +17,21 @@ simulator.  A loop that stalled handles its overdue events late but in the
 same order and with the same stamps, so a stall changes *when* a run decides
 on the wall clock, not *what* it decides.
 
-**Where events come from.**  A handler's send goes through the
-:class:`~repro.runtime.transport.LocalTransport`, and a message that survives
-its link is a delivery at the kernel's time plus the link delay; a timer is an
-entry in the kernel's token table; a fault plan's crashes and rejoins are the
-kernel's own entries.  A call from outside every handler (:meth:`propose`,
-:meth:`call`) is an entry stamped with the loop step's *instant*: every
-outside post made before the handle next fires is stamped with the same one,
-so what a caller posts together is handled together, in kind order — a
-zero-delay vote cannot overtake the next proposal.  :meth:`crash` and
-:meth:`rejoin` post their entry at the instant and run the kernel up to it at
-once.  A handler that raises lands in :attr:`errors` under its pid.
+**Where events come from.**  One network model serves both backends: a
+handler's send is posted by :meth:`Scheduler.send_many
+<repro.sim.runner.Scheduler.send_many>` as a delivery at the kernel's time
+plus what the delay model draws — by default a zero-delay
+:class:`~repro.sim.network.LinkDelay`, so links deliver at once; a slow or
+partitioned link is a late message, never a lost one.  A timer is an entry in
+the kernel's token table; a fault plan's crashes and rejoins and a schedule
+controller's decisions are the kernel's own.  A call from outside every
+handler (:meth:`propose`, :meth:`call`) is an entry stamped with the loop
+step's *instant*: every outside post made before the handle next fires is
+stamped with the same one, so what a caller posts together is handled
+together, in kind order — a zero-delay vote cannot overtake the next
+proposal.  :meth:`crash` and :meth:`rejoin` post their entry at the instant
+and run the kernel up to it at once; from inside a handler they are refused.
+A handler that raises lands in :attr:`errors` under its pid.
 
 This module deliberately reads the wall clock (``time.monotonic()``); the lint
 suite's determinism rule DET002 is *scoped out* of ``src/repro/runtime/``
@@ -40,11 +44,10 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.env import Process
 from repro.errors import ConfigurationError
-from repro.runtime.transport import LinkPolicy, LocalTransport
 from repro.sim.events import (
     PRIORITY_CALL,
     PRIORITY_CRASH,
@@ -52,6 +55,7 @@ from repro.sim.events import (
     PRIORITY_RECOVER,
 )
 from repro.sim.faults import FaultPlan
+from repro.sim.network import DelayModel, LinkDelay
 from repro.sim.runner import ProcessFactory, Scheduler
 from repro.sim.trace import CounterTrace
 
@@ -80,19 +84,27 @@ class AsyncRuntime(Scheduler):
         *,
         unit: float = DEFAULT_UNIT_SECONDS,
         seed: int = 0,
-        transport: Optional[LocalTransport] = None,
+        delay_model: Optional[DelayModel] = None,
+        fault_plan: Optional[FaultPlan] = None,
+        controller: Optional[Any] = None,
         metrics: Optional[Any] = None,
     ):
         if unit <= 0:
             raise ConfigurationError(f"unit must be positive, got {unit}")
+        if delay_model is None:
+            delay_model = LinkDelay(seed=seed, metrics=metrics)
         # max_time is the wall clock, set before every run()
-        super().__init__(n, f, seed=seed, max_time=0.0, trace_level="counters")
+        super().__init__(
+            n, f, delay_model=delay_model, fault_plan=fault_plan, seed=seed,
+            max_time=0.0, trace_level="counters", controller=controller,
+        )
+        # the record stays bounded: a wall-clock tally keeps no receive times
+        # (under jitter a receive-time digest would grow with every message)
+        self._tally = self._tally_run
         self.unit = unit
         #: optional duck-typed telemetry sink (``inc``/``observe``), handed in
         #: by the hosting service — this module never imports the obs package
         self.metrics = metrics
-        self.transport = transport or LocalTransport(unit=unit, seed=seed)
-        self.transport.runtime = self
         self.errors: List[Tuple[int, BaseException]] = []
         #: called with the pid after each crash, by hand or by plan (the
         #: hosting service reports it)
@@ -105,20 +117,14 @@ class AsyncRuntime(Scheduler):
         self._wake_at = 0.0
         #: the current loop step's stamp for outside posts (None: none yet)
         self._instant: Optional[float] = None
+        #: True while a handler runs: posts then need no wake-up, and a crash
+        #: or rejoin would nest run()
+        self._handling = False
         self._closed = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def install_fault_plan(self, plan: FaultPlan) -> None:
-        """Queue ``plan``'s crashes and rejoins as the kernel's own entries."""
-        plan.validate(self.n, self.f)
-        self.fault_plan = plan
-        for pid, at in plan.crashes.items():
-            self._queue.push(at, PRIORITY_CRASH, (pid,))
-        for pid, at in plan.recoveries.items():
-            self._queue.push(at, PRIORITY_RECOVER, (pid,))
-
     async def start(self) -> None:
         """Start the wall clock at time 0 and run every ``on_start``."""
         if self._t0 is not None:
@@ -130,11 +136,13 @@ class AsyncRuntime(Scheduler):
             )
         self._loop = asyncio.get_running_loop()
         self._t0 = time.monotonic()
+        self._handling = True
         for pid in range(1, self.n + 1):
             try:
                 self.processes[pid].on_start()
             except Exception as exc:  # noqa: BLE001 - fault isolation boundary
                 self.record_error(pid, exc)
+        self._handling = False
         self._wake()
 
     async def stop(self) -> None:
@@ -160,8 +168,14 @@ class AsyncRuntime(Scheduler):
         return (time.monotonic() - self._t0) / self.unit
 
     def _wake(self) -> None:
-        """Arm the one loop handle for the earliest queued time or open instant."""
-        if self._closed or self._loop is None:
+        """Arm the one loop handle for the earliest queued time or open instant.
+
+        Every post reaches it — an outside call, a timer, a run of counted
+        messages — and while a handler runs it does nothing: the kernel
+        re-arms once the run returns, so what a handler posts costs no
+        loop handle.
+        """
+        if self._handling or self._closed or self._loop is None:
             return
         times = self._queue.times
         at = self._instant
@@ -190,6 +204,7 @@ class AsyncRuntime(Scheduler):
         if self._closed:
             return
         self.max_time = until
+        self._handling = True
         while True:
             try:
                 self.run()
@@ -197,6 +212,7 @@ class AsyncRuntime(Scheduler):
             except Exception as exc:  # noqa: BLE001 - fault isolation boundary
                 # the entry is consumed: the next run() resumes after it
                 self.record_error(_culprit(exc), exc)
+        self._handling = False
         if self._correct_pids is not None and not self._undecided_correct:
             self._all_decided.set()
         self._wake()
@@ -220,11 +236,21 @@ class AsyncRuntime(Scheduler):
         self._queue.push(self._stamp(), PRIORITY_CALL, (pid, fn))
         self._wake()
 
+    def _refuse_nesting(self, pid: int, what: str) -> None:
+        if self._handling:
+            raise ConfigurationError(
+                f"{what}(P{pid}) from inside a handler would nest the kernel's "
+                f"run(); call it from outside every handler"
+            )
+
     def crash(self, pid: int) -> None:
         """Crash ``pid`` now (from outside every handler): it handles nothing
         stamped from this instant on."""
+        self._refuse_nesting(pid, "crash")
         if self.is_down(pid):
             raise ConfigurationError(f"P{pid} is already crashed")
+        # not the plan's: classed like a controller's crash
+        self._injected_crashes.add(pid)
         at = self._stamp()
         self._queue.push(at, PRIORITY_CRASH, (pid,))
         self._advance(at)
@@ -237,6 +263,7 @@ class AsyncRuntime(Scheduler):
         incarnation's timers are dropped, the replacement runs
         ``on_recover()``; traffic sent while the pid was down stays lost.
         """
+        self._refuse_nesting(pid, "rejoin")
         if not self.is_down(pid):
             raise ConfigurationError(f"P{pid} is not crashed; nothing to recover")
         at = self._stamp()
@@ -250,25 +277,18 @@ class AsyncRuntime(Scheduler):
     # ------------------------------------------------------------------ #
     # the kernel, where the runtime differs
     # ------------------------------------------------------------------ #
-    def send_many(
-        self, src: int, dsts: Iterable[int], payload: Any, module: str = "main"
-    ) -> None:
-        """Each message through the transport: its link decides its fate."""
-        send = self.transport.send
-        for dst in dsts:
-            send(src, dst, payload, module)
-
-    def arrive(self, src: int, dst: int, payload: Any, delay_units: float) -> None:
-        """Queue a message that survived its link, ``delay_units`` from now."""
-        now = self.clock.now
-        entry = (src, dst, payload, 0, now)
-        self._queue.push(now + delay_units, PRIORITY_DELIVERY, entry)
+    def _tally_run(self, payload: Any, module: str, time: float, count: int) -> None:
+        """The counters-level tally of one run of counted messages, without
+        its receive time; a send from outside every handler wakes the kernel."""
+        self.trace.record_send_batch(payload, module, None, count)
+        self._wake()
 
     def set_timer(self, pid: int, at_units: float, name: str) -> None:
         if self.metrics is not None:
             armed = (pid, name) in self._timers
             self.metrics.inc("runtime.timer_rearm" if armed else "runtime.timer_set")
         super().set_timer(pid, at_units, name)
+        self._wake()
 
     def cancel_timer(self, pid: int, name: str) -> None:
         if self.metrics is not None and (pid, name) in self._timers:
@@ -282,15 +302,6 @@ class AsyncRuntime(Scheduler):
         super()._crash(pid, time)
         if self.on_crash is not None:
             self.on_crash(pid)
-
-    def execution_class(self) -> str:
-        """``Scheduler.execution_class()``'s rule over what this run observed:
-        a drop or a link able to delay past U, else a recorded crash."""
-        if self.transport.dropped or self.transport.worst_case_delay_units() > 1.0:
-            return "network-failure"
-        if self.trace.crashes:
-            return "crash-failure"
-        return "failure-free"
 
     # ------------------------------------------------------------------ #
     # errors and waiting
@@ -349,7 +360,7 @@ def run_commit(
     unit: float = DEFAULT_UNIT_SECONDS,
     timeout_units: float = 200.0,
     seed: int = 0,
-    link_policy: Optional[LinkPolicy] = None,
+    delay_model: Optional[DelayModel] = None,
     crash_at: Optional[Dict[int, float]] = None,
     protocol_kwargs: Optional[Dict[str, Any]] = None,
 ) -> CommitRunResult:
@@ -359,10 +370,11 @@ def run_commit(
     :class:`~repro.env.Process` subclass; the class is used *unmodified* —
     the same object the simulator executes.  The votes are proposed at time 0
     and ``crash_at`` (pid -> crash time in units of U) is the fault plan, as
-    :meth:`Simulation.run <repro.sim.runner.Simulation.run>` has them.
-    Returns a :class:`CommitRunResult`; ``timed_out`` is True when some
-    correct process had not decided within ``timeout_units`` (plus the worst
-    configured link delay).
+    :meth:`Simulation.run <repro.sim.runner.Simulation.run>` has them;
+    ``delay_model`` is the network, as it is the simulator's (default: links
+    that deliver at once).  Returns a :class:`CommitRunResult`; ``timed_out``
+    is True when some correct process had not decided within
+    ``timeout_units``.
     """
     if isinstance(protocol, str):
         from repro.protocols.registry import get_protocol
@@ -376,19 +388,17 @@ def run_commit(
     kwargs = dict(protocol_kwargs or {})
 
     async def _main() -> CommitRunResult:
-        transport = LocalTransport(unit=unit, seed=seed)
-        if link_policy is not None:
-            transport.set_default_policy(link_policy)
-        runtime = AsyncRuntime(n, f, unit=unit, seed=seed, transport=transport)
+        runtime = AsyncRuntime(
+            n, f, unit=unit, seed=seed, delay_model=delay_model,
+            fault_plan=FaultPlan(crashes=dict(crash_at or {})),
+        )
         runtime.trace.protocol = label
         runtime.bind_processes(lambda pid, nn, ff, env: cls(pid, nn, ff, env, **kwargs))
-        runtime.install_fault_plan(FaultPlan(crashes=dict(crash_at or {})))
         for pid, vote in enumerate(votes, start=1):
             runtime.post_propose(pid, vote)
         runtime.stop_when_all_correct_decided()
         await runtime.start()
-        budget = timeout_units + transport.worst_case_delay_units()
-        decided = await runtime.wait_all_correct_decided(budget)
+        decided = await runtime.wait_all_correct_decided(timeout_units)
         await runtime.stop()
         return CommitRunResult(
             trace=runtime.trace,

@@ -35,6 +35,8 @@ from repro.sim.network import (
     DelayModel,
     FixedDelay,
     FlakyLinkDelay,
+    LinkDelay,
+    LinkPolicy,
     LognormalDelay,
     Network,
     UniformDelay,
@@ -54,6 +56,8 @@ __all__ = [
     "FaultPlan",
     "FixedDelay",
     "FlakyLinkDelay",
+    "LinkDelay",
+    "LinkPolicy",
     "LognormalDelay",
     "MessageDeliveryEvent",
     "MessageRecord",

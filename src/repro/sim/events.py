@@ -103,6 +103,15 @@ class TimerEvent(Event):
     token: int
 
 
-#: kind -> view class, in slot order (a call has none: only the asyncio
-#: runtime queues calls, and it takes no schedule controller)
-EVENT_VIEWS = (CrashEvent, RecoverEvent, ProposeEvent, MessageDeliveryEvent, TimerEvent)
+@dataclass(frozen=True)
+class CallEvent(Event):
+    """A call into a process from outside every handler (asyncio runtime)."""
+
+    pid: int
+    fn: Any
+
+
+#: kind -> view class, in slot order
+EVENT_VIEWS = (
+    CrashEvent, RecoverEvent, ProposeEvent, MessageDeliveryEvent, TimerEvent, CallEvent,
+)

@@ -7,8 +7,9 @@ message: all non-determinism lives in the *delay* assigned to each message.
 A **crash-failure** (synchronous) execution is one where every delay is at
 most the known bound ``U``.  A **network-failure** (eventually synchronous)
 execution may delay some messages beyond ``U`` — those delays are injected by
-:class:`~repro.sim.faults.DelayRule` overrides carried by the fault plan, or
-by an :class:`AdversarialDelay` model.
+:class:`~repro.sim.faults.DelayRule` overrides carried by the fault plan, by
+an :class:`AdversarialDelay` model, or by a :class:`LinkDelay` whose link is
+slow or in an outage.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 
@@ -136,9 +137,11 @@ class LognormalDelay:
 class FlakyLinkDelay:
     """Gray failures on reliable channels: slow links and outage windows.
 
-    The simulator's channels never lose messages, so the runtime's
-    gray-failure profiles (:class:`~repro.runtime.transport.LinkPolicy`
-    ``slow_factor`` / ``outages``) map here onto *delays*:
+    The registry's ``flaky-link`` profile, kept byte-for-byte beside
+    :class:`LinkDelay` (which spells the same faults per link): its ``flaky``
+    slice is pinned in the benchmark ledger, so folding it into
+    :class:`LinkDelay` would re-pin the ledger, which is the benchmark tree's
+    own change to make.
 
     * a directed link in ``slow_pairs`` multiplies its nominal delay by the
       given factor — slow-but-alive; an asymmetric profile (slow one way,
@@ -147,10 +150,10 @@ class FlakyLinkDelay:
       held until the window heals: it arrives ``(end - send_time) + nominal``
       after sending, as if buffered by the partition.
 
-    Both effects may exceed the bound ``u``, which turns the execution into a
-    network-failure execution — the same classification the runtime derives
-    from its transport counters.  All randomness comes from the seeded RNG,
-    so the model is fingerprint-deterministic like every other delay model.
+    Both effects may exceed the bound ``u`` — a network-failure execution,
+    although the scheduler does not class it so (it counts no late draws).
+    All randomness comes from the seeded RNG, so the model is
+    fingerprint-deterministic like every other delay model.
     """
 
     def __init__(
@@ -192,6 +195,94 @@ class FlakyLinkDelay:
         for osrc, odst, start, end in self.outages:
             if osrc == src and odst == dst and start <= send_time < end:
                 d = max(d, (end - send_time) + nominal)
+        return d
+
+    def bound(self) -> float:
+        return self.u
+
+
+@dataclass(frozen=True)
+class LinkPolicy:
+    """The delay of one directed link, in units of ``U``.
+
+    A message on the link takes ``(delay_units + uniform(0, jitter_units)) *
+    slow_factor``; one sent inside an outage window ``(start, end)`` is held
+    until the window heals.  Nothing is dropped: the paper's channels lose no
+    message, so a dead link is an outage that outlasts the run.
+    """
+
+    #: fixed delay of every message on the link
+    delay_units: float = 0.0
+    #: uniform extra delay drawn from ``[0, jitter_units]`` per message
+    jitter_units: float = 0.0
+    #: gray failure, slow-but-alive: multiplies the drawn delay.  Policies
+    #: are per *directed* link, so an asymmetric profile (slow one way,
+    #: nominal the other) is two policies with different factors.
+    slow_factor: float = 1.0
+    #: partition/heal windows ``(start, end)`` in units of time: a message
+    #: sent while ``start <= now < end`` arrives ``end - now`` later than drawn
+    outages: Tuple[Tuple[float, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.delay_units < 0 or self.jitter_units < 0:
+            raise ConfigurationError("link delays must be non-negative")
+        if self.slow_factor <= 0:
+            raise ConfigurationError("slow_factor must be positive")
+        for window in self.outages:
+            if len(window) != 2 or not 0 <= window[0] < window[1]:
+                raise ConfigurationError(
+                    f"outage window must be (start, end) with 0 <= start < end, "
+                    f"got {window!r}"
+                )
+
+
+class LinkDelay:
+    """Per-link delays: a default :class:`LinkPolicy` and ``(src, dst)``
+    overrides, against the bound ``u``.
+
+    The asyncio runtime's network (a zero-delay default) and the registry's
+    ``link`` model.  ``late`` counts the draws that exceeded ``u``; the
+    scheduler classes a run with any such draw ``network-failure``, so the
+    class is what happened, not what the policy could do.  ``metrics`` is an
+    optional duck-typed sink (``inc``/``observe``); when given, every draw
+    counts ``transport.sends``, and a positive one ``transport.delayed`` and
+    the ``transport.link_delay_units`` histogram.
+    """
+
+    def __init__(
+        self,
+        default: Optional[LinkPolicy] = None,
+        links: Optional[Dict[Tuple[int, int], LinkPolicy]] = None,
+        u: float = 1.0,
+        seed: int = 0,
+        metrics: Optional[Any] = None,
+    ):
+        if u <= 0:
+            raise ConfigurationError(f"delay bound must be positive, got {u}")
+        self.default = default if default is not None else LinkPolicy()
+        self.links = dict(links or {})
+        self.u = u
+        self.metrics = metrics
+        self.late = 0
+        self._rng = random.Random(seed)
+
+    def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
+        policy = self.links.get((src, dst), self.default)
+        d = policy.delay_units
+        if policy.jitter_units > 0:
+            d += self._rng.uniform(0.0, policy.jitter_units)
+        d *= policy.slow_factor
+        for start, end in policy.outages:
+            if start <= send_time < end:
+                d += end - send_time
+                break
+        if d > self.u:
+            self.late += 1
+        if self.metrics is not None:
+            self.metrics.inc("transport.sends")
+            if d > 0:
+                self.metrics.inc("transport.delayed")
+                self.metrics.observe("transport.link_delay_units", d)
         return d
 
     def bound(self) -> float:

@@ -699,9 +699,15 @@ class Scheduler:
 
         Identical to ``fault_plan.execution_class(u)`` for uncontrolled runs;
         a controller upgrades the class when it deferred a delivery beyond
-        the bound (network failure) or injected crashes (crash failure).
+        the bound (network failure) or injected crashes (crash failure), and
+        so does a delay model that counts ``late`` draws past the bound
+        (:class:`~repro.sim.network.LinkDelay`).
         """
-        if self._schedule_overdue or self.fault_plan.is_network_failure(self.network.u):
+        if (
+            self._schedule_overdue
+            or self.fault_plan.is_network_failure(self.network.u)
+            or getattr(self.network.delay_model, "late", 0)
+        ):
             return "network-failure"
         if self.fault_plan.crashes or self._injected_crashes:
             return "crash-failure"

@@ -448,12 +448,15 @@ class CounterTrace(Trace):
         """Move one counted delivery between receive-time buckets.
 
         Called by the scheduler when a schedule controller defers a delivery
-        (self-messages are never deferrable, so the occurrence is always in
-        the digest).
+        (self-messages are never deferrable, so on the simulator the
+        occurrence is always in the digest; a wall-clock record keeps no
+        receive times, so there is nothing to move).
         """
         digest = self.recv_time_counts
         count = digest.get(old_time, 0)
-        if count <= 1:
+        if not count:
+            return
+        if count == 1:
             digest.pop(old_time, None)
         else:
             digest[old_time] = count - 1

@@ -10,7 +10,8 @@ Three layers:
   on both runtimes with the same votes, reaches the same decision — and the
   runtime's execution record is judged by the readers the simulator's is
   (``check_nbac`` / ``evaluate_problem``), failure-free, with one crash and
-  over a lossy link;
+  over a late link; under the same delay model and seed the two backends
+  decide the same values at the same times;
 * the runtime's record stays bounded: no per-message entry however long a
   service runs, and a receive-time query on it raises instead of answering 0.
 """
@@ -37,10 +38,11 @@ from repro.runtime import (
     DEFAULT_UNIT_SECONDS,
     AsyncClusterService,
     AsyncHarness,
-    LinkPolicy,
     run_commit,
 )
 from repro.sim.faults import FaultPlan
+from repro.sim.network import FixedDelay, LinkDelay, LinkPolicy
+from repro.sim.runner import Simulation
 from repro.sim.trace import CounterTrace
 
 from conftest import run_protocol
@@ -217,6 +219,29 @@ def test_sim_and_runtime_agree(name, votes):
     assert trace.decision_values() == [expected] * AGREEMENT_N
 
 
+def _decided(trace):
+    return {pid: (rec.value, rec.time) for pid, rec in trace.decisions.items()}
+
+
+@pytest.mark.runtime
+@pytest.mark.parametrize("name", protocol_names())
+@pytest.mark.parametrize("votes", [(1, 1, 1, 1), (0, 1, 1, 1)], ids=["all-yes", "one-no:1"])
+def test_one_network_model_decides_the_same_values_at_the_same_times(name, votes):
+    """The same delay model and seed on both backends: one kernel, one
+    network, so the wall clock changes when a run decides, not what or at
+    which stamped time."""
+    runtime = _run_commit(
+        name, votes, delay_model=FixedDelay(1.0), seed=5, unit=0.002,
+        timeout_units=60.0,
+    )
+    sim = Simulation(
+        AGREEMENT_N, AGREEMENT_F, process_class=get_protocol(name).cls,
+        delay_model=FixedDelay(1.0), seed=5,
+    ).run(list(votes))
+    assert _decided(runtime.trace) == _decided(sim.trace)
+    assert runtime.trace.message_count() == sim.trace.message_count()
+
+
 @pytest.mark.runtime
 @pytest.mark.parametrize("name", protocol_names())
 def test_a_crashed_run_is_classed_by_its_record_and_judged_by_its_cell(name):
@@ -234,12 +259,14 @@ def test_a_crashed_run_is_classed_by_its_record_and_judged_by_its_cell(name):
 
 
 @pytest.mark.runtime
-def test_a_lossy_link_is_classed_network_failure():
-    # agreement and validity hold whether or not this seed's drops hit a vote
+def test_a_late_link_is_classed_network_failure():
+    # agreement and validity hold whichever votes this seed's draws make late
+    network = LinkDelay(LinkPolicy(delay_units=0.5, jitter_units=1.0), seed=3)
     result = run_commit(
         "2PC", AGREEMENT_N, AGREEMENT_F, [1] * AGREEMENT_N,
-        link_policy=LinkPolicy(drop_probability=0.5), seed=3, timeout_units=30.0,
+        delay_model=network, seed=3, timeout_units=30.0,
     )
+    assert network.late > 0
     assert result.trace.metadata["execution_class"] == "network-failure"
     evaluation = evaluate_problem(result.trace, _cell("2PC"))
     assert evaluation.satisfied, evaluation.failures

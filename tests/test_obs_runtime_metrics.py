@@ -1,8 +1,8 @@
-"""Telemetry from the asyncio runtime: transport, timers, cluster lifecycle.
+"""Telemetry from the asyncio runtime: link draws, timers, cluster lifecycle.
 
 The runtime layers never import ``repro.obs``; a metrics registry and an
 event bus reach them as duck-typed constructor arguments
-(``LocalTransport(metrics=...)``, ``AsyncClusterService(metrics=, events=)``)
+(``LinkDelay(metrics=...)``, ``AsyncClusterService(metrics=, events=)``)
 and every hook is a no-op when they are ``None``.  These tests hand real
 obs objects in and pin what each layer reports.
 """
@@ -16,10 +16,11 @@ import pytest
 from repro.db.cluster import ClusterConfig
 from repro.db.transaction import Operation, Transaction
 from repro.obs import EventBus, MemorySink, MetricsRegistry
-from repro.runtime import AsyncClusterService, LinkPolicy, LocalTransport
+from repro.runtime import AsyncClusterService
 from repro.runtime.cluster import run_cluster_async
 from repro.runtime.runtime import AsyncRuntime
 from repro.sim.faults import FaultPlan
+from repro.sim.network import LinkDelay, LinkPolicy
 from repro.workloads.transactions import uniform_workload
 
 pytestmark = pytest.mark.runtime
@@ -42,27 +43,37 @@ class TestTransportMetrics:
     def test_sends_and_link_delays_are_counted(self):
         metrics = MetricsRegistry()
         report = run_cluster_async(
-            config(), workload(), metrics=metrics,
-            default_link_policy=LinkPolicy(delay_units=0.3),
+            config(
+                delay_model=LinkDelay(LinkPolicy(delay_units=0.3), metrics=metrics)
+            ),
+            workload(),
+            metrics=metrics,
         )
         assert report.committed == 4
         snapshot = metrics.snapshot()
-        # every transported message is a send; with a uniform delay policy
-        # every send is also delayed and observed in the histogram
+        # every counted message is one draw; with a uniform delay policy
+        # every draw is also delayed and observed in the histogram
         assert snapshot.counters["transport.sends"] == report.messages_total
         assert snapshot.counters["transport.delayed"] == report.messages_total
         delays = snapshot.histogram_summary("transport.link_delay_units")
         assert delays["count"] == float(report.messages_total)
         assert delays["p50"] == 0.3
-        assert "transport.drops" not in snapshot.counters
 
-    def test_drops_are_counted(self):
+    def test_the_default_network_counts_sends_and_no_delays(self):
         metrics = MetricsRegistry()
+        report = run_cluster_async(config(), workload(), metrics=metrics)
+        counters = metrics.snapshot().counters
+        assert counters["transport.sends"] == report.messages_total
+        assert "transport.delayed" not in counters
+
+    def test_an_outage_is_held_not_dropped(self):
+        metrics = MetricsRegistry()
+        # the link is down for the whole run: every message is held past it
+        network = LinkDelay(LinkPolicy(outages=((0.0, 10_000.0),)), metrics=metrics)
 
         async def drive():
             service = AsyncClusterService(
-                config(num_partitions=2, max_time=100.0),
-                default_link_policy=LinkPolicy(drop_probability=1.0),
+                config(num_partitions=2, max_time=100.0, delay_model=network),
                 metrics=metrics,
             )
             await service.start()
@@ -70,40 +81,17 @@ class TestTransportMetrics:
                 workload(txns=1, partitions=2)[0], timeout_units=10.0
             )
             report = await service.shutdown()
-            return outcome, report, service.transport
+            return outcome, report
 
-        outcome, report, transport = asyncio.run(drive())
+        outcome, report = asyncio.run(drive())
         assert outcome is None
+        assert report.execution_class == "network-failure"
         counters = metrics.snapshot().counters
-        assert counters["transport.drops"] == transport.dropped > 0
-        assert "transport.outage_drops" not in counters
-
-    def test_outage_drops_are_counted_separately(self):
-        metrics = MetricsRegistry()
-
-        async def drive():
-            service = AsyncClusterService(
-                config(num_partitions=2, max_time=100.0),
-                # the link is down for the whole run: every drop is an
-                # outage drop
-                default_link_policy=LinkPolicy(outages=((0.0, 10_000.0),)),
-                metrics=metrics,
-            )
-            await service.start()
-            await service.submit(
-                workload(txns=1, partitions=2)[0], timeout_units=10.0
-            )
-            await service.shutdown()
-            return service.transport
-
-        transport = asyncio.run(drive())
-        counters = metrics.snapshot().counters
-        assert counters["transport.outage_drops"] == transport.outage_dropped > 0
-        assert counters["transport.drops"] == transport.dropped
+        assert counters["transport.delayed"] == counters["transport.sends"] == network.late > 0
+        assert not any(name.endswith("drops") for name in counters)
 
     def test_metrics_default_to_none_and_cost_nothing(self):
-        transport = LocalTransport(unit=0.001)
-        assert transport.metrics is None
+        assert LinkDelay().metrics is None
 
 
 class TestTimerMetrics:

@@ -18,18 +18,15 @@ from repro.db.coordinator import RetryPolicy
 from repro.db.transaction import Operation, Transaction
 from repro.env.conformance import ObservingProcess
 from repro.errors import ConfigurationError
+from repro.explore.strategies import make_strategy
 from repro.obs import MetricsRegistry
 from repro.protocols.base import COMMIT
 from repro.protocols.registry import get_protocol
-from repro.runtime import (
-    AsyncClusterService,
-    LinkPolicy,
-    LocalTransport,
-    run_commit,
-)
+from repro.runtime import AsyncClusterService, run_commit
 from repro.runtime.runtime import AsyncRuntime
 from repro.sim.faults import FaultPlan
-from repro.sim.network import FixedDelay
+from repro.sim.network import FixedDelay, LinkDelay, LinkPolicy
+from repro.sim.runner import Scheduler
 from repro.workloads.transactions import bank_transfer_workload, uniform_workload
 
 pytestmark = pytest.mark.runtime
@@ -69,9 +66,7 @@ class TestRunCommit:
         with pytest.raises(ConfigurationError):
             LinkPolicy(delay_units=-1.0)
         with pytest.raises(ConfigurationError):
-            LinkPolicy(drop_probability=1.5)
-        with pytest.raises(ConfigurationError):
-            LocalTransport(unit=0.0)
+            LinkDelay(u=0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -100,22 +95,55 @@ class TestBatchCluster:
         # both backends applied the same committed writes
         assert rt_report.store_snapshots == sim_report.store_snapshots
 
-    def test_simulator_only_features_are_rejected(self):
+    def test_a_delay_model_is_the_network_on_both_backends(self):
         workload = uniform_workload(
             num_transactions=2, num_partitions=2, participants_per_txn=2, seed=1
         )
-        with pytest.raises(ConfigurationError, match="simulator-only"):
-            run_cluster(
-                ClusterConfig(num_partitions=2, delay_model=FixedDelay(1.0)),
-                workload.transactions,
-                backend="asyncio",
-            )
-        with pytest.raises(ConfigurationError, match="simulator-only"):
-            run_cluster(
-                ClusterConfig(num_partitions=2, controller=object()),
-                workload.transactions,
-                backend="asyncio",
-            )
+        config = ClusterConfig(
+            num_partitions=2, delay_model=FixedDelay(1.0), seed=1, max_time=200.0
+        )
+        sim = run_cluster(config, workload.transactions)
+        rt = run_cluster(config, workload.transactions, backend="asyncio")
+        assert [o.decision for o in rt.outcomes] == [o.decision for o in sim.outcomes]
+        assert rt.messages_total == sim.messages_total
+        assert rt.execution_class == "failure-free"
+
+    def test_a_controller_runs_on_the_asyncio_backend(self):
+        """Fails at the parent, which refused controllers on this backend: a
+        crash point is applied by the one kernel and recorded in the report."""
+        workload = uniform_workload(
+            num_transactions=3, num_partitions=3, participants_per_txn=2, seed=4
+        )
+        report = run_cluster(
+            ClusterConfig(
+                num_partitions=3, commit_protocol="2PC", seed=4, max_time=100.0,
+                controller=make_strategy("crash-point", pid=2, point=1),
+            ),
+            workload.transactions,
+            backend="asyncio",
+        )
+        assert [kind for _, kind, _ in report.schedule_decisions] == ["crash"]
+        assert [arg for _, _, arg in report.schedule_decisions] == [2]
+        assert 2 in report.crashes
+        assert report.execution_class == "crash-failure"
+        assert report.trace_fingerprint is not None
+        assert report.invariants is not None and report.invariants.holds
+
+    def test_a_random_walk_defers_deliveries_on_the_asyncio_backend(self):
+        workload = uniform_workload(
+            num_transactions=3, num_partitions=3, participants_per_txn=2, seed=4
+        )
+        report = run_cluster(
+            ClusterConfig(
+                num_partitions=3, commit_protocol="2PC", seed=4, max_time=100.0,
+                controller=make_strategy("random-walk", seed=1, defer_prob=0.3),
+            ),
+            workload.transactions,
+            backend="asyncio",
+        )
+        kinds = {kind for _, kind, _ in report.schedule_decisions}
+        assert "defer" in kinds
+        assert report.invariants is not None and report.invariants.holds
 
     def test_fault_plan_crashes_carry_over(self):
         workload = uniform_workload(num_transactions=4, num_partitions=3, seed=3)
@@ -205,19 +233,19 @@ class TestLiveService:
             if r is None
         }
 
-    def test_drop_policy_classifies_as_network_failure(self):
+    def test_a_dead_network_classifies_as_network_failure(self):
         workload = uniform_workload(
             num_transactions=2, num_partitions=2, participants_per_txn=2, seed=9
         )
+        # a dead network: an outage that outlasts the run holds every EXEC
+        network = LinkDelay(LinkPolicy(outages=((0.0, 10_000.0),)))
 
         async def drive():
             service = AsyncClusterService(
                 ClusterConfig(
                     num_partitions=2, commit_protocol="2PC", seed=9,
-                    max_time=100.0,
+                    max_time=100.0, delay_model=network,
                 ),
-                # a dead network: every EXEC is dropped at the link
-                default_link_policy=LinkPolicy(drop_probability=1.0),
             )
             await service.start()
             outcomes = [
@@ -225,11 +253,11 @@ class TestLiveService:
                 for txn in workload.transactions
             ]
             report = await service.shutdown()
-            return outcomes, report, service.transport.dropped
+            return outcomes, report
 
-        outcomes, report, dropped = asyncio.run(drive())
+        outcomes, report = asyncio.run(drive())
         assert outcomes == [None, None]
-        assert dropped > 0
+        assert network.late > 0
         assert report.execution_class == "network-failure"
         assert report.incomplete == 2
         # nothing prepared, so the surviving (empty) state is consistent
@@ -370,19 +398,19 @@ class TestRecovery:
         assert report.recovery_events == [event]
         assert report.invariants is not None and report.invariants.holds
 
-    def test_outage_windows_drop_and_heal(self):
+    def test_outage_windows_hold_and_heal(self):
         workload = uniform_workload(
             num_transactions=2, num_partitions=2, participants_per_txn=2, seed=9
         )
+        # every link is down for the first 50 units, then heals
+        network = LinkDelay(LinkPolicy(outages=((0.0, 50.0),)))
 
         async def drive():
             service = AsyncClusterService(
                 ClusterConfig(
                     num_partitions=2, commit_protocol="2PC", seed=9,
-                    max_time=100.0,
+                    max_time=100.0, delay_model=network,
                 ),
-                # every link is down for the first 50 units, then heals
-                default_link_policy=LinkPolicy(outages=((0.0, 50.0),)),
             )
             await service.start()
             first = await service.submit(
@@ -394,18 +422,21 @@ class TestRecovery:
                 workload.transactions[1], timeout_units=30.0
             )
             report = await service.shutdown()
-            return first, second, report, service.transport.outage_dropped
+            return first, second, report
 
-        first, second, report, outage_dropped = asyncio.run(drive())
+        first, second, report = asyncio.run(drive())
         assert first is None  # submitted into the outage window
         assert second is not None and second.completed  # after the heal
-        assert outage_dropped > 0
+        assert network.late > 0  # held past the bound, not lost
         assert report.execution_class == "network-failure"
 
     def test_slow_factor_scales_link_delay(self):
         policy = LinkPolicy(delay_units=2.0, jitter_units=1.0, slow_factor=3.0)
-        assert policy.max_delay_units == 9.0
-        assert policy.faulty
+        model = LinkDelay(links={(1, 2): policy}, seed=4)
+        draws = [model.delay(1, 2, None, 0.0) for _ in range(50)]
+        assert all(6.0 <= d <= 9.0 for d in draws)
+        assert model.delay(2, 1, None, 0.0) == 0.0  # the zero-delay default
+        assert model.late == 50
         with pytest.raises(ConfigurationError):
             LinkPolicy(slow_factor=0.0)
         with pytest.raises(ConfigurationError):
@@ -417,8 +448,8 @@ class TestRecovery:
 # --------------------------------------------------------------------------- #
 # one kernel: the simulator's queue and loop, paced by the wall clock
 # --------------------------------------------------------------------------- #
-def _probe_runtime(unit=0.005, metrics=None, transport=None, factory=ObservingProcess):
-    runtime = AsyncRuntime(2, 1, unit=unit, metrics=metrics, transport=transport)
+def _probe_runtime(unit=0.005, factory=ObservingProcess, **kwargs):
+    runtime = AsyncRuntime(2, 1, unit=unit, **kwargs)
     runtime.bind_processes(factory)
     return runtime
 
@@ -520,8 +551,8 @@ class TestOneQueue:
         assert len({at for _, _, at in runtime.processes[1].observations}) == 1
 
     def test_events_of_a_crashed_pid_are_skipped(self):
-        """Carried over unchanged: a down pid's events are skipped, and a
-        message sent to it is counted at send time and lost."""
+        """A down pid's events are skipped, and a message sent to it is
+        counted at send time and ignored at delivery."""
 
         async def drive():
             runtime = _probe_runtime()
@@ -530,7 +561,7 @@ class TestOneQueue:
             runtime.propose(2, "kept")
             runtime.set_timer(1, 0.5, "lost-too")
             runtime.crash(1)  # the same instant: the crash is handled first
-            runtime.transport.send(2, 1, "to-the-dead")
+            runtime.call(2, lambda process: process.send(1, "to-the-dead"))
             await asyncio.sleep(2.0 * runtime.unit)
             table = dict(runtime._timers)
             await runtime.stop()
@@ -540,19 +571,18 @@ class TestOneQueue:
         assert _seen(runtime.processes[1]) == []
         assert _seen(runtime.processes[2]) == [("propose", "kept")]
         assert table == {}  # the dead pid's expiry took its entry
-        assert runtime.transport.messages_total == 1  # counted at send time
+        assert runtime.trace.message_count() == 1  # counted at send time
 
-    def test_the_transport_draws_nothing_for_a_message_to_a_down_pid(self):
-        """Fails at the parent: a message to a pid that is down drew its drop
-        and its jitter — shifting the seeded stream — and was counted as
-        dropped or delayed, so a crash-only run over a lossy link was classed
-        ``network-failure`` on a drop nobody could have received."""
-        transport = LocalTransport(unit=0.005, seed=1)
-        transport.set_default_policy(LinkPolicy(drop_probability=0.5, jitter_units=0.3))
-        stream = transport._rng.getstate()
+    def test_a_message_to_a_down_pid_is_drawn_then_ignored_at_delivery(self):
+        """The simulator's rule, now the runtime's: a message to a pid that is
+        down draws its delay like any other — the seeded stream advances once
+        per message — and is ignored when it lands.  A draw within the bound
+        is not late, so the run stays ``crash-failure``."""
+        network = LinkDelay(LinkPolicy(jitter_units=0.3), seed=1)
+        stream = network._rng.getstate()
 
         async def drive():
-            runtime = _probe_runtime(transport=transport)
+            runtime = _probe_runtime(delay_model=network)
             await runtime.start()
             runtime.crash(2)
             runtime.call(1, lambda process: [process.send(2, i) for i in range(200)])
@@ -562,9 +592,10 @@ class TestOneQueue:
 
         runtime = asyncio.run(drive())
         assert runtime.errors == []
-        assert runtime.transport.messages_total == 200  # counted at send time
-        assert transport.dropped == transport.delayed == 0
-        assert transport._rng.getstate() == stream
+        assert runtime.trace.message_count() == 200  # counted at send time
+        assert network._rng.getstate() != stream  # drawn
+        assert runtime.processes[2].of("deliver") == []  # ignored
+        assert network.late == 0
         assert runtime.execution_class() == "crash-failure"
 
     def test_a_delayed_message_arriving_while_its_destination_is_down_is_lost(self):
@@ -581,12 +612,12 @@ class TestOneQueue:
             def on_timeout(self, name):
                 self.send(2, "after-rejoin")
 
+        network = LinkDelay(LinkPolicy(delay_units=2.0))
+
         async def drive():
-            transport = LocalTransport(unit=0.005)
-            transport.set_default_policy(LinkPolicy(delay_units=2.0))
-            runtime = _probe_runtime(transport=transport, factory=Sender)
-            runtime.install_fault_plan(
-                FaultPlan.crash_recover(2, at=1.0, rejoin_at=3.0)
+            runtime = _probe_runtime(
+                factory=Sender, delay_model=network,
+                fault_plan=FaultPlan.crash_recover(2, at=1.0, rejoin_at=3.0),
             )
             await runtime.start()
             await asyncio.sleep(7.0 * runtime.unit)
@@ -600,7 +631,7 @@ class TestOneQueue:
         ]
         assert runtime.trace.crashes == {2: 1.0}
         assert runtime.trace.recoveries == {2: 3.0}
-        assert runtime.transport.delayed == 2
+        assert network.late == 2
 
     def test_stop_handles_what_is_queued_then_cancels_and_goes_quiet(self):
         """Carried over unchanged: ``stop()`` handles what is due — here 40
@@ -828,17 +859,22 @@ class TestTimerTableStaysSmall:
             participants_per_txn=2, keys_per_partition=100_000, seed=5,
         ).transactions
 
+        metrics = MetricsRegistry()
+
         async def drive():
             service = AsyncClusterService(
                 ClusterConfig(
                     num_partitions=4, commit_protocol="2PC", seed=5,
                     max_time=400.0,
                     fault_plan=FaultPlan.crash_recover(4, at=2.0, rejoin_at=6.0),
+                    # a worst case of 0.4 U leaves a vote 12 ms of slack
+                    # against 2PC's 1 U collection timer on a loaded host
+                    delay_model=LinkDelay(
+                        LinkPolicy(delay_units=0.2, jitter_units=0.2),
+                        seed=5, metrics=metrics,
+                    ),
                 ),
                 unit=0.02,
-                # a worst case of 0.4 U leaves a vote 12 ms of slack against
-                # 2PC's 1 U collection timer on a loaded host
-                default_link_policy=LinkPolicy(delay_units=0.2, jitter_units=0.2),
             )
             runtime = service.runtime
             handles = []
@@ -863,10 +899,115 @@ class TestTimerTableStaysSmall:
         )
         [event] = report.recovery_events
         assert (event.pid, event.crashed_at, event.rejoined_at) == (4, 2.0, 6.0)
-        transport = service.transport
         # every message took the delayed path (the last DONE may be unsent)
-        assert transport.delayed == transport.messages_total > 5 * len(workload)
+        delayed = metrics.counter_value("transport.delayed")
+        assert delayed == service.transport.messages_total > 5 * len(workload)
         # one task per client coroutine: none per message, crash or rejoin
         assert len(created) == clients
         assert queued_at_start == 2  # the plan's crash and rejoin
         assert max(handles) <= 1 and live == []
+
+
+# --------------------------------------------------------------------------- #
+# posts from outside every handler, and what a handler may not do
+# --------------------------------------------------------------------------- #
+class TestOutsidePosts:
+    def test_a_timer_armed_from_outside_wakes_the_kernel(self):
+        """Fails at the parent: the expiry was queued but nothing armed the
+        loop handle, so it fired only when something else woke the kernel."""
+
+        async def drive():
+            runtime = _probe_runtime()
+            await runtime.start()
+            await asyncio.sleep(runtime.unit)  # the start-up turn is over
+            runtime.set_timer(1, runtime.now_units() + 0.5, "outside")
+            await asyncio.sleep(3.0 * runtime.unit)
+            fires = runtime.processes[1].of("timeout")
+            await runtime.stop()
+            return fires
+
+        [(_, name, _)] = asyncio.run(drive())
+        assert name == "outside"
+
+    def test_a_send_from_outside_wakes_the_kernel(self):
+        async def drive():
+            runtime = _probe_runtime()
+            await runtime.start()
+            await asyncio.sleep(runtime.unit)
+            runtime.env_for(1).send(2, "outside")
+            await asyncio.sleep(2.0 * runtime.unit)
+            seen = _seen(runtime.processes[2])
+            await runtime.stop()
+            return seen
+
+        assert asyncio.run(drive()) == [("deliver", (1, "outside"))]
+
+    @pytest.mark.parametrize("what", ["crash", "rejoin"])
+    def test_crash_or_rejoin_inside_a_delivery_handler_is_refused(self, what):
+        class Nester(ObservingProcess):
+            def on_deliver(self, src, payload):
+                getattr(self.env._scheduler, what)(2)
+
+        async def drive():
+            runtime = _probe_runtime(factory=Nester)
+            await runtime.start()
+            if what == "rejoin":
+                runtime.crash(2)
+            runtime.call(2 if what == "crash" else 1, lambda p: p.send(1, "go"))
+            await asyncio.sleep(2.0 * runtime.unit)
+            await runtime.stop()
+            return runtime
+
+        runtime = asyncio.run(drive())
+        [(pid, exc)] = runtime.errors
+        assert pid == 1 and isinstance(exc, ConfigurationError)
+        assert f"{what}(P2)" in str(exc) and "inside a handler" in str(exc)
+        assert runtime.is_down(2) == (what == "rejoin")  # nothing happened
+
+    def test_crash_inside_a_call_is_refused(self):
+        async def drive():
+            runtime = _probe_runtime()
+            await runtime.start()
+            runtime.call(1, lambda process: runtime.crash(2))
+            await asyncio.sleep(2.0 * runtime.unit)
+            await runtime.stop()
+            return runtime
+
+        runtime = asyncio.run(drive())
+        [(pid, exc)] = runtime.errors
+        assert pid == 1 and isinstance(exc, ConfigurationError)
+        assert "crash(P2)" in str(exc)
+        assert not runtime.is_down(2)
+
+
+class TestHandlerErrors:
+    def test_the_culprit_reads_the_run_loops_locals_by_these_names(self):
+        # _culprit reads Scheduler.run's frame locals ``entry`` and ``kind``:
+        # renaming either breaks error attribution on the runtime
+        assert {"entry", "kind"} <= set(Scheduler.run.__code__.co_varnames)
+
+    def test_a_raising_delivery_timer_and_call_land_under_their_pids(self):
+        class Raises(ObservingProcess):
+            def on_deliver(self, src, payload):
+                raise RuntimeError("delivery")
+
+            def on_timeout(self, name):
+                raise RuntimeError("timer")
+
+        def boom(process):
+            raise RuntimeError("call")
+
+        async def drive():
+            runtime = _probe_runtime(factory=Raises)
+            await runtime.start()
+            runtime.call(1, lambda process: process.send(2, "x"))
+            runtime.call(1, lambda process: process.set_timer(process.now() + 0.5, "t"))
+            runtime.call(2, boom)
+            await asyncio.sleep(3.0 * runtime.unit)
+            await runtime.stop()
+            return runtime.errors
+
+        errors = asyncio.run(drive())
+        assert sorted((pid, str(exc)) for pid, exc in errors) == [
+            (1, "timer"), (2, "call"), (2, "delivery"),
+        ]

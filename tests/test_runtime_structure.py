@@ -7,9 +7,10 @@ queued time (docs/runtime.md, "The paced kernel").  The mechanisms that
 design replaced — an ``asyncio.Queue`` and a consumer ``Task`` per process, a
 ``Task`` + ``asyncio.sleep`` per delayed message, crash or rejoin, then a
 second kernel of its own (a ``deque`` of events, a ``_dispatch`` switch, a
-table of loop handles, an env class) — each came back as a few
-innocent-looking lines, so they are refused by name here rather than noticed
-in a profile later.  So is a second ledger: what happened in a run is written
+table of loop handles, an env class), then a second network (a transport with
+its own drop/jitter/outage logic, its own posting path and its own
+classification rule) — each came back as a few innocent-looking lines, so
+they are refused by name here rather than noticed in a profile later.  So is a second ledger: what happened in a run is written
 once, into ``runtime.trace`` (docs/runtime.md, "What the runtime records").
 """
 
@@ -23,9 +24,10 @@ import pytest
 
 import repro.runtime
 from repro.db.cluster import ClusterConfig
-from repro.runtime import AsyncClusterService, LinkPolicy
+from repro.runtime import AsyncClusterService
 from repro.runtime.runtime import AsyncRuntime
 from repro.sim.faults import FaultPlan
+from repro.sim.network import LinkDelay, LinkPolicy
 from repro.sim.runner import Scheduler
 from repro.workloads.transactions import uniform_workload
 
@@ -99,16 +101,13 @@ def test_the_wake_up_method_is_the_only_place_a_loop_handle_is_armed():
     assert [(filename, name) for filename, name, _ in arms] == [WAKE_UP]
 
 
-def test_the_transport_is_link_policy_and_accounting_only():
-    with open(os.path.join(PACKAGE, "transport.py"), encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module)
-    assert not any(name.split(".")[0] == "asyncio" for name in imported)
+def test_no_second_network():
+    # a message is posted by Scheduler.send_many and classed by
+    # Scheduler.execution_class on both backends
+    assert not os.path.exists(os.path.join(PACKAGE, "transport.py"))
+    assert AsyncRuntime.send_many is Scheduler.send_many
+    assert AsyncRuntime.execution_class is Scheduler.execution_class
+    assert not hasattr(AsyncRuntime, "arrive")
 
 
 @pytest.mark.runtime
@@ -126,9 +125,9 @@ def test_at_most_one_loop_handle_of_the_runtime_is_live():
             ClusterConfig(
                 num_partitions=4, commit_protocol="2PC", seed=3, max_time=400.0,
                 fault_plan=FaultPlan.crash_recover(4, at=1.0, rejoin_at=3.0),
+                delay_model=LinkDelay(LinkPolicy(delay_units=0.2, jitter_units=0.2)),
             ),
             unit=0.005,
-            default_link_policy=LinkPolicy(delay_units=0.2, jitter_units=0.2),
         )
         runtime = service.runtime
         most = []
