@@ -17,9 +17,9 @@ the outcome.  This package is that substrate:
   protocol from :mod:`repro.protocols` among the transaction's participants;
 * :mod:`repro.db.coordinator` — the client/coordinator process driving a
   workload of transactions;
-* :mod:`repro.db.cluster` — the cluster driver wiring partitions, client and
-  the discrete-event scheduler together and reporting latency and message
-  statistics per commit protocol;
+* :mod:`repro.db.cluster` — the cluster: partitions, client and WAL rejoin
+  on the scheduler, run as fast as possible or paced by the asyncio runtime,
+  reporting latency and message statistics per commit protocol;
 * :mod:`repro.db.conflict` — a Helios-style cross-datacenter conflict
   detector used by the examples;
 * :mod:`repro.db.invariants` — executable cross-layer invariants (transaction

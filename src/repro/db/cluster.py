@@ -1,32 +1,27 @@
-"""Cluster driver: partitions + coordinator + a runtime backend, with reporting.
+"""The transactional cluster: partitions + coordinator on one kernel, reported.
 
-:func:`run_cluster` wires a set of :class:`~repro.db.partition.PartitionServer`
-processes and one :class:`~repro.db.coordinator.ClientCoordinator` onto a
-runtime backend, runs a transaction workload with the configured commit
-protocol, and returns a :class:`ClusterReport` with per-transaction outcomes,
+A :class:`Cluster` puts a set of :class:`~repro.db.partition.PartitionServer`
+processes and one :class:`~repro.db.coordinator.ClientCoordinator` on a
+kernel and renders a :class:`ClusterReport` with per-transaction outcomes,
 message statistics and the cluster-invariant battery
-(:mod:`repro.db.invariants`) evaluated on the final partition state.  The
-database benchmark (experiment E7) runs this once per commit protocol and
-compares commit latency and message volume.
+(:mod:`repro.db.invariants`) evaluated on the final partition state.
+:func:`run_cluster` runs a transaction workload with the configured commit
+protocol; the database benchmark (experiment E7) runs it once per commit
+protocol and compares commit latency and message volume.
 
-Two backends serve the same cluster code:
+There is one kernel, :class:`~repro.sim.runner.Scheduler`, and two pacings of
+it; the cluster is built the same way on both:
 
-* ``backend="sim"`` (the default) — the discrete-event scheduler: virtual
-  time, deterministic, supports delay models, fault plans and schedule
-  controllers.  This is the measurement oracle.
-* ``backend="asyncio"`` — the wall-clock transport runtime
-  (:func:`repro.runtime.cluster.run_cluster_async`): the *same* partition,
-  coordinator and commit-protocol classes on the same scheduler paced by the
-  wall clock, with real concurrency.  Delay models, fault plans and schedule
-  controllers carry over: they are the one kernel's.
+* ``backend="sim"`` (the default) — the scheduler run as fast as possible in
+  virtual time until every transaction has an outcome: deterministic, the
+  measurement oracle.
+* ``backend="asyncio"`` — the asyncio runtime, the same scheduler paced by
+  the wall clock (:class:`repro.runtime.cluster.AsyncClusterService`, which
+  adds live submissions, crash and rejoin by hand and telemetry).  Delay
+  models, fault plans and schedule controllers carry over: they are the one
+  kernel's.
 
-The construction seam is :func:`build_partition`, :func:`build_client`,
-:func:`rejoin_partition` and :func:`build_report` — each backend builds the
-same processes, installs the same WAL rejoin as its recovery factory and hands
-:func:`build_report` the execution record it wrote (a
-:class:`~repro.sim.trace.Trace`), which the report's statistics are read from.
-
-A sim run may also be placed under a schedule controller
+A run may also be placed under a schedule controller
 (:class:`~repro.explore.ScheduleController`, via ``ClusterConfig.controller``):
 the controller sees every scheduler event of the cluster — client submissions,
 ``EXEC`` deliveries, embedded commit-protocol messages and timers — and may
@@ -39,10 +34,9 @@ its ``(strategy, seed, decisions)`` triple.
 
 from __future__ import annotations
 
-import functools
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.db.coordinator import ClientCoordinator, RetryPolicy, TransactionOutcome
 from repro.db.invariants import InvariantReport, check_cluster
@@ -52,9 +46,8 @@ from repro.errors import ConfigurationError
 from repro.protocols.base import COMMIT
 from repro.protocols.registry import get_protocol
 from repro.sim.faults import FaultPlan
-from repro.sim.network import DelayModel, FixedDelay
+from repro.sim.network import DelayModel
 from repro.sim.runner import Scheduler
-from repro.sim.trace import Trace
 
 #: the runtime backends run_cluster can dispatch to
 BACKENDS = ("sim", "asyncio")
@@ -216,150 +209,160 @@ class ClusterReport:
         }
 
 
-# --------------------------------------------------------------------------- #
-# the construction seam shared by every backend
-# --------------------------------------------------------------------------- #
-def cluster_shape(config: ClusterConfig) -> Tuple[int, int, int]:
-    """``(n, f, client_pid)`` of the cluster's process set.
+class Cluster:
+    """One cluster on one kernel: partitions, client and WAL rejoin.
 
-    Partitions are P1..Pk, the client coordinator is P(k+1); ``f = k`` so any
-    crash plan over the partitions is admissible.
+    The cluster's rules are written here once, whichever kernel paces it:
+    partitions P1..Pk and the client coordinator P(k+1) on ``n = k + 1``
+    processes with ``f = k`` (so any crash plan over the partitions is
+    admissible), the refusals, the binding order, the ``db/<protocol>`` trace
+    label and the recovery factory.  ``kernel`` is the scheduler class —
+    :class:`~repro.sim.runner.Scheduler`, which :func:`run_cluster` runs as
+    fast as possible, or the asyncio runtime, which
+    :class:`~repro.runtime.cluster.AsyncClusterService` paces on the event
+    loop — built from the config and the ``pacing`` keywords only that class
+    takes.
     """
-    partitions = config.num_partitions
-    return partitions + 1, partitions, partitions + 1
 
-
-def build_partition(
-    pid: int, n: int, f: int, env: Any, config: ClusterConfig
-) -> PartitionServer:
-    """One partition server, identically configured on every backend."""
-    return PartitionServer(
-        pid,
-        n,
-        f,
-        env,
-        commit_protocol=config.resolve_protocol(),
-        commit_f=config.commit_f,
-        protocol_kwargs=config.protocol_kwargs,
-        tracer=config.tracer,
-    )
-
-
-def rejoin_partition(
-    pid: int,
-    scheduler: Scheduler,
-    old: Any,
-    config: ClusterConfig,
-    recovery_events: List[RecoveryEvent],
-) -> Optional[PartitionServer]:
-    """The recovery factory of both backends: what a crashed pid rejoins with.
-
-    A partition is rebuilt from its durable WAL (the crashed object only
-    contributes its log) and its rejoin is appended to ``recovery_events``;
-    the client coordinator's outcome log is volatile, so its rejoin is
-    refused.  Installed with ``Scheduler.set_recovery_factory``.
-    """
-    n, f, client_pid = cluster_shape(config)
-    if pid == client_pid:
-        return None
-    server = build_partition(pid, n, f, scheduler.env_for(pid), config)
-    replayed = server.recover_from_wal(old.wal, coordinator=client_pid)
-    recovery_events.append(
-        RecoveryEvent(
-            pid=pid,
-            crashed_at=scheduler.trace.crashes.get(pid, 0.0),
-            rejoined_at=scheduler.clock.time_to_units(scheduler.clock.now),
-            replayed_transactions=replayed,
-            in_doubt_at_rejoin=tuple(server.wal.in_doubt()),
+    def __init__(
+        self, config: ClusterConfig, kernel: Callable[..., Scheduler], **pacing: Any
+    ):
+        if config.num_partitions < 2:
+            raise ConfigurationError("a cluster needs at least 2 partitions")
+        self.config = config
+        self.client_pid = config.num_partitions + 1
+        if config.fault_plan is not None:
+            for pid in config.fault_plan.recoveries:
+                self.check_rejoin(pid)
+        self.kernel = kernel(
+            self.client_pid,
+            config.num_partitions,
+            seed=config.seed,
+            delay_model=config.delay_model,
+            fault_plan=config.fault_plan,
+            controller=config.controller,
+            **pacing,
         )
-    )
-    return server
+        self.kernel.trace.protocol = f"db/{config.protocol_label()}"
+        self.kernel.set_recovery_factory(self._rejoin)
+        self.client: Optional[ClientCoordinator] = None
+        #: every partition crash-and-rejoin, in rejoin order
+        self.recovery_events: List[RecoveryEvent] = []
 
+    def check_rejoin(self, pid: int) -> None:
+        """Refuse a rejoin of the client: its outcome log is volatile."""
+        if pid == self.client_pid:
+            raise ConfigurationError(
+                "the client coordinator cannot rejoin: its outcome log is "
+                "volatile (only partitions P1..Pk recover by WAL replay)"
+            )
 
-def build_client(
-    pid: int,
-    n: int,
-    f: int,
-    env: Any,
-    config: ClusterConfig,
-    transactions: Sequence[Transaction],
-) -> ClientCoordinator:
-    """The client coordinator, identically configured on every backend."""
-    return ClientCoordinator(
-        pid,
-        n,
-        f,
-        env,
-        workload=list(transactions),
-        prepare_margin=config.prepare_margin,
-        retry_policy=config.retry_policy,
-        tracer=config.tracer,
-    )
+    def _partition(self, pid: int) -> PartitionServer:
+        kernel, config = self.kernel, self.config
+        return PartitionServer(
+            pid,
+            kernel.n,
+            kernel.f,
+            kernel.env_for(pid),
+            commit_protocol=config.resolve_protocol(),
+            commit_f=config.commit_f,
+            protocol_kwargs=config.protocol_kwargs,
+            tracer=config.tracer,
+        )
 
+    def bind(self, transactions: Sequence[Transaction] = ()) -> ClientCoordinator:
+        """Bind P1..Pk, then the client with its planned workload."""
+        kernel, config = self.kernel, self.config
+        for pid in range(1, self.client_pid):
+            kernel.bind_process(pid, self._partition(pid))
+        self.client = ClientCoordinator(
+            self.client_pid,
+            kernel.n,
+            kernel.f,
+            kernel.env_for(self.client_pid),
+            workload=list(transactions),
+            prepare_margin=config.prepare_margin,
+            retry_policy=config.retry_policy,
+            tracer=config.tracer,
+        )
+        kernel.bind_process(self.client_pid, self.client)
+        return self.client
 
-def build_report(
-    config: ClusterConfig,
-    client: ClientCoordinator,
-    partition_servers: Mapping[int, PartitionServer],
-    trace: Trace,
-    *,
-    execution_class: str,
-    schedule_decisions: Sequence[Tuple[int, str, Any]] = (),
-    trace_fingerprint: Optional[str] = None,
-    recovery_events: Sequence[RecoveryEvent] = (),
-    backend: str = "sim",
-) -> ClusterReport:
-    """Render the backend-independent report: outcomes, state, invariants."""
-    messages_total = trace.message_count()
-    decide_times = [
-        o.decide_time for o in client.outcomes.values() if o.decide_time is not None
-    ]
-    # the paper's best-case accounting charges what was *received* by the
-    # last decision; a wall-clock record keeps no receive times, so there
-    # (and when nothing decided) it equals the total
-    messages_until_last = (
-        trace.messages_received_by(max(decide_times))
-        if decide_times and backend == "sim"
-        else messages_total
-    )
-    partition_stats = {
-        pid: dict(server.statistics) for pid, server in partition_servers.items()
-    }
-    store_snapshots = {
-        pid: server.store.snapshot() for pid, server in partition_servers.items()
-    }
-    return ClusterReport(
-        protocol=config.protocol_label(),
-        num_partitions=config.num_partitions,
-        outcomes=list(client.outcomes.values()),
-        messages_total=messages_total,
-        messages_by_module=trace.module_histogram(),
-        end_time=trace.end_time,
-        partition_stats=partition_stats,
-        store_snapshots=store_snapshots,
-        messages_until_last_decision=messages_until_last,
-        execution_class=execution_class,
-        crashes=dict(trace.crashes),
-        invariants=check_cluster(partition_servers),
-        pending_transactions=client.pending_transactions(),
-        in_doubt_by_partition={
-            pid: in_doubt
-            for pid, server in partition_servers.items()
-            if (in_doubt := server.in_doubt_transactions())
-        },
-        schedule_decisions=list(schedule_decisions),
-        trace_fingerprint=trace_fingerprint,
-        recovery_events=list(recovery_events),
-        retry_counts=dict(client.retry_counts),
-        backend=backend,
-    )
+    def _rejoin(
+        self, pid: int, kernel: Scheduler, old: Any
+    ) -> Optional[PartitionServer]:
+        """The recovery factory: what a crashed pid rejoins with.
 
+        A partition is rebuilt from its durable WAL (the crashed object only
+        contributes its log) and its rejoin is appended to
+        :attr:`recovery_events`.  None refuses the client (see
+        :meth:`check_rejoin`), and the kernel then ignores the rejoin.
+        """
+        if pid == self.client_pid:
+            return None
+        server = self._partition(pid)
+        replayed = server.recover_from_wal(old.wal, coordinator=self.client_pid)
+        self.recovery_events.append(
+            RecoveryEvent(
+                pid=pid,
+                crashed_at=kernel.trace.crashes.get(pid, 0.0),
+                rejoined_at=kernel.clock.time_to_units(kernel.clock.now),
+                replayed_transactions=replayed,
+                in_doubt_at_rejoin=tuple(server.wal.in_doubt()),
+            )
+        )
+        return server
 
-def _validate(config: ClusterConfig, transactions: Sequence[Transaction]) -> None:
-    if config.num_partitions < 2:
-        raise ConfigurationError("a cluster needs at least 2 partitions")
-    if not transactions:
-        raise ConfigurationError("the workload is empty")
+    def report(self) -> ClusterReport:
+        """Outcomes, state and invariants, read off the cluster and its kernel."""
+        kernel, client = self.kernel, self.client
+        trace = kernel.trace
+        partitions = {pid: kernel.processes[pid] for pid in range(1, self.client_pid)}
+        messages_total = trace.message_count()
+        decide_times = [
+            o.decide_time for o in client.outcomes.values() if o.decide_time is not None
+        ]
+        # the paper's best-case accounting charges what was *received* by the
+        # last decision; a wall-clock record keeps no receive times, so there
+        # (and when nothing decided) it equals the total
+        messages_until_last = (
+            trace.messages_received_by(max(decide_times))
+            if decide_times and kernel.backend == "sim"
+            else messages_total
+        )
+        return ClusterReport(
+            protocol=self.config.protocol_label(),
+            num_partitions=self.config.num_partitions,
+            outcomes=list(client.outcomes.values()),
+            messages_total=messages_total,
+            messages_by_module=trace.module_histogram(),
+            end_time=trace.end_time,
+            partition_stats={
+                pid: dict(server.statistics) for pid, server in partitions.items()
+            },
+            store_snapshots={
+                pid: server.store.snapshot() for pid, server in partitions.items()
+            },
+            messages_until_last_decision=messages_until_last,
+            execution_class=kernel.execution_class(),
+            crashes=dict(trace.crashes),
+            invariants=check_cluster(partitions),
+            pending_transactions=client.pending_transactions(),
+            in_doubt_by_partition={
+                pid: in_doubt
+                for pid, server in partitions.items()
+                if (in_doubt := server.in_doubt_transactions())
+            },
+            schedule_decisions=list(kernel.applied_schedule_actions),
+            # the fingerprint is O(trace); only controlled runs need it (replay
+            # determinism), uncontrolled sweeps keep the fast path
+            trace_fingerprint=(
+                trace.fingerprint() if self.config.controller is not None else None
+            ),
+            recovery_events=list(self.recovery_events),
+            retry_counts=dict(client.retry_counts),
+            backend=kernel.backend,
+        )
 
 
 def run_cluster(
@@ -367,80 +370,40 @@ def run_cluster(
     transactions: Sequence[Transaction],
     backend: str = "sim",
 ) -> ClusterReport:
-    """Run a workload of transactions on a cluster, on the chosen backend."""
-    if backend == "sim":
-        return _run_cluster_sim(config, transactions)
-    if backend == "asyncio":
-        # imported lazily: the runtime package must stay optional for the
-        # deterministic sim path (and the import direction db -> runtime
-        # exists only inside this dispatch)
-        from repro.runtime.cluster import run_cluster_async
+    """Run a workload of transactions on a cluster, on the chosen backend.
 
-        return run_cluster_async(config, transactions)
-    raise ConfigurationError(
-        f"unknown cluster backend {backend!r}; known: {', '.join(BACKENDS)}"
-    )
-
-
-def _run_cluster_sim(
-    config: ClusterConfig, transactions: Sequence[Transaction]
-) -> ClusterReport:
-    """The discrete-event backend (virtual time, deterministic)."""
-    _validate(config, transactions)
-    n, f, client_pid = cluster_shape(config)
-    partitions = config.num_partitions
-    if config.fault_plan is not None and client_pid in config.fault_plan.recoveries:
+    The client submits the planned workload from its own timers on either
+    backend.  ``"sim"`` runs the scheduler as fast as possible until every
+    transaction has an outcome; ``"asyncio"`` paces the same cluster on the
+    wall clock (:class:`~repro.runtime.cluster.AsyncClusterService`, at its
+    default unit) until then or until ``config.max_time`` units elapsed.
+    """
+    if backend not in BACKENDS:
         raise ConfigurationError(
-            "the client coordinator cannot rejoin: its outcome log is "
-            "volatile (only partitions P1..Pk recover by WAL replay)"
+            f"unknown cluster backend {backend!r}; known: {', '.join(BACKENDS)}"
         )
-    scheduler = Scheduler(
-        n=n,
-        f=f,  # permits any crash plan over the partitions
-        delay_model=config.delay_model or FixedDelay(1.0),
-        fault_plan=config.fault_plan,
-        seed=config.seed,
-        max_time=config.max_time,
-        protocol_name=f"db/{config.protocol_label()}",
-        trace_level=config.trace_level,
-        controller=config.controller,
-    )
+    if not transactions:
+        raise ConfigurationError("the workload is empty")
+    if backend == "asyncio":
+        # imported here only: the deterministic sim path never loads the
+        # runtime package (the import direction db -> runtime exists only here)
+        import asyncio
 
-    for pid in range(1, partitions + 1):
-        scheduler.bind_process(
-            pid, build_partition(pid, n, f, scheduler.env_for(pid), config)
-        )
-    client = build_client(
-        client_pid, n, f, scheduler.env_for(client_pid), config, transactions
+        from repro.runtime.cluster import AsyncClusterService
+
+        async def paced() -> ClusterReport:
+            service = AsyncClusterService(config)
+            await service.start(transactions)
+            await service.wait_all_completed(config.max_time)
+            return await service.shutdown()
+
+        return asyncio.run(paced())
+    cluster = Cluster(
+        config, Scheduler, max_time=config.max_time, trace_level=config.trace_level
     )
-    scheduler.bind_process(client_pid, client)
-    for process in scheduler.processes.values():
+    client = cluster.bind(transactions)
+    for process in cluster.kernel.processes.values():
         process.on_start()
-    recovery_events: List[RecoveryEvent] = []
-    scheduler.set_recovery_factory(
-        functools.partial(
-            rejoin_partition, config=config, recovery_events=recovery_events
-        )
-    )
-
-    scheduler.set_stop_predicate(lambda s: client.all_completed())
-    trace = scheduler.run()
-
-    partition_servers = {
-        pid: scheduler.processes[pid] for pid in range(1, partitions + 1)
-    }
-    return build_report(
-        config,
-        client,
-        partition_servers,
-        trace,
-        execution_class=scheduler.execution_class(),
-        schedule_decisions=list(scheduler.applied_schedule_actions),
-        # the fingerprint is O(trace); only controlled runs need it (replay
-        # determinism), uncontrolled sweeps keep the fast path
-        trace_fingerprint=(
-            trace.fingerprint() if config.controller is not None else None
-        ),
-        recovery_events=recovery_events,
-        backend="sim",
-    )
+    cluster.kernel.set_stop_predicate(lambda _: client.all_completed())
+    cluster.kernel.run()
+    return cluster.report()

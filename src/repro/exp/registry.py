@@ -315,26 +315,55 @@ def named_workload(name: str, label: str = None, **params: Any):
     return _named("workloads", name, label, params)
 
 
-def _build_uniform_txns(n: int, seed: int, transactions: int = 6, **params: Any):
+# each builder spells out its generator's keywords (the grid binds a
+# misspelt one at construction) and imports it on first use, as the votes do
+
+
+def _build_uniform_txns(
+    n: int, seed: int, transactions: int = 6, keys_per_partition: int = 100,
+    participants_per_txn: Optional[int] = None, writes_per_participant: int = 1,
+    reads_per_participant: int = 1, inter_arrival: float = 4.0,
+):
     from repro.workloads.transactions import uniform_workload
 
-    params.setdefault("participants_per_txn", min(3, n))
-    return uniform_workload(transactions, n, seed=seed, **params).transactions
+    if participants_per_txn is None:
+        participants_per_txn = min(3, n)
+    return uniform_workload(
+        transactions, n, keys_per_partition=keys_per_partition,
+        participants_per_txn=participants_per_txn,
+        writes_per_participant=writes_per_participant,
+        reads_per_participant=reads_per_participant,
+        inter_arrival=inter_arrival, seed=seed,
+    ).transactions
 
 
-def _build_hotspot_txns(n: int, seed: int, transactions: int = 6, **params: Any):
+def _build_hotspot_txns(
+    n: int, seed: int, transactions: int = 6, hot_keys: int = 2,
+    hot_probability: float = 0.8, participants_per_txn: Optional[int] = None,
+    inter_arrival: float = 1.0,
+):
     from repro.workloads.transactions import hotspot_workload
 
-    params.setdefault("participants_per_txn", min(2, n))
-    return hotspot_workload(transactions, n, seed=seed, **params).transactions
+    if participants_per_txn is None:
+        participants_per_txn = min(2, n)
+    return hotspot_workload(
+        transactions, n, hot_keys=hot_keys, hot_probability=hot_probability,
+        participants_per_txn=participants_per_txn,
+        inter_arrival=inter_arrival, seed=seed,
+    ).transactions
 
 
 def _build_bank_transfer_txns(
-    n: int, seed: int, transactions: int = 6, **params: Any
+    n: int, seed: int, transactions: int = 6, accounts_per_partition: int = 10,
+    initial_balance: int = 100, amount: int = 10, inter_arrival: float = 5.0,
 ):
     from repro.workloads.transactions import bank_transfer_workload
 
-    return bank_transfer_workload(transactions, n, seed=seed, **params).transactions
+    return bank_transfer_workload(
+        transactions, n, accounts_per_partition=accounts_per_partition,
+        initial_balance=initial_balance, amount=amount,
+        inter_arrival=inter_arrival, seed=seed,
+    ).transactions
 
 
 def _build_verbatim_txns(n: int, seed: int, transactions: Sequence[Any]):

@@ -19,9 +19,10 @@ Layout:
   by the wall clock: the wake-up handle, calls from outside every handler,
   error capture) and :func:`run_commit` (one commit instance, synchronous
   entry point);
-* :mod:`~repro.runtime.cluster` — the transactional KV cluster:
-  :func:`run_cluster_async` (batch) and :class:`AsyncClusterService` (live
-  concurrent clients);
+* :mod:`~repro.runtime.cluster` — :class:`AsyncClusterService`, the
+  transactional KV cluster of :mod:`repro.db.cluster` paced on the event loop
+  for live concurrent clients (its batch form is
+  ``repro.db.cluster.run_cluster(..., backend="asyncio")``);
 * :mod:`~repro.runtime.conformance` — :class:`AsyncHarness` for the
   executable contract suite in :mod:`repro.env.conformance`.
 
@@ -35,11 +36,7 @@ this package except through the explicit backend dispatch in
 
 from __future__ import annotations
 
-from repro.runtime.cluster import (
-    AsyncClusterService,
-    DEFAULT_CLUSTER_UNIT_SECONDS,
-    run_cluster_async,
-)
+from repro.runtime.cluster import AsyncClusterService, DEFAULT_CLUSTER_UNIT_SECONDS
 from repro.runtime.conformance import AsyncHarness
 from repro.runtime.runtime import (
     AsyncRuntime,
@@ -55,6 +52,5 @@ __all__ = [
     "CommitRunResult",
     "DEFAULT_CLUSTER_UNIT_SECONDS",
     "DEFAULT_UNIT_SECONDS",
-    "run_cluster_async",
     "run_commit",
 ]

@@ -1,27 +1,32 @@
-"""The transactional KV cluster served by the asyncio runtime.
+"""The transactional KV cluster, paced by the asyncio runtime.
 
-Runs the *same* :class:`~repro.db.partition.PartitionServer` and
-:class:`~repro.db.coordinator.ClientCoordinator` classes the simulator runs —
-built through the shared construction seam in :mod:`repro.db.cluster` — on
-the wall-clock event loop.  Two entry points:
+:class:`AsyncClusterService` is a :class:`repro.db.cluster.Cluster` whose
+kernel is :class:`~repro.runtime.runtime.AsyncRuntime` — the simulator's
+scheduler paced by the wall clock.  The cluster itself (the *same*
+:class:`~repro.db.partition.PartitionServer` and
+:class:`~repro.db.coordinator.ClientCoordinator` classes the simulator runs,
+its shape, refusals, binding order, WAL rejoin and report) is the one
+:mod:`repro.db.cluster` builds on both backends; the service only adds what
+pacing it live needs:
 
-* :func:`run_cluster_async` — batch mode, mirroring
-  :func:`repro.db.cluster.run_cluster`: the coordinator submits a planned
-  workload from its own timers (the identical code path as under the
-  simulator) and the run ends when every transaction has an outcome or the
-  time budget expires.  Returns the same :class:`~repro.db.cluster.ClusterReport`.
-* :class:`AsyncClusterService` — live mode: ``await service.submit(txn)``
-  from any number of concurrent client coroutines, crash partitions mid-run,
-  then ``await service.shutdown()`` for the report (invariant battery
-  included, evaluated on the surviving state).
+* ``await service.submit(txn)`` from any number of concurrent client
+  coroutines;
+* ``crash_partition(pid)`` and ``recover_partition(pid)`` by hand, mid-run;
+* ``await service.shutdown()`` for the report (invariant battery included,
+  evaluated on the surviving state);
+* the ``cluster.*`` telemetry (crash, rejoin, WAL replay time, in-doubt
+  resolution, retries) when handed duck-typed ``metrics=`` / ``events=``.
+
+Its batch form is :func:`repro.db.cluster.run_cluster` with
+``backend="asyncio"``: the coordinator submits a planned workload from its
+own timers, the identical code path as under the simulator.
 
 The configuration means what it means on the simulator: ``delay_model`` is
 the network (default: a zero-delay :class:`~repro.sim.network.LinkDelay`;
 per-link delay, jitter, slow factors and outages are its
 :class:`~repro.sim.network.LinkPolicy` entries), ``fault_plan`` crashes and
-rejoins are the kernel's own entries, a ``controller`` is consulted on every
-event as it is there, and a partition rejoins through the WAL replay the
-simulator installs too (:func:`repro.db.cluster.rejoin_partition`).
+rejoins are the kernel's own entries, and a ``controller`` is consulted on
+every event as it is there.
 """
 
 from __future__ import annotations
@@ -30,22 +35,12 @@ import asyncio
 import time
 from typing import Any, Dict, Optional, Sequence
 
-from repro.db.cluster import (
-    ClusterConfig,
-    ClusterReport,
-    RecoveryEvent,
-    _validate,
-    build_client,
-    build_partition,
-    build_report,
-    cluster_shape,
-    rejoin_partition,
-)
-from repro.db.coordinator import ClientCoordinator, TransactionOutcome
+from repro.db.cluster import Cluster, ClusterConfig, ClusterReport, RecoveryEvent
+from repro.db.coordinator import TransactionOutcome
+from repro.db.partition import PartitionServer
 from repro.db.transaction import Transaction
 from repro.errors import ConfigurationError
 from repro.runtime.runtime import AsyncRuntime
-from repro.sim.network import LinkDelay
 from repro.sim.trace import Trace
 
 #: clusters run a finer clock than bare protocol runs: commit timers span
@@ -74,7 +69,7 @@ class TransportView:
         return self._trace.module_histogram()
 
 
-class AsyncClusterService:
+class AsyncClusterService(Cluster):
     """A live transactional KV cluster on the asyncio runtime.
 
     Usage::
@@ -84,6 +79,9 @@ class AsyncClusterService:
         outcome = await service.submit(txn)        # from any coroutine
         service.crash_partition(2)                 # fault injection
         report = await service.shutdown()          # invariants included
+
+    It starts once; after :meth:`shutdown` nothing more can be submitted,
+    crashed or rejoined.
     """
 
     def __init__(
@@ -94,16 +92,8 @@ class AsyncClusterService:
         metrics: Optional[Any] = None,
         events: Optional[Any] = None,
     ):
-        if config.num_partitions < 2:
-            raise ConfigurationError("a cluster needs at least 2 partitions")
-        if config.fault_plan is not None and cluster_shape(config)[2] in getattr(
-            config.fault_plan, "recoveries", {}
-        ):
-            raise ConfigurationError(
-                "the client coordinator cannot rejoin: its outcome log is "
-                "volatile; only partitions are recoverable"
-            )
-        self.config = config
+        super().__init__(config, AsyncRuntime, unit=unit, metrics=metrics)
+        self.runtime: AsyncRuntime = self.kernel
         self.unit = unit
         #: optional duck-typed telemetry sinks, threaded into the default link
         #: model and the runtime and fed by the service's own lifecycle hooks (crash,
@@ -112,49 +102,31 @@ class AsyncClusterService:
         #: imports the obs package
         self.metrics = metrics
         self.events = events
-        n, f, client_pid = cluster_shape(config)
-        self.client_pid = client_pid
-        self.runtime = AsyncRuntime(
-            n, f, unit=unit, seed=config.seed,
-            delay_model=config.delay_model or LinkDelay(seed=config.seed, metrics=metrics),
-            fault_plan=config.fault_plan, controller=config.controller,
-            metrics=metrics,
-        )
         self.transport = TransportView(self.runtime.trace)
-        self.runtime.trace.protocol = f"db/{config.protocol_label()}"
         self.runtime.on_crash = self._crashed
-        self.runtime.set_recovery_factory(self._rejoin)
-        self.client: Optional[ClientCoordinator] = None
         self._waiters: Dict[str, asyncio.Future] = {}
         #: set while wait_all_completed() waits; resolved by the outcome that
         #: completes the workload
         self._all_done: Optional[asyncio.Future] = None
-        self._recovery_events: list = []
         self._started = False
+        self._shut_down = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self, workload: Sequence[Transaction] = ()) -> None:
         """Boot partitions and coordinator; optionally preload a workload."""
-        n, f, _ = cluster_shape(self.config)
-        for pid in range(1, self.config.num_partitions + 1):
-            self.runtime.bind_process(
-                pid,
-                build_partition(pid, n, f, self.runtime.env_for(pid), self.config),
-            )
-        self.client = build_client(
-            self.client_pid,
-            n,
-            f,
-            self.runtime.env_for(self.client_pid),
-            self.config,
-            workload,
-        )
-        self.client.on_outcome = self._on_outcome
-        self.runtime.bind_process(self.client_pid, self.client)
+        if self._started:
+            raise ConfigurationError("service already started")
+        self.bind(workload).on_outcome = self._on_outcome
         await self.runtime.start()
         self._started = True
+
+    def _check_running(self) -> None:
+        if not self._started:
+            raise ConfigurationError("service not started")
+        if self._shut_down:
+            raise ConfigurationError("service already shut down")
 
     def _on_outcome(self, outcome: TransactionOutcome) -> None:
         waiter = self._waiters.pop(outcome.txn_id, None)
@@ -177,8 +149,7 @@ class AsyncClusterService:
         partition crashed; the transaction then shows up in the report's
         pending/in-doubt sections.
         """
-        if not self._started or self.client is None:
-            raise ConfigurationError("service not started")
+        self._check_running()
         if self.runtime.is_down(self.client_pid):
             raise ConfigurationError(
                 "the client coordinator has crashed; no new transactions can "
@@ -198,6 +169,7 @@ class AsyncClusterService:
 
     def crash_partition(self, pid: int) -> None:
         """Crash-stop a partition (or the coordinator) right now."""
+        self._check_running()
         self._check_known_pid(pid)
         self.runtime.crash(pid)
 
@@ -212,14 +184,11 @@ class AsyncClusterService:
         peer participants recorded in the WAL.  The client coordinator is not
         recoverable (its outcome log is volatile by design).
         """
+        self._check_running()
         self._check_known_pid(pid)
-        if pid == self.client_pid:
-            raise ConfigurationError(
-                "the client coordinator cannot rejoin: its outcome log is "
-                "volatile; only partitions are recoverable"
-            )
+        self.check_rejoin(pid)
         self.runtime.rejoin(pid)
-        return self._recovery_events[-1]
+        return self.recovery_events[-1]
 
     def _crashed(self, pid: int) -> None:
         """Report a crash, by hand or by plan."""
@@ -230,12 +199,16 @@ class AsyncClusterService:
                 "cluster.crash", pid=pid, at_units=self.runtime.trace.crashes.get(pid)
             )
 
-    def _rejoin(self, pid: int, runtime: AsyncRuntime, old: Any) -> Any:
-        """The recovery factory: the WAL rejoin both backends run, reported."""
+    def _rejoin(
+        self, pid: int, runtime: AsyncRuntime, old: Any
+    ) -> Optional[PartitionServer]:
+        """The cluster's recovery factory, with the WAL replay timed and reported."""
         replay_t0 = time.monotonic()
-        server = rejoin_partition(pid, runtime, old, self.config, self._recovery_events)
+        server = super()._rejoin(pid, runtime, old)
         replay_seconds = time.monotonic() - replay_t0
-        event = self._recovery_events[-1]
+        if server is None:
+            return None
+        event = self.recovery_events[-1]
         if self.metrics is not None:
             self.metrics.inc("cluster.rejoins")
             self.metrics.inc("cluster.in_doubt_at_rejoin", len(event.in_doubt_at_rejoin))
@@ -261,8 +234,7 @@ class AsyncClusterService:
 
     async def wait_all_completed(self, timeout_units: float) -> bool:
         """Wait until the coordinator has an outcome for every transaction."""
-        if self.client is None:
-            raise ConfigurationError("service not started")
+        self._check_running()
         if self.client.all_completed():
             return True
         self._all_done = asyncio.get_running_loop().create_future()
@@ -279,26 +251,20 @@ class AsyncClusterService:
     # ------------------------------------------------------------------ #
     async def shutdown(self) -> ClusterReport:
         """Stop the runtime and render the report from the surviving state."""
-        if self.client is None:
+        if not self._started:
             raise ConfigurationError("service not started")
+        self._shut_down = True
         await self.runtime.stop()
-        trace = self.runtime.trace
         for waiter in self._waiters.values():
             if not waiter.done():
                 waiter.cancel()
         self._waiters.clear()
-        partition_servers = {
-            pid: self.runtime.processes[pid]
-            for pid in range(1, self.config.num_partitions + 1)
-        }
         if self.metrics is not None or self.events is not None:
             # in-doubt resolution: queried at rejoin minus still unresolved now
-            queried = sum(
-                len(e.in_doubt_at_rejoin) for e in self._recovery_events
-            )
+            queried = sum(len(e.in_doubt_at_rejoin) for e in self.recovery_events)
             unresolved = sum(
-                len(server.in_doubt_transactions())
-                for server in partition_servers.values()
+                len(self.runtime.processes[pid].in_doubt_transactions())
+                for pid in range(1, self.client_pid)
             )
             resolved = max(0, queried - unresolved)
             retries = sum(self.client.retry_counts.values())
@@ -306,6 +272,7 @@ class AsyncClusterService:
                 self.metrics.inc("cluster.in_doubt_resolved", resolved)
                 self.metrics.inc("cluster.retries", retries)
             if self.events is not None:
+                trace = self.runtime.trace
                 self.events.emit(
                     "cluster.shutdown",
                     end_units=trace.end_time,
@@ -314,56 +281,10 @@ class AsyncClusterService:
                     retries=retries,
                     crashes=len(trace.crashes),
                 )
-        return build_report(
-            self.config,
-            self.client,
-            partition_servers,
-            trace,
-            execution_class=self.runtime.execution_class(),
-            schedule_decisions=list(self.runtime.applied_schedule_actions),
-            trace_fingerprint=(
-                trace.fingerprint() if self.config.controller is not None else None
-            ),
-            recovery_events=list(self._recovery_events),
-            backend="asyncio",
-        )
-
-
-def run_cluster_async(
-    config: ClusterConfig,
-    transactions: Sequence[Transaction],
-    *,
-    unit: float = DEFAULT_CLUSTER_UNIT_SECONDS,
-    timeout_units: Optional[float] = None,
-    metrics: Optional[Any] = None,
-    events: Optional[Any] = None,
-) -> ClusterReport:
-    """Batch counterpart of :func:`repro.db.cluster.run_cluster` on asyncio.
-
-    The coordinator submits the planned workload from its own timers —
-    exactly the code path the simulator drives — and the run ends when every
-    transaction has an outcome or ``timeout_units`` (default: the config's
-    ``max_time``) of scaled wall-clock time elapsed.
-    """
-    _validate(config, transactions)
-    budget = config.max_time if timeout_units is None else timeout_units
-
-    async def _main() -> ClusterReport:
-        service = AsyncClusterService(
-            config,
-            unit=unit,
-            metrics=metrics,
-            events=events,
-        )
-        await service.start(workload=transactions)
-        await service.wait_all_completed(budget)
-        return await service.shutdown()
-
-    return asyncio.run(_main())
+        return self.report()
 
 
 __all__ = [
     "AsyncClusterService",
     "DEFAULT_CLUSTER_UNIT_SECONDS",
-    "run_cluster_async",
 ]

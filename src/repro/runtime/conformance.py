@@ -35,9 +35,9 @@ class AsyncHarness:
     ) -> HarnessResult:
         async def _main() -> HarnessResult:
             runtime = AsyncRuntime(n, f, unit=self.unit, seed=self.seed)
-            for pid in range(1, n + 1):
-                factory = factories.get(pid, ObservingProcess)
-                runtime.bind_process(pid, factory(pid, n, f, runtime.env_for(pid)))
+            runtime.bind_processes(
+                lambda pid, *rest: factories.get(pid, ObservingProcess)(pid, *rest)
+            )
             for pid, value in (proposals or {}).items():
                 runtime.post_propose(pid, value)
             await runtime.start()

@@ -77,6 +77,8 @@ def _culprit(exc: BaseException) -> int:
 class AsyncRuntime(Scheduler):
     """Hosts ``n`` protocol processes on the asyncio event loop."""
 
+    backend = "asyncio"
+
     def __init__(
         self,
         n: int,
@@ -281,6 +283,12 @@ class AsyncRuntime(Scheduler):
         """The counters-level tally of one run of counted messages, without
         its receive time; a send from outside every handler wakes the kernel."""
         self.trace.record_send_batch(payload, module, None, count)
+        self._wake()
+
+    def _push_local(self, time: float, kind: int, entry: tuple) -> None:
+        """Queue a message to self; one sent from outside every handler wakes
+        the kernel, like every other outside post."""
+        super()._push_local(time, kind, entry)
         self._wake()
 
     def set_timer(self, pid: int, at_units: float, name: str) -> None:

@@ -144,6 +144,9 @@ class SimEnv:
 class Scheduler:
     """Deterministic event loop shared by the protocol and database drivers."""
 
+    #: the pacing's name in a cluster report: run as fast as possible
+    backend = "sim"
+
     def __init__(
         self,
         n: int,
@@ -303,7 +306,7 @@ class Scheduler:
                         # queued first
                         self._post_run(run_time, run, payload, module)
                         run_time = run = None
-                    queue.push(
+                    self._push_local(
                         send_time, PRIORITY_DELIVERY, (src, dst, payload, msg_id, send_time)
                     )
                     continue
@@ -333,6 +336,10 @@ class Scheduler:
             self._msg_counter = msg_id
             if run:
                 self._post_run(run_time, run, payload, module)
+
+    def _push_local(self, time: float, kind: int, entry: tuple) -> None:
+        """Queue a message to self (the asyncio runtime also wakes its loop)."""
+        self._queue.push(time, kind, entry)
 
     def _post_run(self, time: float, run: list, payload: Any, module: str) -> None:
         """Queue a closed run of :meth:`send_many` at ``time`` and tally it.

@@ -27,11 +27,13 @@ def simple_transfer(txn_id="t1", submit_time=0.0):
 
 
 class TestClusterBasics:
-    def test_configuration_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_cluster(ClusterConfig(num_partitions=1), [simple_transfer()])
-        with pytest.raises(ConfigurationError):
-            run_cluster(ClusterConfig(num_partitions=3), [])
+    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
+    def test_configuration_validation(self, backend):
+        # one cluster, one rule: the same refusal text on both backends
+        with pytest.raises(ConfigurationError, match="at least 2 partitions"):
+            run_cluster(ClusterConfig(num_partitions=1), [simple_transfer()], backend)
+        with pytest.raises(ConfigurationError, match="the workload is empty"):
+            run_cluster(ClusterConfig(num_partitions=3), [], backend)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_single_transaction_commits_with_every_protocol(self, protocol):

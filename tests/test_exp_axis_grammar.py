@@ -10,6 +10,7 @@ that spelling the callable forms as names moved no byte.
 
 from __future__ import annotations
 
+import inspect
 import pickle
 
 import pytest
@@ -28,12 +29,12 @@ from repro.exp import (
     run_sweep,
     run_trial,
 )
-from repro.exp.registry import DELAYS
+from repro.exp.registry import DELAYS, WORKLOADS
 from repro.exp.spec import coerce_axis
 from repro.explore.strategies import RandomWalk
 from repro.sim.faults import DelayRule, FaultPlan
 from repro.sim.network import FixedDelay, LognormalDelay, UniformDelay
-from repro.workloads import bank_transfer_workload
+from repro.workloads import bank_transfer_workload, hotspot_workload, uniform_workload
 
 AXES = ("delays", "faults", "votes", "workloads", "schedules")
 
@@ -201,6 +202,9 @@ REJECTED = [
     ("votes", "one-no", ["'one-no'", "'pid'"]),
     ("votes", "fixed", ["'values'"]),
     ("workloads", ("w", "verbatim", {"transactions": [], "txns": []}), ["'w'", "'txns'"]),
+    ("workloads", ("w", "uniform", {"participants_per_tx": 2}), ["'w'", "'participants_per_tx'"]),
+    ("workloads", ("w", "hotspot", {"hot_key": 3}), ["'w'", "'hot_key'"]),
+    ("workloads", ("w", "bank-transfer", {"accounts": 5}), ["'w'", "'accounts'"]),
     # malformed sugar
     ("votes", "one-no:zero", ["malformed 'one-no:zero'"]),
     ("votes", "mixed:1.5", ["malformed 'mixed:1.5'", "[0, 1]"]),
@@ -287,6 +291,35 @@ class TestTheThreeDefects:
         with pytest.raises(ConfigurationError) as err:
             GridSpec(protocols=["2PC"], delays=[("u", "uniform", {"low": 0.2})])
         assert "delays['u']" in str(err.value) and "'low'" in str(err.value)
+
+    def test_unknown_workload_parameter_is_found_per_grid_not_per_trial(self):
+        """The workload builders used to take ``**params``, so the grid built
+        and every trial failed with a captured TypeError."""
+        with pytest.raises(ConfigurationError) as err:
+            GridSpec(
+                protocols=["2PC"],
+                systems=[(3, 1)],
+                workloads=[("w", "uniform", {"participants_per_tx": 2})],
+            )
+        assert "workloads['w']" in str(err.value)
+        assert "'participants_per_tx'" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "name,generator",
+        [
+            ("uniform", uniform_workload),
+            ("hotspot", hotspot_workload),
+            ("bank-transfer", bank_transfer_workload),
+        ],
+    )
+    def test_workload_builders_keep_their_generators_defaults(self, name, generator):
+        # a builder spells its generator's keywords out; a default that
+        # drifted from the generator's would move the bytes of every grid
+        builder = inspect.signature(WORKLOADS._entries[name][0]).parameters
+        own = inspect.signature(generator).parameters
+        shared = set(builder) - {"n", "seed", "transactions", "participants_per_txn"}
+        assert shared <= set(own)
+        assert {k: builder[k].default for k in shared} == {k: own[k].default for k in shared}
 
     def test_non_dict_params_on_delays_is_a_configuration_error(self):
         # it used to be a bare TypeError: 'int' object is not iterable

@@ -13,11 +13,10 @@ import asyncio
 
 import pytest
 
-from repro.db.cluster import ClusterConfig
+from repro.db.cluster import ClusterConfig, run_cluster
 from repro.db.transaction import Operation, Transaction
 from repro.obs import EventBus, MemorySink, MetricsRegistry
 from repro.runtime import AsyncClusterService
-from repro.runtime.cluster import run_cluster_async
 from repro.runtime.runtime import AsyncRuntime
 from repro.sim.faults import FaultPlan
 from repro.sim.network import LinkDelay, LinkPolicy
@@ -39,10 +38,22 @@ def config(**overrides):
     return ClusterConfig(**base)
 
 
+def run_service(config, transactions, *, metrics=None, events=None):
+    """A batch run (``run_cluster(backend="asyncio")``) with telemetry sinks."""
+
+    async def drive():
+        service = AsyncClusterService(config, metrics=metrics, events=events)
+        await service.start(transactions)
+        await service.wait_all_completed(config.max_time)
+        return await service.shutdown()
+
+    return asyncio.run(drive())
+
+
 class TestTransportMetrics:
     def test_sends_and_link_delays_are_counted(self):
         metrics = MetricsRegistry()
-        report = run_cluster_async(
+        report = run_service(
             config(
                 delay_model=LinkDelay(LinkPolicy(delay_units=0.3), metrics=metrics)
             ),
@@ -61,7 +72,7 @@ class TestTransportMetrics:
 
     def test_the_default_network_counts_sends_and_no_delays(self):
         metrics = MetricsRegistry()
-        report = run_cluster_async(config(), workload(), metrics=metrics)
+        report = run_service(config(), workload(), metrics=metrics)
         counters = metrics.snapshot().counters
         assert counters["transport.sends"] == report.messages_total
         assert "transport.delayed" not in counters
@@ -117,7 +128,7 @@ class TestTimerMetrics:
 
     def test_commit_run_arms_timers(self):
         metrics = MetricsRegistry()
-        run_cluster_async(config(), workload(), metrics=metrics)
+        run_service(config(), workload(), metrics=metrics)
         assert metrics.counter_value("runtime.timer_set") > 0
 
 
@@ -184,7 +195,7 @@ class TestClusterLifecycleTelemetry:
         # planned times exactly, under the names a crash by hand reports
         metrics = MetricsRegistry()
         sink = MemorySink()
-        report = run_cluster_async(
+        report = run_service(
             config(
                 commit_protocol="INBAC", commit_f=1, seed=5,
                 fault_plan=FaultPlan.crash_recover(2, at=20.0, rejoin_at=40.0),
@@ -217,8 +228,8 @@ class TestClusterLifecycleTelemetry:
         assert metrics.counter_value("cluster.retries") == retries
 
     def test_telemetry_is_pure_observation(self):
-        plain = run_cluster_async(config(), workload())
-        observed = run_cluster_async(
+        plain = run_cluster(config(), workload(), backend="asyncio")
+        observed = run_service(
             config(), workload(),
             metrics=MetricsRegistry(), events=EventBus([MemorySink()]),
         )

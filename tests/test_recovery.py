@@ -130,14 +130,17 @@ class TestSimRejoin:
         # the crash still happened: classification does not regress
         assert rejoined.execution_class == "crash-failure"
 
-    def test_client_coordinator_is_not_recoverable(self):
+    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
+    def test_client_coordinator_is_not_recoverable(self, backend):
         config = self.base_config(
             # pid 4 is the client in a 3-partition cluster
             fault_plan=FaultPlan.crash_recover(4, at=5.0, rejoin_at=10.0),
             commit_f=2,
         )
-        with pytest.raises(ConfigurationError, match="client coordinator"):
-            run_cluster(config, spaced_transfers())
+        with pytest.raises(
+            ConfigurationError, match="the client coordinator cannot rejoin"
+        ):
+            run_cluster(config, spaced_transfers(), backend)
 
     def test_retry_policy_resubmits_through_the_outage(self):
         workload = bank_transfer_workload(

@@ -263,6 +263,51 @@ class TestLiveService:
         # nothing prepared, so the surviving (empty) state is consistent
         assert report.invariants is not None and report.invariants.holds
 
+    def test_a_second_start_is_refused_before_it_touches_the_cluster(self):
+        """A second start used to rebind fresh, empty partitions and a new
+        client before the runtime refused it."""
+        [txn] = uniform_workload(
+            num_transactions=1, num_partitions=3, participants_per_txn=2, seed=0
+        ).transactions
+
+        async def drive():
+            service = AsyncClusterService(ClusterConfig(num_partitions=3, seed=0))
+            await service.start()
+            client = service.client
+            assert (await service.submit(txn, timeout_units=60.0)).decision == COMMIT
+            with pytest.raises(ConfigurationError, match="already started"):
+                await service.start()
+            assert service.client is client
+            return await service.shutdown()
+
+        report = asyncio.run(drive())
+        assert report.committed == 1
+        assert [pid for pid, store in report.store_snapshots.items() if store] == sorted(
+            txn.participants()
+        )
+
+    def test_submit_crash_and_rejoin_after_shutdown_are_refused(self):
+        """A submit after shutdown used to wait out its whole budget for None,
+        and a crash was a silent no-op."""
+        [txn] = uniform_workload(
+            num_transactions=1, num_partitions=2, participants_per_txn=2, seed=0
+        ).transactions
+
+        async def drive():
+            service = AsyncClusterService(ClusterConfig(num_partitions=2))
+            await service.start()
+            await service.shutdown()
+            with pytest.raises(ConfigurationError, match="shut down"):
+                await asyncio.wait_for(service.submit(txn), timeout=1.0)
+            for by_hand in (service.crash_partition, service.recover_partition):
+                with pytest.raises(ConfigurationError, match="shut down"):
+                    by_hand(1)
+            return service
+
+        service = asyncio.run(drive())
+        assert not service.runtime.is_down(1)
+        assert service.client.outcomes == {}
+
     def test_submit_before_start_rejected(self):
         async def drive():
             service = AsyncClusterService(ClusterConfig(num_partitions=2))
@@ -317,7 +362,7 @@ class TestRecovery:
                 service.recover_partition(99)
             with pytest.raises(ConfigurationError, match="nothing to recover"):
                 service.recover_partition(1)
-            with pytest.raises(ConfigurationError, match="client coordinator"):
+            with pytest.raises(ConfigurationError, match="client coordinator cannot rejoin"):
                 service.recover_partition(service.client_pid)
             service.crash_partition(1)
             with pytest.raises(ConfigurationError, match="already crashed"):
@@ -328,16 +373,6 @@ class TestRecovery:
             await service.shutdown()
 
         asyncio.run(drive())
-
-    def test_client_rejoin_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="client coordinator"):
-            AsyncClusterService(
-                ClusterConfig(
-                    num_partitions=2,
-                    # pid 3 is the client of a 2-partition cluster
-                    fault_plan=FaultPlan.crash_recover(3, at=5.0, rejoin_at=9.0),
-                )
-            )
 
     def test_crash_and_rejoin_commits_the_fault_free_transaction_set(self):
         # the acceptance scenario on the wall clock: P2 crashes in a quiet
@@ -941,6 +976,24 @@ class TestOutsidePosts:
             return seen
 
         assert asyncio.run(drive()) == [("deliver", (1, "outside"))]
+
+    def test_a_message_to_self_from_outside_wakes_the_kernel(self):
+        """It used to be queued at the kernel's last time with nothing arming
+        the loop handle, so it was never delivered."""
+
+        async def drive():
+            runtime = _probe_runtime()
+            await runtime.start()
+            await asyncio.sleep(runtime.unit)
+            runtime.env_for(1).send(1, "outside")
+            await asyncio.sleep(2.0 * runtime.unit)
+            seen = _seen(runtime.processes[1])
+            await runtime.stop()
+            return seen, runtime
+
+        seen, runtime = asyncio.run(drive())
+        assert seen == [("deliver", (1, "outside"))]
+        assert runtime.trace.message_count() == 0  # a message to self is uncounted
 
     @pytest.mark.parametrize("what", ["crash", "rejoin"])
     def test_crash_or_rejoin_inside_a_delivery_handler_is_refused(self, what):

@@ -12,6 +12,8 @@ its own drop/jitter/outage logic, its own posting path and its own
 classification rule) — each came back as a few innocent-looking lines, so
 they are refused by name here rather than noticed in a profile later.  So is a second ledger: what happened in a run is written
 once, into ``runtime.trace`` (docs/runtime.md, "What the runtime records").
+And so is a second cluster: partitions, client, WAL rejoin and report are
+``repro.db.cluster.Cluster``'s, which the service only paces.
 """
 
 from __future__ import annotations
@@ -108,6 +110,22 @@ def test_no_second_network():
     assert AsyncRuntime.send_many is Scheduler.send_many
     assert AsyncRuntime.execution_class is Scheduler.execution_class
     assert not hasattr(AsyncRuntime, "arrive")
+
+
+def test_no_second_cluster():
+    # the cluster is put together and reported once, by repro.db.cluster's
+    # Cluster; the service only paces it, and the batch run is run_cluster's
+    calls = sorted(
+        (filename, ast.unparse(node.func).split(".")[-1])
+        for filename, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1]
+        in ("bind_process", "set_recovery_factory", "ClusterReport")
+    )
+    assert calls == []
+    assert not hasattr(repro.runtime, "run_cluster_async")
+    assert "run_cluster_async" not in repro.runtime.__all__
 
 
 @pytest.mark.runtime
