@@ -17,8 +17,8 @@
 #      produce identical aggregate fingerprints;
 #   7. a profile-first smoke: a profiled n=200 sweep (REPRO_PROFILE=1) must
 #      dump cProfile data and `python -m repro.obs.profile` must fold it into
-#      a top-10 cumulative hot-spot report — the evidence any future perf PR
-#      starts from;
+#      a top-10 cumulative hot-spot report ending in the cycle-collector line
+#      — the evidence any future perf PR starts from;
 #   8. a schedule-exploration smoke: a small adversarial budget over INBAC
 #      (zero violations within the resilience bound) and 2PC (the known
 #      coordinator-crash termination violation, shrunk to <= 5 decisions),
@@ -119,8 +119,15 @@ grid = GridSpec(protocols=["INBAC"], systems=[(200, 40)], seeds=range(2),
 agg = run_sweep(grid, workers=1, mode="aggregate")
 assert agg.error_count == 0, agg.sample_errors
 EOF
-python -m repro.obs.profile "${profile_dir}" --sort cumulative --limit 10
+report=$(python -m repro.obs.profile "${profile_dir}" --sort cumulative --limit 10)
 rm -rf "${profile_dir}"
+echo "${report}"
+# the collector's time is charged to whatever frame allocated: only this line
+# shows it
+if ! grep -q '^cycle collector: [0-9]* collections, ' <<< "${report}"; then
+    echo "ERROR: the profile report has no cycle-collector line" >&2
+    exit 1
+fi
 
 echo "==> [8/13] schedule-exploration smoke (adversarial search + replay)"
 python - <<'EOF'

@@ -48,6 +48,10 @@ class ConsensusComponent(ProcessComponent):
     def has_decided(self) -> bool:
         return self.decided
 
+    def release(self) -> None:
+        super().release()
+        self.on_decide = None
+
     # -- shared plumbing -------------------------------------------------- #
     def _deliver_decision(self, value: Any) -> None:
         """Record the decision and fire the host callback exactly once."""

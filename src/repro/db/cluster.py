@@ -302,11 +302,12 @@ class Cluster:
             return None
         server = self._partition(pid)
         replayed = server.recover_from_wal(old.wal, coordinator=self.client_pid)
+        old.release()  # nothing runs the crashed incarnation again
         self.recovery_events.append(
             RecoveryEvent(
                 pid=pid,
                 crashed_at=kernel.trace.crashes.get(pid, 0.0),
-                rejoined_at=kernel.clock.time_to_units(kernel.clock.now),
+                rejoined_at=kernel.clock.now,
                 replayed_transactions=replayed,
                 in_doubt_at_rejoin=tuple(server.wal.in_doubt()),
             )
@@ -401,9 +402,13 @@ def run_cluster(
     cluster = Cluster(
         config, Scheduler, max_time=config.max_time, trace_level=config.trace_level
     )
+    kernel = cluster.kernel
     client = cluster.bind(transactions)
-    for process in cluster.kernel.processes.values():
+    for process in kernel.processes.values():
         process.on_start()
-    cluster.kernel.set_stop_predicate(lambda _: client.all_completed())
-    cluster.kernel.run()
-    return cluster.report()
+    # the outcome that completes the workload stops the run after its event
+    client.on_outcome = lambda _: client.all_completed() and kernel.stop()
+    kernel.run()
+    report = cluster.report()
+    kernel.release()
+    return report

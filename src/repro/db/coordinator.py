@@ -122,8 +122,7 @@ class ClientCoordinator(Process):
         self.tracer = tracer
         self.outcomes: Dict[str, TransactionOutcome] = {}
         #: submitted transactions still waiting for their first DONE; what
-        #: all_completed() answers from, so the simulator's per-event stop
-        #: predicate does not re-walk ``outcomes``
+        #: all_completed() answers from, so it never re-walks ``outcomes``
         self._incomplete = 0
         #: resubmissions per transaction id (only transactions that retried)
         self.retry_counts: Dict[str, int] = {}
@@ -257,6 +256,11 @@ class ClientCoordinator(Process):
             self.tracer.end(self.pid, txn_id, "txn", self.now(), decision=decision)
         if self.on_outcome is not None:
             self.on_outcome(outcome)
+
+    def release(self) -> None:
+        """Also drop the outcome hook, which closes over this run."""
+        super().release()
+        self.on_outcome = None
 
     # ------------------------------------------------------------------ #
     # queries used by the cluster driver

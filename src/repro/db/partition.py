@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.db.conflict import ConflictDetector
 from repro.db.locks import LockManager, LockMode
 from repro.db.store import VersionedStore
 from repro.db.wal import ABORT as WAL_ABORT
@@ -136,7 +135,6 @@ class PartitionServer(Process):
         self.store = VersionedStore()
         self.locks = LockManager()
         self.wal = WriteAheadLog()
-        self.conflicts = ConflictDetector()
         self.commit_protocol = commit_protocol
         self.commit_f = commit_f
         self.protocol_kwargs = dict(protocol_kwargs or {})
@@ -159,6 +157,14 @@ class PartitionServer(Process):
         data-layer face of a termination violation.
         """
         return self.wal.in_doubt()
+
+    def release(self) -> None:
+        """Also cut every embedded commit instance's edge back to this server."""
+        super().release()
+        for pending in self.transactions.values():
+            if pending.instance is not None:
+                pending.instance.release()
+                pending.instance.env.host = None
 
     # ------------------------------------------------------------------ #
     # event handlers
@@ -245,7 +251,6 @@ class PartitionServer(Process):
         vote = COMMIT if granted else ABORT
         if not granted:
             self.statistics["vote_no"] += 1
-        self.conflicts.begin(txn_id, reads=set(reads), writes=set(writes))
         self.wal.append(
             WAL_PREPARE,
             txn_id,
@@ -317,7 +322,6 @@ class PartitionServer(Process):
             self.wal.append(WAL_ABORT, txn_id, timestamp=self.now())
             self.statistics["aborted"] += 1
         self.locks.release_all(txn_id)
-        self.conflicts.finish(txn_id)
         if self.tracer is not None:
             self.tracer.end(self.pid, txn_id, "decision", self.now(), decision=decision)
         self.send(pending.coordinator, ("DONE", txn_id, decision, self.now()))
@@ -343,7 +347,6 @@ class PartitionServer(Process):
         self.store = VersionedStore()
         wal.replay(self.store)
         self.locks = LockManager()
-        self.conflicts = ConflictDetector()
         self.transactions = {}
         self._early_messages = {}
         self._recovery_coordinator = coordinator
@@ -414,7 +417,6 @@ class PartitionServer(Process):
             self.wal.append(WAL_ABORT, txn_id, timestamp=self.now())
             self.statistics["aborted"] += 1
         self.locks.release_all(txn_id)
-        self.conflicts.finish(txn_id)
         if self.tracer is not None:
             self.tracer.end(self.pid, txn_id, "OUTCOME?", self.now(), decision=decision)
         if self._recovery_coordinator is not None:

@@ -135,6 +135,10 @@ class ProcessComponent:
     def now(self) -> float:
         return self.host.env.now()
 
+    def release(self) -> None:
+        """Drop the edge back to the host (see :meth:`Process.release`)."""
+        self.host = None
+
     # -- incoming ------------------------------------------------------- #
     def on_deliver(self, src: int, payload: Any) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -274,6 +278,18 @@ class Process:
         cancelled and the network accepts its traffic.  Recovery-aware
         processes re-arm timers and issue termination queries here.
         """
+
+    def release(self) -> None:
+        """Cut the edges from this process' parts back to it; the run is over.
+
+        A component holds its host (and a consensus component a bound method
+        of it), so a process with components is a reference cycle of its
+        own.  The hosting runtime calls this once nothing will run the
+        process again (:meth:`repro.sim.runner.Scheduler.release`); its state
+        stays readable.  Subclasses holding more such edges cut them too.
+        """
+        for component in self._components.values():
+            component.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(P{self.pid}, n={self.n}, f={self.f})"

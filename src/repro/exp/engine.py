@@ -50,7 +50,9 @@ Design constraints, in order:
    still materialised (lightweight frozen records sharing their axis-spec
    objects, inherited by workers via fork, not copied) — it is the per-trial
    measurement records, orders of magnitude heavier, that streaming never
-   holds.
+   holds.  A pool submits at most ``2 * workers`` chunks ahead of the one the
+   parent consumes, so neither its futures nor the finished chunks waiting
+   for their turn grow with the sweep.
 
 5. **Worker-side chunk folds.**  ``fold=`` decides only what a pooled chunk
    ships back.  With the default :class:`~repro.exp.results.SweepAggregate`
@@ -99,13 +101,15 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import functools
 import multiprocessing
 import os
 import pickle
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.checker import check_nbac
 from repro.errors import ConfigurationError, SweepError
@@ -126,6 +130,9 @@ _MIN_TRIALS_FOR_POOL = 4
 #: cap on the pool chunk size, so a worker never buffers an unbounded slice
 #: of results (or folds an unbounded chunk) before shipping back to the parent
 _MAX_CHUNK = 64
+
+#: chunks a pool may hold submitted but not yet consumed, per worker
+_WINDOW_PER_WORKER = 2
 
 #: what run_trials/run_sweep accept for mode=, fold= and start_method=
 _MODES = ("full", "aggregate")
@@ -228,7 +235,11 @@ def run_trial(
     replay = None
     if controller is not None:
         replay = (trace.metadata.get("schedule_decisions", []), trace.fingerprint())
-    return _attach_extras(base, trial, collector, result, replay)
+    _attach_extras(base, trial, collector, result, replay)
+    # after the collector saw the live processes: reference counting, not
+    # the cycle collector, frees the finished run
+    result.release()
+    return base
 
 
 def _attach_extras(
@@ -417,6 +428,28 @@ def _run_chunk(
     return out
 
 
+def _in_order(
+    submit: Callable[[int], Any], n_chunks: int, window: int
+) -> Iterator[Any]:
+    """Yield the results of chunks ``0..n_chunks-1`` in chunk order.
+
+    ``submit(index)`` returns a future.  At most ``window`` chunks are ever
+    submitted and not yet consumed — the next one is submitted when the
+    caller comes back for more — so a 10^6-trial sweep keeps a few futures
+    in flight, not one per chunk.
+    """
+    pending = collections.deque()
+    submitted = 0
+    while submitted < n_chunks and len(pending) < window:
+        pending.append(submit(submitted))
+        submitted += 1
+    while pending:
+        yield pending.popleft().result()
+        if submitted < n_chunks:
+            pending.append(submit(submitted))
+            submitted += 1
+
+
 def _progress_emitter(
     progress: Optional[Any], job: _Job, workers: int, mode: str
 ) -> Callable[[str, int], None]:
@@ -588,7 +621,8 @@ def run_trials(
     each: in-process on chunks of one trial when serial (``workers=1``,
     fewer than 4 trials, or no usable start method), otherwise through one
     pool of ``workers`` processes on chunks of
-    ``max(1, min(64, len(trials) // (workers * 4)))`` trials.  One loop
+    ``max(1, min(64, len(trials) // (workers * 4)))`` trials, at most
+    ``2 * workers`` chunks submitted ahead of the one consumed.  One loop
     consumes the chunks in chunk (= trial-index) order into the sink: the
     ``reducer``, a :class:`~repro.exp.results.SweepAggregate`
     (``mode="aggregate"``), or the list that becomes the
@@ -686,7 +720,11 @@ def run_trials(
                 # cancel_futures: on the way out by an exception the pending
                 # chunks are dropped, not run to completion before it surfaces
                 stack.callback(executor.shutdown, cancel_futures=True)
-                parts = executor.map(_run_chunk, range(job.n_chunks))
+                parts = _in_order(
+                    functools.partial(executor.submit, _run_chunk),
+                    job.n_chunks,
+                    _WINDOW_PER_WORKER * n_workers,
+                )
             else:
                 stack.enter_context(_maybe_profiled("serial"))
                 parts = (_run_chunk(index, job) for index in range(job.n_chunks))

@@ -3,8 +3,10 @@
 Time is a non-negative float.  By convention protocols express timer deadlines
 in *units* of the known message-delay upper bound ``U`` (the paper's Section 2
 assumes "one unit at the timer at every process is set to the known upper
-bound of the message delay"), and the simulator converts units to absolute
-virtual time through the clock's ``unit`` attribute.
+bound of the message delay"), and one unit of virtual time *is* one ``U``:
+timer units, message delays and virtual time coincide, which makes the
+paper's complexity accounting ("number of message delays") directly readable
+off decision timestamps.
 """
 
 from __future__ import annotations
@@ -13,25 +15,11 @@ from repro.errors import SimulationError
 
 
 class VirtualClock:
-    """Monotonically advancing virtual clock.
+    """Monotonically advancing virtual clock, in units of ``U``."""
 
-    Parameters
-    ----------
-    unit:
-        The duration, in virtual-time units, of one "timer unit".  This is the
-        known upper bound ``U`` on message transmission delay of the
-        synchronous system being simulated.  Defaults to ``1.0`` so that timer
-        units, message delays and virtual time coincide, which makes the
-        paper's complexity accounting ("number of message delays") directly
-        readable off decision timestamps.
-    """
+    __slots__ = ("_now",)
 
-    __slots__ = ("unit", "_now")
-
-    def __init__(self, unit: float = 1.0):
-        if unit <= 0:
-            raise SimulationError(f"clock unit must be positive, got {unit}")
-        self.unit = float(unit)
+    def __init__(self) -> None:
         self._now = 0.0
 
     @property
@@ -52,17 +40,9 @@ class VirtualClock:
             )
         self._now = max(self._now, t)
 
-    def units_to_time(self, units: float) -> float:
-        """Convert a duration expressed in timer units to virtual time."""
-        return units * self.unit
-
-    def time_to_units(self, t: float) -> float:
-        """Convert a virtual-time duration to timer units."""
-        return t / self.unit
-
     def reset(self) -> None:
         """Reset the clock to time zero (used when a simulation is reused)."""
         self._now = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(now={self._now}, unit={self.unit})"
+        return f"VirtualClock(now={self._now})"

@@ -78,6 +78,7 @@ builds its replayable :class:`~repro.explore.ScheduleTrace`.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import random
@@ -138,7 +139,7 @@ class SimEnv:
         self._scheduler.record_decision(self.pid, value)
 
     def now(self) -> float:
-        return self._scheduler.clock.time_to_units(self._scheduler.clock.now)
+        return self._scheduler.clock._now
 
 
 class Scheduler:
@@ -172,7 +173,7 @@ class Scheduler:
         self.seed = seed
         self.max_time = max_time
         self.trace_level = trace_level
-        self.clock = VirtualClock(unit=1.0)
+        self.clock = VirtualClock()
         self.network = Network(delay_model or FixedDelay(1.0))
         self.fault_plan = fault_plan or FaultPlan.failure_free()
         self.fault_plan.validate(n, f)
@@ -230,11 +231,13 @@ class Scheduler:
         self._recovery_factory: Optional[
             Callable[[int, "Scheduler", Process], Optional[Process]]
         ] = None
-        # schedule crashes (and planned rejoins) up front
+        # schedule crashes (and planned rejoins) up front; every queue key is
+        # a float, so every time the trace records is one (an int key would
+        # turn 2.0 into 2 in the fingerprint JSON)
         for pid, at in self.fault_plan.crashes.items():
-            self._queue.push(at, PRIORITY_CRASH, (pid,))
+            self._queue.push(float(at), PRIORITY_CRASH, (pid,))
         for pid, at in self.fault_plan.recoveries.items():
-            self._queue.push(at, PRIORITY_RECOVER, (pid,))
+            self._queue.push(float(at), PRIORITY_RECOVER, (pid,))
 
     # ------------------------------------------------------------------ #
     # wiring
@@ -254,7 +257,7 @@ class Scheduler:
     # event production
     # ------------------------------------------------------------------ #
     def post_propose(self, pid: int, value: Any, at: float = 0.0) -> None:
-        self._queue.push(at, PRIORITY_PROPOSE, (pid, value))
+        self._queue.push(float(at), PRIORITY_PROPOSE, (pid, value))
 
     def post_message(self, src: int, dst: int, payload: Any, module: str = "main") -> None:
         """Send one message: :meth:`send_many` to a single destination."""
@@ -362,7 +365,7 @@ class Scheduler:
         """Arm (or re-arm) the named timer; re-arming supersedes the pending fire."""
         token = next(self._timer_tokens)
         self._timers[(pid, name)] = token
-        fire_time = max(self.clock.now, self.clock.units_to_time(at_units))
+        fire_time = max(self.clock.now, float(at_units))
         self._queue.push(fire_time, PRIORITY_TIMER, (pid, name, token))
 
     def cancel_timer(self, pid: int, name: str) -> None:
@@ -374,7 +377,7 @@ class Scheduler:
             raise ProtocolViolationError(
                 f"P{pid} attempted to decide twice (integrity violation)"
             )
-        self.trace.record_decision(pid, value, self.clock.time_to_units(self.clock.now))
+        self.trace.record_decision(pid, value, self.clock.now)
         if self._correct_pids is not None and pid in self._correct_pids:
             self._undecided_correct -= 1
 
@@ -513,13 +516,13 @@ class Scheduler:
                         del timers[key]
                         process = processes.get(pid)
                         if process is not None and not process.crashed:
-                            trace.record_timer(pid, name, clock.time_to_units(time))
+                            trace.record_timer(pid, name, time)
                             process.timeout(name)
                 elif kind == PRIORITY_PROPOSE:
                     pid, value = entry
                     process = processes.get(pid)
                     if process is not None and not process.crashed:
-                        trace.record_proposal(pid, value, clock.time_to_units(time))
+                        trace.record_proposal(pid, value, time)
                         process.on_propose(value)
                 elif kind == PRIORITY_CRASH:
                     self._crash(entry[0], time)
@@ -541,11 +544,32 @@ class Scheduler:
                     # the handler queued something at the current time: a
                     # lower kind may now pre-empt the rest of this FIFO
                     break
-        trace.end_time = clock.time_to_units(clock.now)
+        trace.end_time = clock.now
         return trace
 
     def stop(self) -> None:
         self._stopped = True
+
+    def release(self) -> None:
+        """Cut the edges that make a finished run one reference cycle.
+
+        A run is a cycle: this kernel holds its processes and envs, every
+        env holds this kernel, and a stop predicate or recovery factory
+        usually closes over something that holds it too.  Without the cut a
+        dead run is freed only when the cycle collector traces it.  This
+        drops the kernel's side of each edge, and each process cuts its own
+        (:meth:`repro.env.Process.release`), so reference counting frees the
+        run once its last outside holder lets go.  The record, the queue and
+        every process' state stay as they are: callers that still hold the
+        processes (a :class:`SimulationResult`) can read them, but not run
+        them.  Call it once the run is inspected; nothing calls it for you.
+        """
+        for process in self.processes.values():
+            process.release()
+        self.processes = {}
+        self.envs = {}
+        self._stop_predicate = None
+        self._recovery_factory = None
 
     # ------------------------------------------------------------------ #
     # schedule control (exploration subsystem; see module docstring)
@@ -617,7 +641,7 @@ class Scheduler:
         if process is not None and not process.crashed:
             process.crashed = True
             process.on_crash()
-        self.trace.record_crash(pid, self.clock.time_to_units(time))
+        self.trace.record_crash(pid, time)
 
     def can_inject_crash(self, pid: int) -> bool:
         """Whether crashing ``pid`` now stays within the fault budget ``f``."""
@@ -641,7 +665,7 @@ class Scheduler:
             return False
         self._crash_budget -= 1
         self._injected_crashes.add(pid)
-        self._crash(pid, self.clock.now if at is None else max(self.clock.now, at))
+        self._crash(pid, self.clock.now if at is None else max(self.clock.now, float(at)))
         if self._correct_pids is not None and pid in self._correct_pids:
             self._correct_pids = self._correct_pids - {pid}
             if pid not in self.trace.decisions:
@@ -691,7 +715,7 @@ class Scheduler:
             replacement = built
         replacement.crashed = False
         self.processes[pid] = replacement
-        self.trace.record_recovery(pid, self.clock.time_to_units(self.clock.now))
+        self.trace.record_recovery(pid, self.clock.now)
         replacement.on_recover()
         return True
 
@@ -727,12 +751,19 @@ class SimulationResult:
 
     trace: Trace
     processes: Dict[int, Process] = field(default_factory=dict)
+    #: the kernel that ran the execution, for :meth:`release`
+    scheduler: Optional[Scheduler] = field(default=None, repr=False, compare=False)
 
     def process(self, pid: int) -> Process:
         return self.processes[pid]
 
     def decisions(self) -> Dict[int, Any]:
         return {pid: rec.value for pid, rec in self.trace.decisions.items()}
+
+    def release(self) -> None:
+        """Let reference counting free the run (:meth:`Scheduler.release`)."""
+        if self.scheduler is not None:
+            self.scheduler.release()
 
 
 class Simulation:
@@ -776,29 +807,22 @@ class Simulation:
             )
         self.n = n
         self.f = f
-        self._process_class = process_class
-        self._process_factory = process_factory
-        self._protocol_kwargs = dict(protocol_kwargs or {})
         self._delay_model = delay_model
         self._fault_plan = fault_plan
         self._seed = seed
         self._max_time = max_time
         self._stop_when_decided = stop_when_all_correct_decided
         self._trace_level = trace_level
-        self._factory = self._make_factory()
+        # a partial, not a closure over self: the cell's Simulation stays
+        # acyclic, so a sweep's memo drops it by reference counting
+        self._factory = (
+            process_factory
+            if process_factory is not None
+            else functools.partial(process_class, **(protocol_kwargs or {}))
+        )
         self._protocol_name = (
             process_class.__name__ if process_class is not None else "custom"
         )
-
-    def _make_factory(self) -> ProcessFactory:
-        if self._process_factory is not None:
-            return self._process_factory
-        cls = self._process_class
-
-        def factory(pid: int, n: int, f: int, env: SimEnv) -> Process:
-            return cls(pid, n, f, env, **self._protocol_kwargs)
-
-        return factory
 
     def run(
         self,
@@ -864,7 +888,9 @@ class Simulation:
             trace.metadata["schedule_decisions"] = list(
                 scheduler.applied_schedule_actions
             )
-        return SimulationResult(trace=trace, processes=scheduler.processes)
+        return SimulationResult(
+            trace=trace, processes=scheduler.processes, scheduler=scheduler
+        )
 
 
 def run_nice_execution(

@@ -23,6 +23,7 @@ import pytest
 
 from repro.errors import SweepError
 from repro.exp import GridSpec, SweepAggregate, named_fault, run_sweep, run_trials
+from repro.exp.engine import _in_order
 from repro.obs import CollectingProgress
 
 TRIALS = 48
@@ -213,6 +214,63 @@ class TestEdges:
         del trials
         gc.collect()
         assert witness() is None, "a TrialSpec outlived its serial sweep"
+
+
+class _Done:
+    """A finished future: what ``_in_order`` needs of one."""
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def result(self):
+        return self.value
+
+
+class TestSubmissionWindow:
+    """A pool submits at most ``2 * workers`` chunks ahead of the one consumed."""
+
+    @pytest.mark.parametrize("n_chunks", [0, 1, 3, 4, 11])
+    def test_in_order_never_runs_more_than_the_window_ahead(self, n_chunks):
+        window, submitted, consumed, ahead = 4, [], [], []
+
+        def submit(index):
+            submitted.append(index)
+            ahead.append(len(submitted) - len(consumed))
+            return _Done(index * 10)
+
+        for part in _in_order(submit, n_chunks, window):
+            consumed.append(part)
+        assert consumed == [index * 10 for index in range(n_chunks)]
+        assert submitted == list(range(n_chunks))
+        assert max(ahead, default=0) == min(window, n_chunks)
+
+    @needs_fork
+    def test_a_pooled_sweep_keeps_two_chunks_per_worker_in_flight(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        submitted, ahead, consumed = [], [], [0]
+        real_submit = ProcessPoolExecutor.submit
+
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args[0])
+            ahead.append(len(submitted) - consumed[0])
+            return real_submit(self, fn, *args, **kwargs)
+
+        def progress(event):
+            consumed[0] = event.chunks_done
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        workers = 2
+        sweep_grid = GridSpec(protocols=["2PC"], systems=[(4, 1)], seeds=range(64))
+        with alarm(60):
+            result = run_sweep(
+                sweep_grid, workers=workers, start_method="fork", progress=progress
+            )
+        assert result.meta["mode"] == "parallel"
+        n_chunks = -(-64 // (64 // (workers * 4)))
+        assert submitted == list(range(n_chunks)) and n_chunks > 2 * workers
+        assert max(ahead) == 2 * workers
+        assert [t.index for t in result.trials] == list(range(64))
 
 
 # --------------------------------------------------------------------------- #

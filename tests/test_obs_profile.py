@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import glob
+import json
 import os
+import re
 
 import pytest
 
@@ -12,6 +15,21 @@ from repro.obs import profile
 
 def _burn():
     return sum(i * i for i in range(2000))
+
+
+def _cycles(count: int = 200) -> int:
+    """Leave ``count`` two-object cycles behind and collect them."""
+    for _ in range(count):
+        first, second = [], []
+        first.append(second)
+        second.append(first)
+    return gc.collect()
+
+
+COLLECTOR_LINE = re.compile(
+    r"^cycle collector: (\d+) collections, (\d+\.\d) ms \((\d+\.\d) % of profiled wall\)$",
+    re.MULTILINE,
+)
 
 
 class TestEnvironmentGate:
@@ -85,3 +103,48 @@ class TestCli:
         assert profile.main([str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert profile.ENV_FLAG in err
+
+
+class TestCycleCollector:
+    def test_each_unit_records_its_collections_beside_the_dump(self, tmp_path):
+        directory = str(tmp_path / "prof")
+        with profile.profiled("chunk", directory=directory):
+            assert _cycles() >= 400
+        (prof,) = glob.glob(os.path.join(directory, "*.prof"))
+        with open(prof[: -len(".prof")] + profile.GC_SUFFIX) as handle:
+            unit = json.load(handle)
+        assert unit["collections"] >= 1
+        assert 0.0 < unit["collector_s"] <= unit["wall_s"]
+
+    def test_the_hook_is_removed_when_the_block_ends(self, tmp_path):
+        before = list(gc.callbacks)
+        with pytest.raises(RuntimeError):
+            with profile.profiled("boom", directory=str(tmp_path)):
+                raise RuntimeError("work failed")
+        assert gc.callbacks == before
+
+    def test_fold_sums_every_unit(self, tmp_path):
+        directory = str(tmp_path / "prof")
+        for _ in range(3):
+            with profile.profiled("chunk", directory=directory):
+                _cycles()
+        totals = profile.fold_collector(directory)
+        assert totals["collections"] >= 3
+        assert 0.0 < totals["collector_s"] <= totals["wall_s"]
+        assert profile.fold_collector(str(tmp_path)) is None
+
+    def test_the_line_states_count_time_and_share(self):
+        line = profile.render_collector(
+            {"collections": 7, "collector_s": 0.0125, "wall_s": 0.25}
+        )
+        assert line == "cycle collector: 7 collections, 12.5 ms (5.0 % of profiled wall)"
+
+    def test_the_cli_ends_its_report_with_the_line(self, tmp_path, capsys):
+        directory = str(tmp_path / "prof")
+        with profile.profiled("chunk", directory=directory):
+            _cycles()
+        assert profile.main([directory, "--limit", "3"]) == 0
+        out = capsys.readouterr().out
+        (match,) = COLLECTOR_LINE.finditer(out)
+        assert int(match.group(1)) >= 1
+        assert out.rstrip().endswith(match.group(0))

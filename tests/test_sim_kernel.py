@@ -22,22 +22,18 @@ class TestVirtualClock:
     def test_starts_at_zero(self):
         assert VirtualClock().now == 0.0
 
-    def test_advance_and_unit_conversion(self):
-        clock = VirtualClock(unit=2.0)
+    def test_advance_moves_now(self):
+        clock = VirtualClock()
         clock.advance_to(6.0)
         assert clock.now == 6.0
-        assert clock.units_to_time(3) == 6.0
-        assert clock.time_to_units(6.0) == 3.0
+        clock.advance_to(6.0)  # standing still is not moving backwards
+        assert clock.now == 6.0
 
     def test_cannot_move_backwards(self):
         clock = VirtualClock()
         clock.advance_to(5.0)
         with pytest.raises(SimulationError):
             clock.advance_to(4.0)
-
-    def test_invalid_unit_rejected(self):
-        with pytest.raises(SimulationError):
-            VirtualClock(unit=0)
 
     def test_reset(self):
         clock = VirtualClock()
@@ -105,6 +101,19 @@ class TestEventOrdering:
         scheduler.post_propose(1, "vote", at=1.0)
         scheduler.run()
         assert [entry[1] for entry in log] == ["propose", "deliver"]
+
+    def test_int_times_are_recorded_as_floats(self):
+        # one unit of virtual time is one U: nothing converts a time, so the
+        # kernel floats every queue key itself — an int would print as 2, not
+        # 2.0, in the fingerprint JSON
+        scheduler, log = self.scheduler(FaultPlan.crash(3, at=2))
+        scheduler.post_propose(1, "vote", at=1)
+        scheduler.set_timer(2, 3, "timer")
+        trace = scheduler.run()
+        assert [entry[3] for entry in log] == [1.0, 3.0]
+        assert all(type(entry[3]) is float for entry in log)
+        assert repr(trace.crashes) == "{3: 2.0}"
+        assert repr(trace.end_time) == "3.0"
 
     def test_equal_time_and_kind_fire_in_post_order(self):
         scheduler, log = self.scheduler()
