@@ -15,10 +15,12 @@
 #   6. a small sweep-throughput perf smoke: the core must emit its JSON
 #      baseline and every core configuration (trace levels, fold paths) must
 #      produce identical aggregate fingerprints;
-#   7. a profile-first smoke: a profiled n=200 sweep (REPRO_PROFILE=1) must
-#      dump cProfile data and `python -m repro.obs.profile` must fold it into
-#      a top-10 cumulative hot-spot report ending in the cycle-collector line
-#      — the evidence any future perf PR starts from;
+#   7. a profile-first smoke (scripts/profile_smoke.sh): a profiled n=200
+#      sweep (REPRO_PROFILE=1) must dump cProfile data and `python -m
+#      repro.obs.profile` must fold it into a top-10 cumulative hot-spot
+#      report ending in the cycle-collector line — the evidence any future
+#      perf PR starts from — and that line must count at most 4 collections
+#      (trials run with the collector paused);
 #   8. a schedule-exploration smoke: a small adversarial budget over INBAC
 #      (zero violations within the resilience bound) and 2PC (the known
 #      coordinator-crash termination violation, shrunk to <= 5 decisions),
@@ -108,26 +110,8 @@ rm -f "${bench_out}"
 
 echo "==> [7/13] profile-first smoke (cProfile top-10 hot spots, n=200)"
 # measure before optimising: profile the heavy grid point the throughput
-# work targets and print where the cycles actually go.  REPRO_PROFILE dumps
-# one .prof per unit of work; the report folds them all.
-profile_dir=$(mktemp -d)
-REPRO_PROFILE=1 REPRO_PROFILE_DIR="${profile_dir}" python - <<'EOF'
-from repro.exp import GridSpec, run_sweep
-
-grid = GridSpec(protocols=["INBAC"], systems=[(200, 40)], seeds=range(2),
-                max_time=1000)
-agg = run_sweep(grid, workers=1, mode="aggregate")
-assert agg.error_count == 0, agg.sample_errors
-EOF
-report=$(python -m repro.obs.profile "${profile_dir}" --sort cumulative --limit 10)
-rm -rf "${profile_dir}"
-echo "${report}"
-# the collector's time is charged to whatever frame allocated: only this line
-# shows it
-if ! grep -q '^cycle collector: [0-9]* collections, ' <<< "${report}"; then
-    echo "ERROR: the profile report has no cycle-collector line" >&2
-    exit 1
-fi
+# work targets and print where the cycles actually go
+bash scripts/profile_smoke.sh
 
 echo "==> [8/13] schedule-exploration smoke (adversarial search + replay)"
 python - <<'EOF'

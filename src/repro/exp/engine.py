@@ -104,6 +104,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
+import gc
 import multiprocessing
 import os
 import pickle
@@ -179,7 +180,27 @@ def run_trial(
 
     ``trace_level`` overrides the trial's own level; with both unset the
     trial runs at ``"full"``.  Measurements are identical at either level.
+
+    The cycle collector is paused for the whole call — build, run, check,
+    ``collector`` and release — and left as it was found on the way out.  A
+    finished trial is freed by reference counting
+    (:meth:`~repro.sim.runner.Scheduler.release`), so a collection inside
+    the trial could only trace the trial's live objects; the cyclic garbage
+    a trial does leave (a failed run, a traceback) goes at the first
+    collection after it, so memory stays bounded by one trial.
     """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_trial(trial, collector, trace_level)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run_trial(
+    trial: TrialSpec, collector: Optional[Collector], trace_level: Optional[str]
+) -> TrialResult:
     level = _effective_level(trial, trace_level, "full")
     seed = trial.derived_seed
     base = TrialResult(

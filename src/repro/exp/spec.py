@@ -48,8 +48,8 @@ bare ``"name"`` is its own label; a bare plan is labelled by its
 ``description``.  Names resolve against :mod:`repro.exp.registry`
 (``register_delay_model`` / ``register_fault_plan`` / ``register_vote_pattern``
 / ``register_workload``; ``schedules``: :mod:`repro.explore.strategies`) when
-the grid is constructed — an unknown name, or a parameter the builder does
-not take (a strategy takes its own per trial), is a
+the grid is constructed — an unknown name, or a parameter the builder (or
+the strategy class) does not take, is a
 :class:`~repro.errors.ConfigurationError` there, not a per-trial failure.
 **Callables and delay-model instances are not axis values**: register the
 builder at import time and name it.  The only closures a grid can carry are
@@ -64,6 +64,7 @@ directly with :func:`make_cases`.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -155,8 +156,10 @@ class ScheduleSpec:
 
     The same shape as :class:`NamedSpec` with the name field called
     ``strategy``, checked against :mod:`repro.explore.strategies` when the
-    spec is written.  ``build(seed)`` returns a fresh controller seeded with
-    the trial's derived seed (controllers are single-use).
+    spec is written: the name must be registered and ``params`` must bind to
+    the strategy class's signature.  ``build(seed)`` returns a fresh
+    controller seeded with the trial's derived seed (controllers are
+    single-use).
     """
 
     label: str
@@ -168,10 +171,19 @@ class ScheduleSpec:
         # sim layer and is only needed by grids that actually explore
         from repro.explore.strategies import strategy_class
 
+        where = f"schedules[{self.label!r}]"
         try:
-            strategy_class(self.strategy)
+            signature = inspect.signature(strategy_class(self.strategy))
         except ConfigurationError as exc:
-            raise ConfigurationError(f"schedules[{self.label!r}]: {exc}") from None
+            raise ConfigurationError(f"{where}: {exc}") from None
+        # parameter names only, as Registry.check: a value the strategy
+        # refuses (a probability outside [0, 1]) still fails per trial
+        try:
+            signature.bind(seed=0, **dict(self.params))
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"{where}: schedule strategy {self.strategy!r}: {exc}"
+            ) from None
 
     def strategy_params(self) -> Dict[str, Any]:
         return dict(self.params)

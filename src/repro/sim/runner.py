@@ -210,7 +210,6 @@ class Scheduler:
         self._timers: Dict[tuple, int] = {}
         self._timer_tokens = itertools.count(1)
         self._stopped = False
-        self._stop_predicate: Optional[Callable[["Scheduler"], bool]] = None
         # all-correct-decided stop condition as a decremented counter (see
         # stop_when_all_correct_decided); None = not armed
         self._correct_pids: Optional[frozenset] = None
@@ -384,9 +383,6 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     # the loop
     # ------------------------------------------------------------------ #
-    def set_stop_predicate(self, predicate: Optional[Callable[["Scheduler"], bool]]) -> None:
-        self._stop_predicate = predicate
-
     def stop_when_all_correct_decided(self) -> None:
         """Stop the loop once every never-crashing process has decided.
 
@@ -419,9 +415,9 @@ class Scheduler:
         stands for, by the same code.  The max_time check peeks: an overdue
         event stays queued, so raising ``max_time`` and calling ``run()``
         again resumes the execution without losing it; the same holds after
-        ``stop()``, the stop predicate or a handler that raised.  A schedule
-        controller, when attached, is consulted between the pop and the
-        clock advance; runs without one never touch the hook.
+        ``stop()`` or a handler that raised.  A schedule controller, when
+        attached, is consulted between the pop and the clock advance; runs
+        without one never touch the hook.
         """
         self._stopped = False  # stop() ends the run() it was called from
         consult = None
@@ -533,10 +529,8 @@ class Scheduler:
                     process = processes.get(pid)
                     if process is not None and not process.crashed:
                         fn(process)
-                if (
-                    self._stopped
-                    or (self._correct_pids is not None and self._undecided_correct == 0)
-                    or (self._stop_predicate is not None and self._stop_predicate(self))
+                if self._stopped or (
+                    self._correct_pids is not None and self._undecided_correct == 0
                 ):
                     running = False
                     break
@@ -548,15 +542,16 @@ class Scheduler:
         return trace
 
     def stop(self) -> None:
+        """End the ``run()`` in progress once the event it dispatches returns."""
         self._stopped = True
 
     def release(self) -> None:
         """Cut the edges that make a finished run one reference cycle.
 
         A run is a cycle: this kernel holds its processes and envs, every
-        env holds this kernel, and a stop predicate or recovery factory
-        usually closes over something that holds it too.  Without the cut a
-        dead run is freed only when the cycle collector traces it.  This
+        env holds this kernel, and a recovery factory usually closes over
+        something that holds it too.  Without the cut a dead run is freed
+        only when the cycle collector traces it.  This
         drops the kernel's side of each edge, and each process cuts its own
         (:meth:`repro.env.Process.release`), so reference counting frees the
         run once its last outside holder lets go.  The record, the queue and
@@ -568,7 +563,6 @@ class Scheduler:
             process.release()
         self.processes = {}
         self.envs = {}
-        self._stop_predicate = None
         self._recovery_factory = None
 
     # ------------------------------------------------------------------ #

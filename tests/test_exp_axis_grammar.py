@@ -205,6 +205,10 @@ REJECTED = [
     ("workloads", ("w", "uniform", {"participants_per_tx": 2}), ["'w'", "'participants_per_tx'"]),
     ("workloads", ("w", "hotspot", {"hot_key": 3}), ["'w'", "'hot_key'"]),
     ("workloads", ("w", "bank-transfer", {"accounts": 5}), ["'w'", "'accounts'"]),
+    ("schedules", ("rw", "random-walk", {"defer_probability": 0.3}),
+     ["'rw'", "schedule strategy 'random-walk'", "'defer_probability'"]),
+    ("schedules", ("dr", "delay-reorder", {"seed": 3}), ["'dr'", "'seed'"]),
+    ("schedules", ("cp", "crash-point", {"points": 2}), ["'cp'", "'points'"]),
     # malformed sugar
     ("votes", "one-no:zero", ["malformed 'one-no:zero'"]),
     ("votes", "mixed:1.5", ["malformed 'mixed:1.5'", "[0, 1]"]),
@@ -241,6 +245,12 @@ class TestRejectedForms:
         captured ``TrialResult.error`` per trial instead."""
         with pytest.raises(ConfigurationError, match=r"schedules\['no-such-strategy'\]"):
             GridSpec(protocols=["2PC"], schedules=["no-such-strategy"])
+
+    def test_gridspec_rejects_an_unknown_strategy_parameter_at_construction(self):
+        """Fails at the parent as above: a misspelt parameter was one
+        ``TypeError`` captured per trial."""
+        with pytest.raises(ConfigurationError, match=r"schedules\['rw'\].*'defer_p'"):
+            GridSpec(protocols=["2PC"], schedules=[("rw", "random-walk", {"defer_p": 0.3})])
 
     def test_gridspec_rejects_a_model_instance_at_construction(self):
         with pytest.raises(ConfigurationError, match="delays"):

@@ -267,6 +267,7 @@ class TestSelfSendAtTheRunTime:
             else:
                 for dst in dsts:
                     process.env.send(dst, "now")
+            scheduler.stop()  # dispatch "go" only
 
         scheduler = Scheduler(
             n=3,
@@ -281,7 +282,6 @@ class TestSelfSendAtTheRunTime:
         )
         scheduler.post_message(2, 1, "go")
         assert is_lone(scheduler, 1.0)
-        scheduler.set_stop_predicate(lambda s: True)  # dispatch "go" only
         scheduler.run()
         queued = scheduler._queue.buckets[1.0]
         entries = [queued] if type(queued) is not list else queued[PRIORITY_DELIVERY]
@@ -290,7 +290,6 @@ class TestSelfSendAtTheRunTime:
         ]
         assert len(scheduler._queue) == len(dsts)
         assert scheduler.trace.message_count() == 1 + sum(dst != 1 for dst in dsts)
-        scheduler.set_stop_predicate(None)
         scheduler.run()
         assert [(pid, what) for pid, _, what, _ in log[1:]] == [(dst, "now") for dst in dsts]
         assert {at for _, _, _, at in log} == {1.0}
@@ -313,13 +312,16 @@ class DeferOnce(ScheduleController):
 class TestDeferral:
     @pytest.mark.parametrize("level", ["full", "counters"])
     def test_onto_a_lone_time_lands_behind_its_occupant(self, level):
+        scheduler = None
         scheduler, log = prepared(
-            {"m1": 1.0, "m2": 2.0}, controller=DeferOnce("m1", 1.0), trace_level=level
+            {"m1": 1.0, "m2": 2.0},
+            {"m2": lambda p: scheduler.stop()},
+            controller=DeferOnce("m1", 1.0),
+            trace_level=level,
         )
-        scheduler.set_stop_predicate(lambda s: bool(s.applied_schedule_actions))
         scheduler.run()  # m1 is deferred; the run goes on to m2's time
         assert scheduler.applied_schedule_actions == [(0, "defer", 1.0)]
-        scheduler.set_stop_predicate(None)
+        assert seen(log) == [("deliver", "m2")] and len(scheduler._queue) == 1
         scheduler.run()
         assert seen(log) == [("deliver", "m2"), ("deliver", "m1")]
         assert [at for _, _, _, at in log] == [2.0, 2.0]
@@ -359,13 +361,17 @@ class TestInterruptedRun:
         assert seen(log) == [("deliver", "m1"), ("deliver", "m2"), ("deliver", "m3")]
         assert trace.end_time == 3.0 and len(scheduler._queue) == 0
 
-    def test_stop_predicate_leaves_the_next_lone_head_queued(self):
-        scheduler, log = prepared({"m1": 1.0, "m2": 2.0})
-        scheduler.set_stop_predicate(lambda s: True)
+    def test_stop_from_a_controller_leaves_the_next_lone_head_queued(self):
+        class StopFirst(ScheduleController):
+            def intercept(self, scheduler, event, step):
+                if step == 0:
+                    scheduler.stop()  # the event it was offered still runs
+                return None
+
+        scheduler, log = prepared({"m1": 1.0, "m2": 2.0}, controller=StopFirst())
         scheduler.run()
         assert seen(log) == [("deliver", "m1")]
         assert scheduler._queue.times == [2.0] and is_lone(scheduler, 2.0)
-        scheduler.set_stop_predicate(None)
         scheduler.run()
         assert seen(log) == [("deliver", "m1"), ("deliver", "m2")]
 
@@ -430,7 +436,7 @@ class TestOneLoop:
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         )
-        for handler in ("deliver", "timeout", "on_propose", "_crash", "_stop_predicate"):
+        for handler in ("deliver", "timeout", "on_propose", "_crash"):
             assert calls[handler] == 1, handler
         per_timestamp, drain = [n for n in ast.walk(tree) if isinstance(n, ast.While)]
         assert _layout_tests(per_timestamp) == 1

@@ -424,9 +424,16 @@ class TestCountingStopCondition:
     def run_with_legacy_predicate(self, n, f, plan):
         scheduler = self._prepared_scheduler(n, f, plan)
         correct = [pid for pid in range(1, n + 1) if pid not in plan.crashes]
-        scheduler.set_stop_predicate(
-            lambda s: all(pid in s.trace.decisions for pid in correct)
-        )
+        record_decision = scheduler.record_decision
+
+        def record_then_scan(pid, value):
+            # only a decision can make the scan true: the handler that decided
+            # stops the run, as the predicate tested after its event did
+            record_decision(pid, value)
+            if all(p in scheduler.trace.decisions for p in correct):
+                scheduler.stop()
+
+        scheduler.record_decision = record_then_scan
         return scheduler.run()
 
     def run_with_counter(self, n, f, plan):
@@ -619,12 +626,11 @@ class TestFifoDrain:
         assert len(scheduler._queue) == 0
         assert sum(m.delivered for m in trace.messages) == 3
 
-    def test_stop_predicate_mid_fifo_then_resume(self):
-        scheduler, log = self.prepared({})
-        scheduler.set_stop_predicate(lambda s: len(log) == 2)
+    def test_stop_from_a_later_entry_mid_fifo_then_resume(self):
+        scheduler = None
+        scheduler, log = self.prepared({"m2": lambda p: scheduler.stop()})
         scheduler.run()
         assert len(log) == 2 and len(scheduler._queue) == 1
-        scheduler.set_stop_predicate(None)
         scheduler.run()
         assert self.seen(log) == [("deliver", "m1"), ("deliver", "m2"), ("deliver", "m3")]
 

@@ -111,9 +111,15 @@ def build(batched, delay, fault, level, script=SCRIPT, at=0.0, delay_model=None)
 
 def run_first_event(scheduler):
     """Dispatch P1's propose only: its sends are queued, none is delivered."""
-    scheduler.set_stop_predicate(lambda s: True)
+    first = scheduler.processes[1]
+
+    def propose_then_stop(value):
+        Broadcaster.on_propose(first, value)
+        scheduler.stop()
+
+    first.on_propose = propose_then_stop
     scheduler.run()
-    scheduler.set_stop_predicate(None)
+    del first.on_propose
 
 
 def queue_contents(scheduler):

@@ -7,6 +7,11 @@ so the engine cuts those edges once a trial is condensed
 (:meth:`repro.sim.runner.Scheduler.release`).  Each case below disables the
 collector, runs one trial and asserts ``gc.collect() == 0``: nothing the
 trial allocated was left for the collector to find.
+
+That is why ``run_trial`` pauses the collector for the whole trial: a
+collection inside it could only trace live objects.  The last classes hold
+the pause itself — no collection starts inside a trial, and the collector
+comes back as the caller left it, however the trial ends.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import pytest
 from repro.exp import GridSpec, named_fault, named_workload
 from repro.exp.engine import run_trial
 from repro.protocols.registry import protocol_names
+from repro.protocols.two_phase import TwoPhaseCommit
 
 SLICES = {
     "fixed": dict(delays=["fixed"]),
@@ -29,6 +35,8 @@ SLICES = {
 }
 LEVELS = ("full", "counters")
 CLUSTER_FAULTS = {"failure-free": None, "rejoin": named_fault("rejoin")}
+CLUSTER_PROTOCOLS = ("2PC", "INBAC", "PaxosCommit", "3PC")
+CLUSTER_DELAYS = ("fixed", "uniform", "flaky-link")
 
 
 def trial(protocol: str, slice_name: str, n: int = 5, f: int = 2, seed: int = 3):
@@ -39,7 +47,7 @@ def trial(protocol: str, slice_name: str, n: int = 5, f: int = 2, seed: int = 3)
     return only
 
 
-def cluster_trial(fault_name: str, protocol: str = "INBAC"):
+def cluster_trial(fault_name: str, protocol: str = "INBAC", **axes):
     grid = GridSpec(
         protocols=[protocol],
         systems=[(4, 1)],
@@ -47,9 +55,16 @@ def cluster_trial(fault_name: str, protocol: str = "INBAC"):
         workloads=[named_workload("uniform", transactions=12, participants_per_txn=3)],
         seeds=[5],
         max_time=10000,
+        **axes,
     )
     (only,) = grid.trials()
     return only
+
+
+def walked_cluster_trial(protocol: str, delay: str):
+    return cluster_trial(
+        "failure-free", protocol, delays=[delay], schedules=["random-walk"]
+    )
 
 
 def garbage_after(*trials, trace_level=None) -> int:
@@ -74,6 +89,8 @@ def warm():
             run_trial(trial("INBAC", slice_name), trace_level=level)
     for fault_name in CLUSTER_FAULTS:
         run_trial(cluster_trial(fault_name))
+    for delay in CLUSTER_DELAYS:
+        run_trial(walked_cluster_trial("INBAC", delay))
 
 
 @pytest.mark.parametrize("level", LEVELS)
@@ -102,6 +119,14 @@ def test_a_cluster_trial_leaves_no_cyclic_garbage(fault_name, level):
     assert garbage_after(spec, trace_level=level) == 0
 
 
+@pytest.mark.parametrize("delay", CLUSTER_DELAYS)
+@pytest.mark.parametrize("protocol", CLUSTER_PROTOCOLS)
+def test_a_walked_cluster_trial_leaves_no_cyclic_garbage(protocol, delay):
+    # deferrals and injected crashes under every delay family: the controller
+    # and the injected-crash bookkeeping must not close a cycle either
+    assert garbage_after(walked_cluster_trial(protocol, delay)) == 0
+
+
 def test_the_rejoin_trial_really_rejoins():
     # the rejoin case above covers the replaced incarnation only if one was
     result = run_trial(
@@ -110,3 +135,84 @@ def test_the_rejoin_trial_really_rejoins():
     )
     assert result.error is None and result.termination
     assert result.crashes == {1: 6.0} and result.extra["rejoins"] == 1
+
+
+# --------------------------------------------------------------------------- #
+# the pause
+# --------------------------------------------------------------------------- #
+class RaisesOnPropose(TwoPhaseCommit):
+    protocol_name = "RaisesOnPropose"
+
+    def on_propose(self, value):
+        raise RuntimeError("the simulation raised")
+
+
+class Escapes(BaseException):
+    """Not an ``Exception``: the engine does not capture it."""
+
+
+def raising(exc):
+    def collector(spec, outcome):
+        raise exc
+
+    return collector
+
+
+def collections_started_during(spec) -> list:
+    """Generations of the collections that start while ``run_trial(spec)`` runs.
+
+    Generation 0 is primed to just under its threshold first, so at a parent
+    without the pause the trial's first allocations start a collection.
+    """
+    started = []
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.disable()
+    primer = [[] for _ in range(gc.get_threshold()[0] - 100)]
+    gc.callbacks.append(hook)
+    gc.enable()
+    try:
+        result = run_trial(spec)
+    finally:
+        gc.callbacks.remove(hook)
+    assert result.error is None, result.error
+    assert gc.isenabled()
+    del primer
+    return started
+
+
+class TestThePause:
+    def test_no_collection_starts_inside_a_protocol_trial(self):
+        assert collections_started_during(trial("INBAC", "fixed", n=50, f=10)) == []
+
+    def test_no_collection_starts_inside_a_cluster_trial(self):
+        assert collections_started_during(cluster_trial("rejoin")) == []
+
+    def test_the_collector_is_back_on_after_a_simulation_that_raised(self):
+        grid = GridSpec(protocols=[("raises", RaisesOnPropose)], systems=[(4, 1)])
+        (spec,) = grid.trials()
+        result = run_trial(spec)
+        assert "the simulation raised" in result.error
+        assert gc.isenabled()
+
+    def test_the_collector_is_back_on_after_a_collector_that_raised(self):
+        result = run_trial(trial("2PC", "fixed"), collector=raising(RuntimeError("hook")))
+        assert "RuntimeError: hook" in result.error
+        assert gc.isenabled()
+
+    def test_the_collector_is_back_on_when_an_error_escapes_the_trial(self):
+        with pytest.raises(Escapes):
+            run_trial(trial("2PC", "fixed"), collector=raising(Escapes()))
+        assert gc.isenabled()
+
+    def test_the_collector_stays_off_if_the_caller_turned_it_off(self):
+        gc.disable()
+        try:
+            assert run_trial(trial("2PC", "fixed")).error is None
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
