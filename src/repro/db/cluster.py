@@ -271,7 +271,7 @@ class Cluster:
         )
 
     def bind(self, transactions: Sequence[Transaction] = ()) -> ClientCoordinator:
-        """Bind P1..Pk, then the client with its planned workload."""
+        """Bind P1..Pk, then the client with its planned workload; start them."""
         kernel, config = self.kernel, self.config
         for pid in range(1, self.client_pid):
             kernel.bind_process(pid, self._partition(pid))
@@ -286,6 +286,7 @@ class Cluster:
             tracer=config.tracer,
         )
         kernel.bind_process(self.client_pid, self.client)
+        kernel.start_processes()
         return self.client
 
     def _rejoin(
@@ -404,8 +405,6 @@ def run_cluster(
     )
     kernel = cluster.kernel
     client = cluster.bind(transactions)
-    for process in kernel.processes.values():
-        process.on_start()
     # the outcome that completes the workload stops the run after its event
     client.on_outcome = lambda _: client.all_completed() and kernel.stop()
     kernel.run()

@@ -1,24 +1,16 @@
 """Executable conformance suite for the :class:`~repro.env.ProcessEnv` contract.
 
 The contract in :mod:`repro.env` is stated in prose; this module makes it
-executable.  A *harness* adapts one runtime to a tiny common driver surface:
-
-.. code-block:: python
-
-    class EnvHarness(Protocol):
-        name: str
-
-        def run(self, factories, n, f, *, duration_units, proposals=None)
-            -> HarnessResult
-
-``factories`` maps pid -> ``factory(pid, n, f, env) -> Process``; the harness
-builds an environment per pid, runs every process for ``duration_units`` units
-of (virtual or scaled wall-clock) time and returns the live process objects
-plus the execution record (a ``Trace``) it wrote.  The simulator harness
-(:class:`SimHarness`, defined here) and the asyncio harness
-(:class:`repro.runtime.conformance.AsyncHarness`) both drive exactly the same
-probe processes through :func:`run_conformance`; the scenarios cover the
-clauses runtimes most easily get wrong:
+executable.  A scenario is one run: :meth:`Scenario.simulation` is a
+:class:`~repro.sim.runner.Simulation` of its probe processes (a factory per
+pid), with no proposals, for :data:`SCENARIO_DURATION_UNITS` units of time.
+A *leg* runs it — ``run(simulation, votes) -> SimulationResult`` — and the
+checkers read the live process objects and the execution record (a
+``Trace``) off the result.  :meth:`Simulation.run
+<repro.sim.runner.Simulation.run>` is the reference leg, and
+:func:`repro.runtime.run_paced` paces the same run on the asyncio runtime, so
+both drive exactly the same probes through :func:`run_conformance`; the
+scenarios cover the clauses runtimes most easily get wrong:
 
 * ``timer-rearm`` — re-arming a pending timer supersedes it (one fire, at the
   last requested deadline);
@@ -41,51 +33,25 @@ clauses runtimes most easily get wrong:
 * ``self-send-deferred`` — a send to self made inside a handler is handled
   after that handler returns, in send order, and is not counted.
 
-``run_conformance(harness)`` returns a list of human-readable failures; an
-empty list means the runtime honours the contract.
+``run_conformance(run)`` returns a list of human-readable failures; an empty
+list means the runtime honours the contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.env import Process, ProcessComponent
 from repro.errors import ProtocolViolationError
-from repro.sim.trace import Trace
+from repro.sim.runner import Simulation, SimulationResult
 
 #: how long every scenario runs, in units of U — all probe timers fire
 #: strictly before this horizon
 SCENARIO_DURATION_UNITS = 4.0
 
-
-@dataclass
-class HarnessResult:
-    """What one harness run exposes to the scenario checkers."""
-
-    processes: Dict[int, Process]
-    #: the execution record the runtime wrote: the checkers read the recorded
-    #: decisions and the counted (non-self) messages per module tag from it
-    trace: Trace
-    #: unexpected handler exceptions the runtime swallowed, as strings
-    errors: List[str] = field(default_factory=list)
-
-
-class EnvHarness(Protocol):
-    """Adapter driving probe processes on one runtime."""
-
-    name: str
-
-    def run(
-        self,
-        factories: Dict[int, Callable[[int, int, int, Any], Process]],
-        n: int,
-        f: int,
-        *,
-        duration_units: float,
-        proposals: Optional[Dict[int, Any]] = None,
-    ) -> HarnessResult:
-        ...  # pragma: no cover
+#: a leg: runs a scenario's simulation with the given votes on one runtime
+Leg = Callable[[Simulation, Dict[int, Any]], SimulationResult]
 
 
 # --------------------------------------------------------------------------- #
@@ -276,7 +242,7 @@ def _observes(
     *,
     deadlines: Optional[Dict[str, float]] = None,
     counted: Optional[Dict[str, int]] = None,
-) -> Callable[[HarnessResult], List[str]]:
+) -> Callable[[SimulationResult], List[str]]:
     """Checker: P1's ``(kind, detail)`` observations are exactly ``want``.
 
     In order, nothing more — one comparison for "fires once", "never fires"
@@ -284,7 +250,7 @@ def _observes(
     it must not fire before; ``counted``: the per-module tally to report.
     """
 
-    def check(result: HarnessResult) -> List[str]:
+    def check(result: SimulationResult) -> List[str]:
         observations = result.processes[1].observations
         seen = [(kind, detail) for kind, detail, _ in observations]
         failures = []
@@ -308,7 +274,7 @@ def _observes(
     return check
 
 
-def _check_envelope(result: HarnessResult) -> List[str]:
+def _check_envelope(result: SimulationResult) -> List[str]:
     p1, p2 = result.processes[1], result.processes[2]
     failures = []
     # the ping must land in P2's component, not its main handler
@@ -337,7 +303,7 @@ def _check_envelope(result: HarnessResult) -> List[str]:
     return failures
 
 
-def _check_decide_once(result: HarnessResult) -> List[str]:
+def _check_decide_once(result: SimulationResult) -> List[str]:
     probe = result.processes[1]
     failures = []
     if not probe.of("decided-first"):
@@ -357,7 +323,7 @@ def _check_decide_once(result: HarnessResult) -> List[str]:
     return failures
 
 
-def _check_monotonic(result: HarnessResult) -> List[str]:
+def _check_monotonic(result: SimulationResult) -> List[str]:
     failures = []
     for pid in (1, 2):
         probe = result.processes[pid]
@@ -381,7 +347,7 @@ def _check_monotonic(result: HarnessResult) -> List[str]:
     return failures
 
 
-def _check_send_many(result: HarnessResult) -> List[str]:
+def _check_send_many(result: SimulationResult) -> List[str]:
     failures = []
     note = ("component-deliver", ("note", "all"))
     expected = {
@@ -417,9 +383,20 @@ class Scenario:
 
     name: str
     factories: Dict[int, Callable[[int, int, int, Any], Process]]
-    check: Callable[[HarnessResult], List[str]]
+    check: Callable[[SimulationResult], List[str]]
     n: int = 2
     f: int = 1
+
+    def simulation(self) -> Simulation:
+        """The scenario as one run: each pid's probe, for the whole horizon."""
+        factories = self.factories
+        return Simulation(
+            self.n,
+            self.f,
+            process_factory=lambda pid, n, f, env: factories[pid](pid, n, f, env),
+            max_time=SCENARIO_DURATION_UNITS,
+            stop_when_all_correct_decided=False,
+        )
 
 
 def _observing(name: str, probe: Any, rule: str, want: list, **expect: Any) -> Scenario:
@@ -473,73 +450,31 @@ SCENARIOS: Tuple[Scenario, ...] = (
 )
 
 
-def run_scenario(harness: EnvHarness, scenario: Scenario) -> List[str]:
-    """Run one scenario on one harness; returns its failures."""
-    result = harness.run(
-        dict(scenario.factories),
-        scenario.n,
-        scenario.f,
-        duration_units=SCENARIO_DURATION_UNITS,
-    )
+def run_scenario(scenario: Scenario, run: Leg = Simulation.run) -> List[str]:
+    """Run one scenario on one leg (default: the simulator); its failures."""
+    result = run(scenario.simulation(), {})
     failures = list(scenario.check(result))
+    # what the asyncio runtime caught instead of letting it raise
     failures.extend(
-        f"{scenario.name}: unexpected handler error: {error}"
-        for error in result.errors
+        f"{scenario.name}: unexpected handler error: P{pid}: {exc!r}"
+        for pid, exc in getattr(result.scheduler, "errors", ())
     )
-    return [f"[{harness.name}] {failure}" for failure in failures]
-
-
-def run_conformance(harness: EnvHarness) -> List[str]:
-    """Run every scenario; an empty return means the contract holds."""
-    failures: List[str] = []
-    for scenario in SCENARIOS:
-        failures.extend(run_scenario(harness, scenario))
     return failures
 
 
-# --------------------------------------------------------------------------- #
-# the simulator harness (the reference implementation)
-# --------------------------------------------------------------------------- #
-class SimHarness:
-    """Drives probes on the discrete-event scheduler (exact timing)."""
-
-    name = "sim"
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    def run(
-        self,
-        factories: Dict[int, Callable[[int, int, int, Any], Process]],
-        n: int,
-        f: int,
-        *,
-        duration_units: float,
-        proposals: Optional[Dict[int, Any]] = None,
-    ) -> HarnessResult:
-        from repro.sim.runner import Scheduler
-
-        scheduler = Scheduler(n=n, f=f, seed=self.seed, max_time=duration_units)
-        for pid in range(1, n + 1):
-            factory = factories.get(pid, _passive)
-            scheduler.bind_process(pid, factory(pid, n, f, scheduler.env_for(pid)))
-        for pid in range(1, n + 1):
-            scheduler.processes[pid].on_start()
-        for pid, value in (proposals or {}).items():
-            scheduler.post_propose(pid, value)
-        return HarnessResult(
-            processes=dict(scheduler.processes), trace=scheduler.run()
-        )
+def run_conformance(run: Leg = Simulation.run) -> List[str]:
+    """Run every scenario; an empty return means the contract holds."""
+    failures: List[str] = []
+    for scenario in SCENARIOS:
+        failures.extend(run_scenario(scenario, run))
+    return failures
 
 
 __all__ = [
-    "EnvHarness",
-    "HarnessResult",
     "ObservingProcess",
     "SCENARIOS",
     "SCENARIO_DURATION_UNITS",
     "Scenario",
-    "SimHarness",
     "run_conformance",
     "run_scenario",
 ]

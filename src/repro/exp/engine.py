@@ -26,7 +26,9 @@ Design constraints, in order:
    method (``start_method="spawn"``, or automatically where fork does not
    exist); :func:`ensure_spawn_safe` validates the spec up front and names
    the offending grid field rather than letting the pool fail with an
-   anonymous ``PicklingError``.
+   anonymous ``PicklingError``.  A worker imports the module defining every
+   builder the specs name before its first trial, so a custom registration
+   made when that module is imported exists in the worker too.
 
 3. **One execution path.**  Serial or pooled, full or streaming, a sweep is
    the same code: contiguous trial-index chunks, one function that runs a
@@ -105,6 +107,7 @@ import collections
 import contextlib
 import functools
 import gc
+import importlib
 import multiprocessing
 import os
 import pickle
@@ -394,10 +397,23 @@ class _Job:
     levels: Tuple[Optional[str], str]  # (explicit override, sweep default)
     chunk: int
     folded: bool  # ship each chunk back folded into a partial SweepAggregate
+    #: the modules defining every builder the trials name (pooled sweeps only)
+    modules: Tuple[str, ...]
 
     @property
     def n_chunks(self) -> int:
         return -(-len(self.trials) // self.chunk)
+
+
+def _builder_modules(trials: Sequence[TrialSpec]) -> Tuple[str, ...]:
+    """The modules defining the builders the trials' axis values name."""
+    specs = {
+        id(spec): spec
+        for trial in trials
+        for spec in (trial.delay, trial.fault, trial.votes, trial.workload, trial.schedule)
+        if spec is not None
+    }
+    return tuple(sorted({spec.builder_module() for spec in specs.values()} - {None}))
 
 
 #: set by the pool initializer, so only ever inside a worker process
@@ -405,7 +421,11 @@ _POOL_JOB: Optional[_Job] = None
 
 
 def _pool_init(job: _Job) -> None:
+    """Park the job; first import what registers its names (under ``spawn``
+    a worker starts with only the built-in registrations)."""
     global _POOL_JOB
+    for module in job.modules:
+        importlib.import_module(module)
     _POOL_JOB = job
 
 
@@ -701,7 +721,10 @@ def run_trials(
     # can merge it: across a process boundary, into the default sink, unless
     # the caller asked for the per-trial stream
     folded = pooled and streaming and reducer is None and fold != "trial"
-    job = _Job(trials, collector, levels, chunk, folded)
+    job = _Job(
+        trials, collector, levels, chunk, folded,
+        _builder_modules(trials) if pooled else (),
+    )
     # the level(s) the trials actually run at, as _effective_level resolves them
     ran_at = {_effective_level(t, *levels) for t in trials} or {levels[0] or levels[1]}
     meta = {

@@ -9,8 +9,10 @@ construction: the ``spawn`` start method (the only one on Windows, the macOS
 default) pickles everything it ships to a worker, a spec holding a name and
 plain data pickles, and the worker re-resolves the name against its own copy
 of these tables.  For that to work, custom registrations must happen at
-*import time* (module level) — a name registered only in the parent's
-``__main__`` block does not exist in a spawn worker.
+*import time* (module level) of the module defining the builder: a pool
+worker imports that module (:meth:`Registry.module_of`) before its first
+trial, but a name registered only in the parent's ``__main__`` block does not
+exist in a spawn worker.
 
 One :class:`Registry` per kind, each with its builder calling convention:
 
@@ -106,6 +108,10 @@ class Registry:
             except TypeError as exc:
                 raise ConfigurationError(f"{self.kind} {name!r}: {exc}") from None
 
+    def module_of(self, name: str) -> Optional[str]:
+        """The module defining ``name``'s builder, which a pool worker imports."""
+        return getattr(self._entries[name][0], "__module__", None)
+
     def build(self, name: str, params: Any, *supplied: Any) -> Any:
         try:
             builder = self._entries[name][0]
@@ -113,9 +119,9 @@ class Registry:
             known = ", ".join(sorted(self._entries))
             raise ConfigurationError(
                 f"{self.kind} {name!r} is not registered in this process "
-                f"(known: {known}); under the spawn start method its "
-                f"registration must run at import time (module level) so "
-                f"workers re-register it"
+                f"(known: {known}); a pool worker imports the module defining "
+                f"each named builder, so the registration must run when that "
+                f"module is imported (at module level, not under __main__)"
             ) from None
         return builder(*supplied, **dict(params))
 

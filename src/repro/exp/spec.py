@@ -120,6 +120,9 @@ class NamedSpec:
     def build(self, *supplied: Any) -> Any:
         return self.registry.build(self.name, self.params, *supplied)
 
+    def builder_module(self) -> Optional[str]:
+        return self.registry.module_of(self.name)
+
 
 class DelaySpec(NamedSpec):
     """``build(seed)`` -> a fresh :class:`~repro.sim.network.DelayModel`."""
@@ -192,6 +195,11 @@ class ScheduleSpec:
         from repro.explore.strategies import make_strategy
 
         return make_strategy(self.strategy, seed=seed, **dict(self.params))
+
+    def builder_module(self) -> str:
+        from repro.explore.strategies import strategy_class
+
+        return strategy_class(self.strategy).__module__
 
 
 # --------------------------------------------------------------------------- #

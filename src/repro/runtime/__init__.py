@@ -17,14 +17,14 @@ Layout:
 
 * :mod:`~repro.runtime.runtime` — :class:`AsyncRuntime` (the scheduler paced
   by the wall clock: the wake-up handle, calls from outside every handler,
-  error capture) and :func:`run_commit` (one commit instance, synchronous
-  entry point);
+  error capture), :func:`run_paced` (a :class:`repro.sim.runner.Simulation`'s
+  own run, paced — the asyncio leg of the :mod:`repro.env.conformance` suite)
+  and :func:`run_commit` (one commit instance, synchronous entry point; its
+  result is the simulator's ``SimulationResult``);
 * :mod:`~repro.runtime.cluster` — :class:`AsyncClusterService`, the
   transactional KV cluster of :mod:`repro.db.cluster` paced on the event loop
   for live concurrent clients (its batch form is
-  ``repro.db.cluster.run_cluster(..., backend="asyncio")``);
-* :mod:`~repro.runtime.conformance` — :class:`AsyncHarness` for the
-  executable contract suite in :mod:`repro.env.conformance`.
+  ``repro.db.cluster.run_cluster(..., backend="asyncio")``).
 
 This package intentionally reads the wall clock; the determinism lint rule
 DET002 is scoped out of ``src/repro/runtime/`` (see :mod:`repro.lint.rules`).
@@ -37,20 +37,18 @@ this package except through the explicit backend dispatch in
 from __future__ import annotations
 
 from repro.runtime.cluster import AsyncClusterService, DEFAULT_CLUSTER_UNIT_SECONDS
-from repro.runtime.conformance import AsyncHarness
 from repro.runtime.runtime import (
     AsyncRuntime,
-    CommitRunResult,
     DEFAULT_UNIT_SECONDS,
     run_commit,
+    run_paced,
 )
 
 __all__ = [
     "AsyncClusterService",
-    "AsyncHarness",
     "AsyncRuntime",
-    "CommitRunResult",
     "DEFAULT_CLUSTER_UNIT_SECONDS",
     "DEFAULT_UNIT_SECONDS",
     "run_commit",
+    "run_paced",
 ]

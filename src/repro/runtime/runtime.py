@@ -33,6 +33,13 @@ proposal.  :meth:`crash` and :meth:`rejoin` post their entry at the instant
 and run the kernel up to it at once; from inside a handler they are refused.
 A handler that raises lands in :attr:`errors` under its pid.
 
+**What it runs.**  A bare protocol run is built by
+:meth:`Simulation.run_on <repro.sim.runner.Simulation.run_on>` on either
+kernel; :func:`run_paced` only paces it here, and :func:`run_commit` is the
+paced :class:`~repro.sim.runner.Simulation` of one protocol class.  A cluster
+is :class:`repro.db.cluster.Cluster`'s, paced by
+:class:`~repro.runtime.cluster.AsyncClusterService`.
+
 This module deliberately reads the wall clock (``time.monotonic()``); the lint
 suite's determinism rule DET002 is *scoped out* of ``src/repro/runtime/``
 (see :mod:`repro.lint.rules`) because wall-clock time is this package's whole
@@ -43,7 +50,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.env import Process
@@ -56,8 +62,7 @@ from repro.sim.events import (
 )
 from repro.sim.faults import FaultPlan
 from repro.sim.network import DelayModel, LinkDelay
-from repro.sim.runner import ProcessFactory, Scheduler
-from repro.sim.trace import CounterTrace
+from repro.sim.runner import ProcessFactory, Scheduler, Simulation, SimulationResult
 
 #: default wall-clock seconds per unit of simulated time U
 DEFAULT_UNIT_SECONDS = 0.02
@@ -128,7 +133,8 @@ class AsyncRuntime(Scheduler):
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
-        """Start the wall clock at time 0 and run every ``on_start``."""
+        """Start the wall clock at time 0 (the kernel's time of ``on_start``,
+        which :meth:`~repro.sim.runner.Scheduler.start_processes` ran)."""
         if self._t0 is not None:
             raise ConfigurationError("runtime already started")
         if len(self.processes) != self.n:
@@ -138,13 +144,6 @@ class AsyncRuntime(Scheduler):
             )
         self._loop = asyncio.get_running_loop()
         self._t0 = time.monotonic()
-        self._handling = True
-        for pid in range(1, self.n + 1):
-            try:
-                self.processes[pid].on_start()
-            except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-                self.record_error(pid, exc)
-        self._handling = False
         self._wake()
 
     async def stop(self) -> None:
@@ -158,7 +157,6 @@ class AsyncRuntime(Scheduler):
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
-        self.trace.metadata["execution_class"] = self.execution_class()
 
     # ------------------------------------------------------------------ #
     # pacing: the wall clock is max_time
@@ -316,47 +314,53 @@ class AsyncRuntime(Scheduler):
     # ------------------------------------------------------------------ #
     def record_error(self, pid: int, exc: BaseException) -> None:
         self.errors.append((pid, exc))
-        # A handler fault must not hang run_commit forever: surface it.
+        # A handler fault must not hang a paced run forever: surface it.
         self._all_decided.set()
 
-    async def wait_all_correct_decided(self, timeout_units: float) -> bool:
-        """Wait until every correct process decided; True iff it happened.
+    async def wait_all_correct_decided(self, timeout_units: float) -> None:
+        """Wait until every correct process decided, at most ``timeout_units``.
 
-        Needs :meth:`~repro.sim.runner.Scheduler.stop_when_all_correct_decided`.
+        Without :meth:`~repro.sim.runner.Scheduler.stop_when_all_correct_decided`
+        there is nothing to wait for but the time, and all of it passes.  A
+        handler that raises ends the wait early.
         """
-        if self._undecided_correct:
+        if self._correct_pids is None or self._undecided_correct:
             try:
                 await asyncio.wait_for(
                     self._all_decided.wait(), timeout=timeout_units * self.unit
                 )
             except asyncio.TimeoutError:
-                return False
-        return not self._undecided_correct
-
-
-@dataclass
-class CommitRunResult:
-    """One :func:`run_commit` execution: the runtime's record, as a
-    :class:`~repro.sim.runner.SimulationResult` carries the simulator's."""
-
-    trace: CounterTrace
-    unit: float
-    timed_out: bool
-    errors: List[str] = field(default_factory=list)
+                pass
 
     @property
-    def decisions(self) -> Dict[int, int]:
-        return {pid: rec.value for pid, rec in self.trace.decisions.items()}
+    def timed_out(self) -> bool:
+        """Whether the all-correct-decided stop is armed and some correct
+        process is still undecided."""
+        return bool(self._undecided_correct)
 
-    @property
-    def decision(self) -> Optional[int]:
-        """The agreed decision, or None if absent or split (agreement breach)."""
-        values = set(self.trace.decision_values())
-        return values.pop() if len(values) == 1 else None
 
-    @property
-    def all_agree(self) -> bool:
-        return len(set(self.trace.decision_values())) == 1
+def run_paced(
+    simulation: Simulation, votes: Any, *, unit: float = DEFAULT_UNIT_SECONDS
+) -> SimulationResult:
+    """Run ``simulation`` with ``votes`` on the asyncio runtime.
+
+    The run is :meth:`Simulation.run_on <repro.sim.runner.Simulation.run_on>`'s
+    — the one the simulator runs — on an :class:`AsyncRuntime` at ``unit``
+    seconds per U; this only paces it: :meth:`~AsyncRuntime.start`, wait
+    until every correct process decided (at most ``simulation.max_time``
+    units, all of them when the simulation does not stop there), then
+    :meth:`~AsyncRuntime.stop`.  What the pacing adds is read off the
+    result's kernel: ``result.scheduler.timed_out`` and ``.errors``.
+    """
+
+    async def pace(runtime: AsyncRuntime) -> None:
+        await runtime.start()
+        await runtime.wait_all_correct_decided(simulation.max_time)
+        await runtime.stop()
+
+    return simulation.run_on(
+        AsyncRuntime, lambda runtime: asyncio.run(pace(runtime)), votes, unit=unit
+    )
 
 
 def run_commit(
@@ -371,57 +375,39 @@ def run_commit(
     delay_model: Optional[DelayModel] = None,
     crash_at: Optional[Dict[int, float]] = None,
     protocol_kwargs: Optional[Dict[str, Any]] = None,
-) -> CommitRunResult:
+) -> SimulationResult:
     """Run one commit instance of ``protocol`` on the asyncio runtime.
 
     ``protocol`` is a registry name (``"2PC"``, ``"INBAC"``, ...) or a
     :class:`~repro.env.Process` subclass; the class is used *unmodified* —
-    the same object the simulator executes.  The votes are proposed at time 0
-    and ``crash_at`` (pid -> crash time in units of U) is the fault plan, as
-    :meth:`Simulation.run <repro.sim.runner.Simulation.run>` has them;
-    ``delay_model`` is the network, as it is the simulator's (default: links
-    that deliver at once).  Returns a :class:`CommitRunResult`; ``timed_out``
-    is True when some correct process had not decided within
-    ``timeout_units``.
+    the same object the simulator executes.  The run is that class's
+    :class:`~repro.sim.runner.Simulation`, with ``crash_at`` (pid -> crash
+    time in units of U) as its fault plan and ``delay_model`` as its network
+    (default: links that deliver at once), paced by :func:`run_paced` for at
+    most ``timeout_units``.  ``result.scheduler.timed_out`` is True when some
+    correct process had not decided by then.
     """
     if isinstance(protocol, str):
         from repro.protocols.registry import get_protocol
 
-        info = get_protocol(protocol)
-        cls, label = info.cls, info.name
-    else:
-        cls, label = protocol, getattr(protocol, "__name__", str(protocol))
-    if len(votes) != n:
-        raise ConfigurationError(f"need {n} votes, got {len(votes)}")
-    kwargs = dict(protocol_kwargs or {})
-
-    async def _main() -> CommitRunResult:
-        runtime = AsyncRuntime(
-            n, f, unit=unit, seed=seed, delay_model=delay_model,
-            fault_plan=FaultPlan(crashes=dict(crash_at or {})),
-        )
-        runtime.trace.protocol = label
-        runtime.bind_processes(lambda pid, nn, ff, env: cls(pid, nn, ff, env, **kwargs))
-        for pid, vote in enumerate(votes, start=1):
-            runtime.post_propose(pid, vote)
-        runtime.stop_when_all_correct_decided()
-        await runtime.start()
-        decided = await runtime.wait_all_correct_decided(timeout_units)
-        await runtime.stop()
-        return CommitRunResult(
-            trace=runtime.trace,
-            unit=unit,
-            timed_out=not decided,
-            errors=[f"P{pid}: {exc!r}" for pid, exc in runtime.errors],
-        )
-
-    return asyncio.run(_main())
+        protocol = get_protocol(protocol).cls
+    simulation = Simulation(
+        n,
+        f,
+        process_class=protocol,
+        delay_model=delay_model,
+        fault_plan=FaultPlan.crashes_at(crash_at) if crash_at else None,
+        seed=seed,
+        max_time=timeout_units,
+        protocol_kwargs=protocol_kwargs,
+    )
+    return run_paced(simulation, votes, unit=unit)
 
 
 __all__ = [
     "AsyncRuntime",
-    "CommitRunResult",
     "DEFAULT_UNIT_SECONDS",
     "ProcessFactory",
     "run_commit",
+    "run_paced",
 ]

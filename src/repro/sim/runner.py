@@ -9,7 +9,9 @@ Two layers:
   experiments: it instantiates one protocol process per id, injects the votes
   as ``Propose`` events at time 0, runs the loop and returns a
   :class:`SimulationResult` bundling the trace with the process objects (so
-  tests can inspect internal state such as INBAC's branch log).
+  tests can inspect internal state such as INBAC's branch log).  It builds
+  that run on any kernel class (:meth:`Simulation.run_on`): the asyncio
+  runtime paces the same run on the wall clock.
 
 Trace levels
 ------------
@@ -156,7 +158,6 @@ class Scheduler:
         fault_plan: Optional[FaultPlan] = None,
         seed: int = 0,
         max_time: float = 500.0,
-        protocol_name: str = "",
         trace_level: str = "full",
         controller: Optional[Any] = None,
     ):
@@ -182,7 +183,7 @@ class Scheduler:
         self.fault_plan.reset_rules()
         self.network.install_overrides(self.fault_plan.delay_rules)
         trace_cls = Trace if trace_level == "full" else CounterTrace
-        self.trace = trace_cls(n=n, f=f, u=self.network.u, protocol=protocol_name)
+        self.trace = trace_cls(n=n, f=f, u=self.network.u)
         self.processes: Dict[int, Process] = {}
         self.envs: Dict[int, SimEnv] = {pid: SimEnv(self, pid) for pid in range(1, n + 1)}
         self._queue = BucketQueue()
@@ -251,6 +252,11 @@ class Scheduler:
 
     def env_for(self, pid: int) -> SimEnv:
         return self.envs[pid]
+
+    def start_processes(self) -> None:
+        """Run every bound process' ``on_start``, in binding order, at time 0."""
+        for process in self.processes.values():
+            process.on_start()
 
     # ------------------------------------------------------------------ #
     # event production
@@ -741,11 +747,13 @@ class Scheduler:
 
 @dataclass
 class SimulationResult:
-    """Trace plus the live process objects of one simulated execution."""
+    """Trace plus the live process objects of one execution, on either kernel."""
 
     trace: Trace
     processes: Dict[int, Process] = field(default_factory=dict)
-    #: the kernel that ran the execution, for :meth:`release`
+    #: the kernel that ran the execution, for :meth:`release` — and, for a run
+    #: the asyncio runtime paced, for what the pacing adds: ``timed_out`` and
+    #: the handler ``errors`` it captured
     scheduler: Optional[Scheduler] = field(default=None, repr=False, compare=False)
 
     def process(self, pid: int) -> Process:
@@ -763,7 +771,10 @@ class SimulationResult:
 class Simulation:
     """Protocol-level driver: one protocol instance, one set of votes, one run.
 
-    A ``Simulation`` is reusable: the sweep engine builds one per grid cell
+    The run is put together once, in :meth:`run_on`, for any kernel class:
+    :meth:`run` runs it on the :class:`Scheduler` as fast as possible, and
+    :func:`repro.runtime.run_paced` paces it on the asyncio runtime.  A
+    ``Simulation`` is reusable: the sweep engine builds one per grid cell
     and calls :meth:`run` once per trial with per-trial ``delay_model=`` /
     ``fault_plan=`` / ``seed=`` overrides, so the protocol factory and vote
     resolution are paid once per cell rather than once per trial.
@@ -801,10 +812,11 @@ class Simulation:
             )
         self.n = n
         self.f = f
+        #: the horizon in units of U; a paced run waits at most this long
+        self.max_time = max_time
         self._delay_model = delay_model
         self._fault_plan = fault_plan
         self._seed = seed
-        self._max_time = max_time
         self._stop_when_decided = stop_when_all_correct_decided
         self._trace_level = trace_level
         # a partial, not a closure over self: the cell's Simulation stays
@@ -827,7 +839,7 @@ class Simulation:
         seed: Optional[int] = None,
         controller: Optional[Any] = None,
     ) -> SimulationResult:
-        """Run one execution with the given per-process votes.
+        """Run one execution with the given per-process votes, as fast as possible.
 
         ``delay_model`` / ``fault_plan`` / ``seed`` override the constructor
         defaults for this run only — the hook the sweep engine uses to reuse
@@ -837,6 +849,43 @@ class Simulation:
         land in ``trace.metadata["schedule_decisions"]``.  ``votes`` is a
         sequence of ``n`` votes or a dict keyed by pid; a partial dict is
         legal (the missing processes never propose).
+        """
+        return self.run_on(
+            Scheduler,
+            Scheduler.run,
+            votes,
+            delay_model=delay_model,
+            fault_plan=fault_plan,
+            seed=seed,
+            controller=controller,
+            max_time=self.max_time,
+            trace_level=self._trace_level,
+        )
+
+    def run_on(
+        self,
+        kernel: Callable[..., Scheduler],
+        pace: Callable[[Scheduler], Any],
+        votes: Union[Sequence[Any], Dict[int, Any]],
+        *,
+        delay_model: Optional[DelayModel] = None,
+        fault_plan: Optional[FaultPlan] = None,
+        seed: Optional[int] = None,
+        controller: Optional[Any] = None,
+        **pacing: Any,
+    ) -> SimulationResult:
+        """Build this run on ``kernel``, let ``pace(kernel)`` run it, stamp it.
+
+        The one place a protocol run is put together, whichever kernel runs
+        it.  ``kernel`` is the scheduler class — :class:`Scheduler`, which
+        :meth:`run` paces with :meth:`Scheduler.run`, or the asyncio runtime,
+        which :func:`repro.runtime.run_paced` paces on the wall clock — built
+        with this simulation's network, faults and seed (or :meth:`run`'s
+        overrides) and the ``pacing`` keywords only that class takes.  Then:
+        one process per pid, every ``on_start``, the votes proposed at time
+        0, the all-correct-decided stop unless it is disabled, ``pace``, and
+        ``trace.metadata``'s fault plan, execution class, votes and — with a
+        controller — applied schedule decisions.
         """
         if isinstance(votes, dict):
             vote_map = dict(votes)
@@ -852,27 +901,26 @@ class Simulation:
                 )
             vote_map = {pid: votes[pid - 1] for pid in range(1, self.n + 1)}
 
-        scheduler = Scheduler(
-            n=self.n,
-            f=self.f,
+        scheduler = kernel(
+            self.n,
+            self.f,
             delay_model=delay_model if delay_model is not None else self._delay_model,
             fault_plan=fault_plan if fault_plan is not None else self._fault_plan,
             seed=seed if seed is not None else self._seed,
-            max_time=self._max_time,
-            protocol_name=self._protocol_name,
-            trace_level=self._trace_level,
             controller=controller,
+            **pacing,
         )
+        trace = scheduler.trace
+        trace.protocol = self._protocol_name
         scheduler.bind_processes(self._factory)
-        for pid in range(1, self.n + 1):
-            scheduler.processes[pid].on_start()
+        scheduler.start_processes()
         for pid, vote in vote_map.items():
             scheduler.post_propose(pid, vote, at=0.0)
 
         if self._stop_when_decided:
             scheduler.stop_when_all_correct_decided()
 
-        trace = scheduler.run()
+        pace(scheduler)
         trace.metadata["fault_plan"] = scheduler.fault_plan.description
         # scheduler.execution_class() == fault_plan.execution_class(u) for
         # uncontrolled runs; controllers can upgrade the class dynamically

@@ -2,8 +2,9 @@
 
 Three layers:
 
-* every conformance scenario passes on the simulator harness (the reference)
-  and on the asyncio harness — the same probe processes, the same checkers;
+* every conformance scenario passes on the simulator leg (the reference) and
+  on the asyncio leg — one ``Simulation`` of the same probe processes, run or
+  paced, and the same checkers;
 * the suite itself is falsifiable: an inert environment that ignores timers
   and accepts double decides fails multiple scenarios;
 * sim-vs-runtime agreement: every registered commit protocol, run unmodified
@@ -11,7 +12,8 @@ Three layers:
   runtime's execution record is judged by the readers the simulator's is
   (``check_nbac`` / ``evaluate_problem``), failure-free, with one crash and
   over a late link; under the same delay model and seed the two backends
-  decide the same values at the same times;
+  decide the same values at the same times, and a paced record carries the
+  simulator's metadata;
 * the runtime's record stays bounded: no per-message entry however long a
   service runs, and a receive-time query on it raises instead of answering 0.
 """
@@ -25,36 +27,26 @@ import pytest
 
 from repro.core.checker import check_nbac, evaluate_problem
 from repro.core.lattice import Prop, PropertyPair
-from repro.env.conformance import (
-    SCENARIOS,
-    HarnessResult,
-    SimHarness,
-    run_conformance,
-    run_scenario,
-)
+from repro.env.conformance import SCENARIOS, run_conformance, run_scenario
 from repro.errors import SimulationError
 from repro.protocols.registry import get_protocol, protocol_names
 from repro.runtime import (
     DEFAULT_UNIT_SECONDS,
     AsyncClusterService,
-    AsyncHarness,
     run_commit,
+    run_paced,
 )
 from repro.sim.faults import FaultPlan
 from repro.sim.network import FixedDelay, LinkDelay, LinkPolicy
-from repro.sim.runner import Simulation
-from repro.sim.trace import CounterTrace
+from repro.sim.runner import Scheduler, Simulation
 
 from conftest import run_protocol
 
-HARNESSES = {
-    "sim": lambda: SimHarness(),
-    "asyncio": lambda: AsyncHarness(),
-}
+LEGS = {"sim": Simulation.run, "asyncio": run_paced}
 
 
-def _harness_params():
-    # the asyncio harness runs on the wall clock: mark it `runtime` so the
+def _leg_params():
+    # the asyncio leg runs on the wall clock: mark it `runtime` so the
     # SIGALRM guard covers it
     return [
         pytest.param("sim", id="sim"),
@@ -65,17 +57,16 @@ def _harness_params():
 # --------------------------------------------------------------------------- #
 # the contract holds on both runtimes
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("harness_name", _harness_params())
+@pytest.mark.parametrize("leg", _leg_params())
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
-def test_scenario_passes(harness_name, scenario):
-    harness = HARNESSES[harness_name]()
-    assert run_scenario(harness, scenario) == []
+def test_scenario_passes(leg, scenario):
+    assert run_scenario(scenario, LEGS[leg]) == []
 
 
 @pytest.mark.runtime
 def test_full_conformance_both_runtimes():
-    assert run_conformance(SimHarness()) == []
-    assert run_conformance(AsyncHarness()) == []
+    assert run_conformance() == []
+    assert run_conformance(run_paced) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -107,22 +98,21 @@ class _InertEnv:
         return 0.0
 
 
-class _InertHarness:
-    name = "inert"
+class _InertKernel(Scheduler):
+    """The kernel with an inert env per pid, writing to the kernel's record."""
 
-    def run(self, factories, n, f, *, duration_units, proposals=None):
-        trace = CounterTrace(n=n, f=f)  # the record its inert env writes
-        processes = {}
-        for pid in range(1, n + 1):
-            factory = factories[pid]
-            processes[pid] = factory(pid, n, f, _InertEnv(trace, pid))
-        for pid in range(1, n + 1):
-            processes[pid].on_start()
-        return HarnessResult(processes=processes, trace=trace)
+    def __init__(self, n, f, **kwargs):
+        super().__init__(n, f, **kwargs)
+        self.envs = {pid: _InertEnv(self.trace, pid) for pid in self.envs}
+
+
+def _inert(simulation, votes):
+    # nothing ever runs: no timer is armed and nothing is sent
+    return simulation.run_on(_InertKernel, lambda kernel: None, votes)
 
 
 def test_conformance_suite_catches_a_broken_environment():
-    failures = run_conformance(_InertHarness())
+    failures = run_conformance(_inert)
     text = "\n".join(failures)
     # no timer ever fires: rearm, cancel-sentinel and monotonic all complain
     assert "timer-rearm" in text
@@ -198,8 +188,9 @@ def _cell(name):
 
 def _run_commit(name, votes, terminates=True, **kwargs):
     result = run_commit(name, AGREEMENT_N, AGREEMENT_F, list(votes), **kwargs)
-    assert not (terminates and result.timed_out), f"{name} timed out on asyncio"
-    assert result.errors == []
+    runtime = result.scheduler
+    assert not (terminates and runtime.timed_out), f"{name} timed out on asyncio"
+    assert runtime.errors == []
     return result
 
 
@@ -240,6 +231,24 @@ def test_one_network_model_decides_the_same_values_at_the_same_times(name, votes
     ).run(list(votes))
     assert _decided(runtime.trace) == _decided(sim.trace)
     assert runtime.trace.message_count() == sim.trace.message_count()
+
+
+@pytest.mark.runtime
+@pytest.mark.parametrize("crash_at", [{}, {3: 0.5}], ids=["failure-free", "P3-crashed"])
+def test_a_paced_record_carries_the_simulators_metadata(crash_at):
+    """One run, built once: ``run_commit`` stamps its record with what
+    ``Simulation.run`` stamps for the same votes and crashes."""
+    votes = [1, 0, 1, 1]
+    paced = _run_commit("INBAC", votes, crash_at=crash_at, timeout_units=40.0)
+    sim = Simulation(
+        AGREEMENT_N, AGREEMENT_F, process_class=get_protocol("INBAC").cls,
+        fault_plan=FaultPlan.crashes_at(crash_at) if crash_at else None,
+    ).run(votes)
+    keys = ("votes", "fault_plan", "execution_class")
+    assert {key: paced.trace.metadata[key] for key in keys} == {
+        key: sim.trace.metadata[key] for key in keys
+    }
+    assert paced.trace.protocol == sim.trace.protocol == "INBAC"
 
 
 @pytest.mark.runtime
@@ -342,8 +351,8 @@ def test_a_stalled_loop_does_not_change_what_a_run_decides(name):
                 name, votes, crash_at, _Stalls(STALL_UNIT, phase)
             )
             case = f"{name} {votes} crash_at={crash_at} phase={phase}"
-            assert result.errors == [], case
-            assert result.decisions == expected, case
+            assert result.scheduler.errors == [], case
+            assert result.decisions() == expected, case
             evaluation = evaluate_problem(result.trace, cell)
             assert evaluation.satisfied, f"{case}: {evaluation.failures}"
             records.add(
@@ -360,8 +369,8 @@ def test_one_long_stall_no_longer_splits_n_minus_1_plus_f_nbac():
         "(n-1+f)NBAC", (1, 1, 1, 1), {3: 0.5},
         _Stalls(DEFAULT_UNIT_SECONDS, phase=2.5, length=4.0, count=1),
     )
-    assert result.errors == []
-    assert result.decisions == {1: 0, 2: 0, 4: 0}
+    assert result.scheduler.errors == []
+    assert result.decisions() == {1: 0, 2: 0, 4: 0}
 
 
 # --------------------------------------------------------------------------- #

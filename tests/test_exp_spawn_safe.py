@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.exp import (
     GridSpec,
@@ -83,6 +89,41 @@ class TestSpawnExecution:
         assert spawned.meta["mode"] == "parallel"
         assert spawned.fingerprint() == serial.fingerprint()
         assert spawned.aggregate_fingerprint() == serial.aggregate_fingerprint()
+
+    def test_a_registration_made_at_import_reaches_a_spawn_worker(self):
+        """Failed at the parent: the worker never imported the registering
+        module, so every trial ended in "delay model 'probe-fixed' is not
+        registered in this process".  Run in a fresh interpreter, so the
+        registration stays out of this process' registry."""
+        script = textwrap.dedent(
+            """
+            from repro.exp import GridSpec, named_delay, run_sweep
+
+            def main():
+                import spawn_registrations  # registers "probe-fixed"
+
+                grid = GridSpec(
+                    protocols=["2PC"], systems=[(4, 1)],
+                    delays=[named_delay("probe-fixed")], seeds=range(8),
+                )
+                spawned = run_sweep(grid, workers=2, start_method="spawn")
+                assert spawned.meta["start_method"] == "spawn"
+                assert spawned.errors() == [], spawned.errors()[0].error
+                serial = run_sweep(grid, workers=1)
+                assert spawned.fingerprint() == serial.fingerprint()
+
+            main()
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__)), os.path.dirname(__file__)]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_fork_remains_the_default_where_available(self):
         sweep = run_sweep(registry_grid(seeds=range(3)), workers=2)

@@ -41,10 +41,10 @@ class TestRunCommit:
         result = run_commit(
             "INBAC", 4, 1, [1, 1, 1, 1], crash_at={3: 0.5}, timeout_units=120.0
         )
-        assert not result.timed_out
-        assert result.errors == []
+        assert not result.scheduler.timed_out
+        assert result.scheduler.errors == []
         assert 3 in result.trace.crashes
-        survivors = {pid: d for pid, d in result.decisions.items() if pid != 3}
+        survivors = {pid: d for pid, d in result.decisions().items() if pid != 3}
         assert len(survivors) == 3
         assert len(set(survivors.values())) == 1
 
@@ -55,7 +55,7 @@ class TestRunCommit:
         for name in ("2PC", "INBAC"):
             info = get_protocol(name)
             result = run_commit(name, 4, 1, [1, 1, 1, 1])
-            assert not result.timed_out
+            assert not result.scheduler.timed_out
             assert result.trace.message_count() >= info.expected_messages(4, 1)
 
     def test_vote_validation_and_decide_once_surface_as_errors(self):
@@ -486,6 +486,7 @@ class TestRecovery:
 def _probe_runtime(unit=0.005, factory=ObservingProcess, **kwargs):
     runtime = AsyncRuntime(2, 1, unit=unit, **kwargs)
     runtime.bind_processes(factory)
+    runtime.start_processes()
     return runtime
 
 

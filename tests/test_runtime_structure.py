@@ -13,7 +13,9 @@ classification rule) — each came back as a few innocent-looking lines, so
 they are refused by name here rather than noticed in a profile later.  So is a second ledger: what happened in a run is written
 once, into ``runtime.trace`` (docs/runtime.md, "What the runtime records").
 And so is a second cluster: partitions, client, WAL rejoin and report are
-``repro.db.cluster.Cluster``'s, which the service only paces.
+``repro.db.cluster.Cluster``'s, which the service only paces.  And a second
+bare run: processes, votes, the decided stop and the record's metadata are
+``repro.sim.runner.Simulation.run_on``'s, which ``run_paced`` only paces.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ from repro.workloads.transactions import uniform_workload
 
 PACKAGE = os.path.dirname(repro.runtime.__file__)
 
-#: module -> the one call it may make, and why
-ALLOWED = {
-    # AsyncHarness.run: the wait for the scenario horizon — the harness
-    # waits on the wall clock, the runtime never sleeps
-    ("conformance.py", "asyncio.sleep"): 1,
-}
+#: module -> the one call it may make, and why.  None: the wait for a
+#: conformance scenario's horizon is run_paced's wait for decisions, which
+#: ends on the stop or the timeout — the runtime never sleeps
+ALLOWED = {}
 
 #: the only place that arms a loop handle: the one wake-up method
 WAKE_UP = ("runtime.py", "_wake")
@@ -126,6 +126,26 @@ def test_no_second_cluster():
     assert calls == []
     assert not hasattr(repro.runtime, "run_cluster_async")
     assert "run_cluster_async" not in repro.runtime.__all__
+
+
+def test_no_second_run():
+    # a bare protocol run is put together once, by Simulation.run_on, on
+    # either kernel; run_commit and the conformance leg only pace it, and
+    # its result is the simulator's SimulationResult
+    calls = sorted(
+        (filename, ast.unparse(node.func).split(".")[-1])
+        for filename, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1]
+        in ("bind_processes", "stop_when_all_correct_decided")
+    )
+    assert calls == []
+    assert not os.path.exists(os.path.join(PACKAGE, "conformance.py"))
+    # no result type or harness of its own, exported or not
+    assert [
+        name for name in dir(repro.runtime) if name.endswith(("Result", "Harness"))
+    ] == []
 
 
 @pytest.mark.runtime

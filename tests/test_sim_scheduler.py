@@ -485,12 +485,10 @@ class TestResumedRun:
             n=4,
             f=1,
             delay_model=FlakyLinkDelay(u=1.0, outages=((1, 2, 0.0, 3.0),)),
-            protocol_name=protocol.__name__,
             controller=controller,
         )
         scheduler.bind_processes(lambda pid, n, f, env: protocol(pid, n, f, env))
-        for process in scheduler.processes.values():
-            process.on_start()
+        scheduler.start_processes()
         for pid in range(1, 5):
             scheduler.post_propose(pid, 1)
         scheduler.stop_when_all_correct_decided()
