@@ -76,7 +76,6 @@ def _measure_once(n, f, trials, workers, label, scratch_dir, sequence):
         workers=workers,
         mode="aggregate",
         trace_level="counters",
-        fold="chunk",
         progress=progress,
     )
     elapsed = time.perf_counter() - start

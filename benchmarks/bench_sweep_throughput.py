@@ -1,14 +1,12 @@
-"""Sweep-throughput benchmark: the simulation core's trace levels and folds.
+"""Sweep-throughput benchmark: the simulation core's two trace levels.
 
-Measures trials/sec for aggregate-mode sweeps at n in {20, 100, 200} across
-the three live core configurations:
+Measures trials/sec for aggregate-mode sweeps at n in {20, 100, 200} at each
+trace level:
 
-* ``full+trial`` — ``trace_level="full"`` with per-trial streaming folds.
-* ``counters+trial`` — the counters trace level, still folding per trial.
-* ``counters+chunk`` — the aggregate-mode default: counters level, chunk
-  folds.
+* ``full`` — ``trace_level="full"``: one record per message.
+* ``counters`` — the aggregate-mode default: running tallies only.
 
-Every configuration must produce the *same* ``SweepAggregate`` fingerprint —
+Both levels must produce the *same* ``SweepAggregate`` fingerprint —
 a cheaper configuration buys speed, never different bytes — and the measured
 rates are written to ``BENCH_sweep_throughput.json`` (``--out`` /
 ``REPRO_BENCH_OUT`` override the path; ``--quick`` runs the small smoke
@@ -49,51 +47,43 @@ def grid(n: int, f: int, trials: int) -> GridSpec:
     )
 
 
-def _measure_once(n, f, trials, workers, trace_level, fold):
+def _measure_once(n, f, trials, workers, trace_level):
     """One timed aggregate sweep; returns (trials/sec, fingerprint)."""
     start = time.perf_counter()
     agg = run_sweep(
-        grid(n, f, trials),
-        workers=workers,
-        mode="aggregate",
-        trace_level=trace_level,
-        fold=fold,
+        grid(n, f, trials), workers=workers, mode="aggregate", trace_level=trace_level
     )
     elapsed = time.perf_counter() - start
     assert agg.error_count == 0, agg.sample_errors
     return trials / elapsed, agg.aggregate_fingerprint()
 
 
-def measure(n, f, trials, workers, trace_level, fold, repeats=2):
+def measure(n, f, trials, workers, trace_level, repeats=2):
     """Best-of-``repeats`` throughput (and the fingerprint, identical each run)."""
     best, fingerprint = 0.0, None
     for _ in range(repeats):
-        rate, fingerprint = _measure_once(n, f, trials, workers, trace_level, fold)
+        rate, fingerprint = _measure_once(n, f, trials, workers, trace_level)
         best = max(best, rate)
     return best, fingerprint
 
 
-#: label -> (trace_level, fold)
-VARIANTS = {
-    "full+trial": ("full", "trial"),
-    "counters+trial": ("counters", "trial"),
-    "counters+chunk": ("counters", "chunk"),
-}
+#: the measured trace levels, each a column label
+VARIANTS = ("full", "counters")
 
 
 def run_battery(configs, workers: Optional[int] = 1, repeats: int = 2) -> List[Dict]:
     """Measure every variant at every (n, f, trials) point.
 
-    Asserts, per point, that all three variants produce byte-identical
+    Asserts, per point, that both variants produce byte-identical
     ``SweepAggregate`` fingerprints — the determinism half of the benchmark.
     """
     rows: List[Dict] = []
     for n, f, trials in configs:
         fingerprints: Dict[str, str] = {}
         rates: Dict[str, float] = {}
-        for label, (level, fold) in VARIANTS.items():
-            rates[label], fingerprints[label] = measure(
-                n, f, trials, workers, level, fold, repeats=repeats
+        for level in VARIANTS:
+            rates[level], fingerprints[level] = measure(
+                n, f, trials, workers, level, repeats=repeats
             )
         distinct = set(fingerprints.values())
         assert len(distinct) == 1, (
@@ -135,7 +125,7 @@ def write_baseline(rows: List[Dict], out_path: str, workers, quick: bool) -> Non
         handle.write("\n")
 
 
-TITLE = "Sweep throughput by trace level and fold (trials/sec)"
+TITLE = "Sweep throughput by trace level (trials/sec)"
 
 
 def test_sweep_throughput(benchmark):

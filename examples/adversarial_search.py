@@ -40,7 +40,7 @@ def main() -> None:
     grid = GridSpec(
         protocols=["2PC"], systems=[(5, 2)],
         schedules=[("random-walk", "random-walk", {})],
-        seeds=[violation.base_seed], trace_level="full",
+        seeds=[violation.base_seed],
     )
     trial = grid.trials()[0]
     replayed = replay_trial(trial, violation.shrunk)

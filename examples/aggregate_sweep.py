@@ -11,11 +11,13 @@ list — which this script demonstrates by running the same small grid both
 ways and comparing fingerprints, then scaling the seed axis up in streaming
 mode only.
 
-Aggregate mode is also the fast path: it defaults to the scheduler's
-``counters`` trace level (no per-message records allocated) and, in parallel
-runs, to worker-side chunk folds (one accumulator bundle shipped per
-contiguous trial chunk instead of one result per trial) — without changing a
-single output byte, which the fingerprint comparison below exercises.
+Aggregate mode is also the fast path: it runs at the scheduler's
+``counters`` trace level (no per-message records allocated), and in
+parallel runs each worker ships its contiguous trial chunk as one partial
+accumulator bundle instead of one result per trial (the engine does this for
+any sink that can merge, the full mode's trial list included) — without
+changing a single output byte, which the fingerprint comparison below
+exercises.
 
 Run with:  python examples/aggregate_sweep.py [--seeds N] [--workers W]
 """

@@ -66,7 +66,6 @@ def main() -> None:
         schedules=[("cp", "crash-point", {})],
         seeds=[violation.base_seed],
         max_time=150.0,
-        trace_level="full",
     )
     stored = ScheduleTrace.from_json(violation.shrunk.to_json())
     replayed = replay_trial(grid.trials()[0], stored)

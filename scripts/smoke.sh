@@ -13,8 +13,8 @@
 #   4. one fast benchmark end-to-end;
 #   5. all examples;
 #   6. a small sweep-throughput perf smoke: the core must emit its JSON
-#      baseline and every core configuration (trace levels, fold paths) must
-#      produce identical aggregate fingerprints;
+#      baseline and both trace levels must produce identical aggregate
+#      fingerprints;
 #   7. a profile-first smoke (scripts/profile_smoke.sh): a profiled n=200
 #      sweep (REPRO_PROFILE=1) must dump cProfile data and `python -m
 #      repro.obs.profile` must fold it into a top-10 cumulative hot-spot
@@ -83,7 +83,7 @@ for example in examples/*.py; do
     python "${example}" > /dev/null
 done
 
-echo "==> [6/13] sweep-throughput perf smoke (trace levels x fold paths)"
+echo "==> [6/13] sweep-throughput perf smoke (trace levels)"
 bench_out=$(mktemp)
 python benchmarks/bench_sweep_throughput.py --quick --out "${bench_out}" > /dev/null
 python - "${bench_out}" <<'EOF'
@@ -97,7 +97,7 @@ for config in baseline["configs"]:
     # run_battery already asserted the cross-variant fingerprint equality;
     # re-assert the emitted record is complete
     assert config["fingerprint"], config
-    for column in ("full+trial t/s", "counters+trial t/s", "counters+chunk t/s"):
+    for column in ("full t/s", "counters t/s"):
         assert config[column] > 0, (column, config)
 # the frozen legacy / heap columns ride along from the committed baseline
 assert baseline["history"]["configs"], "frozen history block missing"
@@ -135,7 +135,7 @@ assert shrunk is not None and len(shrunk) <= 5, shrunk
 # reproduces the identical trace fingerprint
 grid = GridSpec(protocols=["2PC"], systems=[(5, 2)],
                 schedules=[("random-walk", "random-walk", {})],
-                seeds=[violations[0].base_seed], trace_level="full")
+                seeds=[violations[0].base_seed])
 stored = ScheduleTrace.from_json(shrunk.to_json())
 replays = [replay_trial(grid.trials()[0], stored) for _ in range(2)]
 fingerprints = {r.extra["trace_fingerprint"] for r in replays}
@@ -254,9 +254,9 @@ grid = lambda: GridSpec(
     delays=["uniform"],
     seeds=range(10),
 )
-plain = run_sweep(grid(), workers=1, mode="aggregate", fold="chunk")
+plain = run_sweep(grid(), workers=1, mode="aggregate")
 progress_path = f"{obs_dir}/progress.jsonl"
-observed = run_sweep(grid(), workers=1, mode="aggregate", fold="chunk",
+observed = run_sweep(grid(), workers=1, mode="aggregate",
                      progress=f"jsonl:{progress_path}")
 # observation never changes bytes: the hard constraint of the obs package
 assert observed.aggregate_fingerprint() == plain.aggregate_fingerprint(), (

@@ -17,7 +17,7 @@ This package provides two interchangeable implementations of that module:
   fixed-coordinator consensus used by fast unit tests and by executions where
   the coordinator is known to be correct.
 
-Both are :class:`~repro.sim.process.ProcessComponent` sub-protocols: they are
+Both are :class:`~repro.env.ProcessComponent` sub-protocols: they are
 attached to a host process and share its network links and timers.
 """
 

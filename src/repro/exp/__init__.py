@@ -28,36 +28,40 @@ regimes.  This package turns those cross-product comparisons into one-liners:
   one sweep path (chunks of the trial list, in-process or across worker
   processes, consumed in order) with per-trial derived seeding, so parallel
   and serial sweeps produce byte-identical aggregates;
-* :mod:`repro.exp.results` — :class:`SweepResult` aggregates the structured
-  per-trial measurements into table rows for :mod:`repro.analysis`;
-  :class:`SweepAggregate` is the bounded-memory counterpart produced by
-  streaming sweeps.
+* :mod:`repro.exp.results` — the two stock sinks: :class:`SweepResult`
+  keeps the structured per-trial measurements, :class:`SweepAggregate` only
+  the per-cell accumulators both turn into table rows for
+  :mod:`repro.analysis`.
 
-One execution path, two sinks.  Every sweep is the same loop — the trial
-list cut into contiguous chunks, each chunk run in-process (serial) or by a
-pool worker, the chunks consumed in trial-index order — and ``mode`` only
-picks what they are folded into:
+One execution path, one sink per sweep.  Every sweep is the same loop — the
+trial list cut into contiguous chunks, each chunk run in-process (serial) or
+by a pool worker, the chunks consumed in trial-index order — and every
+result is folded into a sink (anything with ``fold(TrialResult)``) that
+``mode`` or ``reducer=`` picks:
 
-* ``mode="full"`` (default) materialises every :class:`TrialResult` in a
-  :class:`SweepResult` — per-trial selection, robustness matrices, canonical
-  fingerprints;
-* ``mode="aggregate"`` streams — each result is folded into per-coordinate
-  accumulators (counts, commit/abort tallies, message totals, exact latency
-  digests for p50/p99) and discarded, so 10^5-10^6-trial sweeps run in
-  memory bounded by the grid's *cell* count while producing byte-identical
-  aggregate tables to the in-memory path.  Pass ``reducer=`` (any object
-  with ``fold(TrialResult)``) for custom streaming statistics.
+* ``mode="full"`` (default) folds into a :class:`SweepResult`, which keeps
+  every :class:`TrialResult` — per-trial selection, robustness matrices,
+  canonical fingerprints;
+* ``mode="aggregate"`` streams into a :class:`SweepAggregate` — each result
+  is folded into per-coordinate accumulators (counts, commit/abort tallies,
+  message totals, exact latency digests for p50/p99) and discarded, so
+  10^5-10^6-trial sweeps run in memory bounded by the grid's *cell* count
+  while producing byte-identical aggregate tables to the in-memory path (a
+  :class:`SweepResult` computes its tables with a :class:`SweepAggregate`);
+* ``reducer=`` (any object with ``fold(TrialResult)``, or a registered name)
+  replaces either for custom streaming statistics.
 
-Aggregate mode is also the *fast* path: it defaults to
-``trace_level="counters"`` (the scheduler maintains running tallies instead
-of allocating one ``MessageRecord`` per message; see :mod:`repro.sim.trace`)
-and, behind a pool, to ``fold="chunk"`` (a worker ships its chunk already
-folded into partial accumulators — one bundle per chunk instead of one
-result per trial — which merge exactly, so the parent's tables do not
-change).  Both knobs are overridable per sweep and neither changes a single
-output byte: trace levels, fold strategies, start methods and worker counts
-all produce identical aggregate fingerprints.  A pool worker that dies ends
-the sweep in a :class:`~repro.errors.SweepError` instead of a hang.
+Behind a pool, a sink that can also ``merge`` receives each chunk as a
+partial its worker already folded — one bundle per chunk instead of one
+result per trial — and merges them exactly, so the tables do not change.
+A sink other than a :class:`SweepResult` runs at ``trace_level="counters"``
+(the scheduler maintains running tallies instead of allocating one
+``MessageRecord`` per message; see :mod:`repro.sim.trace`) unless a
+collector needs full traces; ``run_sweep(trace_level=)`` is the one place
+that overrides it.  Neither choice changes a single output byte: trace
+levels, sinks, start methods and worker counts all produce identical
+aggregate fingerprints.  A pool worker that dies ends the sweep in a
+:class:`~repro.errors.SweepError` instead of a hang.
 
 The ``workers=`` argument defaults to one per CPU; the ``REPRO_EXP_WORKERS``
 environment variable overrides it and must be a positive integer —

@@ -18,7 +18,7 @@ Design constraints, in order:
    parameter dict can express), ``collector=`` hooks, and protocol classes
    defined inside a function.  None of those can cross a pickling process
    boundary, so the pool prefers the ``fork`` start method and ships
-   the sweep's job (trial list, collector, trace levels, chunk size) to the
+   the sweep's job (trial list, collector, trace level, chunk size) to the
    workers *by inheritance*: it is the pool initializer's argument, which
    forked children receive as inherited memory, and only integer chunk
    indices and plain-data results travel over the queues.  A *spawn-safe*
@@ -56,25 +56,28 @@ Design constraints, in order:
    parent consumes, so neither its futures nor the finished chunks waiting
    for their turn grow with the sweep.
 
-5. **Worker-side chunk folds.**  ``fold=`` decides only what a pooled chunk
-   ships back.  With the default :class:`~repro.exp.results.SweepAggregate`
-   sink a pooled sweep defaults to ``fold="chunk"``: each worker folds its
-   chunk into a *partial* accumulator set and the parent merges the bundles
-   in chunk (= trial index) order.  IPC drops from one pickled TrialResult
-   per trial to one small bundle per chunk, and because every accumulator
-   statistic merges exactly (no float-sum reordering), the chunked
-   fingerprints match the per-trial fold — and the in-memory path — byte for
-   byte at any worker count.  ``fold="trial"`` ships the TrialResults (as
-   required for, and implied by, custom reducers: they only expose ``fold``).
+5. **One sink, chosen once.**  A sink is anything with ``fold(TrialResult)``:
+   the ``reducer``, else a :class:`~repro.exp.results.SweepAggregate`
+   (``mode="aggregate"``), else a :class:`~repro.exp.results.SweepResult`
+   (``mode="full"``), which folds by appending.  A serial sweep folds every
+   result straight into it.  Behind a pool, a sink that can also
+   ``merge`` gets each chunk as a *partial*: the worker folds the chunk into
+   a fresh ``type(sink)()`` and the parent merges the partials in chunk (=
+   trial index) order — one small bundle per chunk instead of one pickled
+   TrialResult per trial for the aggregates.  A sink without ``merge`` gets
+   the chunk's TrialResults, folded one by one.  Every statistic merges
+   exactly (no float-sum reordering), so both paths give the same bytes at
+   any worker count; ``meta["fold"]`` records which one ran.
 
-6. **Trace levels.**  Aggregate-mode sweeps only consume the aggregate
-   tallies a :class:`~repro.sim.trace.CounterTrace` maintains, so they
-   default to ``trace_level="counters"`` — the scheduler skips per-message
-   record allocation entirely — unless a ``collector=`` needs the live full
-   trace.  ``mode="full"`` keeps ``trace_level="full"``.  Either default can
-   be overridden per sweep (``run_sweep(..., trace_level=...)``) or per grid
-   (``GridSpec(trace_level=...)``); measurements and fingerprints are
-   byte-identical across levels by construction.
+6. **One trace level per sweep.**  A sink other than a
+   :class:`~repro.exp.results.SweepResult` only reads the tallies a
+   :class:`~repro.sim.trace.CounterTrace` maintains, so such a sweep runs at
+   ``trace_level="counters"`` — the scheduler skips per-message record
+   allocation entirely — unless a ``collector=`` needs the live full trace.
+   Every other sweep runs at ``"full"``; ``run_sweep(..., trace_level=...)``
+   overrides either default, and nothing else sets a trial's level.
+   Measurements and fingerprints are byte-identical across levels by
+   construction.
 
 7. **Cluster trials.**  A trial whose spec carries a
    :class:`~repro.exp.spec.WorkloadSpec` runs a :mod:`repro.db` cluster
@@ -95,7 +98,7 @@ Design constraints, in order:
    their seed, and the expansion order keeps a cell's trials contiguous, so
    the per-trial hot path resolves the protocol factory and keyword
    arguments once per cell (a one-slot memo keyed by the protocol spec, the
-   system size and the trace level): the memo holds the cell's
+   system size and the sweep's trace level): the memo holds the cell's
    :class:`~repro.sim.runner.Simulation`, reused across its trials.  What
    varies with the trial — votes, delay model, fault plan, controller — is
    built per trial from the derived seed and passed in as overrides.
@@ -119,7 +122,7 @@ from repro.core.checker import check_nbac
 from repro.errors import ConfigurationError, SweepError
 from repro.exp.results import SweepAggregate, SweepResult, TrialResult
 from repro.exp.spec import GridSpec, TrialSpec
-from repro.sim.runner import Simulation, SimulationResult
+from repro.sim.runner import Simulation
 from repro.sim.trace import TRACE_LEVELS
 
 #: a collector receives (trial, result) in the worker and returns extra
@@ -138,9 +141,8 @@ _MAX_CHUNK = 64
 #: chunks a pool may hold submitted but not yet consumed, per worker
 _WINDOW_PER_WORKER = 2
 
-#: what run_trials/run_sweep accept for mode=, fold= and start_method=
+#: what run_trials/run_sweep accept for mode= and start_method=
 _MODES = ("full", "aggregate")
-_FOLDS = ("auto", "trial", "chunk")
 _START_METHODS = (None, "fork", "spawn")
 
 
@@ -169,11 +171,6 @@ def _cell_simulation(trial: TrialSpec, trace_level: str) -> Simulation:
     return simulation
 
 
-def _effective_level(trial: TrialSpec, override: Optional[str], default: str) -> str:
-    """Trace-level precedence: sweep override > per-trial pin > sweep default."""
-    return override or trial.trace_level or default
-
-
 def run_trial(
     trial: TrialSpec,
     collector: Optional[Collector] = None,
@@ -181,8 +178,8 @@ def run_trial(
 ) -> TrialResult:
     """Run one trial to completion and condense it into a TrialResult.
 
-    ``trace_level`` overrides the trial's own level; with both unset the
-    trial runs at ``"full"``.  Measurements are identical at either level.
+    ``trace_level`` ``None`` runs the trial at ``"full"``.  Measurements are
+    identical at either level.
 
     The cycle collector is paused for the whole call — build, run, check,
     ``collector`` and release — and left as it was found on the way out.  A
@@ -195,16 +192,13 @@ def run_trial(
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run_trial(trial, collector, trace_level)
+        return _run_trial(trial, collector, trace_level or "full")
     finally:
         if was_enabled:
             gc.enable()
 
 
-def _run_trial(
-    trial: TrialSpec, collector: Optional[Collector], trace_level: Optional[str]
-) -> TrialResult:
-    level = _effective_level(trial, trace_level, "full")
+def _run_trial(trial: TrialSpec, collector: Optional[Collector], level: str) -> TrialResult:
     seed = trial.derived_seed
     base = TrialResult(
         index=trial.index,
@@ -394,9 +388,11 @@ class _Job:
 
     trials: List[TrialSpec]
     collector: Optional[Collector]
-    levels: Tuple[Optional[str], str]  # (explicit override, sweep default)
+    trace_level: str
     chunk: int
-    folded: bool  # ship each chunk back folded into a partial SweepAggregate
+    #: what a pool worker folds its chunk into: the sink's own type when the
+    #: sink can merge partials, else a SweepResult of the chunk's TrialResults
+    partial: type
     #: the modules defining every builder the trials name (pooled sweeps only)
     modules: Tuple[str, ...]
 
@@ -445,27 +441,21 @@ def _maybe_profiled(label: str):
     return contextlib.nullcontext()
 
 
-def _run_chunk(
-    chunk_index: int, job: Optional[_Job] = None
-) -> Union[List[TrialResult], SweepAggregate]:
-    """Run one contiguous trial-index chunk, in index order.
+def _run_chunk(chunk_index: int, job: Optional[_Job] = None, sink: Any = None) -> Any:
+    """Run one contiguous trial-index chunk, folding each result in index order.
 
-    Returns the chunk's TrialResults — or, for a ``job.folded`` sweep, the
-    chunk folded into a fresh :class:`SweepAggregate`, so a few cell
-    accumulators, not per-trial records, are the only thing shipped back over
-    the result queue.  Without ``job`` this is the pool-worker entry point:
+    The results go into ``sink`` when one is given (the serial path folds
+    straight into the sweep's sink), else into a fresh ``job.partial()``,
+    which is returned.  Without ``job`` this is the pool-worker entry point:
     the initializer parked the job, and the chunk is one profiling unit.
     """
     if job is None:
         with _maybe_profiled(f"chunk{chunk_index:04d}"):
             return _run_chunk(chunk_index, _POOL_JOB)
-    override, default = job.levels
-    out: Any = SweepAggregate() if job.folded else []
-    take = out.fold if job.folded else out.append
+    out = job.partial() if sink is None else sink
     start = chunk_index * job.chunk
     for trial in job.trials[start : start + job.chunk]:
-        level = _effective_level(trial, override, default)
-        take(run_trial(trial, job.collector, trace_level=level))
+        out.fold(run_trial(trial, job.collector, job.trace_level))
     return out
 
 
@@ -492,7 +482,7 @@ def _in_order(
 
 
 def _progress_emitter(
-    progress: Optional[Any], job: _Job, workers: int, mode: str
+    progress: Optional[Any], job: _Job, meta: Dict[str, Any]
 ) -> Callable[[str, int], None]:
     """Build ``emit(phase, chunks_done)``: one count-only observation, parent side.
 
@@ -519,9 +509,9 @@ def _progress_emitter(
                 chunks_total=job.n_chunks,
                 chunks_done=chunks_done,
                 queue_depth=job.n_chunks - chunks_done,
-                workers=workers,
-                mode=mode,
-                fold="chunk" if job.folded else "trial",
+                workers=meta["workers"],
+                mode=meta["mode"],
+                fold=meta["fold"],
             )
         )
 
@@ -651,35 +641,34 @@ def run_trials(
     mode: str = "full",
     reducer: Optional[Any] = None,
     trace_level: Optional[str] = None,
-    fold: str = "auto",
     start_method: Optional[str] = None,
     progress: Optional[Any] = None,
-) -> Union[SweepResult, Any]:
+) -> Any:
     """Run an explicit trial list (see :func:`repro.exp.spec.make_cases`).
 
     The parameters are :func:`run_sweep`'s; this is the one path behind them.
-    The list is cut into contiguous index chunks and :func:`_run_chunk` runs
-    each: in-process on chunks of one trial when serial (``workers=1``,
-    fewer than 4 trials, or no usable start method), otherwise through one
-    pool of ``workers`` processes on chunks of
+    The sink is the ``reducer``, else a
+    :class:`~repro.exp.results.SweepAggregate` (``mode="aggregate"``), else a
+    :class:`~repro.exp.results.SweepResult`, and it is what comes back.  The
+    list is cut into contiguous index chunks and :func:`_run_chunk` runs
+    each: in-process on chunks of one trial, folding straight into the sink,
+    when serial (``workers=1``, fewer than 4 trials, or no usable start
+    method); otherwise through one pool of ``workers`` processes on chunks of
     ``max(1, min(64, len(trials) // (workers * 4)))`` trials, at most
     ``2 * workers`` chunks submitted ahead of the one consumed.  One loop
-    consumes the chunks in chunk (= trial-index) order into the sink: the
-    ``reducer``, a :class:`~repro.exp.results.SweepAggregate`
-    (``mode="aggregate"``), or the list that becomes the
-    :class:`~repro.exp.results.SweepResult`.  A chunk arrives as its
-    TrialResults, folded one by one — or, only for the default aggregate
-    sink behind a pool with ``fold != "trial"``, as a partial the worker
-    already folded, which is merged.
+    consumes the chunks in chunk (= trial-index) order: a pooled chunk is a
+    partial the sink merges when the sink has ``merge``, else TrialResults
+    it folds one by one.
 
-    ``meta`` records what ran: ``mode`` (``"serial"``/``"parallel"``),
-    ``workers``, ``requested_workers``, ``trials``, ``sweep_mode``,
-    ``trace_level``; ``start_method`` when pooled; ``fold`` when streaming;
-    ``chunk_size`` and ``chunks`` for worker-side folds.  ``progress``
-    receives one ``start`` event, one ``chunk`` event per consumed chunk
-    (``trials_done = min(chunks_done * chunk, trials_total)``; serial chunks
-    are single trials) and one ``summary``, always in the parent, after the
-    chunk crossed the worker queue.
+    ``meta`` (set on a sink that has a ``meta`` dict) records what ran:
+    ``mode`` (``"serial"``/``"parallel"``), ``workers``,
+    ``requested_workers``, ``trials``, ``sweep_mode``, ``trace_level``,
+    ``fold`` (``"chunk"`` when pooled chunks were merged, else ``"trial"``);
+    ``start_method`` when pooled; ``chunk_size`` and ``chunks`` for merged
+    chunks.  ``progress`` receives one ``start`` event, one ``chunk`` event
+    per consumed chunk (``trials_done = min(chunks_done * chunk,
+    trials_total)``; serial chunks are single trials) and one ``summary``,
+    always in the parent, after the chunk crossed the worker queue.
 
     A worker process that dies raises :class:`~repro.errors.SweepError`
     naming the first chunk that did not come back.  Leaving the loop by any
@@ -687,64 +676,46 @@ def run_trials(
     the chunks still pending instead of running them to completion first.
     """
     _one_of("sweep mode", mode, _MODES)
-    _one_of("fold strategy", fold, _FOLDS)
     if trace_level is not None:
         _one_of("trace_level", trace_level, TRACE_LEVELS)
-    if fold == "chunk" and reducer is not None:
-        raise ConfigurationError(
-            "fold='chunk' requires the default SweepAggregate sink; custom "
-            "reducers only expose per-trial fold() and cannot merge partials"
-        )
-    if fold == "chunk" and mode != "aggregate":
-        raise ConfigurationError(
-            "fold='chunk' only applies to streaming sweeps; pass "
-            "mode='aggregate' (mode='full' returns every TrialResult and "
-            "has nothing to fold)"
-        )
     trials = list(trials)
-    if isinstance(reducer, str):
+    sink = reducer
+    if isinstance(sink, str):
         # registry-named sinks are spawn-safe and keep grids lambda-free
         from repro.exp.registry import make_reducer
 
-        reducer = make_reducer(reducer)
-    streaming = mode == "aggregate" or reducer is not None
-    # aggregate-mode sweeps only read the tallies a CounterTrace maintains,
-    # so they default to the counters level — unless a collector needs the
-    # live (full) trace, or the caller/grid pinned a level
-    levels = (trace_level, "counters" if streaming and collector is None else "full")
+        sink = make_reducer(sink)
+    elif sink is None:
+        sink = SweepAggregate() if mode == "aggregate" else SweepResult()
+    full = isinstance(sink, SweepResult)
+    # any other sink only reads the tallies a CounterTrace maintains, unless a
+    # collector needs the live (full) trace
+    level = trace_level or ("full" if full or collector is not None else "counters")
     n_workers = _resolve_workers(workers, len(trials))
     method = _resolve_start_method(start_method, trials, collector)
     pooled = n_workers > 1 and len(trials) >= _MIN_TRIALS_FOR_POOL and method is not None
     # four chunks per worker, so uneven cells still balance
     chunk = max(1, min(_MAX_CHUNK, len(trials) // (n_workers * 4))) if pooled else 1
-    # a worker ships its chunk folded only where that cuts IPC and the parent
-    # can merge it: across a process boundary, into the default sink, unless
-    # the caller asked for the per-trial stream
-    folded = pooled and streaming and reducer is None and fold != "trial"
+    folded = pooled and hasattr(sink, "merge")
     job = _Job(
-        trials, collector, levels, chunk, folded,
+        trials, collector, level, chunk, type(sink) if folded else SweepResult,
         _builder_modules(trials) if pooled else (),
     )
-    # the level(s) the trials actually run at, as _effective_level resolves them
-    ran_at = {_effective_level(t, *levels) for t in trials} or {levels[0] or levels[1]}
     meta = {
         "mode": "parallel" if pooled else "serial",
         "workers": n_workers if pooled else 1,
         "requested_workers": workers,
         "trials": len(trials),
-        "sweep_mode": "aggregate" if streaming else "full",
-        "trace_level": ran_at.pop() if len(ran_at) == 1 else "mixed",
+        "sweep_mode": "full" if full else "aggregate",
+        "trace_level": level,
+        "fold": "chunk" if folded else "trial",
     }
     if pooled:
         meta["start_method"] = method
-    if streaming:
-        meta["fold"] = "chunk" if folded else "trial"
     if folded:
         meta.update(chunk_size=chunk, chunks=job.n_chunks)
-    emit = _progress_emitter(progress, job, meta["workers"], meta["mode"])
+    emit = _progress_emitter(progress, job, meta)
 
-    sink = reducer if reducer is not None else SweepAggregate() if streaming else []
-    take = sink.fold if streaming else sink.append
     emit("start", 0)
     done = 0
     lost = ()  # what a lost worker raises: nothing, while there is no pool
@@ -771,13 +742,13 @@ def run_trials(
                 )
             else:
                 stack.enter_context(_maybe_profiled("serial"))
-                parts = (_run_chunk(index, job) for index in range(job.n_chunks))
+                parts = (_run_chunk(index, job, sink) for index in range(job.n_chunks))
             for part in parts:
                 if folded:
                     sink.merge(part)
-                else:
+                elif part is not sink:  # a pooled chunk's TrialResults
                     for result in part:
-                        take(result)
+                        sink.fold(result)
                 done += 1
                 emit("chunk", done)
         except lost:
@@ -787,8 +758,6 @@ def run_trials(
                 f"was abandoned (start method {method!r}, {n_workers} workers)"
             ) from None
     emit("summary", done)
-    if not streaming:
-        return SweepResult(trials=sink, meta=meta)
     if hasattr(sink, "meta"):
         sink.meta.update(meta)
     return sink
@@ -801,18 +770,17 @@ def run_sweep(
     mode: str = "full",
     reducer: Optional[Any] = None,
     trace_level: Optional[str] = None,
-    fold: str = "auto",
     start_method: Optional[str] = None,
     progress: Optional[Any] = None,
-) -> Union[SweepResult, Any]:
+) -> Any:
     """Expand a grid and run every trial, fanning out across workers.
 
     This is ``run_trials(grid.trials(), ...)``: how trials are chunked,
     ordered, folded, observed and abandoned on a lost worker is
     :func:`run_trials`'s contract and is not restated here.  No option below
     changes a byte: results, aggregate tables and fingerprints are identical
-    across worker counts, start methods, fold strategies and trace levels,
-    with or without ``progress``.
+    across worker counts, start methods and trace levels, with or without
+    ``progress``.
 
     Parameters
     ----------
@@ -836,30 +804,24 @@ def run_sweep(
         discarded, so memory is bounded by the grid's cell count instead of
         its trial count.
     reducer:
-        Custom streaming sink: any object with a ``fold(TrialResult)``
-        method.  Implies streaming regardless of ``mode``; the engine folds
-        every result in trial-index order and returns the reducer (updating
-        its ``meta`` dict attribute, if present, with execution metadata).
-        Custom reducers always fold per trial (``fold="chunk"`` is rejected).
+        Custom sink: any object with a ``fold(TrialResult)`` method, or a
+        registered reducer name (:mod:`repro.exp.registry`).  It replaces
+        the sink ``mode`` picks; the engine folds every result in
+        trial-index order and returns the reducer (updating its ``meta``
+        dict attribute, if present, with execution metadata).  A reducer
+        that also has ``merge(partial)`` must build empty with
+        ``type(reducer)()``: behind a pool each worker folds its chunk into
+        one, and the parent merges them in chunk order.
     trace_level:
         ``"full"`` or ``"counters"`` (see :mod:`repro.sim.trace`), applied to
         every trial of this sweep.  ``None`` (default) picks ``"counters"``
-        for aggregate-mode sweeps without a collector — the fast path: no
-        per-message records are allocated — and ``"full"`` otherwise; a
-        per-grid ``GridSpec(trace_level=...)`` pin sits between the two.
-        Note a ``"counters"`` pin wins over the collector-keeps-full-traces
-        default: a collector that needs per-message records must not be
-        combined with such a pin (its failure is captured per trial in
-        ``TrialResult.error``, like any simulation failure).
-    fold:
-        What a pool worker ships back in a streaming sweep.  ``"auto"``
-        (default) uses worker-side chunk folds whenever the sink is the
-        default :class:`~repro.exp.results.SweepAggregate` and a pool is in
-        use; ``"trial"`` forces per-trial streaming.  ``"chunk"`` selects
-        chunk folds for pooled runs and is rejected with a custom reducer
-        (which only exposes per-trial ``fold``); a serial run has no result
-        IPC to cut, so it always folds per trial and records the executed
-        path in ``meta["fold"]``.
+        for a sink other than a ``SweepResult`` without a collector — the
+        fast path: no per-message records are allocated — and ``"full"``
+        otherwise.  Note a ``"counters"`` level wins over the
+        collector-keeps-full-traces default: a collector that needs
+        per-message records must not be combined with it (its failure is
+        captured per trial in ``TrialResult.error``, like any simulation
+        failure).
     start_method:
         Pool start method.  ``None`` (default) keeps the historical
         behaviour: ``fork`` where available, otherwise ``spawn`` when the
@@ -878,5 +840,5 @@ def run_sweep(
     """
     trials = grid.trials() if isinstance(grid, GridSpec) else list(grid)
     return run_trials(
-        trials, workers, collector, mode, reducer, trace_level, fold, start_method, progress
+        trials, workers, collector, mode, reducer, trace_level, start_method, progress
     )

@@ -1,26 +1,27 @@
 """Structured sweep results and their deterministic aggregation.
 
 Workers return :class:`TrialResult` records — plain picklable data, no traces
-and no live process objects — and :class:`SweepResult` turns the flat trial
-list into the shapes the rest of the repo consumes: per-coordinate aggregate
-rows for :func:`repro.analysis.render.render_table`, robustness summaries in
-the style of Table 5's bottom row, and a canonical fingerprint used to assert
-that two sweeps (e.g. a serial and a parallel run of the same grid) produced
-byte-identical aggregates.
+and no live process objects — and the engine folds them into a sink.  Two
+sinks ship here:
 
-For sweeps too large to hold every trial (the engine's ``mode="aggregate"``),
-:class:`SweepAggregate` folds the same trial stream into per-coordinate
-accumulators instead: counts, commit/abort tallies, message totals, and exact
-value -> multiplicity digests for latencies and decision times.  Every
-accumulator statistic is *order-independent* (integer tallies, digests,
-boolean ANDs; the float reductions are computed from sorted digests at row
-time), so the aggregate rows — and therefore
-:meth:`SweepAggregate.aggregate_fingerprint` — are byte-identical to
-:meth:`SweepResult.aggregate_rows` on the same grid and seeds, and partial
-accumulators folded on different workers merge (:meth:`SweepAggregate.merge`)
-to the same bytes as a single-stream fold.  Memory stays bounded by the
-number of grid cells (plus distinct latency values), never by the number of
-trials.
+* :class:`SweepResult` keeps the flat trial list: per-trial selection and a
+  canonical fingerprint used to assert that two sweeps (e.g. a serial and a
+  parallel run of the same grid) produced byte-identical trials;
+* :class:`SweepAggregate` keeps per-coordinate accumulators instead, for
+  sweeps too large to hold every trial (the engine's ``mode="aggregate"``):
+  counts, commit/abort tallies, message totals, and exact value ->
+  multiplicity digests for latencies and decision times.
+
+Both give the shapes the rest of the repo consumes — per-coordinate
+aggregate rows for :func:`repro.analysis.render.render_table` and
+robustness summaries in the style of Table 5's bottom row — from the same
+accumulators: a :class:`SweepResult` folds its trials through a
+:class:`SweepAggregate`.  Every accumulator statistic is *order-independent*
+(integer tallies, digests, boolean ANDs; the float reductions are computed
+from sorted digests at row time), so partial accumulators folded on
+different workers merge (:meth:`SweepAggregate.merge`) to the same bytes as
+a single-stream fold.  Memory stays bounded by the number of grid cells
+(plus distinct latency values), never by the number of trials.
 """
 
 from __future__ import annotations
@@ -151,10 +152,9 @@ class CellAccumulator:
     integer tallies, value → multiplicity digests, boolean ANDs — and the
     floating-point reductions (means, percentiles) are computed from the
     digests at :meth:`row` time over sorted distinct values.  The produced
-    row is therefore a pure function of the trial *set*, which makes three
-    paths byte-identical by construction: in-memory aggregation
-    (:meth:`SweepResult.aggregate_rows`), per-trial streaming folds, and
-    worker-side partial accumulators combined with :meth:`merge`.
+    row is therefore a pure function of the trial *set*, which makes
+    per-trial folds and worker-side partial accumulators combined with
+    :meth:`merge` byte-identical by construction.
 
     State is O(1) per cell plus the digests (one entry per *distinct*
     latency / last-decision value — bounded by the delay model's support,
@@ -267,19 +267,29 @@ class CellAccumulator:
 
 @dataclass
 class SweepResult:
-    """All trials of one sweep plus how the sweep was executed."""
+    """All trials of one sweep plus how the sweep was executed.
 
-    trials: List[TrialResult]
+    The engine's sink for ``mode="full"``: :meth:`fold` appends (the engine
+    folds in trial-index order) and :meth:`merge` extends by a pooled
+    chunk's partial.  The aggregate views fold the trial list through a
+    :class:`SweepAggregate`, so they are the streaming mode's bytes by
+    construction.
+    """
+
+    trials: List[TrialResult] = field(default_factory=list)
     meta: Dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.trials = sorted(self.trials, key=lambda t: t.index)
 
     def __len__(self) -> int:
         return len(self.trials)
 
     def __iter__(self):
         return iter(self.trials)
+
+    def fold(self, trial: TrialResult) -> None:
+        self.trials.append(trial)
+
+    def merge(self, other: "SweepResult") -> None:
+        self.trials.extend(other.trials)
 
     # ------------------------------------------------------------------ #
     # selection
@@ -304,33 +314,16 @@ class SweepResult:
     # ------------------------------------------------------------------ #
     # aggregation
     # ------------------------------------------------------------------ #
-    def groups(self) -> Dict[GroupKey, List[TrialResult]]:
-        """Trials grouped by grid coordinates (all seeds of one cell together)."""
-        grouped: Dict[GroupKey, List[TrialResult]] = {}
+    def _aggregate(self) -> "SweepAggregate":
+        """The trial list folded, in order, into a :class:`SweepAggregate`."""
+        aggregate = SweepAggregate()
         for trial in self.trials:
-            grouped.setdefault(trial.key(), []).append(trial)
-        return grouped
+            aggregate.fold(trial)
+        return aggregate
 
     def aggregate_rows(self) -> List[Dict[str, Any]]:
-        """One row per grid cell, averaged over seeds — ready for render_table.
-
-        Row order and contents are a pure function of the trial list, so a
-        parallel sweep aggregates identically to a serial one.  The rows are
-        built by folding each cell's trials (in index order) through the same
-        :class:`CellAccumulator` the streaming ``mode="aggregate"`` path uses,
-        which is what makes the two modes byte-identical.
-        """
-        accumulators: List[CellAccumulator] = []
-        for key, trials in sorted(self.groups().items(), key=lambda kv: kv[1][0].index):
-            acc = CellAccumulator(
-                key=key,
-                first_index=trials[0].index,
-                execution_class=trials[0].execution_class,
-            )
-            for trial in trials:
-                acc.fold(trial)
-            accumulators.append(acc)
-        return _cell_rows(accumulators)
+        """One row per grid cell, averaged over seeds — ready for render_table."""
+        return self._aggregate().aggregate_rows()
 
     def robustness_rows(self) -> List[Dict[str, Any]]:
         """Per protocol, which properties held in *every* trial of each class.
@@ -339,10 +332,7 @@ class SweepResult:
         computed across whatever fault plans the sweep ran: one row per
         protocol with one ``A``/``V``/``T`` label per execution class seen.
         """
-        fold = RobustnessFold()
-        for trial in self.trials:
-            fold.fold(trial)
-        return fold.rows()
+        return self._aggregate().robustness_rows()
 
     # ------------------------------------------------------------------ #
     # reproducibility
@@ -364,7 +354,7 @@ class SweepResult:
 
     def aggregate_fingerprint(self) -> str:
         """Digest of the aggregate rows only (what reports are built from)."""
-        return _rows_fingerprint(self.aggregate_rows())
+        return self._aggregate().aggregate_fingerprint()
 
 
 class RobustnessFold:
@@ -501,7 +491,10 @@ class SweepAggregate:
 
     def aggregate_fingerprint(self) -> str:
         """Digest of the aggregate rows (comparable across execution modes)."""
-        return _rows_fingerprint(self.aggregate_rows())
+        canonical = json.dumps(
+            self.aggregate_rows(), sort_keys=True, separators=(",", ":"), default=str
+        )
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _cell_rows(cells: List[CellAccumulator]) -> List[Dict[str, Any]]:
@@ -520,11 +513,6 @@ def _cell_rows(cells: List[CellAccumulator]) -> List[Dict[str, Any]]:
                 row["schedule"] = "-"
                 row["violations"] = cell.count - cell.solved
     return rows
-
-
-def _rows_fingerprint(rows: List[Dict[str, Any]]) -> str:
-    canonical = json.dumps(rows, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass

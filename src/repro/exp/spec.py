@@ -73,7 +73,6 @@ from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tupl
 from repro.errors import ConfigurationError
 from repro.exp.registry import DELAYS, FAULTS, VOTES, WORKLOADS, Registry
 from repro.sim.faults import FaultPlan
-from repro.sim.trace import TRACE_LEVELS
 
 # --------------------------------------------------------------------------- #
 # axis specs
@@ -379,16 +378,11 @@ class TrialSpec:
     base_seed: int
     max_time: float = 500.0
     workload: Optional[WorkloadSpec] = None
-    #: ``None`` defers to the engine (aggregate-mode sweeps run "counters",
-    #: everything else "full"); an explicit level pins this trial.  Not part
-    #: of :meth:`key`, so the derived seed — and therefore every measurement
-    #: — is identical across trace levels.
-    trace_level: Optional[str] = None
     #: optional schedule-exploration strategy (see :mod:`repro.explore`).
-    #: Like ``trace_level``, deliberately *not* part of :meth:`key`: the
-    #: derived seed fixes the underlying execution (votes, delays, faults),
-    #: and the schedule only perturbs its event order — so strategies compare
-    #: apples to apples, and a stored schedule replays against the same seed.
+    #: Deliberately *not* part of :meth:`key`: the derived seed fixes the
+    #: underlying execution (votes, delays, faults), and the schedule only
+    #: perturbs its event order — so strategies compare apples to apples,
+    #: and a stored schedule replays against the same seed.
     schedule: Optional[ScheduleSpec] = None
 
     @property
@@ -436,16 +430,8 @@ class GridSpec:
     schedules: Sequence[AxisLike] = (None,)
     seeds: Sequence[int] = (0,)
     max_time: float = 500.0
-    #: ``None`` (default) lets the engine pick per sweep mode: "counters"
-    #: for aggregate-mode sweeps, "full" otherwise.  Set explicitly to pin.
-    trace_level: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.trace_level is not None and self.trace_level not in TRACE_LEVELS:
-            raise ConfigurationError(
-                f"unknown trace_level {self.trace_level!r}; "
-                f"expected one of {TRACE_LEVELS} (or None to defer to the engine)"
-            )
         if not self.protocols:
             # registry-driven default: sweep every implemented protocol
             from repro.protocols.registry import protocol_names
@@ -511,7 +497,6 @@ class GridSpec:
                 base_seed=seed,
                 max_time=self.max_time,
                 workload=workload,
-                trace_level=self.trace_level,
                 schedule=schedule,
             )
             for index, (
@@ -541,15 +526,10 @@ def make_cases(
     for index, case in enumerate(cases):
         unknown = set(case) - {
             "protocol", "n", "f", "delay", "fault", "votes", "workload", "seed",
-            "max_time", "trace_level", "schedule",
+            "max_time", "schedule",
         }
         if unknown:
             raise ConfigurationError(f"unknown case keys: {sorted(unknown)}")
-        trace_level = case.get("trace_level")
-        if trace_level is not None and trace_level not in TRACE_LEVELS:
-            raise ConfigurationError(
-                f"unknown trace_level {trace_level!r}; expected one of {TRACE_LEVELS}"
-            )
         out.append(
             TrialSpec(
                 index=index,
@@ -562,7 +542,6 @@ def make_cases(
                 base_seed=int(case.get("seed", base_seed)),
                 max_time=float(case.get("max_time", max_time)),
                 workload=coerce_axis("workloads", case.get("workload")),
-                trace_level=trace_level,
                 schedule=coerce_axis("schedules", case.get("schedule")),
             )
         )

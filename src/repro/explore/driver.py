@@ -372,7 +372,6 @@ def explore(
         schedules=schedules,
         seeds=base_seeds,
         max_time=max_time,
-        trace_level="full",
     )
     trials = grid.trials()
     sweep = run_trials(trials, workers=workers, mode="full")
@@ -436,7 +435,7 @@ def replay_trial(trial: TrialSpec, schedule: ScheduleTrace) -> TrialResult:
         params=(("decisions", tuple(tuple(d) for d in schedule.decisions)),),
     )
     replayed = dataclasses.replace(trial, schedule=replay_spec)
-    return run_trial(replayed, trace_level="full")
+    return run_trial(replayed)
 
 
 def shrink_violation(

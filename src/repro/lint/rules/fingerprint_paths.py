@@ -47,7 +47,6 @@ SINK_FUNCS = frozenset(
         "aggregate_fingerprint",
         "_canonical",
         "_canonical_trial",
-        "_rows_fingerprint",
         "_cell_rows",
         "digest_sum",
         "digest_percentile",

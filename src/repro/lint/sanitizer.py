@@ -245,7 +245,6 @@ def probe(start_methods: Sequence[str] = ("serial",)) -> Dict[str, str]:
                 )
             ],
             seeds=[0],
-            trace_level="full",
         )
 
     fingerprints: Dict[str, str] = {}

@@ -11,8 +11,9 @@ implements that model as a deterministic discrete-event simulator:
 * :mod:`repro.sim.faults` — crash schedules and delay overrides grouped into a
   :class:`~repro.sim.faults.FaultPlan`, with helpers for the three execution
   classes used by the paper (failure-free, crash-failure, network-failure).
-* :mod:`repro.sim.process` — the Cachin-style event-handler process
-  abstraction used by every protocol implementation.
+* :class:`~repro.env.Process` and :class:`~repro.env.ProcessEnv`, re-exported
+  from :mod:`repro.env` — the Cachin-style event-handler process abstraction
+  used by every protocol implementation.
 * :mod:`repro.sim.trace` — the execution trace (message log, decisions,
   crashes) from which all complexity metrics are computed.
 * :mod:`repro.sim.runner` — the :class:`~repro.sim.runner.Simulation` driver.
@@ -41,7 +42,7 @@ from repro.sim.network import (
     Network,
     UniformDelay,
 )
-from repro.sim.process import Process, ProcessEnv
+from repro.env import Process, ProcessEnv
 from repro.sim.runner import Simulation, SimulationResult
 from repro.sim.trace import TRACE_LEVELS, CounterTrace, DecisionRecord, MessageRecord, Trace
 

@@ -11,11 +11,14 @@ off decision timestamps.
 
 from __future__ import annotations
 
-from repro.errors import SimulationError
-
 
 class VirtualClock:
-    """Monotonically advancing virtual clock, in units of ``U``."""
+    """Monotonically advancing virtual clock, in units of ``U``.
+
+    Only :meth:`repro.sim.runner.Scheduler.run` moves it, and it refuses an
+    event that would run time backwards with a
+    :class:`~repro.errors.SimulationError`.
+    """
 
     __slots__ = ("_now",)
 
@@ -26,23 +29,6 @@ class VirtualClock:
     def now(self) -> float:
         """Current virtual time."""
         return self._now
-
-    def advance_to(self, t: float) -> None:
-        """Move the clock forward to ``t``.
-
-        The simulator only ever moves time forward; attempting to move it
-        backwards indicates a scheduling bug and raises
-        :class:`~repro.errors.SimulationError`.
-        """
-        if t < self._now - 1e-12:
-            raise SimulationError(
-                f"clock cannot move backwards: now={self._now}, requested={t}"
-            )
-        self._now = max(self._now, t)
-
-    def reset(self) -> None:
-        """Reset the clock to time zero (used when a simulation is reused)."""
-        self._now = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self._now})"

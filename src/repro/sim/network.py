@@ -293,9 +293,12 @@ class AdversarialDelay:
     """Delegates to a user-supplied function; used to build worst cases.
 
     The function may return delays larger than ``u``, which turns the
-    execution into a network-failure execution.  The lower-bound replay tests
-    use this model to reconstruct the indistinguishable executions from the
-    paper's proofs (e.g. ``E_async`` in Lemma 1).
+    execution into a network-failure execution.  Today only the simulator
+    kernel's own tests use it, to script per-message delays exactly (each
+    message alone at its own arrival time, a delay lost to float rounding,
+    the per-message ``delay()`` path of a model without ``draw``).  No test
+    yet rebuilds an execution from the paper's lower-bound proofs (such as
+    Lemma 1's ``E_async``) with it.
     """
 
     def __init__(self, fn: Callable[[int, int, object, float], float], u: float = 1.0):

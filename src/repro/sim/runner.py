@@ -489,7 +489,7 @@ class Scheduler:
                 if consult is not None and consult(time, kind, entry):
                     continue  # deferred: the entry is back in a later bucket
                 if not advanced:
-                    # inline clock.advance_to(time): same monotonicity guard
+                    # the clock only moves forward
                     now = clock._now
                     if time > now:
                         clock._now = time

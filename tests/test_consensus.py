@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus import FixedLeaderConsensus, PaxosConsensus
+from repro.env import Process
 from repro.sim.faults import FaultPlan
-from repro.sim.process import Process
 from repro.sim.runner import Simulation
 
 

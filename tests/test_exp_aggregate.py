@@ -21,7 +21,13 @@ import pytest
 
 from repro.db import ClusterConfig, run_cluster
 from repro.errors import ConfigurationError
-from repro.exp import GridSpec, SweepAggregate, register_workload, run_sweep
+from repro.exp import (
+    GridSpec,
+    SweepAggregate,
+    SweepResult,
+    register_workload,
+    run_sweep,
+)
 from repro.sim.faults import FaultPlan
 from repro.workloads import bank_transfer_workload
 
@@ -111,6 +117,29 @@ class TestStreamingEquivalence:
         assert agg.meta["trials"] == stochastic_grid(seeds=(0,)).size
         full = run_sweep(stochastic_grid(seeds=(0,)), workers=1)
         assert full.meta["sweep_mode"] == "full"
+
+    def test_sweep_result_is_a_fold(self):
+        full = run_sweep(stochastic_grid(seeds=(0,)), workers=1)
+        assert SweepResult().trials == []
+        # partials folded per slice and merged in slice order rebuild the list
+        pieced = SweepResult()
+        for start in range(0, len(full), 5):
+            part = SweepResult()
+            for trial in full.trials[start:start + 5]:
+                part.fold(trial)
+            pieced.merge(part)
+        assert [t.index for t in pieced] == list(range(len(full)))
+        assert pieced.fingerprint() == full.fingerprint()
+
+    def test_sweep_result_views_read_a_sweep_aggregate(self):
+        full = run_sweep(stochastic_grid(seeds=(0,)), workers=1)
+        agg = SweepAggregate()
+        for trial in full:
+            agg.fold(trial)
+        assert full.aggregate_rows() == agg.aggregate_rows()
+        assert full.robustness_rows() == agg.robustness_rows()
+        assert full.aggregate_fingerprint() == agg.aggregate_fingerprint()
+        assert not hasattr(full, "groups")
 
 
 # --------------------------------------------------------------------------- #

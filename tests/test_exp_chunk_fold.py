@@ -1,21 +1,21 @@
 """Tests for the worker-side, order-preserving chunk fold.
 
-The contract: in aggregate mode with the default
-:class:`~repro.exp.results.SweepAggregate` sink, workers may fold their
-contiguous trial-index chunks into partial accumulator bundles and ship one
-bundle per chunk; the parent merges bundles in chunk order.  Because every
-accumulator statistic is order-independent (tallies, digests, boolean ANDs),
-the chunked fold must fingerprint-match the per-trial streaming fold and the
-in-memory ``mode="full"`` aggregation on the same grid and seeds — at every
-worker count.
+The contract: behind a pool, a sink that can ``merge`` gets each contiguous
+trial-index chunk as a partial — the worker folds the chunk into a fresh
+``type(sink)()`` — and the parent merges the partials in chunk order; a sink
+without ``merge`` gets the chunk's TrialResults.  The engine reads which one
+from the sink, not from an option.  Because every accumulator statistic is
+order-independent (tallies, digests, boolean ANDs), merged partials must
+fingerprint-match the serial per-trial fold and the in-memory
+``mode="full"`` aggregation on the same grid and seeds — at every worker
+count.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.exp import GridSpec, run_sweep
+from repro.exp import GridSpec, run_sweep, run_trials
 from repro.exp.results import CellAccumulator, SweepAggregate
 from repro.sim.faults import FaultPlan
 
@@ -46,23 +46,42 @@ def parallel_or_skip(agg):
     return agg
 
 
+class Counter:
+    """A custom sink that counts folds; :class:`MergingCounter` adds ``merge``."""
+
+    def __init__(self):
+        self.folded = 0
+        self.meta = {}
+
+    def fold(self, trial):
+        self.folded += 1
+
+
+class MergingCounter(Counter):
+    def __init__(self):
+        super().__init__()
+        self.merged = 0
+
+    def merge(self, other):
+        self.folded += other.folded
+        self.merged += 1
+
+
 # --------------------------------------------------------------------------- #
 # fingerprint equivalence across fold paths
 # --------------------------------------------------------------------------- #
 class TestChunkFoldDeterminism:
-    def test_chunk_fold_matches_per_trial_and_in_memory(self):
+    def test_chunk_fold_matches_serial_and_in_memory(self):
         in_memory = run_sweep(stochastic_grid(), workers=1)
-        per_trial = run_sweep(
-            stochastic_grid(), workers=3, mode="aggregate", fold="trial"
-        )
+        serial = run_sweep(stochastic_grid(), workers=1, mode="aggregate")
         chunked = parallel_or_skip(
-            run_sweep(stochastic_grid(), workers=3, mode="aggregate", fold="chunk")
+            run_sweep(stochastic_grid(), workers=3, mode="aggregate")
         )
         assert chunked.meta["fold"] == "chunk"
         assert chunked.meta["chunks"] >= 2  # the fold actually chunked
         assert (
             chunked.aggregate_fingerprint()
-            == per_trial.aggregate_fingerprint()
+            == serial.aggregate_fingerprint()
             == in_memory.aggregate_fingerprint()
         )
         assert chunked.aggregate_rows() == in_memory.aggregate_rows()
@@ -72,12 +91,12 @@ class TestChunkFoldDeterminism:
     def test_chunk_fold_identical_at_any_worker_count(self, workers):
         serial = run_sweep(stochastic_grid(), workers=1, mode="aggregate")
         chunked = parallel_or_skip(
-            run_sweep(stochastic_grid(), workers=workers, mode="aggregate", fold="chunk")
+            run_sweep(stochastic_grid(), workers=workers, mode="aggregate")
         )
         assert chunked.aggregate_fingerprint() == serial.aggregate_fingerprint()
         assert len(chunked) == len(serial)
 
-    def test_auto_fold_uses_chunks_with_default_sink(self):
+    def test_a_pooled_default_sink_merges_chunks(self):
         agg = parallel_or_skip(
             run_sweep(stochastic_grid(), workers=3, mode="aggregate")
         )
@@ -85,42 +104,37 @@ class TestChunkFoldDeterminism:
         assert agg.meta["chunk_size"] >= 1
         assert agg.meta["chunks"] * agg.meta["chunk_size"] >= agg.meta["trials"]
 
-    def test_custom_reducer_folds_per_trial(self):
-        class Counter:
-            def __init__(self):
-                self.folded = 0
-                self.meta = {}
-
-            def fold(self, trial):
-                self.folded += 1
-
+    def test_custom_reducer_without_merge_folds_per_trial(self):
         reducer = Counter()
         run_sweep(stochastic_grid(seeds=(0,)), workers=3, reducer=reducer)
         assert reducer.folded == stochastic_grid(seeds=(0,)).size
         assert reducer.meta["fold"] == "trial"
 
-    def test_chunk_fold_with_custom_reducer_rejected(self):
-        class Sink:
-            def fold(self, trial):
-                pass
+    def test_custom_reducer_with_merge_gets_one_partial_per_chunk(self):
+        reducer = MergingCounter()
+        parallel_or_skip(run_sweep(stochastic_grid(seeds=(0,)), workers=3, reducer=reducer))
+        assert reducer.folded == stochastic_grid(seeds=(0,)).size
+        assert reducer.meta["fold"] == "chunk"
+        assert reducer.merged == reducer.meta["chunks"] >= 2
 
-        with pytest.raises(ConfigurationError, match="chunk"):
-            run_sweep(stochastic_grid(), workers=2, reducer=Sink(), fold="chunk")
+    def test_a_pooled_full_sweep_merges_partials_in_index_order(self):
+        serial = run_sweep(stochastic_grid(), workers=1)
+        pooled = parallel_or_skip(run_sweep(stochastic_grid(), workers=3))
+        assert pooled.meta["fold"] == "chunk"
+        assert pooled.meta["chunks"] >= 2
+        assert [t.index for t in pooled] == list(range(len(serial)))
+        assert pooled.fingerprint() == serial.fingerprint()
 
-    def test_unknown_fold_rejected(self):
-        with pytest.raises(ConfigurationError, match="fold"):
-            run_sweep(stochastic_grid(), workers=1, mode="aggregate", fold="tree")
-
-    def test_chunk_fold_with_full_mode_rejected(self):
-        # mode="full" returns every TrialResult; a chunk-fold request there
-        # would otherwise be silently ignored
-        with pytest.raises(ConfigurationError, match="aggregate"):
-            run_sweep(stochastic_grid(), workers=2, fold="chunk")
+    @pytest.mark.parametrize("entry", [run_sweep, run_trials], ids=lambda f: f.__name__)
+    def test_fold_is_not_an_option(self, entry):
+        # the engine reads the fold path from the sink; no knob overrides it
+        with pytest.raises(TypeError, match="fold"):
+            entry(stochastic_grid(seeds=(0,)).trials(), workers=1, fold="chunk")
 
     def test_error_accounting_survives_chunk_folds(self):
         per_trial = run_sweep(failing_grid(), workers=1, mode="aggregate")
         chunked = parallel_or_skip(
-            run_sweep(failing_grid(), workers=3, mode="aggregate", fold="chunk")
+            run_sweep(failing_grid(), workers=3, mode="aggregate")
         )
         assert chunked.error_count == per_trial.error_count == 12
         # the retained sample is the same first-N-in-index-order either way

@@ -2,9 +2,12 @@
 
 :func:`repro.exp.run_trials` cuts the trial list into contiguous index
 chunks, runs each through ``_run_chunk`` (in-process or through one pool) and
-consumes them in chunk order into a sink.  This battery runs one stochastic
-grid through every worker count x sink x start method and holds all of them
-to one set of bytes, one progress contract and a literal ``meta`` table — and
+consumes them in chunk order into one sink: a pooled chunk is a partial the
+sink merges when it can, else TrialResults it folds.  This battery runs one
+stochastic grid through every worker count x sink x start method — sinks
+that merge (the full and aggregate modes, a registry reducer) and one that
+does not — and holds all of them to one set of bytes, one progress contract
+and a literal ``meta`` table — and
 then exercises the failure surface of the single consumption site: a lost
 worker, a reducer that raises, an empty trial list.
 """
@@ -47,7 +50,8 @@ def grid() -> GridSpec:
 
 
 class CountingSink:
-    """A custom reducer: records what it is fed and delegates to a SweepAggregate."""
+    """A custom reducer without ``merge``: records what it is fed and
+    delegates to a SweepAggregate."""
 
     def __init__(self) -> None:
         self.inner = SweepAggregate()
@@ -59,13 +63,15 @@ class CountingSink:
         self.inner.fold(result)
 
 
-#: sink name -> run_sweep keyword arguments (the reducer is built per row)
+#: sink name -> run_sweep keyword arguments (the custom reducer is built per row)
 SINKS = {
     "full": dict(mode="full"),
     "aggregate": dict(mode="aggregate"),
-    "per-trial": dict(mode="aggregate", fold="trial"),
+    "robustness": dict(reducer="robustness"),
     "reducer": dict(),
 }
+#: the sinks that can merge a pooled chunk's partial
+MERGING = ("full", "aggregate", "robustness")
 
 #: (workers, start method) of every execution shape
 SHAPES = [(1, None)] + [
@@ -73,11 +79,11 @@ SHAPES = [(1, None)] + [
 ]
 
 
-#: the literal meta table: keys and values as dcbdf63 returned them
+#: the literal meta table; the registry's RobustnessFold has no ``meta``
 _SERIAL = {"mode": "serial", "workers": 1, "requested_workers": 1, "trials": 48}
-_FULL = {"sweep_mode": "full", "trace_level": "full"}
+_FULL = {"sweep_mode": "full", "trace_level": "full", "fold": "trial"}
 _STREAMED = {"sweep_mode": "aggregate", "trace_level": "counters", "fold": "trial"}
-_FOLDED = {**_STREAMED, "fold": "chunk", "chunk_size": 4, "chunks": 12}
+_MERGED = {"fold": "chunk", "chunk_size": 4, "chunks": 12}
 
 
 def _pooled(method: str) -> dict:
@@ -90,15 +96,15 @@ def _pooled(method: str) -> dict:
 EXPECTED_META = {
     (1, None, "full"): {**_SERIAL, **_FULL},
     (1, None, "aggregate"): {**_SERIAL, **_STREAMED},
-    (1, None, "per-trial"): {**_SERIAL, **_STREAMED},
+    (1, None, "robustness"): None,
     (1, None, "reducer"): {**_SERIAL, **_STREAMED},
-    (3, "fork", "full"): {**_pooled("fork"), **_FULL},
-    (3, "fork", "aggregate"): {**_pooled("fork"), **_FOLDED},
-    (3, "fork", "per-trial"): {**_pooled("fork"), **_STREAMED},
+    (3, "fork", "full"): {**_pooled("fork"), **_FULL, **_MERGED},
+    (3, "fork", "aggregate"): {**_pooled("fork"), **_STREAMED, **_MERGED},
+    (3, "fork", "robustness"): None,
     (3, "fork", "reducer"): {**_pooled("fork"), **_STREAMED},
-    (3, "spawn", "full"): {**_pooled("spawn"), **_FULL},
-    (3, "spawn", "aggregate"): {**_pooled("spawn"), **_FOLDED},
-    (3, "spawn", "per-trial"): {**_pooled("spawn"), **_STREAMED},
+    (3, "spawn", "full"): {**_pooled("spawn"), **_FULL, **_MERGED},
+    (3, "spawn", "aggregate"): {**_pooled("spawn"), **_STREAMED, **_MERGED},
+    (3, "spawn", "robustness"): None,
     (3, "spawn", "reducer"): {**_pooled("spawn"), **_STREAMED},
 }
 
@@ -128,7 +134,11 @@ class TestOneSetOfBytes:
     def test_one_aggregate_fingerprint_and_identical_tables(self, rows):
         _, reference, _ = rows[(1, None, "full")]
         assert not reference.errors()
-        for key, (_, view, _) in rows.items():
+        for key, (result, view, _) in rows.items():
+            if key[2] == "robustness":
+                # the robustness fold keeps that table and nothing else
+                assert result.rows() == reference.robustness_rows(), key
+                continue
             assert view.aggregate_fingerprint() == reference.aggregate_fingerprint(), key
             assert view.aggregate_rows() == reference.aggregate_rows(), key
             assert view.robustness_rows() == reference.robustness_rows(), key
@@ -143,14 +153,14 @@ class TestOneSetOfBytes:
         assert len(set(fingerprints.values())) == 1, fingerprints
 
     @pytest.mark.parametrize("trace_level", ["full", "counters"])
-    @pytest.mark.parametrize("fold", ["trial", "chunk"])
-    def test_pinned_trace_levels_and_folds_change_no_byte(self, rows, fold, trace_level):
-        _, reference, _ = rows[(1, None, "full")]
-        variant = run_sweep(
-            grid(), workers=2, mode="aggregate", fold=fold, trace_level=trace_level
-        )
+    @pytest.mark.parametrize("mode", ["full", "aggregate"])
+    def test_pinned_trace_levels_change_no_byte(self, rows, mode, trace_level):
+        reference, _, _ = rows[(1, None, "full")]
+        variant = run_sweep(grid(), workers=2, mode=mode, trace_level=trace_level)
         assert variant.meta["trace_level"] == trace_level
         assert variant.aggregate_fingerprint() == reference.aggregate_fingerprint()
+        if mode == "full":
+            assert variant.fingerprint() == reference.fingerprint()
 
     def test_the_custom_reducer_sees_every_trial_once_in_index_order(self, rows):
         for (workers, method, sink), (result, _, _) in rows.items():
@@ -159,7 +169,7 @@ class TestOneSetOfBytes:
 
     def test_meta_equals_the_literal_table(self, rows):
         for key, (result, _, _) in rows.items():
-            assert result.meta == EXPECTED_META[key], key
+            assert getattr(result, "meta", None) == EXPECTED_META[key], key
 
 
 class TestProgressContract:
@@ -189,8 +199,8 @@ class TestProgressContract:
 
     def test_the_fold_label_says_what_a_chunk_shipped(self, rows):
         for (workers, _, sink), (_, _, events) in rows.items():
-            shipped_folded = workers > 1 and sink == "aggregate"
-            assert {e.fold for e in events} == {"chunk" if shipped_folded else "trial"}
+            shipped_partials = workers > 1 and sink in MERGING
+            assert {e.fold for e in events} == {"chunk" if shipped_partials else "trial"}
 
 
 class TestEdges:

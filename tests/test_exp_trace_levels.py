@@ -17,7 +17,14 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.exp import GridSpec, make_cases, run_sweep, run_trial
+from repro.exp import (
+    GridSpec,
+    SweepResult,
+    make_cases,
+    run_sweep,
+    run_trial,
+    run_trials,
+)
 from repro.sim.faults import FaultPlan
 from repro.sim.network import UniformDelay
 from repro.sim.runner import Scheduler, Simulation
@@ -214,6 +221,16 @@ class TestSweepEquivalence:
 # --------------------------------------------------------------------------- #
 # defaults and precedence
 # --------------------------------------------------------------------------- #
+class MetaSink:
+    """A custom sink (not a SweepResult) that keeps the engine's meta."""
+
+    def __init__(self):
+        self.meta = {}
+
+    def fold(self, trial):
+        pass
+
+
 class TestLevelSelection:
     def tiny(self, **overrides):
         return stochastic_grid(seeds=(0,), protocols=["2PC"], systems=[(4, 1)],
@@ -238,55 +255,53 @@ class TestLevelSelection:
         assert agg.meta["trace_level"] == "full"
         assert seen == ["Trace"]
 
-    def test_grid_pin_beats_engine_default(self):
-        agg = run_sweep(
-            self.tiny(trace_level="full"), workers=1, mode="aggregate"
-        )
-        # the pin decides what the scheduler builds, and meta reports the
-        # level the trials actually ran at — not the engine's default
-        assert agg.error_count == 0
-        assert agg.meta["trace_level"] == "full"
+    def test_a_custom_sink_defaults_to_counters(self):
+        sink = run_sweep(self.tiny(), workers=1, reducer=MetaSink())
+        assert sink.meta["trace_level"] == "counters"
+
+    def test_a_custom_sink_with_a_collector_keeps_full_traces(self):
+        seen = []
+
+        def collector(trial, result):
+            seen.append(type(result.trace).__name__)
+            return {}
+
+        sink = run_sweep(self.tiny(), workers=1, reducer=MetaSink(), collector=collector)
+        assert sink.meta["trace_level"] == "full"
+        assert seen == ["Trace"]
+
+    def test_a_sweep_result_reducer_runs_at_full(self):
+        # the sink, not the mode, decides: a SweepResult keeps whole trials
+        sweep = run_sweep(self.tiny(), workers=1, mode="aggregate", reducer=SweepResult())
+        assert sweep.meta["trace_level"] == "full"
+        assert sweep.meta["sweep_mode"] == "full"
 
     def test_override_reflected_in_meta(self):
         sweep = run_sweep(self.tiny(), workers=1, trace_level="counters")
         assert sweep.meta["trace_level"] == "counters"
 
-    def test_run_sweep_override_beats_grid_pin(self):
+    def test_the_sweep_level_reaches_the_scheduler(self):
         seen = []
 
         def collector(trial, result):
             seen.append(type(result.trace).__name__)
             return {}
 
-        run_sweep(
-            self.tiny(trace_level="counters"),
-            workers=1,
-            trace_level="full",
-            collector=collector,
-        )
-        assert seen == ["Trace"]
-
-    def test_grid_pin_reaches_the_scheduler(self):
-        seen = []
-
-        def collector(trial, result):
-            seen.append(type(result.trace).__name__)
-            return {}
-
-        run_sweep(self.tiny(trace_level="counters"), workers=1, collector=collector)
+        # a counters override wins over the collector-keeps-full-traces default
+        run_sweep(self.tiny(), workers=1, trace_level="counters", collector=collector)
         assert seen == ["CounterTrace"]
 
-    def test_collector_failure_on_counters_pin_is_captured_per_trial(self):
-        # a counters pin wins over the collector-keeps-full-traces default;
-        # a collector that then touches per-message queries fails *per trial*
-        # (TrialResult.error), never aborting the sweep
+    def test_collector_failure_at_counters_is_captured_per_trial(self):
+        # a collector that touches per-message queries at the counters level
+        # fails *per trial* (TrialResult.error), never aborting the sweep
         def needs_messages(trial, result):
             return {"kinds": result.trace.messages_by_kind()}
 
         agg = run_sweep(
-            self.tiny(trace_level="counters"),
+            self.tiny(),
             workers=1,
             mode="aggregate",
+            trace_level="counters",
             collector=needs_messages,
         )
         assert agg.error_count == len(agg)
@@ -294,19 +309,24 @@ class TestLevelSelection:
 
     def test_unknown_levels_rejected_everywhere(self):
         with pytest.raises(ConfigurationError, match="trace_level"):
-            GridSpec(protocols=["2PC"], systems=[(4, 1)], trace_level="audit")
-        with pytest.raises(ConfigurationError, match="trace_level"):
             run_sweep(self.tiny(), workers=1, trace_level="audit")
         with pytest.raises(ConfigurationError, match="trace_level"):
-            make_cases([{"protocol": "2PC", "n": 4, "f": 1, "trace_level": "audit"}])
+            run_trials(self.tiny().trials(), workers=1, trace_level="audit")
+
+    def test_only_the_sweep_takes_a_level(self):
+        with pytest.raises(ConfigurationError, match="trace_level"):
+            make_cases([{"protocol": "2PC", "n": 4, "f": 1, "trace_level": "full"}])
+        with pytest.raises(TypeError, match="trace_level"):
+            GridSpec(protocols=["2PC"], systems=[(4, 1)], trace_level="full")
+        with pytest.raises(TypeError, match="trace_level"):
+            dataclasses.replace(self.tiny().trials()[0], trace_level="full")
 
     def test_trace_level_does_not_change_derived_seeds(self):
-        # the level must stay out of TrialSpec.key(): the same grid swept at
+        # the level is the sweep's, never the trial's: the same grid swept at
         # either level replays the exact same per-trial seeds
-        plain = GridSpec(protocols=["2PC"], systems=[(4, 1)], seeds=[0, 1])
-        pinned = GridSpec(
-            protocols=["2PC"], systems=[(4, 1)], seeds=[0, 1], trace_level="counters"
-        )
-        assert [t.derived_seed for t in plain.trials()] == [
-            t.derived_seed for t in pinned.trials()
+        grid = stochastic_grid(seeds=(0, 1), protocols=["2PC"], systems=[(4, 1)])
+        full_level = run_sweep(grid, workers=1, trace_level="full")
+        counters = run_sweep(grid, workers=1, trace_level="counters")
+        assert [t.derived_seed for t in counters] == [
+            t.derived_seed for t in full_level
         ]

@@ -87,21 +87,17 @@ class TestScheduleWorkloadGrid:
             [None, ("rw", "random-walk", {"defer_prob": 0.2, "crash_prob": 0.1})],
             seeds=range(4),
         )
-        reference = run_sweep(grid(), workers=1, mode="aggregate",
-                              trace_level="full", fold="trial")
+        reference = run_sweep(grid(), workers=1, mode="aggregate", trace_level="full")
         for trace_level in ("full", "counters"):
-            for fold in ("trial", "chunk"):
+            for mode in ("full", "aggregate"):
                 for workers in (1, 2):
-                    if fold == "chunk" and workers == 1:
-                        continue  # serial runs always fold per trial
                     variant = run_sweep(
-                        grid(), workers=workers, mode="aggregate",
-                        trace_level=trace_level, fold=fold,
+                        grid(), workers=workers, mode=mode, trace_level=trace_level
                     )
                     assert (
                         variant.aggregate_fingerprint()
                         == reference.aggregate_fingerprint()
-                    ), (trace_level, fold, workers)
+                    ), (trace_level, mode, workers)
 
     def test_parallel_full_mode_reproduces_serial(self):
         serial = run_sweep(cluster_grid(["random-walk"], seeds=range(4)), workers=1)

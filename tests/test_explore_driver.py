@@ -107,7 +107,6 @@ class TestExplorationBattery:
                             {"defer_prob": 0.5, "crash_prob": 0.0})],
                 seeds=range(20),
                 max_time=400,
-                trace_level="full",
             ),
             workers=1,
         )
@@ -133,7 +132,6 @@ class TestReplayDeterminism:
             systems=[(5, 2)],
             schedules=[("rw", "random-walk", {"crash_prob": 0.1})],
             seeds=range(12),
-            trace_level="full",
         )
         serial = run_sweep(grid, workers=1)
         pooled = run_sweep(grid, workers=3)
@@ -168,9 +166,8 @@ class TestViolationFoldReducer:
             systems=[(5, 2)],
             schedules=[("rw", "random-walk", {"crash_prob": 0.1})],
             seeds=range(25),
-            trace_level="full",
         )
-        fold = run_sweep(grid(), workers=1, reducer="violations")
+        fold = run_sweep(grid(), workers=1, reducer="violations", trace_level="full")
         assert isinstance(fold, ViolationFold)
         full = run_sweep(grid(), workers=1)
         expected = sum(1 for t in full if not t.solves_nbac())

@@ -4,7 +4,7 @@ The observability contract has two halves.  OBS001 (static) keeps
 ``repro.obs`` imports out of the deterministic layers; this battery
 (dynamic) proves the runtime half — the same grid produces byte-identical
 ``SweepAggregate`` fingerprints with observation on and off, across worker
-counts, fold paths and pool start methods, under the runtime sanitizer, and
+counts, sinks and pool start methods, under the runtime sanitizer, and
 under ``REPRO_PROFILE=1``.
 """
 
@@ -65,15 +65,11 @@ class TestFingerprintEquality:
         )
         assert baseline == observed == jsonl
 
-    @pytest.mark.parametrize("fold", ["trial", "chunk"])
-    def test_fork_pool_obs_on_equals_off(self, fold):
-        baseline_agg = parallel_or_skip(
-            run_sweep(grid(), workers=2, mode="aggregate", fold=fold)
-        )
+    @pytest.mark.parametrize("mode", ["full", "aggregate"])
+    def test_fork_pool_obs_on_equals_off(self, mode):
+        baseline_agg = parallel_or_skip(run_sweep(grid(), workers=2, mode=mode))
         progress = CollectingProgress()
-        observed_agg = run_sweep(
-            grid(), workers=2, mode="aggregate", fold=fold, progress=progress
-        )
+        observed_agg = run_sweep(grid(), workers=2, mode=mode, progress=progress)
         assert (
             baseline_agg.aggregate_fingerprint()
             == observed_agg.aggregate_fingerprint()
@@ -82,14 +78,11 @@ class TestFingerprintEquality:
         assert progress.events[-1].phase == "summary"
 
     def test_spawn_pool_obs_on_equals_off(self):
-        baseline = run_sweep(
-            grid(), workers=2, mode="aggregate", fold="chunk", start_method="spawn"
-        )
+        baseline = run_sweep(grid(), workers=2, mode="aggregate", start_method="spawn")
         assert baseline.meta["start_method"] == "spawn"
         progress = CollectingProgress()
         observed = run_sweep(
-            grid(), workers=2, mode="aggregate", fold="chunk",
-            start_method="spawn", progress=progress,
+            grid(), workers=2, mode="aggregate", start_method="spawn", progress=progress
         )
         assert baseline.aggregate_fingerprint() == observed.aggregate_fingerprint()
         # the callback runs parent-side only: a non-picklable closure is fine
@@ -117,10 +110,7 @@ grid = GridSpec(
     protocols=["2PC", "INBAC"], systems=[(4, 1)], delays=["uniform"],
     seeds=list(range(6)),
 )
-agg = run_sweep(
-    grid, workers=1, mode="aggregate", fold="chunk",
-    progress=MetricsProgressReporter(),
-)
+agg = run_sweep(grid, workers=1, mode="aggregate", progress=MetricsProgressReporter())
 assert agg.error_count == 0, agg.sample_errors
 sys.stdout.write(agg.aggregate_fingerprint())
 """
@@ -156,13 +146,13 @@ def _subprocess_fingerprint(extra_env, script=_SUBPROCESS_SWEEP):
 class TestHardenedEnvironments:
     def test_observed_sweep_under_the_runtime_sanitizer(self):
         """REPRO_SANITIZE=1 + obs on reproduces the plain fingerprint."""
-        baseline = fingerprint(workers=1, fold="chunk")
+        baseline = fingerprint(workers=1)
         sanitized = _subprocess_fingerprint({"REPRO_SANITIZE": "1"})
         assert sanitized == baseline
 
     def test_profiled_sweep_keeps_the_fingerprint(self, tmp_path):
         """REPRO_PROFILE=1 dumps .prof files but never changes aggregates."""
-        baseline = fingerprint(workers=1, fold="chunk")
+        baseline = fingerprint(workers=1)
         profile_dir = str(tmp_path / "prof")
         profiled = _subprocess_fingerprint(
             {"REPRO_PROFILE": "1", "REPRO_PROFILE_DIR": profile_dir}
@@ -205,8 +195,7 @@ class TestSpawnSafeConfiguration:
         spawn-pool sweep accepts it, because progress never ships to workers."""
         reporter = JsonlProgressReporter(str(tmp_path / "p.jsonl"))
         agg = run_sweep(
-            grid(), workers=2, mode="aggregate", fold="chunk",
-            start_method="spawn", progress=reporter,
+            grid(), workers=2, mode="aggregate", start_method="spawn", progress=reporter
         )
         assert agg.meta["start_method"] == "spawn"
         assert agg.error_count == 0

@@ -2,7 +2,7 @@
 
 The engine emits count-only :class:`~repro.obs.ProgressEvent` records from
 the parent process; reporters add timing on their own clock.  These tests
-drive every engine path (serial/pooled x per-trial/chunked folds) through a
+drive every engine path (serial/pooled x per-trial/merged chunks) through a
 collecting callback and check the stream's shape, then exercise each bundled
 reporter and the string forms ``resolve_progress`` accepts.
 """
@@ -86,24 +86,18 @@ class TestEngineEmission:
         assert progress.events[-1].fold == "trial"
         assert len(progress.events) == 8 + 2  # start + one per trial + summary
 
-    def test_serial_aggregate_chunk_fold(self):
+    def test_serial_aggregate_folds_per_trial(self):
         progress = CollectingProgress()
-        agg = run_sweep(
-            small_grid(), workers=1, mode="aggregate", fold="chunk",
-            progress=progress,
-        )
+        agg = run_sweep(small_grid(), workers=1, mode="aggregate", progress=progress)
         assert agg.error_count == 0
         assert_well_formed_stream(progress.events, 8)
-        # a serial run has no worker chunks: the engine normalises the fold
-        # to per-trial, and the progress stream reports what actually ran
+        # a serial run has no worker chunks: it folds straight into the sink,
+        # and the progress stream reports what actually ran
         assert progress.events[-1].fold == agg.meta["fold"] == "trial"
 
     def test_parallel_aggregate_chunk_fold(self):
         progress = CollectingProgress()
-        agg = run_sweep(
-            small_grid(), workers=2, mode="aggregate", fold="chunk",
-            progress=progress,
-        )
+        agg = run_sweep(small_grid(), workers=2, mode="aggregate", progress=progress)
         if agg.meta["mode"] != "parallel":
             pytest.skip("fork start method unavailable; parallel path not exercised")
         assert_well_formed_stream(progress.events, 8)
@@ -111,12 +105,16 @@ class TestEngineEmission:
         assert progress.events[-1].workers == 2
         assert progress.events[-1].fold == "chunk"
 
-    def test_parallel_per_trial_fold(self):
+    def test_parallel_per_trial_fold_into_a_sink_without_merge(self):
+        class Sink:
+            def __init__(self):
+                self.meta = {}
+
+            def fold(self, trial):
+                pass
+
         progress = CollectingProgress()
-        agg = run_sweep(
-            small_grid(), workers=2, mode="aggregate", fold="trial",
-            progress=progress,
-        )
+        agg = run_sweep(small_grid(), workers=2, reducer=Sink(), progress=progress)
         if agg.meta["mode"] != "parallel":
             pytest.skip("fork start method unavailable; parallel path not exercised")
         assert_well_formed_stream(progress.events, 8)
@@ -143,11 +141,10 @@ class TestEngineEmission:
         assert all(0 <= c <= expected_chunks for c in chunk_counts)
 
     def test_progress_left_none_emits_nothing_and_meta_is_unchanged(self):
-        without = run_sweep(small_grid(), workers=1, mode="aggregate", fold="chunk")
+        without = run_sweep(small_grid(), workers=1, mode="aggregate")
         progress = CollectingProgress()
         with_progress = run_sweep(
-            small_grid(), workers=1, mode="aggregate", fold="chunk",
-            progress=progress,
+            small_grid(), workers=1, mode="aggregate", progress=progress
         )
         # progress is pure observation: the result's meta carries no trace of it
         assert with_progress.meta == without.meta
@@ -169,8 +166,7 @@ class TestReporters:
     def test_jsonl_reporter_file_contents(self, tmp_path):
         path = str(tmp_path / "progress.jsonl")
         progress = JsonlProgressReporter(path)
-        run_sweep(small_grid(), workers=1, mode="aggregate", fold="chunk",
-                  progress=progress)
+        run_sweep(small_grid(), workers=1, mode="aggregate", progress=progress)
         records = read_jsonl(path)
         assert [r["phase"] for r in records] == ["start"] + ["chunk"] * 8 + ["summary"]
         assert all(r["event"] == "sweep.progress" for r in records)
@@ -181,8 +177,7 @@ class TestReporters:
 
     def test_metrics_reporter_counts(self):
         reporter = MetricsProgressReporter()
-        run_sweep(small_grid(), workers=1, mode="aggregate", fold="chunk",
-                  progress=reporter)
+        run_sweep(small_grid(), workers=1, mode="aggregate", progress=reporter)
         registry = reporter.registry
         assert registry.counter_value("sweep.runs") == 1
         assert registry.counter_value("sweep.runs_completed") == 1
@@ -210,8 +205,7 @@ class TestResolveProgress:
 
     def test_engine_accepts_the_string_form(self, tmp_path):
         path = str(tmp_path / "p.jsonl")
-        run_sweep(small_grid(4), workers=1, mode="aggregate", fold="chunk",
-                  progress=f"jsonl:{path}")
+        run_sweep(small_grid(4), workers=1, mode="aggregate", progress=f"jsonl:{path}")
         assert [r["phase"] for r in read_jsonl(path)][0] == "start"
 
     @pytest.mark.parametrize("bad", ["", "jsonl:", "carrier-pigeon", 7])

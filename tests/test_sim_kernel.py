@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.env import Process
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.clock import VirtualClock
 from repro.sim.faults import FAR_FUTURE, DelayRule, FaultPlan
@@ -14,32 +15,12 @@ from repro.sim.network import (
     Network,
     UniformDelay,
 )
-from repro.sim.process import Process
 from repro.sim.runner import Scheduler
 
 
 class TestVirtualClock:
     def test_starts_at_zero(self):
         assert VirtualClock().now == 0.0
-
-    def test_advance_moves_now(self):
-        clock = VirtualClock()
-        clock.advance_to(6.0)
-        assert clock.now == 6.0
-        clock.advance_to(6.0)  # standing still is not moving backwards
-        assert clock.now == 6.0
-
-    def test_cannot_move_backwards(self):
-        clock = VirtualClock()
-        clock.advance_to(5.0)
-        with pytest.raises(SimulationError):
-            clock.advance_to(4.0)
-
-    def test_reset(self):
-        clock = VirtualClock()
-        clock.advance_to(3.0)
-        clock.reset()
-        assert clock.now == 0.0
 
 
 class Recorder(Process):

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.env import Process, ProcessComponent
 from repro.errors import ConfigurationError, ProtocolViolationError, SimulationError
 from repro.sim.faults import FaultPlan
 from repro.explore.schedule import ScheduleController
 from repro.protocols import INBAC, TwoPhaseCommit
 from repro.sim.network import FixedDelay, FlakyLinkDelay
-from repro.sim.process import Process, ProcessComponent
 from repro.sim.runner import Scheduler, Simulation, run_nice_execution
 from repro.sim.trace import Trace
 
