@@ -9,6 +9,14 @@ transactions conflict when one writes a key the other reads or writes.
 This is deliberately simpler than a full serialization-graph test — it is the
 per-datacenter vote generator that feeds the commit protocols, which is the
 part the paper is about.
+
+The cluster does not use it: a partition votes from its no-wait lock table
+(:mod:`repro.db.locks`), which rejects a conflicting request when it is made.
+It is kept in the package, exported as ``repro.db.ConflictDetector``, because
+it is the vote rule of the paper's motivating system and the one a user
+reproducing that scenario reaches for: ``examples/helios_conflict_commit.py``
+feeds its votes to a commit round, and ``tests/test_db_components.py`` pins
+the rule (write/write and read/write conflict, read/read does not).
 """
 
 from __future__ import annotations

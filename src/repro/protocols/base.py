@@ -36,10 +36,7 @@ ABORT = 0
 
 def logical_and(values: Iterable[int]) -> int:
     """The logical AND of a collection of 0/1 votes (the paper's ``AND``)."""
-    result = COMMIT
-    for v in values:
-        result = result and (COMMIT if v else ABORT)
-    return COMMIT if result else ABORT
+    return COMMIT if all(values) else ABORT
 
 
 class AtomicCommitProcess(Process):

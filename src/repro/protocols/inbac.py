@@ -48,22 +48,36 @@ BRANCH_CONSENSUS_DECIDE = "decide-consensus-decision"
 BRANCH_FAST_ABORT = "fast-abort"
 
 # ---------------------------------------------------------------------- #
-# shared-acknowledgement analysis memo
+# shared-acknowledgement memos
 #
 # Every backup sends the SAME ack tuple ("C", collection) to all n
 # processes (one immutable payload object, see _phase0_timeout), so in a
-# nice execution the n receivers each analyse the identical `collection`
-# tuple object.  The memo keys by id() — valid only while the original
-# object is alive, hence the `entry[0] is collection` identity check that
-# makes a recycled id a miss, never a wrong answer — and stores
-# (collection, first_votes, covered_pids, n_pids, covers_all).  Mutable
-# collections (a sender seen twice, a merged set) are never memoised.
+# nice execution every outsider holds the identical tuple object from each
+# of P1..Pf, and every backup the identical ones from P1..Pf+1.  The fast
+# decision depends only on those objects' contents, so two memos keyed by
+# id() let n processes share one computation.  An id is valid only while
+# its object is alive: each memo keeps the objects it keyed and checks
+# them on a hit — _ACK_MEMO by identity, _VERDICTS by tuple equality, which
+# short-cuts on identity and, for a recycled id with equal contents, gives
+# the same verdict — so a hit is never a wrong answer.  Hits only ever
+# happen within one execution (the next one builds new tuples), so each is
+# bounded by what one execution needs.
 #
-# Hits only ever happen within one execution (the next one builds new
-# tuples), so the memo is bounded by what one execution can hold live: at
-# most n acknowledged collections of at most n pairs.  Inserting past n²
-# retained pairs drops everything kept so far — entries of earlier runs,
-# and at worst once per run a few of the current one, which are re-analysed.
+# * _ACK_MEMO — one entry per acknowledged collection: (collection,
+#   first_votes, covered_pids, n_pids, covers_all).  It holds at most n
+#   collections of at most n pairs; inserting past n² retained pairs drops
+#   everything kept so far — entries of earlier runs, and at worst once per
+#   run a few of the current one, which are re-analysed.
+# * _VERDICTS — one entry per set of acknowledgements a fast decision reads:
+#   (n, f, ids of the required-full collections in iteration order, ids of
+#   the required-partial ones) -> (full, partial, decision).  One execution
+#   reads at most a few such sets (the outsiders', the backups', and on the
+#   HELP path an outsider's own), so it holds _VERDICT_CAP entries and drops
+#   the oldest when full.  Emptying it instead could drop the outsiders'
+#   entry between the backups' timeouts and P_{f+1}'s, which comes last; a
+#   larger cap would keep earlier trials' collections alive for no hit.
+#
+# Mutable collections (a sender seen twice, a merged set) go in neither.
 # ---------------------------------------------------------------------- #
 class _AckMemo:
     """``id(collection)`` → analysis entry, bounded by retained pairs."""
@@ -111,6 +125,67 @@ def _ack_analysis(collection, n_pids: int, all_pids) -> tuple:
     if type(collection) is tuple:
         _ACK_MEMO.keep(entry)
     return entry
+
+
+_VERDICT_CAP = 4
+_VERDICTS: Dict[tuple, tuple] = {}
+
+#: (n, f) -> (all pids, {P1..Pf}, {P1..Pf+1}, {Pf+1}): the sets the fast
+#: decision is checked against, built once per system size
+_PID_SETS: Dict[Tuple[int, int], tuple] = {}
+
+
+def _pid_sets(n: int, f: int) -> tuple:
+    sets = _PID_SETS.get((n, f))
+    if sets is None:
+        sets = _PID_SETS[n, f] = (
+            frozenset(range(1, n + 1)),
+            frozenset(range(1, f + 1)),
+            frozenset(range(1, f + 2)),
+            frozenset((f + 1,)),
+        )
+    return sets
+
+
+def _fast_decision(full, partial, all_pids, low_pids) -> Optional[int]:
+    """The AND of the acknowledged votes, or None if the fast condition fails.
+
+    Every collection in ``full`` must back up every process' vote and every
+    one in ``partial`` at least ``low_pids``; swept in order, the first vote
+    per pid (in sorted pair order) is kept, and there must be one for each of
+    ``all_pids``.
+    """
+    # once one collection has contributed every process' vote the remaining
+    # merge sweeps cannot add anything (backed-up pids are always drawn
+    # from 1..n, so n collected votes means full coverage)
+    n_pids = len(all_pids)
+    votes: Dict[int, int] = {}
+    for collection in full:
+        _, first_votes, _, _, covers_all = _ack_analysis(collection, n_pids, all_pids)
+        if not covers_all:
+            return None
+        if len(votes) < n_pids:
+            if votes:
+                # first_votes iterates in sorted pid order, so this
+                # setdefault sweep keeps exactly what a sweep over
+                # sorted(backed_up) keeps
+                for pid, vote in first_votes.items():
+                    votes.setdefault(pid, vote)
+            else:
+                votes.update(first_votes)
+    for collection in partial:
+        _, first_votes, covered, _, _ = _ack_analysis(collection, n_pids, all_pids)
+        if not low_pids <= covered:
+            return None
+        if len(votes) < n_pids:
+            if votes:
+                for pid, vote in first_votes.items():
+                    votes.setdefault(pid, vote)
+            else:
+                votes.update(first_votes)
+    if not all_pids <= votes.keys():
+        return None
+    return logical_and(votes.values())
 
 
 class INBAC(AtomicCommitProcess):
@@ -200,64 +275,41 @@ class INBAC(AtomicCommitProcess):
         """One vote per process out of everything acknowledged so far."""
         return self._all_votes_from(set().union(*self._acked_collections()))
 
-    def _full_backups(self, required_senders, required_full, required_partial=None):
+    def _full_backups(self, required_senders, required_full, required_partial=()):
         """Check the "f correct acknowledgements" condition of Figure 1.
 
         ``required_senders`` must all appear in ``collection1``; senders in
         ``required_full`` must have backed up every process' vote; senders in
         ``required_partial`` (P_{f+1}'s acknowledgement to the first ``f``
-        processes) must cover at least ``{P1..Pf}``.
+        processes) must cover at least ``{P1..Pf}``.  Returns the fast
+        decision, the AND of one vote per process, or None if the condition
+        does not hold.
         """
-        required_partial = required_partial or set()
         # materialising a set per sender is what the _ack_analysis memo
         # exists to avoid; only a sender seen twice pays for a merged set
         by_sender = self._acks
-        if self._more_acks:
+        more = self._more_acks
+        if more:
             by_sender = dict(by_sender)
-            for sender, collection in self._more_acks:
+            for sender, collection in more:
                 merged = set(by_sender[sender])
                 merged.update(collection)
                 by_sender[sender] = merged
         if not required_senders <= by_sender.keys():
             return None
-        # hoisted out of the sender loops: these sets are loop-invariant, and
-        # once one sender has contributed every process' vote the remaining
-        # merge sweeps cannot add anything (backed-up pids are always drawn
-        # from 1..n, so n collected votes means full coverage)
-        all_pids = set(self.all_pids())
-        n_pids = len(all_pids)
-        low_pids = set(range(1, self.f + 1))
-        votes: Dict[int, int] = {}
-        for sender in required_full:
-            _, first_votes, _, _, covers_all = _ack_analysis(
-                by_sender[sender], n_pids, all_pids
-            )
-            if not covers_all:
-                return None
-            if len(votes) < n_pids:
-                if votes:
-                    # first_votes iterates in sorted pid order, so this
-                    # setdefault sweep keeps exactly what the original
-                    # sweep over sorted(backed_up) kept
-                    for pid, vote in first_votes.items():
-                        votes.setdefault(pid, vote)
-                else:
-                    votes.update(first_votes)
-        for sender in required_partial:
-            _, first_votes, covered, _, _ = _ack_analysis(
-                by_sender[sender], n_pids, all_pids
-            )
-            if not low_pids <= covered:
-                return None
-            if len(votes) < n_pids:
-                if votes:
-                    for pid, vote in first_votes.items():
-                        votes.setdefault(pid, vote)
-                else:
-                    votes.update(first_votes)
-        if not all_pids <= votes.keys():
-            return None
-        return votes
+        full = tuple(map(by_sender.__getitem__, required_full))
+        partial = tuple(map(by_sender.__getitem__, required_partial))
+        if more:
+            return _fast_decision(full, partial, *_pid_sets(self.n, self.f)[:2])
+        key = (self.n, self.f, tuple(map(id, full)), tuple(map(id, partial)))
+        hit = _VERDICTS.get(key)
+        if hit is not None and hit[0] == full and hit[1] == partial:
+            return hit[2]
+        decision = _fast_decision(full, partial, *_pid_sets(self.n, self.f)[:2])
+        if len(_VERDICTS) >= _VERDICT_CAP:
+            del _VERDICTS[next(iter(_VERDICTS))]
+        _VERDICTS[key] = (full, partial, decision)
+        return decision
 
     def _cons_propose(self, value: int) -> None:
         self.proposed = True
@@ -312,7 +364,8 @@ class INBAC(AtomicCommitProcess):
             ):
                 self._more_acks.append((src, collection))
             self.cnt += 1
-            self._maybe_finish_help()
+            if self.wait:
+                self._maybe_finish_help()
         elif kind == "HELP" and self.phase == 2 and self.pid >= self.f + 1:
             self.send(src, ("HELPED", tuple(sorted(self.collection0))))
         elif kind == "HELPED" and self.pid >= self.f + 1:
@@ -352,13 +405,11 @@ class INBAC(AtomicCommitProcess):
         # in by the first reader (a HELP reply); acknowledgements arriving
         # after this point are not part of it
         self._union_at_timeout = (self._acked_collections(), (self.pid, self.val))
-        votes = self._full_backups(
-            required_senders=set(self.first_f()),
-            required_full=set(self.first_f()),
-        )
-        if votes is not None:
+        first_f = _pid_sets(self.n, self.f)[1]
+        decision = self._full_backups(first_f, first_f)
+        if decision is not None:
             self._record_branch(BRANCH_FAST_DECIDE)
-            self.decide_once(logical_and(votes.values()))
+            self.decide_once(decision)
             return
         if self.cnt >= 1:
             all_votes = self._all_acked_votes()
@@ -385,13 +436,11 @@ class INBAC(AtomicCommitProcess):
         ):
             return
         self.wait = False
-        votes = self._full_backups(
-            required_senders=set(self.first_f()),
-            required_full=set(self.first_f()),
-        )
-        if votes is not None:
+        first_f = _pid_sets(self.n, self.f)[1]
+        decision = self._full_backups(first_f, first_f)
+        if decision is not None:
             self._record_branch(BRANCH_HELPED_FAST)
-            self.decide_once(logical_and(votes.values()))
+            self.decide_once(decision)
             return
         if self.cnt >= 1:
             help_votes = self._all_acked_votes()
@@ -406,14 +455,11 @@ class INBAC(AtomicCommitProcess):
 
     # -- processes P_1 .. P_f --------------------------------------------- #
     def _phase1_timeout_backup(self) -> None:
-        votes = self._full_backups(
-            required_senders=set(range(1, self.f + 2)),
-            required_full=set(self.first_f()),
-            required_partial={self.f + 1},
-        )
-        if votes is not None:
+        _, first_f, first_f1, next_after_f = _pid_sets(self.n, self.f)
+        decision = self._full_backups(first_f1, first_f, next_after_f)
+        if decision is not None:
             self._record_branch(BRANCH_FAST_DECIDE)
-            self.decide_once(logical_and(votes.values()))
+            self.decide_once(decision)
             return
         all_votes = self._all_acked_votes()
         if all_votes is not None:

@@ -8,6 +8,9 @@ whether or not anything reads it, ``by_sender`` rebuilt and sorted per call,
 one ``send`` per destination — kept here as the reference.  Every execution
 must come out the same under both: trace fingerprint, each process' branch
 history, and ``collection0`` / ``collection1`` as Appendix A names them.
+Its ``_full_backups`` computes the vote map per call, so it is also the
+reference for INBAC's fast decision, which processes holding the same ack
+objects share.
 """
 
 from __future__ import annotations
@@ -15,9 +18,12 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exp import named_delay, named_fault
 from repro.explore.strategies import make_strategy
+from repro.protocols import inbac
 from repro.protocols.base import ABORT, COMMIT, logical_and
 from repro.protocols.inbac import (
     BRANCH_ASK_HELP,
@@ -463,11 +469,112 @@ def test_two_different_collections_from_one_sender_are_both_kept(cls):
         (1, everyone), (2, first_half), (2, second_half),
     }
     # P2's two halves together cover everyone: the fast condition holds
-    votes = process._full_backups(required_senders={1, 2}, required_full={1, 2})
-    assert votes == {pid: 1 for pid in range(1, 6)}
+    outcome = process._full_backups(required_senders={1, 2}, required_full={1, 2})
+    if cls is INBAC:
+        assert outcome == COMMIT
+    else:
+        assert outcome == {pid: 1 for pid in range(1, 6)}
     process.on_timeout("timer")
     assert process.branch_history == [BRANCH_FAST_DECIDE]
     assert process.collection0 == set(everyone)
+
+
+def fast_decisions(n, f, pid, acks):
+    """``_full_backups`` as the phase-1 timeout calls it, on two INBAC
+    processes holding the same ack objects (the first computes the verdict,
+    the second shares it), and the reference's answer as a decision."""
+    _, first_f, first_f1, next_after_f = inbac._pid_sets(n, f)
+    required = (first_f1, first_f, next_after_f) if pid <= f else (first_f, first_f)
+    answers = []
+    for cls in (INBAC, INBAC, EagerINBAC):
+        process = lone_process(cls, pid=pid, n=n, f=f)
+        for sender, collection in acks:
+            process.on_deliver(sender, ("C", collection))
+        answers.append(process._full_backups(*required))
+    votes = answers.pop()
+    return answers, None if votes is None else logical_and(votes.values())
+
+
+@st.composite
+def ack_configurations(draw):
+    """A receiver and the acknowledgements its backups sent it.
+
+    A sender is missing, covers everyone, covers only ``P1..Pf``, covers some
+    random pids, or (as ``P_{f+1}``) falls short of ``P1..Pf`` by one; it may
+    send a second collection, which INBAC keeps beside the first.  ``nice``
+    has every full sender complete, ``partial-short`` the same with only
+    ``P_{f+1}`` short.
+    """
+    n = draw(st.integers(2, 7))
+    f = draw(st.integers(1, n - 1))
+    pid = draw(st.integers(1, n))
+    votes = draw(st.lists(st.sampled_from([COMMIT, ABORT]), min_size=n, max_size=n))
+    scenario = draw(st.sampled_from(["random", "nice", "partial-short"]))
+    everyone = range(1, n + 1)
+    first_f = range(1, f + 1)
+    acks = []
+    for sender in range(1, f + 2) if pid <= f else range(1, f + 1):
+        if scenario == "random":
+            shape = draw(st.sampled_from(["missing", "all", "first-f", "short", "some"]))
+        elif scenario == "partial-short" and sender == f + 1:
+            shape = "short"
+        else:
+            shape = "all"
+        if shape == "missing":
+            continue
+        if shape == "all":
+            pids = everyone
+        elif shape == "first-f":
+            pids = first_f
+        elif shape == "short":
+            gap = draw(st.sampled_from(first_f))
+            pids = [p for p in first_f if p != gap]
+        else:
+            pids = sorted(draw(st.sets(st.sampled_from(everyone))))
+        acks.append((sender, tuple((p, votes[p - 1]) for p in pids)))
+        if draw(st.booleans()) and scenario == "random":
+            second = draw(st.lists(
+                st.tuples(st.sampled_from(everyone), st.sampled_from([COMMIT, ABORT])),
+                unique=True,
+            ))
+            acks.append((sender, tuple(sorted(second))))
+    return n, f, pid, acks
+
+
+@settings(max_examples=300, deadline=None)
+@given(ack_configurations())
+def test_the_shared_verdict_is_the_reference_decision(configuration):
+    memoised, reference = fast_decisions(*configuration)
+    assert memoised == [reference, reference]
+
+
+def test_the_verdict_follows_the_system_and_the_contents():
+    everyone = tuple((pid, COMMIT) for pid in range(1, 6))
+    low = ((1, COMMIT), (2, COMMIT))
+    # the same objects read at two system sizes: they cover all 5, not all 6
+    assert fast_decisions(5, 2, 4, [(1, everyone), (2, everyone)]) == ([COMMIT] * 2, COMMIT)
+    assert fast_decisions(6, 2, 4, [(1, everyone), (2, everyone)]) == ([None] * 2, None)
+    # the same n and objects under a different f: a backup at f=1 needs P2's
+    # ack to cover P1 only, an outsider at f=2 needs it to cover everyone
+    assert fast_decisions(5, 1, 1, [(1, everyone), (2, low)]) == ([COMMIT] * 2, COMMIT)
+    assert fast_decisions(5, 2, 4, [(1, everyone), (2, low)]) == ([None] * 2, None)
+    # a second execution with equal collections, then with one vote changed
+    copy = tuple(everyone)
+    assert fast_decisions(5, 2, 4, [(1, copy), (2, tuple(copy))]) == ([COMMIT] * 2, COMMIT)
+    no = tuple((pid, ABORT if pid == 3 else COMMIT) for pid in range(1, 6))
+    assert fast_decisions(5, 2, 4, [(1, no), (2, no)]) == ([ABORT] * 2, ABORT)
+
+
+def test_a_freed_collection_does_not_answer_for_its_successor():
+    """Fresh tuples of one size, built after the last ones were dropped, so
+    their ids recur; the memo drops its oldest entry past its cap, so its
+    objects go too."""
+    for round_ in range(4 * inbac._VERDICT_CAP):
+        vote = ABORT if round_ % 3 == 0 else COMMIT
+        ack = tuple((pid, vote if pid == 2 else COMMIT) for pid in range(1, 5))
+        assert fast_decisions(4, 1, 3, [(1, ack)]) == ([vote] * 2, vote)
+        del ack
+    assert len(inbac._VERDICTS) <= inbac._VERDICT_CAP
 
 
 def test_an_ack_after_the_timeout_is_not_part_of_collection0():

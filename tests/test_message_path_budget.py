@@ -4,8 +4,10 @@ A nice INBAC execution at n=200, f=40 exchanges exactly ``2fn`` = 16 000
 messages.  What the simulator spends on each is counted here as Python-level
 function calls (``sys.setprofile`` ``call`` events) — a number that repeats
 exactly and needs no wall clock: 13.2 per message before broadcasts became
-one kernel operation and acknowledgements were read once, 4.7 after.  The
-budget leaves room for refactoring, not for a call per message coming back.
+one kernel operation and acknowledgements were read once, 4.7 after, 3.6
+once the fast decision was computed once per set of acknowledgements rather
+than once per process.  The budget leaves room for refactoring, not for a
+call per message coming back.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from repro.protocols.inbac import BRANCH_FAST_DECIDE, INBAC
 from repro.sim.runner import Simulation
 
 N, F = 200, 40
-CALLS_PER_MESSAGE_BUDGET = 6.0
+CALLS_PER_MESSAGE_BUDGET = 4.5
 
 
 def nice_execution():
@@ -56,6 +58,23 @@ def test_calls_per_message_in_a_nice_execution():
     assert last._union_at_timeout is None
 
 
+def test_each_acknowledgement_set_is_analysed_once(monkeypatch):
+    """The outsiders share one verdict over P1..Pf's acks, the backups one
+    over P1..Pf+1's: f + (f + 1) collection analyses, not one set per process."""
+    runs = 0
+    analyse = inbac._ack_analysis
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return analyse(*args)
+
+    monkeypatch.setattr(inbac, "_ack_analysis", counted)
+    result = nice_execution()
+    assert result.decisions() == {pid: 1 for pid in range(1, N + 1)}
+    assert 0 < runs <= 2 * (F + 1)
+
+
 def test_ack_memo_holds_one_execution_not_a_thousand():
     for _ in range(3):
         nice_execution()
@@ -65,3 +84,9 @@ def test_ack_memo_holds_one_execution_not_a_thousand():
     # what is kept is usable: every entry still answers for its own object
     for key, entry in memo.entries.items():
         assert key == id(entry[0])
+    verdicts = inbac._VERDICTS
+    assert 0 < len(verdicts) <= inbac._VERDICT_CAP
+    for (n, f, full_ids, partial_ids), (full, partial, _) in verdicts.items():
+        assert (n, f) == (N, F)
+        assert full_ids == tuple(map(id, full))
+        assert partial_ids == tuple(map(id, partial))

@@ -95,6 +95,15 @@ class TestVoteAlgebra:
     def test_and_is_zero_iff_some_vote_is_zero(self, votes):
         assert logical_and(votes) == (0 if 0 in votes else 1)
 
+    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=6))
+    def test_and_is_the_vote_by_vote_fold(self, votes):
+        """``all()`` against the fold it replaced, the empty list included."""
+        folded = 1
+        for vote in votes:
+            folded = folded and (1 if vote else 0)
+        assert logical_and(votes) == (1 if folded else 0)
+        assert logical_and(iter(votes)) == logical_and(votes)
+
     @given(
         st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=10),
         st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=10),
