@@ -20,7 +20,7 @@ it participates in, it:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.db.locks import LockManager, LockMode
 from repro.db.store import VersionedStore
@@ -145,6 +145,9 @@ class PartitionServer(Process):
         #: set by recover_from_wal: where DONE acks go for transactions the
         #: previous incarnation left in doubt
         self._recovery_coordinator: Optional[int] = None
+        #: optional callback fired with ``(pid, txn_id)`` once this WAL holds
+        #: the transaction's outcome; the asyncio cluster service waits on it
+        self.on_logged: Optional[Callable[[int, str], None]] = None
 
     # ------------------------------------------------------------------ #
     # inspection (anomaly reports)
@@ -161,6 +164,7 @@ class PartitionServer(Process):
     def release(self) -> None:
         """Also cut every embedded commit instance's edge back to this server."""
         super().release()
+        self.on_logged = None
         for pending in self.transactions.values():
             if pending.instance is not None:
                 pending.instance.release()
@@ -313,18 +317,24 @@ class PartitionServer(Process):
         if pending is None or pending.decided is not None:
             return
         pending.decided = decision
+        self._log_outcome(txn_id, decision, pending.writes)
+        if self.tracer is not None:
+            self.tracer.end(self.pid, txn_id, "decision", self.now(), decision=decision)
+        self.send(pending.coordinator, ("DONE", txn_id, decision, self.now()))
+
+    def _log_outcome(self, txn_id: str, decision: int, writes: Dict[str, object]) -> None:
+        """Log the outcome, apply a commit's writes, release the locks."""
         if decision == COMMIT:
-            self.wal.append(WAL_COMMIT, txn_id, writes=pending.writes, timestamp=self.now())
-            if pending.writes:
-                self.store.apply_many(pending.writes, txn_id=txn_id)
+            self.wal.append(WAL_COMMIT, txn_id, writes=writes, timestamp=self.now())
+            if writes:
+                self.store.apply_many(writes, txn_id=txn_id)
             self.statistics["committed"] += 1
         else:
             self.wal.append(WAL_ABORT, txn_id, timestamp=self.now())
             self.statistics["aborted"] += 1
         self.locks.release_all(txn_id)
-        if self.tracer is not None:
-            self.tracer.end(self.pid, txn_id, "decision", self.now(), decision=decision)
-        self.send(pending.coordinator, ("DONE", txn_id, decision, self.now()))
+        if self.on_logged is not None:
+            self.on_logged(self.pid, txn_id)
 
     # ------------------------------------------------------------------ #
     # crash recovery: rejoin from the write-ahead log
@@ -407,16 +417,7 @@ class PartitionServer(Process):
         record = self.wal.prepare_record_of(txn_id)
         if record is None:
             return  # never prepared here: a stray reply
-        writes = dict(record.writes)
-        if decision == COMMIT:
-            self.wal.append(WAL_COMMIT, txn_id, writes=writes, timestamp=self.now())
-            if writes:
-                self.store.apply_many(writes, txn_id=txn_id)
-            self.statistics["committed"] += 1
-        else:
-            self.wal.append(WAL_ABORT, txn_id, timestamp=self.now())
-            self.statistics["aborted"] += 1
-        self.locks.release_all(txn_id)
+        self._log_outcome(txn_id, decision, dict(record.writes))
         if self.tracer is not None:
             self.tracer.end(self.pid, txn_id, "OUTCOME?", self.now(), decision=decision)
         if self._recovery_coordinator is not None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from repro.db.cluster import Cluster, ClusterConfig, ClusterReport, RecoveryEvent
 from repro.db.coordinator import TransactionOutcome
@@ -105,8 +105,11 @@ class AsyncClusterService(Cluster):
         self.transport = TransportView(self.runtime.trace)
         self.runtime.on_crash = self._crashed
         self._waiters: Dict[str, asyncio.Future] = {}
-        #: set while wait_all_completed() waits; resolved by the outcome that
-        #: completes the workload
+        #: ``(pid, txn_id)`` of each participant of a completed transaction
+        #: whose WAL does not hold the outcome yet
+        self._unlogged: Set[Tuple[int, str]] = set()
+        #: set while wait_all_completed() waits; resolved once the workload is
+        #: settled (see _settled)
         self._all_done: Optional[asyncio.Future] = None
         self._started = False
         self._shut_down = False
@@ -128,12 +131,50 @@ class AsyncClusterService(Cluster):
         if self._shut_down:
             raise ConfigurationError("service already shut down")
 
+    def _partition(self, pid: int) -> PartitionServer:
+        server = super()._partition(pid)
+        server.on_logged = self._logged
+        return server
+
     def _on_outcome(self, outcome: TransactionOutcome) -> None:
         waiter = self._waiters.pop(outcome.txn_id, None)
         if waiter is not None and not waiter.done():
             waiter.set_result(outcome)
+        # the outcome completes on the first DONE; the other participants
+        # may still be deciding
+        processes = self.runtime.processes
+        for pid in outcome.participants:
+            if processes[pid].wal.outcome_of(outcome.txn_id) is None:
+                self._unlogged.add((pid, outcome.txn_id))
+        self._check_settled()
+
+    def _logged(self, pid: int, txn_id: str) -> None:
+        self._unlogged.discard((pid, txn_id))
+        self._check_settled()
+
+    def _settled(self) -> bool:
+        """Every transaction has an outcome, logged by every live participant."""
+        return self.client.all_completed() and not any(
+            self._will_log(pid, txn_id) for pid, txn_id in self._unlogged
+        )
+
+    def _will_log(self, pid: int, txn_id: str) -> bool:
+        """Whether a participant yet to log ``txn_id`` is waited for.
+
+        Not while it is down; once it has crashed, only for what its WAL
+        prepared: an EXEC it lost is not sent again for a completed
+        transaction.
+        """
+        runtime = self.runtime
+        if runtime.is_down(pid):
+            return False
+        if pid not in runtime.trace.crashes:
+            return True
+        return runtime.processes[pid].wal.prepare_record_of(txn_id) is not None
+
+    def _check_settled(self) -> None:
         done = self._all_done
-        if done is not None and not done.done() and self.client.all_completed():
+        if done is not None and not done.done() and self._settled():
             done.set_result(None)
 
     # ------------------------------------------------------------------ #
@@ -198,6 +239,7 @@ class AsyncClusterService(Cluster):
             self.events.emit(
                 "cluster.crash", pid=pid, at_units=self.runtime.trace.crashes.get(pid)
             )
+        self._check_settled()
 
     def _rejoin(
         self, pid: int, runtime: AsyncRuntime, old: Any
@@ -233,9 +275,16 @@ class AsyncClusterService(Cluster):
             )
 
     async def wait_all_completed(self, timeout_units: float) -> bool:
-        """Wait until the coordinator has an outcome for every transaction."""
+        """Wait until the coordinator has an outcome for every transaction
+        and every live participant of each has logged it.
+
+        The coordinator completes a transaction on its *first* DONE, so the
+        other participants may still be deciding.  A crashed participant is
+        not waited for, nor a rejoined one for what it never prepared.  False
+        when ``timeout_units`` pass first.
+        """
         self._check_running()
-        if self.client.all_completed():
+        if self._settled():
             return True
         self._all_done = asyncio.get_running_loop().create_future()
         try:

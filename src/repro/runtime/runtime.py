@@ -10,12 +10,14 @@ the wall clock.  One unit of time ``U`` maps to ``unit`` seconds (default
 (~0.1 ms).
 
 **One wake-up handle.**  One loop handle is armed, for the earliest queued
-time.  When it fires, the runtime sets ``max_time`` to the wall clock in U and
-re-enters ``run()``: everything due by then is handled in ``(time, kind, post
-order)``, and a handler's ``now()`` is its event's own time, exactly as on the
-simulator.  A loop that stalled handles its overdue events late but in the
-same order and with the same stamps, so a stall changes *when* a run decides
-on the wall clock, not *what* it decides.
+time — one selector grain early, the rest slept, so a wake lands on its
+deadline rather than on the selector's next millisecond.  When it fires, the
+runtime sets ``max_time`` to the wall clock in U and re-enters ``run()``:
+everything due by then is handled in ``(time, kind, post order)``, and a
+handler's ``now()`` is its event's own time, exactly as on the simulator.  A
+loop that stalled handles its overdue events late but in the same order and
+with the same stamps, so a stall changes *when* a run decides on the wall
+clock, not *what* it decides.
 
 **Where events come from.**  One network model serves both backends: a
 handler's send is posted by :meth:`Scheduler.send_many
@@ -66,6 +68,13 @@ from repro.sim.runner import ProcessFactory, Scheduler, Simulation, SimulationRe
 
 #: default wall-clock seconds per unit of simulated time U
 DEFAULT_UNIT_SECONDS = 0.02
+
+#: how early the one loop handle is armed: ``EpollSelector`` and
+#: ``PollSelector`` round every select timeout *up* to a whole millisecond,
+#: so a handle armed for its deadline fires up to this late; armed this much
+#: early, it fires at or before the deadline and :meth:`AsyncRuntime._turn`
+#: sleeps the rest
+_LOOP_GRAIN_S = 1e-3
 
 
 def _culprit(exc: BaseException) -> int:
@@ -189,14 +198,33 @@ class AsyncRuntime(Scheduler):
             self._handle.cancel()
         self._wake_at = at
         self._handle = self._loop.call_later(
-            self._t0 + at * self.unit - time.monotonic(), self._turn
+            self._t0 + at * self.unit - time.monotonic() - _LOOP_GRAIN_S, self._turn
         )
 
     def _turn(self) -> None:
-        """The handle fired: the loop step's instant closes, what is due runs."""
+        """The handle fired: sleep to its deadline, then the loop step's
+        instant closes and what is due runs.
+
+        The handle is armed one :data:`_LOOP_GRAIN_S` early and asyncio fires
+        it no earlier than that (to within the clock's resolution), so the
+        sleep is at most a grain; a loop that is already late does not sleep.
+        The loop is blocked for that sleep, which uses no CPU.  Rejected:
+        firing up to a grain *early* would handle a timer before its wall
+        deadline and "beat" the oracle by cutting rounds short; a pacer thread
+        costs CPU on every wake and has a lifecycle of its own; a finer
+        selector is not ours to pick, because the loop is the caller's.
+        """
         self._handle = None
         self._instant = None
-        # a handle may fire up to the loop's clock resolution early
+        deadline = self._t0 + self._wake_at * self.unit
+        remaining = deadline - time.monotonic()
+        if remaining > 0:
+            time.sleep(remaining)
+        if self.metrics is not None:
+            self.metrics.observe(
+                "runtime.wake_late_seconds", time.monotonic() - deadline
+            )
+        # now_units() may read a rounding error short of the deadline
         self._advance(max(self.now_units(), self._wake_at))
 
     def _advance(self, until: float) -> None:

@@ -241,3 +241,46 @@ class TestClusterLifecycleTelemetry:
         assert [o.decision for o in observed.outcomes] == [
             o.decision for o in plain.outcomes
         ]
+
+
+class TestWakeLateness:
+    def drive(self, *, runtime_metrics, network_metrics):
+        """A batch run; returns how often the wake-up handle fired."""
+        turns = []
+
+        async def drive():
+            service = AsyncClusterService(
+                config(delay_model=LinkDelay(metrics=network_metrics)),
+                metrics=runtime_metrics,
+            )
+            runtime = service.runtime
+            turn = runtime._turn
+
+            def counted_turn():
+                turns.append(1)
+                turn()
+
+            runtime._turn = counted_turn
+            await service.start(workload())
+            await service.wait_all_completed(300.0)
+            return await service.shutdown()
+
+        report = asyncio.run(drive())
+        assert report.committed == 4
+        return len(turns)
+
+    def test_one_observation_per_turn_and_none_early(self):
+        metrics = MetricsRegistry()
+        turns = self.drive(runtime_metrics=metrics, network_metrics=None)
+        digest = metrics.snapshot().histograms["runtime.wake_late_seconds"]
+        assert turns > 0
+        assert sum(digest.values()) == turns
+        assert min(digest) >= -1e-6
+
+    def test_nothing_is_observed_without_a_sink(self):
+        # the network reports to its own sink; the runtime has none
+        metrics = MetricsRegistry()
+        turns = self.drive(runtime_metrics=None, network_metrics=metrics)
+        assert turns > 0
+        assert metrics.counter_value("transport.sends") > 0
+        assert "runtime.wake_late_seconds" not in metrics.snapshot().histograms

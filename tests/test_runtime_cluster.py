@@ -20,7 +20,7 @@ from repro.env.conformance import ObservingProcess
 from repro.errors import ConfigurationError
 from repro.explore.strategies import make_strategy
 from repro.obs import MetricsRegistry
-from repro.protocols.base import COMMIT
+from repro.protocols.base import ABORT, COMMIT
 from repro.protocols.registry import get_protocol
 from repro.runtime import AsyncClusterService, run_commit
 from repro.runtime.runtime import AsyncRuntime
@@ -262,6 +262,93 @@ class TestLiveService:
         assert report.incomplete == 2
         # nothing prepared, so the surviving (empty) state is consistent
         assert report.invariants is not None and report.invariants.holds
+
+    def test_wait_all_completed_waits_for_every_live_participant_to_log(self):
+        """The outcome completes on the first DONE: P1 decides at once, P2
+        only once the decision crosses the slow link, and a shutdown right
+        after the wait used to find P2 in doubt."""
+        txn = Transaction.of(
+            "t1", [Operation.write(1, "a", 1), Operation.write(2, "b", 2)]
+        )
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(
+                    num_partitions=2, commit_protocol="2PC", max_time=300.0,
+                    delay_model=LinkDelay(links={(1, 2): LinkPolicy(delay_units=0.8)}),
+                )
+            )
+            await service.start()
+            outcome = await service.submit(txn)
+            settled = await service.wait_all_completed(50)
+            return outcome, settled, await service.shutdown()
+
+        outcome, settled, report = asyncio.run(drive())
+        assert outcome.decision == COMMIT
+        assert settled
+        assert report.in_doubt_by_partition == {}
+        assert [stats["committed"] for stats in report.partition_stats.values()] == [1, 1]
+
+    def test_wait_all_completed_does_not_wait_for_a_crashed_participant(self):
+        txn = Transaction.of(
+            "t1", [Operation.write(1, "a", 1), Operation.write(2, "b", 2)]
+        )
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(
+                    num_partitions=2, commit_protocol="2PC", max_time=300.0,
+                    delay_model=LinkDelay(links={(1, 2): LinkPolicy(delay_units=0.8)}),
+                )
+            )
+            await service.start()
+            await service.submit(txn)
+            # P2 is still waiting for the decision across the slow link
+            service.crash_partition(2)
+            loop = asyncio.get_running_loop()
+            began = loop.time()
+            settled = await service.wait_all_completed(50)
+            return settled, loop.time() - began, await service.shutdown()
+
+        settled, waited, report = asyncio.run(drive())
+        assert settled
+        assert waited < 50 * 0.01 / 2
+        assert report.in_doubt_by_partition == {2: ["t1"]}
+
+    def test_wait_all_completed_does_not_wait_for_what_a_rejoined_participant_lost(self):
+        """P2 is down when its EXEC arrives, so its rejoined incarnation never
+        prepares the transaction P1 aborted without its vote."""
+        txn = Transaction.of(
+            "t1", [Operation.write(1, "a", 1), Operation.write(2, "b", 2)]
+        )
+        unit = 0.01
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(
+                    num_partitions=2, commit_protocol="2PC", max_time=300.0,
+                    delay_model=LinkDelay(links={(3, 2): LinkPolicy(delay_units=3.0)}),
+                ),
+                unit=unit,
+            )
+            await service.start()
+            submitted = asyncio.ensure_future(service.submit(txn))
+            await asyncio.sleep(0.5 * unit)  # the EXECs are out
+            service.crash_partition(2)
+            outcome = await submitted
+            await asyncio.sleep(2 * unit)  # past the arrival of P2's EXEC
+            service.recover_partition(2)
+            loop = asyncio.get_running_loop()
+            began = loop.time()
+            settled = await service.wait_all_completed(50)
+            return outcome, settled, loop.time() - began, await service.shutdown()
+
+        outcome, settled, waited, report = asyncio.run(drive())
+        assert outcome.decision == ABORT
+        assert settled
+        assert waited < 50 * unit / 2
+        assert report.partition_stats[2]["prepared"] == 0
+        assert report.in_doubt_by_partition == {}
 
     def test_a_second_start_is_refused_before_it_touches_the_cluster(self):
         """A second start used to rebind fresh, empty partitions and a new

@@ -27,9 +27,12 @@ import os
 import pytest
 
 import repro.runtime
+import repro.runtime.runtime as runtime_module
 from repro.db.cluster import ClusterConfig
-from repro.runtime import AsyncClusterService
-from repro.runtime.runtime import AsyncRuntime
+from repro.env.conformance import ObservingProcess
+from repro.obs import MetricsRegistry
+from repro.runtime import AsyncClusterService, run_commit
+from repro.runtime.runtime import _LOOP_GRAIN_S, AsyncRuntime
 from repro.sim.faults import FaultPlan
 from repro.sim.network import LinkDelay, LinkPolicy
 from repro.sim.runner import Scheduler
@@ -39,12 +42,16 @@ PACKAGE = os.path.dirname(repro.runtime.__file__)
 
 #: module -> the one call it may make, and why.  None: the wait for a
 #: conformance scenario's horizon is run_paced's wait for decisions, which
-#: ends on the stop or the timeout — the runtime never sleeps
+#: ends on the stop or the timeout — no task sleeps, and the runtime's one
+#: sleep is the rest of a wake-up (SLEEP below), never one per event
 ALLOWED = {}
 
 #: the only place that arms a loop handle: the one wake-up method
 WAKE_UP = ("runtime.py", "_wake")
 LOOP_ARMS = ("call_soon", "call_later", "call_at")
+
+#: the only sleep: the turn that the handle, armed one grain early, runs
+SLEEP = ("runtime.py", "_turn")
 
 
 def _modules():
@@ -101,6 +108,97 @@ def test_the_wake_up_method_is_the_only_place_a_loop_handle_is_armed():
                 if isinstance(node, ast.Attribute) and node.attr in LOOP_ARMS
             )
     assert [(filename, name) for filename, name, _ in arms] == [WAKE_UP]
+
+
+def test_the_turn_is_the_only_place_the_runtime_sleeps():
+    sleeps = []
+    for filename, tree in _modules():
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            sleeps.extend(
+                (filename, function.name)
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "sleep"
+            )
+    assert sleeps == [SLEEP]
+
+
+class _Clock:
+    """The ``time`` the runtime module reads: moved by hand, and by a sleep."""
+
+    def __init__(self):
+        self.now = 100.0
+        self.slept = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.slept.append(seconds)
+        self.now += seconds
+
+
+class _Loop:
+    """Records what is armed; the test fires it by hand."""
+
+    def __init__(self):
+        self.armed = []
+
+    def call_later(self, delay, callback):
+        self.armed.append((delay, callback))
+        return self  # the handle: only its cancel() is called
+
+    def cancel(self):
+        pass
+
+
+def test_the_handle_is_armed_a_grain_early_and_the_turn_sleeps_the_rest(monkeypatch):
+    clock, loop = _Clock(), _Loop()
+    monkeypatch.setattr(runtime_module, "time", clock)
+    runtime = AsyncRuntime(2, 1, unit=0.01)
+    runtime.bind_processes(ObservingProcess)
+    runtime.start_processes()
+    runtime._loop, runtime._t0 = loop, clock.now
+
+    runtime.set_timer(1, 5.0, "early")  # due 50 ms after t0
+    [(delay, turn)] = loop.armed
+    assert delay == pytest.approx(0.05 - _LOOP_GRAIN_S)
+    # the selector gets to it 0.4 ms after it was armed for
+    clock.now += delay + 0.0004
+    turn()
+    assert clock.slept == [pytest.approx(_LOOP_GRAIN_S - 0.0004)]
+    assert clock.now == pytest.approx(runtime._t0 + 0.05)
+    assert runtime.processes[1].of("timeout") == [("timeout", "early", 5.0)]
+
+    runtime.set_timer(1, 10.0, "late")  # due 100 ms after t0
+    delay, turn = loop.armed[-1]
+    assert clock.now + delay == pytest.approx(runtime._t0 + 0.1 - _LOOP_GRAIN_S)
+    clock.now = runtime._t0 + 0.102  # a loop that is already late
+    turn()
+    assert len(clock.slept) == 1
+    assert runtime.processes[1].of("timeout")[-1] == ("timeout", "late", 10.0)
+
+
+@pytest.mark.runtime
+@pytest.mark.parametrize("protocol", ["2PC", "INBAC", "PaxosCommit"])
+def test_no_wake_is_handled_before_its_deadline(protocol, monkeypatch):
+    metrics = MetricsRegistry()
+
+    class Observed(AsyncRuntime):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, metrics=metrics, **kwargs)
+
+    monkeypatch.setattr(runtime_module, "AsyncRuntime", Observed)
+    result = run_commit(
+        protocol, 4, 1, [1, 1, 1, 1], unit=0.005,
+        delay_model=LinkDelay(LinkPolicy(delay_units=0.2, jitter_units=0.3), seed=7),
+    )
+    assert not result.scheduler.timed_out
+    digest = metrics.snapshot().histograms["runtime.wake_late_seconds"]
+    assert sum(digest.values()) > 1
+    assert min(digest) >= -1e-6
 
 
 def test_no_second_network():
