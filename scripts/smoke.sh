@@ -6,6 +6,10 @@
 # Runs, in order:
 #   1. the tier-1 test suite exactly as ROADMAP.md specifies (collection
 #      regressions — e.g. the benchmarks/tests conftest collision — fail here);
+#      it includes the packaging check (tests/test_packaging.py), the runtime
+#      round-trip (tests/test_env_conformance.py) and the observability
+#      checks (tests/test_obs_*.py: observed == unobserved fingerprints, the
+#      JSONL progress stream's shape, the Chrome export's commit phases);
 #   2. a sanity check that `pytest benchmarks` actually *collects* the
 #      bench_*.py experiments instead of silently reporting "no tests ran";
 #   3. a check that every benchmark runs on the repro.exp sweep engine
@@ -34,30 +38,21 @@
 #      repro.lint) must exit 0 over src/benchmarks/tests, and the runtime
 #      determinism sanitizer must run the reference sweep clean plus the
 #      cross-PYTHONHASHSEED fingerprint diff (see docs/determinism.md);
-#  11. the packaging discovery must ship every subpackage (import
-#      repro.runtime from an emulated installed layout); what a runtime
-#      round-trip checks — every protocol commits on the paced kernel and
-#      decides what the simulator decides — stage 1 runs as
-#      tests/test_env_conformance.py;
-#  12. a crash-recovery smoke: kill one partition mid-run and rejoin it from
+#  11. a crash-recovery smoke: kill one partition mid-run and rejoin it from
 #      its write-ahead log on BOTH backends (sim via FaultPlan.crash_recover,
 #      asyncio via the live service), asserting the rejoined run still
 #      commits with the invariant battery clean, plus the policy check that
 #      the lint scope table exempts DET002 only under src/repro/runtime/ and
-#      src/repro/obs/;
-#  13. an observability smoke: a sweep streamed through a jsonl progress
-#      reporter must fingerprint-match the unobserved run and emit a
-#      well-formed event stream, and the Chrome trace export must carry every
-#      commit phase.
+#      src/repro/obs/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "==> [1/13] tier-1 tests (pytest from the repo root)"
+echo "==> [1/11] tier-1 tests (pytest from the repo root)"
 python -m pytest -x -q
 
-echo "==> [2/13] benchmark collection (must be > 0 tests)"
+echo "==> [2/11] benchmark collection (must be > 0 tests)"
 collected=$(python -m pytest benchmarks --collect-only -q 2>/dev/null | grep -c '::' || true)
 if [ "${collected}" -eq 0 ]; then
     echo "ERROR: 'pytest benchmarks' collected zero tests" >&2
@@ -65,7 +60,7 @@ if [ "${collected}" -eq 0 ]; then
 fi
 echo "    collected ${collected} benchmark tests"
 
-echo "==> [3/13] every benchmark is ported onto repro.exp"
+echo "==> [3/11] every benchmark is ported onto repro.exp"
 for bench in benchmarks/bench_*.py; do
     if ! grep -q "from repro\.exp import" "${bench}"; then
         echo "ERROR: ${bench} does not import repro.exp (hand-rolled sweep loop?)" >&2
@@ -74,16 +69,16 @@ for bench in benchmarks/bench_*.py; do
 done
 echo "    all $(ls benchmarks/bench_*.py | wc -l | tr -d ' ') benchmarks import repro.exp"
 
-echo "==> [4/13] one fast benchmark"
+echo "==> [4/11] one fast benchmark"
 python -m pytest benchmarks/bench_table2_delay_optimal.py -q --benchmark-disable
 
-echo "==> [5/13] examples"
+echo "==> [5/11] examples"
 for example in examples/*.py; do
     echo "--- ${example}"
     python "${example}" > /dev/null
 done
 
-echo "==> [6/13] sweep-throughput perf smoke (trace levels)"
+echo "==> [6/11] sweep-throughput perf smoke (trace levels)"
 bench_out=$(mktemp)
 python benchmarks/bench_sweep_throughput.py --quick --out "${bench_out}" > /dev/null
 python - "${bench_out}" <<'EOF'
@@ -106,12 +101,12 @@ print(f"    baseline emitted with {len(baseline['configs'])} configs, "
 EOF
 rm -f "${bench_out}"
 
-echo "==> [7/13] profile-first smoke (cProfile top-10 hot spots, n=200)"
+echo "==> [7/11] profile-first smoke (cProfile top-10 hot spots, n=200)"
 # measure before optimising: profile the heavy grid point the throughput
 # work targets and print where the cycles actually go
 bash scripts/profile_smoke.sh
 
-echo "==> [8/13] schedule-exploration smoke (adversarial search + replay)"
+echo "==> [8/11] schedule-exploration smoke (adversarial search + replay)"
 python - <<'EOF'
 from repro.explore import ScheduleTrace, explore, replay_trial
 from repro.exp.spec import GridSpec
@@ -145,7 +140,7 @@ print(f"    INBAC: 0 violations in {inbac.schedules_run} schedules; "
       f"{len(shrunk)} decision(s) replays deterministically")
 EOF
 
-echo "==> [9/13] cluster-exploration smoke (invariant battery + injected bug)"
+echo "==> [9/11] cluster-exploration smoke (invariant battery + injected bug)"
 python - <<'EOF'
 import sys
 sys.path.insert(0, "tests")  # the injected-bug fixture lives in the test tree
@@ -176,13 +171,10 @@ print(f"    INBAC: battery clean over {clean.schedules_run} schedules; "
       f"{len(hits[0].shrunk)} decision")
 EOF
 
-echo "==> [10/13] determinism lint + runtime sanitizer"
+echo "==> [10/11] determinism lint + runtime sanitizer"
 python -m repro.lint src benchmarks tests examples --sanitize
 
-echo "==> [11/13] packaging: every subpackage ships"
-python -m pytest tests/test_packaging.py -q
-
-echo "==> [12/13] crash recovery: kill-and-rejoin one partition per backend"
+echo "==> [11/11] crash recovery: kill-and-rejoin one partition per backend"
 python - <<'EOF3'
 import signal
 
@@ -237,58 +229,5 @@ signal.alarm(0)
 print("    both backends rejoined P2 from its WAL and kept committing; "
       "lint scope policy pinned")
 EOF3
-
-echo "==> [13/13] observability: progress stream, trace export"
-obs_dir=$(mktemp -d)
-python - "${obs_dir}" <<'EOF4'
-import json
-import sys
-
-from repro.exp import GridSpec, run_sweep
-from repro.obs import read_jsonl
-
-obs_dir = sys.argv[1]
-grid = lambda: GridSpec(
-    protocols=["INBAC", "2PC"],
-    systems=[(5, 2)],
-    delays=["uniform"],
-    seeds=range(10),
-)
-plain = run_sweep(grid(), workers=1, mode="aggregate")
-progress_path = f"{obs_dir}/progress.jsonl"
-observed = run_sweep(grid(), workers=1, mode="aggregate",
-                     progress=f"jsonl:{progress_path}")
-# observation never changes bytes: the hard constraint of the obs package
-assert observed.aggregate_fingerprint() == plain.aggregate_fingerprint(), (
-    "observed sweep fingerprint diverged from the unobserved run")
-assert observed.meta == plain.meta
-
-records = read_jsonl(progress_path)
-assert records[0]["phase"] == "start", records[:1]
-assert records[-1]["phase"] == "summary", records[-1:]
-chunks = [r for r in records if r["phase"] == "chunk"]
-assert chunks, "no chunk-progress events in the stream"
-assert records[-1]["trials_done"] == records[-1]["trials_total"] == 20
-assert all(r["event"] == "sweep.progress" for r in records)
-print(f"    progress stream: {len(records)} events "
-      f"({len(chunks)} chunks), fingerprint identical to the unobserved run")
-EOF4
-
-python -m repro.obs.export --chrome "${obs_dir}/trace.json" > /dev/null
-python - "${obs_dir}" <<'EOF5'
-import json
-import sys
-
-from repro.obs.tracing import TXN_PHASES
-
-with open(f"{sys.argv[1]}/trace.json") as handle:
-    trace = json.load(handle)
-spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-names = {e["name"] for e in spans}
-missing = set(TXN_PHASES) - names
-assert not missing, f"trace export missing commit phases: {missing}"
-print(f"    chrome trace: {len(spans)} spans covering all of {TXN_PHASES}")
-EOF5
-rm -rf "${obs_dir}"
 
 echo "smoke: OK"

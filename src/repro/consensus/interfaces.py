@@ -45,9 +45,6 @@ class ConsensusComponent(ProcessComponent):
     def propose(self, value: Any) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def has_decided(self) -> bool:
-        return self.decided
-
     def release(self) -> None:
         super().release()
         self.on_decide = None

@@ -89,12 +89,6 @@ class TransactionOutcome:
         return self.decide_time - self.submit_time
 
     @property
-    def ack_latency(self) -> Optional[float]:
-        if self.ack_time is None:
-            return None
-        return self.ack_time - self.submit_time
-
-    @property
     def completed(self) -> bool:
         return self.decision is not None
 
@@ -267,9 +261,6 @@ class ClientCoordinator(Process):
     # ------------------------------------------------------------------ #
     def all_completed(self) -> bool:
         return self._incomplete == 0 and len(self.outcomes) == len(self.workload)
-
-    def completed_outcomes(self) -> List[TransactionOutcome]:
-        return [o for o in self.outcomes.values() if o.completed]
 
     def pending_transactions(self) -> List[str]:
         """Transaction ids without a recorded outcome, in workload order.

@@ -74,10 +74,6 @@ class VersionedStore:
         versions = self._data.get(key)
         return versions[-1].version if versions else None
 
-    def current_version(self) -> int:
-        """The store-wide version counter (largest committed version)."""
-        return self._version_counter
-
     def keys(self) -> List[str]:
         return sorted(self._data)
 

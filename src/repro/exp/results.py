@@ -308,9 +308,6 @@ class SweepResult:
                 out.append(trial)
         return out
 
-    def trial_rows(self) -> List[Dict[str, Any]]:
-        return [t.as_row() for t in self.trials]
-
     # ------------------------------------------------------------------ #
     # aggregation
     # ------------------------------------------------------------------ #

@@ -12,11 +12,13 @@ results have crossed the worker queue.  Two consequences, both load-bearing:
   computed *here*, on the reporter's own clock — the engine stays under the
   DET002 wall-clock rule while this package is scoped out of it.
 
-Reporters are plain callables taking one :class:`ProgressEvent`:
+Any callable taking one :class:`ProgressEvent` is a reporter (``events.append``
+on a list collects the stream).  The bundled ones:
 
 * :class:`TTYProgressReporter` — a live one-line display on a stream;
-* :class:`JsonlProgressReporter` — one JSON line per event (the format the
-  smoke stage validates), enriched with ``elapsed_s`` and ``trials_per_s``;
+* :class:`JsonlProgressReporter` — one sorted-keys JSON line per event,
+  appended to a file and enriched with ``elapsed_s`` and ``trials_per_s``;
+  :func:`read_jsonl` parses such a file back;
 * :class:`MetricsProgressReporter` — counters/gauges only, the cheapest
   variant (the ≤5 % overhead bar in ``benchmarks/bench_obs_overhead.py`` is
   measured against it).
@@ -27,13 +29,13 @@ into reporters so CLI layers can pass progress through a flag.
 
 from __future__ import annotations
 
+import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import IO, Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.events import JsonlSink, Event
 from repro.obs.metrics import MetricsRegistry
 
 #: the phases a ProgressEvent can carry
@@ -93,19 +95,28 @@ class TTYProgressReporter:
 
 
 class JsonlProgressReporter:
-    """One JSON line per progress event, with reporter-side timing."""
+    """One JSON line per progress event, with reporter-side timing.
+
+    The file is opened for appending at each sweep's ``start`` and closed at
+    its ``summary``, so one reporter serves any number of sweeps in turn.
+    """
 
     def __init__(self, path: str) -> None:
-        self.sink = JsonlSink(path)
         self.path = path
+        self._handle: Optional[IO[str]] = None
         self._t0: Optional[float] = None
 
     def __call__(self, event: ProgressEvent) -> None:
         now = time.monotonic()
-        if event.phase == "start" or self._t0 is None:
+        if event.phase == "start" or self._handle is None:
+            # a handle still open here belongs to a sweep that never summarised
+            self.close()
+            self._handle = open(self.path, "a", encoding="utf-8")
             self._t0 = now
         elapsed = now - self._t0
-        fields = {
+        record = {
+            "event": "sweep.progress",
+            "wall_time": time.time(),
             "phase": event.phase,
             "trials_total": event.trials_total,
             "trials_done": event.trials_done,
@@ -120,12 +131,25 @@ class JsonlProgressReporter:
                 round(event.trials_done / elapsed, 3) if elapsed > 0 else None
             ),
         }
-        self.sink.emit(Event(name="sweep.progress", wall_time=time.time(), fields=fields))
+        self._handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
         if event.phase == "summary":
             self.close()
 
     def close(self) -> None:
-        self.sink.close()
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
+def read_jsonl(path: str) -> List[Dict[str, Any]]:
+    """Parse a JSON-lines file back into dicts (validation helper)."""
+    records: List[Dict[str, Any]] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if line:
+                records.append(json.loads(line))
+    return records
 
 
 class MetricsProgressReporter:
@@ -148,16 +172,6 @@ class MetricsProgressReporter:
         registry.set_gauge("sweep.workers", event.workers)
 
 
-class CollectingProgress:
-    """Accumulates every event in a list (tests)."""
-
-    def __init__(self) -> None:
-        self.events: list = []
-
-    def __call__(self, event: ProgressEvent) -> None:
-        self.events.append(event)
-
-
 def resolve_progress(progress: Any) -> Optional[ProgressCallback]:
     """Normalise the engine's ``progress=`` argument to a callback.
 
@@ -177,12 +191,12 @@ def resolve_progress(progress: Any) -> Optional[ProgressCallback]:
 
 
 __all__ = [
-    "CollectingProgress",
     "JsonlProgressReporter",
     "MetricsProgressReporter",
     "PROGRESS_PHASES",
     "ProgressCallback",
     "ProgressEvent",
     "TTYProgressReporter",
+    "read_jsonl",
     "resolve_progress",
 ]

@@ -14,8 +14,12 @@ pacing it live needs:
 * ``crash_partition(pid)`` and ``recover_partition(pid)`` by hand, mid-run;
 * ``await service.shutdown()`` for the report (invariant battery included,
   evaluated on the surviving state);
-* the ``cluster.*`` telemetry (crash, rejoin, WAL replay time, in-doubt
-  resolution, retries) when handed duck-typed ``metrics=`` / ``events=``.
+* the ``cluster.*`` counters (crash, rejoin, WAL replay time, in-doubt
+  resolution, retries) when handed a duck-typed ``metrics=`` registry.
+
+What happened — each crash, rejoin and outcome — is the report's
+(:class:`~repro.db.cluster.ClusterReport`); the registry holds only what it
+cost, summed across runs.
 
 Its batch form is :func:`repro.db.cluster.run_cluster` with
 ``backend="asyncio"``: the coordinator submits a planned workload from its
@@ -90,18 +94,16 @@ class AsyncClusterService(Cluster):
         *,
         unit: float = DEFAULT_CLUSTER_UNIT_SECONDS,
         metrics: Optional[Any] = None,
-        events: Optional[Any] = None,
     ):
         super().__init__(config, AsyncRuntime, unit=unit, metrics=metrics)
         self.runtime: AsyncRuntime = self.kernel
         self.unit = unit
-        #: optional duck-typed telemetry sinks, threaded into the default link
-        #: model and the runtime and fed by the service's own lifecycle hooks (crash,
-        #: rejoin, WAL replay, in-doubt resolution, retries).  Strictly out
-        #: of band — never consulted for any decision; this module never
+        #: optional duck-typed metrics registry, threaded into the default link
+        #: model and the runtime and fed by the service's own lifecycle hooks
+        #: (crash, rejoin, WAL replay, in-doubt resolution, retries).  Strictly
+        #: out of band — never consulted for any decision; this module never
         #: imports the obs package
         self.metrics = metrics
-        self.events = events
         self.transport = TransportView(self.runtime.trace)
         self.runtime.on_crash = self._crashed
         self._waiters: Dict[str, asyncio.Future] = {}
@@ -232,19 +234,15 @@ class AsyncClusterService(Cluster):
         return self.recovery_events[-1]
 
     def _crashed(self, pid: int) -> None:
-        """Report a crash, by hand or by plan."""
+        """Count a crash, by hand or by plan."""
         if self.metrics is not None:
             self.metrics.inc("cluster.crashes")
-        if self.events is not None:
-            self.events.emit(
-                "cluster.crash", pid=pid, at_units=self.runtime.trace.crashes.get(pid)
-            )
         self._check_settled()
 
     def _rejoin(
         self, pid: int, runtime: AsyncRuntime, old: Any
     ) -> Optional[PartitionServer]:
-        """The cluster's recovery factory, with the WAL replay timed and reported."""
+        """The cluster's recovery factory, with the WAL replay timed and counted."""
         replay_t0 = time.monotonic()
         server = super()._rejoin(pid, runtime, old)
         replay_seconds = time.monotonic() - replay_t0
@@ -255,15 +253,6 @@ class AsyncClusterService(Cluster):
             self.metrics.inc("cluster.rejoins")
             self.metrics.inc("cluster.in_doubt_at_rejoin", len(event.in_doubt_at_rejoin))
             self.metrics.observe("cluster.wal_replay_seconds", replay_seconds)
-        if self.events is not None:
-            self.events.emit(
-                "cluster.rejoin",
-                pid=pid,
-                replayed_transactions=event.replayed_transactions,
-                in_doubt=len(event.in_doubt_at_rejoin),
-                downtime_units=event.downtime,
-                wal_replay_seconds=replay_seconds,
-            )
         return server
 
     def _check_known_pid(self, pid: int) -> None:
@@ -308,28 +297,15 @@ class AsyncClusterService(Cluster):
             if not waiter.done():
                 waiter.cancel()
         self._waiters.clear()
-        if self.metrics is not None or self.events is not None:
+        if self.metrics is not None:
             # in-doubt resolution: queried at rejoin minus still unresolved now
             queried = sum(len(e.in_doubt_at_rejoin) for e in self.recovery_events)
             unresolved = sum(
                 len(self.runtime.processes[pid].in_doubt_transactions())
                 for pid in range(1, self.client_pid)
             )
-            resolved = max(0, queried - unresolved)
-            retries = sum(self.client.retry_counts.values())
-            if self.metrics is not None:
-                self.metrics.inc("cluster.in_doubt_resolved", resolved)
-                self.metrics.inc("cluster.retries", retries)
-            if self.events is not None:
-                trace = self.runtime.trace
-                self.events.emit(
-                    "cluster.shutdown",
-                    end_units=trace.end_time,
-                    transactions=len(self.client.outcomes),
-                    in_doubt_resolved=resolved,
-                    retries=retries,
-                    crashes=len(trace.crashes),
-                )
+            self.metrics.inc("cluster.in_doubt_resolved", max(0, queried - unresolved))
+            self.metrics.inc("cluster.retries", sum(self.client.retry_counts.values()))
         return self.report()
 
 

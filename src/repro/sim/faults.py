@@ -211,10 +211,6 @@ class FaultPlan:
         """Whether some rule can push a delay beyond the bound ``u``."""
         return any(rule.is_network_failure(u) for rule in self.delay_rules)
 
-    def is_crash_failure(self, u: float) -> bool:
-        """Crashes only, all delays within the bound."""
-        return bool(self.crashes) and not self.is_network_failure(u)
-
     def execution_class(self, u: float) -> str:
         """Classify the execution: ``failure-free`` / ``crash-failure`` / ``network-failure``."""
         if self.is_network_failure(u):

@@ -272,10 +272,6 @@ class Trace:
             counts[m.src] = counts.get(m.src, 0) + 1
         return counts
 
-    def all_decided_same(self) -> bool:
-        values = {rec.value for rec in self.decisions.values()}
-        return len(values) <= 1
-
     def decision_of(self, pid: int) -> Optional[Any]:
         rec = self.decisions.get(pid)
         return None if rec is None else rec.value

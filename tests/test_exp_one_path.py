@@ -27,7 +27,6 @@ import pytest
 from repro.errors import SweepError
 from repro.exp import GridSpec, SweepAggregate, named_fault, run_sweep, run_trials
 from repro.exp.engine import _in_order
-from repro.obs import CollectingProgress
 
 TRIALS = 48
 WORKERS = 3
@@ -115,14 +114,15 @@ def rows():
     out = {}
     for workers, method in SHAPES:
         for sink, kwargs in SINKS.items():
-            progress = CollectingProgress()
+            events = []
             if sink == "reducer":
                 kwargs = dict(reducer=CountingSink())
             result = run_sweep(
-                grid(), workers=workers, start_method=method, progress=progress, **kwargs
+                grid(), workers=workers, start_method=method, progress=events.append,
+                **kwargs,
             )
             view = result.inner if sink == "reducer" else result
-            out[(workers, method, sink)] = (result, view, progress.events)
+            out[(workers, method, sink)] = (result, view, events)
     return out
 
 
@@ -207,13 +207,13 @@ class TestEdges:
     @pytest.mark.parametrize("workers", [1, WORKERS])
     @pytest.mark.parametrize("mode", ["full", "aggregate"])
     def test_an_empty_trial_list_is_an_empty_result(self, mode, workers):
-        progress = CollectingProgress()
-        result = run_trials([], workers=workers, mode=mode, progress=progress)
+        events = []
+        result = run_trials([], workers=workers, mode=mode, progress=events.append)
         assert len(result) == 0
         assert result.aggregate_rows() == []
         assert result.meta["trials"] == 0 and result.meta["mode"] == "serial"
-        assert [e.phase for e in progress.events] == ["start", "summary"]
-        assert all(e.chunks_total == e.chunks_done == e.trials_done == 0 for e in progress.events)
+        assert [e.phase for e in events] == ["start", "summary"]
+        assert all(e.chunks_total == e.chunks_done == e.trials_done == 0 for e in events)
 
     @pytest.mark.parametrize("mode", ["full", "aggregate"])
     def test_nothing_in_the_engine_retains_a_finished_sweeps_trials(self, mode):

@@ -19,13 +19,7 @@ import sys
 import pytest
 
 from repro.exp import GridSpec, run_sweep
-from repro.obs import (
-    CollectingProgress,
-    JsonlProgressReporter,
-    MetricsProgressReporter,
-    ProgressEvent,
-    SinkSpec,
-)
+from repro.obs import JsonlProgressReporter, ProgressEvent
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -57,7 +51,7 @@ class TestFingerprintEquality:
     def test_serial_obs_on_equals_off(self, trace_level, tmp_path):
         baseline = fingerprint(workers=1, trace_level=trace_level)
         observed = fingerprint(
-            workers=1, trace_level=trace_level, progress=CollectingProgress()
+            workers=1, trace_level=trace_level, progress=[].append
         )
         jsonl = fingerprint(
             workers=1, trace_level=trace_level,
@@ -68,33 +62,34 @@ class TestFingerprintEquality:
     @pytest.mark.parametrize("mode", ["full", "aggregate"])
     def test_fork_pool_obs_on_equals_off(self, mode):
         baseline_agg = parallel_or_skip(run_sweep(grid(), workers=2, mode=mode))
-        progress = CollectingProgress()
-        observed_agg = run_sweep(grid(), workers=2, mode=mode, progress=progress)
+        events = []
+        observed_agg = run_sweep(grid(), workers=2, mode=mode, progress=events.append)
         assert (
             baseline_agg.aggregate_fingerprint()
             == observed_agg.aggregate_fingerprint()
         )
         assert observed_agg.meta == baseline_agg.meta
-        assert progress.events[-1].phase == "summary"
+        assert events[-1].phase == "summary"
 
     def test_spawn_pool_obs_on_equals_off(self):
         baseline = run_sweep(grid(), workers=2, mode="aggregate", start_method="spawn")
         assert baseline.meta["start_method"] == "spawn"
-        progress = CollectingProgress()
+        events = []
         observed = run_sweep(
-            grid(), workers=2, mode="aggregate", start_method="spawn", progress=progress
+            grid(), workers=2, mode="aggregate", start_method="spawn",
+            progress=events.append,
         )
         assert baseline.aggregate_fingerprint() == observed.aggregate_fingerprint()
-        # the callback runs parent-side only: a non-picklable closure is fine
-        # under spawn, and the stream still covers the whole run
-        assert progress.events[0].phase == "start"
-        assert progress.events[-1].trials_done == 12
+        # the callback runs parent-side only, and the stream still covers
+        # the whole run
+        assert events[0].phase == "start"
+        assert events[-1].trials_done == 12
 
     def test_full_mode_results_unchanged_by_progress(self):
         import dataclasses
 
         plain = run_sweep(grid(), workers=1)
-        observed = run_sweep(grid(), workers=1, progress=CollectingProgress())
+        observed = run_sweep(grid(), workers=1, progress=[].append)
         assert plain.fingerprint() == observed.fingerprint()
         assert [dataclasses.asdict(t) for t in plain.trials] == [
             dataclasses.asdict(t) for t in observed.trials
@@ -180,19 +175,18 @@ class TestHardenedEnvironments:
 
 
 class TestSpawnSafeConfiguration:
-    def test_progress_event_and_sink_spec_cross_the_boundary(self, tmp_path):
+    def test_a_progress_event_crosses_the_boundary(self):
         event = ProgressEvent(
             phase="chunk", trials_total=8, trials_done=2, chunks_total=8,
             chunks_done=2, queue_depth=6, workers=2, mode="parallel",
             fold="chunk",
         )
         assert pickle.loads(pickle.dumps(event)) == event
-        spec = SinkSpec(kind="jsonl", path=str(tmp_path / "e.jsonl"))
-        assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_open_reporters_stay_parent_side(self, tmp_path):
-        """A JsonlProgressReporter holds an open handle — unpicklable — yet a
-        spawn-pool sweep accepts it, because progress never ships to workers."""
+        """A JsonlProgressReporter holds an open handle while a sweep runs —
+        unpicklable — yet a spawn-pool sweep accepts it, because progress
+        never ships to workers."""
         reporter = JsonlProgressReporter(str(tmp_path / "p.jsonl"))
         agg = run_sweep(
             grid(), workers=2, mode="aggregate", start_method="spawn", progress=reporter

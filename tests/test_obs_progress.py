@@ -3,21 +3,23 @@
 The engine emits count-only :class:`~repro.obs.ProgressEvent` records from
 the parent process; reporters add timing on their own clock.  These tests
 drive every engine path (serial/pooled x per-trial/merged chunks) through a
-collecting callback and check the stream's shape, then exercise each bundled
+list's ``append`` and check the stream's shape, then exercise each bundled
 reporter and the string forms ``resolve_progress`` accepts.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import pickle
 
 import pytest
 
+import repro.obs
+import repro.obs.progress
 from repro.errors import ConfigurationError
 from repro.exp import GridSpec, run_sweep
 from repro.obs import (
-    CollectingProgress,
     JsonlProgressReporter,
     MetricsProgressReporter,
     ProgressEvent,
@@ -26,6 +28,14 @@ from repro.obs import (
     resolve_progress,
 )
 from repro.obs.progress import PROGRESS_PHASES
+
+
+#: the keys of one JsonlProgressReporter line
+JSONL_KEYS = {
+    "event", "wall_time", "phase", "trials_total", "trials_done", "chunks_total",
+    "chunks_done", "queue_depth", "workers", "mode", "fold", "elapsed_s",
+    "trials_per_s",
+}
 
 
 def small_grid(trials: int = 8) -> GridSpec:
@@ -78,32 +88,36 @@ class TestProgressEvent:
 
 class TestEngineEmission:
     def test_serial_full_mode_emits_per_trial(self):
-        progress = CollectingProgress()
-        result = run_sweep(small_grid(), workers=1, progress=progress)
+        events = []
+        result = run_sweep(small_grid(), workers=1, progress=events.append)
         assert result is not None
-        assert_well_formed_stream(progress.events, 8)
-        assert progress.events[-1].mode == "serial"
-        assert progress.events[-1].fold == "trial"
-        assert len(progress.events) == 8 + 2  # start + one per trial + summary
+        assert_well_formed_stream(events, 8)
+        assert events[-1].mode == "serial"
+        assert events[-1].fold == "trial"
+        assert len(events) == 8 + 2  # start + one per trial + summary
 
     def test_serial_aggregate_folds_per_trial(self):
-        progress = CollectingProgress()
-        agg = run_sweep(small_grid(), workers=1, mode="aggregate", progress=progress)
+        events = []
+        agg = run_sweep(
+            small_grid(), workers=1, mode="aggregate", progress=events.append
+        )
         assert agg.error_count == 0
-        assert_well_formed_stream(progress.events, 8)
+        assert_well_formed_stream(events, 8)
         # a serial run has no worker chunks: it folds straight into the sink,
         # and the progress stream reports what actually ran
-        assert progress.events[-1].fold == agg.meta["fold"] == "trial"
+        assert events[-1].fold == agg.meta["fold"] == "trial"
 
     def test_parallel_aggregate_chunk_fold(self):
-        progress = CollectingProgress()
-        agg = run_sweep(small_grid(), workers=2, mode="aggregate", progress=progress)
+        events = []
+        agg = run_sweep(
+            small_grid(), workers=2, mode="aggregate", progress=events.append
+        )
         if agg.meta["mode"] != "parallel":
             pytest.skip("fork start method unavailable; parallel path not exercised")
-        assert_well_formed_stream(progress.events, 8)
-        assert progress.events[-1].mode == "parallel"
-        assert progress.events[-1].workers == 2
-        assert progress.events[-1].fold == "chunk"
+        assert_well_formed_stream(events, 8)
+        assert events[-1].mode == "parallel"
+        assert events[-1].workers == 2
+        assert events[-1].fold == "chunk"
 
     def test_parallel_per_trial_fold_into_a_sink_without_merge(self):
         class Sink:
@@ -113,38 +127,38 @@ class TestEngineEmission:
             def fold(self, trial):
                 pass
 
-        progress = CollectingProgress()
-        agg = run_sweep(small_grid(), workers=2, reducer=Sink(), progress=progress)
+        events = []
+        agg = run_sweep(small_grid(), workers=2, reducer=Sink(), progress=events.append)
         if agg.meta["mode"] != "parallel":
             pytest.skip("fork start method unavailable; parallel path not exercised")
-        assert_well_formed_stream(progress.events, 8)
-        assert progress.events[-1].fold == "trial"
+        assert_well_formed_stream(events, 8)
+        assert events[-1].fold == "trial"
 
     def test_parallel_full_mode_reports_honest_chunk_counts(self):
         # regression: the pooled full-mode path used to advertise
         # chunks_total == len(trials) while ships happened in imap chunks,
         # so queue_depth lied about the pool's remaining work
-        progress = CollectingProgress()
-        result = run_sweep(small_grid(16), workers=2, progress=progress)
+        events = []
+        result = run_sweep(small_grid(16), workers=2, progress=events.append)
         if result.meta["mode"] != "parallel":
             pytest.skip("fork start method unavailable; parallel path not exercised")
-        assert_well_formed_stream(progress.events, 16)
+        assert_well_formed_stream(events, 16)
         # 16 trials over 2 workers -> imap chunk of 2 -> 8 honest chunks
         chunk = max(1, 16 // (2 * 4))
         expected_chunks = (16 + chunk - 1) // chunk
-        assert all(e.chunks_total == expected_chunks for e in progress.events)
-        assert progress.events[0].chunks_done == 0
-        assert progress.events[-1].chunks_done == expected_chunks
+        assert all(e.chunks_total == expected_chunks for e in events)
+        assert events[0].chunks_done == 0
+        assert events[-1].chunks_done == expected_chunks
         # intermediate counts only ever move in whole completed chunks
-        chunk_counts = [e.chunks_done for e in progress.events]
+        chunk_counts = [e.chunks_done for e in events]
         assert chunk_counts == sorted(chunk_counts)
         assert all(0 <= c <= expected_chunks for c in chunk_counts)
 
     def test_progress_left_none_emits_nothing_and_meta_is_unchanged(self):
         without = run_sweep(small_grid(), workers=1, mode="aggregate")
-        progress = CollectingProgress()
+        events = []
         with_progress = run_sweep(
-            small_grid(), workers=1, mode="aggregate", progress=progress
+            small_grid(), workers=1, mode="aggregate", progress=events.append
         )
         # progress is pure observation: the result's meta carries no trace of it
         assert with_progress.meta == without.meta
@@ -174,6 +188,80 @@ class TestReporters:
         assert summary["trials_done"] == summary["trials_total"] == 8
         assert summary["elapsed_s"] >= 0.0
         assert summary["trials_per_s"] is None or summary["trials_per_s"] > 0
+        # the line shape: these 13 keys, serialised sorted
+        assert all(set(r) == JSONL_KEYS for r in records)
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
+
+    def test_one_jsonl_reporter_serves_two_sweeps(self, tmp_path):
+        path = str(tmp_path / "progress.jsonl")
+        reporter = JsonlProgressReporter(path)
+        for _ in range(2):
+            run_sweep(small_grid(), workers=1, mode="aggregate", progress=reporter)
+        run = ["start"] + ["chunk"] * 8 + ["summary"]
+        assert [r["phase"] for r in read_jsonl(path)] == run + run
+
+    def test_two_reporters_append_to_one_file(self, tmp_path):
+        path = tmp_path / "progress.jsonl"
+        path.write_text('{"event": "earlier"}\n', encoding="utf-8")
+        for _ in range(2):
+            reporter = JsonlProgressReporter(str(path))
+            reporter(make_event(phase="start", done=0))
+            reporter(make_event(phase="summary", done=8))
+        records = read_jsonl(str(path))
+        assert records[0] == {"event": "earlier"}
+        assert [r["phase"] for r in records[1:]] == ["start", "summary"] * 2
+
+    def test_the_file_is_closed_at_summary(self, tmp_path):
+        reporter = JsonlProgressReporter(str(tmp_path / "progress.jsonl"))
+        reporter(make_event(phase="start", done=0))
+        handle = reporter._handle
+        assert handle is not None and not handle.closed
+        reporter(make_event(phase="summary", done=8))
+        assert handle.closed
+        assert reporter._handle is None
+        reporter.close()  # closing a closed reporter is a no-op
+        assert reporter._handle is None
+
+    def test_a_start_closes_what_an_aborted_sweep_left_open(self, tmp_path):
+        path = str(tmp_path / "progress.jsonl")
+        reporter = JsonlProgressReporter(path)
+        reporter(make_event(phase="start", done=0))
+        reporter(make_event(done=4))  # this sweep never summarises
+        aborted = reporter._handle
+        reporter(make_event(phase="start", done=0))
+        assert aborted.closed
+        assert reporter._handle is not aborted
+        reporter(make_event(phase="summary", done=8))
+        records = read_jsonl(path)
+        assert [r["phase"] for r in records] == ["start", "chunk", "start", "summary"]
+        assert [r["trials_done"] for r in records] == [0, 4, 0, 8]
+
+    def test_an_event_before_any_start_opens_the_file(self, tmp_path):
+        path = str(tmp_path / "progress.jsonl")
+        reporter = JsonlProgressReporter(path)
+        reporter(make_event(done=4))
+        reporter(make_event(phase="summary", done=8))
+        records = read_jsonl(path)
+        assert [r["phase"] for r in records] == ["chunk", "summary"]
+        # the clock started at the first event the reporter saw
+        assert records[0]["elapsed_s"] == 0.0
+
+    def test_no_rate_is_reported_at_zero_elapsed(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "progress.jsonl")
+        monkeypatch.setattr("repro.obs.progress.time.monotonic", lambda: 100.0)
+        reporter = JsonlProgressReporter(path)
+        reporter(make_event(phase="start", done=0))
+        reporter(make_event(phase="summary", done=8))
+        for record in read_jsonl(path):
+            assert record["elapsed_s"] == 0.0
+            assert record["trials_per_s"] is None
+
+    def test_read_jsonl_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "lines.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"b": [2]}\n', encoding="utf-8")
+        assert read_jsonl(str(path)) == [{"a": 1}, {"b": [2]}]
 
     def test_metrics_reporter_counts(self):
         reporter = MetricsProgressReporter()
@@ -190,8 +278,8 @@ class TestReporters:
 class TestResolveProgress:
     def test_none_and_callables_pass_through(self):
         assert resolve_progress(None) is None
-        sentinel = CollectingProgress()
-        assert resolve_progress(sentinel) is sentinel
+        events = []
+        assert resolve_progress(events.append) == events.append
 
     def test_tty_string(self):
         assert isinstance(resolve_progress("tty"), TTYProgressReporter)
@@ -213,3 +301,10 @@ class TestResolveProgress:
         with pytest.raises(ConfigurationError) as err:
             resolve_progress(bad)
         assert repr(bad) in str(err.value)
+
+
+class TestPackageSurface:
+    def test_every_export_resolves_and_read_jsonl_lives_with_its_writer(self):
+        assert all(hasattr(repro.obs, name) for name in repro.obs.__all__)
+        assert len(set(repro.obs.__all__)) == len(repro.obs.__all__) == 17
+        assert repro.obs.read_jsonl is repro.obs.progress.read_jsonl

@@ -1,26 +1,29 @@
 """Telemetry from the asyncio runtime: link draws, timers, cluster lifecycle.
 
-The runtime layers never import ``repro.obs``; a metrics registry and an
-event bus reach them as duck-typed constructor arguments
-(``LinkDelay(metrics=...)``, ``AsyncClusterService(metrics=, events=)``)
-and every hook is a no-op when they are ``None``.  These tests hand real
-obs objects in and pin what each layer reports.
+The runtime layers never import ``repro.obs``; a metrics registry reaches
+them as a duck-typed constructor argument (``LinkDelay(metrics=...)``,
+``AsyncClusterService(metrics=)``) and every hook is a no-op when it is
+``None``.  These tests hand a real registry in and pin what each layer
+counts; what happened (each crash, rejoin and outcome) is read off the
+cluster's report.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 
 import pytest
 
 from repro.db.cluster import ClusterConfig, run_cluster
+from repro.db.coordinator import RetryPolicy
 from repro.db.transaction import Operation, Transaction
-from repro.obs import EventBus, MemorySink, MetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.runtime import AsyncClusterService
 from repro.runtime.runtime import AsyncRuntime
 from repro.sim.faults import FaultPlan
 from repro.sim.network import LinkDelay, LinkPolicy
-from repro.workloads.transactions import uniform_workload
+from repro.workloads.transactions import bank_transfer_workload, uniform_workload
 
 pytestmark = pytest.mark.runtime
 
@@ -38,11 +41,11 @@ def config(**overrides):
     return ClusterConfig(**base)
 
 
-def run_service(config, transactions, *, metrics=None, events=None):
-    """A batch run (``run_cluster(backend="asyncio")``) with telemetry sinks."""
+def run_service(config, transactions, *, metrics=None):
+    """A batch run (``run_cluster(backend="asyncio")``) with a metrics registry."""
 
     async def drive():
-        service = AsyncClusterService(config, metrics=metrics, events=events)
+        service = AsyncClusterService(config, metrics=metrics)
         await service.start(transactions)
         await service.wait_all_completed(config.max_time)
         return await service.shutdown()
@@ -151,13 +154,10 @@ def spaced_transfers():
 class TestClusterLifecycleTelemetry:
     def test_crash_rejoin_and_shutdown_are_reported(self):
         metrics = MetricsRegistry()
-        sink = MemorySink()
-        events = EventBus([sink])
 
         async def drive():
             service = AsyncClusterService(
-                config(commit_protocol="INBAC", commit_f=1, seed=5),
-                metrics=metrics, events=events,
+                config(commit_protocol="INBAC", commit_f=1, seed=5), metrics=metrics
             )
             await service.start()
             early, late = spaced_transfers()
@@ -178,39 +178,31 @@ class TestClusterLifecycleTelemetry:
         assert replay["count"] == 1.0
         assert replay["mean"] >= 0.0
 
-        names = sink.names()
-        assert names[0] == "cluster.crash"
-        assert "cluster.rejoin" in names
-        assert names[-1] == "cluster.shutdown"
-        rejoin = next(e for e in sink.events if e.name == "cluster.rejoin")
-        assert rejoin.fields["pid"] == 2
-        assert rejoin.fields["replayed_transactions"] == recovery.replayed_transactions
-        assert rejoin.fields["wal_replay_seconds"] >= 0.0
-        shutdown = next(e for e in sink.events if e.name == "cluster.shutdown")
-        assert shutdown.fields["transactions"] == 2
-        assert shutdown.fields["crashes"] == 1
+        assert list(report.crashes) == [2]
+        [event] = report.recovery_events
+        assert event == recovery
+        assert event.pid == 2
+        assert len(report.outcomes) == 2
 
     def test_a_planned_crash_and_rejoin_are_reported_alike(self):
         # the plan's crash and rejoin are the kernel's own entries, at their
         # planned times exactly, under the names a crash by hand reports
         metrics = MetricsRegistry()
-        sink = MemorySink()
         report = run_service(
             config(
                 commit_protocol="INBAC", commit_f=1, seed=5,
                 fault_plan=FaultPlan.crash_recover(2, at=20.0, rejoin_at=40.0),
             ),
-            spaced_transfers(), metrics=metrics, events=EventBus([sink]),
+            spaced_transfers(), metrics=metrics,
         )
         assert report.committed == 2
         counters = metrics.snapshot().counters
         assert counters["cluster.crashes"] == counters["cluster.rejoins"] == 1
-        crash = next(e for e in sink.events if e.name == "cluster.crash")
-        rejoin = next(e for e in sink.events if e.name == "cluster.rejoin")
-        assert crash.fields == {"pid": 2, "at_units": 20.0}
-        assert rejoin.fields["downtime_units"] == 20.0
+        assert report.crashes == {2: 20.0}
         [event] = report.recovery_events
-        assert rejoin.fields["replayed_transactions"] == event.replayed_transactions
+        assert event.pid == 2
+        assert event.downtime == 20.0
+        assert len(report.outcomes) == 2
 
     def test_retries_reach_the_registry(self):
         metrics = MetricsRegistry()
@@ -227,12 +219,94 @@ class TestClusterLifecycleTelemetry:
         assert report.committed == 4
         assert metrics.counter_value("cluster.retries") == retries
 
+    def test_the_retries_counter_sums_the_reports_retry_counts(self):
+        metrics = MetricsRegistry()
+        transfers = bank_transfer_workload(num_transfers=8, num_partitions=3, seed=5)
+        report = run_service(
+            config(
+                commit_protocol="INBAC", commit_f=1, seed=5, max_time=400.0,
+                fault_plan=FaultPlan.crash_recover(2, at=10.0, rejoin_at=25.0),
+                retry_policy=RetryPolicy(max_attempts=4, timeout_units=15.0),
+            ),
+            transfers.transactions, metrics=metrics,
+        )
+        assert report.retry_counts
+        assert metrics.counter_value("cluster.retries") == sum(
+            report.retry_counts.values()
+        )
+
+    def test_an_in_doubt_rejoin_is_reported_and_resolved(self):
+        # 2PC blocks a participant that crashes after voting: it rejoins with
+        # the transaction in doubt and a termination query resolves it
+        metrics = MetricsRegistry()
+        report = run_service(
+            config(seed=5, fault_plan=FaultPlan.crash_recover(2, at=1.0, rejoin_at=40.0)),
+            spaced_transfers(), metrics=metrics,
+        )
+        [event] = report.recovery_events
+        assert event.in_doubt_at_rejoin == ("t-early",)
+        assert event.replayed_transactions == 0
+        counters = metrics.snapshot().counters
+        assert counters["cluster.in_doubt_at_rejoin"] == len(event.in_doubt_at_rejoin)
+        assert counters["cluster.in_doubt_resolved"] == 1
+
+    def test_each_rejoin_is_one_wal_replay_observation(self):
+        metrics = MetricsRegistry()
+
+        async def drive():
+            service = AsyncClusterService(
+                config(commit_protocol="INBAC", commit_f=1, seed=5), metrics=metrics
+            )
+            await service.start()
+            early, late = spaced_transfers()
+            assert await service.submit(early, timeout_units=60.0) is not None
+            assert await service.wait_all_completed(60.0)
+            for pid in (2, 3):
+                service.crash_partition(pid)
+                service.recover_partition(pid)
+            assert await service.submit(late, timeout_units=60.0) is not None
+            return await service.shutdown()
+
+        report = asyncio.run(drive())
+        assert sorted(report.crashes) == [2, 3]
+        assert [event.pid for event in report.recovery_events] == [2, 3]
+        # t-early wrote to partitions 1 and 2, so only P2's WAL holds it
+        assert [event.replayed_transactions for event in report.recovery_events] == [1, 0]
+        snapshot = metrics.snapshot()
+        assert snapshot.counters["cluster.crashes"] == len(report.crashes)
+        assert snapshot.counters["cluster.rejoins"] == len(report.recovery_events)
+        replay = snapshot.histogram_summary("cluster.wal_replay_seconds")
+        assert replay["count"] == float(len(report.recovery_events))
+
+    def test_the_lifecycle_is_reported_alike_without_a_registry(self):
+        plan = FaultPlan.crash_recover(2, at=20.0, rejoin_at=40.0)
+        observed = run_service(
+            config(commit_protocol="INBAC", commit_f=1, seed=5, fault_plan=plan),
+            spaced_transfers(), metrics=MetricsRegistry(),
+        )
+        plain = run_service(
+            config(commit_protocol="INBAC", commit_f=1, seed=5, fault_plan=plan),
+            spaced_transfers(),
+        )
+        assert plain.crashes == observed.crashes == {2: 20.0}
+        assert plain.recovery_events == observed.recovery_events
+        assert plain.end_time == observed.end_time >= 40.0
+        assert [(o.txn_id, o.decision) for o in plain.outcomes] == [
+            (o.txn_id, o.decision) for o in observed.outcomes
+        ]
+        assert plain.retry_counts == observed.retry_counts == {}
+
+    def test_the_service_takes_a_config_a_unit_and_a_registry(self):
+        parameters = inspect.signature(AsyncClusterService.__init__).parameters
+        assert list(parameters) == ["self", "config", "unit", "metrics"]
+        assert all(
+            parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
+            for name in ("unit", "metrics")
+        )
+
     def test_telemetry_is_pure_observation(self):
         plain = run_cluster(config(), workload(), backend="asyncio")
-        observed = run_service(
-            config(), workload(),
-            metrics=MetricsRegistry(), events=EventBus([MemorySink()]),
-        )
+        observed = run_service(config(), workload(), metrics=MetricsRegistry())
         assert observed.committed == plain.committed
         assert observed.aborted == plain.aborted
         assert [o.txn_id for o in observed.outcomes] == [
