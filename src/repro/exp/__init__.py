@@ -13,17 +13,17 @@ regimes.  This package turns those cross-product comparisons into one-liners:
   schedule controller (adversarial event orderings and crash points) built
   from the trial's derived seed;
 * :mod:`repro.exp.registry` — how a name becomes an object: every value of
-  the delay, fault, votes and workload axes is a label, a registry name and
-  plain-data parameters (``delays=["uniform"]``, ``votes=["mixed:0.3"]``,
-  ``faults=[("late", "crash", {"at": 0.5})]``; the grammar is tabulated in
-  :mod:`repro.exp.spec`), built per trial in whichever process runs the
-  trial — so grids pickle under any multiprocessing start method by
-  construction.  Callables are not axis values (``register_*`` a
-  module-level builder and name it); the only closures a sweep can still
-  carry are predicates inside a literal ``FaultPlan``, collectors and
-  locally-defined protocol classes, which ``run_sweep(start_method="spawn")``
-  checks for up front, naming the offending field.  Reducers are
-  registry-named too (``reducer="violations"``);
+  the delay, fault, votes, workload and schedule axes is a label, a registry
+  name and plain-data parameters (``delays=["uniform"]``,
+  ``votes=["mixed:0.3"]``, ``faults=[("late", "crash", {"at": 0.5})]``; the
+  grammar is tabulated in :mod:`repro.exp.spec`), built per trial in
+  whichever process runs the trial — so grids pickle under any
+  multiprocessing start method by construction.  Callables are not axis
+  values (``register_*`` a module-level builder and name it); the only
+  closures a sweep can still carry are predicates inside a literal
+  ``FaultPlan``, collectors and locally-defined protocol classes, which
+  ``run_sweep(start_method="spawn")`` checks for up front, naming the
+  offending field;
 * :mod:`repro.exp.engine` — :func:`run_sweep` runs the trials through the
   one sweep path (chunks of the trial list, in-process or across worker
   processes, consumed in order) with per-trial derived seeding, so parallel
@@ -48,8 +48,9 @@ result is folded into a sink (anything with ``fold(TrialResult)``) that
   10^5-10^6-trial sweeps run in memory bounded by the grid's *cell* count
   while producing byte-identical aggregate tables to the in-memory path (a
   :class:`SweepResult` computes its tables with a :class:`SweepAggregate`);
-* ``reducer=`` (any object with ``fold(TrialResult)``, or a registered name)
-  replaces either for custom streaming statistics.
+* ``reducer=`` (any object with ``fold(TrialResult)``, e.g.
+  :class:`~repro.explore.fold.ViolationFold`) replaces either for custom
+  streaming statistics.
 
 Behind a pool, a sink that can also ``merge`` receives each chunk as a
 partial its worker already folded — one bundle per chunk instead of one
@@ -83,13 +84,12 @@ Example
 
 from repro.exp.engine import ensure_spawn_safe, run_sweep, run_trial, run_trials
 from repro.exp.registry import (
-    make_reducer,
     named_delay,
     named_fault,
     named_workload,
     register_delay_model,
     register_fault_plan,
-    register_reducer,
+    register_schedule_strategy,
     register_vote_pattern,
     register_workload,
 )
@@ -121,14 +121,13 @@ __all__ = [
     "WorkloadSpec",
     "ensure_spawn_safe",
     "make_cases",
-    "make_reducer",
     "mixed_votes",
     "named_delay",
     "named_fault",
     "named_workload",
     "register_delay_model",
     "register_fault_plan",
-    "register_reducer",
+    "register_schedule_strategy",
     "register_vote_pattern",
     "register_workload",
     "run_sweep",

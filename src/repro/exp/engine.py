@@ -279,9 +279,9 @@ def _attach_extras(
 
         decisions, fingerprint = replay
         base.extra["schedule_trace"] = ScheduleTrace(
-            strategy=trial.schedule.strategy,
+            strategy=trial.schedule.name,
             seed=base.derived_seed,
-            params=trial.schedule.strategy_params(),
+            params=dict(trial.schedule.params),
             decisions=decisions,
         ).to_jsonable()
         base.extra["trace_fingerprint"] = fingerprint
@@ -680,13 +680,14 @@ def run_trials(
         _one_of("trace_level", trace_level, TRACE_LEVELS)
     trials = list(trials)
     sink = reducer
-    if isinstance(sink, str):
-        # registry-named sinks are spawn-safe and keep grids lambda-free
-        from repro.exp.registry import make_reducer
-
-        sink = make_reducer(sink)
-    elif sink is None:
+    if sink is None:
         sink = SweepAggregate() if mode == "aggregate" else SweepResult()
+    elif not callable(getattr(sink, "fold", None)):
+        raise ConfigurationError(
+            f"reducer= takes a sink object with a fold(TrialResult) method, "
+            f"e.g. SweepAggregate() or ViolationFold(); got {sink!r} "
+            f"({type(sink).__name__})"
+        )
     full = isinstance(sink, SweepResult)
     # any other sink only reads the tallies a CounterTrace maintains, unless a
     # collector needs the live (full) trace
@@ -804,8 +805,9 @@ def run_sweep(
         discarded, so memory is bounded by the grid's cell count instead of
         its trial count.
     reducer:
-        Custom sink: any object with a ``fold(TrialResult)`` method, or a
-        registered reducer name (:mod:`repro.exp.registry`).  It replaces
+        Custom sink: any object with a ``fold(TrialResult)`` method, such as
+        a :class:`~repro.exp.results.RobustnessFold` or a
+        :class:`~repro.explore.fold.ViolationFold`.  It replaces
         the sink ``mode`` picks; the engine folds every result in
         trial-index order and returns the reducer (updating its ``meta``
         dict attribute, if present, with execution metadata).  A reducer

@@ -3,12 +3,12 @@
 An axis value of a sweep is a label, a registry name and plain-data
 parameters (:mod:`repro.exp.spec` states the grammar); this module owns the
 other half — the tables that turn ``(name, params)`` into a delay model, a
-fault plan, a vote vector, a transaction list or a reducer, per trial, in
-whichever process runs the trial.  That is what makes a grid *spawn-safe* by
-construction: the ``spawn`` start method (the only one on Windows, the macOS
-default) pickles everything it ships to a worker, a spec holding a name and
-plain data pickles, and the worker re-resolves the name against its own copy
-of these tables.  For that to work, custom registrations must happen at
+fault plan, a vote vector, a transaction list or a schedule controller, per
+trial, in whichever process runs the trial.  That is what makes a grid
+*spawn-safe* by construction: the ``spawn`` start method (the only one on
+Windows, the macOS default) pickles everything it ships to a worker, a spec
+holding a name and plain data pickles, and the worker re-resolves the name
+against its own copy of these tables.  For that to work, custom registrations must happen at
 *import time* (module level) of the module defining the builder: a pool
 worker imports that module (:meth:`Registry.module_of`) before its first
 trial, but a name registered only in the parent's ``__main__`` block does not
@@ -30,13 +30,15 @@ One :class:`Registry` per kind, each with its builder calling convention:
   partition count and derived seed: ``uniform``, ``hotspot``,
   ``bank-transfer``, and ``verbatim`` (a literal transaction sequence);
   :func:`register_workload`, :func:`named_workload`;
-* reducers — ``builder()``: ``aggregate``, ``robustness``, ``violations``;
-  :func:`register_reducer`, :func:`make_reducer`
-  (``run_sweep(reducer="violations")``).
+* schedule strategies — ``builder(seed, **params)`` returning a single-use
+  :class:`~repro.explore.schedule.ScheduleController`: ``timestamp-order``,
+  ``random-walk``, ``delay-reorder``, ``crash-point``, ``replay``, registered
+  when :mod:`repro.explore.strategies` is imported (a
+  :class:`~repro.exp.spec.ScheduleSpec` imports it);
+  :func:`register_schedule_strategy`.
 
-Schedule strategies are registry-named at the source
-(:mod:`repro.explore.strategies`), so every
-:class:`~repro.exp.spec.ScheduleSpec` is spawn-safe already.
+A sweep's sink is not named here: ``run_sweep(reducer=)`` takes the sink
+object itself, and a pool worker rebuilds an empty one from its class.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import inspect
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.exp.results import RobustnessFold, SweepAggregate
 from repro.sim.faults import FaultPlan
 from repro.sim.network import (
     DelayModel,
@@ -130,18 +131,17 @@ DELAYS = Registry("delay model", supplied=("seed",))
 FAULTS = Registry("fault plan")
 VOTES = Registry("vote pattern", supplied=("n", "seed"))
 WORKLOADS = Registry("workload", supplied=("n", "seed"))
-REDUCERS = Registry("reducer")
+SCHEDULES = Registry("schedule strategy", supplied=("seed",))
 
 register_delay_model = DELAYS.register
 register_fault_plan = FAULTS.register
 register_vote_pattern = VOTES.register
 register_workload = WORKLOADS.register
-register_reducer = REDUCERS.register
+register_schedule_strategy = SCHEDULES.register
 
 delay_model_names = DELAYS.names
 fault_plan_names = FAULTS.names
 workload_names = WORKLOADS.names
-reducer_names = REDUCERS.names
 
 
 def _named(axis: str, name: str, label: Optional[str], params: Dict[str, Any]):
@@ -383,25 +383,3 @@ register_workload("hotspot", _build_hotspot_txns)
 register_workload("bank-transfer", _build_bank_transfer_txns)
 register_workload("verbatim", _build_verbatim_txns)
 
-
-# --------------------------------------------------------------------------- #
-# reducers: builder() -> streaming sink
-# --------------------------------------------------------------------------- #
-
-
-def make_reducer(name: str) -> Any:
-    """Instantiate a registered reducer (``run_sweep(reducer="...")``)."""
-    REDUCERS.check(name, {})
-    return REDUCERS.build(name, ())
-
-
-def _build_violations():
-    # lazily: repro.explore sits above the sim layer
-    from repro.explore.fold import ViolationFold
-
-    return ViolationFold()
-
-
-register_reducer("aggregate", SweepAggregate)
-register_reducer("robustness", RobustnessFold)
-register_reducer("violations", _build_violations)

@@ -47,10 +47,9 @@ derived seed and its aggregate row), so labels must be unique per axis.  A
 bare ``"name"`` is its own label; a bare plan is labelled by its
 ``description``.  Names resolve against :mod:`repro.exp.registry`
 (``register_delay_model`` / ``register_fault_plan`` / ``register_vote_pattern``
-/ ``register_workload``; ``schedules``: :mod:`repro.explore.strategies`) when
-the grid is constructed — an unknown name, or a parameter the builder (or
-the strategy class) does not take, is a
-:class:`~repro.errors.ConfigurationError` there, not a per-trial failure.
+/ ``register_workload`` / ``register_schedule_strategy``) when the grid is
+constructed — an unknown name, or a parameter the builder does not take, is
+a :class:`~repro.errors.ConfigurationError` there, not a per-trial failure.
 **Callables and delay-model instances are not axis values**: register the
 builder at import time and name it.  The only closures a grid can carry are
 predicates inside a literal ``FaultPlan`` (and collectors, and protocol
@@ -64,14 +63,13 @@ directly with :func:`make_cases`.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.exp.registry import DELAYS, FAULTS, VOTES, WORKLOADS, Registry
+from repro.exp.registry import DELAYS, FAULTS, SCHEDULES, VOTES, WORKLOADS, Registry
 from repro.sim.faults import FaultPlan
 
 # --------------------------------------------------------------------------- #
@@ -152,53 +150,21 @@ class WorkloadSpec(NamedSpec):
     axis, registry = "workloads", WORKLOADS
 
 
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """A named schedule-exploration strategy for the ``schedules`` axis.
+class ScheduleSpec(NamedSpec):
+    """``build(seed)`` -> a fresh, single-use schedule controller.
 
-    The same shape as :class:`NamedSpec` with the name field called
-    ``strategy``, checked against :mod:`repro.explore.strategies` when the
-    spec is written: the name must be registered and ``params`` must bind to
-    the strategy class's signature.  ``build(seed)`` returns a fresh
-    controller seeded with the trial's derived seed (controllers are
-    single-use).
+    The names are :mod:`repro.explore.strategies`'s, registered in
+    :data:`~repro.exp.registry.SCHEDULES` when that module is imported.
     """
 
-    label: str
-    strategy: str
-    params: Tuple[Tuple[str, Any], ...] = ()
+    axis, registry = "schedules", SCHEDULES
 
     def __post_init__(self) -> None:
-        # imported lazily, here and in build(): repro.explore sits above the
-        # sim layer and is only needed by grids that actually explore
-        from repro.explore.strategies import strategy_class
+        # registers the built-in strategies; imported here, not at module
+        # level, because repro.explore imports the engine, which imports this
+        import repro.explore.strategies  # noqa: F401
 
-        where = f"schedules[{self.label!r}]"
-        try:
-            signature = inspect.signature(strategy_class(self.strategy))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{where}: {exc}") from None
-        # parameter names only, as Registry.check: a value the strategy
-        # refuses (a probability outside [0, 1]) still fails per trial
-        try:
-            signature.bind(seed=0, **dict(self.params))
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"{where}: schedule strategy {self.strategy!r}: {exc}"
-            ) from None
-
-    def strategy_params(self) -> Dict[str, Any]:
-        return dict(self.params)
-
-    def build(self, seed: int):
-        from repro.explore.strategies import make_strategy
-
-        return make_strategy(self.strategy, seed=seed, **dict(self.params))
-
-    def builder_module(self) -> str:
-        from repro.explore.strategies import strategy_class
-
-        return strategy_class(self.strategy).__module__
+        super().__post_init__()
 
 
 # --------------------------------------------------------------------------- #
@@ -206,7 +172,7 @@ class ScheduleSpec:
 # --------------------------------------------------------------------------- #
 
 ProtocolLike = Union[str, type, Tuple[str, type], ProtocolSpec]
-AxisLike = Union[None, str, tuple, FaultPlan, NamedSpec, ScheduleSpec]
+AxisLike = Union[None, str, tuple, FaultPlan, NamedSpec]
 
 
 def coerce_protocol(value: ProtocolLike) -> ProtocolSpec:
@@ -276,11 +242,11 @@ _AXES: Dict[str, Tuple[type, Optional[Tuple[str, str]], Optional[Literal], dict,
         "register_vote_pattern",
     ),
     "workloads": (WorkloadSpec, None, _literal_transactions, {}, "register_workload"),
-    "schedules": (ScheduleSpec, None, None, {}, "repro.explore.strategies.register_strategy"),
+    "schedules": (ScheduleSpec, None, None, {}, "register_schedule_strategy"),
 }
 
 
-def coerce_axis(axis: str, value: AxisLike) -> Union[None, NamedSpec, ScheduleSpec]:
+def coerce_axis(axis: str, value: AxisLike) -> Optional[NamedSpec]:
     """Normalise one value of ``axis`` (a GridSpec field name) into its spec.
 
     The one parser of the axis grammar (module docstring); returns ``None``

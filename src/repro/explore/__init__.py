@@ -12,9 +12,11 @@ scenarios; this package *searches* the execution space:
   applied decision is recorded, and :class:`ScheduleTrace` serialises
   ``(strategy, seed, decisions)`` so any explored execution replays
   byte-identically (:meth:`repro.sim.trace.Trace.fingerprint`).
-* :mod:`repro.explore.strategies` — pluggable, registry-named strategies:
-  seeded random walks, bounded delay reordering, and crash-point enumeration
-  at protocol phase boundaries.
+* :mod:`repro.explore.strategies` — the built-in strategies, registered in
+  the sweep's ``schedules`` registry (:mod:`repro.exp.registry`; a custom
+  one is a ``register_schedule_strategy(name, builder)`` call): seeded random
+  walks, bounded delay reordering, and crash-point enumeration at protocol
+  phase boundaries.
 * :mod:`repro.explore.driver` — :func:`explore` runs a schedule budget
   through :func:`repro.exp.run_sweep` (the ``schedules`` axis fans out over
   the existing process pool), checks every execution against
@@ -26,7 +28,7 @@ scenarios; this package *searches* the execution space:
   lock safety); ``preset="cluster-anomaly"`` enumerates crash points over
   every partition and the client coordinator.
 * :mod:`repro.explore.fold` — :class:`ViolationFold`, the bounded-memory
-  reducer for huge exploration budgets (``reducer="violations"``).
+  reducer for huge exploration budgets (``reducer=ViolationFold()``).
 
 Example
 -------
@@ -58,21 +60,16 @@ from repro.explore.schedule import (
     ScheduleTrace,
 )
 from repro.explore.strategies import (
-    STRATEGIES,
     CrashPoint,
     DelayReorder,
     RandomWalk,
     TimestampOrder,
-    make_strategy,
-    register_strategy,
-    strategy_names,
 )
 
 __all__ = [
     "CLUSTER_SAFETY_PROPS",
     "DECISION_KINDS",
     "EXPLORATION_PRESETS",
-    "STRATEGIES",
     "CrashPoint",
     "DelayReorder",
     "ExplorationReport",
@@ -84,9 +81,6 @@ __all__ = [
     "Violation",
     "ViolationFold",
     "explore",
-    "make_strategy",
-    "register_strategy",
     "replay_trial",
     "shrink_violation",
-    "strategy_names",
 ]

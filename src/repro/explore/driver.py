@@ -431,7 +431,7 @@ def replay_trial(trial: TrialSpec, schedule: ScheduleTrace) -> TrialResult:
     """
     replay_spec = ScheduleSpec(
         label="replay",
-        strategy="replay",
+        name="replay",
         params=(("decisions", tuple(tuple(d) for d in schedule.decisions)),),
     )
     replayed = dataclasses.replace(trial, schedule=replay_spec)

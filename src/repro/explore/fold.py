@@ -5,8 +5,8 @@ Huge exploration budgets (10^4-10^6 schedules) should not materialise one
 is a custom reducer for :func:`repro.exp.run_sweep`: each trial folds into
 per-cell violation tallies the moment it arrives, and only the first few
 violating schedules are retained (they are replayable, so keeping more buys
-nothing — any violation can be regenerated from its seed).  Registered as
-``reducer="violations"`` in :mod:`repro.exp.registry`.
+nothing — any violation can be regenerated from its seed).  Pass one as
+``run_sweep(..., reducer=ViolationFold())``.
 """
 
 from __future__ import annotations

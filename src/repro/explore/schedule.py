@@ -158,7 +158,7 @@ class ReplayController(ScheduleController):
 
     strategy_name = "replay"
 
-    def __init__(self, decisions: Any = (), seed: int = 0, **params: Any):
+    def __init__(self, seed: int = 0, decisions: Any = (), **params: Any):
         super().__init__(seed=seed, **params)
         normalised = [_normalise_decision(d) for d in decisions]
         self._by_step: Dict[int, Tuple[str, Any]] = {

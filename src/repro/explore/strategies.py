@@ -3,9 +3,12 @@
 Every strategy is a :class:`~repro.explore.schedule.ScheduleController` that
 derives all its choices from a seed (or from explicit parameters), so an
 explored schedule is a pure function of ``(strategy, seed, params)`` and the
-trial it runs on.  The registry maps strategy names to classes; names are
-plain data, which is what makes a :class:`~repro.exp.spec.ScheduleSpec`
-picklable under any multiprocessing start method.
+trial it runs on.  Importing this module registers the built-ins in the
+sweep's ``schedules`` registry (:data:`repro.exp.registry.SCHEDULES`), so a
+:class:`~repro.exp.spec.ScheduleSpec` names a strategy with plain data and
+pickles under any multiprocessing start method.  A custom strategy is a
+:func:`~repro.exp.registry.register_schedule_strategy` call at the top level
+of the module defining it.
 
 Built-in strategies
 -------------------
@@ -25,9 +28,10 @@ Built-in strategies
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Optional, Type
+from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
+from repro.exp.registry import register_schedule_strategy
 from repro.explore.schedule import ReplayController, ScheduleController
 from repro.sim.events import MessageDeliveryEvent, ProposeEvent, TimerEvent
 
@@ -216,41 +220,5 @@ class CrashPoint(ScheduleController):
         return ("crash", pid)
 
 
-#: strategy name -> controller class (extensible; keys are plain data, so a
-#: ScheduleSpec naming a strategy pickles under the spawn start method)
-STRATEGIES: Dict[str, Type[ScheduleController]] = {
-    TimestampOrder.strategy_name: TimestampOrder,
-    RandomWalk.strategy_name: RandomWalk,
-    DelayReorder.strategy_name: DelayReorder,
-    CrashPoint.strategy_name: CrashPoint,
-    ReplayController.strategy_name: ReplayController,
-}
-
-
-def register_strategy(cls: Type[ScheduleController]) -> Type[ScheduleController]:
-    """Register a strategy class under its ``strategy_name`` (decorator-friendly)."""
-    name = getattr(cls, "strategy_name", None)
-    if not name:
-        raise ConfigurationError(f"{cls!r} has no strategy_name")
-    STRATEGIES[name] = cls
-    return cls
-
-
-def strategy_names() -> list:
-    return list(STRATEGIES)
-
-
-def strategy_class(name: str) -> Type[ScheduleController]:
-    """The class registered under ``name`` (a grid checks this when built)."""
-    try:
-        return STRATEGIES[name]
-    except KeyError:
-        known = ", ".join(sorted(STRATEGIES))
-        raise ConfigurationError(
-            f"unknown schedule strategy {name!r}; known: {known}"
-        ) from None
-
-
-def make_strategy(name: str, seed: int = 0, **params: Any) -> ScheduleController:
-    """Instantiate a registered strategy from plain data."""
-    return strategy_class(name)(seed=seed, **params)
+for _cls in (TimestampOrder, RandomWalk, DelayReorder, CrashPoint, ReplayController):
+    register_schedule_strategy(_cls.strategy_name, _cls)

@@ -50,8 +50,7 @@ SPEC_CALLS = frozenset(
         "register_fault_plan",
         "register_vote_pattern",
         "register_workload",
-        "register_reducer",
-        "register_strategy",
+        "register_schedule_strategy",
     }
 )
 

@@ -240,7 +240,7 @@ def probe(start_methods: Sequence[str] = ("serial",)) -> Dict[str, str]:
             schedules=[
                 ScheduleSpec(
                     label="replay",
-                    strategy="replay",
+                    name="replay",
                     params=(("decisions", _REPLAY_DECISIONS),),
                 )
             ],

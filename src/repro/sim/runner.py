@@ -601,7 +601,7 @@ class Scheduler:
             return False
         if verb == "recover":
             pid = int(action[1])
-            if self.inject_recovery(pid, at=time):
+            if self.recover(pid):
                 self.applied_schedule_actions.append((step, "recover", pid))
             return False
         raise ConfigurationError(f"unknown schedule action {action!r}")
@@ -688,10 +688,6 @@ class Scheduler:
         """
         self._recovery_factory = factory
 
-    def can_inject_recovery(self, pid: int) -> bool:
-        process = self.processes.get(pid)
-        return process is not None and process.crashed
-
     def recover(self, pid: int) -> bool:
         """Rejoin a crashed process at the current time; True if applied.
 
@@ -718,12 +714,6 @@ class Scheduler:
         self.trace.record_recovery(pid, self.clock.now)
         replacement.on_recover()
         return True
-
-    def inject_recovery(self, pid: int, at: Optional[float] = None) -> bool:
-        """Schedule-controller recovery point (symmetric to inject_crash)."""
-        if not self.can_inject_recovery(pid):
-            return False
-        return self.recover(pid)
 
     def execution_class(self) -> str:
         """The execution's class, including schedule-controller effects.

@@ -1,6 +1,11 @@
 """Fixture: SP001 — lambda / local closure in a spec field."""
 
-from repro.exp import GridSpec, register_fault_plan, register_vote_pattern
+from repro.exp import (
+    GridSpec,
+    register_fault_plan,
+    register_schedule_strategy,
+    register_vote_pattern,
+)
 
 
 def build():
@@ -17,3 +22,4 @@ def build():
 
 register_fault_plan("x", lambda: None)
 register_vote_pattern("y", lambda n, seed: [1] * n)
+register_schedule_strategy("z", lambda seed: None)

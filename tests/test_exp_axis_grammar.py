@@ -115,8 +115,7 @@ ACCEPTED = [
 
 
 def shape(spec):
-    name = spec.strategy if isinstance(spec, ScheduleSpec) else spec.name
-    return spec.label, name, dict(spec.params)
+    return spec.label, spec.name, dict(spec.params)
 
 
 class TestAcceptedForms:
@@ -175,6 +174,8 @@ REJECTED = [
     ("faults", ("old", FaultPlan.failure_free), ["'old'", "register_fault_plan"]),
     ("votes", ("old", lambda n: [1] * n), ["'old'", "register_vote_pattern"]),
     ("workloads", ("old", lambda n, seed: []), ["'old'", "register_workload"]),
+    ("schedules", ("old", lambda seed: None),
+     ["'old'", "register_schedule_strategy(name, builder)"]),
     # delay-model instances
     ("delays", UniformDelay(0.2, 1.0), ["register_delay_model"]),
     ("delays", ("inst", FixedDelay(1.0)), ["'inst'", "register_delay_model"]),

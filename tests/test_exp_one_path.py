@@ -5,7 +5,7 @@ chunks, runs each through ``_run_chunk`` (in-process or through one pool) and
 consumes them in chunk order into one sink: a pooled chunk is a partial the
 sink merges when it can, else TrialResults it folds.  This battery runs one
 stochastic grid through every worker count x sink x start method — sinks
-that merge (the full and aggregate modes, a registry reducer) and one that
+that merge (the full and aggregate modes, a RobustnessFold) and one that
 does not — and holds all of them to one set of bytes, one progress contract
 and a literal ``meta`` table — and
 then exercises the failure surface of the single consumption site: a lost
@@ -24,9 +24,10 @@ import weakref
 
 import pytest
 
-from repro.errors import SweepError
+from repro.errors import ConfigurationError, SweepError
 from repro.exp import GridSpec, SweepAggregate, named_fault, run_sweep, run_trials
 from repro.exp.engine import _in_order
+from repro.exp.results import RobustnessFold
 
 TRIALS = 48
 WORKERS = 3
@@ -62,12 +63,13 @@ class CountingSink:
         self.inner.fold(result)
 
 
-#: sink name -> run_sweep keyword arguments (the custom reducer is built per row)
+#: sink name -> the run_sweep keyword arguments of one row (a sink is built
+#: per row)
 SINKS = {
-    "full": dict(mode="full"),
-    "aggregate": dict(mode="aggregate"),
-    "robustness": dict(reducer="robustness"),
-    "reducer": dict(),
+    "full": lambda: dict(mode="full"),
+    "aggregate": lambda: dict(mode="aggregate"),
+    "robustness": lambda: dict(reducer=RobustnessFold()),
+    "reducer": lambda: dict(reducer=CountingSink()),
 }
 #: the sinks that can merge a pooled chunk's partial
 MERGING = ("full", "aggregate", "robustness")
@@ -78,7 +80,7 @@ SHAPES = [(1, None)] + [
 ]
 
 
-#: the literal meta table; the registry's RobustnessFold has no ``meta``
+#: the literal meta table; a RobustnessFold has no ``meta``
 _SERIAL = {"mode": "serial", "workers": 1, "requested_workers": 1, "trials": 48}
 _FULL = {"sweep_mode": "full", "trace_level": "full", "fold": "trial"}
 _STREAMED = {"sweep_mode": "aggregate", "trace_level": "counters", "fold": "trial"}
@@ -115,11 +117,9 @@ def rows():
     for workers, method in SHAPES:
         for sink, kwargs in SINKS.items():
             events = []
-            if sink == "reducer":
-                kwargs = dict(reducer=CountingSink())
             result = run_sweep(
                 grid(), workers=workers, start_method=method, progress=events.append,
-                **kwargs,
+                **kwargs(),
             )
             view = result.inner if sink == "reducer" else result
             out[(workers, method, sink)] = (result, view, events)
@@ -224,6 +224,18 @@ class TestEdges:
         del trials
         gc.collect()
         assert witness() is None, "a TrialSpec outlived its serial sweep"
+
+    @pytest.mark.parametrize("reducer", [object(), "violations"], ids=["object", "name"])
+    def test_a_reducer_without_fold_is_refused_before_any_trial_runs(self, reducer):
+        ran = []
+
+        def collector(trial, result):
+            ran.append(trial.index)
+            return {}
+
+        with pytest.raises(ConfigurationError, match="ViolationFold"):
+            run_sweep(grid(), workers=1, collector=collector, reducer=reducer)
+        assert ran == []
 
 
 class _Done:

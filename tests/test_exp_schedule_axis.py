@@ -29,8 +29,8 @@ class TestScheduleAxis:
         assert labels == ["-", "-", "random-walk", "random-walk", "cp", "cp"]
         spec = trials[4].schedule
         assert isinstance(spec, ScheduleSpec)
-        assert spec.strategy == "crash-point"
-        assert spec.strategy_params() == {"point": 2}
+        assert spec.name == "crash-point"
+        assert dict(spec.params) == {"point": 2}
 
     def test_derived_seed_is_independent_of_the_schedule(self):
         # the schedule perturbs event order of an otherwise-fixed execution:
@@ -130,9 +130,9 @@ class TestScheduleAxis:
     def test_coerce_schedule_shorthands(self):
         assert coerce_axis("schedules", None) is None
         spec = coerce_axis("schedules", "delay-reorder")
-        assert (spec.label, spec.strategy) == ("delay-reorder", "delay-reorder")
+        assert (spec.label, spec.name) == ("delay-reorder", "delay-reorder")
         spec = coerce_axis("schedules", ("lbl", "crash-point"))
-        assert (spec.label, spec.strategy, spec.params) == ("lbl", "crash-point", ())
+        assert (spec.label, spec.name, spec.params) == ("lbl", "crash-point", ())
         with pytest.raises(ConfigurationError):
             coerce_axis("schedules", ("a", "b", {}, "extra"))
         with pytest.raises(ConfigurationError):

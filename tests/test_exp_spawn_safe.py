@@ -14,18 +14,13 @@ from repro.errors import ConfigurationError
 from repro.exp import (
     GridSpec,
     ensure_spawn_safe,
-    make_reducer,
     mixed_votes,
     named_delay,
     named_workload,
     run_sweep,
     run_trials,
 )
-from repro.exp.registry import (
-    delay_model_names,
-    reducer_names,
-    workload_names,
-)
+from repro.exp.registry import delay_model_names, workload_names
 from repro.exp.spec import ScheduleSpec
 from repro.sim.faults import DelayRule, FaultPlan
 from repro.sim.network import LognormalDelay, UniformDelay
@@ -93,18 +88,21 @@ class TestSpawnExecution:
     def test_a_registration_made_at_import_reaches_a_spawn_worker(self):
         """Failed at the parent: the worker never imported the registering
         module, so every trial ended in "delay model 'probe-fixed' is not
-        registered in this process".  Run in a fresh interpreter, so the
-        registration stays out of this process' registry."""
+        registered in this process".  The schedules axis follows the same
+        rule: "probe-walk" is a strategy registered in that module too.  Run
+        in a fresh interpreter, so the registrations stay out of this
+        process' registries."""
         script = textwrap.dedent(
             """
             from repro.exp import GridSpec, named_delay, run_sweep
 
             def main():
-                import spawn_registrations  # registers "probe-fixed"
+                import spawn_registrations  # registers "probe-fixed", "probe-walk"
 
                 grid = GridSpec(
                     protocols=["2PC"], systems=[(4, 1)],
-                    delays=[named_delay("probe-fixed")], seeds=range(8),
+                    delays=[named_delay("probe-fixed")],
+                    schedules=[None, "probe-walk"], seeds=range(8),
                 )
                 spawned = run_sweep(grid, workers=2, start_method="spawn")
                 assert spawned.meta["start_method"] == "spawn"
@@ -153,7 +151,7 @@ class TestClusterReplayAcrossStartMethods:
         assert hit.shrunk is not None and len(hit.shrunk) >= 1
         replay_spec = ScheduleSpec(
             label="replay",
-            strategy="replay",
+            name="replay",
             params=(
                 ("decisions", tuple(tuple(d) for d in hit.shrunk.decisions)),
             ),
@@ -274,24 +272,13 @@ class TestWorkloadRegistry:
 
 
 class TestReducerRegistry:
-    def test_builtin_names(self):
-        assert {"aggregate", "robustness", "violations"} <= set(reducer_names())
-
-    def test_named_reducers_resolve(self):
-        from repro.exp.results import RobustnessFold, SweepAggregate
-        from repro.explore import ViolationFold
-
-        assert isinstance(make_reducer("aggregate"), SweepAggregate)
-        assert isinstance(make_reducer("robustness"), RobustnessFold)
-        assert isinstance(make_reducer("violations"), ViolationFold)
-        with pytest.raises(ConfigurationError):
-            make_reducer("no-such-reducer")
-
     def test_named_reducer_through_run_sweep(self):
+        from repro.exp.results import RobustnessFold
+
         fold = run_sweep(
             GridSpec(protocols=["2PC"], systems=[(4, 1)], seeds=range(5)),
             workers=1,
-            reducer="robustness",
+            reducer=RobustnessFold(),
         )
         rows = fold.rows()
         assert rows and rows[0]["protocol"] == "2PC"

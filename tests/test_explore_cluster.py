@@ -20,6 +20,7 @@ from repro.exp.spec import make_cases
 from repro.explore import (
     EXPLORATION_PRESETS,
     ScheduleTrace,
+    ViolationFold,
     explore,
     replay_trial,
 )
@@ -222,7 +223,7 @@ class TestClusterAnomalyHunt:
         assert "params_dict" in str(err.value)
 
     def test_violation_reducer_streams_cluster_schedule_cells(self):
-        # huge cluster budgets can stream through reducer="violations": the
+        # huge cluster budgets can stream through a ViolationFold: the
         # 8-coordinate explored-cluster keys (workload + schedule) fold into
         # per-cell tallies, and the broken fixture's cells carry the counts
         fold = run_sweep(
@@ -232,7 +233,7 @@ class TestClusterAnomalyHunt:
                 protocol=("SplitBrain2PC", SplitBrainCommit),
             ),
             workers=1,
-            reducer="violations",
+            reducer=ViolationFold(),
         )
         assert fold.error_count == 0
         rows = {row["schedule"]: row for row in fold.rows()}
@@ -249,7 +250,7 @@ class TestClusterAnomalyHunt:
         assert seeds == [0]
         assert len(specs) == 8
         # the first n+1 specs hit every partition and the client at point 0
-        first_round = [s.strategy_params() for s in specs[:4]]
+        first_round = [dict(s.params) for s in specs[:4]]
         assert [p["pid"] for p in first_round] == [1, 2, 3, 4]
         assert all(p["point"] == 0 for p in first_round)
         labels = [s.label for s in specs]

@@ -167,7 +167,7 @@ class TestViolationFoldReducer:
             schedules=[("rw", "random-walk", {"crash_prob": 0.1})],
             seeds=range(25),
         )
-        fold = run_sweep(grid(), workers=1, reducer="violations", trace_level="full")
+        fold = run_sweep(grid(), workers=1, reducer=ViolationFold(), trace_level="full")
         assert isinstance(fold, ViolationFold)
         full = run_sweep(grid(), workers=1)
         expected = sum(1 for t in full if not t.solves_nbac())

@@ -6,13 +6,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exp import GridSpec, run_sweep
+from repro.exp.spec import coerce_axis
 from repro.explore import (
     RandomWalk,
     ReplayController,
     ScheduleController,
     ScheduleTrace,
     TimestampOrder,
-    make_strategy,
 )
 from repro.protocols.two_phase import TwoPhaseCommit
 from repro.sim.faults import DelayRule, FaultPlan
@@ -207,11 +207,14 @@ class TestReplay:
         with pytest.raises(ConfigurationError):
             run_2pc(Bad())
 
-    def test_make_strategy_registry(self):
-        walk = make_strategy("random-walk", seed=4, defer_prob=0.5)
+    def test_strategies_resolve_through_the_sweep_registry(self):
+        walk = coerce_axis(
+            "schedules", ("walk", "random-walk", {"defer_prob": 0.5})
+        ).build(4)
         assert isinstance(walk, RandomWalk)
-        with pytest.raises(ConfigurationError):
-            make_strategy("no-such-strategy")
+        assert walk.seed == 4
+        with pytest.raises(ConfigurationError, match="unknown schedule strategy"):
+            coerce_axis("schedules", "no-such-strategy")
 
 
 class TestDelayRuleReset:

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exp import named_delay, named_fault
-from repro.explore.strategies import make_strategy
+from repro.exp.spec import coerce_axis
 from repro.protocols import inbac
 from repro.protocols.base import ABORT, COMMIT, logical_and
 from repro.protocols.inbac import (
@@ -299,13 +299,13 @@ class EagerINBAC(INBAC):
 # --------------------------------------------------------------------------- #
 SYSTEMS = [(4, 1), (5, 2), (7, 3)]
 
-#: the explorer's four strategies, with parameters that make every decision
-#: kind (defer, crash, recover) actually apply
+#: the explorer's four strategies, as (seed, parameters) that make every
+#: decision kind (defer, crash, recover) actually apply
 STRATEGIES = {
-    "timestamp-order": dict(),
-    "random-walk": dict(seed=3, defer_prob=0.3, crash_prob=0.1),
-    "delay-reorder": dict(seed=1, k=3, window=12),
-    "crash-point": dict(pid=2, point=1, recover_after=2),
+    "timestamp-order": (0, dict()),
+    "random-walk": (3, dict(defer_prob=0.3, crash_prob=0.1)),
+    "delay-reorder": (1, dict(k=3, window=12)),
+    "crash-point": (0, dict(pid=2, point=1, recover_after=2)),
 }
 
 #: the kernel matrix rows that leave the nice path: every delay model under a
@@ -380,10 +380,12 @@ def mixed_votes(n):
 @pytest.mark.parametrize("n,f", SYSTEMS)
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_explorer_strategies(strategy, n, f):
+    seed, params = STRATEGIES[strategy]
+    spec = coerce_axis("schedules", (strategy, strategy, params))
     new, ref = run_both(
         n, f, [1] * n, seed=11,
         delay=named_delay("uniform").build,
-        controller=lambda: make_strategy(strategy, **STRATEGIES[strategy]),
+        controller=lambda: spec.build(seed),
     )
     assert_same_execution(new, ref)
 

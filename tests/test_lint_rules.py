@@ -91,12 +91,12 @@ class TestBadFixtures:
     def test_sp001_lambda_and_local_closure_in_spec(self):
         report = findings_of("bad_sp001_spec.py", kind="benchmarks")
         assert locations(report, "SP001") == [
-            ("SP001", 13), ("SP001", 14), ("SP001", 18), ("SP001", 19),
+            ("SP001", 18), ("SP001", 19), ("SP001", 23), ("SP001", 24), ("SP001", 25),
         ]
 
     def test_sp001_covers_examples(self):
         report = findings_of("bad_sp001_spec.py", kind="examples")
-        assert len(locations(report, "SP001")) == 4
+        assert len(locations(report, "SP001")) == 5
 
     def test_lnt000_pragma_without_justification(self):
         report = findings_of("bad_lnt000_pragma.py")

@@ -21,9 +21,9 @@ from repro.db.wal import PREPARE as WAL_PREPARE
 from repro.db.wal import WriteAheadLog
 from repro.errors import ConfigurationError
 from repro.exp import GridSpec, run_sweep
+from repro.exp.spec import coerce_axis
 from repro.explore.driver import explore
 from repro.explore.schedule import ScheduleTrace
-from repro.explore.strategies import make_strategy
 from repro.protocols.base import ABORT, COMMIT
 from repro.sim.faults import FaultPlan
 from repro.sim.network import FlakyLinkDelay
@@ -461,7 +461,10 @@ class TestExploreRecovery:
 
     def test_crash_point_recover_after_validation(self):
         with pytest.raises(ConfigurationError):
-            make_strategy("crash-point", pid=1, point=0, recover_after=0)
+            coerce_axis(
+                "schedules",
+                ("crash-point", "crash-point", {"pid": 1, "point": 0, "recover_after": 0}),
+            ).build(0)
 
     def test_controller_crash_and_rejoin_on_a_cluster_run(self):
         workload = bank_transfer_workload(
@@ -473,9 +476,10 @@ class TestExploreRecovery:
             commit_f=1,
             seed=11,
             max_time=4000.0,
-            controller=make_strategy(
-                "crash-point", pid=2, point=2, recover_after=3
-            ),
+            controller=coerce_axis(
+                "schedules",
+                ("crash-point", "crash-point", {"pid": 2, "point": 2, "recover_after": 3}),
+            ).build(0),
         )
         report = run_cluster(config, workload.transactions)
         kinds = [kind for _, kind, _ in report.schedule_decisions]

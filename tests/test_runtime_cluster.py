@@ -18,7 +18,7 @@ from repro.db.coordinator import RetryPolicy
 from repro.db.transaction import Operation, Transaction
 from repro.env.conformance import ObservingProcess
 from repro.errors import ConfigurationError
-from repro.explore.strategies import make_strategy
+from repro.exp.spec import coerce_axis
 from repro.obs import MetricsRegistry
 from repro.protocols.base import ABORT, COMMIT
 from repro.protocols.registry import get_protocol
@@ -117,7 +117,9 @@ class TestBatchCluster:
         report = run_cluster(
             ClusterConfig(
                 num_partitions=3, commit_protocol="2PC", seed=4, max_time=100.0,
-                controller=make_strategy("crash-point", pid=2, point=1),
+                controller=coerce_axis(
+                    "schedules", ("crash-point", "crash-point", {"pid": 2, "point": 1})
+                ).build(0),
             ),
             workload.transactions,
             backend="asyncio",
@@ -136,7 +138,9 @@ class TestBatchCluster:
         report = run_cluster(
             ClusterConfig(
                 num_partitions=3, commit_protocol="2PC", seed=4, max_time=100.0,
-                controller=make_strategy("random-walk", seed=1, defer_prob=0.3),
+                controller=coerce_axis(
+                    "schedules", ("random-walk", "random-walk", {"defer_prob": 0.3})
+                ).build(1),
             ),
             workload.transactions,
             backend="asyncio",

@@ -19,7 +19,7 @@ import pytest
 from repro.env.conformance import ObservingProcess
 from repro.exp import GridSpec, named_delay, named_fault, run_trial
 from repro.exp.registry import delay_model_names, fault_plan_names
-from repro.explore.strategies import make_strategy
+from repro.exp.spec import coerce_axis
 from repro.protocols import INBAC, TwoPhaseCommit
 from repro.sim.network import FixedDelay
 from repro.sim.runner import Scheduler, Simulation
@@ -36,14 +36,15 @@ REFERENCE = {"link": "fixed"}
 #: a literal FaultPlan onto the axis and builds nothing without one)
 FAULT_NAMES = sorted(set(fault_plan_names()) - {"plan"})
 
-#: one controlled protocol run per registered strategy, parameters chosen so
-#: that every decision kind (defer, crash, recover) actually applies
+#: one controlled protocol run per registered strategy, as (name, seed,
+#: parameters) chosen so that every decision kind (defer, crash, recover)
+#: actually applies
 CONTROLLED = {
-    "random-walk": ("random-walk", dict(seed=3, defer_prob=0.3, crash_prob=0.1)),
-    "delay-reorder": ("delay-reorder", dict(seed=1, k=3, window=12)),
-    "crash-point": ("crash-point", dict(pid=2, point=1)),
+    "random-walk": ("random-walk", 3, dict(defer_prob=0.3, crash_prob=0.1)),
+    "delay-reorder": ("delay-reorder", 1, dict(k=3, window=12)),
+    "crash-point": ("crash-point", 0, dict(pid=2, point=1)),
     "crash-point+recover_after": (
-        "crash-point", dict(pid=2, point=1, recover_after=2),
+        "crash-point", 0, dict(pid=2, point=1, recover_after=2),
     ),
 }
 
@@ -62,7 +63,7 @@ def _run_fingerprint(protocol, delay_name, fault_name, seed=7):
 
 
 def _controlled_protocol_run(label):
-    name, params = CONTROLLED[label]
+    name, seed, params = CONTROLLED[label]
     sim = Simulation(
         n=5,
         f=2,
@@ -71,7 +72,8 @@ def _controlled_protocol_run(label):
         seed=11,
         trace_level="full",
     )
-    trace = sim.run([1] * 5, controller=make_strategy(name, **params)).trace
+    controller = coerce_axis("schedules", (label, name, params)).build(seed)
+    trace = sim.run([1] * 5, controller=controller).trace
     return {
         "fingerprint": trace.fingerprint(),
         "schedule_decisions": [list(d) for d in trace.metadata["schedule_decisions"]],
