@@ -2,9 +2,9 @@
 
 Regenerates the full table of delay/message lower bounds and, for every cell
 that has a matching protocol (Tables 2 and 3), verifies by measurement that
-the protocol meets the bound in nice executions.  The measurements run as one
-:func:`repro.exp.run_sweep` over every matching protocol (fanned out across
-worker processes) instead of a hand-rolled per-protocol loop.
+the protocol meets the bound in nice executions.  The measurements are one
+serial :func:`repro.exp.run_sweep` of every registered protocol, which
+:func:`repro.analysis.build_table1` runs itself.
 """
 
 from __future__ import annotations
@@ -12,20 +12,14 @@ from __future__ import annotations
 import pytest
 
 from _helpers import attach_rows
-from repro.analysis import build_table1, measurement_grid, render_table, table1_protocols
-from repro.exp import run_sweep
+from repro.analysis import build_table1, render_table
 
 PARAMS = [(5, 2), (8, 3)]
 
 
-def build(n, f):
-    sweep = run_sweep(measurement_grid(table1_protocols(), n, f))
-    return build_table1(n, f, sweep=sweep)
-
-
 @pytest.mark.parametrize("n,f", PARAMS)
 def test_table1_lower_bounds(benchmark, n, f):
-    rows = benchmark.pedantic(build, args=(n, f), rounds=2, iterations=1)
+    rows = benchmark.pedantic(build_table1, args=(n, f), rounds=2, iterations=1)
     assert len(rows) == 27
     measured_messages = [r for r in rows if "meets_message_bound" in r]
     measured_delays = [r for r in rows if "meets_delay_bound" in r]

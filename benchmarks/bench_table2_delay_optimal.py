@@ -1,7 +1,8 @@
 """E2 — Table 2: delay-optimal protocols meet their cells' delay bounds.
 
-The four protocols are measured by one :func:`repro.exp.run_sweep` over the
-nice-execution measurement grid.
+The four protocols are read off one serial :func:`repro.exp.run_sweep` of
+every registered protocol, which :func:`repro.analysis.build_table2` runs
+itself.
 """
 
 from __future__ import annotations
@@ -9,20 +10,14 @@ from __future__ import annotations
 import pytest
 
 from _helpers import attach_rows
-from repro.analysis import build_table2, measurement_grid, render_table, table2_protocols
-from repro.exp import run_sweep
+from repro.analysis import build_table2, render_table
 
 PARAMS = [(3, 1), (5, 2), (8, 3), (16, 5)]
 
 
-def build(n, f):
-    sweep = run_sweep(measurement_grid(table2_protocols(), n, f))
-    return build_table2(n, f, sweep=sweep)
-
-
 @pytest.mark.parametrize("n,f", PARAMS)
 def test_table2_delay_optimal_protocols(benchmark, n, f):
-    rows = benchmark.pedantic(build, args=(n, f), rounds=3, iterations=1)
+    rows = benchmark.pedantic(build_table2, args=(n, f), rounds=3, iterations=1)
     assert len(rows) == 4
     assert all(r["optimal"] == "yes" for r in rows)
     # the headline entries: 0NBAC / 1NBAC / avNBAC decide after 1 delay,

@@ -1,7 +1,8 @@
 """E3 — Table 3: message-optimal protocols meet their cells' message bounds.
 
-The six protocols are measured by one :func:`repro.exp.run_sweep` over the
-nice-execution measurement grid.
+The six protocols are read off one serial :func:`repro.exp.run_sweep` of
+every registered protocol, which :func:`repro.analysis.build_table3` runs
+itself.
 """
 
 from __future__ import annotations
@@ -9,20 +10,14 @@ from __future__ import annotations
 import pytest
 
 from _helpers import attach_rows
-from repro.analysis import build_table3, measurement_grid, render_table, table3_protocols
-from repro.exp import run_sweep
+from repro.analysis import build_table3, render_table
 
 PARAMS = [(3, 1), (5, 2), (8, 3), (12, 6)]
 
 
-def build(n, f):
-    sweep = run_sweep(measurement_grid(table3_protocols(), n, f))
-    return build_table3(n, f, sweep=sweep)
-
-
 @pytest.mark.parametrize("n,f", PARAMS)
 def test_table3_message_optimal_protocols(benchmark, n, f):
-    rows = benchmark.pedantic(build, args=(n, f), rounds=3, iterations=1)
+    rows = benchmark.pedantic(build_table3, args=(n, f), rounds=3, iterations=1)
     assert len(rows) == 6
     assert all(r["optimal"] == "yes" for r in rows)
     by_protocol = {r["protocol"]: r for r in rows}

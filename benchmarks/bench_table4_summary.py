@@ -1,7 +1,8 @@
 """E4 — Table 4: indulgent atomic commit vs synchronous NBAC complexity.
 
-The four measured protocols run as one :func:`repro.exp.run_sweep` over the
-nice-execution measurement grid.
+The four measured protocols are read off one serial
+:func:`repro.exp.run_sweep` of every registered protocol, which
+:func:`repro.analysis.build_table4` runs itself.
 """
 
 from __future__ import annotations
@@ -9,20 +10,14 @@ from __future__ import annotations
 import pytest
 
 from _helpers import attach_rows
-from repro.analysis import build_table4, measurement_grid, render_table, table4_protocols
-from repro.exp import run_sweep
+from repro.analysis import build_table4, render_table
 
 PARAMS = [(5, 2), (8, 3), (10, 4)]
 
 
-def build(n, f):
-    sweep = run_sweep(measurement_grid(table4_protocols(), n, f))
-    return build_table4(n, f, sweep=sweep)
-
-
 @pytest.mark.parametrize("n,f", PARAMS)
 def test_table4_summary(benchmark, n, f):
-    rows = benchmark.pedantic(build, args=(n, f), rounds=3, iterations=1)
+    rows = benchmark.pedantic(build_table4, args=(n, f), rounds=3, iterations=1)
     indulgent, sync, prior = rows
     # indulgent atomic commit: 2 delays, 2n-2+f messages (tight, Theorem 2)
     assert indulgent["bound_delays"] == 2

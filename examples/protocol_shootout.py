@@ -50,8 +50,7 @@ def main() -> None:
     args = parser.parse_args()
     n, f = args.n, args.f
 
-    rows5, _ = build_table5(n, f)
-    print(render_table(rows5, title=f"Table 5 — protocol comparison (n={n}, f={f})"))
+    print(render_table(build_table5(n, f), title=f"Table 5 — protocol comparison (n={n}, f={f})"))
     print()
     print(render_table(build_table2(n, f), title=f"Table 2 — delay-optimal protocols (n={n}, f={f})"))
     print()

@@ -12,9 +12,11 @@
 #      JSONL progress stream's shape, the Chrome export's commit phases);
 #   2. a sanity check that `pytest benchmarks` actually *collects* the
 #      bench_*.py experiments instead of silently reporting "no tests ran";
-#   3. a check that every benchmark runs on the repro.exp sweep engine
-#      (no hand-rolled protocol x grid loops may sneak back in);
-#   4. one fast benchmark end-to-end;
+#   3. a check that every benchmark runs on the repro.exp sweep engine,
+#      directly or through a repro.analysis table builder (no hand-rolled
+#      protocol x grid loops may sneak back in);
+#   4. the benchmark list the CI smoke job runs (E1-E5, the ablation,
+#      Figure 1, E7 and E11), with timing disabled;
 #   5. all examples;
 #   6. a small sweep-throughput perf smoke: the core must emit its JSON
 #      baseline and both trace levels must produce identical aggregate
@@ -61,16 +63,18 @@ fi
 echo "    collected ${collected} benchmark tests"
 
 echo "==> [3/11] every benchmark is ported onto repro.exp"
+# the table benchmarks (E1-E5) reach the sweep engine through the
+# repro.analysis table builders, which each run one repro.exp sweep
 for bench in benchmarks/bench_*.py; do
-    if ! grep -q "from repro\.exp import" "${bench}"; then
-        echo "ERROR: ${bench} does not import repro.exp (hand-rolled sweep loop?)" >&2
+    if ! grep -q "from repro\.exp import\|from repro\.analysis import build_table" "${bench}"; then
+        echo "ERROR: ${bench} imports neither repro.exp nor a repro.analysis table builder (hand-rolled sweep loop?)" >&2
         exit 1
     fi
 done
-echo "    all $(ls benchmarks/bench_*.py | wc -l | tr -d ' ') benchmarks import repro.exp"
+echo "    all $(ls benchmarks/bench_*.py | wc -l | tr -d ' ') benchmarks import repro.exp or a table builder"
 
-echo "==> [4/11] one fast benchmark"
-python -m pytest benchmarks/bench_table2_delay_optimal.py -q --benchmark-disable
+echo "==> [4/11] the CI smoke job's benchmarks"
+python -m pytest benchmarks/bench_table1.py benchmarks/bench_table2_delay_optimal.py benchmarks/bench_table3_message_optimal.py benchmarks/bench_table4_summary.py benchmarks/bench_table5_protocols.py benchmarks/bench_ablation_backups.py benchmarks/bench_figure1_inbac_states.py benchmarks/bench_db_commit_latency.py benchmarks/bench_exploration.py -q --benchmark-disable
 
 echo "==> [5/11] examples"
 for example in examples/*.py; do

@@ -15,8 +15,8 @@ The package provides:
 * a partitioned transactional key-value store whose commit layer is pluggable
   with any of those protocols (:mod:`repro.db`), plus workload generators
   (:mod:`repro.workloads`);
-* closed-form complexity formulas, table renderers and measured-vs-paper
-  comparison helpers used by the benchmarks (:mod:`repro.analysis`);
+* closed-form complexity formulas and builders that regenerate the paper's
+  tables from measured nice executions (:mod:`repro.analysis`);
 * a declarative, parallel experiment-sweep engine for cross-product
   comparisons over protocol x (n, f) x delay model x fault plan x votes x
   seed (:mod:`repro.exp`).

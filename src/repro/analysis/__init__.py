@@ -1,23 +1,19 @@
-"""Analysis helpers: closed-form complexity, table rendering and comparison.
+"""Analysis helpers: closed-form complexity and table rendering.
 
 * :mod:`repro.analysis.formulas` — the paper's published complexity formulas
   (Tables 1, 4 and 5) as functions of ``n`` and ``f``.
-* :mod:`repro.analysis.tables` — builders that regenerate the paper's tables,
-  either purely from the formulas or by actually running the protocols in the
-  simulator and measuring.
-* :mod:`repro.analysis.compare` — measured-vs-paper comparison records.
+* :mod:`repro.analysis.tables` — builders that regenerate the paper's tables
+  from the formulas and from one measured nice execution per protocol.
 * :mod:`repro.analysis.render` — plain-text table rendering used by the
   examples and benchmarks.
 * :mod:`repro.analysis.sweeps` — reshaping of :mod:`repro.exp` sweep results
   into report tables (robustness matrix, per-fault property summaries).
 """
 
-from repro.analysis.compare import ComparisonRow, compare_measured_to_paper
 from repro.analysis.formulas import (
     paper_table4,
     paper_table5_delays,
     paper_table5_messages,
-    protocol_paper_formulas,
 )
 from repro.analysis.render import render_table
 from repro.analysis.sweeps import (
@@ -31,34 +27,19 @@ from repro.analysis.tables import (
     build_table3,
     build_table4,
     build_table5,
-    measure_nice_execution,
-    measurement_grid,
-    table1_protocols,
-    table2_protocols,
-    table3_protocols,
-    table4_protocols,
 )
 
 __all__ = [
-    "ComparisonRow",
     "build_table1",
     "build_table2",
     "build_table3",
     "build_table4",
     "build_table5",
     "cluster_summary_rows",
-    "compare_measured_to_paper",
-    "measure_nice_execution",
-    "measurement_grid",
     "paper_table4",
     "paper_table5_delays",
     "paper_table5_messages",
     "properties_by_fault_rows",
-    "protocol_paper_formulas",
     "render_table",
     "robustness_matrix_rows",
-    "table1_protocols",
-    "table2_protocols",
-    "table3_protocols",
-    "table4_protocols",
 ]

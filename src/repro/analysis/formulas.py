@@ -7,16 +7,16 @@ variants relative to their original descriptions, and ``n - 1`` messages from
 each of the three.  The formulas below are the table entries as printed.
 
 The simulator's own accounting (registry ``expected_*`` formulas) agrees with
-the printed message counts for every protocol; for the two chain protocols
-(aNBAC, (n-1+f)NBAC and the (2n-2[+f]) family) the measured *delay* count is
-one unit larger than the paper's because the paper counts delays from the
-first chain message rather than from the spontaneous start.  The benchmarks
-report both numbers side by side.
+the printed message count of every column and with the printed *delay* count
+of every column but one: for the chain protocol (n-1+f)NBAC the measured delay
+count is one unit larger than the paper's, because the paper counts delays
+from the first chain message rather than from the spontaneous start.
+:func:`repro.analysis.tables.build_table5` reports both numbers side by side.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from repro.errors import ConfigurationError
 
@@ -57,28 +57,32 @@ _TABLE5_PROBLEM: Dict[str, str] = {
 }
 
 
+def _check_column(protocol: str) -> None:
+    if protocol not in _TABLE5_PROBLEM:
+        raise ConfigurationError(
+            f"{protocol!r} is not a Table 5 column; the columns are "
+            f"{', '.join(_TABLE5_PROBLEM)}"
+        )
+
+
 def paper_table5_delays(protocol: str, n: int, f: int) -> float:
     """The #delays entry of Table 5 for ``protocol``."""
+    _check_column(protocol)
     _check(n, f)
     return _TABLE5_DELAYS[protocol](n, f)
 
 
 def paper_table5_messages(protocol: str, n: int, f: int) -> int:
     """The #messages entry of Table 5 for ``protocol``."""
+    _check_column(protocol)
     _check(n, f)
     return _TABLE5_MESSAGES[protocol](n, f)
 
 
 def paper_table5_problem(protocol: str) -> str:
     """The "atomic commit (problem solved)" row of Table 5."""
+    _check_column(protocol)
     return _TABLE5_PROBLEM[protocol]
-
-
-def protocol_paper_formulas() -> Dict[str, Tuple[Callable, Callable]]:
-    """``{protocol: (delays(n, f), messages(n, f))}`` for the Table 5 columns."""
-    return {
-        name: (_TABLE5_DELAYS[name], _TABLE5_MESSAGES[name]) for name in _TABLE5_DELAYS
-    }
 
 
 # --------------------------------------------------------------------------- #

@@ -1,136 +1,49 @@
 """Builders that regenerate the paper's tables.
 
-Each ``build_table*`` function returns a list of dict rows (render with
-:func:`repro.analysis.render.render_table`) and, where applicable, combines
-the paper's closed-form entries with *measured* values obtained by running
-the protocols' nice executions through one :mod:`repro.exp` sweep per table
-(instead of the hand-rolled per-protocol measurement loops the builders used
-to carry).  Callers that already ran a sweep — the benchmarks fan the
-measurement grids out across worker processes — pass it in via ``sweep=``;
-otherwise the builder runs the grid serially itself.
+Each ``build_table*(n, f)`` returns a list of dict rows (render with
+:func:`repro.analysis.render.render_table`) that combine the paper's
+closed-form entries with values *measured* by one serial
+:func:`repro.exp.run_sweep` of every registered protocol's nice execution at
+``(n, f)``.  The five tables are views over that one measurement.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
-from repro.analysis.compare import ComparisonRow
 from repro.analysis.formulas import (
     paper_table4,
     paper_table5_delays,
     paper_table5_messages,
     paper_table5_problem,
 )
-from repro.core.lattice import PropertyPair, all_cells, prop_label
-from repro.core.metrics import NiceExecutionComplexity, nice_execution_complexity
+from repro.core.lattice import PropertyPair, all_cells
 from repro.core.table1 import cell_bound
-from repro.errors import ConfigurationError, SimulationError
-from repro.exp import GridSpec, SweepResult, TrialResult, run_sweep
-from repro.protocols.registry import all_protocols, get_protocol, table5_protocols
-from repro.sim.runner import run_nice_execution
-
-# Which registered protocol matches each optimal cell, as in Tables 2 and 3.
-TABLE2_DELAY_OPTIMAL: Dict[Tuple[str, str], str] = {
-    ("AV", "AV"): "avNBAC-delay",
-    ("AT", "AT"): "0NBAC",
-    ("AVT", "VT"): "1NBAC",
-    ("AVT", "AVT"): "INBAC",
-}
-
-TABLE3_MESSAGE_OPTIMAL: Dict[Tuple[str, str], str] = {
-    ("AT", "AT"): "0NBAC",
-    ("AV", "A"): "aNBAC",
-    ("AVT", "T"): "(n-1+f)NBAC",
-    ("AV", "AV"): "avNBAC",
-    ("AVT", "VT"): "(2n-2)NBAC",
-    ("AVT", "AVT"): "(2n-2+f)NBAC",
-}
+from repro.errors import SimulationError
+from repro.exp import GridSpec, TrialResult, run_sweep
+from repro.protocols.registry import (
+    TABLE2_DELAY_OPTIMAL,
+    TABLE3_MESSAGE_OPTIMAL,
+    table5_protocols,
+)
 
 
-def measure_nice_execution(protocol: str, n: int, f: int, seed: int = 0) -> NiceExecutionComplexity:
-    """Run a nice execution of a registered protocol and measure its complexity.
+def _nice_executions(n: int, f: int) -> Dict[str, TrialResult]:
+    """One nice-execution TrialResult per registered protocol at ``(n, f)``.
 
-    Single-protocol probe (includes trace-only measures such as causal
-    depth); the table builders below measure whole protocol *sets* through
-    one :func:`repro.exp.run_sweep` instead.
+    ``FixedDelay(1)``, failure-free, all-yes votes — the setting the paper's
+    best-case complexity columns are measured in.  The builders read
+    ``last_decision`` (message delays), ``messages_until_last_decision`` (the
+    paper's received-by-last-decision count) and ``messages_consensus``.
     """
-    info = get_protocol(protocol)
-    result = run_nice_execution(info.cls, n=n, f=f, seed=seed)
-    complexity = nice_execution_complexity(result.trace)
-    return complexity
-
-
-# --------------------------------------------------------------------------- #
-# sweep-backed measurement: one repro.exp grid per table
-# --------------------------------------------------------------------------- #
-def measurement_grid(protocols: Sequence[str], n: int, f: int, seed: int = 0) -> GridSpec:
-    """The nice-execution measurement grid for a set of registered protocols.
-
-    ``FixedDelay(1)``, failure-free, all-yes votes — exactly the setting the
-    paper's best-case complexity columns are measured in.  Duplicate protocol
-    names are collapsed (order-preserving) so tables that measure the same
-    protocol in several cells still run it once.
-    """
-    ordered = list(dict.fromkeys(protocols))
-    return GridSpec(protocols=ordered, systems=[(n, f)], seeds=[seed])
-
-
-def table1_protocols() -> List[str]:
-    """Every protocol Table 1's measured columns need (message + delay matches)."""
-    return list(
-        dict.fromkeys(
-            list(TABLE3_MESSAGE_OPTIMAL.values()) + list(TABLE2_DELAY_OPTIMAL.values())
-        )
-    )
-
-
-def table2_protocols() -> List[str]:
-    return list(TABLE2_DELAY_OPTIMAL.values())
-
-
-def table3_protocols() -> List[str]:
-    return list(TABLE3_MESSAGE_OPTIMAL.values())
-
-
-def table4_protocols() -> List[str]:
-    return ["INBAC", "(n-1+f)NBAC", "1NBAC", "(2n-2+f)NBAC"]
-
-
-def _measured_by_protocol(
-    protocols: Sequence[str],
-    n: int,
-    f: int,
-    sweep: Optional[SweepResult],
-    workers: Optional[int],
-) -> Dict[str, TrialResult]:
-    """One nice-execution TrialResult per protocol, from ``sweep`` or a fresh run.
-
-    The builders read ``last_decision`` (message delays),
-    ``messages_until_last_decision`` (the paper's received-by-last-decision
-    count) and ``messages_consensus`` off the records — the same quantities
-    :func:`measure_nice_execution` reports, measured by the sweep engine.
-    """
-    if sweep is None:
-        sweep = run_sweep(measurement_grid(protocols, n, f), workers=workers)
     measured: Dict[str, TrialResult] = {}
-    for trial in sweep.trials:
-        if (trial.n, trial.f) != (n, f):
-            raise ConfigurationError(
-                f"measurement sweep ran at (n={trial.n}, f={trial.f}) but the "
-                f"table is being built for (n={n}, f={f})"
-            )
+    for trial in run_sweep(GridSpec(systems=[(n, f)]), workers=1).trials:
         if trial.error is not None:
             raise SimulationError(
-                f"measurement trial for {trial.protocol} (n={trial.n}, f={trial.f}) "
+                f"measurement trial for {trial.protocol} (n={n}, f={f}) "
                 f"failed:\n{trial.error}"
             )
         measured[trial.protocol] = trial
-    missing = [p for p in dict.fromkeys(protocols) if p not in measured]
-    if missing:
-        raise ConfigurationError(
-            f"measurement sweep is missing protocols {missing}; "
-            f"it covers {sorted(measured)}"
-        )
     return measured
 
 
@@ -138,26 +51,11 @@ def _measured_by_protocol(
 # Table 1 — the 27 lower bounds, with measured confirmation where we have a
 # matching protocol
 # --------------------------------------------------------------------------- #
-def build_table1(
-    n: int,
-    f: int,
-    measure: bool = True,
-    sweep: Optional[SweepResult] = None,
-    workers: Optional[int] = 1,
-) -> List[Dict[str, object]]:
-    """One row per non-empty cell of Table 1.
-
-    With ``measure=True`` the matching protocols are measured by one
-    :func:`repro.exp.run_sweep` over :func:`table1_protocols` (pass a
-    pre-run ``sweep=`` of :func:`measurement_grid` to reuse it).
-    """
-    measured_by_protocol: Dict[str, TrialResult] = {}
-    if measure:
-        measured_by_protocol = _measured_by_protocol(
-            table1_protocols(), n, f, sweep, workers
-        )
+def build_table1(n: int, f: int) -> List[Dict[str, object]]:
+    """One row per non-empty cell of Table 1, with the measured complexity of
+    the cell's Table 2 / Table 3 protocol where it has one."""
+    measured_by_protocol = _nice_executions(n, f)
     rows: List[Dict[str, object]] = []
-    matching = dict(TABLE3_MESSAGE_OPTIMAL)
     for cell in all_cells():
         bound = cell_bound(cell)
         cf, nf = cell.label()
@@ -168,8 +66,8 @@ def build_table1(
             "message_bound": bound.messages_symbolic,
             "message_bound_value": bound.messages_for(n, f),
         }
-        protocol_name = matching.get((cf, nf))
-        if protocol_name is not None and measure:
+        protocol_name = TABLE3_MESSAGE_OPTIMAL.get((cf, nf))
+        if protocol_name is not None:
             measured = measured_by_protocol[protocol_name]
             row["matching_protocol"] = protocol_name
             row["measured_messages"] = measured.messages_until_last_decision
@@ -179,7 +77,7 @@ def build_table1(
                 else "no"
             )
         delay_protocol = TABLE2_DELAY_OPTIMAL.get((cf, nf))
-        if delay_protocol is not None and measure:
+        if delay_protocol is not None:
             measured = measured_by_protocol[delay_protocol]
             row["delay_protocol"] = delay_protocol
             row["measured_delays"] = measured.last_decision
@@ -193,13 +91,8 @@ def build_table1(
 # --------------------------------------------------------------------------- #
 # Table 2 — delay-optimal protocols
 # --------------------------------------------------------------------------- #
-def build_table2(
-    n: int,
-    f: int,
-    sweep: Optional[SweepResult] = None,
-    workers: Optional[int] = 1,
-) -> List[Dict[str, object]]:
-    measured_by_protocol = _measured_by_protocol(table2_protocols(), n, f, sweep, workers)
+def build_table2(n: int, f: int) -> List[Dict[str, object]]:
+    measured_by_protocol = _nice_executions(n, f)
     rows = []
     for (cf, nf), protocol in TABLE2_DELAY_OPTIMAL.items():
         cell = PropertyPair.of(cf, nf)
@@ -221,13 +114,8 @@ def build_table2(
 # --------------------------------------------------------------------------- #
 # Table 3 — message-optimal protocols
 # --------------------------------------------------------------------------- #
-def build_table3(
-    n: int,
-    f: int,
-    sweep: Optional[SweepResult] = None,
-    workers: Optional[int] = 1,
-) -> List[Dict[str, object]]:
-    measured_by_protocol = _measured_by_protocol(table3_protocols(), n, f, sweep, workers)
+def build_table3(n: int, f: int) -> List[Dict[str, object]]:
+    measured_by_protocol = _nice_executions(n, f)
     rows = []
     for (cf, nf), protocol in TABLE3_MESSAGE_OPTIMAL.items():
         cell = PropertyPair.of(cf, nf)
@@ -252,14 +140,9 @@ def build_table3(
 # --------------------------------------------------------------------------- #
 # Table 4 — indulgent atomic commit vs synchronous NBAC
 # --------------------------------------------------------------------------- #
-def build_table4(
-    n: int,
-    f: int,
-    sweep: Optional[SweepResult] = None,
-    workers: Optional[int] = 1,
-) -> List[Dict[str, object]]:
+def build_table4(n: int, f: int) -> List[Dict[str, object]]:
     paper = paper_table4(n, f)
-    measured = _measured_by_protocol(table4_protocols(), n, f, sweep, workers)
+    measured = _nice_executions(n, f)
     inbac = measured["INBAC"]
     nf_nbac = measured["(n-1+f)NBAC"]
     one_nbac = measured["1NBAC"]
@@ -299,57 +182,24 @@ def build_table4(
 # --------------------------------------------------------------------------- #
 # Table 5 — the protocol shoot-out
 # --------------------------------------------------------------------------- #
-def build_table5(
-    n: int,
-    f: int,
-    protocols: Optional[Sequence[str]] = None,
-    sweep: Optional[SweepResult] = None,
-    workers: Optional[int] = 1,
-) -> Tuple[List[Dict[str, object]], List[ComparisonRow]]:
-    """Measured and paper complexity for the Table 5 protocols.
-
-    Returns the display rows and the individual comparison records used by
-    EXPERIMENTS.md.
-    """
-    protocols = list(protocols) if protocols else table5_protocols()
-    measured_by_protocol = _measured_by_protocol(protocols, n, f, sweep, workers)
+def build_table5(n: int, f: int) -> List[Dict[str, object]]:
+    """Measured and paper complexity of the Table 5 protocols, in the paper's
+    column order."""
+    measured_by_protocol = _nice_executions(n, f)
     rows: List[Dict[str, object]] = []
-    comparisons: List[ComparisonRow] = []
-    registry = all_protocols()
-    for name in protocols:
+    for name in table5_protocols():
         measured = measured_by_protocol[name]
-        paper_delays = paper_table5_delays(name, n, f) if name in _table5_names() else None
-        paper_messages = (
-            paper_table5_messages(name, n, f) if name in _table5_names() else None
-        )
         rows.append(
             {
                 "protocol": name,
                 "n": n,
                 "f": f,
                 "measured_delays": measured.last_decision,
-                "paper_delays": paper_delays,
+                "paper_delays": paper_table5_delays(name, n, f),
                 "measured_messages": measured.messages_until_last_decision,
-                "paper_messages": paper_messages,
+                "paper_messages": paper_table5_messages(name, n, f),
                 "consensus_messages": measured.messages_consensus,
-                "problem": paper_table5_problem(name)
-                if name in _table5_names()
-                else registry[name].notes,
+                "problem": paper_table5_problem(name),
             }
         )
-        if paper_delays is not None:
-            comparisons.append(
-                ComparisonRow("table5", name, n, f, "delays", measured.last_decision, paper_delays)
-            )
-        if paper_messages is not None:
-            comparisons.append(
-                ComparisonRow(
-                    "table5", name, n, f, "messages",
-                    measured.messages_until_last_decision, paper_messages,
-                )
-            )
-    return rows, comparisons
-
-
-def _table5_names() -> set:
-    return {"1NBAC", "(n-1+f)NBAC", "INBAC", "2PC", "PaxosCommit", "FasterPaxosCommit"}
+    return rows

@@ -5,7 +5,7 @@ Each entry records
 * which problem cell of Table 1 the protocol matches (its robustness),
 * the *measured* best-case complexity we expect from the simulator in nice
   executions (used as test oracles in ``tests/protocols``), and
-* whether the protocol is delay-optimal / message-optimal for its cell.
+* Tables 2 and 3 (``TABLE2_DELAY_OPTIMAL``, ``TABLE3_MESSAGE_OPTIMAL``).
 
 The paper's own Table 5 formulas (which use a slightly different accounting
 convention for the chain protocols' message delays) live in
@@ -15,7 +15,7 @@ convention for the chain protocols' message delays) live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.lattice import PropertyPair
 from repro.errors import ConfigurationError
@@ -41,8 +41,6 @@ class ProtocolInfo:
     cell: Optional[PropertyPair]
     expected_delays: Callable[[int, int], float]
     expected_messages: Callable[[int, int], int]
-    delay_optimal: bool = False
-    message_optimal: bool = False
     solves_indulgent: bool = False
     blocking: bool = False
     notes: str = ""
@@ -83,7 +81,6 @@ _register(
         cell=PropertyPair.indulgent_atomic_commit(),
         expected_delays=lambda n, f: 2,
         expected_messages=lambda n, f: 2 * f * n,
-        delay_optimal=True,
         solves_indulgent=True,
         notes="delay-optimal indulgent atomic commit; message-optimal among 2-delay protocols",
     )
@@ -95,7 +92,6 @@ _register(
         cell=PropertyPair.of("AVT", "VT"),
         expected_delays=lambda n, f: 1,
         expected_messages=lambda n, f: n * n - n,
-        delay_optimal=True,
         notes="delay-optimal synchronous NBAC (one message delay)",
     )
 )
@@ -106,7 +102,6 @@ _register(
         cell=PropertyPair.of("AV", "AV"),
         expected_delays=lambda n, f: 1,
         expected_messages=lambda n, f: n * n - n,
-        delay_optimal=True,
         notes="delay-optimal protocol for cell (AV, AV)",
     )
 )
@@ -117,7 +112,6 @@ _register(
         cell=PropertyPair.of("AV", "AV"),
         expected_delays=lambda n, f: 2,
         expected_messages=lambda n, f: 2 * n - 2,
-        message_optimal=True,
         notes="message-optimal protocol for cell (AV, AV)",
     )
 )
@@ -128,8 +122,6 @@ _register(
         cell=PropertyPair.of("AT", "AT"),
         expected_delays=lambda n, f: 1,
         expected_messages=lambda n, f: 0,
-        delay_optimal=True,
-        message_optimal=True,
         notes="zero messages in nice executions; no time/message tradeoff for its cell",
     )
 )
@@ -140,7 +132,6 @@ _register(
         cell=PropertyPair.of("AV", "A"),
         expected_delays=lambda n, f: n + 2 * f,
         expected_messages=lambda n, f: n - 1 + f,
-        message_optimal=True,
         notes="message-optimal protocol for cell (AV, A)",
     )
 )
@@ -151,7 +142,6 @@ _register(
         cell=PropertyPair.of("AVT", "T"),
         expected_delays=lambda n, f: n + 2 * f,
         expected_messages=lambda n, f: n - 1 + f,
-        message_optimal=True,
         notes="message-optimal synchronous NBAC; generalises Dwork-Skeen to f crashes",
     )
 )
@@ -162,7 +152,6 @@ _register(
         cell=PropertyPair.of("AVT", "VT"),
         expected_delays=lambda n, f: 2 + f,
         expected_messages=lambda n, f: 2 * n - 2,
-        message_optimal=True,
         notes="message-optimal protocol for cell (AVT, VT)",
     )
 )
@@ -173,7 +162,6 @@ _register(
         cell=PropertyPair.indulgent_atomic_commit(),
         expected_delays=lambda n, f: 2 * n + f - 2,
         expected_messages=lambda n, f: 2 * n - 2 + f,
-        message_optimal=True,
         solves_indulgent=True,
         notes="message-optimal indulgent atomic commit",
     )
@@ -222,18 +210,26 @@ def all_protocols() -> Dict[str, ProtocolInfo]:
 
 def paper_protocols() -> Dict[str, ProtocolInfo]:
     """The protocols introduced by the paper itself (Tables 2 and 3)."""
-    own = {
-        "INBAC",
-        "1NBAC",
-        "avNBAC-delay",
-        "avNBAC",
-        "0NBAC",
-        "aNBAC",
-        "(n-1+f)NBAC",
-        "(2n-2)NBAC",
-        "(2n-2+f)NBAC",
-    }
+    own = {*TABLE2_DELAY_OPTIMAL.values(), *TABLE3_MESSAGE_OPTIMAL.values()}
     return {name: info for name, info in _REGISTRY.items() if name in own}
+
+
+# Which registered protocol matches each optimal cell, as in Tables 2 and 3.
+TABLE2_DELAY_OPTIMAL: Dict[Tuple[str, str], str] = {
+    ("AV", "AV"): "avNBAC-delay",
+    ("AT", "AT"): "0NBAC",
+    ("AVT", "VT"): "1NBAC",
+    ("AVT", "AVT"): "INBAC",
+}
+
+TABLE3_MESSAGE_OPTIMAL: Dict[Tuple[str, str], str] = {
+    ("AT", "AT"): "0NBAC",
+    ("AV", "A"): "aNBAC",
+    ("AVT", "T"): "(n-1+f)NBAC",
+    ("AV", "AV"): "avNBAC",
+    ("AVT", "VT"): "(2n-2)NBAC",
+    ("AVT", "AVT"): "(2n-2+f)NBAC",
+}
 
 
 def table5_protocols() -> List[str]:

@@ -13,7 +13,7 @@ from repro import (
     run_nice_execution,
     table5_protocols,
 )
-from repro.analysis import build_table5, measure_nice_execution, render_table
+from repro.analysis import build_table5, render_table
 from repro.db import ClusterConfig, run_cluster
 from repro.db.wal import COMMIT as WAL_COMMIT
 from repro.protocols.registry import get_protocol
@@ -28,23 +28,27 @@ def test_public_api_quickstart_matches_the_readme():
 
 
 def test_full_table5_pipeline_renders_and_matches():
-    rows, comparisons = build_table5(5, 2, protocols=table5_protocols())
+    rows = build_table5(5, 2)
+    assert [r["protocol"] for r in rows] == table5_protocols()
     text = render_table(rows, title="Table 5")
     assert "INBAC" in text and "PaxosCommit" in text
-    message_comparisons = [c for c in comparisons if c.metric == "messages"]
-    assert all(c.matches for c in message_comparisons)
+    assert all(r["measured_messages"] == r["paper_messages"] for r in rows)
 
 
 def test_protocol_layer_and_db_layer_agree_on_message_counts():
     """A 3-participant INBAC commit in the DB costs exactly the protocol's
     2fn messages, on top of EXEC/DONE traffic."""
     n_participants, f = 3, 1
-    protocol_messages = measure_nice_execution("INBAC", n_participants, f).messages
+    protocol_messages = nice_execution_complexity(
+        run_nice_execution(INBAC, n=n_participants, f=f).trace
+    ).messages
     workload = bank_transfer_workload(num_transfers=1, num_partitions=2, seed=0)
     config = ClusterConfig(num_partitions=2, commit_protocol="INBAC", commit_f=f)
     report = run_cluster(config, workload.transactions)
     commit_messages = report.messages_by_module.get("commit:main", 0)
-    expected = measure_nice_execution("INBAC", 2, 1).messages  # 2 participants
+    expected = nice_execution_complexity(  # 2 participants
+        run_nice_execution(INBAC, n=2, f=1).trace
+    ).messages
     assert commit_messages == expected
     assert protocol_messages == 2 * f * n_participants
 

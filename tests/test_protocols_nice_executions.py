@@ -11,10 +11,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.lattice import PropertyPair
 from repro.core.metrics import nice_execution_complexity
 from repro.core.properties import is_nice_execution
 from repro.core.table1 import cell_bound
-from repro.protocols.registry import all_protocols, get_protocol, paper_protocols
+from repro.exp import GridSpec, run_sweep
+from repro.protocols.registry import (
+    TABLE2_DELAY_OPTIMAL,
+    TABLE3_MESSAGE_OPTIMAL,
+    all_protocols,
+    get_protocol,
+)
 from repro.sim.runner import run_nice_execution
 
 GRID = [(3, 1), (4, 1), (5, 2), (6, 3), (8, 3), (7, 6)]
@@ -50,20 +57,35 @@ def test_nice_execution_matches_expected_complexity(name, n, f):
     assert stats.consensus_messages == 0
 
 
-@pytest.mark.parametrize("name", sorted(paper_protocols()))
-def test_paper_protocols_meet_their_cell_bounds(name):
-    """Delay-/message-optimal protocols meet the Table 1 bound of their cell."""
-    info = get_protocol(name)
-    n, f = 6, 2
-    result = run_nice_execution(info.cls, n=n, f=f)
-    stats = nice_execution_complexity(result.trace)
-    bound = cell_bound(info.cell)
-    assert stats.message_delays >= bound.delays
-    assert stats.messages >= bound.messages_for(n, f)
-    if info.delay_optimal:
-        assert stats.message_delays == bound.delays
-    if info.message_optimal:
-        assert stats.messages == bound.messages_for(n, f)
+@pytest.fixture(scope="module")
+def small_system_sweep():
+    """Every registered protocol's nice execution at every 2 <= n <= 10."""
+    systems = [(n, f) for n in range(2, 11) for f in range(1, n)]
+    sweep = run_sweep(GridSpec(systems=systems), workers=1)
+    assert not sweep.errors(), sweep.errors()[:1]
+    return sweep
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, info in all_protocols().items() if info.cell is not None)
+)
+def test_paper_protocols_meet_their_cell_bounds(name, small_system_sweep):
+    """No protocol beats the Table 1 bound of its cell, and the protocols of
+    Tables 2 and 3 meet their table's bound exactly, at every small system."""
+    bound = cell_bound(get_protocol(name).cell)
+    delay_cells = [k for k, p in TABLE2_DELAY_OPTIMAL.items() if p == name]
+    message_cells = [k for k, p in TABLE3_MESSAGE_OPTIMAL.items() if p == name]
+    trials = [t for t in small_system_sweep.trials if t.protocol == name]
+    assert len(trials) == 45
+    for trial in trials:
+        n, f = trial.n, trial.f
+        delays, messages = trial.last_decision, trial.messages_until_last_decision
+        assert delays >= bound.delays, (n, f)
+        assert messages >= bound.messages_for(n, f), (n, f)
+        for cell in delay_cells:
+            assert delays == cell_bound(PropertyPair.of(*cell)).delays, (n, f)
+        for cell in message_cells:
+            assert messages == cell_bound(PropertyPair.of(*cell)).messages_for(n, f), (n, f)
 
 
 @pytest.mark.parametrize("n,f", [(4, 1), (6, 2)])
