@@ -176,7 +176,7 @@ print(f"    INBAC: battery clean over {clean.schedules_run} schedules; "
 EOF
 
 echo "==> [10/11] determinism lint + runtime sanitizer"
-python -m repro.lint src benchmarks tests examples --sanitize
+python -m repro.lint src benchmarks tests examples scripts --sanitize
 
 echo "==> [11/11] crash recovery: kill-and-rejoin one partition per backend"
 python - <<'EOF3'

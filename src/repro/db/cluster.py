@@ -42,6 +42,7 @@ from repro.db.coordinator import ClientCoordinator, RetryPolicy, TransactionOutc
 from repro.db.invariants import InvariantReport, check_cluster
 from repro.db.partition import PartitionServer
 from repro.db.transaction import Transaction
+from repro.db.wal import WalRecord
 from repro.errors import ConfigurationError
 from repro.protocols.base import COMMIT
 from repro.protocols.registry import get_protocol
@@ -77,13 +78,6 @@ class ClusterConfig:
     #: exponential backoff); works on both backends — the jitter draws from
     #: the client's per-process seeded RNG, so sim runs stay deterministic
     retry_policy: Optional[RetryPolicy] = None
-    #: optional duck-typed transaction tracer (``begin``/``end``/``complete``
-    #: with (pid, txn_id, name, t) — e.g. :class:`repro.obs.tracing.
-    #: TraceContext`), handed to the coordinator and every partition on both
-    #: backends.  Strictly out of band: span recording never feeds a decision,
-    #: a report field or a fingerprint, and this module never imports the obs
-    #: package
-    tracer: Optional[Any] = None
 
     def resolve_protocol(self) -> type:
         if isinstance(self.commit_protocol, str):
@@ -154,9 +148,8 @@ class ClusterReport:
     #: every partition crash-and-rejoin, in rejoin order (empty when no
     #: recovery happened)
     recovery_events: List[RecoveryEvent] = field(default_factory=list)
-    #: txn id -> resubmissions by the client's retry policy (only
-    #: transactions that actually retried appear)
-    retry_counts: Dict[str, int] = field(default_factory=dict)
+    #: pid -> every record of that partition's write-ahead log, in log order
+    wal_records: Dict[int, List[WalRecord]] = field(default_factory=dict)
     #: which runtime produced this report ("sim" or "asyncio")
     backend: str = "sim"
 
@@ -172,6 +165,15 @@ class ClusterReport:
     @property
     def incomplete(self) -> int:
         return sum(1 for o in self.outcomes if not o.completed)
+
+    @property
+    def retry_counts(self) -> Dict[str, int]:
+        """txn id -> resubmissions (only transactions that retried appear)."""
+        return {
+            o.txn_id: len(o.submissions) - 1
+            for o in self.outcomes
+            if len(o.submissions) > 1
+        }
 
     def commit_latencies(self) -> List[float]:
         return [o.commit_latency for o in self.outcomes if o.commit_latency is not None]
@@ -267,7 +269,6 @@ class Cluster:
             commit_protocol=config.resolve_protocol(),
             commit_f=config.commit_f,
             protocol_kwargs=config.protocol_kwargs,
-            tracer=config.tracer,
         )
 
     def bind(self, transactions: Sequence[Transaction] = ()) -> ClientCoordinator:
@@ -283,7 +284,6 @@ class Cluster:
             workload=list(transactions),
             prepare_margin=config.prepare_margin,
             retry_policy=config.retry_policy,
-            tracer=config.tracer,
         )
         kernel.bind_process(self.client_pid, self.client)
         kernel.start_processes()
@@ -362,7 +362,9 @@ class Cluster:
                 trace.fingerprint() if self.config.controller is not None else None
             ),
             recovery_events=list(self.recovery_events),
-            retry_counts=dict(client.retry_counts),
+            wal_records={
+                pid: server.wal.records() for pid, server in partitions.items()
+            },
             backend=kernel.backend,
         )
 

@@ -11,7 +11,7 @@ latency when the first participant reports ``DONE``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.db.transaction import Transaction
 from repro.env import Process
@@ -80,6 +80,9 @@ class TransactionOutcome:
     #: time at which the coordinator received the first DONE
     ack_time: Optional[float] = None
     participants: List[int] = field(default_factory=list)
+    #: ``(sent_at, round_start)`` of each submission, first one first: when
+    #: the EXEC requests went out and the commit-round start they carried
+    submissions: List[Tuple[float, float]] = field(default_factory=list)
 
     @property
     def commit_latency(self) -> Optional[float]:
@@ -105,23 +108,18 @@ class ClientCoordinator(Process):
         workload: List[Transaction],
         prepare_margin: float = 1.0,
         retry_policy: Optional[RetryPolicy] = None,
-        tracer=None,
     ):
         super().__init__(pid, n, f, env)
         self.workload = list(workload)
         self.prepare_margin = prepare_margin
         self.retry_policy = retry_policy
-        #: optional duck-typed span tracer (see ClusterConfig.tracer) — out of
-        #: band, never consulted for any decision this process makes
-        self.tracer = tracer
         self.outcomes: Dict[str, TransactionOutcome] = {}
         #: submitted transactions still waiting for their first DONE; what
         #: all_completed() answers from, so it never re-walks ``outcomes``
         self._incomplete = 0
-        #: resubmissions per transaction id (only transactions that retried)
-        self.retry_counts: Dict[str, int] = {}
-        self._attempts: Dict[str, int] = {}
-        self._txn_by_id: Dict[str, Transaction] = {}
+        self._txn_by_id: Dict[str, Transaction] = {
+            txn.txn_id: txn for txn in self.workload
+        }
         #: optional callback fired when a transaction's outcome is recorded;
         #: used by the asyncio cluster service to resolve client futures and
         #: by the cluster drivers to detect completion without polling
@@ -149,26 +147,33 @@ class ClientCoordinator(Process):
     def submit_transaction(self, txn: Transaction) -> None:
         """Submit a transaction now (live clients, outside the workload plan).
 
-        Appends the transaction to the workload so completion queries and
-        pending-transaction reports account for it like any planned one.
+        A new transaction id is appended to the workload, so completion
+        queries and pending-transaction reports account for it like any
+        planned one; a known one is sent again (partitions answer a
+        duplicate EXEC idempotently), and a completed one is not sent at all.
         """
-        self.workload.append(txn)
+        known = self.outcomes.get(txn.txn_id)
+        if known is not None and known.completed:
+            return
+        if txn.txn_id not in self._txn_by_id:
+            self._txn_by_id[txn.txn_id] = txn
+            self.workload.append(txn)
         self._submit(txn)
 
     def _submit(self, txn: Transaction) -> None:
         participants = txn.participants()
         start_time = self.now() + self.prepare_margin
-        self._txn_by_id[txn.txn_id] = txn
-        self._attempts[txn.txn_id] = self._attempts.get(txn.txn_id, 0) + 1
-        if txn.txn_id not in self.outcomes:
+        outcome = self.outcomes.get(txn.txn_id)
+        if outcome is None:
             # latency is measured from the first submission; a retried
             # transaction keeps its original submit time
-            self.outcomes[txn.txn_id] = TransactionOutcome(
+            outcome = self.outcomes[txn.txn_id] = TransactionOutcome(
                 txn_id=txn.txn_id,
                 submit_time=self.now(),
                 participants=participants,
             )
             self._incomplete += 1
+        outcome.submissions.append((self.now(), start_time))
         for partition in participants:
             self.send(
                 partition,
@@ -181,24 +186,15 @@ class ClientCoordinator(Process):
                     dict(txn.write_set(partition)),
                 ),
             )
-        if self.tracer is not None:
-            # the execute/prepare window this coordinator allots, plus the
-            # whole-transaction envelope (closed on the first DONE ack)
-            self.tracer.complete(
-                self.pid, txn.txn_id, "EXEC", self.now(), start_time,
-                attempt=self._attempts[txn.txn_id],
-            )
-            self.tracer.begin(self.pid, txn.txn_id, "txn", self.now())
-        self._arm_retry(txn.txn_id)
+        self._arm_retry(txn.txn_id, len(outcome.submissions))
 
     # ------------------------------------------------------------------ #
     # retry (see RetryPolicy)
     # ------------------------------------------------------------------ #
-    def _arm_retry(self, txn_id: str) -> None:
+    def _arm_retry(self, txn_id: str, attempts: int) -> None:
         policy = self.retry_policy
         if policy is None:
             return
-        attempts = self._attempts.get(txn_id, 1)
         if attempts >= policy.max_attempts:
             return  # the final attempt gets no watchdog: nothing left to try
         wait = policy.timeout_units
@@ -207,17 +203,13 @@ class ClientCoordinator(Process):
         self.set_timer(self.now() + wait, name=f"{_RETRY_TIMER_PREFIX}{txn_id}")
 
     def _maybe_retry(self, txn_id: str) -> None:
-        outcome = self.outcomes.get(txn_id)
-        if outcome is None or outcome.completed:
+        # armed only under a policy, after _submit recorded the outcome
+        outcome = self.outcomes[txn_id]
+        if outcome.completed:
             return
-        txn = self._txn_by_id.get(txn_id)
-        policy = self.retry_policy
-        if txn is None or policy is None:
+        if len(outcome.submissions) >= self.retry_policy.max_attempts:
             return
-        if self._attempts.get(txn_id, 0) >= policy.max_attempts:
-            return
-        self.retry_counts[txn_id] = self.retry_counts.get(txn_id, 0) + 1
-        self._submit(txn)
+        self._submit(self._txn_by_id[txn_id])
 
     # ------------------------------------------------------------------ #
     # outcome collection
@@ -241,13 +233,6 @@ class ClientCoordinator(Process):
         outcome.decide_time = decide_time
         outcome.ack_time = self.now()
         self._incomplete -= 1
-        if self.tracer is not None:
-            # first participant decision -> ack at the client (ack latency),
-            # and the end of the whole-transaction envelope
-            self.tracer.complete(
-                self.pid, txn_id, "DONE", decide_time, self.now(), decision=decision
-            )
-            self.tracer.end(self.pid, txn_id, "txn", self.now(), decision=decision)
         if self.on_outcome is not None:
             self.on_outcome(outcome)
 

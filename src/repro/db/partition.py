@@ -126,12 +126,8 @@ class PartitionServer(Process):
         commit_protocol: type = TwoPhaseCommit,
         commit_f: int = 1,
         protocol_kwargs: Optional[Dict[str, Any]] = None,
-        tracer=None,
     ):
         super().__init__(pid, n, f, env)
-        #: optional duck-typed span tracer (see ClusterConfig.tracer) — out of
-        #: band, never consulted for any decision this process makes
-        self.tracer = tracer
         self.store = VersionedStore()
         self.locks = LockManager()
         self.wal = WriteAheadLog()
@@ -208,10 +204,6 @@ class PartitionServer(Process):
         if pending is None:
             return
         if timer_name == _PROPOSE_TIMER:
-            if self.tracer is not None:
-                # the commit round on this participant: closed by the
-                # embedded protocol's decision in on_commit_decision
-                self.tracer.begin(self.pid, txn_id, "decision", self.now())
             if pending.instance is not None:
                 pending.instance.on_propose(pending.vote)
             else:
@@ -261,19 +253,10 @@ class PartitionServer(Process):
             writes=writes,
             timestamp=self.now(),
             participants=tuple(participants),
+            vote=vote,
+            round_start=start_time,
         )
         self.statistics["prepared"] += 1
-        if self.tracer is not None:
-            # EXEC receipt (locks taken, PREPARE logged, vote derived) until
-            # the agreed commit-round start on this participant
-            self.tracer.complete(
-                self.pid,
-                txn_id,
-                "PREPARE-vote",
-                self.now(),
-                max(start_time, self.now()),
-                vote=vote,
-            )
 
         instance = None
         if len(participants) > 1:
@@ -318,8 +301,6 @@ class PartitionServer(Process):
             return
         pending.decided = decision
         self._log_outcome(txn_id, decision, pending.writes)
-        if self.tracer is not None:
-            self.tracer.end(self.pid, txn_id, "decision", self.now(), decision=decision)
         self.send(pending.coordinator, ("DONE", txn_id, decision, self.now()))
 
     def _log_outcome(self, txn_id: str, decision: int, writes: Dict[str, object]) -> None:
@@ -398,10 +379,6 @@ class PartitionServer(Process):
         self._recovery_coordinator = coordinator
         unresolved = self.wal.in_doubt()
         for txn_id in unresolved:
-            if self.tracer is not None:
-                # the termination query window: closed when the outcome is
-                # installed by _apply_recovered_outcome
-                self.tracer.begin(self.pid, txn_id, "OUTCOME?", self.now())
             record = self.wal.prepare_record_of(txn_id)
             targets = {coordinator}
             if record is not None:
@@ -418,8 +395,6 @@ class PartitionServer(Process):
         if record is None:
             return  # never prepared here: a stray reply
         self._log_outcome(txn_id, decision, dict(record.writes))
-        if self.tracer is not None:
-            self.tracer.end(self.pid, txn_id, "OUTCOME?", self.now(), decision=decision)
         if self._recovery_coordinator is not None:
             self.send(
                 self._recovery_coordinator, ("DONE", txn_id, decision, self.now())

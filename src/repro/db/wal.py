@@ -1,10 +1,11 @@
 """Write-ahead log for one partition.
 
 The log records the lifecycle of every transaction the partition participates
-in (``PREPARE`` with the buffered writes, then ``COMMIT`` or ``ABORT``).  The
-store is only mutated when a ``COMMIT`` record is appended, so replaying the
-log after a crash reconstructs exactly the committed state — the recovery test
-in ``tests/db/test_wal.py`` exercises this.
+in (``PREPARE`` with the buffered writes, the vote and the commit-round start,
+then ``COMMIT`` or ``ABORT``).  The store is only mutated when a ``COMMIT``
+record is appended, so replaying the log after a crash reconstructs exactly
+the committed state — the recovery test in ``tests/db/test_wal.py`` exercises
+this.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ class WalRecord:
     #: participant pids logged with PREPARE, so a recovering partition knows
     #: which peers to ask when a transaction is in doubt
     participants: tuple = ()
+    #: the vote derived at PREPARE (1 locks granted, 0 conflict)
+    vote: Optional[int] = None
+    #: the agreed commit-round start logged with PREPARE
+    round_start: Optional[float] = None
 
 
 class WriteAheadLog:
@@ -65,6 +70,8 @@ class WriteAheadLog:
         writes: Optional[Dict[str, object]] = None,
         timestamp: float = 0.0,
         participants: tuple = (),
+        vote: Optional[int] = None,
+        round_start: Optional[float] = None,
     ) -> WalRecord:
         if kind not in (PREPARE, COMMIT, ABORT):
             raise StorageError(f"unknown WAL record kind {kind!r}")
@@ -75,6 +82,8 @@ class WriteAheadLog:
             writes=dict(writes or {}),
             timestamp=timestamp,
             participants=tuple(participants),
+            vote=vote,
+            round_start=round_start,
         )
         self._records.append(record)
         self._by_txn.setdefault(txn_id, []).append(record)

@@ -20,7 +20,7 @@ LNT000  allowlist pragma without a justification
 
 Run it::
 
-    python -m repro.lint src benchmarks tests examples
+    python -m repro.lint src benchmarks tests examples scripts
     python -m repro.lint --format=json src
     python -m repro.lint --sanitize          # runtime sanitizer + hash-seed diff
 

@@ -8,9 +8,10 @@ failure mode the determinism-under-observation test battery exists to catch,
 caught here statically instead.
 
 Obs objects reach deterministic code only as duck-typed constructor
-arguments (``ClusterConfig.tracer``, ``LinkDelay(metrics=...)``), so
-those layers compile against nothing.  The sanctioned import sites are the
-engine's lazy hooks (:mod:`repro.exp.engine` resolves ``progress=`` and the
+arguments (``AsyncClusterService(metrics=...)``, ``LinkDelay(metrics=...)``),
+so those layers compile against nothing; transaction spans are read off a
+finished run's report.  The sanctioned import sites are the engine's lazy
+hooks (:mod:`repro.exp.engine` resolves ``progress=`` and the
 ``REPRO_PROFILE`` wrapper on demand), the CLI/analysis layers, and the obs
 package itself — none of which are protected prefixes below.
 """
@@ -68,7 +69,7 @@ class ObsIsolationRule(Rule):
                             node,
                             f"import of {alias.name!r} from a deterministic "
                             f"layer; hand obs objects in as duck-typed "
-                            f"arguments instead (e.g. ClusterConfig.tracer)",
+                            f"arguments instead (e.g. LinkDelay(metrics=...))",
                         )
             elif isinstance(node, ast.ImportFrom):
                 module = node.module or ""
@@ -86,7 +87,7 @@ class ObsIsolationRule(Rule):
                         f"import from {module or 'repro'!r} pulls repro.obs "
                         f"into a deterministic layer; hand obs objects in as "
                         f"duck-typed arguments instead (e.g. "
-                        f"ClusterConfig.tracer)",
+                        f"LinkDelay(metrics=...))",
                     )
 
 

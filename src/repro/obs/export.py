@@ -1,10 +1,10 @@
 """Chrome trace-event export: ``python -m repro.obs.export --chrome trace.json``.
 
-Runs one fixed-seed cluster workload with a :class:`~repro.obs.tracing.
-TraceContext` attached and writes the resulting per-phase transaction spans
-as Chrome trace-event JSON — open the file in ``chrome://tracing`` (or
-Perfetto's legacy loader) to see where each commit's time went, phase by
-phase, process by process.
+Runs one fixed-seed cluster workload, reads its per-phase transaction spans
+off the report (:meth:`~repro.obs.tracing.TraceContext.from_report`) and
+writes them as Chrome trace-event JSON — open the file in
+``chrome://tracing`` (or Perfetto's legacy loader) to see where each
+commit's time went, phase by phase, process by process.
 
 ``--backend sim`` (default) runs the deterministic simulator: the same seed
 always exports the same bytes, which is what the golden test pins.
@@ -14,8 +14,8 @@ point of the runtime — while the *structure* (every committed transaction
 carries EXEC / PREPARE-vote / decision / DONE spans) is invariant.
 
 The module is also the programmatic seam: :func:`traced_cluster_run` returns
-``(report, tracer)`` for tests and notebooks, and :func:`write_chrome` dumps
-any tracer to a file.
+``(report, spans)`` for tests and notebooks, and :func:`write_chrome` dumps
+any :class:`~repro.obs.tracing.TraceContext` to a file.
 """
 
 from __future__ import annotations
@@ -36,19 +36,17 @@ def traced_cluster_run(
     backend: str = "sim",
     max_time: float = 400.0,
 ):
-    """Run one traced cluster workload; returns ``(report, tracer)``."""
+    """Run one cluster workload; returns ``(report, spans)``."""
     # imported lazily so `python -m repro.obs.export --help` stays instant
     from repro.db.cluster import ClusterConfig, run_cluster
     from repro.workloads import uniform_workload
 
-    tracer = TraceContext(clock="units" if backend == "sim" else "wall-units")
     config = ClusterConfig(
         num_partitions=partitions,
         commit_protocol=protocol,
         commit_f=1,
         seed=seed,
         max_time=max_time,
-        tracer=tracer,
     )
     workload = uniform_workload(
         num_transactions=txns,
@@ -57,12 +55,12 @@ def traced_cluster_run(
         seed=seed,
     )
     report = run_cluster(config, workload.transactions, backend=backend)
-    return report, tracer
+    return report, TraceContext.from_report(report)
 
 
-def write_chrome(tracer: TraceContext, path: str) -> None:
+def write_chrome(spans: TraceContext, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(tracer.chrome_json())
+        handle.write(spans.chrome_json())
         handle.write("\n")
 
 
@@ -82,21 +80,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
-    report, tracer = traced_cluster_run(
+    report, spans = traced_cluster_run(
         protocol=args.protocol,
         partitions=args.partitions,
         txns=args.txns,
         seed=args.seed,
         backend=args.backend,
     )
-    write_chrome(tracer, args.chrome)
+    write_chrome(spans, args.chrome)
     summary = {
         "backend": report.backend,
         "protocol": report.protocol,
         "txns": len(report.outcomes),
         "committed": report.committed,
-        "spans": len(tracer.spans),
-        "transactions_traced": len(tracer.transaction_ids()),
+        "spans": len(spans.spans),
+        "transactions_traced": len(spans.transaction_ids()),
         "out": args.chrome,
     }
     print(json.dumps(summary, sort_keys=True))

@@ -1,40 +1,40 @@
-"""Transaction span tracing across coordinator and partitions, both runtimes.
+"""Transaction phase spans of a cluster run, read off its report.
 
-A :class:`TraceContext` follows transactions through the cluster stack and
-records one :class:`Span` per protocol phase, timestamped by whatever clock
-the hosting runtime exposes through ``env.now()`` — virtual units U under
-the simulator (deterministic: a fixed seed reproduces every span byte for
-byte), wall-clock units under the asyncio runtime.  The phases mirror the
-commit protocol's life cycle (and the paper's latency accounting — *where
-the message delays go*):
+:meth:`TraceContext.from_report` turns a finished run's
+:class:`~repro.db.cluster.ClusterReport` into one :class:`Span` per protocol
+phase, timestamped in the run's own time base — virtual units U under the
+simulator (deterministic: a fixed seed reproduces every span byte for byte),
+wall-clock units under the asyncio runtime.  Nothing is attached before the
+run: every fact a span holds is already in the report, so the view works on
+any finished run, a sweep's cluster trial or a live service's shutdown
+report alike.  The phases mirror the commit protocol's life cycle (and the
+paper's latency accounting — *where the message delays go*):
 
-* ``EXEC`` — coordinator: submission until the agreed commit-round start
-  (the execute/prepare window the coordinator allots);
+* ``EXEC`` — coordinator: each submission until the commit-round start it
+  carried (``TransactionOutcome.submissions``; ``attempt`` counts them);
 * ``PREPARE-vote`` — partition: EXEC receipt (locks taken, WAL ``PREPARE``
-  appended, vote derived) until the commit round starts;
-* ``decision`` — partition: commit-round start until the embedded commit
-  protocol decides there;
+  appended, vote derived) until the commit round starts (the ``PREPARE``
+  record's ``timestamp``, ``round_start`` and ``vote``);
+* ``decision`` — partition: commit-round start until the ``COMMIT`` /
+  ``ABORT`` record the embedded commit protocol's decision logged;
 * ``DONE`` — coordinator: first participant decision until the ``DONE`` ack
   lands at the client (the report's ack latency);
-* ``txn`` — coordinator: the whole submission-to-ack envelope;
-* ``OUTCOME?`` — recovering partition: termination query issued until the
-  outcome is installed (the recovery spans of PR 8's rejoin path).
+* ``txn`` — coordinator: the acknowledged submission until its ack;
+* ``OUTCOME?`` — rejoined partition: the rejoin
+  (``RecoveryEvent.rejoined_at``) until the outcome record its termination
+  query installed.
 
-Recording is strictly out of band: the db/runtime layers call a tracer they
-were *handed* (``ClusterConfig.tracer``), never import this package, and a
-``None`` tracer costs one attribute check per hook point.  Spans never touch
-a trace or sweep fingerprint (OBS001 + the determinism battery enforce it).
-
-``to_chrome()`` renders the Chrome trace-event JSON consumed by
-``chrome://tracing`` / Perfetto; ``python -m repro.obs.export`` wraps it in
-a CLI.
+Spans never touch a trace or sweep fingerprint: they are computed after the
+run from what it recorded.  ``to_chrome()`` renders the Chrome trace-event
+JSON consumed by ``chrome://tracing`` / Perfetto; ``python -m
+repro.obs.export`` wraps it in a CLI.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: the per-phase span names a commit transaction produces (in phase order)
 TXN_PHASES = ("EXEC", "PREPARE-vote", "decision", "DONE")
@@ -69,49 +69,72 @@ class Span:
         }
 
 
+@dataclass
 class TraceContext:
-    """Collects spans; shared by every process of one cluster run.
+    """The phase spans of one cluster run.
 
     ``clock`` labels the time base ("units" under the simulator, "wall-units"
-    under asyncio) — purely descriptive, the numbers are whatever the host
-    runtime's ``now()`` returns.
+    under asyncio) — purely descriptive, the numbers are the run's own.
     """
 
-    def __init__(self, clock: str = "units") -> None:
-        self.clock = clock
-        self.spans: List[Span] = []
-        self._open: Dict[Tuple[int, str, str], Span] = {}
+    spans: List[Span] = field(default_factory=list)
+    clock: str = "units"
 
-    # -- record paths -------------------------------------------------------- #
-    def begin(self, pid: int, txn_id: str, name: str, t: float, **args: Any) -> None:
-        """Open a span; a re-begin of an open (pid, txn, name) restarts it."""
-        self._open[(pid, txn_id, name)] = Span(
-            name=name, txn_id=txn_id, pid=pid, start=t, end=t, args=dict(args)
-        )
+    @classmethod
+    def from_report(cls, report: Any) -> "TraceContext":
+        """Read the spans off a finished run's ``ClusterReport``.
 
-    def end(self, pid: int, txn_id: str, name: str, t: float, **args: Any) -> None:
-        """Close a span opened by :meth:`begin`; unmatched ends are dropped."""
-        span = self._open.pop((pid, txn_id, name), None)
-        if span is None:
-            return
-        span.end = max(t, span.start)
-        span.args.update(args)
-        self.spans.append(span)
+        The coordinator's spans come from each transaction outcome (its
+        submissions, first decision and ack), a partition's from its
+        write-ahead log, and ``OUTCOME?`` from the recovery events: an
+        outcome record of a transaction in doubt at a rejoin was installed
+        by its termination query.  A span that would end before it starts
+        (a commit round decided before its start time) is zero-length.
+        """
+        # imported here only: `python -m repro.obs.export --help` stays instant
+        from repro.db.wal import COMMIT as WAL_COMMIT
+        from repro.db.wal import PREPARE
+        from repro.protocols.base import ABORT, COMMIT
 
-    def complete(
-        self, pid: int, txn_id: str, name: str, start: float, end: float, **args: Any
-    ) -> None:
-        """Record a span whose bounds are both known at the call site."""
-        self.spans.append(
-            Span(
-                name=name,
-                txn_id=txn_id,
-                pid=pid,
-                start=start,
-                end=max(end, start),
-                args=dict(args),
-            )
-        )
+        spans: List[Span] = []
+
+        def add(name, txn_id, pid, start, end, **args) -> None:
+            spans.append(Span(name, txn_id, pid, start, max(end, start), args))
+
+        client = report.num_partitions + 1
+        for outcome in report.outcomes:
+            txn_id, decision = outcome.txn_id, outcome.decision
+            for attempt, (sent_at, starts_at) in enumerate(outcome.submissions, 1):
+                add("EXEC", txn_id, client, sent_at, starts_at, attempt=attempt)
+            if outcome.completed:
+                # the envelope of the submission that was acknowledged
+                last_sent = outcome.submissions[-1][0]
+                add("txn", txn_id, client, last_sent, outcome.ack_time, decision=decision)
+                add("DONE", txn_id, client, outcome.decide_time, outcome.ack_time,
+                    decision=decision)
+        # (pid, txn id) -> the last rejoin that found the transaction in doubt
+        rejoined_at: Dict[Tuple[int, str], float] = {}
+        for event in report.recovery_events:
+            for txn_id in event.in_doubt_at_rejoin:
+                rejoined_at[(event.pid, txn_id)] = event.rejoined_at
+        for pid, records in report.wal_records.items():
+            round_start: Dict[str, float] = {}
+            for record in records:
+                txn_id, at = record.txn_id, record.timestamp
+                if record.kind == PREPARE:
+                    # the propose timer fires at the round start, or at once
+                    round_start[txn_id] = max(record.round_start, at)
+                    add("PREPARE-vote", txn_id, pid, at, round_start[txn_id],
+                        vote=record.vote)
+                    continue
+                decision = COMMIT if record.kind == WAL_COMMIT else ABORT
+                if (pid, txn_id) in rejoined_at:
+                    add("OUTCOME?", txn_id, pid, rejoined_at[(pid, txn_id)], at,
+                        decision=decision)
+                else:
+                    add("decision", txn_id, pid, round_start[txn_id], at,
+                        decision=decision)
+        return cls(spans, "units" if report.backend == "sim" else "wall-units")
 
     # -- queries ------------------------------------------------------------- #
     def spans_of(self, txn_id: str) -> List[Span]:
@@ -131,10 +154,6 @@ class TraceContext:
             if span.txn_id not in seen:
                 seen.append(span.txn_id)
         return seen
-
-    def open_count(self) -> int:
-        """Spans begun but never ended (normally 0 after a completed run)."""
-        return len(self._open)
 
     # -- export -------------------------------------------------------------- #
     def to_jsonable(self) -> Dict[str, Any]:

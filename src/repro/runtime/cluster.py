@@ -190,7 +190,8 @@ class AsyncClusterService(Cluster):
         Returns None when no outcome arrived within ``timeout_units``
         (default: the config's ``max_time``) — e.g. because a participant
         partition crashed; the transaction then shows up in the report's
-        pending/in-doubt sections.
+        pending/in-doubt sections.  A transaction id that already completed
+        returns its recorded outcome at once and is not sent again.
         """
         self._check_running()
         if self.runtime.is_down(self.client_pid):
@@ -198,6 +199,9 @@ class AsyncClusterService(Cluster):
                 "the client coordinator has crashed; no new transactions can "
                 "be submitted"
             )
+        known = self.client.outcomes.get(txn.txn_id)
+        if known is not None and known.completed:
+            return known
         budget = self.config.max_time if timeout_units is None else timeout_units
         waiter = asyncio.get_running_loop().create_future()
         self._waiters[txn.txn_id] = waiter
@@ -297,16 +301,14 @@ class AsyncClusterService(Cluster):
             if not waiter.done():
                 waiter.cancel()
         self._waiters.clear()
+        report = self.report()
         if self.metrics is not None:
             # in-doubt resolution: queried at rejoin minus still unresolved now
-            queried = sum(len(e.in_doubt_at_rejoin) for e in self.recovery_events)
-            unresolved = sum(
-                len(self.runtime.processes[pid].in_doubt_transactions())
-                for pid in range(1, self.client_pid)
-            )
+            queried = sum(len(e.in_doubt_at_rejoin) for e in report.recovery_events)
+            unresolved = sum(map(len, report.in_doubt_by_partition.values()))
             self.metrics.inc("cluster.in_doubt_resolved", max(0, queried - unresolved))
-            self.metrics.inc("cluster.retries", sum(self.client.retry_counts.values()))
-        return self.report()
+            self.metrics.inc("cluster.retries", sum(report.retry_counts.values()))
+        return report
 
 
 __all__ = [

@@ -267,6 +267,36 @@ class TestLiveService:
         # nothing prepared, so the surviving (empty) state is consistent
         assert report.invariants is not None and report.invariants.holds
 
+    def test_resubmitting_a_completed_transaction_returns_its_outcome(self):
+        """A completed id used to be appended to the workload again: the
+        second submit waited out its whole timeout and returned None, and
+        all_completed() never held again."""
+        txns = uniform_workload(
+            num_transactions=2, num_partitions=3, participants_per_txn=3, seed=4
+        ).transactions
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(num_partitions=3, commit_protocol="2PC", max_time=300.0),
+                unit=0.002,
+            )
+            await service.start()
+            first = await service.submit(txns[0])
+            again = await service.submit(txns[0], timeout_units=100.0)
+            settled = await service.wait_all_completed(50)
+            completed = service.client.all_completed()
+            return first, again, settled, completed, await service.shutdown()
+
+        first, again, settled, completed, report = asyncio.run(drive())
+        assert first is not None and again is first
+        assert settled and completed
+        assert report.pending_transactions == []
+        # not sent again: one submission, one PREPARE per participant
+        [outcome] = report.outcomes
+        assert len(outcome.submissions) == 1
+        assert report.retry_counts == {}
+        assert [len(records) for records in report.wal_records.values()] == [2, 2, 2]
+
     def test_wait_all_completed_waits_for_every_live_participant_to_log(self):
         """The outcome completes on the first DONE: P1 decides at once, P2
         only once the decision crosses the slow link, and a shutdown right
