@@ -16,7 +16,7 @@
 #      directly or through a repro.analysis table builder (no hand-rolled
 #      protocol x grid loops may sneak back in);
 #   4. the benchmark list the CI smoke job runs (E1-E5, the ablation,
-#      Figure 1, E7 and E11), with timing disabled;
+#      Figure 1, E7, E9, E10 and E11), with timing disabled;
 #   5. all examples;
 #   6. a small sweep-throughput perf smoke: the core must emit its JSON
 #      baseline and both trace levels must produce identical aggregate
@@ -74,7 +74,7 @@ done
 echo "    all $(ls benchmarks/bench_*.py | wc -l | tr -d ' ') benchmarks import repro.exp or a table builder"
 
 echo "==> [4/11] the CI smoke job's benchmarks"
-python -m pytest benchmarks/bench_table1.py benchmarks/bench_table2_delay_optimal.py benchmarks/bench_table3_message_optimal.py benchmarks/bench_table4_summary.py benchmarks/bench_table5_protocols.py benchmarks/bench_ablation_backups.py benchmarks/bench_figure1_inbac_states.py benchmarks/bench_db_commit_latency.py benchmarks/bench_exploration.py -q --benchmark-disable
+python -m pytest benchmarks/bench_table1.py benchmarks/bench_table2_delay_optimal.py benchmarks/bench_table3_message_optimal.py benchmarks/bench_table4_summary.py benchmarks/bench_table5_protocols.py benchmarks/bench_ablation_backups.py benchmarks/bench_figure1_inbac_states.py benchmarks/bench_db_commit_latency.py benchmarks/bench_exploration.py benchmarks/bench_robustness_matrix.py benchmarks/bench_large_scale_sweeps.py -q --benchmark-disable
 
 echo "==> [5/11] examples"
 for example in examples/*.py; do

@@ -9,13 +9,16 @@ shoot-out example.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Union
 
 from repro.errors import SimulationError
-from repro.exp.results import SweepResult, held_label
+from repro.exp.results import SweepAggregate, SweepResult
+
+#: either sink a stock sweep returns
+Sweep = Union[SweepResult, SweepAggregate]
 
 
-def robustness_matrix_rows(sweep: SweepResult) -> List[Dict[str, Any]]:
+def robustness_matrix_rows(sweep: Sweep) -> List[Dict[str, Any]]:
     """The E9 robustness matrix, joined with each protocol's claimed cell.
 
     One row per protocol; one column per execution class observed in the
@@ -34,29 +37,30 @@ def robustness_matrix_rows(sweep: SweepResult) -> List[Dict[str, Any]]:
     return rows
 
 
-def properties_by_fault_rows(sweep: SweepResult) -> List[Dict[str, Any]]:
+def properties_by_fault_rows(sweep: Sweep) -> List[Dict[str, Any]]:
     """One row per protocol, one column per fault plan in the sweep.
 
     Each cell is the compact label of the properties that held in every trial
     of that (protocol, fault plan) pair — the shape of the shoot-out
-    example's "what survives a crash / a network failure" summary.
+    example's "what survives a crash / a network failure" summary.  A view
+    over :meth:`aggregate_rows`: the ``properties`` labels of the pair's
+    cells intersected, so a streamed (``mode="aggregate"``) sweep gives the
+    same rows as a full one.
     """
-    by_protocol: Dict[str, Dict[str, list]] = {}
+    labels: Dict[str, Dict[str, str]] = {}
     fault_labels: List[str] = []
-    for trial in sweep.trials:
-        per_fault = by_protocol.setdefault(trial.protocol, {})
-        per_fault.setdefault(trial.fault_label, []).append(trial)
-        if trial.fault_label not in fault_labels:
-            fault_labels.append(trial.fault_label)
+    for row in sweep.aggregate_rows():
+        per_fault = labels.setdefault(row["protocol"], {})
+        held = per_fault.get(row["fault"], row["properties"])
+        per_fault[row["fault"]] = "".join(p for p in held if p in row["properties"])
+        if row["fault"] not in fault_labels:
+            fault_labels.append(row["fault"])
     rows = []
-    for protocol in sorted(by_protocol):
+    for protocol in sorted(labels):
         row: Dict[str, Any] = {"protocol": protocol}
-        for label in fault_labels:
-            trials = by_protocol[protocol].get(label, [])
-            if not trials:
-                row[label] = "-"
-                continue
-            row[label] = held_label(trials) or "∅"
+        for fault in fault_labels:
+            held = labels[protocol].get(fault)
+            row[fault] = "-" if held is None else held or "∅"
         rows.append(row)
     return rows
 

@@ -7,14 +7,17 @@ Two levels:
 * :func:`evaluate_problem` — given a problem cell ``(X, Y)`` from the
   robustness lattice and a trace, determine which properties were *required*
   for the trace's execution class (failure-free → all three; crash-failure →
-  ``X``; network-failure → ``Y``) and whether the protocol met them.  This is
-  the engine behind the robustness-matrix experiment (E9).
+  ``X``; network-failure → ``Y``) and whether the protocol met them, one
+  execution at a time.  The robustness matrix of experiment E9 quantifies
+  over a sweep instead: :class:`~repro.exp.results.RobustnessFold` folds each
+  trial's :meth:`~repro.exp.results.TrialResult.broken` per execution class,
+  read through :func:`repro.analysis.sweeps.robustness_matrix_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional
 
 from repro.core.lattice import (
     ALL_PROPS,
@@ -124,21 +127,3 @@ def evaluate_problem(
         failures=failures,
     )
 
-
-def robustness_row(
-    traces_by_class: Dict[str, List[Trace]],
-) -> Dict[str, str]:
-    """Summarise which properties hold per execution class over many traces.
-
-    For each class, a property counts as held only if it holds in *every*
-    supplied trace of that class (the paper's "every crash-failure execution
-    satisfies X" quantifier).
-    """
-    summary: Dict[str, str] = {}
-    for cls, traces in traces_by_class.items():
-        held = set(ALL_PROPS)
-        for trace in traces:
-            report = check_nbac(trace, cls)
-            held = {p for p in held if report.check(p).holds}
-        summary[cls] = prop_label(frozenset(held))
-    return summary

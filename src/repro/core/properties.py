@@ -104,13 +104,3 @@ def is_nice_execution(trace: Trace) -> bool:
     votes = trace.votes()
     return len(votes) == trace.n and all(v == COMMIT for v in votes.values())
 
-
-def solves_nbac(trace: Trace, execution_class: str = None) -> PropertyCheck:
-    """Whether this single execution solves NBAC (all three properties hold)."""
-    checks = [
-        check_validity(trace, execution_class),
-        check_agreement(trace),
-        check_termination(trace),
-    ]
-    violations = [v for c in checks for v in c.violations]
-    return PropertyCheck(name="nbac", holds=not violations, violations=violations)

@@ -47,10 +47,15 @@ result is folded into a sink (anything with ``fold(TrialResult)``) that
   message totals, exact latency digests for p50/p99) and discarded, so
   10^5-10^6-trial sweeps run in memory bounded by the grid's *cell* count
   while producing byte-identical aggregate tables to the in-memory path (a
-  :class:`SweepResult` computes its tables with a :class:`SweepAggregate`);
+  :class:`SweepResult` computes its tables with a :class:`SweepAggregate`),
+  and keeps the first few violating explored schedules, replayable, in
+  ``sample_violations``;
 * ``reducer=`` (any object with ``fold(TrialResult)``, e.g.
-  :class:`~repro.explore.fold.ViolationFold`) replaces either for custom
+  :class:`~repro.exp.results.RobustnessFold`) replaces either for custom
   streaming statistics.
+
+Every sink judges a trial by :meth:`TrialResult.broken` — the properties it
+did not demonstrate; an errored trial demonstrated none.
 
 Behind a pool, a sink that can also ``merge`` receives each chunk as a
 partial its worker already folded — one bundle per chunk instead of one
@@ -74,12 +79,14 @@ Example
 >>> sweep = run_sweep(GridSpec(
 ...     protocols=["INBAC", "2PC", "PaxosCommit"],
 ...     systems=[(5, 2), (8, 3)],
-... ), workers=4)
+... ), workers=2)
 >>> rows = sweep.aggregate_rows()   # ready for repro.analysis.render_table
 >>> big = run_sweep(GridSpec(
-...     protocols=["INBAC"], systems=[(5, 2)], seeds=range(100_000),
-... ), mode="aggregate")            # bounded memory, identical aggregates
->>> big.aggregate_rows() == sweep.aggregate_rows()[:1]  # doctest: +SKIP
+...     protocols=["INBAC"], systems=[(5, 2)], seeds=range(50),
+... ), mode="aggregate")            # bounded memory, the same statistics
+>>> per_cell = lambda row: {k: v for k, v in row.items() if k != "trials"}
+>>> per_cell(big.aggregate_rows()[0]) == per_cell(rows[0])
+True
 """
 
 from repro.exp.engine import ensure_spawn_safe, run_sweep, run_trial, run_trials

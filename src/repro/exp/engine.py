@@ -685,7 +685,7 @@ def run_trials(
     elif not callable(getattr(sink, "fold", None)):
         raise ConfigurationError(
             f"reducer= takes a sink object with a fold(TrialResult) method, "
-            f"e.g. SweepAggregate() or ViolationFold(); got {sink!r} "
+            f"e.g. SweepAggregate() or RobustnessFold(); got {sink!r} "
             f"({type(sink).__name__})"
         )
     full = isinstance(sink, SweepResult)
@@ -806,9 +806,10 @@ def run_sweep(
         its trial count.
     reducer:
         Custom sink: any object with a ``fold(TrialResult)`` method, such as
-        a :class:`~repro.exp.results.RobustnessFold` or a
-        :class:`~repro.explore.fold.ViolationFold`.  It replaces
-        the sink ``mode`` picks; the engine folds every result in
+        a :class:`~repro.exp.results.RobustnessFold`; a sink that judges a
+        trial reads :meth:`~repro.exp.results.TrialResult.broken`.  (Violating
+        schedules need no custom sink: a ``SweepAggregate`` keeps them in
+        ``sample_violations``.)  It replaces the sink ``mode`` picks; the engine folds every result in
         trial-index order and returns the reducer (updating its ``meta``
         dict attribute, if present, with execution metadata).  A reducer
         that also has ``merge(partial)`` must build empty with

@@ -9,15 +9,21 @@ sinks ship here:
   parallel run of the same grid) produced byte-identical trials;
 * :class:`SweepAggregate` keeps per-coordinate accumulators instead, for
   sweeps too large to hold every trial (the engine's ``mode="aggregate"``):
-  counts, commit/abort tallies, message totals, and exact value ->
-  multiplicity digests for latencies and decision times.
+  counts, commit/abort tallies, message totals, exact value ->
+  multiplicity digests for latencies and decision times, and the first few
+  violating explored schedules (replayable).
+
+What a trial showed is decided in one place, :meth:`TrialResult.broken`:
+the properties whose flag is False, or all three when the trial errored.
+Every verdict below reads it — ``solved_rate``, ``properties``, an explored
+cell's ``violations``, the robustness labels and the violation samples.
 
 Both give the shapes the rest of the repo consumes — per-coordinate
 aggregate rows for :func:`repro.analysis.render.render_table` and
 robustness summaries in the style of Table 5's bottom row — from the same
 accumulators: a :class:`SweepResult` folds its trials through a
 :class:`SweepAggregate`.  Every accumulator statistic is *order-independent*
-(integer tallies, digests, boolean ANDs; the float reductions are computed
+(integer tallies, digests, set unions; the float reductions are computed
 from sorted digests at row time), so partial accumulators folded on
 different workers merge (:meth:`SweepAggregate.merge`) to the same bytes as
 a single-stream fold.  Memory stays bounded by the number of grid cells
@@ -29,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.sim.trace import digest_percentile, digest_sum
 
@@ -40,15 +46,13 @@ GroupKey = Tuple[str, ...]
 #: property label + the TrialResult attribute that records whether it held
 _PROPERTIES = (("A", "agreement"), ("V", "validity"), ("T", "termination"))
 
+#: what an errored trial shows: none of the three properties
+_ALL_BROKEN = tuple(attr for _, attr in _PROPERTIES)
 
-def held_label(trials: Iterable["TrialResult"]) -> str:
-    """Compact ``"AVT"``-style label of the properties that held in *every* trial."""
-    trials = list(trials)
-    return "".join(
-        label
-        for label, attr in _PROPERTIES
-        if all(getattr(t, attr) for t in trials)
-    )
+
+def _label(broken: Collection[str]) -> str:
+    """Compact ``"AVT"``-style label of the properties *not* in ``broken``."""
+    return "".join(label for label, attr in _PROPERTIES if attr not in broken)
 
 
 @dataclass
@@ -112,12 +116,25 @@ class TrialResult:
     def all_committed(self) -> bool:
         return bool(self.decisions) and set(self.decisions.values()) == {1}
 
+    def broken(self) -> Tuple[str, ...]:
+        """The properties this trial did not demonstrate, in A, V, T order.
+
+        The one verdict rule every fold and view reads: the flags that are
+        False, or all three when the trial errored — a trial that raised
+        demonstrated nothing.
+        """
+        if self.error is not None:
+            return _ALL_BROKEN
+        if self.agreement and self.validity and self.termination:
+            return ()
+        return tuple(attr for _, attr in _PROPERTIES if not getattr(self, attr))
+
     def solves_nbac(self) -> bool:
-        return self.agreement and self.validity and self.termination
+        return not self.broken()
 
     def held_label(self) -> str:
         """Compact ``"AVT"``-style label of the properties that held."""
-        return held_label([self])
+        return _label(self.broken())
 
     def as_row(self) -> Dict[str, Any]:
         """One flat dict per trial (render_table- and JSON-friendly)."""
@@ -149,12 +166,12 @@ class CellAccumulator:
     """Streaming aggregate of all trials sharing one grid coordinate.
 
     Every statistic is kept in an *order-independent* representation —
-    integer tallies, value → multiplicity digests, boolean ANDs — and the
-    floating-point reductions (means, percentiles) are computed from the
-    digests at :meth:`row` time over sorted distinct values.  The produced
-    row is therefore a pure function of the trial *set*, which makes
-    per-trial folds and worker-side partial accumulators combined with
-    :meth:`merge` byte-identical by construction.
+    integer tallies, value → multiplicity digests, a set of broken
+    properties — and the floating-point reductions (means, percentiles) are
+    computed from the digests at :meth:`row` time over sorted distinct
+    values.  The produced row is therefore a pure function of the trial
+    *set*, which makes per-trial folds and worker-side partial accumulators
+    combined with :meth:`merge` byte-identical by construction.
 
     State is O(1) per cell plus the digests (one entry per *distinct*
     latency / last-decision value — bounded by the delay model's support,
@@ -164,7 +181,7 @@ class CellAccumulator:
     __slots__ = (
         "key", "first_index", "execution_class", "count", "commits", "solved",
         "last_counts", "n_last", "latency_counts", "n_latencies",
-        "sum_messages", "sum_messages_sent", "all_held",
+        "sum_messages", "sum_messages_sent", "broken",
     )
 
     def __init__(self, key: GroupKey, first_index: int, execution_class: str):
@@ -180,13 +197,15 @@ class CellAccumulator:
         self.n_latencies = 0
         self.sum_messages = 0
         self.sum_messages_sent = 0
-        self.all_held = {attr: True for _, attr in _PROPERTIES}
+        #: the properties some trial of the cell did not demonstrate
+        self.broken: Set[str] = set()
 
     def fold(self, trial: "TrialResult") -> None:
+        broken = trial.broken()
         self.count += 1
         if trial.all_committed:
             self.commits += 1
-        if trial.solves_nbac():
+        if not broken:
             self.solved += 1
         if trial.last_decision is not None:
             last = trial.last_decision
@@ -197,17 +216,16 @@ class CellAccumulator:
             self.n_latencies += 1
         self.sum_messages += trial.messages_until_last_decision
         self.sum_messages_sent += trial.messages_total
-        for _, attr in _PROPERTIES:
-            if not getattr(trial, attr):
-                self.all_held[attr] = False
+        if broken:
+            self.broken.update(broken)
 
     def merge(self, other: "CellAccumulator") -> None:
         """Fold another accumulator of the *same cell* into this one.
 
         Exact for every statistic: tallies add, digests add multiplicities,
-        property flags AND — no float summation order is involved, so a
-        chunked worker-side fold merges to the same bytes a per-trial fold
-        produces.
+        broken-property sets unite — no float summation order is involved,
+        so a chunked worker-side fold merges to the same bytes a per-trial
+        fold produces.
         """
         if other.first_index < self.first_index:
             self.first_index = other.first_index
@@ -223,11 +241,7 @@ class CellAccumulator:
         self.n_latencies += other.n_latencies
         self.sum_messages += other.sum_messages
         self.sum_messages_sent += other.sum_messages_sent
-        for _, attr in _PROPERTIES:
-            self.all_held[attr] = self.all_held[attr] and other.all_held[attr]
-
-    def held_label(self) -> str:
-        return "".join(label for label, attr in _PROPERTIES if self.all_held[attr])
+        self.broken |= other.broken
 
     def row(self) -> Dict[str, Any]:
         protocol, n, f, delay, fault, votes, workload = self.key[:7]
@@ -255,11 +269,11 @@ class CellAccumulator:
             ),
             "mean_messages": _round_opt(self.sum_messages / self.count),
             "mean_messages_sent": _round_opt(self.sum_messages_sent / self.count),
-            "properties": self.held_label(),
+            "properties": _label(self.broken),
         }
         if len(self.key) > 7:
             # schedule-explored cells: name the strategy and count violations
-            # (trials where at least one of A/V/T failed to hold)
+            # (trials whose broken() is not empty, errored ones included)
             row["schedule"] = self.key[7]
             row["violations"] = self.count - self.solved
         return row
@@ -300,7 +314,11 @@ class SweepResult:
     def select(self, **criteria: Any) -> List[TrialResult]:
         """Trials whose attributes match all keyword criteria.
 
-        >>> sweep.select(protocol="INBAC", fault_label="failure-free")
+        >>> from repro.exp import GridSpec, run_sweep
+        >>> sweep = run_sweep(GridSpec(protocols=["INBAC", "2PC"], systems=[(4, 1)]),
+        ...                   workers=1)
+        >>> [(t.protocol, t.held_label()) for t in sweep.select(protocol="INBAC")]
+        [('INBAC', 'AVT')]
         """
         out = []
         for trial in self.trials:
@@ -358,50 +376,36 @@ class RobustnessFold:
     """Streaming robustness summary: protocol x execution class -> A/V/T fold."""
 
     def __init__(self) -> None:
-        #: protocol -> execution class -> {property attr: held in every trial}
-        self._held: Dict[str, Dict[str, Dict[str, bool]]] = {}
+        #: protocol -> execution class -> properties some trial broke
+        self._broken: Dict[str, Dict[str, Set[str]]] = {}
         self._classes_seen: List[str] = []
 
     def fold(self, trial: "TrialResult") -> None:
-        per_class = self._held.setdefault(trial.protocol, {})
-        flags = per_class.get(trial.execution_class)
-        if flags is None:
-            flags = per_class[trial.execution_class] = {
-                attr: True for _, attr in _PROPERTIES
-            }
+        per_class = self._broken.setdefault(trial.protocol, {})
+        broken = per_class.get(trial.execution_class)
+        if broken is None:
+            broken = per_class[trial.execution_class] = set()
             if trial.execution_class not in self._classes_seen:
                 self._classes_seen.append(trial.execution_class)
-        for _, attr in _PROPERTIES:
-            if not getattr(trial, attr):
-                flags[attr] = False
+        broken.update(trial.broken())
 
     def merge(self, other: "RobustnessFold") -> None:
-        """AND-combine another fold (exact: the quantifier is associative)."""
+        """Unite another fold's broken sets (exact: the quantifier is associative)."""
         for cls in other._classes_seen:
             if cls not in self._classes_seen:
                 self._classes_seen.append(cls)
-        for protocol, per_class in other._held.items():
-            mine = self._held.setdefault(protocol, {})
-            for cls, flags in per_class.items():
-                existing = mine.get(cls)
-                if existing is None:
-                    mine[cls] = dict(flags)
-                else:
-                    for _, attr in _PROPERTIES:
-                        existing[attr] = existing[attr] and flags[attr]
+        for protocol, per_class in other._broken.items():
+            mine = self._broken.setdefault(protocol, {})
+            for cls, broken in per_class.items():
+                mine.setdefault(cls, set()).update(broken)
 
     def rows(self) -> List[Dict[str, Any]]:
         rows = []
-        for protocol in sorted(self._held):
+        for protocol in sorted(self._broken):
             row: Dict[str, Any] = {"protocol": protocol}
             for cls in self._classes_seen:
-                flags = self._held[protocol].get(cls)
-                if flags is None:
-                    row[cls] = "-"
-                else:
-                    row[cls] = "".join(
-                        label for label, attr in _PROPERTIES if flags[attr]
-                    )
+                broken = self._broken[protocol].get(cls)
+                row[cls] = "-" if broken is None else _label(broken)
             rows.append(row)
         return rows
 
@@ -417,13 +421,29 @@ class SweepAggregate:
     same grid and seeds; per-trial views (``trials``, ``select``,
     ``fingerprint``) intentionally do not exist here.
 
-    Error handling: failed trials are folded into the aggregates exactly as
-    the in-memory path would (they carry default measurements), and the first
-    few tracebacks are kept in ``sample_errors`` for diagnosis.
+    Violating schedules: the first few explored trials (those run under a
+    schedule controller) that broke a property are kept in
+    ``sample_violations``, one dict each — ``index``, ``key``, ``base_seed``,
+    ``properties`` (the trial's :meth:`TrialResult.broken`),
+    ``schedule_trace`` and ``trace_fingerprint`` — enough to replay the
+    schedule (:func:`repro.explore.replay_trial`).  Their per-cell counts
+    are the explored rows' ``violations`` column, and
+    :meth:`robustness_rows` names the broken properties per class.
+
+    Error handling: an errored trial demonstrates no property
+    (:meth:`TrialResult.broken` is all three), so it counts against
+    ``solved_rate``, ``properties``, the robustness labels and an explored
+    cell's ``violations``; its other measurements are the defaults it
+    carries, folded exactly as the in-memory path would.  The first few
+    tracebacks are kept in ``sample_errors`` for diagnosis, and an errored
+    trial is never a ``sample_violations`` entry.  Both sample lists keep
+    the first trials in trial-index order, pooled or serial.
     """
 
     #: how many failing-trial tracebacks to retain
     MAX_SAMPLE_ERRORS = 5
+    #: how many violating explored trials to retain
+    MAX_SAMPLE_VIOLATIONS = 10
 
     def __init__(self) -> None:
         self._cells: Dict[GroupKey, CellAccumulator] = {}
@@ -432,6 +452,7 @@ class SweepAggregate:
         self.total_trials = 0
         self.error_count = 0
         self.sample_errors: List[str] = []
+        self.sample_violations: List[Dict[str, Any]] = []
 
     def __len__(self) -> int:
         return self.total_trials
@@ -443,6 +464,21 @@ class SweepAggregate:
             self.error_count += 1
             if len(self.sample_errors) < self.MAX_SAMPLE_ERRORS:
                 self.sample_errors.append(trial.error)
+        elif (
+            len(self.sample_violations) < self.MAX_SAMPLE_VIOLATIONS
+            and "schedule_trace" in trial.extra
+            and trial.broken()
+        ):
+            self.sample_violations.append(
+                {
+                    "index": trial.index,
+                    "key": trial.key(),
+                    "base_seed": trial.base_seed,
+                    "properties": trial.broken(),
+                    "schedule_trace": trial.extra["schedule_trace"],
+                    "trace_fingerprint": trial.extra["trace_fingerprint"],
+                }
+            )
         key = trial.key()
         cell = self._cells.get(key)
         if cell is None:
@@ -458,14 +494,14 @@ class SweepAggregate:
         The engine's chunk fold calls this once per chunk *in trial-index
         order*; because every cell statistic is order-independent (see
         :meth:`CellAccumulator.merge`), the merged aggregate is byte-identical
-        to folding the same trials one at a time.
+        to folding the same trials one at a time, samples included.
         """
         self.total_trials += other.total_trials
         self.error_count += other.error_count
-        for error in other.sample_errors:
-            if len(self.sample_errors) >= self.MAX_SAMPLE_ERRORS:
-                break
-            self.sample_errors.append(error)
+        room = self.MAX_SAMPLE_ERRORS - len(self.sample_errors)
+        self.sample_errors.extend(other.sample_errors[:room])
+        room = self.MAX_SAMPLE_VIOLATIONS - len(self.sample_violations)
+        self.sample_violations.extend(other.sample_violations[:room])
         for key, cell in other._cells.items():
             mine = self._cells.get(key)
             if mine is None:

@@ -27,8 +27,12 @@ scenarios; this package *searches* the execution space:
   battery (:mod:`repro.db.invariants` — atomicity, WAL-replay durability,
   lock safety); ``preset="cluster-anomaly"`` enumerates crash points over
   every partition and the client coordinator.
-* :mod:`repro.explore.fold` — :class:`ViolationFold`, the bounded-memory
-  reducer for huge exploration budgets (``reducer=ViolationFold()``).
+
+Huge exploration budgets stream: ``run_sweep(..., mode="aggregate")`` over
+a ``schedules`` axis counts each explored cell's ``violations`` in its
+aggregate row and keeps the first few violating schedules, replayable, in
+:attr:`~repro.exp.results.SweepAggregate.sample_violations` — pooled or
+serial, the same samples.
 
 Example
 -------
@@ -52,7 +56,6 @@ from repro.explore.driver import (
     replay_trial,
     shrink_violation,
 )
-from repro.explore.fold import ViolationFold
 from repro.explore.schedule import (
     DECISION_KINDS,
     ReplayController,
@@ -79,7 +82,6 @@ __all__ = [
     "ScheduleTrace",
     "TimestampOrder",
     "Violation",
-    "ViolationFold",
     "explore",
     "replay_trial",
     "shrink_violation",

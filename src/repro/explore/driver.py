@@ -28,24 +28,16 @@ from repro.core.checker import required_properties
 from repro.core.lattice import ALL_PROPS, Prop, PropertyPair
 from repro.errors import ConfigurationError
 from repro.exp.engine import run_trial, run_trials
-from repro.exp.results import TrialResult
+from repro.exp.results import _PROPERTIES, TrialResult
 from repro.exp.spec import GridSpec, ScheduleSpec, TrialSpec, coerce_axis
 from repro.explore.schedule import ScheduleTrace
 
-#: property name -> TrialResult attribute
-_PROP_ATTRS = {
-    Prop.AGREEMENT: "agreement",
-    Prop.VALIDITY: "validity",
-    Prop.TERMINATION: "termination",
-}
+#: Prop -> TrialResult attribute, read off repro.exp.results' one table
+_PROP_ATTRS = {Prop(label): attr for label, attr in _PROPERTIES}
 
 _PROP_BY_NAME = {
-    "agreement": Prop.AGREEMENT,
-    "validity": Prop.VALIDITY,
-    "termination": Prop.TERMINATION,
-    "A": Prop.AGREEMENT,
-    "V": Prop.VALIDITY,
-    "T": Prop.TERMINATION,
+    **{attr: prop for prop, attr in _PROP_ATTRS.items()},
+    **{prop.value: prop for prop in _PROP_ATTRS},
     # cluster-invariant aliases: for workload trials the engine maps the
     # repro.db.invariants battery onto the property flags (atomicity ->
     # agreement, durability & lock safety -> validity), so the invariants
@@ -181,14 +173,11 @@ def _violated_props(
     properties: Optional[frozenset],
     cell: Optional[PropertyPair],
 ) -> Tuple[str, ...]:
-    required = _required_props(properties, cell, trial.execution_class)
-    return tuple(
-        sorted(
-            _PROP_ATTRS[prop]
-            for prop in required
-            if not getattr(trial, _PROP_ATTRS[prop])
-        )
-    )
+    required = {
+        _PROP_ATTRS[prop]
+        for prop in _required_props(properties, cell, trial.execution_class)
+    }
+    return tuple(sorted(attr for attr in trial.broken() if attr in required))
 
 
 def _schedule_specs(

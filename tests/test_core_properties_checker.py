@@ -8,7 +8,6 @@ from repro.core.checker import (
     check_nbac,
     evaluate_problem,
     required_properties,
-    robustness_row,
 )
 from repro.core.lattice import ALL_PROPS, Prop, PropertyPair
 from repro.core.properties import (
@@ -16,8 +15,8 @@ from repro.core.properties import (
     check_termination,
     check_validity,
     is_nice_execution,
-    solves_nbac,
 )
+from repro.exp.results import RobustnessFold, TrialResult
 from repro.sim.trace import Trace
 
 
@@ -133,9 +132,9 @@ class TestAgreementAndTermination:
 
     def test_solves_nbac_combines_all_three(self):
         good = make_trace(decisions={1: (1, 2), 2: (1, 2), 3: (1, 2)})
-        assert solves_nbac(good).holds
+        assert check_nbac(good).solves_nbac()
         bad = make_trace(decisions={1: (1, 2), 2: (0, 2), 3: (1, 2)})
-        assert not solves_nbac(bad).holds
+        assert not check_nbac(bad).solves_nbac()
 
 
 class TestNiceExecution:
@@ -181,12 +180,19 @@ class TestProblemEvaluation:
         assert check_nbac(trace).satisfied_labels() == "AVT"
 
     def test_robustness_row_takes_the_intersection_over_traces(self):
-        good = make_trace(decisions={1: (1, 2), 2: (1, 2), 3: (1, 2)})
-        no_termination = make_trace(decisions={1: (1, 2)}, execution_class="crash-failure",
-                                    crashes={2: 0.0})
-        row = robustness_row({"crash-failure": [good, no_termination]})
-        assert "T" not in row["crash-failure"]
-        assert "A" in row["crash-failure"]
+        # the quantifier lives in RobustnessFold: a property holds for a
+        # class only if it held in every trial of that class
+        def trial(index, **flags):
+            return TrialResult(
+                index=index, protocol="synthetic", n=3, f=1, delay_label="U=1",
+                fault_label="crash", votes_label="all-yes", base_seed=index,
+                derived_seed=index, execution_class="crash-failure", **flags,
+            )
+
+        fold = RobustnessFold()
+        fold.fold(trial(0))
+        fold.fold(trial(1, termination=False))
+        assert fold.rows() == [{"protocol": "synthetic", "crash-failure": "AV"}]
 
 
 class TestDelayOnlyNetworkFailures:

@@ -233,7 +233,7 @@ class TestEdges:
             ran.append(trial.index)
             return {}
 
-        with pytest.raises(ConfigurationError, match="ViolationFold"):
+        with pytest.raises(ConfigurationError, match="RobustnessFold"):
             run_sweep(grid(), workers=1, collector=collector, reducer=reducer)
         assert ran == []
 

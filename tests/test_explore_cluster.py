@@ -20,7 +20,6 @@ from repro.exp.spec import make_cases
 from repro.explore import (
     EXPLORATION_PRESETS,
     ScheduleTrace,
-    ViolationFold,
     explore,
     replay_trial,
 )
@@ -223,25 +222,28 @@ class TestClusterAnomalyHunt:
         assert "params_dict" in str(err.value)
 
     def test_violation_reducer_streams_cluster_schedule_cells(self):
-        # huge cluster budgets can stream through a ViolationFold: the
+        # huge cluster budgets can stream through a SweepAggregate: the
         # 8-coordinate explored-cluster keys (workload + schedule) fold into
-        # per-cell tallies, and the broken fixture's cells carry the counts
-        fold = run_sweep(
+        # per-cell rows, and the broken fixture's cells carry the counts
+        streamed = run_sweep(
             cluster_grid(
                 [None, ("cp2", "crash-point", {"pid": 2, "point": 4})],
                 seeds=range(2),
                 protocol=("SplitBrain2PC", SplitBrainCommit),
             ),
             workers=1,
-            reducer=ViolationFold(),
+            mode="aggregate",
         )
-        assert fold.error_count == 0
-        rows = {row["schedule"]: row for row in fold.rows()}
+        assert streamed.error_count == 0
+        rows = {row["schedule"]: row for row in streamed.aggregate_rows()}
         assert rows["-"]["workload"] == "uniform3"
         assert rows["-"]["violations"] == 0
         assert rows["cp2"]["violations"] == 2
-        assert rows["cp2"]["broke_A"] == 2  # atomicity lives in the A slot
-        assert fold.samples and "schedule_trace" in fold.samples[0]
+        samples = streamed.sample_violations
+        assert len(samples) == 2
+        # atomicity lives in the A slot
+        assert all("agreement" in s["properties"] for s in samples)
+        assert "schedule_trace" in samples[0]
 
     def test_preset_covers_every_process_point_major(self):
         from repro.explore.driver import _cluster_anomaly_specs

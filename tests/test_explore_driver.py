@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exp import GridSpec, run_sweep
-from repro.explore import ScheduleTrace, ViolationFold, explore, replay_trial
+from repro.explore import ScheduleTrace, explore, replay_trial
 from repro.protocols.registry import all_protocols
 
 
@@ -167,18 +167,23 @@ class TestViolationFoldReducer:
             schedules=[("rw", "random-walk", {"crash_prob": 0.1})],
             seeds=range(25),
         )
-        fold = run_sweep(grid(), workers=1, reducer=ViolationFold(), trace_level="full")
-        assert isinstance(fold, ViolationFold)
+        streamed = run_sweep(grid(), workers=1, mode="aggregate")
         full = run_sweep(grid(), workers=1)
-        expected = sum(1 for t in full if not t.solves_nbac())
-        assert fold.total_violations == expected
-        rows = {r["protocol"]: r for r in fold.rows()}
+        expected = sum(1 for t in full if t.broken())
+        rows = {r["protocol"]: r for r in streamed.aggregate_rows()}
+        assert rows["INBAC"]["violations"] + rows["2PC"]["violations"] == expected
         assert rows["INBAC"]["violations"] == 0
         assert rows["2PC"]["violations"] > 0
-        assert rows["2PC"]["broke_T"] == rows["2PC"]["violations"]
-        # retained samples replay: they carry the full schedule trace
-        assert fold.samples
-        assert all("schedule_trace" in s for s in fold.samples)
+        # retained samples are the first violating trials, and they replay:
+        # they carry the full schedule trace
+        samples = streamed.sample_violations
+        assert [s["index"] for s in samples] == [t.index for t in full if t.broken()][:10]
+        assert all(s["properties"] == ("termination",) for s in samples)
+        trials = grid().trials()
+        for sample in samples[:2]:
+            schedule = ScheduleTrace.from_jsonable(sample["schedule_trace"])
+            replayed = replay_trial(trials[sample["index"]], schedule)
+            assert replayed.broken() == sample["properties"]
 
 
 class TestDriverValidation:
