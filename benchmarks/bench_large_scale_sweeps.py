@@ -96,7 +96,7 @@ def sweep_lognormal_latency():
         GridSpec(
             protocols=["2PC", "INBAC", "PaxosCommit"],
             systems=[(8, 2)],
-            delays=[named_delay("lognormal", label="lognormal", median=0.3, sigma=0.6, u=1.0)],
+            delays=[named_delay("lognormal", label="lognormal", median=0.3, sigma=0.6)],
             seeds=range(200),
             max_time=400,
         ),

@@ -43,7 +43,8 @@ def decision_message_delays(trace: Trace, per_process: bool = False):
     """Number of message delays until decision (time-based, Lamport-style).
 
     Measured from the earliest proposal (time 0 in all our experiments) to the
-    latest decision, in units of the delay bound ``U``.
+    latest decision, in units of the delay bound ``U`` (the unit of virtual
+    time, :data:`repro.sim.network.U`).
     """
     if not trace.decisions:
         return None
@@ -51,10 +52,8 @@ def decision_message_delays(trace: Trace, per_process: bool = False):
     if trace.proposals:
         start = min(rec.time for rec in trace.proposals.values())
     if per_process:
-        return {
-            pid: (rec.time - start) / trace.u for pid, rec in trace.decisions.items()
-        }
-    return (trace.last_decision_time() - start) / trace.u
+        return {pid: rec.time - start for pid, rec in trace.decisions.items()}
+    return trace.last_decision_time() - start
 
 
 def first_decision_delays(trace: Trace) -> Optional[float]:
@@ -65,7 +64,7 @@ def first_decision_delays(trace: Trace) -> Optional[float]:
     start = 0.0
     if trace.proposals:
         start = min(rec.time for rec in trace.proposals.values())
-    return (first - start) / trace.u
+    return first - start
 
 
 def causal_message_delays(trace: Trace) -> int:

@@ -166,25 +166,20 @@ def named_delay(name: str, label: str = None, **params: Any):
     return _named("delays", name, label, params)
 
 
-def _build_fixed(seed: int, u: float = 1.0) -> DelayModel:
-    return FixedDelay(u)
+def _build_fixed(seed: int, delay_units: float = 1.0) -> DelayModel:
+    return FixedDelay(delay_units)
 
 
-def _build_uniform(
-    seed: int, lo: float = 0.3, hi: float = 1.0, u: float = None
-) -> DelayModel:
-    return UniformDelay(lo, hi, u=u, seed=seed)
+def _build_uniform(seed: int, lo: float = 0.3, hi: float = 1.0) -> DelayModel:
+    return UniformDelay(lo, hi, seed=seed)
 
 
-def _build_lognormal(
-    seed: int, median: float = 0.3, sigma: float = 0.6, u: float = 1.0
-) -> DelayModel:
-    return LognormalDelay(median=median, sigma=sigma, u=u, seed=seed)
+def _build_lognormal(seed: int, median: float = 0.3, sigma: float = 0.6) -> DelayModel:
+    return LognormalDelay(median=median, sigma=sigma, seed=seed)
 
 
 def _build_flaky_link(
     seed: int,
-    u: float = 1.0,
     jitter: float = 0.2,
     slow_pairs: tuple = (((1, 2), 3.0),),
     outages: tuple = ((2, 1, 4.0, 8.0),),
@@ -194,7 +189,6 @@ def _build_flaky_link(
     # Parameters are nested tuples (not dicts) so the spec stays hashable
     # and spawn-picklable.
     return FlakyLinkDelay(
-        u=u,
         jitter=jitter,
         slow_pairs={tuple(pair): factor for pair, factor in slow_pairs},
         outages=tuple(tuple(w) for w in outages),
@@ -204,7 +198,6 @@ def _build_flaky_link(
 
 def _build_link(
     seed: int,
-    u: float = 1.0,
     delay_units: float = 1.0,
     jitter_units: float = 0.0,
     slow_factor: float = 1.0,
@@ -216,7 +209,6 @@ def _build_link(
         LinkPolicy(
             delay_units, jitter_units, slow_factor, tuple(tuple(w) for w in outages)
         ),
-        u=u,
         seed=seed,
     )
 

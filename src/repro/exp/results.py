@@ -61,7 +61,9 @@ class TrialResult:
 
     ``decision_latencies`` holds each deciding process' decision time in
     units of the delay bound ``U``, sorted ascending — the raw material for
-    latency distributions across a sweep.
+    latency distributions across a sweep.  Virtual time is counted in ``U``
+    (:data:`repro.sim.network.U`, which no delay model can change), so the
+    decision times need no rescaling.
     """
 
     index: int

@@ -277,7 +277,7 @@ def coerce_axis(axis: str, value: AxisLike) -> Optional[NamedSpec]:
     elif isinstance(source, str):
         natural = source
     else:
-        if callable(source) or (hasattr(source, "delay") and hasattr(source, "bound")):
+        if callable(source) or callable(getattr(source, "delay", None)):
             # a factory, a vote function or a model instance: an object on the
             # axis would be shared by the cell's trials, or need reseeding from
             # outside; a name is built per trial from the derived seed

@@ -36,9 +36,9 @@ from repro.explore.schedule import ReplayController, ScheduleController
 from repro.sim.events import MessageDeliveryEvent, ProposeEvent, TimerEvent
 
 #: deferral magnitudes the seeded strategies draw from, in units of the
-#: delay bound ``U`` (scaled by ``scheduler.network.u`` at decision time, so
-#: exploration crosses the bound under any delay model): past the next
-#: same-time batch, past the bound, well past it
+#: delay bound ``U`` (the unit of virtual time, so a deferral crosses the
+#: bound under every delay model alike): past the next same-time batch, past
+#: the bound, well past it
 DEFER_CHOICES = (0.7, 1.0, 1.6, 2.5)
 
 
@@ -113,7 +113,7 @@ class RandomWalk(ScheduleController):
             and event.src != event.dst
         ):
             self._defers_left -= 1
-            return ("defer", extra * scheduler.network.u)
+            return ("defer", extra)
         return None
 
 
@@ -149,7 +149,7 @@ class DelayReorder(ScheduleController):
         extra = self._targets.pop(ordinal, None)
         if extra is None:
             return None
-        return ("defer", extra * scheduler.network.u)
+        return ("defer", extra)
 
 
 class CrashPoint(ScheduleController):

@@ -7,9 +7,10 @@ Each entry records
   executions (used as test oracles in ``tests/protocols``), and
 * Tables 2 and 3 (``TABLE2_DELAY_OPTIMAL``, ``TABLE3_MESSAGE_OPTIMAL``).
 
-The paper's own Table 5 formulas (which use a slightly different accounting
-convention for the chain protocols' message delays) live in
-:mod:`repro.analysis.formulas`; the benchmarks print both side by side.
+The paper's Table 5 (:mod:`repro.analysis.formulas`) is read off these
+entries: its delay count is ``expected_delays`` less the class's
+``timer_origin_shift``, because the paper counts a chain protocol's delays
+from its first send.
 """
 
 from __future__ import annotations

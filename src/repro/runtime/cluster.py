@@ -58,7 +58,7 @@ class TransportView:
 
     Exists for the perf ledger, which reads ``service.transport`` (the
     benchmark tree is not edited alongside the runtime); the benchmark-tree
-    rework in ROADMAP.md (item 7) deletes it.
+    rework in ROADMAP.md (item 11) deletes it.
     """
 
     def __init__(self, trace: Trace):

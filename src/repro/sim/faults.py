@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.sim.network import U
 
 #: sentinel delay used for "arrives later than every decision" constructions
 FAR_FUTURE = 10_000.0
@@ -96,10 +97,10 @@ class DelayRule:
             return self.delay
         return nominal + (self.extra or 0.0)
 
-    def is_network_failure(self, u: float) -> bool:
-        """Whether this rule can delay a message beyond the bound ``u``."""
+    def is_network_failure(self) -> bool:
+        """Whether this rule can delay a message beyond the bound ``U``."""
         if self.delay is not None:
-            return self.delay > u
+            return self.delay > U
         return (self.extra or 0.0) > 0.0
 
 
@@ -207,13 +208,13 @@ class FaultPlan:
     def is_failure_free(self) -> bool:
         return not self.crashes and not self.delay_rules
 
-    def is_network_failure(self, u: float) -> bool:
-        """Whether some rule can push a delay beyond the bound ``u``."""
-        return any(rule.is_network_failure(u) for rule in self.delay_rules)
+    def is_network_failure(self) -> bool:
+        """Whether some rule can push a delay beyond the bound ``U``."""
+        return any(rule.is_network_failure() for rule in self.delay_rules)
 
-    def execution_class(self, u: float) -> str:
+    def execution_class(self) -> str:
         """Classify the execution: ``failure-free`` / ``crash-failure`` / ``network-failure``."""
-        if self.is_network_failure(u):
+        if self.is_network_failure():
             return "network-failure"
         if self.crashes:
             return "crash-failure"

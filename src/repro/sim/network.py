@@ -4,12 +4,20 @@ The paper's channels "do not modify, inject, duplicate or lose messages; every
 message sent is eventually received".  The network therefore never drops a
 message: all non-determinism lives in the *delay* assigned to each message.
 
+The known delay bound ``U`` is the unit of time: every protocol arms its
+timers in multiples of it (``set_timer(2)`` waits 2U), so :data:`U` is one
+constant, ``1.0``, and no model, network or fault plan can move it.  A delay
+model delivers within the bound or past it.  :class:`FixedDelay`,
+:class:`UniformDelay` and :class:`LognormalDelay` are synchronous by
+construction: every draw lies in ``(0, U]``.
+
 A **crash-failure** (synchronous) execution is one where every delay is at
-most the known bound ``U``.  A **network-failure** (eventually synchronous)
-execution may delay some messages beyond ``U`` — those delays are injected by
-:class:`~repro.sim.faults.DelayRule` overrides carried by the fault plan, by
-an :class:`AdversarialDelay` model, or by a :class:`LinkDelay` whose link is
-slow or in an outage.
+most ``U``.  A **network-failure** (eventually synchronous) execution delays
+some message beyond ``U``, and the scheduler classes a run so when that came
+from a :class:`~repro.sim.faults.DelayRule` override of the fault plan, a
+schedule controller's deferral, or a :class:`LinkDelay` draw it counted as
+``late``.  :class:`FlakyLinkDelay` and :class:`AdversarialDelay` draws past
+``U`` are not counted yet: such a run keeps the class its fault plan gives.
 """
 
 from __future__ import annotations
@@ -20,6 +28,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
+
+
+#: the known upper bound on message delay, and the unit of virtual time
+U = 1.0
 
 
 class DelayModel(Protocol):
@@ -38,47 +50,42 @@ class DelayModel(Protocol):
     """
 
     def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
-        """Return the transmission delay (virtual time) for one message."""
-        ...  # pragma: no cover - protocol definition
-
-    def bound(self) -> float:
-        """Return the known upper bound ``U`` assumed by the protocols."""
+        """Return the transmission delay (in units of ``U``) for one message."""
         ...  # pragma: no cover - protocol definition
 
 
 @dataclass
 class FixedDelay:
-    """Every message takes exactly ``u`` time units.
+    """Every message takes exactly ``delay_units``, with ``0 < delay_units <= U``.
 
     This is the delay model used for all best-case (nice execution) complexity
     measurements: the paper's message-delay metric assumes "every message is
     received exactly one unit of time after it was sent".
     """
 
-    u: float = 1.0
+    delay_units: float = U
 
     def __post_init__(self) -> None:
-        if self.u <= 0:
-            raise ConfigurationError(f"delay bound must be positive, got {self.u}")
+        if not 0 < self.delay_units <= U:
+            raise ConfigurationError(
+                f"a fixed delay must lie in (0, U] = (0, {U}], got {self.delay_units}"
+            )
 
     def draw(self) -> float:
-        return self.u
+        return self.delay_units
 
     def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
         return self.draw()
 
-    def bound(self) -> float:
-        return self.u
-
 
 class UniformDelay:
-    """Delays drawn uniformly from ``[lo, hi]`` with ``hi <= u`` by default.
+    """Delays drawn uniformly from ``[lo, hi]``, with ``0 < lo <= hi <= U``.
 
     Used by the database benchmarks to exercise protocols under realistic,
     non-degenerate timing while remaining within the synchronous bound.
     """
 
-    def __init__(self, lo: float, hi: float, u: Optional[float] = None, seed: int = 0):
+    def __init__(self, lo: float, hi: float, seed: int = 0):
         if lo <= 0:
             raise ConfigurationError(
                 f"uniform delay lower bound must be positive, got lo={lo}"
@@ -88,11 +95,13 @@ class UniformDelay:
                 f"uniform delay upper bound must be >= lower bound, "
                 f"got hi={hi} < lo={lo}"
             )
+        if hi > U:
+            raise ConfigurationError(
+                f"uniform delay upper bound must be <= U = {U} for a "
+                f"synchronous model, got hi={hi}"
+            )
         self.lo = lo
         self.hi = hi
-        self.u = u if u is not None else hi
-        if self.u < hi:
-            raise ConfigurationError("bound u must be >= hi for a synchronous model")
         self._rng = random.Random(seed)
 
     def draw(self) -> float:
@@ -101,37 +110,31 @@ class UniformDelay:
     def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
         return self.draw()
 
-    def bound(self) -> float:
-        return self.u
-
 
 class LognormalDelay:
-    """Heavy-tailed delays clipped at the synchronous bound ``u``.
+    """Heavy-tailed delays with ``0 < median < U``, clipped at ``U``.
 
     Approximates the wide-area round-trip distributions reported by Bakr and
     Keidar [34] ("synchronous most of the time"): most samples are far below
     the bound, occasional samples approach it.
     """
 
-    def __init__(self, median: float, sigma: float, u: float, seed: int = 0):
-        if median <= 0 or sigma < 0 or u <= median:
+    def __init__(self, median: float, sigma: float, seed: int = 0):
+        if median <= 0 or sigma < 0 or median >= U:
             raise ConfigurationError(
-                f"invalid lognormal parameters median={median}, sigma={sigma}, u={u}"
+                f"invalid lognormal parameters median={median}, sigma={sigma}: "
+                f"need 0 < median < U = {U} and sigma >= 0"
             )
         self.median = median
         self.sigma = sigma
-        self.u = u
         self._rng = random.Random(seed)
 
     def draw(self) -> float:
         sample = self.median * math.exp(self._rng.gauss(0.0, self.sigma))
-        return min(sample, self.u)
+        return min(sample, U)
 
     def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
         return self.draw()
-
-    def bound(self) -> float:
-        return self.u
 
 
 class FlakyLinkDelay:
@@ -143,6 +146,8 @@ class FlakyLinkDelay:
     :class:`LinkDelay` would re-pin the ledger, which is the benchmark tree's
     own change to make.
 
+    * every message's nominal delay is ``U``, or with ``jitter`` a draw from
+      ``[U - jitter, U]``;
     * a directed link in ``slow_pairs`` multiplies its nominal delay by the
       given factor — slow-but-alive; an asymmetric profile (slow one way,
       nominal the other) is two entries with different factors;
@@ -150,25 +155,21 @@ class FlakyLinkDelay:
       held until the window heals: it arrives ``(end - send_time) + nominal``
       after sending, as if buffered by the partition.
 
-    Both effects may exceed the bound ``u`` — a network-failure execution,
-    although the scheduler does not class it so (it counts no late draws).
+    Both effects may exceed ``U`` — a network-failure execution, although
+    the scheduler does not class it so (the model counts no late draws).
     All randomness comes from the seeded RNG, so the model is
     fingerprint-deterministic like every other delay model.
     """
 
     def __init__(
         self,
-        u: float = 1.0,
         jitter: float = 0.0,
         slow_pairs: Optional[dict] = None,
         outages: tuple = (),
         seed: int = 0,
     ):
-        if u <= 0:
-            raise ConfigurationError(f"delay bound must be positive, got {u}")
-        if not 0 <= jitter < u:
-            raise ConfigurationError(f"jitter must be within [0, u), got {jitter}")
-        self.u = u
+        if not 0 <= jitter < U:
+            raise ConfigurationError(f"jitter must be within [0, U), got {jitter}")
         self.jitter = jitter
         self.slow_pairs = dict(slow_pairs or {})
         for pair, factor in sorted(self.slow_pairs.items()):
@@ -188,17 +189,14 @@ class FlakyLinkDelay:
         self._rng = random.Random(seed)
 
     def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
-        nominal = self.u
+        nominal = U
         if self.jitter > 0:
-            nominal = self._rng.uniform(self.u - self.jitter, self.u)
+            nominal = self._rng.uniform(U - self.jitter, U)
         d = nominal * self.slow_pairs.get((src, dst), 1.0)
         for osrc, odst, start, end in self.outages:
             if osrc == src and odst == dst and start <= send_time < end:
                 d = max(d, (end - send_time) + nominal)
         return d
-
-    def bound(self) -> float:
-        return self.u
 
 
 @dataclass(frozen=True)
@@ -238,10 +236,10 @@ class LinkPolicy:
 
 class LinkDelay:
     """Per-link delays: a default :class:`LinkPolicy` and ``(src, dst)``
-    overrides, against the bound ``u``.
+    overrides.
 
     The asyncio runtime's network (a zero-delay default) and the registry's
-    ``link`` model.  ``late`` counts the draws that exceeded ``u``; the
+    ``link`` model.  ``late`` counts the draws that exceeded ``U``; the
     scheduler classes a run with any such draw ``network-failure``, so the
     class is what happened, not what the policy could do.  ``metrics`` is an
     optional duck-typed sink (``inc``/``observe``); when given, every draw
@@ -253,15 +251,11 @@ class LinkDelay:
         self,
         default: Optional[LinkPolicy] = None,
         links: Optional[Dict[Tuple[int, int], LinkPolicy]] = None,
-        u: float = 1.0,
         seed: int = 0,
         metrics: Optional[Any] = None,
     ):
-        if u <= 0:
-            raise ConfigurationError(f"delay bound must be positive, got {u}")
         self.default = default if default is not None else LinkPolicy()
         self.links = dict(links or {})
-        self.u = u
         self.metrics = metrics
         self.late = 0
         self._rng = random.Random(seed)
@@ -276,7 +270,7 @@ class LinkDelay:
             if start <= send_time < end:
                 d += end - send_time
                 break
-        if d > self.u:
+        if d > U:
             self.late += 1
         if self.metrics is not None:
             self.metrics.inc("transport.sends")
@@ -285,15 +279,13 @@ class LinkDelay:
                 self.metrics.observe("transport.link_delay_units", d)
         return d
 
-    def bound(self) -> float:
-        return self.u
-
 
 class AdversarialDelay:
     """Delegates to a user-supplied function; used to build worst cases.
 
-    The function may return delays larger than ``u``, which turns the
-    execution into a network-failure execution.  Today only the simulator
+    The function may return delays larger than ``U``, which turns the
+    execution into a network-failure execution (not counted as ``late``: the
+    run keeps the class its fault plan gives).  Today only the simulator
     kernel's own tests use it, to script per-message delays exactly (each
     message alone at its own arrival time, a delay lost to float rounding,
     the per-message ``delay()`` path of a model without ``draw``).  No test
@@ -301,9 +293,8 @@ class AdversarialDelay:
     Lemma 1's ``E_async``) with it.
     """
 
-    def __init__(self, fn: Callable[[int, int, object, float], float], u: float = 1.0):
+    def __init__(self, fn: Callable[[int, int, object, float], float]):
         self.fn = fn
-        self.u = u
 
     def delay(self, src: int, dst: int, payload: object, send_time: float) -> float:
         d = self.fn(src, dst, payload, send_time)
@@ -312,9 +303,6 @@ class AdversarialDelay:
             # error: TrialResult.error must classify it as such
             raise SimulationError(f"adversarial delay must be positive, got {d}")
         return d
-
-    def bound(self) -> float:
-        return self.u
 
 
 class Network:
@@ -329,14 +317,9 @@ class Network:
     """
 
     def __init__(self, delay_model: Optional[DelayModel] = None):
-        self.delay_model = delay_model if delay_model is not None else FixedDelay(1.0)
+        self.delay_model = delay_model if delay_model is not None else FixedDelay()
         #: delay overrides installed by the fault plan, consulted first
         self._overrides: list = []
-
-    @property
-    def u(self) -> float:
-        """The known upper bound on message transmission delay."""
-        return self.delay_model.bound()
 
     def install_overrides(self, rules: list) -> None:
         """Install :class:`~repro.sim.faults.DelayRule` overrides."""

@@ -99,7 +99,7 @@ from repro.sim.events import (
 )
 from repro.sim.batch import BucketQueue, lone_bucket
 from repro.sim.faults import FaultPlan
-from repro.sim.network import DelayModel, FixedDelay, Network
+from repro.sim.network import U, DelayModel, FixedDelay, Network
 from repro.env import Process
 from repro.sim.trace import TRACE_LEVELS, CounterTrace, MessageRecord, Trace
 
@@ -175,7 +175,7 @@ class Scheduler:
         self.max_time = max_time
         self.trace_level = trace_level
         self.clock = VirtualClock()
-        self.network = Network(delay_model or FixedDelay(1.0))
+        self.network = Network(delay_model or FixedDelay())
         self.fault_plan = fault_plan or FaultPlan.failure_free()
         self.fault_plan.validate(n, f)
         # nth_match rules count matches; a plan reused across runs (per-cell
@@ -183,7 +183,7 @@ class Scheduler:
         self.fault_plan.reset_rules()
         self.network.install_overrides(self.fault_plan.delay_rules)
         trace_cls = Trace if trace_level == "full" else CounterTrace
-        self.trace = trace_cls(n=n, f=f, u=self.network.u)
+        self.trace = trace_cls(n=n, f=f)
         self.processes: Dict[int, Process] = {}
         self.envs: Dict[int, SimEnv] = {pid: SimEnv(self, pid) for pid in range(1, n + 1)}
         self._queue = BucketQueue()
@@ -627,7 +627,7 @@ class Scheduler:
             record.recv_time = new_time
         else:
             self.trace.adjust_recv_time(time, new_time)
-        if new_time - send_time > self.network.u + 1e-9:
+        if new_time - send_time > U + 1e-9:
             self._schedule_overdue = True
         self._queue.push(new_time, PRIORITY_DELIVERY, entry)
         return True
@@ -718,7 +718,7 @@ class Scheduler:
     def execution_class(self) -> str:
         """The execution's class, including schedule-controller effects.
 
-        Identical to ``fault_plan.execution_class(u)`` for uncontrolled runs;
+        Identical to ``fault_plan.execution_class()`` for uncontrolled runs;
         a controller upgrades the class when it deferred a delivery beyond
         the bound (network failure) or injected crashes (crash failure), and
         so does a delay model that counts ``late`` draws past the bound
@@ -726,7 +726,7 @@ class Scheduler:
         """
         if (
             self._schedule_overdue
-            or self.fault_plan.is_network_failure(self.network.u)
+            or self.fault_plan.is_network_failure()
             or getattr(self.network.delay_model, "late", 0)
         ):
             return "network-failure"
@@ -912,7 +912,7 @@ class Simulation:
 
         pace(scheduler)
         trace.metadata["fault_plan"] = scheduler.fault_plan.description
-        # scheduler.execution_class() == fault_plan.execution_class(u) for
+        # scheduler.execution_class() == fault_plan.execution_class() for
         # uncontrolled runs; controllers can upgrade the class dynamically
         trace.metadata["execution_class"] = scheduler.execution_class()
         trace.metadata["votes"] = vote_map

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
+from repro.sim.network import U
 
 #: the trace levels the scheduler accepts
 TRACE_LEVELS = ("full", "counters")
@@ -130,7 +131,6 @@ class Trace:
 
     n: int = 0
     f: int = 0
-    u: float = 1.0
     protocol: str = ""
     messages: List[MessageRecord] = field(default_factory=list)
     decisions: Dict[int, DecisionRecord] = field(default_factory=dict)
@@ -307,7 +307,8 @@ class Trace:
             "level": self.trace_level,
             "n": self.n,
             "f": self.f,
-            "u": self.u,
+            # the unit of time, kept in the view so fingerprints stay stable
+            "u": U,
             "protocol": self.protocol,
             "messages": [
                 [m.msg_id, m.src, m.dst, repr(m.payload), m.send_time,
@@ -347,23 +348,6 @@ class Trace:
             self._canonical(), sort_keys=True, separators=(",", ":"), default=str
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def summary(self) -> Dict[str, Any]:
-        """Compact dictionary used by benchmarks and examples for reporting."""
-        last = self.last_decision_time()
-        return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "f": self.f,
-            "decided": len(self.decisions),
-            "decision_values": sorted({str(v) for v in self.decision_values()}),
-            "messages_total": self.message_count(),
-            "messages_until_last_decision": (
-                self.messages_received_by(last) if last is not None else 0
-            ),
-            "last_decision_time": last,
-            "crashes": dict(self.crashes),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -512,7 +496,7 @@ class CounterTrace(Trace):
             "level": self.trace_level,
             "n": self.n,
             "f": self.f,
-            "u": self.u,
+            "u": U,
             "protocol": self.protocol,
             "counted_total": self.counted_total,
             "module_counts": dict(sorted(self.module_counts.items())),

@@ -12,8 +12,8 @@ from repro.explore.strategies import RandomWalk
 from repro.sim.network import DelayModel, FixedDelay
 
 
-def build_probe_fixed(seed: int, u: float = 1.0) -> DelayModel:
-    return FixedDelay(u)
+def build_probe_fixed(seed: int, delay_units: float = 1.0) -> DelayModel:
+    return FixedDelay(delay_units)
 
 
 class ProbeWalk(RandomWalk):

@@ -29,7 +29,7 @@ PROTOCOLS = {"2PC": TwoPhaseCommit, "INBAC": INBAC, "PaxosCommit": PaxosCommit}
 SYSTEMS = [(8, 3), (20, 4), (50, 10)]
 DELAYS = {
     "uniform": lambda: UniformDelay(0.2, 1.0, seed=7),
-    "lognormal": lambda: LognormalDelay(median=0.3, sigma=0.6, u=1.0, seed=7),
+    "lognormal": lambda: LognormalDelay(median=0.3, sigma=0.6, seed=7),
 }
 BUCKETS_PER_MESSAGE_BUDGET = 0.05
 

@@ -27,6 +27,7 @@ import pytest
 
 from repro.core.checker import check_nbac, evaluate_problem
 from repro.core.lattice import Prop, PropertyPair
+from repro.core.metrics import messages_until_last_decision
 from repro.env.conformance import SCENARIOS, run_conformance, run_scenario
 from repro.errors import SimulationError
 from repro.protocols.registry import get_protocol, protocol_names
@@ -383,7 +384,7 @@ def test_receive_time_queries_on_a_runtime_record_raise():
     with pytest.raises(SimulationError, match="receive times"):
         trace.messages_received_by(trace.last_decision_time())
     with pytest.raises(SimulationError, match="receive times"):
-        trace.summary()
+        messages_until_last_decision(trace)
     with pytest.raises(SimulationError, match="per-message records"):
         trace.counted_messages()
 

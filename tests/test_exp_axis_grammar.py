@@ -155,7 +155,7 @@ class TestAcceptedForms:
             4, 0
         ) == [0, 1, 0, 1]
         model = coerce_axis("delays", ("u", "uniform", {"lo": 0.2, "hi": 0.9})).build(7)
-        assert (model.lo, model.hi, model.bound()) == (0.2, 0.9, 0.9)
+        assert (model.lo, model.hi) == (0.2, 0.9)
         assert coerce_axis("faults", ("c2", "crash", {"pid": 2})).build().crashes == {2: 5.0}
 
     def test_default_labels_of_the_named_helpers_are_unchanged(self):

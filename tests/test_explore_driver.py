@@ -92,28 +92,6 @@ class TestExplorationBattery:
                     name, [v.describe() for v in report.violations[:2]]
                 )
 
-    def test_deferrals_scale_with_the_delay_bound(self):
-        # with U = 10, deferral magnitudes must scale with the bound so
-        # exploration still reaches delays beyond U: the walk must produce
-        # network-failure executions, not just sub-bound jitter
-        from repro.exp import named_delay
-
-        sweep = run_sweep(
-            GridSpec(
-                protocols=["1NBAC"],
-                systems=[(4, 1)],
-                delays=[named_delay("uniform", lo=3.0, hi=9.0, u=10.0)],
-                schedules=[("rw", "random-walk",
-                            {"defer_prob": 0.5, "crash_prob": 0.0})],
-                seeds=range(20),
-                max_time=400,
-            ),
-            workers=1,
-        )
-        assert not sweep.errors()
-        classes = {t.execution_class for t in sweep}
-        assert "network-failure" in classes
-
     def test_delay_reorder_battery_stays_admissible(self):
         for name in ("INBAC", "1NBAC", "avNBAC"):
             info = all_protocols()[name]

@@ -38,7 +38,7 @@ PROTOCOLS = [
 def _models(seed):
     return [
         UniformDelay(0.2, 1.0, seed=seed),
-        LognormalDelay(median=0.3, sigma=0.8, u=1.0, seed=seed),
+        LognormalDelay(median=0.3, sigma=0.8, seed=seed),
     ]
 
 

@@ -350,22 +350,19 @@ def test_exec_to_done_never_walks_the_whole_log():
 class TestFlakyLinkDelay:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            FlakyLinkDelay(u=0.0)
-        with pytest.raises(ConfigurationError):
-            FlakyLinkDelay(jitter=1.0)  # jitter must stay below u
+            FlakyLinkDelay(jitter=1.0)  # jitter must stay below U
         with pytest.raises(ConfigurationError):
             FlakyLinkDelay(slow_pairs={(1, 2): 0.0})
         with pytest.raises(ConfigurationError):
             FlakyLinkDelay(outages=((1, 2, 5.0, 3.0),))
 
     def test_asymmetric_slow_pairs(self):
-        model = FlakyLinkDelay(u=1.0, slow_pairs={(1, 2): 4.0})
+        model = FlakyLinkDelay(slow_pairs={(1, 2): 4.0})
         assert model.delay(1, 2, None, 0.0) == 4.0  # slow direction
         assert model.delay(2, 1, None, 0.0) == 1.0  # nominal direction
-        assert model.bound() == 1.0
 
     def test_outage_window_holds_messages_until_heal(self):
-        model = FlakyLinkDelay(u=1.0, outages=((1, 2, 4.0, 8.0),))
+        model = FlakyLinkDelay(outages=((1, 2, 4.0, 8.0),))
         # sent mid-window: arrives one nominal delay after the heal
         assert model.delay(1, 2, None, 5.0) == (8.0 - 5.0) + 1.0
         # outside the window, and on other links, delays are nominal

@@ -66,7 +66,7 @@ class TestRunCommit:
         with pytest.raises(ConfigurationError):
             LinkPolicy(delay_units=-1.0)
         with pytest.raises(ConfigurationError):
-            LinkDelay(u=0.0)
+            LinkPolicy(slow_factor=0.0)
 
 
 # --------------------------------------------------------------------------- #

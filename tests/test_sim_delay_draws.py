@@ -34,12 +34,12 @@ from repro.sim.runner import Simulation
 DRAWING_MODELS = {
     "fixed": lambda: FixedDelay(0.7),
     "uniform": lambda: UniformDelay(0.2, 1.0, seed=11),
-    "lognormal": lambda: LognormalDelay(median=0.3, sigma=1.0, u=1.0, seed=11),
+    "lognormal": lambda: LognormalDelay(median=0.3, sigma=1.0, seed=11),
 }
 
 MESSAGE_KEYED_MODELS = {
     "flaky-link": lambda: FlakyLinkDelay(
-        u=1.0, jitter=0.4, slow_pairs={(1, 2): 3.0}, seed=11
+        jitter=0.4, slow_pairs={(1, 2): 3.0}, seed=11
     ),
     "adversarial": lambda: AdversarialDelay(lambda src, dst, payload, at: 0.5),
 }

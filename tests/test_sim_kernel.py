@@ -110,7 +110,6 @@ class TestDelayModels:
     def test_fixed_delay(self):
         model = FixedDelay(1.0)
         assert model.delay(1, 2, None, 0.0) == 1.0
-        assert model.bound() == 1.0
 
     def test_fixed_delay_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -120,13 +119,12 @@ class TestDelayModels:
         model = UniformDelay(0.2, 0.9, seed=7)
         samples = [model.delay(1, 2, None, 0.0) for _ in range(200)]
         assert all(0.2 <= s <= 0.9 for s in samples)
-        assert model.bound() == 0.9
 
     def test_uniform_delay_validation(self):
         with pytest.raises(ConfigurationError):
             UniformDelay(0.5, 0.2)
         with pytest.raises(ConfigurationError):
-            UniformDelay(0.1, 0.9, u=0.5)
+            UniformDelay(0.1, 1.5)
 
     def test_uniform_delay_validation_messages_are_precise(self):
         # regression: lo <= 0 and hi < lo used to share one vague message
@@ -140,17 +138,17 @@ class TestDelayModels:
         assert "hi=0.2 < lo=0.5" in str(err.value)
 
     def test_lognormal_delay_clipped_at_bound(self):
-        model = LognormalDelay(median=0.2, sigma=1.5, u=1.0, seed=3)
+        model = LognormalDelay(median=0.2, sigma=1.5, seed=3)
         samples = [model.delay(1, 2, None, 0.0) for _ in range(500)]
         assert all(0 < s <= 1.0 for s in samples)
         assert any(s < 0.5 for s in samples)
 
     def test_lognormal_validation(self):
         with pytest.raises(ConfigurationError):
-            LognormalDelay(median=1.0, sigma=0.5, u=0.5)
+            LognormalDelay(median=0.0, sigma=0.5)
 
     def test_adversarial_delay(self):
-        model = AdversarialDelay(lambda s, d, p, t: 5.0 if d == 2 else 1.0, u=1.0)
+        model = AdversarialDelay(lambda s, d, p, t: 5.0 if d == 2 else 1.0)
         assert model.delay(1, 2, None, 0.0) == 5.0
         assert model.delay(1, 3, None, 0.0) == 1.0
 
@@ -202,35 +200,36 @@ class TestDelayRules:
         assert rule.apply(1, 2, None, 0.0, 2, nominal=1.0) is None
 
     def test_network_failure_classification(self):
-        assert DelayRule(delay=5.0).is_network_failure(u=1.0)
-        assert not DelayRule(delay=0.5).is_network_failure(u=1.0)
-        assert DelayRule(extra=0.1).is_network_failure(u=1.0)
+        assert DelayRule(delay=5.0).is_network_failure()
+        assert not DelayRule(delay=0.5).is_network_failure()
+        assert not DelayRule(delay=1.0).is_network_failure()
+        assert DelayRule(extra=0.1).is_network_failure()
 
 
 class TestFaultPlans:
     def test_failure_free_plan(self):
         plan = FaultPlan.failure_free()
         assert plan.is_failure_free()
-        assert plan.execution_class(1.0) == "failure-free"
+        assert plan.execution_class() == "failure-free"
 
     def test_crash_plan_classification(self):
         plan = FaultPlan.crash(2, at=1.0)
-        assert plan.execution_class(1.0) == "crash-failure"
+        assert plan.execution_class() == "crash-failure"
         assert plan.crash_count() == 1
 
     def test_delay_plan_classification(self):
         plan = FaultPlan.delay_messages(src=1, delay=FAR_FUTURE)
-        assert plan.execution_class(1.0) == "network-failure"
+        assert plan.execution_class() == "network-failure"
 
     def test_crash_plus_bounded_delays_is_still_crash_failure(self):
         plan = FaultPlan(crashes={1: 0.0}, delay_rules=[DelayRule(src=2, delay=0.5)])
-        assert plan.execution_class(1.0) == "crash-failure"
+        assert plan.execution_class() == "crash-failure"
 
     def test_merged_plans(self):
         merged = FaultPlan.crash(1, 0.0).merged_with(FaultPlan.delay_messages(src=2))
         assert merged.crashes == {1: 0.0}
         assert len(merged.delay_rules) == 1
-        assert merged.execution_class(1.0) == "network-failure"
+        assert merged.execution_class() == "network-failure"
 
     def test_merge_keeps_earliest_crash_time(self):
         merged = FaultPlan.crash(1, 3.0).merged_with(FaultPlan.crash(1, 1.0))
@@ -248,9 +247,6 @@ class TestFaultPlans:
 
 
 class TestNetwork:
-    def test_default_bound_is_one(self):
-        assert Network().u == 1.0
-
     def test_overrides_take_precedence(self):
         network = Network(FixedDelay(1.0))
         network.install_overrides([DelayRule(src=1, dst=2, delay=7.0)])

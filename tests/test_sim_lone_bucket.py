@@ -160,7 +160,7 @@ class Scripted(Process):
 
 def by_payload(delays):
     """Each payload has a delay of its own: every message is alone at its time."""
-    return AdversarialDelay(lambda src, dst, payload, at: delays[payload], u=10.0)
+    return AdversarialDelay(lambda src, dst, payload, at: delays[payload])
 
 
 def prepared(delays, hooks=None, **kwargs):

@@ -290,12 +290,11 @@ class TestComponents:
 
 
 class TestTraceQueries:
-    def test_summary_and_histogram(self):
+    def test_counts_and_histogram(self):
         sim = Simulation(n=3, f=1, process_class=EchoProcess)
         trace = sim.run([1, 1, 1]).trace
-        summary = trace.summary()
-        assert summary["decided"] == 3
-        assert summary["messages_total"] == 6
+        assert len(trace.decisions) == 3
+        assert trace.message_count() == 6
         assert trace.messages_by_kind() == {"vote": 6}
 
     def test_causal_depth_of_request_reply(self):
@@ -484,7 +483,7 @@ class TestResumedRun:
         scheduler = Scheduler(
             n=4,
             f=1,
-            delay_model=FlakyLinkDelay(u=1.0, outages=((1, 2, 0.0, 3.0),)),
+            delay_model=FlakyLinkDelay(outages=((1, 2, 0.0, 3.0),)),
             controller=controller,
         )
         scheduler.bind_processes(lambda pid, n, f, env: protocol(pid, n, f, env))

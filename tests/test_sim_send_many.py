@@ -30,9 +30,8 @@ N, F = 5, 2
 DELAYS = {
     "fixed": lambda: FixedDelay(1.0),
     "uniform": lambda: UniformDelay(0.2, 1.0, seed=11),
-    "lognormal": lambda: LognormalDelay(median=0.3, sigma=0.6, u=1.0, seed=11),
+    "lognormal": lambda: LognormalDelay(median=0.3, sigma=0.6, seed=11),
     "flaky-link": lambda: FlakyLinkDelay(
-        u=1.0,
         jitter=0.4,
         slow_pairs={(1, 3): 2.5},
         outages=((1, 4, 0.0, 0.7),),

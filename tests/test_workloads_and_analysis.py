@@ -102,13 +102,29 @@ class TestPaperFormulas:
         assert paper_table5_messages("2PC", n, f) == 10
         assert paper_table5_messages("PaxosCommit", n, f) == 22
         assert paper_table5_messages("FasterPaxosCommit", n, f) == 30
-        assert paper_table5_delays("INBAC", n, f) == 2
-        assert paper_table5_delays("PaxosCommit", n, f) == 3
+        # the printed delays, as ints: the paper counts (n-1+f)NBAC's chain
+        # from its first send, 2f + n - 1
+        delays = {
+            "1NBAC": 1,
+            "(n-1+f)NBAC": 9,
+            "INBAC": 2,
+            "2PC": 2,
+            "PaxosCommit": 3,
+            "FasterPaxosCommit": 2,
+        }
+        for protocol, printed in delays.items():
+            measured = paper_table5_delays(protocol, n, f)
+            assert (type(measured), measured) == (int, printed), protocol
+        assert paper_table5_delays("(n-1+f)NBAC", 5, 1) == 6
+        assert paper_table5_delays("(n-1+f)NBAC", 8, 3) == 13
 
     def test_table5_problem_row(self):
         assert paper_table5_problem("2PC") == "Blocking"
         assert paper_table5_problem("INBAC") == "Indulgent"
         assert paper_table5_problem("1NBAC") == "Sync. NBAC"
+        assert paper_table5_problem("(n-1+f)NBAC") == "Sync. NBAC"
+        assert paper_table5_problem("PaxosCommit") == "Indulgent"
+        assert paper_table5_problem("FasterPaxosCommit") == "Indulgent"
 
     def test_special_case_f1_inbac_vs_2pc(self):
         n = 9
