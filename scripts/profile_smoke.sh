@@ -8,8 +8,8 @@
 # folds them into a top-10 cumulative hot-spot report that ends in the
 # cycle-collector line.  Fails when that line is missing or counts more than 4
 # collections: run_trial pauses the collector, so what is left is the work
-# between trials, not one collection per trial's allocations.  Stage 7 of
-# scripts/smoke.sh and a step of the CI smoke job.
+# between trials, not one collection per trial's allocations.  A step of the
+# CI smoke job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -17,9 +17,7 @@ This package is the paper's Sections 2 and 3 made executable:
 from repro.core.checker import NBACReport, check_nbac, evaluate_problem
 from repro.core.lattice import ALL_PROPS, Prop, PropertyPair, all_cells, robustness_leq
 from repro.core.metrics import (
-    causal_message_delays,
     decision_message_delays,
-    messages_exchanged,
     messages_until_last_decision,
     nice_execution_complexity,
 )
@@ -40,7 +38,6 @@ __all__ = [
     "PropertyCheck",
     "PropertyPair",
     "all_cells",
-    "causal_message_delays",
     "check_agreement",
     "check_nbac",
     "check_termination",
@@ -50,7 +47,6 @@ __all__ = [
     "evaluate_problem",
     "is_nice_execution",
     "message_lower_bound",
-    "messages_exchanged",
     "messages_until_last_decision",
     "nice_execution_complexity",
     "robustness_leq",

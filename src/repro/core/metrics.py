@@ -15,7 +15,12 @@ The paper uses two measures (Section 2.4):
   it was sent, the number of message delays of an execution is its number of
   time units.  With the simulator's ``FixedDelay(1.0)`` model and proposals at
   time 0, this is simply the (latest) decision timestamp.  A time-free
-  alternative — the longest causal chain of messages — is also provided.
+  alternative — the longest causal chain of messages — is
+  :meth:`~repro.sim.trace.Trace.causal_depth`.
+
+Plain counts are the trace's own queries (``trace.message_count(module)``,
+``trace.first_decision_time()``); this module holds only the rules the paper
+adds on top of them.
 """
 
 from __future__ import annotations
@@ -26,11 +31,6 @@ from typing import Dict, Optional
 from repro.sim.trace import Trace
 
 
-def messages_exchanged(trace: Trace, module: Optional[str] = None) -> int:
-    """Total number of counted messages sent during the execution."""
-    return trace.message_count(module)
-
-
 def messages_until_last_decision(trace: Trace, module: Optional[str] = None) -> int:
     """Messages received by the time the last process decides (the paper's count)."""
     last = trace.last_decision_time()
@@ -39,7 +39,7 @@ def messages_until_last_decision(trace: Trace, module: Optional[str] = None) -> 
     return trace.messages_received_by(last, module)
 
 
-def decision_message_delays(trace: Trace, per_process: bool = False):
+def decision_message_delays(trace: Trace) -> Optional[float]:
     """Number of message delays until decision (time-based, Lamport-style).
 
     Measured from the earliest proposal (time 0 in all our experiments) to the
@@ -51,25 +51,7 @@ def decision_message_delays(trace: Trace, per_process: bool = False):
     start = 0.0
     if trace.proposals:
         start = min(rec.time for rec in trace.proposals.values())
-    if per_process:
-        return {pid: rec.time - start for pid, rec in trace.decisions.items()}
     return trace.last_decision_time() - start
-
-
-def first_decision_delays(trace: Trace) -> Optional[float]:
-    """Message delays until the *first* decision (used for 2PC-style protocols)."""
-    first = trace.first_decision_time()
-    if first is None:
-        return None
-    start = 0.0
-    if trace.proposals:
-        start = min(rec.time for rec in trace.proposals.values())
-    return first - start
-
-
-def causal_message_delays(trace: Trace) -> int:
-    """Longest causal chain of counted messages (time-free message-delay count)."""
-    return trace.causal_depth()
 
 
 @dataclass
@@ -100,18 +82,14 @@ class NiceExecutionComplexity:
 
 def nice_execution_complexity(trace: Trace) -> NiceExecutionComplexity:
     """Bundle the paper's two complexity measures for one (nice) execution."""
-    consensus = sum(
-        1
-        for m in trace.counted_messages()
-        if m.module not in ("main",)
-    )
+    total = trace.message_count()
     return NiceExecutionComplexity(
         protocol=trace.protocol,
         n=trace.n,
         f=trace.f,
         message_delays=decision_message_delays(trace) or 0.0,
         messages=messages_until_last_decision(trace),
-        messages_total_sent=messages_exchanged(trace),
-        causal_depth=causal_message_delays(trace),
-        consensus_messages=consensus,
+        messages_total_sent=total,
+        causal_depth=trace.causal_depth(),
+        consensus_messages=total - trace.message_count("main"),
     )

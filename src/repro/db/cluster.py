@@ -35,6 +35,7 @@ its ``(strategy, seed, decisions)`` triple.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -42,13 +43,16 @@ from repro.db.coordinator import ClientCoordinator, RetryPolicy, TransactionOutc
 from repro.db.invariants import InvariantReport, check_cluster
 from repro.db.partition import PartitionServer
 from repro.db.transaction import Transaction
-from repro.db.wal import WalRecord
+from repro.db.wal import ABORT as WAL_ABORT
+from repro.db.wal import COMMIT as WAL_COMMIT
+from repro.db.wal import PREPARE, WalRecord, in_doubt_of
 from repro.errors import ConfigurationError
 from repro.protocols.base import COMMIT
 from repro.protocols.registry import get_protocol
 from repro.sim.faults import FaultPlan
 from repro.sim.network import DelayModel
 from repro.sim.runner import Scheduler
+from repro.sim.trace import digest_percentile
 
 #: the runtime backends run_cluster can dispatch to
 BACKENDS = ("sim", "asyncio")
@@ -66,7 +70,6 @@ class ClusterConfig:
     fault_plan: Optional[FaultPlan] = None
     seed: int = 0
     max_time: float = 2000.0
-    prepare_margin: float = 1.0
     #: "full" keeps per-message records; "counters" runs the scheduler's
     #: counters level (identical report statistics, no MessageRecord churn)
     trace_level: str = "full"
@@ -118,7 +121,6 @@ class ClusterReport:
     messages_total: int
     messages_by_module: Dict[str, int]
     end_time: float
-    partition_stats: Dict[int, Dict[str, int]]
     store_snapshots: Dict[int, Dict[str, object]]
     #: messages received by the time the last transaction decided (the
     #: paper's best-case accounting); equals messages_total when no
@@ -136,9 +138,6 @@ class ClusterReport:
     invariants: Optional[InvariantReport] = None
     #: transaction ids without an outcome at the client, in workload order
     pending_transactions: List[str] = field(default_factory=list)
-    #: pid -> transactions prepared on that partition without a logged
-    #: outcome (the partitions an anomaly left blocked); empty lists omitted
-    in_doubt_by_partition: Dict[int, List[str]] = field(default_factory=dict)
     #: schedule-controller decisions that applied, as (step, kind, arg)
     #: tuples — empty for uncontrolled runs
     schedule_decisions: List[Tuple[int, str, Any]] = field(default_factory=list)
@@ -152,6 +151,35 @@ class ClusterReport:
     wal_records: Dict[int, List[WalRecord]] = field(default_factory=dict)
     #: which runtime produced this report ("sim" or "asyncio")
     backend: str = "sim"
+
+    # -- views over the partitions' logs ------------------------------------ #
+    @property
+    def partition_stats(self) -> Dict[int, Dict[str, int]]:
+        """pid -> PREPARE / COMMIT / ABORT records and no-votes in its log.
+
+        Counted off :attr:`wal_records` (torn records skipped), so a rejoined
+        partition's counts cover every incarnation that wrote its log.
+        """
+        stats = {}
+        for pid, records in self.wal_records.items():
+            intact = [r for r in records if not r.torn]
+            stats[pid] = {
+                "prepared": sum(r.kind == PREPARE for r in intact),
+                "committed": sum(r.kind == WAL_COMMIT for r in intact),
+                "aborted": sum(r.kind == WAL_ABORT for r in intact),
+                "vote_no": sum(r.kind == PREPARE and r.vote == 0 for r in intact),
+            }
+        return stats
+
+    @property
+    def in_doubt_by_partition(self) -> Dict[int, List[str]]:
+        """pid -> transactions prepared on that partition without a logged
+        outcome (the partitions an anomaly left blocked); empty lists omitted."""
+        return {
+            pid: in_doubt
+            for pid, records in self.wal_records.items()
+            if (in_doubt := in_doubt_of(records))
+        }
 
     # -- aggregates -------------------------------------------------------- #
     @property
@@ -183,13 +211,8 @@ class ClusterReport:
         return statistics.mean(latencies) if latencies else None
 
     def p95_commit_latency(self) -> Optional[float]:
-        latencies = sorted(self.commit_latencies())
-        if not latencies:
-            return None
-        # round(), not repro.sim.trace.digest_percentile's nearest-rank ceil():
-        # left alone, its output is pinned in sweep `extra` rows (bench/pins.json)
-        index = max(0, int(round(0.95 * len(latencies))) - 1)
-        return latencies[index]
+        latencies = self.commit_latencies()
+        return digest_percentile(Counter(latencies), len(latencies), 95)
 
     def messages_per_transaction(self) -> Optional[float]:
         if not self.outcomes:
@@ -282,7 +305,6 @@ class Cluster:
             kernel.f,
             kernel.env_for(self.client_pid),
             workload=list(transactions),
-            prepare_margin=config.prepare_margin,
             retry_policy=config.retry_policy,
         )
         kernel.bind_process(self.client_pid, self.client)
@@ -339,9 +361,6 @@ class Cluster:
             messages_total=messages_total,
             messages_by_module=trace.module_histogram(),
             end_time=trace.end_time,
-            partition_stats={
-                pid: dict(server.statistics) for pid, server in partitions.items()
-            },
             store_snapshots={
                 pid: server.store.snapshot() for pid, server in partitions.items()
             },
@@ -350,11 +369,6 @@ class Cluster:
             crashes=dict(trace.crashes),
             invariants=check_cluster(partitions),
             pending_transactions=client.pending_transactions(),
-            in_doubt_by_partition={
-                pid: in_doubt
-                for pid, server in partitions.items()
-                if (in_doubt := server.in_doubt_transactions())
-            },
             schedule_decisions=list(kernel.applied_schedule_actions),
             # the fingerprint is O(trace); only controlled runs need it (replay
             # determinism), uncontrolled sweeps keep the fast path

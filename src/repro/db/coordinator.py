@@ -18,6 +18,9 @@ from repro.env import Process
 from repro.errors import ConfigurationError
 
 _RETRY_TIMER_PREFIX = "retry/"
+#: units from submission to the commit round's "time 0": one delay bound U,
+#: so every participant has received its EXEC and prepared by then
+_PREPARE_MARGIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -106,12 +109,10 @@ class ClientCoordinator(Process):
         f: int,
         env,
         workload: List[Transaction],
-        prepare_margin: float = 1.0,
         retry_policy: Optional[RetryPolicy] = None,
     ):
         super().__init__(pid, n, f, env)
         self.workload = list(workload)
-        self.prepare_margin = prepare_margin
         self.retry_policy = retry_policy
         self.outcomes: Dict[str, TransactionOutcome] = {}
         #: submitted transactions still waiting for their first DONE; what
@@ -162,7 +163,7 @@ class ClientCoordinator(Process):
 
     def _submit(self, txn: Transaction) -> None:
         participants = txn.participants()
-        start_time = self.now() + self.prepare_margin
+        start_time = self.now() + _PREPARE_MARGIN
         outcome = self.outcomes.get(txn.txn_id)
         if outcome is None:
             # latency is measured from the first submission; a retried

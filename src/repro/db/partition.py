@@ -137,25 +137,12 @@ class PartitionServer(Process):
         self.transactions: Dict[str, _PendingTransaction] = {}
         #: messages for transactions whose EXEC has not arrived yet
         self._early_messages: Dict[str, List[Tuple[int, Any]]] = {}
-        self.statistics = {"prepared": 0, "committed": 0, "aborted": 0, "vote_no": 0}
         #: set by recover_from_wal: where DONE acks go for transactions the
         #: previous incarnation left in doubt
         self._recovery_coordinator: Optional[int] = None
         #: optional callback fired with ``(pid, txn_id)`` once this WAL holds
         #: the transaction's outcome; the asyncio cluster service waits on it
         self.on_logged: Optional[Callable[[int, str], None]] = None
-
-    # ------------------------------------------------------------------ #
-    # inspection (anomaly reports)
-    # ------------------------------------------------------------------ #
-    def in_doubt_transactions(self) -> List[str]:
-        """Transactions prepared here without a logged outcome.
-
-        Non-empty after a run exactly when the embedded commit protocol left
-        this partition blocked (or the run was cut off mid-flight) — the
-        data-layer face of a termination violation.
-        """
-        return self.wal.in_doubt()
 
     def release(self) -> None:
         """Also cut every embedded commit instance's edge back to this server."""
@@ -245,8 +232,6 @@ class PartitionServer(Process):
         keys_by_mode.update({key: LockMode.EXCLUSIVE for key in writes})
         granted = self.locks.try_acquire_all(txn_id, keys_by_mode)
         vote = COMMIT if granted else ABORT
-        if not granted:
-            self.statistics["vote_no"] += 1
         self.wal.append(
             WAL_PREPARE,
             txn_id,
@@ -256,7 +241,6 @@ class PartitionServer(Process):
             vote=vote,
             round_start=start_time,
         )
-        self.statistics["prepared"] += 1
 
         instance = None
         if len(participants) > 1:
@@ -309,10 +293,8 @@ class PartitionServer(Process):
             self.wal.append(WAL_COMMIT, txn_id, writes=writes, timestamp=self.now())
             if writes:
                 self.store.apply_many(writes, txn_id=txn_id)
-            self.statistics["committed"] += 1
         else:
             self.wal.append(WAL_ABORT, txn_id, timestamp=self.now())
-            self.statistics["aborted"] += 1
         self.locks.release_all(txn_id)
         if self.on_logged is not None:
             self.on_logged(self.pid, txn_id)
@@ -329,10 +311,10 @@ class PartitionServer(Process):
         tail records are invisible, so a crash mid-append loses exactly that
         record); exclusive locks are re-installed for every in-doubt write
         set so no conflicting transaction can slip in before the outcome is
-        known; statistics are rebuilt from the log (votes are volatile and
-        start from zero).  Idempotent: calling it again replays into a fresh
-        store and reaches the same state.  Returns the number of committed
-        transactions replayed.
+        known.  Nothing else is rebuilt: what the partition prepared, voted
+        and decided stays in the log, where a report counts it.  Idempotent:
+        calling it again replays into a fresh store and reaches the same
+        state.  Returns the number of committed transactions in the log.
         """
         self.wal = wal
         self.store = VersionedStore()
@@ -341,24 +323,6 @@ class PartitionServer(Process):
         self.transactions = {}
         self._early_messages = {}
         self._recovery_coordinator = coordinator
-        committed = set()
-        aborted = set()
-        prepared = 0
-        for record in wal.records():
-            if record.torn:
-                continue
-            if record.kind == WAL_PREPARE:
-                prepared += 1
-            elif record.kind == WAL_COMMIT:
-                committed.add(record.txn_id)
-            elif record.kind == WAL_ABORT:
-                aborted.add(record.txn_id)
-        self.statistics = {
-            "prepared": prepared,
-            "committed": len(committed),
-            "aborted": len(aborted),
-            "vote_no": 0,
-        }
         for txn_id in wal.in_doubt():
             record = wal.prepare_record_of(txn_id)
             writes = dict(record.writes) if record is not None else {}
@@ -366,7 +330,9 @@ class PartitionServer(Process):
                 self.locks.try_acquire_all(
                     txn_id, {key: LockMode.EXCLUSIVE for key in writes}
                 )
-        return len(committed)
+        return len(
+            {r.txn_id for r in wal.records() if not r.torn and r.kind == WAL_COMMIT}
+        )
 
     def on_recover(self) -> None:
         """Rejoin hook: issue termination queries for in-doubt transactions."""

@@ -11,7 +11,7 @@ this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.db.store import VersionedStore
 from repro.errors import StorageError
@@ -46,6 +46,24 @@ class WalRecord:
     vote: Optional[int] = None
     #: the agreed commit-round start logged with PREPARE
     round_start: Optional[float] = None
+
+
+def in_doubt_of(records: Iterable[WalRecord]) -> List[str]:
+    """Transactions a log prepared without a recorded outcome.
+
+    One entry per intact PREPARE record, in log order; torn records are
+    skipped.  Used on a live log and on a report's copied records alike.
+    """
+    prepared: List[str] = []
+    decided = set()
+    for record in records:
+        if record.torn:
+            continue
+        if record.kind == PREPARE:
+            prepared.append(record.txn_id)
+        else:
+            decided.add(record.txn_id)
+    return [txn for txn in prepared if txn not in decided]
 
 
 class WriteAheadLog:
@@ -136,20 +154,9 @@ class WriteAheadLog:
         return None
 
     def in_doubt(self) -> List[str]:
-        """Transactions prepared on this partition without a recorded outcome.
-
-        One entry per intact PREPARE record, in log order.
-        """
-        prepared: List[str] = []
-        decided = set()
-        for record in self._records:
-            if record.torn:
-                continue
-            if record.kind == PREPARE:
-                prepared.append(record.txn_id)
-            else:
-                decided.add(record.txn_id)
-        return [txn for txn in prepared if txn not in decided]
+        """Transactions prepared on this partition without a recorded outcome
+        (:func:`in_doubt_of` over this log)."""
+        return in_doubt_of(self._records)
 
     def replay(self, store: Optional[VersionedStore] = None) -> VersionedStore:
         """Rebuild the committed store state from the log.

@@ -119,6 +119,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.checker import check_nbac
+from repro.core.metrics import messages_until_last_decision
 from repro.errors import ConfigurationError, SweepError
 from repro.exp.results import SweepAggregate, SweepResult, TrialResult
 from repro.exp.spec import GridSpec, TrialSpec
@@ -242,10 +243,7 @@ def _run_trial(trial: TrialSpec, collector: Optional[Collector], level: str) -> 
     base.messages_total = trace.message_count()
     base.messages_main = trace.message_count(module="main")
     base.messages_consensus = base.messages_total - base.messages_main
-    last = trace.last_decision_time()
-    base.messages_until_last_decision = (
-        trace.messages_received_by(last) if last is not None else base.messages_total
-    )
+    base.messages_until_last_decision = messages_until_last_decision(trace)
     base.agreement = report.agreement.holds
     base.validity = report.validity.holds
     base.termination = report.termination.holds

@@ -1,7 +1,7 @@
 """Schedule decisions, replayable schedule traces, and the controller base.
 
 The scheduler's controller hook (see :mod:`repro.sim.runner`) offers every
-popped event to a controller, which may answer with one of two *actions*:
+popped event to a controller, which may answer with one of three *actions*:
 
 * ``("defer", extra)``  — postpone the delivery by ``extra`` time units;
 * ``("crash", pid)``    — crash ``pid`` before the event is dispatched;

@@ -64,14 +64,12 @@ class AtomicCommitProcess(Process):
         f: int,
         env: ProcessEnv,
         consensus_class: Optional[type] = None,
-        **kwargs: Any,
     ):
         super().__init__(pid, n, f, env)
         self.vote: Optional[int] = None
         self.decision: Optional[int] = None
         self.decided: bool = False
         self._consensus_class = consensus_class or PaxosConsensus
-        self._extra_kwargs = kwargs
 
     # ------------------------------------------------------------------ #
     # decision plumbing

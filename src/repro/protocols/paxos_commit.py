@@ -44,6 +44,8 @@ class _PaxosCommitBase(AtomicCommitProcess):
         self.reports: Dict[int, Dict[int, int]] = {}
         self.query_replies: Dict[int, Dict[int, int]] = {}
         self.proposed = False
+        # wait before re-asking the acceptors; grows 1.5x per unanswered query
+        self._query_backoff = 2.5
         self.uc = self.make_consensus(name="uc", on_decide=self._on_uc_decide)
 
     # -- roles ------------------------------------------------------------ #
@@ -83,7 +85,6 @@ class _PaxosCommitBase(AtomicCommitProcess):
 
     def _start_query(self) -> None:
         """Ask the acceptors for their accepted state (the recovery read)."""
-        self._query_backoff = getattr(self, "_query_backoff", 2.5)
         self.send_many(self.acceptors(), ("QUERY",))
         self.set_timer(self.now() + self._query_backoff, name="query")
 
@@ -110,7 +111,7 @@ class _PaxosCommitBase(AtomicCommitProcess):
             # replies are late (network failure): keep asking — at least one
             # acceptor is correct and channels are reliable, so a reply
             # eventually arrives and settles the outcome through consensus
-            self._query_backoff = getattr(self, "_query_backoff", 2.5) * 1.5
+            self._query_backoff *= 1.5
             self._start_query()
 
     # -- common message handling -------------------------------------------- #

@@ -9,10 +9,12 @@ The paper distinguishes three classes of executions (Section 2.2):
   *eventually synchronous* system), possibly in addition to crashes.
 
 A :class:`FaultPlan` describes which failures occur in a particular run and is
-installed into the simulation before it starts.  It can also classify itself
-into one of the three classes, which the property checker uses to decide which
-properties (agreement / validity / termination) the protocol under test is
-required to satisfy for the run.
+installed into the simulation before it starts.  The run's class is not the
+plan's: :meth:`repro.sim.runner.Scheduler.execution_class` reads the plan's
+crashes and :meth:`FaultPlan.is_network_failure` together with what a schedule
+controller or a delay model did during the run, and the property checker
+takes that class to decide which properties (agreement / validity /
+termination) the protocol under test is required to satisfy.
 """
 
 from __future__ import annotations
@@ -202,23 +204,9 @@ class FaultPlan:
         for rule in self.delay_rules:
             rule.reset()
 
-    def crash_count(self) -> int:
-        return len(self.crashes)
-
-    def is_failure_free(self) -> bool:
-        return not self.crashes and not self.delay_rules
-
     def is_network_failure(self) -> bool:
         """Whether some rule can push a delay beyond the bound ``U``."""
         return any(rule.is_network_failure() for rule in self.delay_rules)
-
-    def execution_class(self) -> str:
-        """Classify the execution: ``failure-free`` / ``crash-failure`` / ``network-failure``."""
-        if self.is_network_failure():
-            return "network-failure"
-        if self.crashes:
-            return "crash-failure"
-        return "failure-free"
 
     def validate(self, n: int, f: int) -> None:
         """Sanity-check the plan against the system parameters."""

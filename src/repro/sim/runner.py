@@ -718,10 +718,12 @@ class Scheduler:
     def execution_class(self) -> str:
         """The execution's class, including schedule-controller effects.
 
-        Identical to ``fault_plan.execution_class()`` for uncontrolled runs;
-        a controller upgrades the class when it deferred a delivery beyond
-        the bound (network failure) or injected crashes (crash failure), and
-        so does a delay model that counts ``late`` draws past the bound
+        The one classifier, on both backends.  The fault plan's crashes make
+        a run crash-failure and a rule that can push a delay past the bound
+        (:meth:`FaultPlan.is_network_failure`) makes it network-failure; a
+        controller upgrades the class when it deferred a delivery beyond the
+        bound (network failure) or injected crashes (crash failure), and so
+        does a delay model that counts ``late`` draws past the bound
         (:class:`~repro.sim.network.LinkDelay`).
         """
         if (
@@ -912,8 +914,8 @@ class Simulation:
 
         pace(scheduler)
         trace.metadata["fault_plan"] = scheduler.fault_plan.description
-        # scheduler.execution_class() == fault_plan.execution_class() for
-        # uncontrolled runs; controllers can upgrade the class dynamically
+        # the plan's crashes and rules, upgraded by what a controller or a
+        # delay model did during the run
         trace.metadata["execution_class"] = scheduler.execution_class()
         trace.metadata["votes"] = vote_map
         if controller is not None:

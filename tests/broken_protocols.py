@@ -1,8 +1,8 @@
 """Deliberately broken commit protocols for the anomaly-hunting tests.
 
 Not a test module (no ``test_`` prefix): these classes are fixtures imported
-by ``tests/test_explore_cluster.py``, ``tests/test_db_invariants.py`` and
-``scripts/smoke.sh`` stage 9 to prove that the cluster-invariant battery plus
+by ``tests/test_explore_cluster.py`` and ``tests/test_db_invariants.py`` to
+prove that the cluster-invariant battery plus
 schedule exploration actually *catches* bugs — every real protocol passes the
 same battery clean, so a positive control is needed.
 """

@@ -5,10 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.metrics import (
-    causal_message_delays,
     decision_message_delays,
-    first_decision_delays,
-    messages_exchanged,
     messages_until_last_decision,
     nice_execution_complexity,
 )
@@ -35,7 +32,7 @@ def synthetic_trace():
 
 class TestMessageCounts:
     def test_total_excludes_self_messages(self):
-        assert messages_exchanged(synthetic_trace()) == 3
+        assert synthetic_trace().message_count() == 3
 
     def test_until_last_decision_excludes_in_flight_messages(self):
         # the message sent at 2 arrives at 3, after the last decision at 2
@@ -50,9 +47,9 @@ class TestMessageCounts:
         trace = Trace(n=2, f=1)
         trace.record_send(1, 1, 2, ("x",), 0.0, 1.0, counted=True, module="main")
         trace.record_send(2, 2, 1, ("y",), 0.0, 1.0, counted=True, module="cons")
-        assert messages_exchanged(trace, module="main") == 1
-        assert messages_exchanged(trace, module="cons") == 1
-        assert messages_exchanged(trace) == 2
+        assert trace.message_count(module="main") == 1
+        assert trace.message_count(module="cons") == 1
+        assert trace.message_count() == 2
 
 
 class TestDelays:
@@ -60,18 +57,15 @@ class TestDelays:
         assert decision_message_delays(synthetic_trace()) == 2.0
 
     def test_first_decision_delays(self):
-        assert first_decision_delays(synthetic_trace()) == 1.0
-
-    def test_per_process_delays(self):
-        per_process = decision_message_delays(synthetic_trace(), per_process=True)
-        assert per_process == {1: 2.0, 2: 1.0, 3: 2.0}
+        # proposals at time 0: the first decision time is its delay count
+        assert synthetic_trace().first_decision_time() == 1.0
 
     def test_no_decisions_gives_none(self):
         assert decision_message_delays(Trace(n=2, f=1)) is None
-        assert first_decision_delays(Trace(n=2, f=1)) is None
+        assert Trace(n=2, f=1).first_decision_time() is None
 
     def test_causal_depth_counts_chained_messages(self):
-        assert causal_message_delays(synthetic_trace()) == 3  # a -> b -> late
+        assert synthetic_trace().causal_depth() == 3  # a -> b -> late
 
 
 class TestNiceExecutionComplexity:
@@ -95,3 +89,12 @@ class TestNiceExecutionComplexity:
         result = run_nice_execution(INBAC, n=4, f=1)
         row = nice_execution_complexity(result.trace).as_row()
         assert set(row) >= {"protocol", "n", "f", "delays", "messages", "causal_depth"}
+
+    def test_consensus_messages_are_every_counted_module_but_main(self):
+        trace = Trace(n=2, f=1)
+        trace.record_send(1, 1, 2, ("x",), 0.0, 1.0, counted=True, module="main")
+        trace.record_send(2, 2, 1, ("y",), 0.0, 1.0, counted=True, module="uc")
+        trace.record_send(3, 2, 2, ("z",), 0.0, 1.0, counted=False, module="uc")
+        stats = nice_execution_complexity(trace)
+        assert stats.messages_total_sent == 2
+        assert stats.consensus_messages == 1

@@ -175,9 +175,29 @@ class TestReportAggregates:
             messages_total=0,
             messages_by_module={},
             end_time=0.0,
-            partition_stats={},
             store_snapshots={},
         )
         assert empty.mean_commit_latency() is None
         assert empty.p95_commit_latency() is None
         assert empty.messages_per_transaction() is None
+
+    def test_p95_is_nearest_rank(self):
+        from repro.db.cluster import ClusterReport
+        from repro.db.coordinator import TransactionOutcome
+
+        outcomes = [
+            TransactionOutcome(f"t{k}", decision=COMMIT, decide_time=float(k))
+            for k in range(12, 0, -1)
+        ]
+        report = ClusterReport(
+            protocol="x",
+            num_partitions=2,
+            outcomes=outcomes,
+            messages_total=0,
+            messages_by_module={},
+            end_time=12.0,
+            store_snapshots={},
+        )
+        # the rank is ceil(0.95 * 12) = 12, as every percentile in the tree
+        # (repro.sim.trace.digest_percentile); round() made it 11
+        assert report.p95_commit_latency() == 12.0

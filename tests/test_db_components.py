@@ -8,7 +8,7 @@ from repro.db.conflict import ConflictDetector
 from repro.db.locks import LockManager, LockMode
 from repro.db.store import VersionedStore
 from repro.db.transaction import Operation, Transaction
-from repro.db.wal import ABORT, COMMIT, PREPARE, WriteAheadLog
+from repro.db.wal import ABORT, COMMIT, PREPARE, WriteAheadLog, in_doubt_of
 from repro.errors import ConfigurationError, StorageError
 
 
@@ -188,6 +188,11 @@ class TestWriteAheadLog:
         wal.append(PREPARE, "t2", writes={"y": 1})
         wal.append(ABORT, "t2")
         assert wal.in_doubt() == ["t1"]
+        # the same scan over a copied record list, as a report holds it
+        assert in_doubt_of(wal.records()) == ["t1"]
+        wal.append(COMMIT, "t1")
+        wal.tear_final_record()
+        assert in_doubt_of(wal.records()) == wal.in_doubt() == ["t1"]
 
     def test_replay_rebuilds_only_committed_state(self):
         wal = WriteAheadLog()

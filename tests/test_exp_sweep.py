@@ -24,7 +24,7 @@ from repro.exp import (
     run_trial,
     run_trials,
 )
-from repro.exp.spec import coerce_axis, coerce_protocol
+from repro.exp.spec import ProtocolSpec, coerce_axis, coerce_protocol
 from repro.protocols.inbac import INBAC
 from repro.protocols.registry import all_protocols, get_protocol, protocol_names
 from repro.sim.faults import DelayRule, FaultPlan
@@ -136,6 +136,13 @@ class TestRunTrial:
                              "votes": ("truncated", [1, 1])}])[0]
         result = run_trial(trial)
         assert result.error is not None and "ConfigurationError" in result.error
+
+    def test_a_misspelt_protocol_keyword_is_a_trial_error(self):
+        # it used to be swallowed: the trial ran INBAC without the fast abort
+        spec = ProtocolSpec("INBAC", INBAC, (("fast_abrot", True),))
+        (result,) = run_sweep(GridSpec(protocols=[spec], systems=[(3, 1)]), workers=1).trials
+        assert result.error is not None
+        assert "TypeError" in result.error and "fast_abrot" in result.error
 
     def test_percentile_is_nearest_rank(self):
         def percentile(values, q):

@@ -180,6 +180,16 @@ class TestScopeExemptions:
             for prefix in prefixes:
                 assert "\\" not in prefix and prefix.endswith("/"), prefix
 
+    def test_det002_is_the_only_scoped_rule(self):
+        # policy: only the two packages that exist to read the wall clock are
+        # exempt, and only from DET002 (OBS001 keeps obs out of deterministic
+        # layers)
+        from repro.lint.rules import SCOPE_EXEMPTIONS
+
+        assert SCOPE_EXEMPTIONS == {
+            "DET002": ("src/repro/runtime/", "src/repro/obs/")
+        }
+
     def test_det002_scoped_out_of_the_runtime_package(self):
         # the exemption must be load-bearing: the runtime really reads the
         # wall clock, and DET002 really stays silent about it

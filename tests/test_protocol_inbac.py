@@ -15,6 +15,7 @@ from repro.protocols.inbac import (
     INBAC,
 )
 from repro.sim.faults import DelayRule, FaultPlan
+from repro.sim.runner import Simulation
 
 
 class TestBackupSets:
@@ -84,6 +85,14 @@ class TestFailureFreeAborts:
         assert_all_decided(result, value=0)
         assert result.trace.last_decision_time() <= 1.0
         assert result.process(2).branch == BRANCH_FAST_ABORT
+
+    def test_a_misspelt_keyword_is_refused(self):
+        # it used to be swallowed, and INBAC ran without the fast abort
+        simulation = Simulation(
+            n=3, f=1, process_class=INBAC, protocol_kwargs={"fast_abrot": True}
+        )
+        with pytest.raises(TypeError, match="fast_abrot"):
+            simulation.run([1, 0, 1])
 
 
 class TestCrashFailures:

@@ -27,7 +27,7 @@ from repro.explore.schedule import ScheduleTrace
 from repro.protocols.base import ABORT, COMMIT
 from repro.sim.faults import FaultPlan
 from repro.sim.network import FlakyLinkDelay
-from repro.workloads.transactions import bank_transfer_workload
+from repro.workloads.transactions import bank_transfer_workload, hotspot_workload
 
 
 # --------------------------------------------------------------------------- #
@@ -130,6 +130,28 @@ class TestSimRejoin:
         # the crash still happened: classification does not regress
         assert rejoined.execution_class == "crash-failure"
 
+    def test_no_votes_are_counted_across_a_rejoin(self):
+        # the counts are read off the WAL, whose PREPARE records keep their
+        # vote; a ledger rebuilt at the rejoin used to restart vote_no at 0
+        config = ClusterConfig(
+            num_partitions=3,
+            commit_protocol="2PC",
+            fault_plan=FaultPlan.crash_recover(2, at=9.0, rejoin_at=30.0),
+            seed=1,
+            max_time=3000,
+        )
+        workload = hotspot_workload(12, 3, participants_per_txn=2, seed=1)
+        report = run_cluster(config, workload.transactions)
+        [event] = report.recovery_events
+        assert event.pid == 2
+        no_votes = [
+            r.txn_id
+            for r in report.wal_records[2]
+            if r.kind == WAL_PREPARE and r.vote == 0 and r.timestamp < 9.0
+        ]
+        assert len(no_votes) == 1  # cast before the crash
+        assert report.partition_stats[2]["vote_no"] == 1
+
     @pytest.mark.parametrize("backend", ["sim", "asyncio"])
     def test_client_coordinator_is_not_recoverable(self, backend):
         config = self.base_config(
@@ -231,12 +253,13 @@ class TestWalRejoinEdgeCases:
         first = make_server()
         replayed_first = first.recover_from_wal(wal, coordinator=9)
         snapshot = first.store.snapshot()
-        stats = dict(first.statistics)
+        log = wal.records()
         second = make_server()
         replayed_second = second.recover_from_wal(wal, coordinator=9)
         assert replayed_first == replayed_second == 1
         assert second.store.snapshot() == snapshot == {"a": 1}
-        assert dict(second.statistics) == stats
+        # recovery reads the log and writes nothing to it
+        assert wal.records() == log
         # and replaying again on the *same* server reaches the same state
         assert first.recover_from_wal(wal, coordinator=9) == 1
         assert first.store.snapshot() == snapshot
@@ -334,14 +357,14 @@ def test_exec_to_done_never_walks_the_whole_log():
         server.deliver(3, exec_request)
         server.on_commit_decision(txn, COMMIT)
         server.deliver(3, exec_request)  # client retry: DONE is re-sent
-    assert server.statistics["committed"] == cycles
     assert len(server.wal) == 2 * cycles
     assert sum(p[0] == "DONE" for _, p in env.sent) == 2 * cycles
     assert server.wal._records.full_iterations == 0
     # what recovery and the end-of-run report ask costs one pass, not one
     # per prepared transaction
-    assert server.in_doubt_transactions() == []
+    assert server.wal.in_doubt() == []
     assert server.wal._records.full_iterations == 1
+    assert sum(r.kind == WAL_COMMIT for r in server.wal.records()) == cycles
 
 
 # --------------------------------------------------------------------------- #

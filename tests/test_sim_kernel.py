@@ -206,30 +206,38 @@ class TestDelayRules:
         assert DelayRule(extra=0.1).is_network_failure()
 
 
+def _plan_class(plan: FaultPlan) -> str:
+    """The class the one classifier gives a run under ``plan`` alone."""
+    return Scheduler(3, 1, fault_plan=plan).execution_class()
+
+
 class TestFaultPlans:
     def test_failure_free_plan(self):
         plan = FaultPlan.failure_free()
-        assert plan.is_failure_free()
-        assert plan.execution_class() == "failure-free"
+        assert not plan.crashes and not plan.delay_rules
+        assert _plan_class(plan) == "failure-free"
 
     def test_crash_plan_classification(self):
         plan = FaultPlan.crash(2, at=1.0)
-        assert plan.execution_class() == "crash-failure"
-        assert plan.crash_count() == 1
+        assert _plan_class(plan) == "crash-failure"
+        assert plan.crashes == {2: 1.0}
 
     def test_delay_plan_classification(self):
         plan = FaultPlan.delay_messages(src=1, delay=FAR_FUTURE)
-        assert plan.execution_class() == "network-failure"
+        assert plan.is_network_failure()
+        assert _plan_class(plan) == "network-failure"
 
     def test_crash_plus_bounded_delays_is_still_crash_failure(self):
         plan = FaultPlan(crashes={1: 0.0}, delay_rules=[DelayRule(src=2, delay=0.5)])
-        assert plan.execution_class() == "crash-failure"
+        assert not plan.is_network_failure()
+        assert _plan_class(plan) == "crash-failure"
 
     def test_merged_plans(self):
         merged = FaultPlan.crash(1, 0.0).merged_with(FaultPlan.delay_messages(src=2))
         assert merged.crashes == {1: 0.0}
         assert len(merged.delay_rules) == 1
-        assert merged.execution_class() == "network-failure"
+        assert merged.is_network_failure()
+        assert _plan_class(merged) == "network-failure"
 
     def test_merge_keeps_earliest_crash_time(self):
         merged = FaultPlan.crash(1, 3.0).merged_with(FaultPlan.crash(1, 1.0))
