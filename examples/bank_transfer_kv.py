@@ -46,22 +46,14 @@ def main() -> None:
             print(f"  partition {pid}: {pretty}")
     print()
 
-    print("Write-ahead log of partition 1 (INBAC run):")
-    # the cluster report keeps per-partition statistics; for the log itself we
-    # re-run a single transfer against a fresh cluster and inspect the WAL
-    single = bank_transfer_workload(num_transfers=1, num_partitions=2, seed=1)
-    config = ClusterConfig(num_partitions=2, commit_protocol="INBAC", commit_f=1)
-    from repro.db.cluster import run_cluster as run_once  # same public entry point
-
-    report = run_once(config, single.transactions)
     print(render_table(
         [
-            {"txn": o.txn_id, "decision": "commit" if o.decision == 1 else "abort",
-             "commit latency (delays)": o.commit_latency,
-             "participants": str(o.participants)}
-            for o in report.outcomes
+            {"lsn": r.lsn, "kind": r.kind, "txn": r.txn_id,
+             "vote": "-" if r.vote is None else r.vote,
+             "participants": str(r.participants)}
+            for r in inbac_report.wal_records[1]
         ],
-        title="Transaction outcomes",
+        title="Write-ahead log of partition 1 (INBAC run)",
     ))
 
 

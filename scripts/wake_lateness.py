@@ -4,7 +4,9 @@ Runs a short service shaped like the ledger's ``rt_light`` workload — 4
 partitions, 2PC, 4 closed-loop clients that think a seeded 0-2 ms before each
 submit — with a ``MetricsRegistry``, and prints the p50 / p90 / p99 of
 ``runtime.wake_late_seconds``: how long after its wall-clock deadline each
-wake-up of the runtime ran the kernel.
+wake-up of the runtime ran the kernel.  Beside it, the p50 / p90 of
+``cluster.outcome_late_seconds``: how long after the kernel recorded an
+outcome its client resumed (printed, not gated).
 
 Exits 1 if any wake-up ran before its deadline, or if the p90 is half a
 selector grain (0.5 ms) or more: a wake-up armed for its deadline lands on
@@ -66,6 +68,12 @@ def main() -> int:
     print(
         f"{late.total} wake-ups: lateness p50 {p50:.3f} ms, p90 {p90:.3f} ms, "
         f"p99 {p99:.3f} ms, earliest {earliest:+.3f} ms"
+    )
+    reached = metrics.histogram("cluster.outcome_late_seconds")
+    o50, o90 = (1000.0 * reached.percentile(q) for q in (50, 90))
+    print(
+        f"{reached.total} outcomes: reached their client p50 {o50:.3f} ms, "
+        f"p90 {o90:.3f} ms after the kernel recorded them"
     )
     problems = []
     if failed:

@@ -26,6 +26,6 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.9",
+    python_requires=">=3.11",
     zip_safe=False,
 )

@@ -125,16 +125,6 @@ class WriteAheadLog:
     def records_for(self, txn_id: str) -> List[WalRecord]:
         return list(self._by_txn.get(txn_id, ()))
 
-    def transaction_ids(self) -> List[str]:
-        """Distinct transaction ids with at least one intact record, in
-        first-appearance order — a recovery-inspection helper (the invariant
-        battery builds its own txn -> outcome view in one pass instead)."""
-        seen: Dict[str, None] = {}
-        for record in self._records:
-            if not record.torn:
-                seen.setdefault(record.txn_id)
-        return list(seen)
-
     def outcome_of(self, txn_id: str) -> Optional[str]:
         """COMMIT / ABORT if decided, None if only prepared (in doubt)."""
         for record in reversed(self._by_txn.get(txn_id, ())):

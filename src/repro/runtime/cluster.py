@@ -110,8 +110,8 @@ class AsyncClusterService(Cluster):
         #: ``(pid, txn_id)`` of each participant of a completed transaction
         #: whose WAL does not hold the outcome yet
         self._unlogged: Set[Tuple[int, str]] = set()
-        #: set while wait_all_completed() waits; resolved once the workload is
-        #: settled (see _settled)
+        #: pending while wait_all_completed() callers wait, shared by all of
+        #: them; resolved and dropped once the workload is settled (see _settled)
         self._all_done: Optional[asyncio.Future] = None
         self._started = False
         self._shut_down = False
@@ -155,9 +155,16 @@ class AsyncClusterService(Cluster):
         self._check_settled()
 
     def _settled(self) -> bool:
-        """Every transaction has an outcome, logged by every live participant."""
-        return self.client.all_completed() and not any(
-            self._will_log(pid, txn_id) for pid, txn_id in self._unlogged
+        """No submit is unresolved, and every transaction has an outcome,
+        logged by every live participant.
+
+        An unresolved submit counts even before its call reaches the
+        coordinator, whose ``all_completed()`` holds vacuously until then.
+        """
+        return (
+            not self._waiters
+            and self.client.all_completed()
+            and not any(self._will_log(pid, txn_id) for pid, txn_id in self._unlogged)
         )
 
     def _will_log(self, pid: int, txn_id: str) -> bool:
@@ -176,7 +183,8 @@ class AsyncClusterService(Cluster):
 
     def _check_settled(self) -> None:
         done = self._all_done
-        if done is not None and not done.done() and self._settled():
+        if done is not None and self._settled():
+            self._all_done = None
             done.set_result(None)
 
     # ------------------------------------------------------------------ #
@@ -208,11 +216,22 @@ class AsyncClusterService(Cluster):
         self.runtime.call(
             self.client_pid, lambda process: process.submit_transaction(txn)
         )
+        # awaited directly, the waiter wakes this task in the loop step after
+        # the kernel's, ahead of any wake-up due then; a relay through a
+        # second future would cost another step
         try:
-            return await asyncio.wait_for(waiter, timeout=budget * self.unit)
-        except asyncio.TimeoutError:
+            async with asyncio.timeout(budget * self.unit):
+                outcome = await waiter
+        except TimeoutError:
             self._waiters.pop(txn.txn_id, None)
+            self._check_settled()
             return None
+        if self.metrics is not None:
+            self.metrics.observe(
+                "cluster.outcome_late_seconds",
+                (self.runtime.now_units() - outcome.ack_time) * self.unit,
+            )
+        return outcome
 
     def crash_partition(self, pid: int) -> None:
         """Crash-stop a partition (or the coordinator) right now."""
@@ -268,24 +287,28 @@ class AsyncClusterService(Cluster):
             )
 
     async def wait_all_completed(self, timeout_units: float) -> bool:
-        """Wait until the coordinator has an outcome for every transaction
-        and every live participant of each has logged it.
+        """Wait until every submit has resolved, the coordinator has an
+        outcome for every transaction and every live participant of each
+        has logged it.
 
         The coordinator completes a transaction on its *first* DONE, so the
         other participants may still be deciding.  A crashed participant is
-        not waited for, nor a rejoined one for what it never prepared.  False
-        when ``timeout_units`` pass first.
+        not waited for, nor a rejoined one for what it never prepared.  Any
+        number of callers may wait at once.  False when ``timeout_units``
+        pass first.
         """
         self._check_running()
         if self._settled():
             return True
-        self._all_done = asyncio.get_running_loop().create_future()
+        if self._all_done is None:
+            self._all_done = asyncio.get_running_loop().create_future()
         try:
-            await asyncio.wait_for(self._all_done, timeout=timeout_units * self.unit)
-        except asyncio.TimeoutError:
+            async with asyncio.timeout(timeout_units * self.unit):
+                # shared by every caller: one caller's timeout must not
+                # cancel it for the others
+                await asyncio.shield(self._all_done)
+        except TimeoutError:
             return False
-        finally:
-            self._all_done = None
         return True
 
     # ------------------------------------------------------------------ #

@@ -354,10 +354,9 @@ class AsyncRuntime(Scheduler):
         """
         if self._correct_pids is None or self._undecided_correct:
             try:
-                await asyncio.wait_for(
-                    self._all_decided.wait(), timeout=timeout_units * self.unit
-                )
-            except asyncio.TimeoutError:
+                async with asyncio.timeout(timeout_units * self.unit):
+                    await self._all_decided.wait()
+            except TimeoutError:
                 pass
 
     @property

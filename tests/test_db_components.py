@@ -240,7 +240,6 @@ class TestWriteAheadLog:
         assert wal.outcome_of("t2") is None
         assert wal.in_doubt() == []  # t2's PREPARE is torn too: never happened
         assert wal.replay().snapshot() == {"x": 1}
-        assert wal.transaction_ids() == ["t1"]
 
     def test_torn_prepare_leaves_an_intact_earlier_prepare_in_doubt(self):
         wal = WriteAheadLog()

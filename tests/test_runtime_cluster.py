@@ -169,6 +169,12 @@ class TestBatchCluster:
 # --------------------------------------------------------------------------- #
 # the live service: concurrent clients, mid-run crashes, fault injection
 # --------------------------------------------------------------------------- #
+async def _until_submitted(service):
+    """Yield until the coordinator holds a transaction without an outcome."""
+    while service.client.all_completed():
+        await asyncio.sleep(0)
+
+
 class TestLiveService:
     def test_concurrent_clients_commit(self):
         workload = bank_transfer_workload(
@@ -383,6 +389,175 @@ class TestLiveService:
         assert waited < 50 * unit / 2
         assert report.partition_stats[2]["prepared"] == 0
         assert report.in_doubt_by_partition == {}
+
+    def test_concurrent_wait_all_completed_callers_all_see_the_settle(self):
+        """A second caller used to replace the first one's future: the first
+        then waited out its whole budget and returned False."""
+        txns = uniform_workload(
+            num_transactions=4, num_partitions=3, participants_per_txn=2, seed=6
+        ).transactions
+        unit = 0.01
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(num_partitions=3, commit_protocol="2PC", max_time=300.0),
+                unit=unit,
+            )
+            await service.start()
+            submits = [asyncio.ensure_future(service.submit(txn)) for txn in txns]
+            await _until_submitted(service)
+            loop = asyncio.get_running_loop()
+            began = loop.time()
+            settled = await asyncio.gather(
+                service.wait_all_completed(200), service.wait_all_completed(200)
+            )
+            waited = loop.time() - began
+            outcomes = await asyncio.gather(*submits)
+            return settled, waited, outcomes, await service.shutdown()
+
+        settled, waited, outcomes, report = asyncio.run(drive())
+        assert settled == [True, True]
+        assert waited < 200 * unit / 2
+        assert all(outcome is not None for outcome in outcomes)
+        assert report.pending_transactions == []
+
+    def test_one_callers_timeout_does_not_cancel_the_wait_of_another(self):
+        txn = Transaction.of(
+            "t1", [Operation.write(1, "a", 1), Operation.write(2, "b", 2)]
+        )
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(
+                    num_partitions=2, commit_protocol="2PC", max_time=300.0,
+                    delay_model=LinkDelay(links={(3, 1): LinkPolicy(delay_units=0.8)}),
+                ),
+                unit=0.01,
+            )
+            await service.start()
+            submitted = asyncio.ensure_future(service.submit(txn))
+            await _until_submitted(service)
+            settled = await asyncio.gather(
+                service.wait_all_completed(0.1), service.wait_all_completed(200)
+            )
+            return settled, await submitted, await service.shutdown()
+
+        settled, outcome, report = asyncio.run(drive())
+        assert settled == [False, True]
+        assert outcome.decision == COMMIT
+        assert report.in_doubt_by_partition == {}
+
+    def test_wait_all_completed_waits_for_a_submit_still_in_the_queue(self):
+        """A submit whose call has not reached the coordinator yet left
+        all_completed() holding vacuously (0 outcomes for 0 transactions),
+        and the wait returned True at once."""
+        txns = uniform_workload(
+            num_transactions=2, num_partitions=3, participants_per_txn=2, seed=8
+        ).transactions
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(num_partitions=3, commit_protocol="2PC", max_time=300.0),
+                unit=0.002,
+            )
+            await service.start()
+            submits = [asyncio.ensure_future(service.submit(txn)) for txn in txns]
+            await asyncio.sleep(0)  # the submits are posted, not yet handled
+            queued = service.client.all_completed()
+            settled = await service.wait_all_completed(200)
+            completed = [submit.done() for submit in submits]
+            outcomes = await asyncio.gather(*submits)
+            return queued, settled, completed, outcomes, await service.shutdown()
+
+        queued, settled, completed, outcomes, report = asyncio.run(drive())
+        assert queued  # what the wait used to stop on
+        assert settled
+        assert completed == [True, True]
+        assert all(outcome is not None for outcome in outcomes)
+        assert report.pending_transactions == []
+
+    def test_a_submit_that_times_out_settles_the_wait(self):
+        """The coordinator crashes before the submit's call reaches it: the
+        call is skipped, and the wait ends when the submit gives up."""
+        [txn] = uniform_workload(
+            num_transactions=1, num_partitions=2, participants_per_txn=2, seed=5
+        ).transactions
+        unit = 0.01
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(num_partitions=2, commit_protocol="2PC", max_time=300.0),
+                unit=unit,
+            )
+            await service.start()
+            submitted = asyncio.ensure_future(service.submit(txn, timeout_units=5.0))
+            await asyncio.sleep(0)  # the call is posted, not yet handled
+            service.crash_partition(service.client_pid)
+            loop = asyncio.get_running_loop()
+            began = loop.time()
+            settled = await service.wait_all_completed(200)
+            return settled, loop.time() - began, await submitted, await service.shutdown()
+
+        settled, waited, outcome, report = asyncio.run(drive())
+        assert outcome is None
+        assert settled
+        assert waited < 200 * unit / 2
+        assert report.outcomes == []
+
+    def test_a_decided_outcome_reaches_its_client_in_one_loop_step(self):
+        """The client resumes in the loop step after the kernel records the
+        outcome, ahead of anything that step's callbacks schedule; a relay
+        through a second future (wait_for on 3.11) resumed it one step later."""
+        [txn] = uniform_workload(
+            num_transactions=1, num_partitions=2, participants_per_txn=2, seed=3
+        ).transactions
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(num_partitions=2, commit_protocol="2PC", max_time=300.0),
+                unit=0.002,
+            )
+            await service.start()
+            loop = asyncio.get_running_loop()
+            marks = []
+            handler = service.client.on_outcome
+
+            def on_outcome(outcome):
+                handler(outcome)
+                loop.call_soon(marks.append, "next step")
+
+            service.client.on_outcome = on_outcome
+            outcome = await service.submit(txn)
+            marks.append("client")
+            await asyncio.sleep(0)
+            await service.shutdown()
+            return outcome, marks
+
+        outcome, marks = asyncio.run(drive())
+        assert outcome.decision == COMMIT
+        assert marks == ["client", "next step"]
+
+    def test_submit_observes_how_late_an_outcome_reaches_its_client(self):
+        txns = uniform_workload(
+            num_transactions=3, num_partitions=2, participants_per_txn=2, seed=2
+        ).transactions
+        metrics = MetricsRegistry()
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(num_partitions=2, commit_protocol="2PC", max_time=300.0),
+                unit=0.002,
+                metrics=metrics,
+            )
+            await service.start()
+            outcomes = [await service.submit(txn) for txn in txns]
+            await service.shutdown()
+            return outcomes
+
+        assert all(outcome is not None for outcome in asyncio.run(drive()))
+        late = metrics.histogram("cluster.outcome_late_seconds")
+        assert late.total == 3
+        assert min(late.counts) >= 0.0
 
     def test_a_second_start_is_refused_before_it_touches_the_cluster(self):
         """A second start used to rebind fresh, empty partitions and a new

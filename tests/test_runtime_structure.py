@@ -12,6 +12,8 @@ its own drop/jitter/outage logic, its own posting path and its own
 classification rule) — each came back as a few innocent-looking lines, so
 they are refused by name here rather than noticed in a profile later.  So is a second ledger: what happened in a run is written
 once, into ``runtime.trace`` (docs/runtime.md, "What the runtime records").
+And so is ``wait_for``'s relay between a decided outcome and its client
+(docs/runtime.md, "A decided outcome reaches its client in one loop step").
 And so is a second cluster: partitions, client, WAL rejoin and report are
 ``repro.db.cluster.Cluster``'s, which the service only paces.  And a second
 bare run: processes, votes, the decided stop and the record's metadata are
@@ -70,6 +72,8 @@ def _refused_uses():
             name = ast.unparse(node)
             if name in ("asyncio.Queue", "asyncio.sleep"):
                 use = name
+            elif name.split(".")[-1] == "wait_for":
+                use = "wait_for"
             elif name.endswith(("create_task", "ensure_future")):
                 use = "create_task"
             elif name.split(".")[-1] in ("deque", "_dispatch", "AsyncEnv"):
