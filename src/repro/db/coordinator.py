@@ -71,7 +71,7 @@ class RetryPolicy:
         return base + jitter
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionOutcome:
     """What the coordinator observed for one transaction."""
 
@@ -82,7 +82,8 @@ class TransactionOutcome:
     decide_time: Optional[float] = None
     #: time at which the coordinator received the first DONE
     ack_time: Optional[float] = None
-    participants: List[int] = field(default_factory=list)
+    #: the one participant tuple every EXEC of the transaction carries
+    participants: Tuple[int, ...] = ()
     #: ``(sent_at, round_start)`` of each submission, first one first: when
     #: the EXEC requests went out and the commit-round start they carried
     submissions: List[Tuple[float, float]] = field(default_factory=list)
@@ -162,7 +163,6 @@ class ClientCoordinator(Process):
         self._submit(txn)
 
     def _submit(self, txn: Transaction) -> None:
-        participants = txn.participants()
         start_time = self.now() + _PREPARE_MARGIN
         outcome = self.outcomes.get(txn.txn_id)
         if outcome is None:
@@ -171,10 +171,13 @@ class ClientCoordinator(Process):
             outcome = self.outcomes[txn.txn_id] = TransactionOutcome(
                 txn_id=txn.txn_id,
                 submit_time=self.now(),
-                participants=participants,
+                participants=tuple(txn.participants()),
             )
             self._incomplete += 1
         outcome.submissions.append((self.now(), start_time))
+        # one tuple for every EXEC of every attempt: the partitions' commit
+        # instances and PREPARE records hold this same object
+        participants = outcome.participants
         for partition in participants:
             self.send(
                 partition,
@@ -182,9 +185,9 @@ class ClientCoordinator(Process):
                     "EXEC",
                     txn.txn_id,
                     start_time,
-                    tuple(participants),
+                    participants,
                     tuple(txn.read_set(partition)),
-                    dict(txn.write_set(partition)),
+                    txn.write_set(partition),
                 ),
             )
         self._arm_retry(txn.txn_id, len(outcome.submissions))

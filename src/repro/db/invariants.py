@@ -50,7 +50,7 @@ every admissible schedule; a protocol that loses atomicity under a crash
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.db.locks import LockMode
 from repro.db.wal import ABORT as WAL_ABORT
@@ -120,29 +120,36 @@ def check_atomicity(
     :func:`check_cluster` share one per-partition WAL pass across checks.
     """
     violations: List[str] = []
-    outcomes: Dict[str, Dict[str, List[int]]] = {}
+    locals_by_pid: Dict[int, Dict[str, Optional[str]]] = {}
+    # txn id -> the outcome its first deciding partition logged
+    first: Dict[str, str] = {}
+    split: Set[str] = set()
     for pid in sorted(partitions):
         server = partitions[pid]
-        local = (
+        local = locals_by_pid[pid] = (
             wal_outcomes[pid] if wal_outcomes is not None else _wal_outcomes(server)
         )
         for txn_id, outcome in local.items():
-            if outcome is not None:
-                outcomes.setdefault(txn_id, {}).setdefault(outcome, []).append(pid)
+            if outcome is not None and first.setdefault(txn_id, outcome) != outcome:
+                split.add(txn_id)
         for txn_id in server.store.transactions_applied():
             if local.get(txn_id) != WAL_COMMIT:
                 violations.append(
                     f"atomicity: partition {pid} applied writes of {txn_id!r} "
                     f"without a COMMIT record in its WAL"
                 )
-    for txn_id in sorted(outcomes):
-        by_outcome = outcomes[txn_id]
-        if WAL_COMMIT in by_outcome and WAL_ABORT in by_outcome:
-            violations.append(
-                f"atomicity: {txn_id!r} committed on partitions "
-                f"{by_outcome[WAL_COMMIT]} but aborted on partitions "
-                f"{by_outcome[WAL_ABORT]}"
-            )
+    # pid lists only for the transactions whose outcome is split
+    for txn_id in sorted(split):
+        by_outcome: Dict[str, List[int]] = {WAL_COMMIT: [], WAL_ABORT: []}
+        for pid, local in locals_by_pid.items():
+            outcome = local.get(txn_id)
+            if outcome is not None:
+                by_outcome[outcome].append(pid)
+        violations.append(
+            f"atomicity: {txn_id!r} committed on partitions "
+            f"{by_outcome[WAL_COMMIT]} but aborted on partitions "
+            f"{by_outcome[WAL_ABORT]}"
+        )
     return violations
 
 

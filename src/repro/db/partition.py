@@ -46,12 +46,18 @@ class EmbeddedCommitEnv:
     commit-round start time.
     """
 
+    __slots__ = ("host", "txn_id", "participants", "start_time")
+
     def __init__(
-        self, host: "PartitionServer", txn_id: str, participants: List[int], start_time: float
+        self,
+        host: "PartitionServer",
+        txn_id: str,
+        participants: Tuple[int, ...],
+        start_time: float,
     ):
         self.host = host
         self.txn_id = txn_id
-        self.participants = list(participants)
+        self.participants = participants
         self.start_time = start_time
 
     # -- id mapping -------------------------------------------------------- #
@@ -94,22 +100,16 @@ class EmbeddedCommitEnv:
 
 
 class _PendingTransaction:
-    """Per-transaction state kept by the partition between prepare and decide."""
+    """Per-transaction state kept by the partition between prepare and decide.
 
-    def __init__(
-        self,
-        txn_id: str,
-        coordinator: int,
-        participants: List[int],
-        vote: int,
-        writes: Dict[str, object],
-        instance: Optional[AtomicCommitProcess],
-    ):
-        self.txn_id = txn_id
+    Only what the PREPARE record does not hold: the vote and the writes are
+    read from the log.
+    """
+
+    __slots__ = ("coordinator", "instance", "decided")
+
+    def __init__(self, coordinator: int, instance: Optional[AtomicCommitProcess]):
         self.coordinator = coordinator
-        self.participants = participants
-        self.vote = vote
-        self.writes = writes
         self.instance = instance
         self.decided: Optional[int] = None
 
@@ -135,7 +135,8 @@ class PartitionServer(Process):
         self.commit_f = commit_f
         self.protocol_kwargs = dict(protocol_kwargs or {})
         self.transactions: Dict[str, _PendingTransaction] = {}
-        #: messages for transactions whose EXEC has not arrived yet
+        #: messages for transactions whose EXEC has not arrived yet; only
+        #: for those this log never prepared (see _deliver_commit_message)
         self._early_messages: Dict[str, List[Tuple[int, Any]]] = {}
         #: set by recover_from_wal: where DONE acks go for transactions the
         #: previous incarnation left in doubt
@@ -163,7 +164,8 @@ class PartitionServer(Process):
         kind = payload[0]
         if kind == "EXEC":
             _, txn_id, start_time, participants, reads, writes = payload
-            self._prepare(src, txn_id, start_time, list(participants), list(reads), dict(writes))
+            # held as sent, not copied: a payload is immutable once sent
+            self._prepare(src, txn_id, start_time, participants, reads, writes)
         elif kind == _TXN_TAG:
             _, txn_id, inner = payload
             self._deliver_commit_message(src, txn_id, inner)
@@ -191,11 +193,12 @@ class PartitionServer(Process):
         if pending is None:
             return
         if timer_name == _PROPOSE_TIMER:
+            vote = self.wal.prepare_record_of(txn_id).vote
             if pending.instance is not None:
-                pending.instance.on_propose(pending.vote)
+                pending.instance.on_propose(vote)
             else:
                 # single-participant transaction: decide locally
-                self.on_commit_decision(txn_id, pending.vote)
+                self.on_commit_decision(txn_id, vote)
             return
         if pending.instance is not None:
             pending.instance.timeout(timer_name)
@@ -208,8 +211,8 @@ class PartitionServer(Process):
         coordinator: int,
         txn_id: str,
         start_time: float,
-        participants: List[int],
-        reads: List[str],
+        participants: Tuple[int, ...],
+        reads: Tuple[str, ...],
         writes: Dict[str, object],
     ) -> None:
         # idempotent resubmission (client retry / duplicate EXEC): the first
@@ -237,7 +240,7 @@ class PartitionServer(Process):
             txn_id,
             writes=writes,
             timestamp=self.now(),
-            participants=tuple(participants),
+            participants=participants,
             vote=vote,
             round_start=start_time,
         )
@@ -251,15 +254,7 @@ class PartitionServer(Process):
             instance = self.commit_protocol(
                 local_pid, local_n, local_f, commit_env, **self.protocol_kwargs
             )
-        pending = _PendingTransaction(
-            txn_id=txn_id,
-            coordinator=coordinator,
-            participants=participants,
-            vote=vote,
-            writes=writes,
-            instance=instance,
-        )
-        self.transactions[txn_id] = pending
+        self.transactions[txn_id] = _PendingTransaction(coordinator, instance)
         # align the start of the commit round across participants
         self.env.set_timer(start_time, name=f"{_TIMER_PREFIX}{txn_id}/{_PROPOSE_TIMER}")
         # replay any commit messages that raced ahead of the EXEC request
@@ -272,7 +267,11 @@ class PartitionServer(Process):
     def _deliver_commit_message(self, src: int, txn_id: str, inner: Any) -> None:
         pending = self.transactions.get(txn_id)
         if pending is None or pending.instance is None:
-            self._early_messages.setdefault(txn_id, []).append((src, inner))
+            # a transaction an earlier incarnation prepared never gets an
+            # instance here (_prepare answers its EXEC from the log): its
+            # messages are dropped, not kept for a replay that never comes
+            if self.wal.prepare_record_of(txn_id) is None:
+                self._early_messages.setdefault(txn_id, []).append((src, inner))
             return
         env: EmbeddedCommitEnv = pending.instance.env  # type: ignore[assignment]
         local_src = env.local_pid(src)
@@ -284,7 +283,7 @@ class PartitionServer(Process):
         if pending is None or pending.decided is not None:
             return
         pending.decided = decision
-        self._log_outcome(txn_id, decision, pending.writes)
+        self._log_outcome(txn_id, decision, self.wal.prepare_record_of(txn_id).writes)
         self.send(pending.coordinator, ("DONE", txn_id, decision, self.now()))
 
     def _log_outcome(self, txn_id: str, decision: int, writes: Dict[str, object]) -> None:
@@ -325,7 +324,7 @@ class PartitionServer(Process):
         self._recovery_coordinator = coordinator
         for txn_id in wal.in_doubt():
             record = wal.prepare_record_of(txn_id)
-            writes = dict(record.writes) if record is not None else {}
+            writes = record.writes if record is not None else {}
             if writes:
                 self.locks.try_acquire_all(
                     txn_id, {key: LockMode.EXCLUSIVE for key in writes}
@@ -360,7 +359,7 @@ class PartitionServer(Process):
         record = self.wal.prepare_record_of(txn_id)
         if record is None:
             return  # never prepared here: a stray reply
-        self._log_outcome(txn_id, decision, dict(record.writes))
+        self._log_outcome(txn_id, decision, record.writes)
         if self._recovery_coordinator is not None:
             self.send(
                 self._recovery_coordinator, ("DONE", txn_id, decision, self.now())

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import StorageError
 
 
-@dataclass
+@dataclass(slots=True)
 class VersionRecord:
     """One committed version of a key."""
 

@@ -11,7 +11,7 @@ READ = "read"
 WRITE = "write"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One read or write of one key on one partition."""
 
@@ -35,7 +35,7 @@ class Operation:
         return cls(kind=WRITE, partition=partition, key=key, value=value)
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """A distributed transaction: an id plus operations spanning partitions."""
 

@@ -4,14 +4,14 @@ The log records the lifecycle of every transaction the partition participates
 in (``PREPARE`` with the buffered writes, the vote and the commit-round start,
 then ``COMMIT`` or ``ABORT``).  The store is only mutated when a ``COMMIT``
 record is appended, so replaying the log after a crash reconstructs exactly
-the committed state — the recovery test in ``tests/db/test_wal.py`` exercises
-this.
+the committed state — the replay tests in ``tests/test_db_components.py``
+exercise this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.db.store import VersionedStore
 from repro.errors import StorageError
@@ -41,7 +41,7 @@ class WalRecord:
     torn: bool = False
     #: participant pids logged with PREPARE, so a recovering partition knows
     #: which peers to ask when a transaction is in doubt
-    participants: tuple = ()
+    participants: Tuple[int, ...] = ()
     #: the vote derived at PREPARE (1 locks granted, 0 conflict)
     vote: Optional[int] = None
     #: the agreed commit-round start logged with PREPARE
@@ -87,17 +87,24 @@ class WriteAheadLog:
         txn_id: str,
         writes: Optional[Dict[str, object]] = None,
         timestamp: float = 0.0,
-        participants: tuple = (),
+        participants: Tuple[int, ...] = (),
         vote: Optional[int] = None,
         round_start: Optional[float] = None,
     ) -> WalRecord:
+        """Append one record and return it.
+
+        The record keeps the ``writes`` mapping it is given, not a copy: a
+        partition logs its EXEC's write set at PREPARE and the same mapping
+        again at COMMIT.  A logged mapping is never mutated, by the log or
+        by its caller.
+        """
         if kind not in (PREPARE, COMMIT, ABORT):
             raise StorageError(f"unknown WAL record kind {kind!r}")
         record = WalRecord(
             lsn=len(self._records) + 1,
             kind=kind,
             txn_id=txn_id,
-            writes=dict(writes or {}),
+            writes={} if writes is None else writes,
             timestamp=timestamp,
             participants=tuple(participants),
             vote=vote,

@@ -71,6 +71,35 @@ class TestAtomicity:
         b.wal.append(PREPARE, "t1", writes={"y": 2})
         assert check_atomicity({1: a, 2: b}) == []
 
+    def test_violations_are_listed_in_a_fixed_order_and_wording(self):
+        # pid lists sorted, splits after the store checks and sorted by id,
+        # whatever order the partitions come in and whoever decided first
+        a, b, c, d = (FakePartition() for _ in range(4))
+        a.commit("t2", {"x": 1})
+        b.abort("t2", {"y": 1})
+        c.commit("t2", {"z": 1})
+        d.abort("t2", {"w": 1})
+        a.abort("t1", {"x": 2})
+        b.commit("t1", {"y": 2})
+        c.commit("t3", {"z": 3})
+        d.commit("t3", {"w": 3})
+        a.wal.append(PREPARE, "t4", writes={"x": 4})
+        b.commit("t4", {"y": 4})
+        c.abort("t4", {"z": 4})
+        d.store.apply_many({"w": 9}, txn_id="t9")
+        expected = [
+            "atomicity: partition 4 applied writes of 't9' without a COMMIT "
+            "record in its WAL",
+            "atomicity: 't1' committed on partitions [2] but aborted on "
+            "partitions [1]",
+            "atomicity: 't2' committed on partitions [1, 3] but aborted on "
+            "partitions [2, 4]",
+            "atomicity: 't4' committed on partitions [2] but aborted on "
+            "partitions [3]",
+        ]
+        assert check_atomicity({3: c, 1: a, 4: d, 2: b}) == expected
+        assert check_cluster({3: c, 1: a, 4: d, 2: b}).violations[:4] == expected
+
 
 class TestDurability:
     def test_replay_matching_store_passes(self):

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.db import ClusterConfig, LockMode, RetryPolicy, run_cluster
+from repro.db.cluster import Cluster
 from repro.db.partition import PartitionServer
 from repro.db.transaction import Operation, Transaction
 from repro.db.wal import ABORT as WAL_ABORT
@@ -27,7 +28,12 @@ from repro.explore.schedule import ScheduleTrace
 from repro.protocols.base import ABORT, COMMIT
 from repro.sim.faults import FaultPlan
 from repro.sim.network import FlakyLinkDelay
-from repro.workloads.transactions import bank_transfer_workload, hotspot_workload
+from repro.sim.runner import Scheduler
+from repro.workloads.transactions import (
+    bank_transfer_workload,
+    hotspot_workload,
+    uniform_workload,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -325,6 +331,55 @@ class TestWalRejoinEdgeCases:
         server.on_deliver(1, ("OUTCOME?", "t3"))  # in doubt here too
         answers = [(dst, p) for dst, p in env.sent if p[0] == "OUTCOME"]
         assert answers == [(1, ("OUTCOME", "t1", COMMIT))]
+
+    def test_a_rejoined_partition_keeps_no_messages_for_what_its_log_prepared(self):
+        # an earlier incarnation prepared t1 (committed), t2 (aborted) and t3
+        # (in doubt): no instance of this one will ever take their commit
+        # messages, so none is buffered; t9, never prepared here, keeps its
+        # buffer for the EXEC that may still come
+        env = _StubEnv()
+        server = PartitionServer(2, 3, 1, env)
+        server.recover_from_wal(wal_with_history(), coordinator=9)
+        for txn in ("t1", "t2", "t3", "t9"):
+            server.on_deliver(1, ("__txn__", txn, ("VOTE", 1)))
+        assert list(server._early_messages) == ["t9"]
+        # a duplicate EXEC answered from the log buffers nothing either
+        server.on_deliver(9, ("EXEC", "t1", 1.0, (1, 2), (), {"a": 1}))
+        assert (9, ("DONE", "t1", COMMIT, 0.0)) in env.sent
+        # nor does a message arriving after the in-doubt one is resolved
+        server.on_deliver(9, ("OUTCOME", "t3", COMMIT))
+        server.on_deliver(1, ("__txn__", "t3", ("VOTE", 1)))
+        assert list(server._early_messages) == ["t9"]
+        # t9's EXEC prepares it here and takes its buffered message
+        server.on_deliver(9, ("EXEC", "t9", 1.0, (1, 2), (), {"z": 1}))
+        assert server._early_messages == {}
+
+    def test_crash_recover_runs_leave_no_buffer_for_a_prepared_transaction(self):
+        # P2 crashes at t and rejoins at t + 6: commit messages for what its
+        # log prepared used to stay buffered for good (with INBAC and Paxos
+        # Commit at t = 2, for a transaction its log commits)
+        workload = uniform_workload(40, 4, participants_per_txn=3, seed=0)
+        for protocol in ("2PC", "INBAC", "PaxosCommit"):
+            for at in (2.0, 3.0, 5.0, 8.0, 12.0, 20.0):
+                config = ClusterConfig(
+                    num_partitions=4,
+                    commit_protocol=protocol,
+                    fault_plan=FaultPlan.crash_recover(2, at=at, rejoin_at=at + 6),
+                    max_time=400.0,
+                )
+                cluster = Cluster(config, Scheduler, max_time=config.max_time)
+                client = cluster.bind(workload.transactions)
+                kernel = cluster.kernel
+                client.on_outcome = lambda _: client.all_completed() and kernel.stop()
+                kernel.run()
+                rejoined = kernel.processes[2]
+                kept = [
+                    txn
+                    for txn in rejoined._early_messages
+                    if rejoined.wal.prepare_record_of(txn) is not None
+                ]
+                assert kept == [], (protocol, at)
+                kernel.release()
 
 
 class _CountingList(list):
