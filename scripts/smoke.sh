@@ -30,7 +30,8 @@
 #     tests/test_runtime_cluster.py
 #     (TestRecovery::test_crash_and_rejoin_commits_the_fault_free_transaction_set)
 #     and tests/test_lint_rules.py
-#     (TestScopeExemptions::test_det002_is_the_only_scoped_rule).
+#     (TestScopeExemptions::test_det002_is_the_only_scoped_rule), and the
+#     `smoke` job's `benchmarks/bench_recovery.py --quick` step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

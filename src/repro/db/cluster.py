@@ -289,6 +289,7 @@ class Cluster:
             kernel.n,
             kernel.f,
             kernel.env_for(pid),
+            coordinator=self.client_pid,
             commit_protocol=config.resolve_protocol(),
             commit_f=config.commit_f,
             protocol_kwargs=config.protocol_kwargs,
@@ -324,7 +325,7 @@ class Cluster:
         if pid == self.client_pid:
             return None
         server = self._partition(pid)
-        replayed = server.recover_from_wal(old.wal, coordinator=self.client_pid)
+        replayed = server.recover_from_wal(old.wal)
         old.release()  # nothing runs the crashed incarnation again
         self.recovery_events.append(
             RecoveryEvent(

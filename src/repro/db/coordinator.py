@@ -119,9 +119,13 @@ class ClientCoordinator(Process):
         #: submitted transactions still waiting for their first DONE; what
         #: all_completed() answers from, so it never re-walks ``outcomes``
         self._incomplete = 0
-        self._txn_by_id: Dict[str, Transaction] = {
-            txn.txn_id: txn for txn in self.workload
-        }
+        self._txn_by_id: Dict[str, Transaction] = {}
+        for txn in self.workload:
+            if txn.txn_id in self._txn_by_id:
+                raise ConfigurationError(
+                    f"the workload repeats transaction id {txn.txn_id!r}"
+                )
+            self._txn_by_id[txn.txn_id] = txn
         #: optional callback fired when a transaction's outcome is recorded;
         #: used by the asyncio cluster service to resolve client futures and
         #: by the cluster drivers to detect completion without polling
@@ -161,6 +165,16 @@ class ClientCoordinator(Process):
             self._txn_by_id[txn.txn_id] = txn
             self.workload.append(txn)
         self._submit(txn)
+
+    def check_id(self, txn: Transaction) -> None:
+        """Refuse ``txn`` if its id names a known transaction with other
+        operations; re-submitting an equal transaction passes."""
+        known = self._txn_by_id.get(txn.txn_id)
+        if known is not None and known.operations != txn.operations:
+            raise ConfigurationError(
+                f"transaction id {txn.txn_id!r} is already used by a "
+                f"transaction with different operations"
+            )
 
     def _submit(self, txn: Transaction) -> None:
         start_time = self.now() + _PREPARE_MARGIN

@@ -3,11 +3,11 @@
 A partition owns a shard of the key space.  For every distributed transaction
 it participates in, it:
 
-1. receives the coordinator's ``EXEC`` request carrying its local operations
-   and the agreed commit-round start time;
-2. *prepares*: acquires no-wait locks for the read/write sets, logs a
-   ``PREPARE`` record and derives its vote (1 if the locks were granted, 0 on
-   conflict);
+1. receives the client coordinator's ``EXEC`` request carrying its local
+   operations and the agreed commit-round start time;
+2. *prepares*: acquires no-wait locks for the read/write sets and logs a
+   ``PREPARE`` record holding its vote (1 if the locks were granted, 0 on
+   conflict), the writes, the participants and the round start;
 3. runs an **embedded instance** of the configured atomic-commit protocol
    among the transaction's participants — any protocol from
    :mod:`repro.protocols` can be plugged in unchanged because the embedded
@@ -16,6 +16,11 @@ it participates in, it:
 4. on decision, logs ``COMMIT``/``ABORT``, applies the write set to the
    versioned store (commit only), releases the locks and acknowledges the
    coordinator.
+
+What a prepared transaction is lives in the log: the PREPARE record and the
+outcome record.  Beside it the partition keeps only the live commit instance
+of each transaction this incarnation prepared, and the one coordinator pid
+every ``DONE``, ``OUTCOME?`` and recovery ack goes to.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from repro.db.store import VersionedStore
 from repro.db.wal import ABORT as WAL_ABORT
 from repro.db.wal import COMMIT as WAL_COMMIT
 from repro.db.wal import PREPARE as WAL_PREPARE
-from repro.db.wal import WriteAheadLog
+from repro.db.wal import WalRecord, WriteAheadLog
 from repro.protocols.base import ABORT, COMMIT, AtomicCommitProcess
 from repro.protocols.two_phase import TwoPhaseCommit
 from repro.env import Process
@@ -43,79 +48,67 @@ class EmbeddedCommitEnv:
     Local process ids ``1..k`` of the embedded protocol map onto the global
     partition ids of the transaction's participants; timers are namespaced per
     transaction and shifted so that the protocol's "time 0" is the agreed
-    commit-round start time.
+    commit-round start time.  The transaction id, the participants and the
+    round start are read off the transaction's PREPARE record.
     """
 
-    __slots__ = ("host", "txn_id", "participants", "start_time")
+    __slots__ = ("host", "record")
 
-    def __init__(
-        self,
-        host: "PartitionServer",
-        txn_id: str,
-        participants: Tuple[int, ...],
-        start_time: float,
-    ):
+    def __init__(self, host: "PartitionServer", record: WalRecord):
         self.host = host
-        self.txn_id = txn_id
-        self.participants = participants
-        self.start_time = start_time
+        self.record = record
+
+    @property
+    def participants(self) -> Tuple[int, ...]:
+        return self.record.participants
 
     # -- id mapping -------------------------------------------------------- #
     def global_pid(self, local_pid: int) -> int:
-        return self.participants[local_pid - 1]
+        return self.record.participants[local_pid - 1]
 
     def local_pid(self, global_pid: int) -> int:
-        return self.participants.index(global_pid) + 1
+        return self.record.participants.index(global_pid) + 1
 
     # -- ProcessEnv interface ----------------------------------------------- #
     def send(self, dst: int, payload: Any, module: str = "main") -> None:
         self.host.env.send(
             self.global_pid(dst),
-            (_TXN_TAG, self.txn_id, payload),
+            (_TXN_TAG, self.record.txn_id, payload),
             module=f"commit:{module}",
         )
 
     def send_many(self, dsts: Iterable[int], payload: Any, module: str = "main") -> None:
         # mapped lazily, so a bad local pid fails where the loop of sends would
-        participants = self.participants
+        participants = self.record.participants
         self.host.env.send_many(
             (participants[dst - 1] for dst in dsts),
-            (_TXN_TAG, self.txn_id, payload),
+            (_TXN_TAG, self.record.txn_id, payload),
             module=f"commit:{module}",
         )
 
     def set_timer(self, at_units: float, name: str = "timer") -> None:
+        record = self.record
         self.host.env.set_timer(
-            self.start_time + at_units, name=f"{_TIMER_PREFIX}{self.txn_id}/{name}"
+            record.round_start + at_units,
+            name=f"{_TIMER_PREFIX}{record.txn_id}/{name}",
         )
 
     def cancel_timer(self, name: str = "timer") -> None:
-        self.host.env.cancel_timer(name=f"{_TIMER_PREFIX}{self.txn_id}/{name}")
+        self.host.env.cancel_timer(name=f"{_TIMER_PREFIX}{self.record.txn_id}/{name}")
 
     def decide(self, value: Any) -> None:
-        self.host.on_commit_decision(self.txn_id, value)
+        self.host.on_commit_decision(self.record.txn_id, value)
 
     def now(self) -> float:
-        return self.host.env.now() - self.start_time
-
-
-class _PendingTransaction:
-    """Per-transaction state kept by the partition between prepare and decide.
-
-    Only what the PREPARE record does not hold: the vote and the writes are
-    read from the log.
-    """
-
-    __slots__ = ("coordinator", "instance", "decided")
-
-    def __init__(self, coordinator: int, instance: Optional[AtomicCommitProcess]):
-        self.coordinator = coordinator
-        self.instance = instance
-        self.decided: Optional[int] = None
+        return self.host.env.now() - self.record.round_start
 
 
 class PartitionServer(Process):
-    """One shard of the distributed store, embedded-commit capable."""
+    """One shard of the distributed store, embedded-commit capable.
+
+    ``coordinator`` is the client coordinator's pid: where ``DONE`` acks and
+    termination queries go.
+    """
 
     def __init__(
         self,
@@ -123,24 +116,26 @@ class PartitionServer(Process):
         n: int,
         f: int,
         env,
+        *,
+        coordinator: int,
         commit_protocol: type = TwoPhaseCommit,
         commit_f: int = 1,
         protocol_kwargs: Optional[Dict[str, Any]] = None,
     ):
         super().__init__(pid, n, f, env)
+        self.coordinator = coordinator
         self.store = VersionedStore()
         self.locks = LockManager()
         self.wal = WriteAheadLog()
         self.commit_protocol = commit_protocol
         self.commit_f = commit_f
         self.protocol_kwargs = dict(protocol_kwargs or {})
-        self.transactions: Dict[str, _PendingTransaction] = {}
+        #: the commit instance of each transaction this incarnation prepared;
+        #: None for a single-participant one, decided when its round starts
+        self.instances: Dict[str, Optional[AtomicCommitProcess]] = {}
         #: messages for transactions whose EXEC has not arrived yet; only
         #: for those this log never prepared (see _deliver_commit_message)
         self._early_messages: Dict[str, List[Tuple[int, Any]]] = {}
-        #: set by recover_from_wal: where DONE acks go for transactions the
-        #: previous incarnation left in doubt
-        self._recovery_coordinator: Optional[int] = None
         #: optional callback fired with ``(pid, txn_id)`` once this WAL holds
         #: the transaction's outcome; the asyncio cluster service waits on it
         self.on_logged: Optional[Callable[[int, str], None]] = None
@@ -149,10 +144,10 @@ class PartitionServer(Process):
         """Also cut every embedded commit instance's edge back to this server."""
         super().release()
         self.on_logged = None
-        for pending in self.transactions.values():
-            if pending.instance is not None:
-                pending.instance.release()
-                pending.instance.env.host = None
+        for instance in self.instances.values():
+            if instance is not None:
+                instance.release()
+                instance.env.host = None
 
     # ------------------------------------------------------------------ #
     # event handlers
@@ -165,7 +160,7 @@ class PartitionServer(Process):
         if kind == "EXEC":
             _, txn_id, start_time, participants, reads, writes = payload
             # held as sent, not copied: a payload is immutable once sent
-            self._prepare(src, txn_id, start_time, participants, reads, writes)
+            self._prepare(txn_id, start_time, participants, reads, writes)
         elif kind == _TXN_TAG:
             _, txn_id, inner = payload
             self._deliver_commit_message(src, txn_id, inner)
@@ -177,9 +172,8 @@ class PartitionServer(Process):
             # termination query from a recovering peer: answer only when the
             # outcome is durably known here
             _, txn_id = payload
-            outcome = self.wal.outcome_of(txn_id)
-            if outcome is not None:
-                decision = COMMIT if outcome == WAL_COMMIT else ABORT
+            decision = self._logged_decision(txn_id)
+            if decision is not None:
                 self.send(src, ("OUTCOME", txn_id, decision))
         elif kind == "OUTCOME":
             _, txn_id, decision = payload
@@ -188,27 +182,27 @@ class PartitionServer(Process):
     def on_timeout(self, name: str) -> None:
         if not name.startswith(_TIMER_PREFIX):
             return
-        _, txn_id, timer_name = name.split("/", 2)
-        pending = self.transactions.get(txn_id)
-        if pending is None:
+        # split at the last "/": a transaction id may contain one, no
+        # protocol's timer name does ("timer", "timer0", "iuc:retry", ...)
+        txn_id, _, timer_name = name[len(_TIMER_PREFIX):].rpartition("/")
+        if txn_id not in self.instances:
             return
+        instance = self.instances[txn_id]
         if timer_name == _PROPOSE_TIMER:
             vote = self.wal.prepare_record_of(txn_id).vote
-            if pending.instance is not None:
-                pending.instance.on_propose(vote)
+            if instance is not None:
+                instance.on_propose(vote)
             else:
                 # single-participant transaction: decide locally
                 self.on_commit_decision(txn_id, vote)
-            return
-        if pending.instance is not None:
-            pending.instance.timeout(timer_name)
+        elif instance is not None:
+            instance.timeout(timer_name)
 
     # ------------------------------------------------------------------ #
     # prepare
     # ------------------------------------------------------------------ #
     def _prepare(
         self,
-        coordinator: int,
         txn_id: str,
         start_time: float,
         participants: Tuple[int, ...],
@@ -219,42 +213,35 @@ class PartitionServer(Process):
         # EXEC stands.  A decided transaction gets its DONE re-sent (the
         # lost-ack retry path); an in-flight or in-doubt one is left to the
         # running commit round / termination query.
-        pending = self.transactions.get(txn_id)
-        if pending is not None:
-            if pending.decided is not None:
-                self.send(coordinator, ("DONE", txn_id, pending.decided, self.now()))
-            return
-        outcome = self.wal.outcome_of(txn_id)
-        if outcome is not None:  # decided by a previous incarnation
-            decision = COMMIT if outcome == WAL_COMMIT else ABORT
-            self.send(coordinator, ("DONE", txn_id, decision, self.now()))
+        decision = self._logged_decision(txn_id)
+        if decision is not None:
+            self.send(self.coordinator, ("DONE", txn_id, decision, self.now()))
             return
         if self.wal.prepare_record_of(txn_id) is not None:
-            return  # in doubt from a previous incarnation; resolution owns it
+            return
         keys_by_mode = {key: LockMode.SHARED for key in reads}
         keys_by_mode.update({key: LockMode.EXCLUSIVE for key in writes})
         granted = self.locks.try_acquire_all(txn_id, keys_by_mode)
-        vote = COMMIT if granted else ABORT
-        self.wal.append(
+        record = self.wal.append(
             WAL_PREPARE,
             txn_id,
             writes=writes,
             timestamp=self.now(),
             participants=participants,
-            vote=vote,
+            vote=COMMIT if granted else ABORT,
             round_start=start_time,
         )
 
         instance = None
         if len(participants) > 1:
-            commit_env = EmbeddedCommitEnv(self, txn_id, participants, start_time)
+            commit_env = EmbeddedCommitEnv(self, record)
             local_pid = commit_env.local_pid(self.pid)
             local_n = len(participants)
             local_f = max(1, min(self.commit_f, local_n - 1))
             instance = self.commit_protocol(
                 local_pid, local_n, local_f, commit_env, **self.protocol_kwargs
             )
-        self.transactions[txn_id] = _PendingTransaction(coordinator, instance)
+        self.instances[txn_id] = instance
         # align the start of the commit round across participants
         self.env.set_timer(start_time, name=f"{_TIMER_PREFIX}{txn_id}/{_PROPOSE_TIMER}")
         # replay any commit messages that raced ahead of the EXEC request
@@ -265,26 +252,29 @@ class PartitionServer(Process):
     # the embedded commit instance
     # ------------------------------------------------------------------ #
     def _deliver_commit_message(self, src: int, txn_id: str, inner: Any) -> None:
-        pending = self.transactions.get(txn_id)
-        if pending is None or pending.instance is None:
+        instance = self.instances.get(txn_id)
+        if instance is None:
             # a transaction an earlier incarnation prepared never gets an
             # instance here (_prepare answers its EXEC from the log): its
             # messages are dropped, not kept for a replay that never comes
             if self.wal.prepare_record_of(txn_id) is None:
                 self._early_messages.setdefault(txn_id, []).append((src, inner))
             return
-        env: EmbeddedCommitEnv = pending.instance.env  # type: ignore[assignment]
-        local_src = env.local_pid(src)
-        pending.instance.deliver(local_src, inner)
+        instance.deliver(instance.env.local_pid(src), inner)
 
     def on_commit_decision(self, txn_id: str, decision: int) -> None:
         """Callback from the embedded commit instance (or local decision)."""
-        pending = self.transactions.get(txn_id)
-        if pending is None or pending.decided is not None:
+        if self.wal.outcome_of(txn_id) is not None:
             return
-        pending.decided = decision
         self._log_outcome(txn_id, decision, self.wal.prepare_record_of(txn_id).writes)
-        self.send(pending.coordinator, ("DONE", txn_id, decision, self.now()))
+        self.send(self.coordinator, ("DONE", txn_id, decision, self.now()))
+
+    def _logged_decision(self, txn_id: str) -> Optional[int]:
+        """COMMIT / ABORT as this log records the outcome, None if it has none."""
+        outcome = self.wal.outcome_of(txn_id)
+        if outcome is None:
+            return None
+        return COMMIT if outcome == WAL_COMMIT else ABORT
 
     def _log_outcome(self, txn_id: str, decision: int, writes: Dict[str, object]) -> None:
         """Log the outcome, apply a commit's writes, release the locks."""
@@ -301,9 +291,7 @@ class PartitionServer(Process):
     # ------------------------------------------------------------------ #
     # crash recovery: rejoin from the write-ahead log
     # ------------------------------------------------------------------ #
-    def recover_from_wal(
-        self, wal: WriteAheadLog, coordinator: Optional[int] = None
-    ) -> int:
+    def recover_from_wal(self, wal: WriteAheadLog) -> int:
         """Adopt the durable log of a crashed incarnation and rebuild state.
 
         The store is reconstructed from :meth:`WriteAheadLog.replay` (torn
@@ -319,12 +307,10 @@ class PartitionServer(Process):
         self.store = VersionedStore()
         wal.replay(self.store)
         self.locks = LockManager()
-        self.transactions = {}
+        self.instances = {}
         self._early_messages = {}
-        self._recovery_coordinator = coordinator
         for txn_id in wal.in_doubt():
-            record = wal.prepare_record_of(txn_id)
-            writes = record.writes if record is not None else {}
+            writes = wal.prepare_record_of(txn_id).writes
             if writes:
                 self.locks.try_acquire_all(
                     txn_id, {key: LockMode.EXCLUSIVE for key in writes}
@@ -335,19 +321,15 @@ class PartitionServer(Process):
 
     def on_recover(self) -> None:
         """Rejoin hook: issue termination queries for in-doubt transactions."""
-        if self._recovery_coordinator is not None:
-            self.resolve_in_doubt(self._recovery_coordinator)
+        self.resolve_in_doubt()
 
-    def resolve_in_doubt(self, coordinator: int) -> List[str]:
+    def resolve_in_doubt(self) -> List[str]:
         """Ask the coordinator and every peer participant for the outcome of
         each in-doubt transaction; returns the queried transaction ids."""
-        self._recovery_coordinator = coordinator
         unresolved = self.wal.in_doubt()
         for txn_id in unresolved:
-            record = self.wal.prepare_record_of(txn_id)
-            targets = {coordinator}
-            if record is not None:
-                targets.update(p for p in record.participants if p != self.pid)
+            peers = self.wal.prepare_record_of(txn_id).participants
+            targets = {self.coordinator, *peers} - {self.pid}
             for dst in sorted(targets):
                 self.send(dst, ("OUTCOME?", txn_id))
         return unresolved
@@ -360,7 +342,4 @@ class PartitionServer(Process):
         if record is None:
             return  # never prepared here: a stray reply
         self._log_outcome(txn_id, decision, record.writes)
-        if self._recovery_coordinator is not None:
-            self.send(
-                self._recovery_coordinator, ("DONE", txn_id, decision, self.now())
-            )
+        self.send(self.coordinator, ("DONE", txn_id, decision, self.now()))

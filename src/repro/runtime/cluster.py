@@ -199,7 +199,8 @@ class AsyncClusterService(Cluster):
         (default: the config's ``max_time``) — e.g. because a participant
         partition crashed; the transaction then shows up in the report's
         pending/in-doubt sections.  A transaction id that already completed
-        returns its recorded outcome at once and is not sent again.
+        returns its recorded outcome at once and is not sent again; one
+        already used by a transaction with other operations is refused.
         """
         self._check_running()
         if self.runtime.is_down(self.client_pid):
@@ -207,6 +208,7 @@ class AsyncClusterService(Cluster):
                 "the client coordinator has crashed; no new transactions can "
                 "be submitted"
             )
+        self.client.check_id(txn)
         known = self.client.outcomes.get(txn.txn_id)
         if known is not None and known.completed:
             return known

@@ -35,6 +35,26 @@ class TestClusterBasics:
         with pytest.raises(ConfigurationError, match="the workload is empty"):
             run_cluster(ClusterConfig(num_partitions=3), [], backend)
 
+    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
+    def test_a_workload_that_repeats_a_transaction_id_is_refused(self, backend):
+        # the second "t" used to vanish: one outcome, nothing pending, its
+        # writes lost (and the asyncio run waited out its whole max_time)
+        config = ClusterConfig(num_partitions=3, max_time=300.0)
+        again = Transaction.of("t", [Operation.write(3, "c", 1)], submit_time=1.0)
+        with pytest.raises(ConfigurationError, match="repeats transaction id 't'"):
+            run_cluster(config, [simple_transfer("t"), again], backend)
+
+    def test_a_transaction_id_with_a_slash_commits(self):
+        # the propose timer "txn/a/b/__propose__" used to be routed to a
+        # transaction "a" and dropped: "a/b" stayed in doubt, holding its locks
+        config = ClusterConfig(num_partitions=2, commit_protocol="2PC", max_time=300.0)
+        report = run_cluster(config, [simple_transfer("a/b")])
+        assert report.committed == 1
+        assert report.pending_transactions == []
+        assert report.in_doubt_by_partition == {}
+        assert report.store_snapshots[1]["a"] == 90
+        assert report.store_snapshots[2]["b"] == 110
+
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_single_transaction_commits_with_every_protocol(self, protocol):
         config = ClusterConfig(num_partitions=3, commit_protocol=protocol, commit_f=1)

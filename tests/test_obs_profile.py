@@ -18,11 +18,21 @@ def _burn():
 
 
 def _cycles(count: int = 200) -> int:
-    """Leave ``count`` two-object cycles behind and collect them."""
-    for _ in range(count):
-        first, second = [], []
-        first.append(second)
-        second.append(first)
+    """Leave ``count`` two-object cycles behind and collect them.
+
+    The automatic collector is held off while they are made, and the last
+    pair is unbound, so the one explicit collection finds all ``2 * count``
+    objects whatever garbage earlier tests left.
+    """
+    gc.disable()
+    try:
+        for _ in range(count):
+            first, second = [], []
+            first.append(second)
+            second.append(first)
+        del first, second
+    finally:
+        gc.enable()
     return gc.collect()
 
 

@@ -239,7 +239,8 @@ class _StubEnv:
 
 
 def make_server(env=None):
-    return PartitionServer(2, 3, 1, env if env is not None else _StubEnv())
+    env = env if env is not None else _StubEnv()
+    return PartitionServer(2, 3, 1, env, coordinator=9)
 
 
 def wal_with_history():
@@ -257,22 +258,22 @@ class TestWalRejoinEdgeCases:
     def test_recover_twice_is_idempotent(self):
         wal = wal_with_history()
         first = make_server()
-        replayed_first = first.recover_from_wal(wal, coordinator=9)
+        replayed_first = first.recover_from_wal(wal)
         snapshot = first.store.snapshot()
         log = wal.records()
         second = make_server()
-        replayed_second = second.recover_from_wal(wal, coordinator=9)
+        replayed_second = second.recover_from_wal(wal)
         assert replayed_first == replayed_second == 1
         assert second.store.snapshot() == snapshot == {"a": 1}
         # recovery reads the log and writes nothing to it
         assert wal.records() == log
         # and replaying again on the *same* server reaches the same state
-        assert first.recover_from_wal(wal, coordinator=9) == 1
+        assert first.recover_from_wal(wal) == 1
         assert first.store.snapshot() == snapshot
 
     def test_recovery_reinstalls_locks_for_in_doubt_writes(self):
         server = make_server()
-        server.recover_from_wal(wal_with_history(), coordinator=9)
+        server.recover_from_wal(wal_with_history())
         # t3 is in doubt: its write set must be locked against newcomers
         assert not server.locks.try_acquire("intruder", "c", LockMode.EXCLUSIVE)
         # resolved keys are free
@@ -283,7 +284,7 @@ class TestWalRejoinEdgeCases:
         wal.append(WAL_COMMIT, "t3", writes={"c": 3})
         wal.tear_final_record()  # crash mid-append of t3's commit record
         server = make_server()
-        server.recover_from_wal(wal, coordinator=9)
+        server.recover_from_wal(wal)
         # the torn commit is invisible: t3 is back in doubt, its write absent
         assert "c" not in server.store.snapshot()
         assert "t3" in server.wal.in_doubt()
@@ -291,8 +292,8 @@ class TestWalRejoinEdgeCases:
 
     def test_in_doubt_resolution_round_trip(self):
         env = _StubEnv()
-        server = PartitionServer(2, 3, 1, env)
-        server.recover_from_wal(wal_with_history(), coordinator=9)
+        server = PartitionServer(2, 3, 1, env, coordinator=9)
+        server.recover_from_wal(wal_with_history())
         server.on_recover()
         # termination queries go to the coordinator and t3's peer participants
         queries = [(dst, p) for dst, p in env.sent if p[0] == "OUTCOME?"]
@@ -316,8 +317,8 @@ class TestWalRejoinEdgeCases:
 
     def test_abort_answer_discards_the_prepared_writes(self):
         env = _StubEnv()
-        server = PartitionServer(2, 3, 1, env)
-        server.recover_from_wal(wal_with_history(), coordinator=9)
+        server = PartitionServer(2, 3, 1, env, coordinator=9)
+        server.recover_from_wal(wal_with_history())
         server.on_deliver(9, ("OUTCOME", "t3", ABORT))
         assert "c" not in server.store.snapshot()
         assert server.wal.outcome_of("t3") == WAL_ABORT
@@ -325,8 +326,8 @@ class TestWalRejoinEdgeCases:
 
     def test_outcome_query_answered_only_when_known(self):
         env = _StubEnv()
-        server = PartitionServer(2, 3, 1, env)
-        server.recover_from_wal(wal_with_history(), coordinator=9)
+        server = PartitionServer(2, 3, 1, env, coordinator=9)
+        server.recover_from_wal(wal_with_history())
         server.on_deliver(1, ("OUTCOME?", "t1"))  # committed here
         server.on_deliver(1, ("OUTCOME?", "t3"))  # in doubt here too
         answers = [(dst, p) for dst, p in env.sent if p[0] == "OUTCOME"]
@@ -338,8 +339,8 @@ class TestWalRejoinEdgeCases:
         # messages, so none is buffered; t9, never prepared here, keeps its
         # buffer for the EXEC that may still come
         env = _StubEnv()
-        server = PartitionServer(2, 3, 1, env)
-        server.recover_from_wal(wal_with_history(), coordinator=9)
+        server = PartitionServer(2, 3, 1, env, coordinator=9)
+        server.recover_from_wal(wal_with_history())
         for txn in ("t1", "t2", "t3", "t9"):
             server.on_deliver(1, ("__txn__", txn, ("VOTE", 1)))
         assert list(server._early_messages) == ["t9"]
@@ -404,7 +405,7 @@ def test_exec_to_done_never_walks_the_whole_log():
     length."""
     cycles = 2500
     env = _StubEnv()
-    server = PartitionServer(1, 3, 1, env)
+    server = PartitionServer(1, 3, 1, env, coordinator=3)
     server.wal._records = _CountingList()
     for index in range(cycles):
         txn = f"t{index}"

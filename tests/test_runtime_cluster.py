@@ -303,6 +303,57 @@ class TestLiveService:
         assert report.retry_counts == {}
         assert [len(records) for records in report.wal_records.values()] == [2, 2, 2]
 
+    def test_a_transaction_id_with_a_slash_commits(self):
+        """The propose timer "txn/orders/1/__propose__" used to be routed to a
+        transaction "orders" and dropped, so the submit returned None."""
+        txn = Transaction.of(
+            "orders/1", [Operation.write(1, "a", 1), Operation.write(2, "b", 2)]
+        )
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(num_partitions=3, commit_protocol="INBAC", max_time=300.0),
+                unit=0.002,
+            )
+            await service.start()
+            outcome = await service.submit(txn)
+            return outcome, await service.shutdown()
+
+        outcome, report = asyncio.run(drive())
+        assert outcome is not None and outcome.decision == COMMIT
+        assert report.in_doubt_by_partition == {}
+        assert report.store_snapshots[1]["a"] == 1
+
+    def test_a_used_id_with_other_operations_is_refused(self):
+        """A different transaction under a used id used to be sent as a retry
+        of the first: silently lost where the first was prepared."""
+        first = Transaction.of(
+            "t", [Operation.write(1, "a", 1), Operation.write(2, "b", 2)]
+        )
+        other = Transaction.of(
+            "t", [Operation.write(2, "b", 3), Operation.write(3, "c", 3)]
+        )
+        equal = Transaction.of("t", list(first.operations))
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(num_partitions=3, commit_protocol="2PC", max_time=300.0),
+                unit=0.002,
+            )
+            await service.start()
+            outcome = await service.submit(first)
+            with pytest.raises(ConfigurationError, match="'t' is already used"):
+                await service.submit(other)
+            # re-submitting an equal transaction stays idempotent
+            again = await service.submit(equal)
+            return outcome, again, await service.shutdown()
+
+        outcome, again, report = asyncio.run(drive())
+        assert outcome is not None and again is outcome
+        assert [o.txn_id for o in report.outcomes] == ["t"]
+        assert "c" not in report.store_snapshots[3]
+        assert report.store_snapshots[2]["b"] == 2
+
     def test_wait_all_completed_waits_for_every_live_participant_to_log(self):
         """The outcome completes on the first DONE: P1 decides at once, P2
         only once the decision crosses the slow link, and a shutdown right
