@@ -41,12 +41,10 @@ from repro.core import (
 )
 from repro.errors import (
     ConfigurationError,
-    LockConflict,
     ProtocolViolationError,
     ReproError,
     SimulationError,
     StorageError,
-    TransactionAborted,
 )
 from repro.protocols import (
     ABORT,
@@ -93,7 +91,6 @@ __all__ = [
     "FixedDelay",
     "GridSpec",
     "INBAC",
-    "LockConflict",
     "NMinus1PlusFNBAC",
     "OneNBAC",
     "PaxosCommit",
@@ -107,7 +104,6 @@ __all__ = [
     "SweepResult",
     "ThreePhaseCommit",
     "Trace",
-    "TransactionAborted",
     "TwoNMinus2NBAC",
     "TwoNMinus2PlusFNBAC",
     "TwoPhaseCommit",

@@ -23,52 +23,45 @@ _RETRY_TIMER_PREFIX = "retry/"
 _PREPARE_MARGIN = 1.0
 
 
+#: the backoff added to the wait before retry ``k``: ``_BACKOFF_UNITS *
+#: _BACKOFF_FACTOR ** (k - 1)``, capped at ``_MAX_BACKOFF_UNITS``, plus a
+#: uniform draw from ``[0, _JITTER_UNITS)``
+_BACKOFF_UNITS = 2.0
+_BACKOFF_FACTOR = 2.0
+_MAX_BACKOFF_UNITS = 16.0
+_JITTER_UNITS = 0.5
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Deterministic client-side retry for unacknowledged transactions.
 
     After each submission the coordinator waits ``timeout_units`` (plus, from
-    the second attempt on, a bounded exponential backoff and a jitter term)
-    for the first ``DONE`` ack; an unacknowledged transaction is resubmitted
-    with the *same* transaction id, which partitions treat idempotently.  The
-    jitter is drawn from the coordinator's per-process seeded RNG, so on the
-    simulator backend retries are as fingerprint-deterministic as everything
-    else.
+    the second attempt on, a bounded exponential backoff and a jitter term:
+    2, 4, 8, then 16 U, each plus up to 0.5 U) for the first ``DONE`` ack;
+    an unacknowledged transaction is resubmitted with the *same* transaction
+    id, which partitions treat idempotently.  The jitter is drawn from the
+    coordinator's per-process seeded RNG, so on the simulator backend
+    retries are as fingerprint-deterministic as everything else.
     """
 
     #: total submissions, including the first
     max_attempts: int = 3
     #: per-attempt wait for the first DONE ack
     timeout_units: float = 12.0
-    #: base backoff added to the wait from the second attempt on
-    backoff_units: float = 2.0
-    #: exponential growth factor of the backoff
-    backoff_factor: float = 2.0
-    #: ceiling on the (pre-jitter) backoff term
-    max_backoff_units: float = 16.0
-    #: uniform [0, jitter_units) added per retry wait
-    jitter_units: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be at least 1")
         if self.timeout_units <= 0:
             raise ConfigurationError("timeout_units must be positive")
-        if self.backoff_units < 0 or self.max_backoff_units < 0:
-            raise ConfigurationError("backoff bounds must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
-        if self.jitter_units < 0:
-            raise ConfigurationError("jitter_units must be non-negative")
 
     def backoff(self, retry_index: int, rng) -> float:
         """The backoff before retry number ``retry_index`` (1-based)."""
         base = min(
-            self.max_backoff_units,
-            self.backoff_units * self.backoff_factor ** (retry_index - 1),
+            _MAX_BACKOFF_UNITS, _BACKOFF_UNITS * _BACKOFF_FACTOR ** (retry_index - 1)
         )
-        jitter = rng.random() * self.jitter_units if self.jitter_units > 0 else 0.0
-        return base + jitter
+        return base + rng.random() * _JITTER_UNITS
 
 
 @dataclass(slots=True)
@@ -120,6 +113,9 @@ class ClientCoordinator(Process):
         #: all_completed() answers from, so it never re-walks ``outcomes``
         self._incomplete = 0
         self._txn_by_id: Dict[str, Transaction] = {}
+        #: live submits registered but not yet handled here, by id: checked
+        #: against, but outside the workload until handled
+        self._registered: Dict[str, Transaction] = {}
         for txn in self.workload:
             if txn.txn_id in self._txn_by_id:
                 raise ConfigurationError(
@@ -162,15 +158,19 @@ class ClientCoordinator(Process):
         if known is not None and known.completed:
             return
         if txn.txn_id not in self._txn_by_id:
+            self._registered.pop(txn.txn_id, None)
             self._txn_by_id[txn.txn_id] = txn
             self.workload.append(txn)
         self._submit(txn)
 
-    def check_id(self, txn: Transaction) -> None:
-        """Refuse ``txn`` if its id names a known transaction with other
-        operations; re-submitting an equal transaction passes."""
+    def register(self, txn: Transaction) -> None:
+        """Hold ``txn`` until :meth:`submit_transaction` handles it, refusing
+        it if its id names a known or registered transaction with other
+        operations; registering an equal transaction again passes."""
         known = self._txn_by_id.get(txn.txn_id)
-        if known is not None and known.operations != txn.operations:
+        if known is None:
+            known = self._registered.setdefault(txn.txn_id, txn)
+        if known.operations != txn.operations:
             raise ConfigurationError(
                 f"transaction id {txn.txn_id!r} is already used by a "
                 f"transaction with different operations"

@@ -22,9 +22,7 @@ class VersionedStore:
     """A small multi-version key-value store.
 
     Every committed write appends a new version; reads return the latest
-    version (or the latest version at or below a requested snapshot version,
-    which the Helios-style conflict-detection example uses to read consistent
-    snapshots).
+    version, or the latest version at or below a requested snapshot version.
     """
 
     _data: Dict[str, List[VersionRecord]] = field(default_factory=dict)

@@ -55,30 +55,5 @@ class ProtocolViolationError(ReproError):
     """
 
 
-class TransactionAborted(ReproError):
-    """A distributed transaction was aborted.
-
-    Carries the transaction id and the reason (a conflicting vote, a failure
-    detected by the commit protocol, or an explicit client abort).
-    """
-
-    def __init__(self, txn_id: str, reason: str = "aborted"):
-        super().__init__(f"transaction {txn_id} aborted: {reason}")
-        self.txn_id = txn_id
-        self.reason = reason
-
-
 class StorageError(ReproError):
     """The key-value store substrate rejected an operation."""
-
-
-class LockConflict(ReproError):
-    """A lock request conflicted with an existing lock and was rejected."""
-
-    def __init__(self, key: str, holder: str, requester: str):
-        super().__init__(
-            f"lock conflict on key {key!r}: held by {holder}, requested by {requester}"
-        )
-        self.key = key
-        self.holder = holder
-        self.requester = requester

@@ -93,15 +93,6 @@ Design constraints, in order:
    partitions or the client coordinator) and records the same replayable
    ``schedule_trace`` / ``trace_fingerprint`` extras as a controlled
    protocol trial.
-
-8. **Per-cell setup amortisation.**  Trials of one grid cell differ only in
-   their seed, and the expansion order keeps a cell's trials contiguous, so
-   the per-trial hot path resolves the protocol factory and keyword
-   arguments once per cell (a one-slot memo keyed by the protocol spec, the
-   system size and the sweep's trace level): the memo holds the cell's
-   :class:`~repro.sim.runner.Simulation`, reused across its trials.  What
-   varies with the trial — votes, delay model, fault plan, controller — is
-   built per trial from the derived seed and passed in as overrides.
 """
 
 from __future__ import annotations
@@ -145,31 +136,6 @@ _WINDOW_PER_WORKER = 2
 #: what run_trials/run_sweep accept for mode= and start_method=
 _MODES = ("full", "aggregate")
 _START_METHODS = (None, "fork", "spawn")
-
-
-#: (cell signature, Simulation) of the most recently run cell, per process:
-#: the one-slot memo of design point 8 (module docstring)
-_LAST_SIMULATION: Optional[tuple] = None
-
-
-def _cell_simulation(trial: TrialSpec, trace_level: str) -> Simulation:
-    global _LAST_SIMULATION
-    # ProtocolSpec compares by (label, class identity, kwargs), so two cells
-    # only share a Simulation when they run the same class — labels alone can
-    # collide across grids within one process
-    signature = (trial.protocol, trial.n, trial.f, trial.max_time, trace_level)
-    if _LAST_SIMULATION is not None and _LAST_SIMULATION[0] == signature:
-        return _LAST_SIMULATION[1]
-    simulation = Simulation(
-        n=trial.n,
-        f=trial.f,
-        process_class=trial.protocol.cls,
-        max_time=trial.max_time,
-        protocol_kwargs=trial.protocol.protocol_kwargs(),
-        trace_level=trace_level,
-    )
-    _LAST_SIMULATION = (signature, simulation)
-    return simulation
 
 
 def run_trial(
@@ -217,7 +183,14 @@ def _run_trial(trial: TrialSpec, collector: Optional[Collector], level: str) -> 
     if trial.workload is not None:
         return _run_cluster_trial(trial, base, collector, level)
     try:
-        simulation = _cell_simulation(trial, level)
+        simulation = Simulation(
+            n=trial.n,
+            f=trial.f,
+            process_class=trial.protocol.cls,
+            max_time=trial.max_time,
+            protocol_kwargs=trial.protocol.protocol_kwargs(),
+            trace_level=level,
+        )
         votes = trial.votes.build(trial.n, seed)
         controller = trial.schedule.build(seed) if trial.schedule is not None else None
         result = simulation.run(

@@ -52,8 +52,16 @@ _PROP_BY_NAME = {
 #: transactions behind, so termination is opt-in (properties=..., or cell=)
 CLUSTER_SAFETY_PROPS = frozenset({Prop.AGREEMENT, Prop.VALIDITY})
 
-#: exploration presets: named search plans expanded by :func:`explore`
-EXPLORATION_PRESETS = ("cluster-anomaly", "cluster-rejoin")
+#: exploration presets, the crash-point plans :func:`explore` expands over a
+#: cluster: preset -> (processes enumerated past the ``n`` partitions, rejoin
+#: gaps in phase boundaries, label template).  ``cluster-anomaly`` crashes
+#: each partition and the client coordinator ``n + 1`` once; ``cluster-rejoin``
+#: crashes each partition and rejoins it 2 or 5 boundaries later, hunting
+#: recovery bugs (the coordinator's outcome log is volatile: it cannot rejoin)
+EXPLORATION_PRESETS: Dict[str, Tuple[int, Tuple[Optional[int], ...], str]] = {
+    "cluster-anomaly": (1, (None,), "crash[P{pid}@{point}]"),
+    "cluster-rejoin": (0, (2, 5), "rejoin[P{pid}@{point}+{gap}]"),
+}
 
 
 def _coerce_properties(properties: Optional[Sequence[Union[str, Prop]]]):
@@ -180,6 +188,40 @@ def _violated_props(
     return tuple(sorted(attr for attr in trial.broken() if attr in required))
 
 
+def _crash_points(
+    budget: int,
+    label: str,
+    pids: Sequence[int],
+    gaps: Sequence[Optional[int]] = (None,),
+    points: Optional[int] = None,
+    /,
+    **params: Any,
+) -> Tuple[List[ScheduleSpec], List[int]]:
+    """``crash-point`` schedules, point-major, clipped to ``budget``.
+
+    One spec per ``(point, pid, gap)``, in that nesting, so a small budget
+    still covers every process at the earliest phase boundaries; a ``gap``
+    other than ``None`` rejoins the crashed process that many boundaries
+    later (``recover_after``).  ``label`` is a template over ``pid``,
+    ``point`` and ``gap``.  Without ``points``, enough boundaries to fill
+    the budget, and at least 2.  ``params`` go to every spec (positional-only
+    arguments leave any strategy parameter name free for them).  The
+    strategy is seed-insensitive, so the seed axis is one seed.
+    """
+    if points is None:
+        points = max(2, -(-budget // (len(pids) * len(gaps))))
+    specs = []
+    for point in range(points):
+        for pid in pids:
+            for gap in gaps:
+                spec = {**params, "pid": pid, "point": point}
+                if gap is not None:
+                    spec["recover_after"] = gap
+                name = label.format(pid=pid, point=point, gap=gap)
+                specs.append(coerce_axis("schedules", (name, "crash-point", spec)))
+    return specs[:budget], [0]
+
+
 def _schedule_specs(
     strategy: str,
     params: Optional[Dict[str, Any]],
@@ -195,79 +237,17 @@ def _schedule_specs(
     seed-insensitive strategy across seeds would re-run identical executions.
     """
     params = dict(params or {})
-    if strategy == "crash-point":
-        if "point" in params:
-            return [coerce_axis("schedules", (strategy, strategy, params))], [0]
-        # enumerate phase-boundary ordinals; each boundary's owning process
-        # is crashed unless an explicit pid pins the victim
-        points = int(params.pop("points", max(4, 2 * n)))
-        pid = params.pop("pid", 0)
-        specs = [
-            coerce_axis(
-                "schedules",
-                (f"crash-point[pid={pid},point={point}]", "crash-point",
-                 {**params, "pid": pid, "point": point}),
-            )
-            for point in range(points)
-        ]
-        return specs[:budget], [0]
-    spec = coerce_axis("schedules", (strategy, strategy, params))
-    return [spec], list(range(budget))
-
-
-def _cluster_anomaly_specs(
-    budget: int, n: int
-) -> Tuple[List[ScheduleSpec], List[int]]:
-    """The ``cluster-anomaly`` preset: crash-point enumeration over the cluster.
-
-    Enumerates ``(pid, point)`` crash points over every partition (``1..n``)
-    *and* the client coordinator (``n + 1``), point-major so a small budget
-    still covers every process at the earliest phase boundaries.  Each spec
-    injects exactly one crash, so a violating schedule is already near its
-    1-minimal counterexample before shrinking even starts.
-    """
-    pids = list(range(1, n + 2))
-    points = max(2, -(-budget // len(pids)))  # ceil(budget / processes)
-    specs = [
-        coerce_axis(
-            "schedules",
-            (f"crash[P{pid}@{point}]", "crash-point", {"pid": pid, "point": point}),
-        )
-        for point in range(points)
-        for pid in pids
-    ]
-    return specs[:budget], [0]
-
-
-def _cluster_rejoin_specs(
-    budget: int, n: int
-) -> Tuple[List[ScheduleSpec], List[int]]:
-    """The ``cluster-rejoin`` preset: crash-and-rejoin enumeration.
-
-    Like ``cluster-anomaly``, but every crash is followed by a WAL rejoin a
-    few phase boundaries later — hunting recovery bugs (double replay, lost
-    in-doubt resolution, stale-timer resurrection) instead of plain crash
-    anomalies.  Only the partitions (``1..n``) are enumerated: the client
-    coordinator's outcome log is volatile, so it cannot rejoin.
-    """
-    pids = list(range(1, n + 1))
-    gaps = (2, 5)
-    per_point = len(pids) * len(gaps)
-    points = max(2, -(-budget // per_point))  # ceil(budget / (pids x gaps))
-    specs = [
-        coerce_axis(
-            "schedules",
-            (
-                f"rejoin[P{pid}@{point}+{gap}]",
-                "crash-point",
-                {"pid": pid, "point": point, "recover_after": gap},
-            ),
-        )
-        for point in range(points)
-        for pid in pids
-        for gap in gaps
-    ]
-    return specs[:budget], [0]
+    if strategy != "crash-point":
+        return [coerce_axis("schedules", (strategy, strategy, params))], list(range(budget))
+    if "point" in params:
+        return [coerce_axis("schedules", (strategy, strategy, params))], [0]
+    # enumerate phase-boundary ordinals; each boundary's owning process is
+    # crashed unless an explicit pid pins the victim
+    pid = params.pop("pid", 0)
+    points = int(params.pop("points", max(4, 2 * n)))
+    return _crash_points(
+        budget, "crash-point[pid={pid},point={point}]", (pid,), (None,), points, **params
+    )
 
 
 def explore(
@@ -342,10 +322,10 @@ def explore(
                 f"workload= (any GridSpec workloads-axis shorthand, e.g. "
                 f"'uniform' or ('label', 'uniform', {{'transactions': 8}}))"
             )
-        if preset == "cluster-rejoin":
-            schedules, seed_axis = _cluster_rejoin_specs(budget, n)
-        else:
-            schedules, seed_axis = _cluster_anomaly_specs(budget, n)
+        extra_pids, gaps, label = EXPLORATION_PRESETS[preset]
+        schedules, seed_axis = _crash_points(
+            budget, label, range(1, n + 1 + extra_pids), gaps
+        )
         strategy_label = preset
     else:
         schedules, seed_axis = _schedule_specs(strategy, params, budget, n)

@@ -31,7 +31,6 @@ from repro.protocols.registry import (
     ProtocolInfo,
     all_protocols,
     get_protocol,
-    paper_protocols,
     protocol_names,
     table5_protocols,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "all_protocols",
     "get_protocol",
     "logical_and",
-    "paper_protocols",
     "protocol_names",
     "table5_protocols",
 ]

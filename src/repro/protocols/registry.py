@@ -209,12 +209,6 @@ def all_protocols() -> Dict[str, ProtocolInfo]:
     return dict(_REGISTRY)
 
 
-def paper_protocols() -> Dict[str, ProtocolInfo]:
-    """The protocols introduced by the paper itself (Tables 2 and 3)."""
-    own = {*TABLE2_DELAY_OPTIMAL.values(), *TABLE3_MESSAGE_OPTIMAL.values()}
-    return {name: info for name, info in _REGISTRY.items() if name in own}
-
-
 # Which registered protocol matches each optimal cell, as in Tables 2 and 3.
 TABLE2_DELAY_OPTIMAL: Dict[Tuple[str, str], str] = {
     ("AV", "AV"): "avNBAC-delay",

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.db.cluster import Cluster, ClusterConfig, ClusterReport, RecoveryEvent
 from repro.db.coordinator import TransactionOutcome
@@ -106,7 +106,9 @@ class AsyncClusterService(Cluster):
         self.metrics = metrics
         self.transport = TransportView(self.runtime.trace)
         self.runtime.on_crash = self._crashed
-        self._waiters: Dict[str, asyncio.Future] = {}
+        #: one future per caller awaiting each transaction id, resolved
+        #: together by _on_outcome
+        self._waiters: Dict[str, List[asyncio.Future]] = {}
         #: ``(pid, txn_id)`` of each participant of a completed transaction
         #: whose WAL does not hold the outcome yet
         self._unlogged: Set[Tuple[int, str]] = set()
@@ -139,9 +141,9 @@ class AsyncClusterService(Cluster):
         return server
 
     def _on_outcome(self, outcome: TransactionOutcome) -> None:
-        waiter = self._waiters.pop(outcome.txn_id, None)
-        if waiter is not None and not waiter.done():
-            waiter.set_result(outcome)
+        for waiter in self._waiters.pop(outcome.txn_id, ()):
+            if not waiter.done():
+                waiter.set_result(outcome)
         # the outcome completes on the first DONE; the other participants
         # may still be deciding
         processes = self.runtime.processes
@@ -196,28 +198,39 @@ class AsyncClusterService(Cluster):
         """Submit one transaction and await its outcome.
 
         Returns None when no outcome arrived within ``timeout_units``
-        (default: the config's ``max_time``) — e.g. because a participant
-        partition crashed; the transaction then shows up in the report's
-        pending/in-doubt sections.  A transaction id that already completed
-        returns its recorded outcome at once and is not sent again; one
-        already used by a transaction with other operations is refused.
+        (default: the config's ``max_time``; a value that is not positive is
+        refused) — e.g. because a participant partition crashed; the
+        transaction then shows up in the report's pending/in-doubt sections.
+        A transaction id that already completed returns its recorded outcome
+        at once and is not sent again, nor is one another caller's submit
+        still awaits: every caller gets the outcome.  An id already used by
+        a transaction with other operations is refused.
         """
         self._check_running()
+        if timeout_units is not None and not timeout_units > 0:
+            raise ConfigurationError(
+                f"timeout_units must be positive, got {timeout_units}"
+            )
         if self.runtime.is_down(self.client_pid):
             raise ConfigurationError(
                 "the client coordinator has crashed; no new transactions can "
                 "be submitted"
             )
-        self.client.check_id(txn)
+        # registered now, not when the kernel handles the submit, so a
+        # conflicting id is refused even while this one is still queued
+        self.client.register(txn)
         known = self.client.outcomes.get(txn.txn_id)
         if known is not None and known.completed:
             return known
         budget = self.config.max_time if timeout_units is None else timeout_units
         waiter = asyncio.get_running_loop().create_future()
-        self._waiters[txn.txn_id] = waiter
-        self.runtime.call(
-            self.client_pid, lambda process: process.submit_transaction(txn)
-        )
+        waiters = self._waiters.setdefault(txn.txn_id, [])
+        if not waiters:
+            # the first caller posts the submit; one whose id is in flight waits
+            self.runtime.call(
+                self.client_pid, lambda process: process.submit_transaction(txn)
+            )
+        waiters.append(waiter)
         # awaited directly, the waiter wakes this task in the loop step after
         # the kernel's, ahead of any wake-up due then; a relay through a
         # second future would cost another step
@@ -225,7 +238,11 @@ class AsyncClusterService(Cluster):
             async with asyncio.timeout(budget * self.unit):
                 outcome = await waiter
         except TimeoutError:
-            self._waiters.pop(txn.txn_id, None)
+            waiters = self._waiters.get(txn.txn_id, [])
+            if waiter in waiters:
+                waiters.remove(waiter)
+                if not waiters:
+                    del self._waiters[txn.txn_id]
             self._check_settled()
             return None
         if self.metrics is not None:
@@ -322,9 +339,10 @@ class AsyncClusterService(Cluster):
             raise ConfigurationError("service not started")
         self._shut_down = True
         await self.runtime.stop()
-        for waiter in self._waiters.values():
-            if not waiter.done():
-                waiter.cancel()
+        for waiters in self._waiters.values():
+            for waiter in waiters:
+                if not waiter.done():
+                    waiter.cancel()
         self._waiters.clear()
         report = self.report()
         if self.metrics is not None:

@@ -6,11 +6,12 @@ implements that model as a deterministic discrete-event simulator:
 
 * :mod:`repro.sim.clock` — virtual time.
 * :mod:`repro.sim.events` — the event types handled by the scheduler.
-* :mod:`repro.sim.network` — perfect point-to-point links plus delay models,
-  including "network failure" injection (delays beyond the known bound ``U``).
+* :mod:`repro.sim.network` — the delay bound ``U`` and the delay models of
+  perfect point-to-point links, some of which draw past ``U``.
 * :mod:`repro.sim.faults` — crash schedules and delay overrides grouped into a
-  :class:`~repro.sim.faults.FaultPlan`, with helpers for the three execution
-  classes used by the paper (failure-free, crash-failure, network-failure).
+  :class:`~repro.sim.faults.FaultPlan`, which applies its overrides to each
+  message's delay, with helpers for the three execution classes used by the
+  paper (failure-free, crash-failure, network-failure).
 * :class:`~repro.env.Process` and :class:`~repro.env.ProcessEnv`, re-exported
   from :mod:`repro.env` — the Cachin-style event-handler process abstraction
   used by every protocol implementation.
@@ -39,7 +40,6 @@ from repro.sim.network import (
     LinkDelay,
     LinkPolicy,
     LognormalDelay,
-    Network,
     UniformDelay,
 )
 from repro.env import Process, ProcessEnv
@@ -62,7 +62,6 @@ __all__ = [
     "LognormalDelay",
     "MessageDeliveryEvent",
     "MessageRecord",
-    "Network",
     "Process",
     "ProcessEnv",
     "ProposeEvent",

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import ConfigurationError
-from repro.sim.network import U
+from repro.errors import ConfigurationError, SimulationError
+from repro.sim.network import U, DelayModel
 
 #: sentinel delay used for "arrives later than every decision" constructions
 FAR_FUTURE = 10_000.0
@@ -60,10 +60,10 @@ class DelayRule:
         """Forget the matches seen so far.
 
         ``nth_match`` makes a rule stateful: a plan reused across runs (for
-        instance through a per-cell cached :class:`~repro.sim.runner.Simulation`)
-        would silently stop matching after the first one.  The scheduler calls
-        :meth:`FaultPlan.reset_rules` at the start of every execution so each
-        run counts matches from zero.
+        instance a literal plan on a sweep's faults axis, which every trial of
+        its cell runs) would silently stop matching after the first one.  The
+        scheduler calls :meth:`FaultPlan.reset_rules` at the start of every
+        execution so each run counts matches from zero.
         """
         self._matches_seen = 0
 
@@ -78,7 +78,7 @@ class DelayRule:
     ) -> Optional[float]:
         """Return the overridden transmission delay, or ``None`` if no match.
 
-        ``nominal`` is the delay the network's delay model would have assigned;
+        ``nominal`` is the delay the run's delay model would have assigned;
         rules with ``extra`` add on top of it, rules with ``delay`` replace it.
         """
         if self.src is not None and src != self.src:
@@ -203,6 +203,35 @@ class FaultPlan:
         """Reset every delay rule's match counter (see :meth:`DelayRule.reset`)."""
         for rule in self.delay_rules:
             rule.reset()
+
+    def transit_delay(
+        self,
+        model: DelayModel,
+        src: int,
+        dst: int,
+        payload: object,
+        send_time: float,
+        msg_index: int,
+    ) -> float:
+        """The delay of one message: ``model``'s, unless a rule overrides it.
+
+        The nominal delay is drawn for every message, overridden or not:
+        rules receive it, and the model's RNG advances once per counted
+        message whichever rule fires.  The first rule that matches wins.
+        """
+        nominal = model.delay(src, dst, payload, send_time)
+        for rule in self.delay_rules:
+            override = rule.apply(src, dst, payload, send_time, msg_index, nominal)
+            if override is not None:
+                if override <= 0:
+                    raise SimulationError(
+                        f"fault-plan delay rule {rule!r} produced a non-positive "
+                        f"override {override} for message {src}->{dst} at "
+                        f"t={send_time}: a delay <= 0 would deliver at or before "
+                        f"its send time, corrupting event order"
+                    )
+                return override
+        return nominal
 
     def is_network_failure(self) -> bool:
         """Whether some rule can push a delay beyond the bound ``U``."""

@@ -3,6 +3,9 @@
 The paper's channels "do not modify, inject, duplicate or lose messages; every
 message sent is eventually received".  The network therefore never drops a
 message: all non-determinism lives in the *delay* assigned to each message.
+Nor does it know about crashes: a crashed sender posts nothing (the
+scheduler suppresses its sends), and a message to a crashed pid is
+delivered and ignored.
 
 The known delay bound ``U`` is the unit of time: every protocol arms its
 timers in multiples of it (``set_timer(2)`` waits 2U), so :data:`U` is one
@@ -303,47 +306,3 @@ class AdversarialDelay:
             # error: TrialResult.error must classify it as such
             raise SimulationError(f"adversarial delay must be positive, got {d}")
         return d
-
-
-class Network:
-    """Perfect point-to-point links parameterised by a delay model.
-
-    The network does not know about crashes: a crashed *sender* never invokes
-    ``transit_delay`` (the scheduler suppresses its sends), and a message sent
-    to a crashed *destination* is still "delivered" by the scheduler but the
-    destination, being crashed, ignores it.  This mirrors the paper's model in
-    which channels are reliable and failures are purely process- or
-    timing-related.
-    """
-
-    def __init__(self, delay_model: Optional[DelayModel] = None):
-        self.delay_model = delay_model if delay_model is not None else FixedDelay()
-        #: delay overrides installed by the fault plan, consulted first
-        self._overrides: list = []
-
-    def install_overrides(self, rules: list) -> None:
-        """Install :class:`~repro.sim.faults.DelayRule` overrides."""
-        self._overrides = list(rules)
-
-    def transit_delay(
-        self, src: int, dst: int, payload: object, send_time: float, msg_index: int
-    ) -> float:
-        """Compute the delay for a message, applying fault-plan overrides.
-
-        The nominal delay is drawn for every message, overridden or not:
-        rules receive it, and the model's RNG advances once per counted
-        message whichever rule fires.
-        """
-        nominal = self.delay_model.delay(src, dst, payload, send_time)
-        for rule in self._overrides:
-            override = rule.apply(src, dst, payload, send_time, msg_index, nominal)
-            if override is not None:
-                if override <= 0:
-                    raise SimulationError(
-                        f"fault-plan delay rule {rule!r} produced a non-positive "
-                        f"override {override} for message {src}->{dst} at "
-                        f"t={send_time}: a delay <= 0 would deliver at or before "
-                        f"its send time, corrupting event order"
-                    )
-                return override
-        return nominal

@@ -2,9 +2,10 @@
 
 Two layers:
 
-* :class:`Scheduler` — the generic event loop: the event queue, the network, the
-  per-process environments, crash injection and the trace recorder.  The
-  database cluster (:mod:`repro.db.cluster`) drives this layer directly.
+* :class:`Scheduler` — the generic event loop: the event queue, the delay
+  model and fault plan, the per-process environments, crash injection and
+  the trace recorder.  The database cluster (:mod:`repro.db.cluster`) drives
+  this layer directly.
 * :class:`Simulation` — the protocol-level driver used for all complexity
   experiments: it instantiates one protocol process per id, injects the votes
   as ``Propose`` events at time 0, runs the loop and returns a
@@ -99,7 +100,7 @@ from repro.sim.events import (
 )
 from repro.sim.batch import BucketQueue, lone_bucket
 from repro.sim.faults import FaultPlan
-from repro.sim.network import U, DelayModel, FixedDelay, Network
+from repro.sim.network import U, DelayModel, FixedDelay
 from repro.env import Process
 from repro.sim.trace import TRACE_LEVELS, CounterTrace, MessageRecord, Trace
 
@@ -175,13 +176,12 @@ class Scheduler:
         self.max_time = max_time
         self.trace_level = trace_level
         self.clock = VirtualClock()
-        self.network = Network(delay_model or FixedDelay())
+        self.delay_model = delay_model or FixedDelay()
         self.fault_plan = fault_plan or FaultPlan.failure_free()
         self.fault_plan.validate(n, f)
-        # nth_match rules count matches; a plan reused across runs (per-cell
-        # cached Simulations) must start every execution from zero
+        # nth_match rules count matches; a plan reused across runs (a literal
+        # plan on a sweep's faults axis) must start every execution from zero
         self.fault_plan.reset_rules()
-        self.network.install_overrides(self.fault_plan.delay_rules)
         trace_cls = Trace if trace_level == "full" else CounterTrace
         self.trace = trace_cls(n=n, f=f)
         self.processes: Dict[int, Process] = {}
@@ -189,15 +189,15 @@ class Scheduler:
         self._queue = BucketQueue()
         # what send_many needs per call and the run fixes once: the delay
         # source — the model's draw() when it offers one and no override rule
-        # can fire (the nominal draw IS the delay then), else None for
-        # transit_delay — and the trace's hook: a record per message (full
-        # level) or a tally per run of messages (counters level keeps no
-        # records)
+        # can fire (the nominal draw IS the delay then), else None for the
+        # plan's transit_delay — and the trace's hook: a record per message
+        # (full level) or a tally per run of messages (counters level keeps
+        # no records)
         full = trace_level == "full"
         self._posting = (
             None
-            if self.network._overrides
-            else getattr(self.network.delay_model, "draw", None),
+            if self.fault_plan.delay_rules
+            else getattr(self.delay_model, "draw", None),
             self.trace.record_send if full else None,
         )
         self._tally = None if full else self.trace.record_send_batch
@@ -321,8 +321,8 @@ class Scheduler:
                 if draw is not None:
                     recv_time = send_time + draw()
                 else:
-                    recv_time = send_time + self.network.transit_delay(
-                        src, dst, payload, send_time, msg_id
+                    recv_time = send_time + self.fault_plan.transit_delay(
+                        self.delay_model, src, dst, payload, send_time, msg_id
                     )
                 if recv_time != run_time:
                     if run:
@@ -729,7 +729,7 @@ class Scheduler:
         if (
             self._schedule_overdue
             or self.fault_plan.is_network_failure()
-            or getattr(self.network.delay_model, "late", 0)
+            or getattr(self.delay_model, "late", 0)
         ):
             return "network-failure"
         if self.fault_plan.crashes or self._injected_crashes:
@@ -766,10 +766,9 @@ class Simulation:
     The run is put together once, in :meth:`run_on`, for any kernel class:
     :meth:`run` runs it on the :class:`Scheduler` as fast as possible, and
     :func:`repro.runtime.run_paced` paces it on the asyncio runtime.  A
-    ``Simulation`` is reusable: the sweep engine builds one per grid cell
-    and calls :meth:`run` once per trial with per-trial ``delay_model=`` /
-    ``fault_plan=`` / ``seed=`` overrides, so the protocol factory and vote
-    resolution are paid once per cell rather than once per trial.
+    ``Simulation`` is reusable: :meth:`run` takes per-run ``delay_model=`` /
+    ``fault_plan=`` / ``seed=`` / ``controller=`` overrides of the
+    constructor's defaults.
 
     Example
     -------
@@ -811,8 +810,8 @@ class Simulation:
         self._seed = seed
         self._stop_when_decided = stop_when_all_correct_decided
         self._trace_level = trace_level
-        # a partial, not a closure over self: the cell's Simulation stays
-        # acyclic, so a sweep's memo drops it by reference counting
+        # a partial, not a closure over self: the Simulation stays acyclic,
+        # so reference counting frees it with its trial
         self._factory = (
             process_factory
             if process_factory is not None
@@ -834,8 +833,8 @@ class Simulation:
         """Run one execution with the given per-process votes, as fast as possible.
 
         ``delay_model`` / ``fault_plan`` / ``seed`` override the constructor
-        defaults for this run only — the hook the sweep engine uses to reuse
-        one ``Simulation`` per grid cell across per-trial-seeded models.
+        defaults for this run only — the sweep engine passes each trial's
+        per-trial-seeded models this way.
         ``controller`` attaches a schedule controller (see
         :mod:`repro.explore`) to this run; the applied schedule decisions
         land in ``trace.metadata["schedule_decisions"]``.  ``votes`` is a
@@ -872,7 +871,7 @@ class Simulation:
         it.  ``kernel`` is the scheduler class — :class:`Scheduler`, which
         :meth:`run` paces with :meth:`Scheduler.run`, or the asyncio runtime,
         which :func:`repro.runtime.run_paced` paces on the wall clock — built
-        with this simulation's network, faults and seed (or :meth:`run`'s
+        with this simulation's delay model, faults and seed (or :meth:`run`'s
         overrides) and the ``pacing`` keywords only that class takes.  Then:
         one process per pid, every ``on_start``, the votes proposed at time
         0, the all-correct-decided stop unless it is disabled, ``pace``, and

@@ -246,9 +246,10 @@ class TestClusterAnomalyHunt:
         assert "schedule_trace" in samples[0]
 
     def test_preset_covers_every_process_point_major(self):
-        from repro.explore.driver import _cluster_anomaly_specs
+        from repro.explore.driver import _crash_points
 
-        specs, seeds = _cluster_anomaly_specs(8, n=3)
+        extra_pids, gaps, label = EXPLORATION_PRESETS["cluster-anomaly"]
+        specs, seeds = _crash_points(8, label, range(1, 3 + 1 + extra_pids), gaps)
         assert seeds == [0]
         assert len(specs) == 8
         # the first n+1 specs hit every partition and the client at point 0

@@ -191,21 +191,16 @@ class TestSimRejoin:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(timeout_units=0.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter_units=-1.0)
 
     def test_backoff_is_bounded_and_grows(self):
-        policy = RetryPolicy(
-            backoff_units=2.0, backoff_factor=2.0, max_backoff_units=6.0,
-            jitter_units=0.0,
-        )
-        rng = random.Random(0)
-        assert policy.backoff(1, rng) == 2.0
-        assert policy.backoff(2, rng) == 4.0
-        assert policy.backoff(3, rng) == 6.0  # capped
-        assert policy.backoff(9, rng) == 6.0
+        # the fixed schedule: 2, 4, 8, then 16 U, each plus one draw of
+        # [0, 0.5) U from the coordinator's RNG (a mirror stream in lockstep)
+        policy = RetryPolicy()
+        rng, mirror = random.Random(0), random.Random(0)
+        for retry, base in ((1, 2.0), (2, 4.0), (3, 8.0), (4, 16.0), (9, 16.0)):
+            wait = policy.backoff(retry, rng)
+            assert wait == base + mirror.random() * 0.5
+            assert base <= wait < base + 0.5
 
 
 # --------------------------------------------------------------------------- #

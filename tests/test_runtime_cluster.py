@@ -354,6 +354,89 @@ class TestLiveService:
         assert "c" not in report.store_snapshots[3]
         assert report.store_snapshots[2]["b"] == 2
 
+    def test_concurrent_submits_of_one_id_all_get_its_outcome(self):
+        """Two concurrent submits of one id used to share one waiter slot: the
+        second overwrote the first's future, so the first waited out its
+        whole budget and returned None although the transaction committed."""
+        txn = Transaction.of(
+            "t", [Operation.write(p, f"k{p}", "a") for p in (1, 2, 3)]
+        )
+        unit = 0.002
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(num_partitions=3, commit_protocol="2PC", max_time=300.0),
+                unit=unit,
+            )
+            await service.start()
+            loop = asyncio.get_running_loop()
+            began = loop.time()
+            outcomes = await asyncio.gather(service.submit(txn), service.submit(txn))
+            return outcomes, loop.time() - began, await service.shutdown()
+
+        outcomes, took, report = asyncio.run(drive())
+        first, second = outcomes
+        assert first is not None and second is first
+        assert first.decision == COMMIT
+        assert took < 300 * unit / 4
+        # the second caller posted nothing: one submission, one EXEC round
+        [outcome] = report.outcomes
+        assert len(outcome.submissions) == 1
+        assert [len(records) for records in report.wal_records.values()] == [2, 2, 2]
+
+    def test_a_used_id_is_refused_while_its_first_submit_is_queued(self):
+        """Until the coordinator handled the first submit, the id check passed
+        a second transaction under the same id: it was reported committed,
+        and the stores held only the first one's writes."""
+        first = Transaction.of(
+            "t", [Operation.write(p, f"k{p}", "a") for p in (1, 2, 3)]
+        )
+        other = Transaction.of(
+            "t", [Operation.write(p, f"k{p}", "b") for p in (1, 2, 3)]
+        )
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(num_partitions=3, commit_protocol="2PC", max_time=300.0),
+                unit=0.002,
+            )
+            await service.start()
+            results = await asyncio.gather(
+                service.submit(first), service.submit(other), return_exceptions=True
+            )
+            return results, await service.shutdown()
+
+        (outcome, refused), report = asyncio.run(drive())
+        assert outcome.decision == COMMIT
+        assert isinstance(refused, ConfigurationError)
+        assert "'t' is already used" in str(refused)
+        assert [o.txn_id for o in report.outcomes] == ["t"]
+        for p in (1, 2, 3):
+            assert report.store_snapshots[p][f"k{p}"] == "a"
+
+    @pytest.mark.parametrize("timeout", [0.0, -5.0, float("nan")])
+    def test_a_timeout_that_is_not_positive_is_refused(self, timeout):
+        """Such a submit used to return None at once while the transaction
+        went on to commit: a caller retrying under a new id applied the
+        writes twice."""
+        txn = Transaction.of("t", [Operation.write(1, "k1", "a")])
+
+        async def drive():
+            service = AsyncClusterService(
+                ClusterConfig(num_partitions=2, commit_protocol="2PC", max_time=300.0),
+                unit=0.002,
+            )
+            await service.start()
+            with pytest.raises(ConfigurationError, match="timeout_units"):
+                await service.submit(txn, timeout_units=timeout)
+            settled = await service.wait_all_completed(20)
+            return settled, await service.shutdown()
+
+        settled, report = asyncio.run(drive())
+        assert settled
+        assert report.outcomes == [] and report.pending_transactions == []
+        assert "k1" not in report.store_snapshots[1]
+
     def test_wait_all_completed_waits_for_every_live_participant_to_log(self):
         """The outcome completes on the first DONE: P1 decides at once, P2
         only once the decision crosses the slow link, and a shutdown right

@@ -3,7 +3,7 @@
 A delay model whose delays do not depend on the message offers a zero-argument
 ``draw()`` and defines ``delay(src, dst, payload, send_time)`` as that draw;
 the scheduler calls ``draw`` once per counted message when no override rule
-is installed and ``Network.transit_delay`` (hence ``delay``) otherwise.  Three
+is installed and ``FaultPlan.transit_delay`` (hence ``delay``) otherwise.  Three
 things are held here:
 
 * the contract — ``draw()`` and ``delay(...)`` are one stream in any

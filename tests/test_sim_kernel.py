@@ -12,7 +12,6 @@ from repro.sim.network import (
     AdversarialDelay,
     FixedDelay,
     LognormalDelay,
-    Network,
     UniformDelay,
 )
 from repro.sim.runner import Scheduler
@@ -254,27 +253,25 @@ class TestFaultPlans:
             FaultPlan.crash(9).validate(n=4, f=3)
 
 
-class TestNetwork:
+class TestTransitDelay:
     def test_overrides_take_precedence(self):
-        network = Network(FixedDelay(1.0))
-        network.install_overrides([DelayRule(src=1, dst=2, delay=7.0)])
-        assert network.transit_delay(1, 2, None, 0.0, 1) == 7.0
-        assert network.transit_delay(1, 3, None, 0.0, 2) == 1.0
+        plan = FaultPlan(delay_rules=[DelayRule(src=1, dst=2, delay=7.0)])
+        model = FixedDelay(1.0)
+        assert plan.transit_delay(model, 1, 2, None, 0.0, 1) == 7.0
+        assert plan.transit_delay(model, 1, 3, None, 0.0, 2) == 1.0
 
     def test_extra_rule_composes_with_model(self):
-        network = Network(FixedDelay(0.5))
-        network.install_overrides([DelayRule(dst=3, extra=2.0)])
-        assert network.transit_delay(1, 3, None, 0.0, 1) == 2.5
+        plan = FaultPlan(delay_rules=[DelayRule(dst=3, extra=2.0)])
+        assert plan.transit_delay(FixedDelay(0.5), 1, 3, None, 0.0, 1) == 2.5
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_non_positive_override_is_rejected_naming_the_rule(self, bad):
         # regression: overrides used to be returned unvalidated, silently
         # scheduling delivery at or before the send time
-        network = Network(FixedDelay(1.0))
         rule = DelayRule(src=1, dst=2, delay=bad)
-        network.install_overrides([rule])
+        plan = FaultPlan(delay_rules=[rule])
         with pytest.raises(SimulationError) as err:
-            network.transit_delay(1, 2, None, 0.0, 1)
+            plan.transit_delay(FixedDelay(1.0), 1, 2, None, 0.0, 1)
         message = str(err.value)
         assert repr(rule) in message
         assert str(bad) in message

@@ -140,7 +140,7 @@ def queue_contents(scheduler):
 
 
 def delay_source_position(scheduler):
-    rng = getattr(scheduler.network.delay_model, "_rng", None)
+    rng = getattr(scheduler.delay_model, "_rng", None)
     return (
         None if rng is None else rng.getstate(),
         [rule._matches_seen for rule in scheduler.fault_plan.delay_rules],
