@@ -21,8 +21,8 @@ class VersionRecord:
 class VersionedStore:
     """A small multi-version key-value store.
 
-    Every committed write appends a new version; reads return the latest
-    version, or the latest version at or below a requested snapshot version.
+    Every committed write appends a new version, tagged with its
+    transaction; reads return the latest version.
     """
 
     _data: Dict[str, List[VersionRecord]] = field(default_factory=dict)
@@ -47,17 +47,12 @@ class VersionedStore:
         return version
 
     # -- reads ------------------------------------------------------------ #
-    def get(self, key: str, at_version: Optional[int] = None) -> object:
-        """Return the latest value of ``key`` (optionally at a snapshot)."""
+    def get(self, key: str) -> object:
+        """Return the latest value of ``key``."""
         versions = self._data.get(key)
         if not versions:
             raise StorageError(f"key {key!r} does not exist")
-        if at_version is None:
-            return versions[-1].value
-        for record in reversed(versions):
-            if record.version <= at_version:
-                return record.value
-        raise StorageError(f"key {key!r} has no version <= {at_version}")
+        return versions[-1].value
 
     def get_or_default(self, key: str, default: object = None) -> object:
         try:
@@ -67,10 +62,6 @@ class VersionedStore:
 
     def contains(self, key: str) -> bool:
         return key in self._data
-
-    def latest_version(self, key: str) -> Optional[int]:
-        versions = self._data.get(key)
-        return versions[-1].version if versions else None
 
     def keys(self) -> List[str]:
         return sorted(self._data)

@@ -48,85 +48,34 @@ BRANCH_CONSENSUS_DECIDE = "decide-consensus-decision"
 BRANCH_FAST_ABORT = "fast-abort"
 
 # ---------------------------------------------------------------------- #
-# shared-acknowledgement memos
+# the shared verdict
 #
 # Every backup sends the SAME ack tuple ("C", collection) to all n
 # processes (one immutable payload object, see _phase0_timeout), so in a
-# nice execution every outsider holds the identical tuple object from each
-# of P1..Pf, and every backup the identical ones from P1..Pf+1.  The fast
-# decision depends only on those objects' contents, so two memos keyed by
-# id() let n processes share one computation.  An id is valid only while
-# its object is alive: each memo keeps the objects it keyed and checks
-# them on a hit — _ACK_MEMO by identity, _VERDICTS by tuple equality, which
-# short-cuts on identity and, for a recycled id with equal contents, gives
-# the same verdict — so a hit is never a wrong answer.  Hits only ever
-# happen within one execution (the next one builds new tuples), so each is
-# bounded by what one execution needs.
+# nice execution every outsider holds the identical tuple objects from
+# P1..Pf, and every backup the identical ones from P1..Pf+1.  The fast
+# decision depends only on those objects' contents, so one memo keyed by
+# id() lets the n processes share one computation.
 #
-# * _ACK_MEMO — one entry per acknowledged collection: (collection,
-#   first_votes, covered_pids, n_pids, covers_all).  It holds at most n
-#   collections of at most n pairs; inserting past n² retained pairs drops
-#   everything kept so far — entries of earlier runs, and at worst once per
-#   run a few of the current one, which are re-analysed.
 # * _VERDICTS — one entry per set of acknowledgements a fast decision reads:
 #   (n, f, ids of the required-full collections in iteration order, ids of
-#   the required-partial ones) -> (full, partial, decision).  One execution
-#   reads at most a few such sets (the outsiders', the backups', and on the
-#   HELP path an outsider's own), so it holds _VERDICT_CAP entries and drops
-#   the oldest when full.  Emptying it instead could drop the outsiders'
-#   entry between the backups' timeouts and P_{f+1}'s, which comes last; a
-#   larger cap would keep earlier trials' collections alive for no hit.
+#   the required-partial ones) -> (full, partial, decision).  An id is valid
+#   only while its object is alive: the entry keeps its objects, and a hit
+#   is confirmed by tuple equality, which short-cuts on identity and, for a
+#   recycled id with equal contents, gives the same verdict — so a hit is
+#   never a wrong answer.  One execution reads at most a few such sets (the
+#   outsiders', the backups', and on the HELP path an outsider's own), so
+#   it holds _VERDICT_CAP entries and drops the oldest when full.  Emptying
+#   it instead could drop the outsiders' entry between the backups'
+#   timeouts and P_{f+1}'s, which comes last; a larger cap would keep
+#   earlier runs' collections alive for no hit.  A run makes two entries,
+#   so it keeps at most about two finished runs' ack tuples alive: about
+#   1.0 MB at n=200, f=40, and 21 KB at n=40, f=4.
 #
-# Mutable collections (a sender seen twice, a merged set) go in neither.
+# Nothing else outlives a verdict: a miss reads each collection once with C
+# builtins (_first_votes), so an ack dies with its run, or with the verdict
+# entry that holds it.  A merged set (a sender seen twice) bypasses the memo.
 # ---------------------------------------------------------------------- #
-class _AckMemo:
-    """``id(collection)`` → analysis entry, bounded by retained pairs."""
-
-    __slots__ = ("entries", "pairs")
-
-    def __init__(self) -> None:
-        self.entries: Dict[int, tuple] = {}
-        self.pairs = 0
-
-    def keep(self, entry: tuple) -> None:
-        collection, _, _, n_pids, _ = entry
-        stale = self.entries.pop(id(collection), None)
-        if stale is not None:
-            self.pairs -= len(stale[0])
-        if self.pairs + len(collection) > n_pids * n_pids:
-            self.entries.clear()
-            self.pairs = 0
-        self.entries[id(collection)] = entry
-        self.pairs += len(collection)
-
-
-_ACK_MEMO = _AckMemo()
-
-
-def _ack_analysis(collection, n_pids: int, all_pids) -> tuple:
-    """Per-collection facts ``_full_backups`` needs, computed once per object.
-
-    ``first_votes`` maps each pid to its first vote in sorted pair order
-    (exactly what a ``setdefault`` sweep over ``sorted(collection)`` keeps),
-    ``covered`` is the set of backed-up pids, and ``covers_all`` is
-    ``all_pids <= covered`` for the given ``n_pids`` (re-derived on a hit
-    with a different n, which only happens across grid cells).
-    """
-    entry = _ACK_MEMO.entries.get(id(collection))
-    if entry is not None and entry[0] is collection and entry[3] == n_pids:
-        return entry
-    first_votes: Dict[int, int] = {}
-    covered: Set[int] = set()
-    for pid, vote in sorted(collection):
-        if pid not in covered:
-            covered.add(pid)
-            first_votes[pid] = vote
-    entry = (collection, first_votes, covered, n_pids, all_pids <= covered)
-    if type(collection) is tuple:
-        _ACK_MEMO.keep(entry)
-    return entry
-
-
 _VERDICT_CAP = 4
 _VERDICTS: Dict[tuple, tuple] = {}
 
@@ -147,6 +96,15 @@ def _pid_sets(n: int, f: int) -> tuple:
     return sets
 
 
+def _first_votes(collection) -> Dict[int, int]:
+    """Each backed-up pid's first vote in sorted pair order.
+
+    Reversed, the sorted pairs put each pid's first pair last, so the dict
+    keeps it.  The collection may come in any order.
+    """
+    return dict(reversed(sorted(collection)))
+
+
 def _fast_decision(full, partial, all_pids, low_pids) -> Optional[int]:
     """The AND of the acknowledged votes, or None if the fast condition fails.
 
@@ -156,33 +114,18 @@ def _fast_decision(full, partial, all_pids, low_pids) -> Optional[int]:
     ``all_pids``.
     """
     # once one collection has contributed every process' vote the remaining
-    # merge sweeps cannot add anything (backed-up pids are always drawn
-    # from 1..n, so n collected votes means full coverage)
+    # merges cannot add anything (backed-up pids are always drawn from 1..n,
+    # so n collected votes means full coverage)
     n_pids = len(all_pids)
     votes: Dict[int, int] = {}
-    for collection in full:
-        _, first_votes, _, _, covers_all = _ack_analysis(collection, n_pids, all_pids)
-        if not covers_all:
-            return None
-        if len(votes) < n_pids:
-            if votes:
-                # first_votes iterates in sorted pid order, so this
-                # setdefault sweep keeps exactly what a sweep over
-                # sorted(backed_up) keeps
-                for pid, vote in first_votes.items():
-                    votes.setdefault(pid, vote)
-            else:
-                votes.update(first_votes)
-    for collection in partial:
-        _, first_votes, covered, _, _ = _ack_analysis(collection, n_pids, all_pids)
-        if not low_pids <= covered:
-            return None
-        if len(votes) < n_pids:
-            if votes:
-                for pid, vote in first_votes.items():
-                    votes.setdefault(pid, vote)
-            else:
-                votes.update(first_votes)
+    for collections, required in ((full, all_pids), (partial, low_pids)):
+        for collection in collections:
+            first_votes = _first_votes(collection)
+            if not required <= first_votes.keys():
+                return None
+            if len(votes) < n_pids:
+                # the votes kept so far win: a setdefault sweep
+                votes = first_votes | votes
     if not all_pids <= votes.keys():
         return None
     return logical_and(votes.values())
@@ -285,8 +228,8 @@ class INBAC(AtomicCommitProcess):
         decision, the AND of one vote per process, or None if the condition
         does not hold.
         """
-        # materialising a set per sender is what the _ack_analysis memo
-        # exists to avoid; only a sender seen twice pays for a merged set
+        # each sender's collection is read as the tuple it travelled as;
+        # only a sender seen twice pays for a merged set
         by_sender = self._acks
         more = self._more_acks
         if more:
@@ -390,7 +333,7 @@ class INBAC(AtomicCommitProcess):
     def _phase0_timeout(self) -> None:
         """At time U the backup processes acknowledge the votes they back up."""
         # the ack is immutable: one object for all destinations (the
-        # _ack_analysis memo relies on receivers seeing the same tuple)
+        # _VERDICTS memo relies on receivers seeing the same tuple)
         if 1 <= self.pid <= self.f:
             self.send_all(("C", tuple(sorted(self.collection0))))
         elif self.pid == self.f + 1:

@@ -390,15 +390,18 @@ class Scheduler:
     # the loop
     # ------------------------------------------------------------------ #
     def stop_when_all_correct_decided(self) -> None:
-        """Stop the loop once every never-crashing process has decided.
+        """Stop the loop once every process that has not crashed has decided.
 
-        O(1) per event: :meth:`record_decision` decrements a counter of
-        undecided correct processes, and the loop stops when it reaches zero
-        — behaviour-identical to (but never re-scanning like) the predicate
-        ``all(pid in trace.decisions for pid in correct_pids)``.
+        Correct is what the checker calls correct: a process that never
+        crashed in the run (``trace.crashes``), not one the fault plan dooms
+        later.  O(1) per event: :meth:`record_decision` and :meth:`_crash`
+        decrement a counter of undecided correct processes, and the loop
+        stops when it reaches zero — behaviour-identical to (but never
+        re-scanning like) the predicate ``all(pid in trace.decisions for pid
+        in trace.correct_pids())``.
         """
         correct = frozenset(
-            pid for pid in range(1, self.n + 1) if pid not in self.fault_plan.crashes
+            pid for pid in range(1, self.n + 1) if pid not in self.trace.crashes
         )
         self._correct_pids = correct
         self._undecided_correct = sum(
@@ -635,13 +638,18 @@ class Scheduler:
     def _crash(self, pid: int, time: float) -> None:
         """Crash ``pid`` at ``time``: a fault plan's crash and an injected one.
 
-        The process handles nothing from here on; the record keeps ``time``.
+        The process handles nothing from here on and no longer counts as
+        correct for the stop rule; the record keeps ``time``.
         """
         process = self.processes.get(pid)
         if process is not None and not process.crashed:
             process.crashed = True
             process.on_crash()
         self.trace.record_crash(pid, time)
+        if self._correct_pids is not None and pid in self._correct_pids:
+            self._correct_pids = self._correct_pids - {pid}
+            if pid not in self.trace.decisions:
+                self._undecided_correct -= 1
 
     def can_inject_crash(self, pid: int) -> bool:
         """Whether crashing ``pid`` now stays within the fault budget ``f``."""
@@ -666,10 +674,6 @@ class Scheduler:
         self._crash_budget -= 1
         self._injected_crashes.add(pid)
         self._crash(pid, self.clock.now if at is None else max(self.clock.now, float(at)))
-        if self._correct_pids is not None and pid in self._correct_pids:
-            self._correct_pids = self._correct_pids - {pid}
-            if pid not in self.trace.decisions:
-                self._undecided_correct -= 1
         return True
 
     # ------------------------------------------------------------------ #

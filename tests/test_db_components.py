@@ -32,28 +32,12 @@ class TestVersionedStore:
         v2 = store.apply("x", 2)
         assert v2 > v1
         assert store.get("x") == 2
-        assert store.latest_version("x") == v2
-
-    def test_snapshot_reads(self):
-        store = VersionedStore()
-        v1 = store.apply("x", "old")
-        store.apply("y", "other")
-        store.apply("x", "new")
-        assert store.get("x", at_version=v1) == "old"
-        assert store.get("x") == "new"
-
-    def test_snapshot_read_before_first_version_raises(self):
-        store = VersionedStore()
-        store.apply("y", 1)
-        store.apply("x", 1)
-        with pytest.raises(StorageError):
-            store.get("x", at_version=0)
 
     def test_apply_many_is_one_version(self):
         store = VersionedStore()
         version = store.apply_many({"a": 1, "b": 2}, txn_id="t1")
-        assert store.latest_version("a") == version
-        assert store.latest_version("b") == version
+        assert [rec.version for rec in store.history("a")] == [version]
+        assert [rec.version for rec in store.history("b")] == [version]
         assert store.snapshot() == {"a": 1, "b": 2}
 
     def test_history_records_txn_ids(self):

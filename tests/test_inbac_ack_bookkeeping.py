@@ -8,9 +8,10 @@ whether or not anything reads it, ``by_sender`` rebuilt and sorted per call,
 one ``send`` per destination — kept here as the reference.  Every execution
 must come out the same under both: trace fingerprint, each process' branch
 history, and ``collection0`` / ``collection1`` as Appendix A names them.
-Its ``_full_backups`` computes the vote map per call, so it is also the
-reference for INBAC's fast decision, which processes holding the same ack
-objects share.
+Its ``_full_backups`` computes the vote map per call with a plain
+``setdefault`` sweep over each sender's sorted pairs, sharing no helper with
+INBAC, so it is also the reference for INBAC's fast decision, which
+processes holding the same ack objects share.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.protocols.inbac import (
     BRANCH_HELPED_CONS_ZERO,
     BRANCH_HELPED_FAST,
     INBAC,
-    _ack_analysis,
 )
 from repro.sim.faults import DelayRule, FaultPlan
 from repro.sim.network import FixedDelay
@@ -72,57 +72,22 @@ class EagerINBAC(INBAC):
         processes) must cover at least ``{P1..Pf}``.
         """
         required_partial = required_partial or set()
-        # each sender's acknowledged collection is kept as the shared tuple
-        # object it travelled as — materialising a set per sender is what the
-        # _ack_analysis memo exists to avoid; only a sender seen twice (never
-        # the case on reliable channels) pays for a merged set
         by_sender: Dict[int, Any] = {}
-        for sender, collection in sorted(self.collection1):
-            existing = by_sender.get(sender)
-            if existing is None:
-                by_sender[sender] = collection
-            else:
-                merged = set(existing)
-                merged.update(collection)
-                by_sender[sender] = merged
+        for sender, collection in self.collection1:
+            by_sender.setdefault(sender, set()).update(collection)
         for sender in required_senders:
             if sender not in by_sender:
                 return None
-        # hoisted out of the sender loops: these sets are loop-invariant, and
-        # once one sender has contributed every process' vote the remaining
-        # merge sweeps cannot add anything (backed-up pids are always drawn
-        # from 1..n, so n collected votes means full coverage)
         all_pids = set(self.all_pids())
-        n_pids = len(all_pids)
         low_pids = set(range(1, self.f + 1))
         votes: Dict[int, int] = {}
-        for sender in required_full:
-            _, first_votes, _, _, covers_all = _ack_analysis(
-                by_sender[sender], n_pids, all_pids
-            )
-            if not covers_all:
-                return None
-            if len(votes) < n_pids:
-                if votes:
-                    # first_votes iterates in sorted pid order, so this
-                    # setdefault sweep keeps exactly what the original
-                    # sweep over sorted(backed_up) kept
-                    for pid, vote in first_votes.items():
-                        votes.setdefault(pid, vote)
-                else:
-                    votes.update(first_votes)
-        for sender in required_partial:
-            _, first_votes, covered, _, _ = _ack_analysis(
-                by_sender[sender], n_pids, all_pids
-            )
-            if not low_pids <= covered:
-                return None
-            if len(votes) < n_pids:
-                if votes:
-                    for pid, vote in first_votes.items():
-                        votes.setdefault(pid, vote)
-                else:
-                    votes.update(first_votes)
+        for required, senders in ((all_pids, required_full), (low_pids, required_partial)):
+            for sender in senders:
+                backed_up = by_sender[sender]
+                if not required <= {pid for pid, _ in backed_up}:
+                    return None
+                for pid, vote in sorted(backed_up):
+                    votes.setdefault(pid, vote)
         if not all(pid in votes for pid in all_pids):
             return None
         return votes
@@ -503,7 +468,7 @@ def ack_configurations(draw):
 
     A sender is missing, covers everyone, covers only ``P1..Pf``, covers some
     random pids, or (as ``P_{f+1}``) falls short of ``P1..Pf`` by one; it may
-    send a second collection, which INBAC keeps beside the first.  ``nice``
+    send a second collection, unsorted, which INBAC keeps beside the first.  ``nice``
     has every full sender complete, ``partial-short`` the same with only
     ``P_{f+1}`` short.
     """
@@ -539,7 +504,7 @@ def ack_configurations(draw):
                 st.tuples(st.sampled_from(everyone), st.sampled_from([COMMIT, ABORT])),
                 unique=True,
             ))
-            acks.append((sender, tuple(sorted(second))))
+            acks.append((sender, tuple(second)))  # in no particular order
     return n, f, pid, acks
 
 
@@ -565,6 +530,18 @@ def test_the_verdict_follows_the_system_and_the_contents():
     assert fast_decisions(5, 2, 4, [(1, copy), (2, tuple(copy))]) == ([COMMIT] * 2, COMMIT)
     no = tuple((pid, ABORT if pid == 3 else COMMIT) for pid in range(1, 6))
     assert fast_decisions(5, 2, 4, [(1, no), (2, no)]) == ([ABORT] * 2, ABORT)
+
+
+def test_an_unsorted_collection_is_read_in_sorted_pair_order():
+    """A sender need not sort its ack: each pid's vote is its first in sorted
+    pair order, wherever the pair stands in the tuple."""
+    shuffled = ((5, COMMIT), (3, COMMIT), (1, COMMIT), (4, COMMIT), (2, COMMIT))
+    assert fast_decisions(5, 2, 4, [(1, shuffled), (2, shuffled[::-1])]) == (
+        [COMMIT] * 2, COMMIT,
+    )
+    # P3 backed up twice: (3, ABORT) sorts first, though it stands last
+    twice = shuffled + ((3, ABORT),)
+    assert fast_decisions(5, 2, 4, [(1, twice), (2, shuffled)]) == ([ABORT] * 2, ABORT)
 
 
 def test_a_freed_collection_does_not_answer_for_its_successor():

@@ -12,8 +12,12 @@ call per message coming back.
 
 from __future__ import annotations
 
+import gc
+import os
 import sys
+import tracemalloc
 
+import repro
 from repro.protocols import inbac
 from repro.protocols.inbac import BRANCH_FAST_DECIDE, INBAC
 from repro.sim.runner import Simulation
@@ -22,9 +26,9 @@ N, F = 200, 40
 CALLS_PER_MESSAGE_BUDGET = 4.5
 
 
-def nice_execution():
-    sim = Simulation(n=N, f=F, process_class=INBAC, trace_level="counters", max_time=1000)
-    return sim.run([1] * N)
+def nice_execution(n=N, f=F):
+    sim = Simulation(n=n, f=f, process_class=INBAC, trace_level="counters", max_time=1000)
+    return sim.run([1] * n)
 
 
 def test_calls_per_message_in_a_nice_execution():
@@ -60,33 +64,53 @@ def test_calls_per_message_in_a_nice_execution():
 
 def test_each_acknowledgement_set_is_analysed_once(monkeypatch):
     """The outsiders share one verdict over P1..Pf's acks, the backups one
-    over P1..Pf+1's: f + (f + 1) collection analyses, not one set per process."""
+    over P1..Pf+1's: f + (f + 1) collection reads, not one set per process."""
     runs = 0
-    analyse = inbac._ack_analysis
+    first_votes = inbac._first_votes
 
-    def counted(*args):
+    def counted(collection):
         nonlocal runs
         runs += 1
-        return analyse(*args)
+        return first_votes(collection)
 
-    monkeypatch.setattr(inbac, "_ack_analysis", counted)
+    monkeypatch.setattr(inbac, "_first_votes", counted)
     result = nice_execution()
     assert result.decisions() == {pid: 1 for pid in range(1, N + 1)}
     assert 0 < runs <= 2 * (F + 1)
 
 
-def test_ack_memo_holds_one_execution_not_a_thousand():
-    for _ in range(3):
-        nice_execution()
-    memo = inbac._ACK_MEMO
-    assert memo.pairs == sum(len(entry[0]) for entry in memo.entries.values())
-    assert 0 < memo.pairs <= N * N
-    # what is kept is usable: every entry still answers for its own object
-    for key, entry in memo.entries.items():
-        assert key == id(entry[0])
+def retained_bytes(package_files: str) -> int:
+    """Bytes still allocated from ``package_files`` after a full collection."""
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, package_files)]
+    )
+    return sum(trace.size for trace in snapshot.traces)
+
+
+def test_a_finished_run_leaves_nothing_behind():
+    """What the package still holds after a run is what the next one reuses
+    (per-size caches, the verdict memo's few entries), not a share of every
+    run so far: the readings level off after the second run."""
+    package_files = os.path.join(os.path.dirname(repro.__file__), "*")
+    tracemalloc.start()
+    try:
+        readings = []
+        for _ in range(12):
+            # a full collection empties the free lists, so every run starts
+            # from the same ones: an object reused off a free list keeps the
+            # traceback of its first allocation, wherever that was
+            gc.collect()
+            nice_execution(40, 4)
+            readings.append(retained_bytes(package_files))
+    finally:
+        tracemalloc.stop()
+    second = readings[1]
+    assert all(reading <= 1.1 * second for reading in readings[2:]), readings
+    # what the verdict memo keeps is usable: every key names its own objects
     verdicts = inbac._VERDICTS
     assert 0 < len(verdicts) <= inbac._VERDICT_CAP
     for (n, f, full_ids, partial_ids), (full, partial, _) in verdicts.items():
-        assert (n, f) == (N, F)
+        assert (n, f) == (40, 4)
         assert full_ids == tuple(map(id, full))
         assert partial_ids == tuple(map(id, partial))

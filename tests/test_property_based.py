@@ -136,17 +136,6 @@ class TestStoreInvariants:
             assert store.get(key) == value
         assert store.snapshot() == last
 
-    @given(
-        st.dictionaries(st.sampled_from("abcdef"), st.integers(), min_size=1, max_size=6),
-        st.dictionaries(st.sampled_from("abcdef"), st.integers(), min_size=1, max_size=6),
-    )
-    def test_snapshot_reads_are_stable_under_later_writes(self, first, second):
-        store = VersionedStore()
-        version = store.apply_many(first)
-        store.apply_many(second)
-        for key, value in first.items():
-            assert store.get(key, at_version=version) == value
-
 
 # --------------------------------------------------------------------------- #
 # lock manager

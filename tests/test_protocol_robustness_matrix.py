@@ -10,7 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.checker import evaluate_problem
-from repro.protocols.registry import all_protocols, get_protocol
+from repro.core.lattice import Prop
+from repro.exp import GridSpec, run_sweep
+from repro.protocols.registry import all_protocols, get_protocol, protocol_names
 from repro.sim.faults import DelayRule, FaultPlan
 from repro.sim.runner import Simulation
 
@@ -92,3 +94,38 @@ def test_indulgent_protocols_solve_nbac_under_every_plan():
 def test_2pc_is_the_only_blocking_protocol_in_the_registry():
     blocking = [name for name, info in all_protocols().items() if info.blocking]
     assert blocking == ["2PC"]
+
+
+# the registry's default ``crash`` (P1 at 5 U) and P1..P3 at 2, 3 and 5 U:
+# every plan whose crash may lie after the other processes decide
+LATE_CRASHES = [("crash", "crash")] + [
+    (f"crash-P{pid}@{at}", "crash", {"pid": pid, "at": float(at)})
+    for pid in (1, 2, 3)
+    for at in (2, 3, 5)
+]
+
+
+def test_no_process_that_never_crashed_is_left_undecided():
+    """A run stops once every process that has not crashed has decided, so a
+    crash the plan places after the others decide still happens.  Stopping
+    before it left the doomed process undecided and never crashed: a
+    termination violation the run made up, in 35 of these 390 trials."""
+    sweep = run_sweep(
+        GridSpec(
+            protocols=protocol_names(),
+            systems=[(3, 1), (4, 1), (5, 2)],
+            faults=LATE_CRASHES,
+            votes=["all-yes"],
+        )
+    )
+    assert len(sweep.trials) == len(protocol_names()) * 3 * len(LATE_CRASHES)
+    broken = set()
+    for trial in sweep.trials:
+        cell = get_protocol(trial.protocol).cell
+        if cell is not None and Prop.TERMINATION in cell.cf:
+            running = set(range(1, trial.n + 1)) - trial.crashes.keys()
+            assert running <= trial.decisions.keys(), trial.key()
+        if trial.broken():
+            broken.add((trial.protocol, trial.broken()))
+    # only aNBAC, whose cell lacks T under crashes, may leave one undecided
+    assert broken <= {("aNBAC", ("termination",))}

@@ -422,17 +422,26 @@ class TestCountingStopCondition:
 
     def run_with_legacy_predicate(self, n, f, plan):
         scheduler = self._prepared_scheduler(n, f, plan)
-        correct = [pid for pid in range(1, n + 1) if pid not in plan.crashes]
         record_decision = scheduler.record_decision
+        crash = scheduler._crash
 
-        def record_then_scan(pid, value):
-            # only a decision can make the scan true: the handler that decided
-            # stops the run, as the predicate tested after its event did
-            record_decision(pid, value)
-            if all(p in scheduler.trace.decisions for p in correct):
+        def scan():
+            trace = scheduler.trace
+            if all(p in trace.decisions for p in trace.correct_pids()):
                 scheduler.stop()
 
+        # only a decision or a crash can make the scan true: the event that
+        # did stops the run, as the predicate tested after it did
+        def record_then_scan(pid, value):
+            record_decision(pid, value)
+            scan()
+
+        def crash_then_scan(pid, time):
+            crash(pid, time)
+            scan()
+
         scheduler.record_decision = record_then_scan
+        scheduler._crash = crash_then_scan
         return scheduler.run()
 
     def run_with_counter(self, n, f, plan):
@@ -463,10 +472,37 @@ class TestCountingStopCondition:
         plan = self.storm_plan(8, 3)
         scheduler = self._prepared_scheduler(8, 3, plan)
         scheduler.stop_when_all_correct_decided()
-        assert scheduler._undecided_correct == 8 - len(plan.crashes)
+        # no crash has happened yet: every process counts as correct
+        assert scheduler._undecided_correct == 8
         trace = scheduler.run()
         assert scheduler._undecided_correct == 0
+        assert trace.crashes.keys() == plan.crashes.keys()
         assert set(trace.decisions) >= set(trace.correct_pids())
+
+    class SilentFirst(TimedDecider):
+        """P1 never decides; the others decide at their timer."""
+
+        def on_timeout(self, name):
+            if self.pid != 1:
+                super().on_timeout(name)
+
+    def test_a_crash_planned_after_the_others_decide_still_happens(self):
+        """P1 is correct until the plan crashes it at 5: the run does not stop
+        at 2, when the others have decided, with P1 undecided and never
+        crashed — a termination violation the run made up."""
+        scheduler = Scheduler(
+            n=4, f=1, fault_plan=FaultPlan.crashes_at({1: 5.0}), max_time=400
+        )
+        scheduler.bind_processes(
+            lambda pid, n_, f_, env: self.SilentFirst(pid, n_, f_, env)
+        )
+        for pid in range(1, 5):
+            scheduler.post_propose(pid, 1, at=0.0)
+        scheduler.stop_when_all_correct_decided()
+        trace = scheduler.run()
+        assert trace.crashes == {1: 5.0}
+        assert set(trace.decisions) == set(trace.correct_pids()) == {2, 3, 4}
+        assert scheduler._undecided_correct == 0
 
 
 class TestResumedRun:
