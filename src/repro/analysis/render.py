@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 def _format_cell(value: object) -> str:
@@ -41,22 +41,3 @@ def render_table(
     for line in table:
         lines.append("  ".join(line[i].ljust(widths[i]) for i in range(len(cols))))
     return "\n".join(lines)
-
-
-def render_matrix(
-    cells: Dict[tuple, object],
-    row_labels: Iterable[str],
-    col_labels: Iterable[str],
-    corner: str = "",
-    title: Optional[str] = None,
-) -> str:
-    """Render a 2-D matrix keyed by ``(row_label, col_label)`` (Table 1 style)."""
-    row_labels = list(row_labels)
-    col_labels = list(col_labels)
-    rows = []
-    for r in row_labels:
-        row = {corner or "row": r}
-        for c in col_labels:
-            row[c] = cells.get((r, c), "")
-        rows.append(row)
-    return render_table(rows, columns=[corner or "row"] + col_labels, title=title)

@@ -1,4 +1,4 @@
-"""Single-decree Paxos as the indulgent uniform-consensus module.
+"""Single-decree Paxos: the uniform-consensus module of every commit protocol.
 
 Every process plays all three roles (proposer, acceptor, learner).  Proposers
 use ballots of the form ``pid + attempt * n`` so that ballots are globally
@@ -22,14 +22,32 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.consensus.interfaces import ConsensusComponent
-from repro.env import Process
+from repro.env import Process, ProcessComponent
 
 _NO_BALLOT = -1
 
 
-class PaxosConsensus(ConsensusComponent):
-    """Single-decree Paxos hosted inside a protocol process."""
+class PaxosConsensus(ProcessComponent):
+    """Uniform consensus (the paper's ``uc`` / ``iuc``) as single-decree Paxos
+    hosted inside a protocol process.
+
+    Interface
+    ---------
+    ``propose(value)``
+        The host proposes ``value``; may be called at most once per instance.
+    ``on_decide`` callback
+        Invoked exactly once with the decided value (on every correct host
+        whose component learns the decision), regardless of whether this host
+        proposed.
+
+    Properties (Definition 5 of the paper):
+
+    * *Validity* — the decided value was proposed by some process.
+    * *Agreement* — no two processes decide differently.
+    * *Termination* — every correct process eventually decides, provided a
+      majority of processes is correct and the system is eventually
+      synchronous.
+    """
 
     #: base retry period, in units of the message-delay bound U
     RETRY_PERIOD = 4.0
@@ -42,7 +60,12 @@ class PaxosConsensus(ConsensusComponent):
         name: str = "cons",
         on_decide: Optional[Callable[[Any], None]] = None,
     ):
-        super().__init__(host, name, on_decide)
+        super().__init__(host, name)
+        self.on_decide = on_decide
+        self.proposed = False
+        self.decided = False
+        self.decision: Any = None
+        self.proposal: Any = None
         # acceptor state
         self._promised: int = _NO_BALLOT
         self._accepted_ballot: int = _NO_BALLOT
@@ -67,6 +90,14 @@ class PaxosConsensus(ConsensusComponent):
         self.proposed = True
         self.proposal = value
         self._start_round()
+
+    def release(self) -> None:
+        super().release()
+        self.on_decide = None
+
+    def majority(self) -> int:
+        """Size of a strict majority of the host's process group."""
+        return self.host.n // 2 + 1
 
     # ------------------------------------------------------------------ #
     # proposer
@@ -151,6 +182,15 @@ class PaxosConsensus(ConsensusComponent):
         votes[src] = value
         if len(votes) >= self.majority() and not self.decided:
             self._decide(value)
+
+    def _deliver_decision(self, value: Any) -> None:
+        """Record the decision and fire the host callback exactly once."""
+        if self.decided:
+            return
+        self.decided = True
+        self.decision = value
+        if self.on_decide is not None:
+            self.on_decide(value)
 
     def _decide(self, value: Any) -> None:
         self._deliver_decision(value)

@@ -24,7 +24,6 @@ from repro.core.lattice import (
     Prop,
     PropertyPair,
     canonical_props,
-    prop_label,
 )
 from repro.core.properties import (
     PropertyCheck,
@@ -63,11 +62,6 @@ class NBACReport:
             + list(self.agreement.violations)
             + list(self.termination.violations)
         )
-
-    def satisfied_labels(self) -> str:
-        """Compact label of the properties that hold, e.g. ``"AV"`` or ``"AVT"``."""
-        held = frozenset(p for p in ALL_PROPS if self.check(p).holds)
-        return prop_label(held)
 
 
 def check_nbac(trace: Trace, execution_class: Optional[str] = None) -> NBACReport:

@@ -26,7 +26,7 @@ adds on top of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.sim.trace import Trace
 
@@ -66,18 +66,6 @@ class NiceExecutionComplexity:
     messages_total_sent: int
     causal_depth: int
     consensus_messages: int
-
-    def as_row(self) -> Dict[str, object]:
-        return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "f": self.f,
-            "delays": self.message_delays,
-            "messages": self.messages,
-            "messages_total_sent": self.messages_total_sent,
-            "causal_depth": self.causal_depth,
-            "consensus_messages": self.consensus_messages,
-        }
 
 
 def nice_execution_complexity(trace: Trace) -> NiceExecutionComplexity:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from repro.core.lattice import Prop, PropertyPair, all_cells, prop_label
+from repro.core.lattice import Prop, PropertyPair, all_cells
 from repro.errors import ConfigurationError
 
 

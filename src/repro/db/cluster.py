@@ -43,9 +43,7 @@ from repro.db.coordinator import ClientCoordinator, RetryPolicy, TransactionOutc
 from repro.db.invariants import InvariantReport, check_cluster
 from repro.db.partition import PartitionServer
 from repro.db.transaction import Transaction
-from repro.db.wal import ABORT as WAL_ABORT
-from repro.db.wal import COMMIT as WAL_COMMIT
-from repro.db.wal import PREPARE, WalRecord, in_doubt_of
+from repro.db.wal import WalRecord, in_doubt_of
 from repro.errors import ConfigurationError
 from repro.protocols.base import COMMIT
 from repro.protocols.registry import get_protocol
@@ -153,24 +151,6 @@ class ClusterReport:
     backend: str = "sim"
 
     # -- views over the partitions' logs ------------------------------------ #
-    @property
-    def partition_stats(self) -> Dict[int, Dict[str, int]]:
-        """pid -> PREPARE / COMMIT / ABORT records and no-votes in its log.
-
-        Counted off :attr:`wal_records` (torn records skipped), so a rejoined
-        partition's counts cover every incarnation that wrote its log.
-        """
-        stats = {}
-        for pid, records in self.wal_records.items():
-            intact = [r for r in records if not r.torn]
-            stats[pid] = {
-                "prepared": sum(r.kind == PREPARE for r in intact),
-                "committed": sum(r.kind == WAL_COMMIT for r in intact),
-                "aborted": sum(r.kind == WAL_ABORT for r in intact),
-                "vote_no": sum(r.kind == PREPARE and r.vote == 0 for r in intact),
-            }
-        return stats
-
     @property
     def in_doubt_by_partition(self) -> Dict[int, List[str]]:
         """pid -> transactions prepared on that partition without a logged

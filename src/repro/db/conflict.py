@@ -44,13 +44,6 @@ class ConflictDetector:
         """Register an in-flight transaction's local footprint."""
         self._inflight[txn_id] = _TxnFootprint(reads=set(reads), writes=set(writes))
 
-    def finish(self, txn_id: str) -> None:
-        """Remove a transaction once it has committed or aborted."""
-        self._inflight.pop(txn_id, None)
-
-    def inflight(self) -> List[str]:
-        return sorted(self._inflight)
-
     # ------------------------------------------------------------------ #
     # the local vote
     # ------------------------------------------------------------------ #

@@ -120,7 +120,3 @@ class LockManager:
 
     def locked_keys(self) -> List[str]:
         return sorted(k for k, lock in self._locks.items() if lock.holders)
-
-    def is_locked(self, key: str) -> bool:
-        lock = self._locks.get(key)
-        return bool(lock and lock.holders)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import StorageError
 
@@ -59,9 +59,6 @@ class VersionedStore:
             return self.get(key)
         except StorageError:
             return default
-
-    def contains(self, key: str) -> bool:
-        return key in self._data
 
     def keys(self) -> List[str]:
         return sorted(self._data)

@@ -47,9 +47,6 @@ class Transaction:
         """Sorted list of partitions touched by the transaction."""
         return sorted({op.partition for op in self.operations})
 
-    def operations_for(self, partition: int) -> List[Operation]:
-        return [op for op in self.operations if op.partition == partition]
-
     def read_set(self, partition: Optional[int] = None) -> List[str]:
         return [
             op.key
@@ -63,9 +60,6 @@ class Transaction:
             for op in self.operations
             if op.kind == WRITE and (partition is None or op.partition == partition)
         }
-
-    def is_distributed(self) -> bool:
-        return len(self.participants()) > 1
 
     @classmethod
     def of(

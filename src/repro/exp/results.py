@@ -131,38 +131,6 @@ class TrialResult:
             return ()
         return tuple(attr for _, attr in _PROPERTIES if not getattr(self, attr))
 
-    def solves_nbac(self) -> bool:
-        return not self.broken()
-
-    def held_label(self) -> str:
-        """Compact ``"AVT"``-style label of the properties that held."""
-        return _label(self.broken())
-
-    def as_row(self) -> Dict[str, Any]:
-        """One flat dict per trial (render_table- and JSON-friendly)."""
-        row = {
-            "protocol": self.protocol,
-            "n": self.n,
-            "f": self.f,
-            "delay": self.delay_label,
-            "fault": self.fault_label,
-            "votes": self.votes_label,
-            "workload": self.workload_label,
-            "seed": self.base_seed,
-            "class": self.execution_class,
-            "decided": self.decided,
-            "outcome": "commit" if self.all_committed else
-                       ("abort" if self.decisions and set(self.decisions.values()) == {0}
-                        else "mixed/none"),
-            "delays": self.last_decision,
-            "messages": self.messages_until_last_decision,
-            "messages_sent": self.messages_total,
-            "properties": self.held_label(),
-        }
-        if self.schedule_label != "-":
-            row["schedule"] = self.schedule_label
-        return row
-
 
 class CellAccumulator:
     """Streaming aggregate of all trials sharing one grid coordinate.
@@ -319,8 +287,8 @@ class SweepResult:
         >>> from repro.exp import GridSpec, run_sweep
         >>> sweep = run_sweep(GridSpec(protocols=["INBAC", "2PC"], systems=[(4, 1)]),
         ...                   workers=1)
-        >>> [(t.protocol, t.held_label()) for t in sweep.select(protocol="INBAC")]
-        [('INBAC', 'AVT')]
+        >>> [(t.protocol, t.broken()) for t in sweep.select(protocol="INBAC")]
+        [('INBAC', ())]
         """
         out = []
         for trial in self.trials:

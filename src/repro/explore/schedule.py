@@ -94,10 +94,6 @@ class ScheduleTrace:
     # ------------------------------------------------------------------ #
     # replay
     # ------------------------------------------------------------------ #
-    def replay_controller(self) -> "ReplayController":
-        """A controller that re-applies exactly these decisions."""
-        return ReplayController(decisions=self.decisions)
-
     def without_decision(self, index: int) -> "ScheduleTrace":
         """A copy with the ``index``-th decision dropped (used by shrinking)."""
         pruned = [d for i, d in enumerate(self.decisions) if i != index]

@@ -14,7 +14,6 @@ from typing import Dict, Iterator, List, Set, Tuple
 from repro.lint.ast_checks import (
     FileContext,
     Rule,
-    SetEnv,
     body_is_order_free,
     build_module_env,
     call_func_name,

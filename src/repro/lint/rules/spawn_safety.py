@@ -11,7 +11,7 @@ pickles, so the two checks cannot drift apart.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
 from repro.lint.ast_checks import FileContext, Rule, call_func_name
 from repro.lint.report import Finding

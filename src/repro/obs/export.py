@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.obs.tracing import TraceContext
 

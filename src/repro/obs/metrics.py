@@ -109,16 +109,6 @@ class MetricsSnapshot:
             for value, count in sorted(other.histograms[name].items()):
                 digest[value] = digest.get(value, 0) + count
 
-    def histogram_summary(self, name: str) -> Dict[str, Optional[float]]:
-        digest = self.histograms.get(name, {})
-        total = sum(digest.values())
-        return {
-            "count": float(total),
-            "mean": digest_sum(digest) / total if total else None,
-            "p50": digest_percentile(digest, total, 50),
-            "p99": digest_percentile(digest, total, 99),
-        }
-
     def to_jsonable(self) -> Dict[str, object]:
         """Sorted plain-data rendering (JSON keys must be strings)."""
         return {
@@ -192,10 +182,6 @@ class MetricsRegistry:
                 for name in sorted(self._histograms)
             },
         )
-
-    def counter_value(self, name: str) -> int:
-        counter = self._counters.get(name)
-        return counter.value if counter is not None else 0
 
     def names(self) -> List[Tuple[str, str]]:
         """Every registered instrument as sorted ``(kind, name)`` pairs."""

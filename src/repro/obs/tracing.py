@@ -137,17 +137,6 @@ class TraceContext:
         return cls(spans, "units" if report.backend == "sim" else "wall-units")
 
     # -- queries ------------------------------------------------------------- #
-    def spans_of(self, txn_id: str) -> List[Span]:
-        return [span for span in self.spans if span.txn_id == txn_id]
-
-    def phases_of(self, txn_id: str) -> List[str]:
-        """Distinct span names of one transaction, in first-recorded order."""
-        seen: List[str] = []
-        for span in self.spans:
-            if span.txn_id == txn_id and span.name not in seen:
-                seen.append(span.name)
-        return seen
-
     def transaction_ids(self) -> List[str]:
         seen: List[str] = []
         for span in self.spans:

@@ -31,8 +31,8 @@ class ANBAC(NMinus1PlusFNBAC):
     protocol_name = "aNBAC"
     timer_origin_shift = 1.0
 
-    def __init__(self, pid, n, f, env, **kwargs):
-        super().__init__(pid, n, f, env, **kwargs)
+    def __init__(self, pid, n, f, env):
+        super().__init__(pid, n, f, env)
         self.delivered_v = False
         self.collection_v: Set[int] = set()
         self.collection_b: Set[int] = set()

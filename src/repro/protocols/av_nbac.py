@@ -31,8 +31,8 @@ class AvNBACDelayOptimal(AtomicCommitProcess):
 
     protocol_name = "avNBAC-delay"
 
-    def __init__(self, pid, n, f, env, **kwargs):
-        super().__init__(pid, n, f, env, **kwargs)
+    def __init__(self, pid, n, f, env):
+        super().__init__(pid, n, f, env)
         self.collection: Set[int] = set()
         self.votes_and: int = COMMIT
 
@@ -67,8 +67,8 @@ class AvNBACMessageOptimal(AtomicCommitProcess):
     protocol_name = "avNBAC"
     timer_origin_shift = 1.0
 
-    def __init__(self, pid, n, f, env, **kwargs):
-        super().__init__(pid, n, f, env, **kwargs)
+    def __init__(self, pid, n, f, env):
+        super().__init__(pid, n, f, env)
         self.votes: int = COMMIT
         self.received_b = False
         self.collection: Set[int] = {pid}

@@ -7,7 +7,7 @@ adds:
 
 * vote / decision bookkeeping with an idempotent :meth:`decide_once`;
 * a factory for the underlying uniform-consensus module (the paper's ``uc`` /
-  ``iuc``), defaulting to :class:`~repro.consensus.paxos.PaxosConsensus`;
+  ``iuc``), :class:`~repro.consensus.paxos.PaxosConsensus`;
 * small helpers mirroring the paper's notation (``AND`` of votes, process
   ranges such as ``{P1, ..., Pf}``).
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional
 
-from repro.consensus.interfaces import ConsensusComponent
 from repro.consensus.paxos import PaxosConsensus
 from repro.env import Process, ProcessEnv
 
@@ -46,10 +45,6 @@ class AtomicCommitProcess(Process):
     ----------
     pid, n, f, env:
         See :class:`~repro.env.Process`.
-    consensus_class:
-        Implementation used for the underlying uniform-consensus module when
-        the protocol needs one.  Defaults to Paxos; tests may substitute
-        :class:`~repro.consensus.fixed_leader.FixedLeaderConsensus`.
     """
 
     #: human-readable protocol name used in traces and result tables
@@ -57,19 +52,11 @@ class AtomicCommitProcess(Process):
     #: see the class docstring; chain protocols of Appendix E use 1
     timer_origin_shift: float = 0.0
 
-    def __init__(
-        self,
-        pid: int,
-        n: int,
-        f: int,
-        env: ProcessEnv,
-        consensus_class: Optional[type] = None,
-    ):
+    def __init__(self, pid: int, n: int, f: int, env: ProcessEnv):
         super().__init__(pid, n, f, env)
         self.vote: Optional[int] = None
         self.decision: Optional[int] = None
         self.decided: bool = False
-        self._consensus_class = consensus_class or PaxosConsensus
 
     # ------------------------------------------------------------------ #
     # decision plumbing
@@ -93,10 +80,10 @@ class AtomicCommitProcess(Process):
     # ------------------------------------------------------------------ #
     def make_consensus(
         self, name: str = "uc", on_decide: Optional[Callable[[Any], None]] = None
-    ) -> ConsensusComponent:
+    ) -> PaxosConsensus:
         """Create and attach the underlying uniform-consensus module."""
         callback = on_decide if on_decide is not None else self.on_consensus_decide
-        component = self._consensus_class(self, name=name, on_decide=callback)
+        component = PaxosConsensus(self, name=name, on_decide=callback)
         self.attach_component(component)
         return component
 

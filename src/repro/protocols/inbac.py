@@ -136,8 +136,8 @@ class INBAC(AtomicCommitProcess):
 
     protocol_name = "INBAC"
 
-    def __init__(self, pid, n, f, env, fast_abort: bool = False, **kwargs):
-        super().__init__(pid, n, f, env, **kwargs)
+    def __init__(self, pid, n, f, env, fast_abort: bool = False):
+        super().__init__(pid, n, f, env)
         self.fast_abort = fast_abort
         # state variables, named as in Appendix A
         self.phase = 0

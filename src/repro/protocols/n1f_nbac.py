@@ -30,8 +30,8 @@ class NMinus1PlusFNBAC(AtomicCommitProcess):
     protocol_name = "(n-1+f)NBAC"
     timer_origin_shift = 1.0
 
-    def __init__(self, pid, n, f, env, **kwargs):
-        super().__init__(pid, n, f, env, **kwargs)
+    def __init__(self, pid, n, f, env):
+        super().__init__(pid, n, f, env)
         self.decision_var: int = COMMIT
         self.delivered = False
         self.phase = 0

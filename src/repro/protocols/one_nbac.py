@@ -27,8 +27,8 @@ class OneNBAC(AtomicCommitProcess):
 
     protocol_name = "1NBAC"
 
-    def __init__(self, pid, n, f, env, **kwargs):
-        super().__init__(pid, n, f, env, **kwargs)
+    def __init__(self, pid, n, f, env):
+        super().__init__(pid, n, f, env)
         self.phase = 0
         self.proposed = False
         self.collection0: Set[int] = set()

@@ -36,8 +36,8 @@ from repro.protocols.base import ABORT, COMMIT, AtomicCommitProcess, logical_and
 class _PaxosCommitBase(AtomicCommitProcess):
     """State shared by PaxosCommit and FasterPaxosCommit."""
 
-    def __init__(self, pid, n, f, env, **kwargs):
-        super().__init__(pid, n, f, env, **kwargs)
+    def __init__(self, pid, n, f, env):
+        super().__init__(pid, n, f, env)
         # acceptor state: accepted vote per RM instance
         self.accepted: Dict[int, int] = {}
         # RM / leader view of the acceptors' phase-2b reports

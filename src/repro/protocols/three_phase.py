@@ -34,8 +34,8 @@ class ThreePhaseCommit(AtomicCommitProcess):
 
     protocol_name = "3PC"
 
-    def __init__(self, pid, n, f, env, coordinator: int = 1, **kwargs):
-        super().__init__(pid, n, f, env, **kwargs)
+    def __init__(self, pid, n, f, env, coordinator: int = 1):
+        super().__init__(pid, n, f, env)
         self.coordinator = coordinator
         self.state = _Q
         self._votes: Dict[int, int] = {}

@@ -25,8 +25,8 @@ class TwoNMinus2NBAC(AtomicCommitProcess):
     protocol_name = "(2n-2)NBAC"
     timer_origin_shift = 1.0
 
-    def __init__(self, pid, n, f, env, **kwargs):
-        super().__init__(pid, n, f, env, **kwargs)
+    def __init__(self, pid, n, f, env):
+        super().__init__(pid, n, f, env)
         self.votes: int = COMMIT
         self.received_b = False
         self.phase = 0

@@ -26,8 +26,8 @@ class TwoPhaseCommit(AtomicCommitProcess):
 
     protocol_name = "2PC"
 
-    def __init__(self, pid, n, f, env, coordinator: int = 1, **kwargs):
-        super().__init__(pid, n, f, env, **kwargs)
+    def __init__(self, pid, n, f, env, coordinator: int = 1):
+        super().__init__(pid, n, f, env)
         self.coordinator = coordinator
         self._votes: Dict[int, int] = {}
         self._outcome_sent = False

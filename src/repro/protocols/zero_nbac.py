@@ -26,8 +26,8 @@ class ZeroNBAC(AtomicCommitProcess):
 
     protocol_name = "0NBAC"
 
-    def __init__(self, pid, n, f, env, **kwargs):
-        super().__init__(pid, n, f, env, **kwargs)
+    def __init__(self, pid, n, f, env):
+        super().__init__(pid, n, f, env)
         self.myvote: int = COMMIT
         self.myack: Set[int] = set()
         self.zero = False

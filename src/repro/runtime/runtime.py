@@ -277,8 +277,6 @@ class AsyncRuntime(Scheduler):
         self._refuse_nesting(pid, "crash")
         if self.is_down(pid):
             raise ConfigurationError(f"P{pid} is already crashed")
-        # not the plan's: classed like a controller's crash
-        self._injected_crashes.add(pid)
         at = self._stamp()
         self._queue.push(at, PRIORITY_CRASH, (pid,))
         self._advance(at)

@@ -126,10 +126,6 @@ class BucketQueue:
         slot[PRIORITY_DELIVERY].extend(run)
         slot[7] += len(run)
 
-    def peek_time(self) -> float:
-        """The minimum live timestamp; raises IndexError when empty."""
-        return self.times[0]
-
     def pop(self) -> Tuple[float, int, Any]:
         """Remove and return ``(time, priority, entry)`` for the global minimum.
 

@@ -10,9 +10,10 @@ The paper distinguishes three classes of executions (Section 2.2):
 
 A :class:`FaultPlan` describes which failures occur in a particular run and is
 installed into the simulation before it starts.  The run's class is not the
-plan's: :meth:`repro.sim.runner.Scheduler.execution_class` reads the plan's
-crashes and :meth:`FaultPlan.is_network_failure` together with what a schedule
-controller or a delay model did during the run, and the property checker
+plan's: :meth:`repro.sim.runner.Scheduler.execution_class` reads the crashes
+the run recorded (a planned crash that never happened does not count) and
+:meth:`FaultPlan.is_network_failure` together with what a schedule controller
+or a delay model did during the run, and the property checker
 takes that class to decide which properties (agreement / validity /
 termination) the protocol under test is required to satisfy.
 """

@@ -220,7 +220,6 @@ class Scheduler:
         self._controller_began = False
         self._schedule_step = 0
         self._schedule_overdue = False
-        self._injected_crashes: set = set()
         self._crash_budget = self.f - len(self.fault_plan.crashes)
         #: every controller decision that actually applied, as
         #: ``(step, kind, arg)`` tuples — the raw material of a ScheduleTrace
@@ -263,10 +262,6 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     def post_propose(self, pid: int, value: Any, at: float = 0.0) -> None:
         self._queue.push(float(at), PRIORITY_PROPOSE, (pid, value))
-
-    def post_message(self, src: int, dst: int, payload: Any, module: str = "main") -> None:
-        """Send one message: :meth:`send_many` to a single destination."""
-        self.send_many(src, (dst,), payload, module)
 
     def send_many(
         self, src: int, dsts: Iterable[int], payload: Any, module: str = "main"
@@ -672,7 +667,6 @@ class Scheduler:
         if not self.can_inject_crash(pid):
             return False
         self._crash_budget -= 1
-        self._injected_crashes.add(pid)
         self._crash(pid, self.clock.now if at is None else max(self.clock.now, float(at)))
         return True
 
@@ -722,13 +716,15 @@ class Scheduler:
     def execution_class(self) -> str:
         """The execution's class, including schedule-controller effects.
 
-        The one classifier, on both backends.  The fault plan's crashes make
-        a run crash-failure and a rule that can push a delay past the bound
-        (:meth:`FaultPlan.is_network_failure`) makes it network-failure; a
-        controller upgrades the class when it deferred a delivery beyond the
-        bound (network failure) or injected crashes (crash failure), and so
-        does a delay model that counts ``late`` draws past the bound
-        (:class:`~repro.sim.network.LinkDelay`).
+        The one classifier, on both backends.  A crash that happened makes a
+        run crash-failure: the crashes the run recorded (``trace.crashes``:
+        a fault plan's, a controller's and one made by hand alike), not the
+        ones the plan scheduled, so a run that stops before its planned
+        crash is as failure-free as its record.  A rule that can push a
+        delay past the bound (:meth:`FaultPlan.is_network_failure`) makes it
+        network-failure, and so does a controller that deferred a delivery
+        beyond the bound or a delay model that counts ``late`` draws past
+        the bound (:class:`~repro.sim.network.LinkDelay`).
         """
         if (
             self._schedule_overdue
@@ -736,7 +732,7 @@ class Scheduler:
             or getattr(self.delay_model, "late", 0)
         ):
             return "network-failure"
-        if self.fault_plan.crashes or self._injected_crashes:
+        if self.trace.crashes:
             return "crash-failure"
         return "failure-free"
 

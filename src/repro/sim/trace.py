@@ -10,8 +10,8 @@ paper's pseudocode and makes the metrics auditable.
 Two trace levels (selected by the scheduler's ``trace_level``):
 
 * ``"full"`` — :class:`Trace`: one :class:`MessageRecord` per message, the
-  audit-grade record every per-message query (``counted_messages``,
-  ``messages_by_kind``, ``causal_depth``) is computed from.
+  audit-grade record the per-message queries (``counted_messages``,
+  ``causal_depth``) are computed from.
 * ``"counters"`` — :class:`CounterTrace`: no per-message records at all.
   ``record_send_batch`` (and ``record_send``, its one-message case) maintains
   a handful of running tallies (total counted messages, per-module counts, a
@@ -31,7 +31,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.network import U
@@ -192,12 +192,6 @@ class Trace:
         """Processes that never crash in this execution."""
         return [pid for pid in range(1, self.n + 1) if pid not in self.crashes]
 
-    def decided_pids(self) -> List[int]:
-        return sorted(self.decisions)
-
-    def decision_values(self) -> List[Any]:
-        return [self.decisions[p].value for p in sorted(self.decisions)]
-
     def votes(self) -> Dict[int, Any]:
         return {pid: rec.value for pid, rec in self.proposals.items()}
 
@@ -232,28 +226,6 @@ class Trace:
             1 for m in self.counted_messages(module) if m.recv_time <= deadline + 1e-9
         )
 
-    def messages_sent_by(self, deadline: float, module: Optional[str] = None) -> int:
-        return sum(
-            1 for m in self.counted_messages(module) if m.send_time <= deadline + 1e-9
-        )
-
-    def messages_by_kind(self) -> Dict[str, int]:
-        """Histogram of counted messages by their payload "kind" tag.
-
-        Payloads produced by the protocol implementations are tuples whose
-        first element is a short tag (``"V"``, ``"C"``, ``"HELP"``, ...); any
-        other payload is grouped under ``"other"``.
-        """
-        histogram: Dict[str, int] = {}
-        for record in self.counted_messages():
-            payload = record.payload
-            if isinstance(payload, tuple) and payload and isinstance(payload[0], str):
-                kind = payload[0]
-            else:
-                kind = "other"
-            histogram[kind] = histogram.get(kind, 0) + 1
-        return histogram
-
     def module_histogram(self) -> Dict[str, int]:
         """Counted messages per module tag (``"main"``, ``"consensus[...]"``, ...).
 
@@ -265,12 +237,6 @@ class Trace:
             if record.counted:
                 histogram[record.module] = histogram.get(record.module, 0) + 1
         return histogram
-
-    def sends_by_process(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {pid: 0 for pid in range(1, self.n + 1)}
-        for m in self.counted_messages():
-            counts[m.src] = counts.get(m.src, 0) + 1
-        return counts
 
     def decision_of(self, pid: int) -> Optional[Any]:
         rec = self.decisions.get(pid)
@@ -374,8 +340,7 @@ class CounterTrace(Trace):
 
     so aggregate-level queries are byte-identical to a full-trace run while
     a trial never allocates a single :class:`MessageRecord`.  Per-message
-    queries (``counted_messages``, ``messages_by_kind``, ``causal_depth``,
-    ``sends_by_process``, ``messages_sent_by``) raise
+    queries (``counted_messages``, ``causal_depth``) raise
     :class:`~repro.errors.SimulationError`: run at ``trace_level="full"``
     when an analysis needs them.
     """
@@ -477,15 +442,6 @@ class CounterTrace(Trace):
 
     def counted_messages(self, module: Optional[str] = None) -> List[MessageRecord]:
         raise self._unavailable("counted_messages()")
-
-    def messages_sent_by(self, deadline: float, module: Optional[str] = None) -> int:
-        raise self._unavailable("messages_sent_by()")
-
-    def messages_by_kind(self) -> Dict[str, int]:
-        raise self._unavailable("messages_by_kind()")
-
-    def sends_by_process(self) -> Dict[int, int]:
-        raise self._unavailable("sends_by_process()")
 
     def causal_depth(self) -> int:
         raise self._unavailable("causal_depth()")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.db.transaction import Operation, Transaction
 from repro.errors import ConfigurationError
@@ -25,14 +25,6 @@ class TransactionWorkload:
 
     def __len__(self) -> int:
         return len(self.transactions)
-
-    def participants_histogram(self) -> Dict[int, int]:
-        """Histogram of the number of participants per transaction."""
-        histogram: Dict[int, int] = {}
-        for txn in self.transactions:
-            count = len(txn.participants())
-            histogram[count] = histogram.get(count, 0) + 1
-        return histogram
 
 
 def _key(partition: int, index: int) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import signal
+from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import pytest
@@ -41,6 +42,12 @@ def run_protocol(
 def nbac_report(result: SimulationResult):
     """Property report of one execution result."""
     return check_nbac(result.trace)
+
+
+def wal_kinds(records) -> Counter:
+    """Intact records of each kind (``PREPARE``, ``COMMIT``, ``ABORT``) in one
+    partition's log, as ``ClusterReport.wal_records`` holds it."""
+    return Counter(record.kind for record in records if not record.torn)
 
 
 def assert_all_decided(result: SimulationResult, value: Optional[int] = None) -> None:

@@ -1,24 +1,21 @@
-"""Tests for the uniform-consensus substrate (Paxos and the fixed-leader stub)."""
+"""Tests for the uniform-consensus substrate (single-decree Paxos)."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.consensus import FixedLeaderConsensus, PaxosConsensus
+from repro.consensus import PaxosConsensus
 from repro.env import Process
 from repro.sim.faults import FaultPlan
 from repro.sim.runner import Simulation
 
 
-class ConsensusHost(Process):
+class PaxosHost(Process):
     """A minimal host that proposes its input value to the consensus module."""
 
-    consensus_class = PaxosConsensus
     propose_delay = 0.0
 
     def __init__(self, pid, n, f, env):
         super().__init__(pid, n, f, env)
-        self.cons = self.consensus_class(self, name="cons", on_decide=self._on_decide)
+        self.cons = PaxosConsensus(self, name="cons", on_decide=self._on_decide)
         self.attach_component(self.cons)
 
     def _on_decide(self, value):
@@ -39,14 +36,6 @@ class ConsensusHost(Process):
     def on_timeout(self, name):
         if name == "later":
             self.cons.propose(self._pending)
-
-
-class PaxosHost(ConsensusHost):
-    consensus_class = PaxosConsensus
-
-
-class FixedLeaderHost(ConsensusHost):
-    consensus_class = FixedLeaderConsensus
 
 
 def run_consensus(host_cls, n, f, proposals, fault_plan=None, max_time=400):
@@ -115,23 +104,38 @@ class TestPaxos:
         assert proc.cons.decision in {0, 1}
         assert result.decisions()[1] == proc.cons.decision
 
-
-class TestFixedLeader:
-    def test_failure_free_agreement(self):
-        result = run_consensus(FixedLeaderHost, 4, 1, [1, 0, 1, 0])
+    def test_failure_free_agreement_on_mixed_proposals(self):
+        result = run_consensus(PaxosHost, 4, 1, [1, 0, 1, 0])
         assert len(result.decisions()) == 4
         assert len(set(result.decisions().values())) == 1
 
-    def test_leader_value_wins_when_leader_proposes_first(self):
-        result = run_consensus(FixedLeaderHost, 3, 1, [0, 1, 1])
-        assert set(result.decisions().values()) == {0}
-
-    def test_blocks_if_leader_crashes(self):
+    def test_a_process_crashed_from_the_start_does_not_block_the_rest(self):
+        # P1 holds the lowest ballot; with it down, P2 or P3 leads instead
         plan = FaultPlan.crash(1, at=0.0)
-        result = run_consensus(FixedLeaderHost, 3, 1, [1, 1, 1], fault_plan=plan, max_time=30)
-        assert result.decisions() == {}
+        result = run_consensus(PaxosHost, 3, 1, [1, 1, 1], fault_plan=plan)
+        assert result.decisions() == {2: 1, 3: 1}
+
+    def test_decide_callback_fires_once_per_host(self):
+        calls = []
+
+        class Counting(PaxosHost):
+            def _on_decide(self, value):
+                calls.append(self.pid)
+                super()._on_decide(value)
+
+        result = run_consensus(Counting, 5, 2, [0, 1, 0, 1, 1])
+        # every host hears ACCEPTED from a majority and DECIDED from the rest
+        assert sorted(calls) == [1, 2, 3, 4, 5]
+        assert len(set(result.decisions().values())) == 1
+
+    def test_release_drops_the_decide_callback(self):
+        result = run_consensus(PaxosHost, 3, 1, [1, 1, 1])
+        cons = result.process(1).cons
+        cons.release()
+        assert cons.on_decide is None
+        assert cons.decision == 1
 
     def test_majority_helper(self):
-        sim = Simulation(n=5, f=2, process_class=FixedLeaderHost, max_time=10)
+        sim = Simulation(n=5, f=2, process_class=PaxosHost, max_time=10)
         result = sim.run([1] * 5)
         assert result.process(1).cons.majority() == 3

@@ -85,11 +85,6 @@ class TestNiceExecutionComplexity:
         assert stats.consensus_messages == 0
         assert stats.n == n and stats.f == f
 
-    def test_as_row_contains_all_fields(self):
-        result = run_nice_execution(INBAC, n=4, f=1)
-        row = nice_execution_complexity(result.trace).as_row()
-        assert set(row) >= {"protocol", "n", "f", "delays", "messages", "causal_depth"}
-
     def test_consensus_messages_are_every_counted_module_but_main(self):
         trace = Trace(n=2, f=1)
         trace.record_send(1, 1, 2, ("x",), 0.0, 1.0, counted=True, module="main")

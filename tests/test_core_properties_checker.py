@@ -175,9 +175,17 @@ class TestProblemEvaluation:
         assert not evaluation.satisfied
         assert evaluation.failures
 
-    def test_report_satisfied_labels(self):
-        trace = make_trace(decisions={1: (1, 2), 2: (1, 2), 3: (1, 2)})
-        assert check_nbac(trace).satisfied_labels() == "AVT"
+    def test_report_reads_each_property_by_label(self):
+        # P3 never decides: validity and agreement hold, termination does not
+        trace = make_trace(decisions={1: (1, 2), 2: (1, 2)})
+        report = check_nbac(trace)
+        assert report.check(Prop.VALIDITY) is report.validity
+        assert report.check(Prop.AGREEMENT) is report.agreement
+        assert report.check(Prop.TERMINATION) is report.termination
+        assert report.holds(frozenset({Prop.VALIDITY, Prop.AGREEMENT}))
+        assert not report.holds(ALL_PROPS)
+        assert not report.solves_nbac()
+        assert report.violations() == list(report.termination.violations)
 
     def test_robustness_row_takes_the_intersection_over_traces(self):
         # the quantifier lives in RobustnessFold: a property holds for a

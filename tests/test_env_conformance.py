@@ -179,7 +179,7 @@ def _sim_decision(name: str, votes):
     info = get_protocol(name)
     result = run_protocol(info.cls, AGREEMENT_N, AGREEMENT_F, votes)
     assert check_nbac(result.trace).solves_nbac(), f"sim run of {name}"
-    return result.trace.decision_values()[0]
+    return result.trace.decisions[1].value
 
 
 def _cell(name):
@@ -208,7 +208,9 @@ def test_sim_and_runtime_agree(name, votes):
     assert report.execution_class == "failure-free"
     # fault-free: all three properties, so all-yes commits and a no aborts
     assert report.solves_nbac(), f"{name}: {report.violations()}"
-    assert trace.decision_values() == [expected] * AGREEMENT_N
+    assert [rec.value for _, rec in sorted(trace.decisions.items())] == [
+        expected
+    ] * AGREEMENT_N
 
 
 def _decided(trace):

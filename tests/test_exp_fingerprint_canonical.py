@@ -31,7 +31,7 @@ def collect(trial, result):
     trace = result.trace
     histogram = trace.module_histogram()
     return {
-        "nested": {"modules": histogram, "decided": {"pids": trace.decided_pids()}},
+        "nested": {"modules": histogram, "decided": {"pids": sorted(trace.decisions)}},
         "pair": (trial.n, (trial.f, "f")),
         "tally": Tally(sorted(result.processes), histogram, (0.0, trace.end_time)),
     }

@@ -39,19 +39,14 @@ def trial(**fields):
 class TestBroken:
     def test_a_clean_trial_broke_nothing(self):
         assert trial().broken() == ()
-        assert trial().held_label() == "AVT"
-        assert trial().solves_nbac()
 
     def test_false_flags_in_a_v_t_order(self):
         t = trial(termination=False, agreement=False)
         assert t.broken() == ("agreement", "termination")
-        assert t.held_label() == "V"
 
     def test_an_errored_trial_demonstrated_nothing(self):
         t = trial(error="Traceback ...")
         assert t.broken() == ("agreement", "validity", "termination")
-        assert t.held_label() == ""
-        assert not t.solves_nbac()
 
 
 class TestErroredTrials:

@@ -21,10 +21,10 @@ from repro.sim.trace import digest_percentile, digest_sum
 class TestInstruments:
     def test_counter_inc_and_default(self):
         registry = MetricsRegistry()
-        assert registry.counter_value("absent") == 0
+        assert "absent" not in registry.snapshot().counters
         registry.inc("sends")
         registry.inc("sends", 4)
-        assert registry.counter_value("sends") == 5
+        assert registry.snapshot().counters["sends"] == 5
 
     def test_gauge_last_write_wins_locally(self):
         registry = MetricsRegistry()
@@ -63,17 +63,19 @@ class TestInstruments:
         if q == 50:
             plain = {float(value): 1 for value in range(1, size + 1)}
             assert digest_percentile(plain, size, q) == (size + 1) / 2  # 3 of {1..5}
-        # and its three readers take it from there
+        # and the histogram reads it the same way
         histogram = Histogram()
         for value in reversed(expanded):
             histogram.observe(value)
         assert histogram.percentile(q) == want
         assert histogram.sum() == digest_sum(counts) == digest_sum(histogram.counts)
-        summary = MetricsSnapshot(histograms={"h": dict(counts)}).histogram_summary("h")
-        assert summary["count"] == total
-        assert summary["mean"] == histogram.mean()
-        assert summary["p50"] == digest_percentile(counts, total, 50)
-        assert summary["p99"] == digest_percentile(counts, total, 99)
+
+    def test_empty_histogram_has_no_mean_or_percentile(self):
+        histogram = Histogram()
+        assert histogram.mean() is None
+        assert histogram.percentile(50) is None
+        assert histogram.sum() == 0
+        assert "absent" not in MetricsRegistry().snapshot().histograms
 
     def test_empty_digests_have_no_percentile_and_sum_to_zero(self):
         assert digest_percentile({}, 0, 50) is None
@@ -173,7 +175,7 @@ class TestSnapshotMerge:
             right.to_jsonable(), sort_keys=True
         )
 
-    def test_histogram_summary_over_merged_digest(self):
+    def test_merged_histogram_digest(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         for value in (1.0, 2.0):
             a.observe("delay", value)
@@ -181,15 +183,11 @@ class TestSnapshotMerge:
             b.observe("delay", value)
         merged = a.snapshot()
         merged.merge(b.snapshot())
-        summary = merged.histogram_summary("delay")
-        assert summary["count"] == 4.0
-        assert summary["mean"] == 3.75
-        assert summary["p50"] == 2.0
-        assert summary["p99"] == 10.0
-
-    def test_missing_histogram_summary_is_empty(self):
-        summary = MetricsSnapshot().histogram_summary("absent")
-        assert summary == {"count": 0.0, "mean": None, "p50": None, "p99": None}
+        digest = merged.histograms["delay"]
+        assert digest == {1.0: 1, 2.0: 2, 10.0: 1}
+        assert digest_sum(digest) / sum(digest.values()) == 3.75
+        assert digest_percentile(digest, 4, 50) == 2.0
+        assert digest_percentile(digest, 4, 99) == 10.0
 
     def test_snapshot_is_picklable_and_json_safe(self):
         registry = MetricsRegistry()

@@ -267,9 +267,9 @@ class TestReporters:
         reporter = MetricsProgressReporter()
         run_sweep(small_grid(), workers=1, mode="aggregate", progress=reporter)
         registry = reporter.registry
-        assert registry.counter_value("sweep.runs") == 1
-        assert registry.counter_value("sweep.runs_completed") == 1
-        assert registry.counter_value("sweep.chunks_done") == 8
+        assert registry.snapshot().counters.get("sweep.runs", 0) == 1
+        assert registry.snapshot().counters.get("sweep.runs_completed", 0) == 1
+        assert registry.snapshot().counters.get("sweep.chunks_done", 0) == 8
         snapshot = registry.snapshot()
         assert snapshot.gauges["sweep.trials_done"] == 8.0
         assert snapshot.gauges["sweep.queue_depth"] == 0.0

@@ -69,9 +69,9 @@ class TestTransportMetrics:
         # every draw is also delayed and observed in the histogram
         assert snapshot.counters["transport.sends"] == report.messages_total
         assert snapshot.counters["transport.delayed"] == report.messages_total
-        delays = snapshot.histogram_summary("transport.link_delay_units")
-        assert delays["count"] == float(report.messages_total)
-        assert delays["p50"] == 0.3
+        assert snapshot.histograms["transport.link_delay_units"] == {
+            0.3: report.messages_total
+        }
 
     def test_the_default_network_counts_sends_and_no_delays(self):
         metrics = MetricsRegistry()
@@ -132,7 +132,7 @@ class TestTimerMetrics:
     def test_commit_run_arms_timers(self):
         metrics = MetricsRegistry()
         run_service(config(), workload(), metrics=metrics)
-        assert metrics.counter_value("runtime.timer_set") > 0
+        assert metrics.snapshot().counters.get("runtime.timer_set", 0) > 0
 
 
 def spaced_transfers():
@@ -174,9 +174,9 @@ class TestClusterLifecycleTelemetry:
         counters = metrics.snapshot().counters
         assert counters["cluster.crashes"] == 1
         assert counters["cluster.rejoins"] == 1
-        replay = metrics.snapshot().histogram_summary("cluster.wal_replay_seconds")
-        assert replay["count"] == 1.0
-        assert replay["mean"] >= 0.0
+        replay = metrics.snapshot().histograms["cluster.wal_replay_seconds"]
+        assert sum(replay.values()) == 1
+        assert min(replay) >= 0.0
 
         assert list(report.crashes) == [2]
         [event] = report.recovery_events
@@ -216,7 +216,7 @@ class TestClusterLifecycleTelemetry:
 
         report = asyncio.run(drive())
         assert report.committed == 4
-        assert metrics.counter_value("cluster.retries") == sum(
+        assert metrics.snapshot().counters.get("cluster.retries", 0) == sum(
             report.retry_counts.values()
         )
 
@@ -232,7 +232,7 @@ class TestClusterLifecycleTelemetry:
             transfers.transactions, metrics=metrics,
         )
         assert report.retry_counts
-        assert metrics.counter_value("cluster.retries") == sum(
+        assert metrics.snapshot().counters.get("cluster.retries", 0) == sum(
             report.retry_counts.values()
         )
 
@@ -276,8 +276,8 @@ class TestClusterLifecycleTelemetry:
         snapshot = metrics.snapshot()
         assert snapshot.counters["cluster.crashes"] == len(report.crashes)
         assert snapshot.counters["cluster.rejoins"] == len(report.recovery_events)
-        replay = snapshot.histogram_summary("cluster.wal_replay_seconds")
-        assert replay["count"] == float(len(report.recovery_events))
+        replay = snapshot.histograms["cluster.wal_replay_seconds"]
+        assert sum(replay.values()) == len(report.recovery_events)
 
     def test_the_lifecycle_is_reported_alike_without_a_registry(self):
         plan = FaultPlan.crash_recover(2, at=20.0, rejoin_at=40.0)
@@ -357,5 +357,5 @@ class TestWakeLateness:
         metrics = MetricsRegistry()
         turns = self.drive(runtime_metrics=None, network_metrics=metrics)
         assert turns > 0
-        assert metrics.counter_value("transport.sends") > 0
+        assert metrics.snapshot().counters.get("transport.sends", 0) > 0
         assert "runtime.wake_late_seconds" not in metrics.snapshot().histograms

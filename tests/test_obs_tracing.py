@@ -29,6 +29,15 @@ from repro.workloads import uniform_workload
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens", "trace_2pc_sim.json")
 
 
+def spans_of(context, txn_id):
+    return [span for span in context.spans if span.txn_id == txn_id]
+
+
+def phases_of(context, txn_id):
+    """Distinct span names of one transaction, in first-recorded order."""
+    return list(dict.fromkeys(span.name for span in spans_of(context, txn_id)))
+
+
 def faulty_run(protocol, rejoin_at):
     """P1 crashes at 5 and rejoins; the client retries unacknowledged txns."""
     config = ClusterConfig(
@@ -54,8 +63,8 @@ class TestTraceContext:
             Span("EXEC", "tx-1", 1, 3.0, 4.0),  # retry: same phase twice
         ])
         assert spans.transaction_ids() == ["tx-1", "tx-0"]
-        assert spans.phases_of("tx-1") == ["EXEC", "PREPARE-vote"]
-        assert len(spans.spans_of("tx-1")) == 3
+        assert phases_of(spans, "tx-1") == ["EXEC", "PREPARE-vote"]
+        assert len(spans_of(spans, "tx-1")) == 3
 
     def test_span_jsonable_sorts_args(self):
         span = Span(name="EXEC", txn_id="tx-0", pid=1, start=0.0, end=1.0,
@@ -106,7 +115,7 @@ class TestTracedSimRun:
         report, spans = traced_cluster_run()
         assert report.committed == len(report.outcomes) == 4
         for txn_id in spans.transaction_ids():
-            phases = spans.phases_of(txn_id)
+            phases = phases_of(spans, txn_id)
             for phase in TXN_PHASES:
                 assert phase in phases, (txn_id, phases)
             assert "txn" in phases  # the submission-to-ack envelope
@@ -144,7 +153,7 @@ class TestSpansOfAFaultyRun:
         assert query.args == {"decision": ABORT}
         # the recovered outcome is the query's, not a commit round's
         assert not [
-            s for s in spans.spans_of("tx-1") if s.pid == 1 and s.name == "decision"
+            s for s in spans_of(spans, "tx-1") if s.pid == 1 and s.name == "decision"
         ]
 
     def test_each_submission_is_an_exec_span_and_retry_counts_agree(self):
@@ -153,7 +162,7 @@ class TestSpansOfAFaultyRun:
         retried = {}
         for outcome in report.outcomes:
             execs = sorted(
-                (s for s in spans.spans_of(outcome.txn_id) if s.name == "EXEC"),
+                (s for s in spans_of(spans, outcome.txn_id) if s.name == "EXEC"),
                 key=lambda s: s.start,
             )
             assert [s.args["attempt"] for s in execs] == list(
@@ -190,7 +199,7 @@ class TestSpansOfAFaultyRun:
             spans = TraceContext.from_report(report)
             for outcome in report.outcomes:
                 if outcome.decision == COMMIT:
-                    phases = spans.phases_of(outcome.txn_id)
+                    phases = phases_of(spans, outcome.txn_id)
                     missing[(trial.index, outcome.txn_id)] = [
                         phase for phase in TXN_PHASES if phase not in phases
                     ]
@@ -225,7 +234,7 @@ class TestTracedAsyncRun:
         }
         assert spans.clock == "wall-units"
         for txn_id in sorted(committed):
-            phases = spans.phases_of(txn_id)
+            phases = phases_of(spans, txn_id)
             for phase in TXN_PHASES:
                 assert phase in phases, (txn_id, phases)
 

@@ -289,7 +289,7 @@ class TestClusterInvariantProperties:
     @settings(max_examples=10, deadline=None)
     def test_recorded_decisions_replay_to_the_same_outcomes(self, seed):
         from repro.db import ClusterConfig, run_cluster
-        from repro.explore import RandomWalk, ScheduleTrace
+        from repro.explore import RandomWalk, ReplayController
         from repro.workloads import bank_transfer_workload
 
         workload = bank_transfer_workload(3, num_partitions=3, seed=seed)
@@ -304,10 +304,7 @@ class TestClusterInvariantProperties:
             )
 
         explored = run(RandomWalk(seed=seed, defer_prob=0.25, crash_prob=0.1))
-        trace = ScheduleTrace(
-            strategy="random-walk", seed=seed, decisions=explored.schedule_decisions
-        )
-        replayed = run(trace.replay_controller())
+        replayed = run(ReplayController(decisions=explored.schedule_decisions))
         assert replayed.trace_fingerprint == explored.trace_fingerprint, (
             f"replay diverged for (seed={seed}, "
             f"decisions={explored.schedule_decisions})"
@@ -464,7 +461,7 @@ class TestBucketQueueEquivalence:
                 queue.push(time, priority, seq)
                 heapq.heappush(heap, (time, priority, seq))
             elif heap:
-                assert queue.peek_time() == heap[0][0]
+                assert queue.times[0] == heap[0][0]
                 assert queue.pop() == heapq.heappop(heap)
             assert len(queue) == len(heap)
             assert bool(queue) == bool(heap)

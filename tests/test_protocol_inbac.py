@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from conftest import assert_agreement, assert_all_decided, nbac_report, run_protocol
-from repro.consensus import FixedLeaderConsensus
 from repro.protocols.inbac import (
     BRANCH_ASK_HELP,
     BRANCH_CONS_AND,
@@ -167,16 +166,9 @@ class TestNetworkFailures:
 
 
 class TestConsensusPluggability:
-    def test_runs_with_the_fixed_leader_consensus(self):
+    def test_runs_with_a_process_crashed_from_the_start(self):
         plan = FaultPlan.crash(5, at=0.0)
-        result = run_protocol(
-            INBAC,
-            5,
-            2,
-            [1] * 5,
-            fault_plan=plan,
-            protocol_kwargs={"consensus_class": FixedLeaderConsensus},
-        )
+        result = run_protocol(INBAC, 5, 2, [1] * 5, fault_plan=plan)
         report = nbac_report(result)
         assert report.agreement.holds and report.termination.holds
 

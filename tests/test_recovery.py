@@ -156,7 +156,7 @@ class TestSimRejoin:
             if r.kind == WAL_PREPARE and r.vote == 0 and r.timestamp < 9.0
         ]
         assert len(no_votes) == 1  # cast before the crash
-        assert report.partition_stats[2]["vote_no"] == 1
+        assert [r.vote for r in report.wal_records[2] if r.kind == WAL_PREPARE].count(0) == 1
 
     @pytest.mark.parametrize("backend", ["sim", "asyncio"])
     def test_client_coordinator_is_not_recoverable(self, backend):

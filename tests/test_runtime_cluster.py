@@ -13,6 +13,7 @@ import contextlib
 
 import pytest
 
+from conftest import wal_kinds
 from repro.db.cluster import BACKENDS, ClusterConfig, run_cluster
 from repro.db.coordinator import RetryPolicy
 from repro.db.transaction import Operation, Transaction
@@ -461,7 +462,7 @@ class TestLiveService:
         assert outcome.decision == COMMIT
         assert settled
         assert report.in_doubt_by_partition == {}
-        assert [stats["committed"] for stats in report.partition_stats.values()] == [1, 1]
+        assert [wal_kinds(log)["COMMIT"] for log in report.wal_records.values()] == [1, 1]
 
     def test_wait_all_completed_does_not_wait_for_a_crashed_participant(self):
         txn = Transaction.of(
@@ -521,7 +522,7 @@ class TestLiveService:
         assert outcome.decision == ABORT
         assert settled
         assert waited < 50 * unit / 2
-        assert report.partition_stats[2]["prepared"] == 0
+        assert wal_kinds(report.wal_records[2])["PREPARE"] == 0
         assert report.in_doubt_by_partition == {}
 
     def test_concurrent_wait_all_completed_callers_all_see_the_settle(self):
@@ -1197,8 +1198,8 @@ class TestTimerHandles:
         fires, table = asyncio.run(drive())
         assert fires == [("timeout", "re", 3.0)]
         assert table == {}  # a handled expiry leaves nothing behind
-        assert metrics.counter_value("runtime.timer_set") == 1
-        assert metrics.counter_value("runtime.timer_rearm") == 1
+        assert metrics.snapshot().counters.get("runtime.timer_set", 0) == 1
+        assert metrics.snapshot().counters.get("runtime.timer_rearm", 0) == 1
 
     def test_cancel_of_a_fired_or_never_armed_timer_is_a_noop(self):
         """Carried over unchanged: and ``runtime.timer_cancel`` counts
@@ -1219,7 +1220,7 @@ class TestTimerHandles:
 
         fires = asyncio.run(drive())
         assert fires == [("timeout", "once", 0.5)]
-        assert metrics.counter_value("runtime.timer_cancel") == 0
+        assert metrics.snapshot().counters.get("runtime.timer_cancel", 0) == 0
 
     def test_cancel_then_rearm_beats_the_expiry_still_queued(self):
         """Carried over unchanged: the stale expiry is still queued when the
@@ -1366,7 +1367,7 @@ class TestTimerTableStaysSmall:
         [event] = report.recovery_events
         assert (event.pid, event.crashed_at, event.rejoined_at) == (4, 2.0, 6.0)
         # every message took the delayed path (the last DONE may be unsent)
-        delayed = metrics.counter_value("transport.delayed")
+        delayed = metrics.snapshot().counters.get("transport.delayed", 0)
         assert delayed == service.transport.messages_total > 5 * len(workload)
         # one task per client coroutine: none per message, crash or rejoin
         assert len(created) == clients

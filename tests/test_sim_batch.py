@@ -41,13 +41,13 @@ class TestBucketQueue:
         assert queue.pop() == (1.0, 4, "earlier-timer")
         assert queue.pop() == (2.0, 0, "later-crash")
 
-    def test_peek_time_and_bucket_cleanup(self):
+    def test_min_time_and_bucket_cleanup(self):
         queue = BucketQueue()
         queue.push(3.0, 2, "x")
         queue.push(5.0, 2, "y")
-        assert queue.peek_time() == 3.0
+        assert queue.times[0] == 3.0
         queue.pop()
-        assert queue.peek_time() == 5.0
+        assert queue.times[0] == 5.0
         queue.pop()
         assert not queue
         assert queue.buckets == {}

@@ -14,7 +14,8 @@ from repro.sim.network import (
     LognormalDelay,
     UniformDelay,
 )
-from repro.sim.runner import Scheduler
+from repro.protocols import TwoPhaseCommit
+from repro.sim.runner import Scheduler, Simulation
 
 
 class TestVirtualClock:
@@ -51,7 +52,7 @@ class TestEventOrdering:
 
     def test_time_dominates_kind(self):
         scheduler, log = self.scheduler()
-        scheduler.post_message(2, 1, "late-delivery")  # arrives at t=1
+        scheduler.send_many(2, (1,), "late-delivery")  # arrives at t=1
         scheduler.set_timer(1, 0.5, "early-timer")
         scheduler.run()
         assert log == [(1, "timeout", "early-timer", 0.5), (1, "deliver", "late-delivery", 1.0)]
@@ -61,23 +62,23 @@ class TestEventOrdering:
         # so post order alone would have fired it first
         scheduler, log = self.scheduler()
         scheduler.set_timer(1, 1.0, "timer")
-        scheduler.post_message(2, 1, "message")
+        scheduler.send_many(2, (1,), "message")
         scheduler.run()
         assert log == [(1, "deliver", "message", 1.0), (1, "timeout", "timer", 1.0)]
 
     def test_crash_preempts_everything_at_its_instant(self):
         scheduler, log = self.scheduler(FaultPlan.crash(1, at=1.0))
         scheduler.post_propose(1, "vote", at=1.0)
-        scheduler.post_message(2, 1, "message")
+        scheduler.send_many(2, (1,), "message")
         scheduler.set_timer(1, 1.0, "timer")
-        scheduler.post_message(1, 2, "to-a-live-process")
+        scheduler.send_many(1, (2,), "to-a-live-process")
         scheduler.run()
         assert log == [(2, "deliver", "to-a-live-process", 1.0)]
         assert scheduler.trace.crashes == {1: 1.0}
 
     def test_propose_before_delivery_at_one_instant(self):
         scheduler, log = self.scheduler()
-        scheduler.post_message(2, 1, "message")
+        scheduler.send_many(2, (1,), "message")
         scheduler.post_propose(1, "vote", at=1.0)
         scheduler.run()
         assert [entry[1] for entry in log] == ["propose", "deliver"]
@@ -98,7 +99,7 @@ class TestEventOrdering:
     def test_equal_time_and_kind_fire_in_post_order(self):
         scheduler, log = self.scheduler()
         for tag in ("a", "b", "c"):
-            scheduler.post_message(2, 1, tag)
+            scheduler.send_many(2, (1,), tag)
             scheduler.set_timer(3, 1.0, tag)
         scheduler.run()
         assert [entry[2] for entry in log if entry[1] == "deliver"] == ["a", "b", "c"]
@@ -206,8 +207,12 @@ class TestDelayRules:
 
 
 def _plan_class(plan: FaultPlan) -> str:
-    """The class the one classifier gives a run under ``plan`` alone."""
-    return Scheduler(3, 1, fault_plan=plan).execution_class()
+    """The class the one classifier gives a run under ``plan`` alone, once
+    the run has happened (a crash counts only when it took place)."""
+    scheduler = Scheduler(3, 1, delay_model=FixedDelay(1.0), fault_plan=plan)
+    scheduler.bind_processes(lambda pid, n, f, env: Recorder(pid, n, f, env, []))
+    scheduler.run()
+    return scheduler.execution_class()
 
 
 class TestFaultPlans:
@@ -230,6 +235,17 @@ class TestFaultPlans:
         plan = FaultPlan(crashes={1: 0.0}, delay_rules=[DelayRule(src=2, delay=0.5)])
         assert not plan.is_network_failure()
         assert _plan_class(plan) == "crash-failure"
+
+    def test_a_planned_crash_that_never_happens_leaves_the_run_failure_free(self):
+        # the stop rule ends the run once every process (P2 included: it has
+        # not crashed yet) has decided, long before P2's crash at 10 U
+        plan = FaultPlan.crash(2, at=10.0)
+        result = Simulation(n=3, f=1, process_class=TwoPhaseCommit).run(
+            [1, 1, 1], delay_model=FixedDelay(1.0), fault_plan=plan
+        )
+        assert result.decisions() == {1: 1, 2: 1, 3: 1}
+        assert result.trace.crashes == {}
+        assert result.trace.metadata["execution_class"] == "failure-free"
 
     def test_merged_plans(self):
         merged = FaultPlan.crash(1, 0.0).merged_with(FaultPlan.delay_messages(src=2))

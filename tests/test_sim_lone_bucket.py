@@ -171,7 +171,7 @@ def prepared(delays, hooks=None, **kwargs):
         lambda pid, n, f, env: Scripted(pid, n, f, env, log, hooks or {})
     )
     for tag in delays:
-        scheduler.post_message(2, 1, tag)
+        scheduler.send_many(2, (1,), tag)
     return scheduler, log
 
 
@@ -213,7 +213,7 @@ class TestOtherKindsAtALoneTime:
                 lambda s: s._queue.push(1.0, PRIORITY_CRASH, (1,)),
                 [("crash", None)],  # the crashed destination ignores the delivery
             ),
-            (lambda s: s.post_message(3, 1, "m1"), [("deliver", "m1"), ("deliver", "m1")]),
+            (lambda s: s.send_many(3, (1,), "m1"), [("deliver", "m1"), ("deliver", "m1")]),
         ],
         ids=["timer", "proposal", "crash-of-the-destination", "second-delivery"],
     )
@@ -280,7 +280,7 @@ class TestSelfSendAtTheRunTime:
         scheduler.bind_processes(
             lambda pid, n, f, env: Scripted(pid, n, f, env, log, {"go": broadcast})
         )
-        scheduler.post_message(2, 1, "go")
+        scheduler.send_many(2, (1,), "go")
         assert is_lone(scheduler, 1.0)
         scheduler.run()
         queued = scheduler._queue.buckets[1.0]
