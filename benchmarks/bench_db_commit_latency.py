@@ -13,8 +13,6 @@ cluster runs fan out across worker processes like any other sweep.
 
 from __future__ import annotations
 
-import pytest
-
 from _helpers import attach_rows
 from repro.analysis import cluster_summary_rows, render_table
 from repro.exp import GridSpec, run_sweep

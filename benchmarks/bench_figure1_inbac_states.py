@@ -96,8 +96,7 @@ def run_all_scenarios():
                 "seed": 3,
             }
             for label, votes, plan in SCENARIOS
-        ],
-        max_time=500,
+        ]
     )
     sweep = run_trials(trials, collector=collect_branches)
     assert not sweep.errors(), [t.error for t in sweep.errors()]

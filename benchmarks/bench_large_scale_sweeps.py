@@ -17,8 +17,6 @@ so memory stays bounded by the grid's cell count:
 
 from __future__ import annotations
 
-import pytest
-
 from _helpers import attach_rows
 from repro.analysis import render_table
 from repro.exp import GridSpec, named_delay, run_sweep

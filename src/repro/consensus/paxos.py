@@ -54,12 +54,7 @@ class PaxosConsensus(ProcessComponent):
     #: per-attempt additive backoff, staggered by pid to avoid duelling
     RETRY_BACKOFF = 2.0
 
-    def __init__(
-        self,
-        host: Process,
-        name: str = "cons",
-        on_decide: Optional[Callable[[Any], None]] = None,
-    ):
+    def __init__(self, host: Process, name: str, on_decide: Callable[[Any], None]):
         super().__init__(host, name)
         self.on_decide = on_decide
         self.proposed = False

@@ -98,11 +98,10 @@ def required_properties(cell: PropertyPair, execution_class: str) -> FrozenSet[P
     raise ValueError(f"unknown execution class {execution_class!r}")
 
 
-def evaluate_problem(
-    trace: Trace, cell: PropertyPair, execution_class: Optional[str] = None
-) -> ProblemEvaluation:
-    """Evaluate one execution of a protocol against one problem cell."""
-    cls = execution_class or trace.metadata.get("execution_class", "failure-free")
+def evaluate_problem(trace: Trace, cell: PropertyPair) -> ProblemEvaluation:
+    """Evaluate one execution of a protocol against one problem cell, in the
+    execution class its trace records."""
+    cls = trace.metadata.get("execution_class", "failure-free")
     report = check_nbac(trace, cls)
     required = required_properties(cell, cls)
     # canonical A, V, T order: ``required`` is a frozenset of a str-Enum,

@@ -31,12 +31,12 @@ from typing import Optional
 from repro.sim.trace import Trace
 
 
-def messages_until_last_decision(trace: Trace, module: Optional[str] = None) -> int:
+def messages_until_last_decision(trace: Trace) -> int:
     """Messages received by the time the last process decides (the paper's count)."""
     last = trace.last_decision_time()
     if last is None:
-        return trace.message_count(module)
-    return trace.messages_received_by(last, module)
+        return trace.message_count()
+    return trace.messages_received_by(last)
 
 
 def decision_message_delays(trace: Trace) -> Optional[float]:

@@ -53,7 +53,7 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be at least 1")
-        if self.timeout_units <= 0:
+        if not self.timeout_units > 0:  # NaN fails it too
             raise ConfigurationError("timeout_units must be positive")
 
     def backoff(self, retry_index: int, rng) -> float:

@@ -110,14 +110,14 @@ def _wal_outcomes(server: "object") -> Dict[str, Optional[str]]:
 
 def check_atomicity(
     partitions: Dict[int, "object"],
-    wal_outcomes: Optional[Dict[int, Dict[str, Optional[str]]]] = None,
+    wal_outcomes: Dict[int, Dict[str, Optional[str]]],
 ) -> List[str]:
     """Conflicting transaction outcomes across (or within) partitions.
 
     Two checks per transaction: no ``COMMIT``/``ABORT`` split across the
     participant WALs, and no store holding versions of a transaction its own
-    WAL did not record as committed.  ``wal_outcomes`` lets
-    :func:`check_cluster` share one per-partition WAL pass across checks.
+    WAL did not record as committed.  ``wal_outcomes`` is each partition's
+    :func:`_wal_outcomes`, read once by :func:`check_cluster` for every check.
     """
     violations: List[str] = []
     locals_by_pid: Dict[int, Dict[str, Optional[str]]] = {}
@@ -126,9 +126,7 @@ def check_atomicity(
     split: Set[str] = set()
     for pid in sorted(partitions):
         server = partitions[pid]
-        local = locals_by_pid[pid] = (
-            wal_outcomes[pid] if wal_outcomes is not None else _wal_outcomes(server)
-        )
+        local = locals_by_pid[pid] = wal_outcomes[pid]
         for txn_id, outcome in local.items():
             if outcome is not None and first.setdefault(txn_id, outcome) != outcome:
                 split.add(txn_id)
@@ -176,7 +174,7 @@ def check_durability(partitions: Dict[int, "object"]) -> List[str]:
 
 def check_lock_safety(
     partitions: Dict[int, "object"],
-    wal_outcomes: Optional[Dict[int, Dict[str, Optional[str]]]] = None,
+    wal_outcomes: Dict[int, Dict[str, Optional[str]]],
 ) -> List[str]:
     """No two exclusive holders; decided transactions hold no locks."""
     violations: List[str] = []
@@ -189,10 +187,7 @@ def check_lock_safety(
                     f"lock-safety: partition {pid} key {key!r} is EXCLUSIVE "
                     f"with {len(holders)} holders {sorted(holders)}"
                 )
-        local = (
-            wal_outcomes[pid] if wal_outcomes is not None else _wal_outcomes(server)
-        )
-        for txn_id, outcome in local.items():
+        for txn_id, outcome in wal_outcomes[pid].items():
             if outcome is None:
                 continue  # in doubt: holding locks is the protocol's point
             held = server.locks.keys_held_by(txn_id)

@@ -54,18 +54,15 @@ class VersionedStore:
             raise StorageError(f"key {key!r} does not exist")
         return versions[-1].value
 
-    def get_or_default(self, key: str, default: object = None) -> object:
+    def get_or_default(self, key: str) -> object:
+        """The latest value of ``key``, or None if it was never written."""
         try:
             return self.get(key)
         except StorageError:
-            return default
+            return None
 
     def keys(self) -> List[str]:
         return sorted(self._data)
-
-    def history(self, key: str) -> List[VersionRecord]:
-        """Full version history of a key (most recent last)."""
-        return list(self._data.get(key, []))
 
     def snapshot(self) -> Dict[str, object]:
         """Latest value of every key (used by tests and examples)."""

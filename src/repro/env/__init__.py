@@ -69,7 +69,7 @@ namespaced timer names (``"module:name"``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Protocol
+from typing import Any, Dict, Iterable, Protocol
 
 from repro.errors import ProtocolViolationError
 
@@ -201,9 +201,6 @@ class Process:
             )
         self._components[component.name] = component
         return component
-
-    def component(self, name: str) -> Optional[ProcessComponent]:
-        return self._components.get(name)
 
     # ------------------------------------------------------------------ #
     # convenience wrappers over the environment

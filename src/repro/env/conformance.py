@@ -154,8 +154,8 @@ class _SelfSendProbe(ObservingProcess):
 class _EchoComponent(ProcessComponent):
     """Replies ``("pong", x)`` to ``("ping", x)``; records everything."""
 
-    def __init__(self, host: ObservingProcess, name: str = "echo"):
-        super().__init__(host, name)
+    def __init__(self, host: ObservingProcess):
+        super().__init__(host, "echo")
 
     def on_deliver(self, src: int, payload: Any) -> None:
         self.host.note("component-deliver", (src, payload))

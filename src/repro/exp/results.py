@@ -544,5 +544,5 @@ def _canonical_trial(trial: TrialResult) -> Dict[str, Any]:
     return data
 
 
-def _round_opt(value: Optional[float], digits: int = 6) -> Optional[float]:
-    return None if value is None else round(value, digits)
+def _round_opt(value: Optional[float]) -> Optional[float]:
+    return None if value is None else round(value, 6)

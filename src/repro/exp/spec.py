@@ -314,9 +314,9 @@ def coerce_axis(axis: str, value: AxisLike) -> Optional[NamedSpec]:
     return spec_cls(label, source, tuple(sorted(params.items())))
 
 
-def mixed_votes(no_probability: float, label: Optional[str] = None) -> VoteSpec:
-    """``"mixed:<p>"`` under the label ``"mixed(<p>)"`` (or the one given)."""
-    label = f"mixed({no_probability:g})" if label is None else label
+def mixed_votes(no_probability: float) -> VoteSpec:
+    """``"mixed:<p>"`` under the label ``"mixed(<p>)"``."""
+    label = f"mixed({no_probability:g})"
     return coerce_axis("votes", (label, "mixed", {"no_probability": no_probability}))
 
 
@@ -471,17 +471,13 @@ class GridSpec:
         ]
 
 
-def make_cases(
-    cases: Sequence[Dict[str, Any]],
-    *,
-    max_time: float = 500.0,
-    base_seed: int = 0,
-) -> List[TrialSpec]:
+def make_cases(cases: Sequence[Dict[str, Any]]) -> List[TrialSpec]:
     """Build trials from explicit per-case dicts (for non-cross-product batteries).
 
     Each case dict may contain ``protocol``, ``n``, ``f``, ``delay``,
     ``fault``, ``votes``, ``seed`` and ``max_time``; missing entries fall back
-    to the defaults above.  Example::
+    to INBAC at (5, 2), the axes' defaults, seed 0 and a horizon of 500
+    units.  Example::
 
         trials = make_cases([
             {"protocol": "INBAC", "n": 5, "f": 2, "votes": ("one-no", [1, 1, 0, 1, 1])},
@@ -505,8 +501,8 @@ def make_cases(
                 delay=coerce_axis("delays", case.get("delay")),
                 fault=coerce_axis("faults", case.get("fault")),
                 votes=coerce_axis("votes", case.get("votes")),
-                base_seed=int(case.get("seed", base_seed)),
-                max_time=float(case.get("max_time", max_time)),
+                base_seed=int(case.get("seed", 0)),
+                max_time=float(case.get("max_time", 500.0)),
                 workload=coerce_axis("workloads", case.get("workload")),
                 schedule=coerce_axis("schedules", case.get("schedule")),
             )

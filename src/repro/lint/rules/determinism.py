@@ -9,7 +9,7 @@ byte-identical replay across processes and ``PYTHONHASHSEED`` values.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.lint.ast_checks import (
     FileContext,

@@ -34,7 +34,6 @@ def traced_cluster_run(
     txns: int = 4,
     seed: int = 7,
     backend: str = "sim",
-    max_time: float = 400.0,
 ):
     """Run one cluster workload; returns ``(report, spans)``."""
     # imported lazily so `python -m repro.obs.export --help` stays instant
@@ -46,7 +45,7 @@ def traced_cluster_run(
         commit_protocol=protocol,
         commit_f=1,
         seed=seed,
-        max_time=max_time,
+        max_time=400.0,
     )
     workload = uniform_workload(
         num_transactions=txns,

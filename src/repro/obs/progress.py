@@ -155,8 +155,8 @@ def read_jsonl(path: str) -> List[Dict[str, Any]]:
 class MetricsProgressReporter:
     """Counters/gauges only — the minimal-overhead progress consumer."""
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
 
     def __call__(self, event: ProgressEvent) -> None:
         registry = self.registry

@@ -154,8 +154,11 @@ class TraceContext:
             "spans": [span.to_jsonable() for span in ordered],
         }
 
-    def to_chrome(self, us_per_unit: float = CHROME_US_PER_UNIT) -> Dict[str, Any]:
+    def to_chrome(self) -> Dict[str, Any]:
         """Chrome trace-event JSON: one complete ("X") event per span.
+
+        Times are scaled by :data:`CHROME_US_PER_UNIT` (one unit shows as one
+        millisecond) and the scale is recorded in ``otherData.us_per_unit``.
 
         The track layout puts every process on its own ``pid`` row with one
         ``tid`` lane per transaction (lanes numbered by first appearance in
@@ -191,19 +194,19 @@ class TraceContext:
                     "cat": "txn",
                     "pid": span.pid,
                     "tid": lane_of[span.txn_id],
-                    "ts": round(span.start * us_per_unit, 3),
-                    "dur": round(span.duration * us_per_unit, 3),
+                    "ts": round(span.start * CHROME_US_PER_UNIT, 3),
+                    "dur": round(span.duration * CHROME_US_PER_UNIT, 3),
                     "args": args,
                 }
             )
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
-            "otherData": {"clock": self.clock, "us_per_unit": us_per_unit},
+            "otherData": {"clock": self.clock, "us_per_unit": CHROME_US_PER_UNIT},
         }
 
-    def chrome_json(self, us_per_unit: float = CHROME_US_PER_UNIT) -> str:
-        return json.dumps(self.to_chrome(us_per_unit), sort_keys=True, indent=2)
+    def chrome_json(self) -> str:
+        return json.dumps(self.to_chrome(), sort_keys=True, indent=2)
 
 
 __all__ = ["CHROME_US_PER_UNIT", "Span", "TXN_PHASES", "TraceContext"]

@@ -24,7 +24,7 @@ on the propose-at-0 scale.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.consensus.paxos import PaxosConsensus
 from repro.env import Process, ProcessEnv
@@ -78,17 +78,15 @@ class AtomicCommitProcess(Process):
     # ------------------------------------------------------------------ #
     # consensus module factory
     # ------------------------------------------------------------------ #
-    def make_consensus(
-        self, name: str = "uc", on_decide: Optional[Callable[[Any], None]] = None
-    ) -> PaxosConsensus:
-        """Create and attach the underlying uniform-consensus module."""
-        callback = on_decide if on_decide is not None else self.on_consensus_decide
-        component = PaxosConsensus(self, name=name, on_decide=callback)
+    def make_consensus(self, name: str) -> PaxosConsensus:
+        """Create and attach the underlying uniform-consensus module (``uc`` or
+        ``iuc``), whose decision reaches :meth:`on_consensus_decide`."""
+        component = PaxosConsensus(self, name, self.on_consensus_decide)
         self.attach_component(component)
         return component
 
     def on_consensus_decide(self, value: Any) -> None:
-        """Default consensus callback: adopt the consensus decision."""
+        """Upon Decide of the consensus module: adopt its decision."""
         self.decide_once(value)
 
     # ------------------------------------------------------------------ #

@@ -165,7 +165,7 @@ class INBAC(AtomicCommitProcess):
         # instrumentation for the Figure 1 reproduction
         self.branch: Optional[str] = None
         self.branch_history: list = []
-        self.iuc = self.make_consensus(name="iuc", on_decide=self._on_iuc_decide)
+        self.iuc = self.make_consensus("iuc")
 
     # ------------------------------------------------------------------ #
     # Appendix A's collection0 / collection1
@@ -259,7 +259,7 @@ class INBAC(AtomicCommitProcess):
         self.proposal = value
         self.iuc.propose(value)
 
-    def _on_iuc_decide(self, value: Any) -> None:
+    def on_consensus_decide(self, value: Any) -> None:
         if not self.decided:
             self._record_branch(BRANCH_CONSENSUS_DECIDE)
             self.decide_once(value)

@@ -34,11 +34,7 @@ class OneNBAC(AtomicCommitProcess):
         self.collection0: Set[int] = set()
         self.collection1: Set[int] = set()
         self.decision_var: int = COMMIT
-        self.uc = self.make_consensus(name="uc", on_decide=self._on_uc_decide)
-
-    def _on_uc_decide(self, value: Any) -> None:
-        if not self.decided:
-            self.decide_once(value)
+        self.uc = self.make_consensus("uc")
 
     # ------------------------------------------------------------------ #
     # events

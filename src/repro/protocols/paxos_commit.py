@@ -28,7 +28,7 @@ acknowledgement argument).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Set
+from typing import Any, Dict
 
 from repro.protocols.base import ABORT, COMMIT, AtomicCommitProcess, logical_and
 
@@ -46,7 +46,7 @@ class _PaxosCommitBase(AtomicCommitProcess):
         self.proposed = False
         # wait before re-asking the acceptors; grows 1.5x per unanswered query
         self._query_backoff = 2.5
-        self.uc = self.make_consensus(name="uc", on_decide=self._on_uc_decide)
+        self.uc = self.make_consensus("uc")
 
     # -- roles ------------------------------------------------------------ #
     def acceptors(self) -> range:
@@ -62,10 +62,6 @@ class _PaxosCommitBase(AtomicCommitProcess):
         return 1
 
     # -- consensus fallback ------------------------------------------------ #
-    def _on_uc_decide(self, value: Any) -> None:
-        if not self.decided:
-            self.decide_once(value)
-
     def _propose_uc(self, value: int) -> None:
         if not self.proposed and not self.decided:
             self.proposed = True

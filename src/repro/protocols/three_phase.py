@@ -33,10 +33,11 @@ class ThreePhaseCommit(AtomicCommitProcess):
     """3PC with a fixed coordinator and the classical termination protocol."""
 
     protocol_name = "3PC"
+    #: the coordinator is P1 (the paper's Table 5)
+    coordinator = 1
 
-    def __init__(self, pid, n, f, env, coordinator: int = 1):
+    def __init__(self, pid, n, f, env):
         super().__init__(pid, n, f, env)
-        self.coordinator = coordinator
         self.state = _Q
         self._votes: Dict[int, int] = {}
         self._acks: Set[int] = set()

@@ -44,11 +44,7 @@ class TwoNMinus2PlusFNBAC(AtomicCommitProcess):
         self.received_z = False
         self.phase = 0
         self.proposed = False
-        self.uc = self.make_consensus(name="uc", on_decide=self._on_uc_decide)
-
-    def _on_uc_decide(self, value: Any) -> None:
-        if not self.decided:
-            self.decide_once(value)
+        self.uc = self.make_consensus("uc")
 
     def _propose_uc(self, value: int) -> None:
         if not self.proposed:

@@ -25,10 +25,11 @@ class TwoPhaseCommit(AtomicCommitProcess):
     """2PC with a fixed coordinator and spontaneous participant votes."""
 
     protocol_name = "2PC"
+    #: the coordinator is P1 (the paper's Table 5)
+    coordinator = 1
 
-    def __init__(self, pid, n, f, env, coordinator: int = 1):
+    def __init__(self, pid, n, f, env):
         super().__init__(pid, n, f, env)
-        self.coordinator = coordinator
         self._votes: Dict[int, int] = {}
         self._outcome_sent = False
 

@@ -32,11 +32,7 @@ class ZeroNBAC(AtomicCommitProcess):
         self.myack: Set[int] = set()
         self.zero = False
         self.phase = 0
-        self.uc = self.make_consensus(name="uc", on_decide=self._on_uc_decide)
-
-    def _on_uc_decide(self, value: Any) -> None:
-        if not self.decided:
-            self.decide_once(value)
+        self.uc = self.make_consensus("uc")
 
     # ------------------------------------------------------------------ #
     # events

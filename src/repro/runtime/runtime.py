@@ -399,7 +399,6 @@ def run_commit(
     seed: int = 0,
     delay_model: Optional[DelayModel] = None,
     crash_at: Optional[Dict[int, float]] = None,
-    protocol_kwargs: Optional[Dict[str, Any]] = None,
 ) -> SimulationResult:
     """Run one commit instance of ``protocol`` on the asyncio runtime.
 
@@ -424,7 +423,6 @@ def run_commit(
         fault_plan=FaultPlan.crashes_at(crash_at) if crash_at else None,
         seed=seed,
         max_time=timeout_units,
-        protocol_kwargs=protocol_kwargs,
     )
     return run_paced(simulation, votes, unit=unit)
 

@@ -20,6 +20,7 @@ termination) the protocol under test is required to satisfy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -55,6 +56,8 @@ class DelayRule:
     def __post_init__(self) -> None:
         if (self.delay is None) == (self.extra is None):
             raise ConfigurationError("DelayRule needs exactly one of delay= or extra=")
+        if math.isnan(self.extra if self.delay is None else self.delay):
+            raise ConfigurationError("a DelayRule's delay= or extra= must not be NaN")
         self._matches_seen = 0
 
     def reset(self) -> None:
@@ -174,12 +177,9 @@ class FaultPlan:
         dst: Optional[int] = None,
         delay: float = FAR_FUTURE,
         after_time: Optional[float] = None,
-        predicate: Optional[Callable[[object], bool]] = None,
     ) -> "FaultPlan":
         """Delay matching messages beyond the bound: a network-failure execution."""
-        rule = DelayRule(
-            src=src, dst=dst, delay=delay, after_time=after_time, predicate=predicate
-        )
+        rule = DelayRule(src=src, dst=dst, delay=delay, after_time=after_time)
         return cls(delay_rules=[rule], description="delayed messages")
 
     # ------------------------------------------------------------------ #

@@ -89,11 +89,12 @@ class UniformDelay:
     """
 
     def __init__(self, lo: float, hi: float, seed: int = 0):
-        if lo <= 0:
+        # each check is written so that a NaN bound fails it
+        if not lo > 0:
             raise ConfigurationError(
                 f"uniform delay lower bound must be positive, got lo={lo}"
             )
-        if hi < lo:
+        if not hi >= lo:
             raise ConfigurationError(
                 f"uniform delay upper bound must be >= lower bound, "
                 f"got hi={hi} < lo={lo}"
@@ -123,7 +124,7 @@ class LognormalDelay:
     """
 
     def __init__(self, median: float, sigma: float, seed: int = 0):
-        if median <= 0 or sigma < 0 or median >= U:
+        if not (0 < median < U and sigma >= 0):  # NaN fails it too
             raise ConfigurationError(
                 f"invalid lognormal parameters median={median}, sigma={sigma}: "
                 f"need 0 < median < U = {U} and sigma >= 0"
@@ -178,7 +179,7 @@ class FlakyLinkDelay:
         for pair, factor in sorted(self.slow_pairs.items()):
             if len(pair) != 2:
                 raise ConfigurationError(f"slow pair must be (src, dst), got {pair!r}")
-            if factor <= 0:
+            if not factor > 0:  # NaN fails it too
                 raise ConfigurationError(
                     f"slow factor must be positive, got {factor} for {pair}"
                 )
@@ -225,9 +226,10 @@ class LinkPolicy:
     outages: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.delay_units < 0 or self.jitter_units < 0:
+        # each check is written so that a NaN field fails it
+        if not (self.delay_units >= 0 and self.jitter_units >= 0):
             raise ConfigurationError("link delays must be non-negative")
-        if self.slow_factor <= 0:
+        if not self.slow_factor > 0:
             raise ConfigurationError("slow_factor must be positive")
         for window in self.outages:
             if len(window) != 2 or not 0 <= window[0] < window[1]:

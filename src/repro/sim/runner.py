@@ -926,13 +926,7 @@ class Simulation:
         )
 
 
-def run_nice_execution(
-    process_class: type,
-    n: int,
-    f: int,
-    protocol_kwargs: Optional[Dict[str, Any]] = None,
-    seed: int = 0,
-) -> SimulationResult:
+def run_nice_execution(process_class: type, n: int, f: int) -> SimulationResult:
     """Convenience helper: run the protocol's *nice execution*.
 
     A nice execution is failure-free, every process votes 1, and every message
@@ -945,7 +939,5 @@ def run_nice_execution(
         process_class=process_class,
         delay_model=FixedDelay(1.0),
         fault_plan=FaultPlan.failure_free(),
-        seed=seed,
-        protocol_kwargs=protocol_kwargs,
     )
     return sim.run(votes=[1] * n)

@@ -215,16 +215,14 @@ class Trace:
     def message_count(self, module: Optional[str] = None) -> int:
         return len(self.counted_messages(module))
 
-    def messages_received_by(self, deadline: float, module: Optional[str] = None) -> int:
+    def messages_received_by(self, deadline: float) -> int:
         """Messages whose *reception* happens at or before ``deadline``.
 
         This is the accounting the paper uses when counting the messages of a
         nice execution: messages still in flight when the last process decides
         (e.g. 1NBAC's ``[D, d]`` round) are not charged to the best case.
         """
-        return sum(
-            1 for m in self.counted_messages(module) if m.recv_time <= deadline + 1e-9
-        )
+        return sum(1 for m in self.counted_messages() if m.recv_time <= deadline + 1e-9)
 
     def module_histogram(self) -> Dict[str, int]:
         """Counted messages per module tag (``"main"``, ``"consensus[...]"``, ...).
@@ -415,9 +413,7 @@ class CounterTrace(Trace):
             return self.counted_total
         return self.module_counts.get(module, 0)
 
-    def messages_received_by(self, deadline: float, module: Optional[str] = None) -> int:
-        if module is not None:
-            raise self._unavailable("messages_received_by(module=...)")
+    def messages_received_by(self, deadline: float) -> int:
         if self.counted_total and not self.recv_time_counts:
             raise SimulationError(  # never a silent 0
                 "messages_received_by() needs receive times, which a "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import signal
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 import pytest
 

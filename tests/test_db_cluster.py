@@ -7,7 +7,7 @@ import pytest
 from repro.db import ClusterConfig, run_cluster
 from repro.db.transaction import Operation, Transaction
 from repro.errors import ConfigurationError
-from repro.protocols.base import ABORT, COMMIT
+from repro.protocols.base import COMMIT
 from repro.sim.faults import FaultPlan
 from repro.workloads import bank_transfer_workload, hotspot_workload, uniform_workload
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from broken_protocols import SplitBrainCommit
 from repro.db import ClusterConfig, run_cluster
 from repro.db.invariants import (
@@ -12,12 +10,26 @@ from repro.db.invariants import (
     check_cluster,
     check_durability,
     check_lock_safety,
+    _wal_outcomes,
 )
 from repro.db.locks import LockManager, LockMode, _KeyLock
 from repro.db.store import VersionedStore
 from repro.db.wal import ABORT, COMMIT, PREPARE, WriteAheadLog
 from repro.explore import CrashPoint
 from repro.workloads import bank_transfer_workload
+
+
+def _atomicity(partitions):
+    return check_atomicity(partitions, _outcomes(partitions))
+
+
+def _lock_safety(partitions):
+    return check_lock_safety(partitions, _outcomes(partitions))
+
+
+def _outcomes(partitions):
+    """What :func:`check_cluster` passes: one WAL pass per partition."""
+    return {pid: _wal_outcomes(server) for pid, server in partitions.items()}
 
 
 class FakePartition:
@@ -45,13 +57,13 @@ class TestAtomicity:
         b.commit("t1", {"y": 2})
         a.abort("t2", {"x": 9})
         b.abort("t2", {"y": 9})
-        assert check_atomicity({1: a, 2: b}) == []
+        assert _atomicity({1: a, 2: b}) == []
 
     def test_commit_abort_split_is_reported(self):
         a, b = FakePartition(), FakePartition()
         a.commit("t1", {"x": 1})
         b.abort("t1", {"y": 2})
-        violations = check_atomicity({1: a, 2: b})
+        violations = _atomicity({1: a, 2: b})
         assert len(violations) == 1
         assert "'t1'" in violations[0]
         assert "committed on partitions [1]" in violations[0]
@@ -61,7 +73,7 @@ class TestAtomicity:
         a = FakePartition()
         a.abort("t1", {"x": 1})
         a.store.apply_many({"x": 1}, txn_id="t1")  # sneaky apply after abort
-        violations = check_atomicity({1: a})
+        violations = _atomicity({1: a})
         assert any("without a COMMIT record" in v for v in violations)
 
     def test_in_doubt_alongside_commit_is_not_a_violation(self):
@@ -69,7 +81,7 @@ class TestAtomicity:
         a, b = FakePartition(), FakePartition()
         a.commit("t1", {"x": 1})
         b.wal.append(PREPARE, "t1", writes={"y": 2})
-        assert check_atomicity({1: a, 2: b}) == []
+        assert _atomicity({1: a, 2: b}) == []
 
     def test_violations_are_listed_in_a_fixed_order_and_wording(self):
         # pid lists sorted, splits after the store checks and sorted by id,
@@ -97,7 +109,7 @@ class TestAtomicity:
             "atomicity: 't4' committed on partitions [2] but aborted on "
             "partitions [3]",
         ]
-        assert check_atomicity({3: c, 1: a, 4: d, 2: b}) == expected
+        assert _atomicity({3: c, 1: a, 4: d, 2: b}) == expected
         assert check_cluster({3: c, 1: a, 4: d, 2: b}).violations[:4] == expected
 
 
@@ -131,13 +143,13 @@ class TestLockSafety:
         a.commit("t1", {"x": 1})
         a.locks.try_acquire("t2", "x", LockMode.EXCLUSIVE)  # undecided holder: fine
         a.wal.append(PREPARE, "t2", writes={"x": 5})
-        assert check_lock_safety({1: a}) == []
+        assert _lock_safety({1: a}) == []
 
     def test_locks_surviving_a_decision_are_reported(self):
         a = FakePartition()
         a.locks.try_acquire("t1", "x", LockMode.EXCLUSIVE)
         a.commit("t1", {"x": 1})  # decided, but the lock was never released
-        violations = check_lock_safety({1: a})
+        violations = _lock_safety({1: a})
         assert len(violations) == 1
         assert "after COMMIT" in violations[0] and "'x'" in violations[0]
 
@@ -147,7 +159,7 @@ class TestLockSafety:
         a.locks._locks["x"] = _KeyLock(
             mode=LockMode.EXCLUSIVE, holders={"t1", "t2"}
         )
-        violations = check_lock_safety({1: a})
+        violations = _lock_safety({1: a})
         assert violations and "EXCLUSIVE with 2 holders" in violations[0]
 
     def test_mode_of_accessor(self):

@@ -1,13 +1,15 @@
 """No public name without a caller in the system.
 
 Every function, coroutine and class defined under ``src/repro`` must be
-referenced — as a bare name or as an attribute — somewhere in the code that
-makes up the system: ``src/``, ``bench/``, ``benchmarks/``, ``examples/`` or
-``scripts/``.  Tests do not count as callers: a name only tests reach is test
-scaffolding shipped as library code.  Import lines, ``__all__`` entries and
-docstrings are not references either (the scan reads ``ast.Name`` and
-``ast.Attribute`` nodes only), so a name that is merely exported stays an
-orphan.
+referenced somewhere in the code that makes up the system: ``src/``,
+``bench/``, ``benchmarks/``, ``examples/`` or ``scripts/``.  A module-level
+definition is referenced as a bare name or as an attribute; one nested in a
+class (a method, a nested class) only as an attribute, since a local variable
+that shares a method's name does not call it.  Tests do not count as
+callers: a name only tests reach is test scaffolding shipped as library code.
+Import lines, ``__all__`` entries and docstrings are not references either
+(the scan reads ``ast.Name`` and ``ast.Attribute`` nodes only), so a name that
+is merely exported stays an orphan.
 
 The match is by name, not by type: ``obj.size`` anywhere keeps every
 definition called ``size``.  That errs towards keeping names, never towards
@@ -65,20 +67,27 @@ KEPT: Dict[str, str] = {
 }
 
 
-def _definitions(tree: ast.AST, prefix: str) -> Iterator[Tuple[int, str, str]]:
-    """``(line, name, dotted path)`` of every def and class, nested ones too."""
+def _definitions(
+    tree: ast.AST, prefix: str, in_class: bool = False
+) -> Iterator[Tuple[int, str, str, bool]]:
+    """``(line, name, dotted path, in a class)`` of every def and class, nested
+    ones too."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             path = f"{prefix}.{node.name}"
-            yield node.lineno, node.name, path
-            yield from _definitions(node, path)
+            yield node.lineno, node.name, path, in_class
+            yield from _definitions(node, path, isinstance(node, ast.ClassDef))
         else:
-            yield from _definitions(node, prefix)
+            yield from _definitions(node, prefix, in_class)
 
 
 @functools.lru_cache(maxsize=1)
 def _scan() -> Tuple[List[Tuple[str, int, str, str]], Set[str]]:
-    """Every definition under ``src/repro`` and every name the system references."""
+    """Every definition under ``src/repro`` and every reference the system makes.
+
+    A reference is recorded as ``"name"`` for a bare name and ``".name"`` for
+    an attribute; a definition in a class is keyed by ``".name"`` only.
+    """
     definitions = []
     referenced: Set[str] = set()
     for top in SYSTEM:
@@ -88,27 +97,28 @@ def _scan() -> Tuple[List[Tuple[str, int, str, str]], Set[str]]:
                 if isinstance(node, ast.Name):
                     referenced.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
+                    referenced.update((node.attr, "." + node.attr))
             if PACKAGE not in path.parents:
                 continue
             parts = path.relative_to(PACKAGE).with_suffix("").parts
             module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-            for line, name, dotted in _definitions(tree, module):
+            for line, name, dotted, in_class in _definitions(tree, module):
                 if name.startswith("visit_") or (
                     name.startswith("__") and name.endswith("__")
                 ):
                     continue
                 where = path.relative_to(ROOT).as_posix()
-                definitions.append((where, line, name, dotted))
+                key = "." + name if in_class else name
+                definitions.append((where, line, key, dotted))
     return definitions, referenced
 
 
 def test_every_name_in_src_has_a_caller_in_the_system():
     definitions, referenced = _scan()
     orphans = [
-        f"{where}:{line} {name}"
-        for where, line, name, dotted in definitions
-        if name not in referenced and dotted not in KEPT
+        f"{where}:{line} {dotted.rpartition('.')[2]}"
+        for where, line, key, dotted in definitions
+        if key not in referenced and dotted not in KEPT
     ]
     assert not orphans, (
         f"{len(orphans)} definitions have no caller in {', '.join(SYSTEM)} "
@@ -119,6 +129,6 @@ def test_every_name_in_src_has_a_caller_in_the_system():
 
 def test_every_kept_name_exists_and_still_has_no_caller():
     definitions, referenced = _scan()
-    orphaned = {dotted for _, _, name, dotted in definitions if name not in referenced}
+    orphaned = {dotted for _, _, key, dotted in definitions if key not in referenced}
     stale = sorted(set(KEPT) - orphaned)
     assert not stale, f"KEPT entries that are gone or now have a caller: {stale}"

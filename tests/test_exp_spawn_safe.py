@@ -14,7 +14,6 @@ from repro.errors import ConfigurationError
 from repro.exp import (
     GridSpec,
     ensure_spawn_safe,
-    mixed_votes,
     named_delay,
     named_workload,
     run_sweep,

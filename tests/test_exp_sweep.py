@@ -22,7 +22,6 @@ from repro.exp import (
     make_cases,
     run_sweep,
     run_trial,
-    run_trials,
 )
 from repro.exp.spec import ProtocolSpec, coerce_axis, coerce_protocol
 from repro.protocols.inbac import INBAC

@@ -106,8 +106,6 @@ class TestCounterTrace:
         ):
             with pytest.raises(SimulationError, match="counters"):
                 query()
-        with pytest.raises(SimulationError):
-            fast.messages_received_by(2.0, module="main")
 
     def test_scheduler_batch_tallies_match_record_send(self):
         # Scheduler.send_many tallies the counters level once per broadcast,

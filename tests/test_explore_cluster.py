@@ -9,8 +9,6 @@ are identical across trace levels, fold paths and worker counts).
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from broken_protocols import SplitBrainCommit

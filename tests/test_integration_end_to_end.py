@@ -16,7 +16,6 @@ from repro import (
 )
 from repro.analysis import build_table5, render_table
 from repro.db import ClusterConfig, run_cluster
-from repro.db.wal import COMMIT as WAL_COMMIT
 from repro.protocols.registry import get_protocol
 from repro.workloads import bank_transfer_workload
 
@@ -57,10 +56,6 @@ def test_protocol_layer_and_db_layer_agree_on_message_counts():
 def test_database_state_is_consistent_after_a_mixed_run():
     """After a workload with commits and aborts, every partition's WAL replay
     equals its live store (atomicity end-to-end)."""
-    from repro.db.cluster import ClusterConfig
-    from repro.db.partition import PartitionServer
-    from repro.sim.runner import Scheduler
-
     workload = bank_transfer_workload(num_transfers=6, num_partitions=3, seed=9)
     config = ClusterConfig(num_partitions=3, commit_protocol="INBAC", seed=4)
     report = run_cluster(config, workload.transactions)

@@ -16,8 +16,6 @@ import dataclasses
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.lint import default_rules, lint_file, lint_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.rules.spawn_safety import SPAWN_AXIS_FIELDS

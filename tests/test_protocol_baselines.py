@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import assert_agreement, assert_all_decided, nbac_report, run_protocol
 from repro.protocols import (
     FasterPaxosCommit,
@@ -50,13 +48,6 @@ class TestTwoPhaseCommit:
         assert_agreement(result)
         report = nbac_report(result)
         assert report.validity.holds  # a failure occurred so abort is valid
-
-    def test_custom_coordinator(self):
-        result = run_protocol(
-            TwoPhaseCommit, 4, 1, [1] * 4, protocol_kwargs={"coordinator": 3}
-        )
-        votes = [m for m in result.trace.counted_messages() if m.payload[0] == "VOTE"]
-        assert {m.dst for m in votes} == {3}
 
 
 class TestThreePhaseCommit:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import assert_agreement, assert_all_decided, nbac_report, run_protocol
+from conftest import assert_all_decided, nbac_report, run_protocol
 from repro.protocols.inbac import (
     BRANCH_ASK_HELP,
     BRANCH_CONS_AND,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import assert_agreement, assert_all_decided, nbac_report, run_protocol
+from conftest import assert_all_decided, nbac_report, run_protocol
 from repro.protocols import (
     ANBAC,
     AvNBACDelayOptimal,

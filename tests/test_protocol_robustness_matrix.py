@@ -13,7 +13,7 @@ from repro.core.checker import evaluate_problem
 from repro.core.lattice import Prop
 from repro.exp import GridSpec, run_sweep
 from repro.protocols.registry import all_protocols, get_protocol, protocol_names
-from repro.sim.faults import DelayRule, FaultPlan
+from repro.sim.faults import FaultPlan
 from repro.sim.runner import Simulation
 
 N, F = 5, 2

@@ -8,6 +8,7 @@ recovery-free fingerprints.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -186,11 +187,15 @@ class TestSimRejoin:
         assert report.incomplete == 0
         assert report.invariants is not None and report.invariants.holds
 
-    def test_retry_policy_validation(self):
+    @pytest.mark.parametrize(
+        "fields",
+        [{"max_attempts": 0}, {"timeout_units": 0.0}, {"timeout_units": math.nan}],
+        ids=["no-attempt", "zero-timeout", "nan-timeout"],
+    )
+    def test_retry_policy_validation(self, fields):
+        # NaN fails every comparison: a check written as ``<= 0`` passes it
         with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(timeout_units=0.0)
+            RetryPolicy(**fields)
 
     def test_backoff_is_bounded_and_grows(self):
         # the fixed schedule: 2, 4, 8, then 16 U, each plus one draw of

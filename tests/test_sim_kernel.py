@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.env import Process
@@ -11,6 +13,8 @@ from repro.sim.faults import FAR_FUTURE, DelayRule, FaultPlan
 from repro.sim.network import (
     AdversarialDelay,
     FixedDelay,
+    FlakyLinkDelay,
+    LinkPolicy,
     LognormalDelay,
     UniformDelay,
 )
@@ -147,6 +151,28 @@ class TestDelayModels:
         with pytest.raises(ConfigurationError):
             LognormalDelay(median=0.0, sigma=0.5)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: UniformDelay(math.nan, 1.0),
+            lambda: UniformDelay(0.2, math.nan),
+            lambda: LognormalDelay(median=math.nan, sigma=0.5),
+            lambda: LognormalDelay(median=0.2, sigma=math.nan),
+            lambda: LinkPolicy(delay_units=math.nan),
+            lambda: LinkPolicy(jitter_units=math.nan),
+            lambda: LinkPolicy(slow_factor=math.nan),
+            lambda: FlakyLinkDelay(slow_pairs={(1, 2): math.nan}),
+        ],
+        ids=[
+            "uniform-lo", "uniform-hi", "lognormal-median", "lognormal-sigma",
+            "link-delay", "link-jitter", "link-slow-factor", "flaky-slow-factor",
+        ],
+    )
+    def test_a_nan_parameter_is_refused(self, build):
+        # NaN fails every comparison: a check written as ``x <= 0`` passes it
+        with pytest.raises(ConfigurationError):
+            build()
+
     def test_adversarial_delay(self):
         model = AdversarialDelay(lambda s, d, p, t: 5.0 if d == 2 else 1.0)
         assert model.delay(1, 2, None, 0.0) == 5.0
@@ -172,6 +198,11 @@ class TestDelayRules:
             DelayRule(src=1)
         with pytest.raises(ConfigurationError):
             DelayRule(src=1, delay=2.0, extra=1.0)
+
+    @pytest.mark.parametrize("field", ["delay", "extra"])
+    def test_a_nan_delay_is_refused(self, field):
+        with pytest.raises(ConfigurationError):
+            DelayRule(src=1, **{field: math.nan})
 
     def test_absolute_delay_override(self):
         rule = DelayRule(src=1, dst=2, delay=9.0)

@@ -9,9 +9,8 @@ from repro.errors import ConfigurationError, ProtocolViolationError, SimulationE
 from repro.sim.faults import FaultPlan
 from repro.explore.schedule import ScheduleController
 from repro.protocols import INBAC, TwoPhaseCommit
-from repro.sim.network import FixedDelay, FlakyLinkDelay
+from repro.sim.network import FlakyLinkDelay
 from repro.sim.runner import Scheduler, Simulation, run_nice_execution
-from repro.sim.trace import Trace
 
 
 class EchoProcess(Process):

@@ -113,7 +113,7 @@ class TestSlots:
         cluster = run_to_completion(ClusterConfig(num_partitions=4), workload.transactions)
         server = cluster.kernel.processes[workload.transactions[0].participants()[0]]
         instance = next(iter(server.instances.values()))
-        versions = server.store.history(server.store.keys()[0])
+        versions = server.store._data[server.store.keys()[0]]
         objects = {
             EmbeddedCommitEnv: instance.env,
             TransactionOutcome: next(iter(cluster.client.outcomes.values())),
