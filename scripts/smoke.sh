@@ -8,10 +8,7 @@
 #      bench_*.py experiments instead of silently reporting "no tests ran";
 #   2. a check that every benchmark runs on the repro.exp sweep engine,
 #      directly or through a repro.analysis table builder (no hand-rolled
-#      protocol x grid loops may sneak back in);
-#   3. a small sweep-throughput perf smoke: the core must emit its JSON
-#      baseline and both trace levels must produce identical aggregate
-#      fingerprints.
+#      protocol x grid loops may sneak back in).
 #
 # What it no longer runs, and what does (.github/workflows/ci.yml jobs):
 #   - the tier-1 suite: the `tests` job;
@@ -28,16 +25,20 @@
 #   - the crash-recovery smoke: tier-1's tests/test_recovery.py
 #     (TestSimRejoin::test_rejoined_run_commits_the_fault_free_transaction_set),
 #     tests/test_runtime_cluster.py
-#     (TestRecovery::test_crash_and_rejoin_commits_the_fault_free_transaction_set)
+#     (TestRecovery::test_crash_and_rejoin_commits_the_fault_free_transaction_set,
+#     which runs the simulator on the same plan as its oracle)
 #     and tests/test_lint_rules.py
-#     (TestScopeExemptions::test_det002_is_the_only_scoped_rule), and the
-#     `smoke` job's `benchmarks/bench_recovery.py --quick` step.
+#     (TestScopeExemptions::test_det002_is_the_only_scoped_rule);
+#   - the trace-level fingerprint cross-check at n=20 and n=100: tier-1's
+#     tests/test_exp_trace_levels.py
+#     (TestSweepEquivalence::test_aggregate_fingerprints_identical_serial);
+#   - sweep and runtime throughput: the bench/ ledger, `python bench/run.py`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "==> [1/3] benchmark collection (must be > 0 tests)"
+echo "==> [1/2] benchmark collection (must be > 0 tests)"
 collected=$(python -m pytest benchmarks --collect-only -q 2>/dev/null | grep -c '::' || true)
 if [ "${collected}" -eq 0 ]; then
     echo "ERROR: 'pytest benchmarks' collected zero tests" >&2
@@ -45,7 +46,7 @@ if [ "${collected}" -eq 0 ]; then
 fi
 echo "    collected ${collected} benchmark tests"
 
-echo "==> [2/3] every benchmark is ported onto repro.exp"
+echo "==> [2/2] every benchmark is ported onto repro.exp"
 # the table benchmarks (E1-E5) reach the sweep engine through the
 # repro.analysis table builders, which each run one repro.exp sweep
 for bench in benchmarks/bench_*.py; do
@@ -55,28 +56,5 @@ for bench in benchmarks/bench_*.py; do
     fi
 done
 echo "    all $(ls benchmarks/bench_*.py | wc -l | tr -d ' ') benchmarks import repro.exp or a table builder"
-
-echo "==> [3/3] sweep-throughput perf smoke (trace levels)"
-bench_out=$(mktemp)
-python benchmarks/bench_sweep_throughput.py --quick --out "${bench_out}" > /dev/null
-python - "${bench_out}" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as handle:
-    baseline = json.load(handle)
-assert baseline["benchmark"] == "sweep_throughput"
-assert baseline["configs"], "no measured configurations in the baseline"
-for config in baseline["configs"]:
-    # run_battery already asserted the cross-variant fingerprint equality;
-    # re-assert the emitted record is complete
-    assert config["fingerprint"], config
-    for column in ("full t/s", "counters t/s"):
-        assert config[column] > 0, (column, config)
-# the frozen legacy / heap columns ride along from the committed baseline
-assert baseline["history"]["configs"], "frozen history block missing"
-print(f"    baseline emitted with {len(baseline['configs'])} configs, "
-      f"fingerprints identical across core variants")
-EOF
-rm -f "${bench_out}"
 
 echo "smoke: OK"

@@ -104,10 +104,6 @@ class RecoveryEvent:
     #: termination queries resolved them)
     in_doubt_at_rejoin: Tuple[str, ...] = ()
 
-    @property
-    def downtime(self) -> float:
-        return self.rejoined_at - self.crashed_at
-
 
 @dataclass
 class ClusterReport:

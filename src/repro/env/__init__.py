@@ -28,13 +28,9 @@ cluster — without a single protocol-side edit.
 The contract (normative)
 ------------------------
 Any ``ProcessEnv`` implementation must satisfy the semantics below; the
-executable version is :func:`repro.env.conformance.run_conformance`, which
-both bundled runtimes pass (``tests/test_env_conformance.py``).  It ships in
-the package rather than under ``tests/`` for whoever writes a third
-runtime or pacing outside this repository: such a runtime passes its own
-leg (``run(simulation, votes) -> SimulationResult``, as
-:func:`repro.runtime.run_paced` is one) and gets the clauses it breaks back
-as a list of failures, with no test tree to import.
+executable version is the conformance battery under ``tests/``
+(``tests/conformance.py``), which both bundled runtimes pass
+(``tests/test_env_conformance.py``).
 
 * **send** is a perfect point-to-point link under the configured fault model:
   no duplication, no corruption; a message to self arrives locally and is not

@@ -18,7 +18,7 @@ enforced from both sides:
 In exchange, this package is scoped *out* of the DET002 wall-clock rule:
 telemetry timestamps, rates, and profiler clocks are its purpose.
 
-Modules: :mod:`~repro.obs.metrics` (counters/gauges/histograms with exact
+Modules: :mod:`~repro.obs.metrics` (counters and histograms with exact
 merges), :mod:`~repro.obs.progress` (the ``run_sweep(progress=...)``
 protocol and its reporters), :mod:`~repro.obs.tracing` (transaction spans
 read off a cluster report + Chrome trace-event export),
@@ -28,14 +28,12 @@ read off a cluster report + Chrome trace-event export),
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     MetricsSnapshot,
 )
 from repro.obs.progress import (
     JsonlProgressReporter,
-    MetricsProgressReporter,
     PROGRESS_PHASES,
     ProgressCallback,
     ProgressEvent,
@@ -48,10 +46,8 @@ from repro.obs.tracing import CHROME_US_PER_UNIT, Span, TXN_PHASES, TraceContext
 __all__ = [
     "CHROME_US_PER_UNIT",
     "Counter",
-    "Gauge",
     "Histogram",
     "JsonlProgressReporter",
-    "MetricsProgressReporter",
     "MetricsRegistry",
     "MetricsSnapshot",
     "PROGRESS_PHASES",

@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges and histograms with exact merges.
+"""Process-local metrics: counters and histograms with exact merges.
 
 A :class:`MetricsRegistry` is a plain dictionary of named instruments.  Its
 design mirrors the sweep engine's :class:`~repro.exp.results.CellAccumulator`
@@ -6,8 +6,6 @@ discipline — the repo's reference pattern for statistics that must not care
 about arrival order:
 
 * counters are integer tallies (addition commutes);
-* gauges merge by ``max`` (the only commutative, associative, idempotent
-  reduction that needs no timestamps);
 * histograms keep a value -> multiplicity digest and reduce (sum, mean,
   percentiles) over ``sorted(...)`` items only at read time, so two
   snapshots merged in either order produce byte-identical summaries.
@@ -41,18 +39,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time float measurement (last write wins locally)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: Optional[float] = None
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 class Histogram:
@@ -93,17 +79,12 @@ class MetricsSnapshot:
     """Frozen, picklable export of a registry; merges exactly."""
 
     counters: Dict[str, int] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, Dict[float, int]] = field(default_factory=dict)
 
     def merge(self, other: "MetricsSnapshot") -> None:
         """Fold ``other`` in; commutative and associative like the cell folds."""
         for name in sorted(other.counters):
             self.counters[name] = self.counters.get(name, 0) + other.counters[name]
-        for name in sorted(other.gauges):
-            mine = self.gauges.get(name)
-            theirs = other.gauges[name]
-            self.gauges[name] = theirs if mine is None else max(mine, theirs)
         for name in sorted(other.histograms):
             digest = self.histograms.setdefault(name, {})
             for value, count in sorted(other.histograms[name].items()):
@@ -113,7 +94,6 @@ class MetricsSnapshot:
         """Sorted plain-data rendering (JSON keys must be strings)."""
         return {
             "counters": {name: self.counters[name] for name in sorted(self.counters)},
-            "gauges": {name: self.gauges[name] for name in sorted(self.gauges)},
             "histograms": {
                 name: [
                     [value, count]
@@ -125,7 +105,7 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """Named counters/gauges/histograms, created on first use.
+    """Named counters and histograms, created on first use.
 
     Process-local and lock-free: both runtimes drive handlers from a single
     thread (the simulator's event loop or asyncio's), so plain dict updates
@@ -134,7 +114,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- instrument access -------------------------------------------------- #
@@ -143,12 +122,6 @@ class MetricsRegistry:
         if counter is None:
             counter = self._counters[name] = Counter()
         return counter
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge()
-        return gauge
 
     def histogram(self, name: str) -> Histogram:
         histogram = self._histograms.get(name)
@@ -160,9 +133,6 @@ class MetricsRegistry:
     def inc(self, name: str, amount: int = 1) -> None:
         self.counter(name).inc(amount)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
-
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 
@@ -171,11 +141,6 @@ class MetricsRegistry:
         return MetricsSnapshot(
             counters={
                 name: self._counters[name].value for name in sorted(self._counters)
-            },
-            gauges={
-                name: self._gauges[name].value
-                for name in sorted(self._gauges)
-                if self._gauges[name].value is not None
             },
             histograms={
                 name: dict(sorted(self._histograms[name].counts.items()))
@@ -187,7 +152,6 @@ class MetricsRegistry:
         """Every registered instrument as sorted ``(kind, name)`` pairs."""
         entries = (
             [("counter", name) for name in self._counters]
-            + [("gauge", name) for name in self._gauges]
             + [("histogram", name) for name in self._histograms]
         )
         return sorted(entries)
@@ -195,7 +159,6 @@ class MetricsRegistry:
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",

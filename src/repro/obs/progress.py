@@ -18,10 +18,7 @@ on a list collects the stream).  The bundled ones:
 * :class:`TTYProgressReporter` — a live one-line display on a stream;
 * :class:`JsonlProgressReporter` — one sorted-keys JSON line per event,
   appended to a file and enriched with ``elapsed_s`` and ``trials_per_s``;
-  :func:`read_jsonl` parses such a file back;
-* :class:`MetricsProgressReporter` — counters/gauges only, the cheapest
-  variant (the ≤5 % overhead bar in ``benchmarks/bench_obs_overhead.py`` is
-  measured against it).
+  :func:`read_jsonl` parses such a file back.
 
 ``resolve_progress`` turns the string forms ``"tty"`` and ``"jsonl:PATH"``
 into reporters so CLI layers can pass progress through a flag.
@@ -36,7 +33,6 @@ from dataclasses import dataclass
 from typing import IO, Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry
 
 #: the phases a ProgressEvent can carry
 PROGRESS_PHASES = ("start", "chunk", "summary")
@@ -152,26 +148,6 @@ def read_jsonl(path: str) -> List[Dict[str, Any]]:
     return records
 
 
-class MetricsProgressReporter:
-    """Counters/gauges only — the minimal-overhead progress consumer."""
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-
-    def __call__(self, event: ProgressEvent) -> None:
-        registry = self.registry
-        if event.phase == "chunk":
-            registry.inc("sweep.chunks_done")
-        elif event.phase == "start":
-            registry.inc("sweep.runs")
-            registry.set_gauge("sweep.trials_total", event.trials_total)
-        else:
-            registry.inc("sweep.runs_completed")
-        registry.set_gauge("sweep.trials_done", event.trials_done)
-        registry.set_gauge("sweep.queue_depth", event.queue_depth)
-        registry.set_gauge("sweep.workers", event.workers)
-
-
 def resolve_progress(progress: Any) -> Optional[ProgressCallback]:
     """Normalise the engine's ``progress=`` argument to a callback.
 
@@ -192,7 +168,6 @@ def resolve_progress(progress: Any) -> Optional[ProgressCallback]:
 
 __all__ = [
     "JsonlProgressReporter",
-    "MetricsProgressReporter",
     "PROGRESS_PHASES",
     "ProgressCallback",
     "ProgressEvent",

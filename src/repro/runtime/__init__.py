@@ -18,7 +18,7 @@ Layout:
 * :mod:`~repro.runtime.runtime` — :class:`AsyncRuntime` (the scheduler paced
   by the wall clock: the wake-up handle, calls from outside every handler,
   error capture), :func:`run_paced` (a :class:`repro.sim.runner.Simulation`'s
-  own run, paced — the asyncio leg of the :mod:`repro.env.conformance` suite)
+  own run, paced — the asyncio leg of the conformance battery in ``tests/``)
   and :func:`run_commit` (one commit instance, synchronous entry point; its
   result is the simulator's ``SimulationResult``);
 * :mod:`~repro.runtime.cluster` — :class:`AsyncClusterService`, the

@@ -58,6 +58,11 @@ class DelayRule:
             raise ConfigurationError("DelayRule needs exactly one of delay= or extra=")
         if math.isnan(self.extra if self.delay is None else self.delay):
             raise ConfigurationError("a DelayRule's delay= or extra= must not be NaN")
+        for bound in (self.after_time, self.before_time):
+            if bound is not None and math.isnan(bound):
+                raise ConfigurationError(
+                    "a DelayRule's after_time= or before_time= must not be NaN"
+                )
         self._matches_seen = 0
 
     def reset(self) -> None:
@@ -246,7 +251,12 @@ class FaultPlan:
             raise ConfigurationError(
                 f"fault plan crashes {len(self.crashes)} processes but f={f}"
             )
+        for pid, at in self.crashes.items():
+            if math.isnan(at):
+                raise ConfigurationError(f"P{pid}'s crash time is NaN")
         for pid, rejoin_at in self.recoveries.items():
+            if math.isnan(rejoin_at):
+                raise ConfigurationError(f"P{pid}'s rejoin time is NaN")
             if pid not in self.crashes:
                 raise ConfigurationError(
                     f"recovery of P{pid} has no matching crash in the plan"

@@ -236,10 +236,6 @@ class Trace:
                 histogram[record.module] = histogram.get(record.module, 0) + 1
         return histogram
 
-    def decision_of(self, pid: int) -> Optional[Any]:
-        rec = self.decisions.get(pid)
-        return None if rec is None else rec.value
-
     def causal_depth(self) -> int:
         """Length of the longest chain of causally ordered counted messages.
 

@@ -28,7 +28,6 @@ import pytest
 from repro.core.checker import check_nbac, evaluate_problem
 from repro.core.lattice import Prop, PropertyPair
 from repro.core.metrics import messages_until_last_decision
-from repro.env.conformance import SCENARIOS, run_conformance, run_scenario
 from repro.errors import SimulationError
 from repro.protocols.registry import get_protocol, protocol_names
 from repro.runtime import (
@@ -41,6 +40,7 @@ from repro.sim.faults import FaultPlan
 from repro.sim.network import FixedDelay, LinkDelay, LinkPolicy
 from repro.sim.runner import Scheduler, Simulation
 
+from conformance import SCENARIOS, run_conformance, run_scenario
 from conftest import run_protocol
 
 LEGS = {"sim": Simulation.run, "asyncio": run_paced}

@@ -60,7 +60,6 @@ KEPT: Dict[str, str] = {
     "analysis.formulas.one_delay_message_lower_bound": _ORACLE,
     "core.properties.is_nice_execution": _ORACLE,
     "sim.network.AdversarialDelay": "a delay model the kernel tests build schedules with",
-    "env.conformance.run_conformance": "the conformance battery the env tests run",
     "db.wal.WriteAheadLog.tear_final_record": "the torn-write fault the WAL tests inject",
     "exp.spec.GridSpec.size": "what the sweep tests compare a grid's expansion against",
     "lint.sanitizer.maybe_install": "called by repro/__init__ under an import alias",

@@ -37,7 +37,7 @@ SYSTEM = ("src", "bench", "benchmarks", "examples", "scripts")
 
 _SEAM = "a test seam: the tests pass another value, the system the default"
 _KERNEL = "set through the kernel(**pacing) splat that builds a run's kernel"
-_ENTRY = "a documented entry point's option (README, docs/runtime.md)"
+_ENTRY = "a documented entry point's option"
 _EXPLORE = "an option of explore(), the documented search entry point"
 _ORACLE = "a paper oracle: symbolic without n and f, numeric with them"
 
@@ -58,8 +58,9 @@ KEPT: Dict[str, str] = {
     **_each("obs.progress.TTYProgressReporter.__init__", "stream", _SEAM),
     **_each("lint.ast_checks.lint_file", "kind", _SEAM),
     **_each("lint.ast_checks.lint_paths", "root", _SEAM),
-    **_each("env.conformance.run_conformance", "run", _SEAM
-            + " (the asyncio leg and a broken leg)"),
+    **_each("sim.runner.Simulation.__init__",
+            "process_factory stop_when_all_correct_decided", _SEAM
+            + " (the conformance battery runs per-pid probes for a fixed span)"),
     **_each("lint.sanitizer.run_hashseed_check", "seeds start_methods", _SEAM
             + " (the spawn-safety test adds the fork and spawn pools)"),
     **_each(
@@ -72,8 +73,11 @@ KEPT: Dict[str, str] = {
     ),
     **_each(
         "runtime.runtime.run_commit",
-        "unit timeout_units seed delay_model crash_at", _ENTRY,
+        "unit timeout_units seed delay_model crash_at",
+        _ENTRY + " (README, docs/runtime.md)",
     ),
+    **_each("exp.engine.run_sweep", "progress",
+            _ENTRY + ' (docs/observability.md: "tty", "jsonl:PATH")'),
     **_each(
         "explore.driver.explore", "params votes delay fault workers shrink", _EXPLORE
     ),

@@ -45,6 +45,13 @@ def stochastic_grid(seeds=(0, 1, 2), **overrides):
     return GridSpec(**params)
 
 
+def inbac_grid(n, f, trials):
+    """INBAC alone at one larger system, f = n/5: thousands of messages per trial."""
+    return GridSpec(
+        protocols=["INBAC"], systems=[(n, f)], seeds=range(trials), max_time=1000
+    )
+
+
 def cluster_grid(**overrides):
     params = dict(
         protocols=["2PC", "INBAC"],
@@ -167,14 +174,22 @@ class TestSweepEquivalence:
             assert full.error is None and fast.error is None
             assert dataclasses.asdict(fast) == dataclasses.asdict(full)
 
-    def test_aggregate_fingerprints_identical_serial(self):
-        full_level = run_sweep(
-            stochastic_grid(), workers=1, mode="aggregate", trace_level="full"
-        )
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            stochastic_grid,
+            lambda: inbac_grid(20, 4, trials=40),
+            lambda: inbac_grid(100, 20, trials=16),
+        ],
+        ids=["small-systems", "inbac-20-4", "inbac-100-20"],
+    )
+    def test_aggregate_fingerprints_identical_serial(self, grid):
+        full_level = run_sweep(grid(), workers=1, mode="aggregate", trace_level="full")
         counters = run_sweep(
-            stochastic_grid(), workers=1, mode="aggregate", trace_level="counters"
+            grid(), workers=1, mode="aggregate", trace_level="counters"
         )
-        in_memory = run_sweep(stochastic_grid(), workers=1)
+        in_memory = run_sweep(grid(), workers=1)
+        assert full_level.error_count == counters.error_count == 0
         assert counters.aggregate_rows() == full_level.aggregate_rows()
         assert (
             counters.aggregate_fingerprint()

@@ -99,13 +99,12 @@ class TestFingerprintEquality:
 _SUBPROCESS_SWEEP = """
 import sys
 from repro.exp import GridSpec, run_sweep
-from repro.obs import MetricsProgressReporter
 
 grid = GridSpec(
     protocols=["2PC", "INBAC"], systems=[(4, 1)], delays=["uniform"],
     seeds=list(range(6)),
 )
-agg = run_sweep(grid, workers=1, mode="aggregate", progress=MetricsProgressReporter())
+agg = run_sweep(grid, workers=1, mode="aggregate", progress=[].append)
 assert agg.error_count == 0, agg.sample_errors
 sys.stdout.write(agg.aggregate_fingerprint())
 """

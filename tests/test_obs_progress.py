@@ -21,7 +21,6 @@ from repro.errors import ConfigurationError
 from repro.exp import GridSpec, run_sweep
 from repro.obs import (
     JsonlProgressReporter,
-    MetricsProgressReporter,
     ProgressEvent,
     TTYProgressReporter,
     read_jsonl,
@@ -263,17 +262,6 @@ class TestReporters:
         path.write_text('{"a": 1}\n\n  \n{"b": [2]}\n', encoding="utf-8")
         assert read_jsonl(str(path)) == [{"a": 1}, {"b": [2]}]
 
-    def test_metrics_reporter_counts(self):
-        reporter = MetricsProgressReporter()
-        run_sweep(small_grid(), workers=1, mode="aggregate", progress=reporter)
-        registry = reporter.registry
-        assert registry.snapshot().counters.get("sweep.runs", 0) == 1
-        assert registry.snapshot().counters.get("sweep.runs_completed", 0) == 1
-        assert registry.snapshot().counters.get("sweep.chunks_done", 0) == 8
-        snapshot = registry.snapshot()
-        assert snapshot.gauges["sweep.trials_done"] == 8.0
-        assert snapshot.gauges["sweep.queue_depth"] == 0.0
-
 
 class TestResolveProgress:
     def test_none_and_callables_pass_through(self):
@@ -306,5 +294,5 @@ class TestResolveProgress:
 class TestPackageSurface:
     def test_every_export_resolves_and_read_jsonl_lives_with_its_writer(self):
         assert all(hasattr(repro.obs, name) for name in repro.obs.__all__)
-        assert len(set(repro.obs.__all__)) == len(repro.obs.__all__) == 17
+        assert len(set(repro.obs.__all__)) == len(repro.obs.__all__) == 15
         assert repro.obs.read_jsonl is repro.obs.progress.read_jsonl

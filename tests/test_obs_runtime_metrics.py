@@ -201,7 +201,7 @@ class TestClusterLifecycleTelemetry:
         assert report.crashes == {2: 20.0}
         [event] = report.recovery_events
         assert event.pid == 2
-        assert event.downtime == 20.0
+        assert event.rejoined_at - event.crashed_at == 20.0
         assert len(report.outcomes) == 2
 
     def test_retries_reach_the_registry(self):

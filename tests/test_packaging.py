@@ -64,7 +64,7 @@ class TestInstalledLayout:
             for module in sorted(src_dir.glob("*.py")):
                 shutil.copy(module, pkg_dir / module.name)
         probe = (
-            "import repro.runtime, repro.env.conformance, repro.db.cluster\n"
+            "import repro.runtime, repro.env, repro.db.cluster\n"
             "from repro.runtime import run_commit, AsyncClusterService\n"
             "from repro.protocols.registry import protocol_names\n"
             "assert len(protocol_names()) >= 10\n"

@@ -13,11 +13,11 @@ import contextlib
 
 import pytest
 
+from conformance import ObservingProcess
 from conftest import wal_kinds
 from repro.db.cluster import BACKENDS, ClusterConfig, run_cluster
 from repro.db.coordinator import RetryPolicy
 from repro.db.transaction import Operation, Transaction
-from repro.env.conformance import ObservingProcess
 from repro.errors import ConfigurationError
 from repro.exp.spec import coerce_axis
 from repro.obs import MetricsRegistry
@@ -79,10 +79,11 @@ class TestBatchCluster:
         with pytest.raises(ConfigurationError):
             run_cluster(ClusterConfig(), [object()], backend="threads")
 
-    def test_asyncio_backend_matches_sim_outcomes_fault_free(self):
+    @pytest.mark.parametrize("protocol", ["2PC", "3PC", "INBAC", "PaxosCommit"])
+    def test_asyncio_backend_matches_sim_outcomes_fault_free(self, protocol):
         workload = uniform_workload(num_transactions=5, num_partitions=3, seed=7)
         config = ClusterConfig(
-            num_partitions=3, commit_protocol="2PC", seed=7, max_time=400.0
+            num_partitions=3, commit_protocol=protocol, seed=7, max_time=400.0
         )
         sim_report = run_cluster(config, workload.transactions)
         rt_report = run_cluster(config, workload.transactions, backend="asyncio")
@@ -95,6 +96,22 @@ class TestBatchCluster:
         assert rt_report.invariants is not None and rt_report.invariants.holds
         # both backends applied the same committed writes
         assert rt_report.store_snapshots == sim_report.store_snapshots
+
+        # one client submitting sequentially meets no other client's locks:
+        # it commits exactly the simulator's set
+        async def sequential_client():
+            service = AsyncClusterService(config)
+            await service.start()
+            outcomes = [await service.submit(txn) for txn in workload.transactions]
+            return outcomes, await service.shutdown()
+
+        outcomes, report = asyncio.run(sequential_client())
+        committed = {o.txn_id for o in outcomes if o.decision == COMMIT}
+        assert committed == {
+            o.txn_id for o in sim_report.outcomes if o.decision == COMMIT
+        }
+        assert report.incomplete == 0
+        assert report.invariants is not None and report.invariants.holds
 
     def test_a_delay_model_is_the_network_on_both_backends(self):
         workload = uniform_workload(
@@ -756,11 +773,19 @@ class TestLiveService:
 # crash recovery: rejoin by WAL replay, retry, fault-surface validation
 # --------------------------------------------------------------------------- #
 def spaced_transfers():
-    """Multi-partition transactions with a quiet window between them."""
+    """Multi-partition transactions with a quiet window between them.
+
+    P2's key ``e`` is written once, before the crash window: after a rejoin
+    only the replayed log holds it.
+    """
     return [
         Transaction.of(
             "t-early",
-            [Operation.write(1, "a", 10), Operation.write(2, "b", 20)],
+            [
+                Operation.write(1, "a", 10),
+                Operation.write(2, "b", 20),
+                Operation.write(2, "e", 25),
+            ],
             submit_time=0.0,
         ),
         Transaction.of(
@@ -772,6 +797,45 @@ def spaced_transfers():
             "t-late",
             [Operation.write(1, "a", 11), Operation.write(2, "d", 40)],
             submit_time=100.0,
+        ),
+    ]
+
+
+def outage_transfers():
+    """Two-partition transactions, ``t2`` submitted while P2 is down (20-40).
+
+    P2's key ``g`` is written once, by ``t0``: after the rejoin only the
+    replayed log holds it.
+    """
+    return [
+        Transaction.of(
+            "t0",
+            [
+                Operation.write(1, "a", 10),
+                Operation.write(2, "b", 20),
+                Operation.write(2, "g", 25),
+            ],
+            submit_time=0.0,
+        ),
+        Transaction.of(
+            "t1",
+            [Operation.write(2, "b", 21), Operation.write(3, "c", 30)],
+            submit_time=8.0,
+        ),
+        Transaction.of(
+            "t2",
+            [Operation.write(1, "a", 11), Operation.write(2, "d", 40)],
+            submit_time=26.0,
+        ),
+        Transaction.of(
+            "t3",
+            [Operation.write(2, "b", 22), Operation.write(3, "e", 50)],
+            submit_time=55.0,
+        ),
+        Transaction.of(
+            "t4",
+            [Operation.write(1, "a", 12), Operation.write(2, "f", 60)],
+            submit_time=75.0,
         ),
     ]
 
@@ -809,8 +873,8 @@ class TestRecovery:
         # the acceptance scenario on the wall clock: P2 crashes in a quiet
         # window and rejoins by WAL replay before the next transaction that
         # needs it; with a retry policy absorbing unlucky timing, the run
-        # commits exactly the fault-free set and the invariant battery holds
-        # on the recovered store
+        # commits exactly the fault-free set, the invariant battery holds on
+        # the recovered store, and the simulator running the same plan agrees
         base = dict(
             num_partitions=3,
             commit_protocol="INBAC",
@@ -819,32 +883,77 @@ class TestRecovery:
             max_time=400.0,
             retry_policy=RetryPolicy(max_attempts=4, timeout_units=25.0),
         )
+        recover = ClusterConfig(
+            **base, fault_plan=FaultPlan.crash_recover(2, at=20.0, rejoin_at=40.0)
+        )
         free = run_cluster(
             ClusterConfig(**base), spaced_transfers(), backend="asyncio"
         )
-        recovered = run_cluster(
-            ClusterConfig(
-                **base,
-                fault_plan=FaultPlan.crash_recover(2, at=20.0, rejoin_at=40.0),
-            ),
-            spaced_transfers(),
-            backend="asyncio",
-        )
+        recovered = run_cluster(recover, spaced_transfers(), backend="asyncio")
+        oracle = run_cluster(recover, spaced_transfers(), backend="sim")
         committed = lambda report: {
             o.txn_id for o in report.outcomes if o.decision == COMMIT
         }
-        assert committed(free) == committed(recovered) == {
+        assert committed(free) == committed(recovered) == committed(oracle) == {
             "t-early", "t-after-rejoin", "t-late"
         }
-        assert recovered.incomplete == 0
-        assert recovered.invariants is not None and recovered.invariants.holds
-        assert recovered.store_snapshots == free.store_snapshots
-        [event] = recovered.recovery_events
-        assert event.pid == 2
-        assert event.rejoined_at > event.crashed_at
-        assert event.replayed_transactions >= 1  # t-early was durable on P2
-        assert 2 in recovered.crashes
-        assert recovered.execution_class == "crash-failure"
+        assert recovered.incomplete == oracle.incomplete == 0
+        assert (
+            recovered.store_snapshots
+            == oracle.store_snapshots
+            == free.store_snapshots
+        )
+        for report in (recovered, oracle):
+            assert report.invariants is not None and report.invariants.holds
+            [event] = report.recovery_events
+            assert event.pid == 2
+            assert event.rejoined_at > event.crashed_at
+            assert event.replayed_transactions >= 1  # t-early was durable on P2
+            assert 2 in report.crashes
+            assert report.execution_class == "crash-failure"
+
+    @pytest.mark.parametrize(
+        "retry", [None, RetryPolicy(3, 15.0)], ids=["no-retry", "retry-3x15"]
+    )
+    def test_a_transaction_in_the_outage_decides_alike_on_both_backends(
+        self, retry
+    ):
+        # t2 is submitted while P2 is down: without a retry INBAC leaves it
+        # undecided, holding P1's lock on ``a`` so t4 aborts; with one, the
+        # resubmission after the rejoin decides it.  The wall clock must
+        # reach the simulator's outcome either way.
+        config = ClusterConfig(
+            num_partitions=3,
+            commit_protocol="INBAC",
+            commit_f=1,
+            seed=5,
+            max_time=150.0,
+            fault_plan=FaultPlan.crash_recover(2, at=20.0, rejoin_at=40.0),
+            retry_policy=retry,
+        )
+        recovered = run_cluster(config, outage_transfers(), backend="asyncio")
+        oracle = run_cluster(config, outage_transfers(), backend="sim")
+        committed = lambda report: {
+            o.txn_id for o in report.outcomes if o.decision == COMMIT
+        }
+        assert committed(recovered) == committed(oracle)
+        assert recovered.incomplete == oracle.incomplete
+        assert recovered.store_snapshots == oracle.store_snapshots
+        if retry is None:
+            assert oracle.incomplete == 1 and oracle.retry_counts == {}
+            assert committed(oracle) == {"t0", "t1", "t3"}
+            assert oracle.store_snapshots[2] == {"b": 22, "g": 25}
+        else:
+            assert oracle.incomplete == 0
+            assert recovered.retry_counts == oracle.retry_counts == {"t2": 1}
+            assert committed(oracle) == {"t0", "t1", "t3", "t4"}
+            assert oracle.store_snapshots[2] == {"b": 22, "f": 60, "g": 25}
+        for report in (recovered, oracle):
+            assert report.invariants is not None and report.invariants.holds
+            [event] = report.recovery_events
+            assert event.pid == 2
+            assert event.rejoined_at > event.crashed_at
+            assert event.replayed_transactions == 2  # t0 and t1
 
     def test_live_recover_partition_returns_the_event(self):
         async def drive():
@@ -860,7 +969,7 @@ class TestRecovery:
 
         event, report = asyncio.run(drive())
         assert event.pid == 2
-        assert event.downtime > 0
+        assert event.rejoined_at > event.crashed_at
         assert report.recovery_events == [event]
         assert report.invariants is not None and report.invariants.holds
 

@@ -28,10 +28,10 @@ import os
 
 import pytest
 
+from conformance import ObservingProcess
 import repro.runtime
 import repro.runtime.runtime as runtime_module
 from repro.db.cluster import ClusterConfig
-from repro.env.conformance import ObservingProcess
 from repro.obs import MetricsRegistry
 from repro.runtime import AsyncClusterService, run_commit
 from repro.runtime.runtime import _LOOP_GRAIN_S, AsyncRuntime

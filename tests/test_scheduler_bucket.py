@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.env.conformance import ObservingProcess
+from conformance import ObservingProcess
 from repro.exp import GridSpec, named_delay, named_fault, run_trial
 from repro.exp.registry import delay_model_names, fault_plan_names
 from repro.exp.spec import coerce_axis

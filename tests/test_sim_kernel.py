@@ -204,6 +204,14 @@ class TestDelayRules:
         with pytest.raises(ConfigurationError):
             DelayRule(src=1, **{field: math.nan})
 
+    @pytest.mark.parametrize("bound", ["after_time", "before_time"])
+    def test_a_nan_window_is_refused(self, bound):
+        # every comparison with NaN is False: a NaN after_time matched from
+        # time 0 and turned a plan that reads as never firing into a
+        # network failure
+        with pytest.raises(ConfigurationError, match=bound):
+            DelayRule(src=1, delay=5.0, **{bound: math.nan})
+
     def test_absolute_delay_override(self):
         rule = DelayRule(src=1, dst=2, delay=9.0)
         assert rule.apply(1, 2, None, 0.0, 0, nominal=1.0) == 9.0
@@ -298,6 +306,26 @@ class TestFaultPlans:
     def test_validation_rejects_unknown_processes(self):
         with pytest.raises(ConfigurationError):
             FaultPlan.crash(9).validate(n=4, f=3)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan.crash(1, at=math.nan),
+            FaultPlan.crashes_at({1: 0.0, 2: math.nan}),
+            FaultPlan.crash_recover(2, at=math.nan, rejoin_at=5.0),
+            FaultPlan.crash_recover(2, at=1.0, rejoin_at=math.nan),
+        ],
+        ids=["crash", "crashes-at", "crash-recover-at", "crash-recover-rejoin-at"],
+    )
+    def test_a_nan_crash_or_rejoin_time_is_refused(self, plan):
+        # a NaN crash time used to be recorded as a crash that happened:
+        # the run was crash-failure and decided nothing
+        with pytest.raises(ConfigurationError, match="NaN"):
+            plan.validate(n=4, f=2)
+        with pytest.raises(ConfigurationError, match="NaN"):
+            Simulation(n=4, f=2, process_class=TwoPhaseCommit).run(
+                [1, 1, 1, 1], fault_plan=plan
+            )
 
 
 class TestTransitDelay:
