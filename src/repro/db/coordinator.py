@@ -10,7 +10,7 @@ latency when the first participant reports ``DONE``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.db.transaction import Transaction
@@ -79,7 +79,7 @@ class TransactionOutcome:
     participants: Tuple[int, ...] = ()
     #: ``(sent_at, round_start)`` of each submission, first one first: when
     #: the EXEC requests went out and the commit-round start they carried
-    submissions: List[Tuple[float, float]] = field(default_factory=list)
+    submissions: Tuple[Tuple[float, float], ...] = ()
 
     @property
     def commit_latency(self) -> Optional[float]:
@@ -188,7 +188,7 @@ class ClientCoordinator(Process):
                 participants=tuple(txn.participants()),
             )
             self._incomplete += 1
-        outcome.submissions.append((self.now(), start_time))
+        outcome.submissions += ((self.now(), start_time),)
         # one tuple for every EXEC of every attempt: the partitions' commit
         # instances and PREPARE records hold this same object
         participants = outcome.participants

@@ -152,11 +152,18 @@ def check_atomicity(
 
 
 def check_durability(partitions: Dict[int, "object"]) -> List[str]:
-    """WAL replay must reconstruct exactly each partition's committed state."""
+    """WAL replay must reconstruct exactly each partition's committed state.
+
+    The replayed snapshot is the log's committed writes folded into one
+    dict, latest last, as :meth:`~repro.db.wal.WriteAheadLog.replay` would
+    apply them to a fresh store.
+    """
     violations: List[str] = []
     for pid in sorted(partitions):
         server = partitions[pid]
-        replayed = server.wal.replay().snapshot()
+        replayed: Dict[str, object] = {}
+        for _, writes in server.wal.committed_writes():
+            replayed.update(writes)
         live = server.store.snapshot()
         if replayed == live:
             continue

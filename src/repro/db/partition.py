@@ -20,7 +20,15 @@ it participates in, it:
 What a prepared transaction is lives in the log: the PREPARE record and the
 outcome record.  Beside it the partition keeps only the live commit instance
 of each transaction this incarnation prepared, and the one coordinator pid
-every ``DONE``, ``OUTCOME?`` and recovery ack goes to.
+every ``DONE``, ``OUTCOME?`` and recovery ack goes to.  An instance retires
+once it is :attr:`~repro.protocols.base.AtomicCommitProcess.finished` (2PC:
+proposed and decided), after the event that finished it; a
+single-participant transaction's entry retires once its outcome is logged.
+Late traffic for a retired transaction then meets the log, as it does for
+one an earlier incarnation prepared: a commit message is dropped, a timer
+ignored and a duplicate ``EXEC`` answered with the logged outcome.  INBAC,
+1NBAC, Paxos Commit and the other protocols never finish: their decided
+processes keep answering peers, so their instances stay.
 """
 
 from __future__ import annotations
@@ -103,6 +111,12 @@ class EmbeddedCommitEnv:
         return self.host.env.now() - self.record.round_start
 
 
+def _release_instance(instance: AtomicCommitProcess) -> None:
+    """Cut an embedded instance's edges: its components' and its env's."""
+    instance.release()
+    instance.env.host = None
+
+
 class PartitionServer(Process):
     """One shard of the distributed store, embedded-commit capable.
 
@@ -130,8 +144,9 @@ class PartitionServer(Process):
         self.commit_protocol = commit_protocol
         self.commit_f = commit_f
         self.protocol_kwargs = dict(protocol_kwargs or {})
-        #: the commit instance of each transaction this incarnation prepared;
-        #: None for a single-participant one, decided when its round starts
+        #: the commit instance of each transaction this incarnation prepared
+        #: and has not retired; None for a single-participant one, decided
+        #: when its round starts
         self.instances: Dict[str, Optional[AtomicCommitProcess]] = {}
         #: messages for transactions whose EXEC has not arrived yet; only
         #: for those this log never prepared (see _deliver_commit_message)
@@ -146,8 +161,7 @@ class PartitionServer(Process):
         self.on_logged = None
         for instance in self.instances.values():
             if instance is not None:
-                instance.release()
-                instance.env.host = None
+                _release_instance(instance)
 
     # ------------------------------------------------------------------ #
     # event handlers
@@ -186,17 +200,19 @@ class PartitionServer(Process):
         # protocol's timer name does ("timer", "timer0", "iuc:retry", ...)
         txn_id, _, timer_name = name[len(_TIMER_PREFIX):].rpartition("/")
         if txn_id not in self.instances:
-            return
+            return  # retired, or prepared by an earlier incarnation
         instance = self.instances[txn_id]
+        if instance is None:
+            # single-participant transaction: its one timer is the propose
+            # timer, and it decides locally
+            self.on_commit_decision(txn_id, self.wal.prepare_record_of(txn_id).vote)
+            del self.instances[txn_id]
+            return
         if timer_name == _PROPOSE_TIMER:
-            vote = self.wal.prepare_record_of(txn_id).vote
-            if instance is not None:
-                instance.on_propose(vote)
-            else:
-                # single-participant transaction: decide locally
-                self.on_commit_decision(txn_id, vote)
-        elif instance is not None:
+            instance.on_propose(self.wal.prepare_record_of(txn_id).vote)
+        else:
             instance.timeout(timer_name)
+        self._retire_if_finished(txn_id, instance)
 
     # ------------------------------------------------------------------ #
     # prepare
@@ -261,6 +277,13 @@ class PartitionServer(Process):
                 self._early_messages.setdefault(txn_id, []).append((src, inner))
             return
         instance.deliver(instance.env.local_pid(src), inner)
+        self._retire_if_finished(txn_id, instance)
+
+    def _retire_if_finished(self, txn_id: str, instance: AtomicCommitProcess) -> None:
+        """Drop a finished instance: nothing it could still do would send."""
+        if instance.finished:
+            del self.instances[txn_id]
+            _release_instance(instance)
 
     def on_commit_decision(self, txn_id: str, decision: int) -> None:
         """Callback from the embedded commit instance (or local decision)."""
@@ -315,9 +338,7 @@ class PartitionServer(Process):
                 self.locks.try_acquire_all(
                     txn_id, {key: LockMode.EXCLUSIVE for key in writes}
                 )
-        return len(
-            {r.txn_id for r in wal.records() if not r.torn and r.kind == WAL_COMMIT}
-        )
+        return len({txn_id for txn_id, _ in wal.committed_writes()})
 
     def on_recover(self) -> None:
         """Rejoin hook: issue termination queries for in-doubt transactions."""

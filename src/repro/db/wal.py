@@ -11,7 +11,7 @@ exercise this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.db.store import VersionedStore
 from repro.errors import StorageError
@@ -79,7 +79,7 @@ class WriteAheadLog:
 
     def __init__(self) -> None:
         self._records: List[WalRecord] = []
-        self._by_txn: Dict[str, List[WalRecord]] = {}
+        self._by_txn: Dict[str, Tuple[WalRecord, ...]] = {}
 
     def append(
         self,
@@ -111,7 +111,8 @@ class WriteAheadLog:
             round_start=round_start,
         )
         self._records.append(record)
-        self._by_txn.setdefault(txn_id, []).append(record)
+        # a transaction has two or three records: a tuple, grown by copying
+        self._by_txn[txn_id] = self._by_txn.get(txn_id, ()) + (record,)
         return record
 
     def tear_final_record(self) -> Optional[WalRecord]:
@@ -155,6 +156,22 @@ class WriteAheadLog:
         (:func:`in_doubt_of` over this log)."""
         return in_doubt_of(self._records)
 
+    def committed_writes(self) -> Iterator[Tuple[str, Dict[str, object]]]:
+        """``(txn id, writes)`` of every intact COMMIT record, in log order.
+
+        A COMMIT logged without writes takes its PREPARE's.  The one pass
+        over the log that :meth:`replay` and the durability invariant
+        (:func:`repro.db.invariants.check_durability`) both fold.
+        """
+        prepared: Dict[str, Dict[str, object]] = {}
+        for record in self._records:
+            if record.torn:
+                continue
+            if record.kind == PREPARE:
+                prepared[record.txn_id] = record.writes
+            elif record.kind == COMMIT:
+                yield record.txn_id, record.writes or prepared.get(record.txn_id, {})
+
     def replay(self, store: Optional[VersionedStore] = None) -> VersionedStore:
         """Rebuild the committed store state from the log.
 
@@ -164,16 +181,9 @@ class WriteAheadLog:
         never changed).
         """
         store = store if store is not None else VersionedStore()
-        prepared: Dict[str, Dict[str, object]] = {}
-        for record in self._records:
-            if record.torn:
-                continue
-            if record.kind == PREPARE:
-                prepared[record.txn_id] = record.writes
-            elif record.kind == COMMIT:
-                writes = record.writes or prepared.get(record.txn_id, {})
-                if writes:
-                    store.apply_many(writes, txn_id=record.txn_id)
+        for txn_id, writes in self.committed_writes():
+            if writes:
+                store.apply_many(writes, txn_id=txn_id)
         return store
 
     def __len__(self) -> int:

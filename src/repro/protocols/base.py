@@ -51,6 +51,11 @@ class AtomicCommitProcess(Process):
     protocol_name: str = "atomic-commit"
     #: see the class docstring; chain protocols of Appendix E use 1
     timer_origin_shift: float = 0.0
+    #: True once no event can make this process send, set a timer or decide
+    #: again, so a host may drop it (:class:`repro.db.partition.PartitionServer`
+    #: retires a finished commit instance).  A protocol whose decided
+    #: processes keep answering peers leaves it False.
+    finished: bool = False
 
     def __init__(self, pid: int, n: int, f: int, env: ProcessEnv):
         super().__init__(pid, n, f, env)

@@ -37,6 +37,15 @@ class TwoPhaseCommit(AtomicCommitProcess):
     def is_coordinator(self) -> bool:
         return self.pid == self.coordinator
 
+    @property
+    def finished(self) -> bool:
+        """Proposed and decided: a late VOTE or OUTCOME sends nothing.
+
+        Decided alone is not enough: a participant that learnt the outcome
+        before its own propose still sends its VOTE when it proposes.
+        """
+        return self.decided and self.vote is not None
+
     # ------------------------------------------------------------------ #
     # events
     # ------------------------------------------------------------------ #

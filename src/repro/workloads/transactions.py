@@ -54,6 +54,9 @@ def uniform_workload(
     transactions: List[Transaction] = []
     for i in range(num_transactions):
         participants = rng.sample(range(1, num_partitions + 1), participants_per_txn)
+        # one value object for every write of the transaction: the stores
+        # keep it
+        value = f"txn-{i}"
         operations: List[Operation] = []
         for partition in participants:
             for _ in range(reads_per_participant):
@@ -65,7 +68,7 @@ def uniform_workload(
                     Operation.write(
                         partition,
                         _key(partition, rng.randrange(keys_per_partition)),
-                        f"txn-{i}",
+                        value,
                     )
                 )
         transactions.append(
@@ -104,13 +107,14 @@ def hotspot_workload(
     transactions: List[Transaction] = []
     for i in range(num_transactions):
         participants = rng.sample(range(1, num_partitions + 1), participants_per_txn)
+        value = f"txn-{i}"  # shared by the transaction's writes, as above
         operations: List[Operation] = []
         for partition in participants:
             if rng.random() < hot_probability:
                 key = _key(partition, rng.randrange(hot_keys))
             else:
                 key = _key(partition, hot_keys + rng.randrange(1000))
-            operations.append(Operation.write(partition, key, f"txn-{i}"))
+            operations.append(Operation.write(partition, key, value))
         transactions.append(
             Transaction.of(f"tx-{i}", operations, submit_time=i * inter_arrival)
         )

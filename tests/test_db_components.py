@@ -38,15 +38,15 @@ class TestVersionedStore:
     def test_apply_many_is_one_version(self):
         store = VersionedStore()
         version = store.apply_many({"a": 1, "b": 2}, txn_id="t1")
-        assert [rec.version for rec in store._data["a"]] == [version]
-        assert [rec.version for rec in store._data["b"]] == [version]
+        assert [rec.version for rec in store.versions("a")] == [version]
+        assert [rec.version for rec in store.versions("b")] == [version]
         assert store.snapshot() == {"a": 1, "b": 2}
 
     def test_history_records_txn_ids(self):
         store = VersionedStore()
         store.apply("x", 1, txn_id="t1")
         store.apply("x", 2, txn_id="t2")
-        assert [rec.txn_id for rec in store._data["x"]] == ["t1", "t2"]
+        assert [rec.txn_id for rec in store.versions("x")] == ["t1", "t2"]
 
     def test_len_and_keys(self):
         store = VersionedStore()
