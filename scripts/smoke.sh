@@ -15,7 +15,7 @@
 #   - the paper's tables and the other benchmarks nothing in tier-1 runs
 #     (E1-E5, ablation, Figure 1, E7, E9, E10, E11), the examples and
 #     scripts/profile_smoke.sh: steps of the `smoke` job;
-#   - `python -m repro.lint ... --sanitize`: the `lint` job;
+#   - `python -m tools.lint ... --sanitize`: the `lint` job;
 #   - the schedule-exploration smoke: tier-1's tests/test_explore_driver.py
 #     (TestIndulgentProtocolsSurvive, TestTwoPhaseCommitCounterexample,
 #     TestReplayDeterminism);

@@ -30,6 +30,8 @@ Quickstart
 (2.0, 20)
 """
 
+import os as _os
+
 from repro.core import (
     PropertyPair,
     check_nbac,
@@ -70,12 +72,14 @@ from repro.exp import GridSpec, SweepResult, run_sweep
 from repro.sim import FaultPlan, FixedDelay, Simulation, SimulationResult, Trace
 from repro.sim.runner import run_nice_execution
 
-# Arm the runtime determinism sanitizer when REPRO_SANITIZE=1.  Running this
-# at import time means spawn workers (which re-import repro) re-arm
-# automatically; when the flag is unset this is a single dict lookup.
-from repro.lint.sanitizer import maybe_install as _maybe_install_sanitizer
+# Arm the runtime determinism sanitizer (repro.sanitizer) when
+# REPRO_SANITIZE=1.  Running this at import time means spawn workers (which
+# re-import repro) re-arm automatically; when the flag is unset the module is
+# never loaded.
+if _os.environ.get("REPRO_SANITIZE") == "1":
+    from repro.sanitizer import install as _install_sanitizer
 
-_maybe_install_sanitizer()
+    _install_sanitizer()
 
 __version__ = "1.0.0"
 

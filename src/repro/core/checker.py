@@ -105,7 +105,7 @@ def evaluate_problem(trace: Trace, cell: PropertyPair) -> ProblemEvaluation:
     report = check_nbac(trace, cls)
     required = required_properties(cell, cls)
     # canonical A, V, T order: ``required`` is a frozenset of a str-Enum,
-    # whose iteration order follows PYTHONHASHSEED (repro.lint rule DET001)
+    # whose iteration order follows PYTHONHASHSEED (static-analyser rule DET001)
     failures = [
         violation
         for prop in canonical_props(required)

@@ -80,6 +80,17 @@ class ClusterConfig:
     #: the client's per-process seeded RNG, so sim runs stay deterministic
     retry_policy: Optional[RetryPolicy] = None
 
+    def __post_init__(self) -> None:
+        if self.commit_f < 1:
+            raise ConfigurationError(
+                f"commit_f must be at least 1, got {self.commit_f}; a transaction "
+                f"with fewer participants runs at f = participants - 1"
+            )
+        if not self.max_time >= 0:  # NaN too: it would leave the run no horizon
+            raise ConfigurationError(
+                f"max_time must be a number >= 0, got {self.max_time}"
+            )
+
     def resolve_protocol(self) -> type:
         if isinstance(self.commit_protocol, str):
             return get_protocol(self.commit_protocol).cls

@@ -253,7 +253,9 @@ class PartitionServer(Process):
             commit_env = EmbeddedCommitEnv(self, record)
             local_pid = commit_env.local_pid(self.pid)
             local_n = len(participants)
-            local_f = max(1, min(self.commit_f, local_n - 1))
+            # ClusterConfig.commit_f is at least 1; a transaction with few
+            # participants tolerates at most all but one of them crashing
+            local_f = min(self.commit_f, local_n - 1)
             instance = self.commit_protocol(
                 local_pid, local_n, local_f, commit_env, **self.protocol_kwargs
             )

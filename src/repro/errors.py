@@ -39,7 +39,7 @@ class SweepError(ReproError):
 class DeterminismError(ReproError):
     """The runtime determinism sanitizer observed order-dependent bytes.
 
-    Raised only under ``REPRO_SANITIZE=1`` (see :mod:`repro.lint.sanitizer`):
+    Raised only under ``REPRO_SANITIZE=1`` (see :mod:`repro.sanitizer`):
     a trace fingerprint or an accumulator row changed when the insertion
     order of its underlying containers was perturbed, or a message payload
     carried an unordered ``set``/``frozenset`` into the trace.

@@ -102,7 +102,6 @@ import contextlib
 import functools
 import gc
 import importlib
-import multiprocessing
 import os
 import pickle
 import traceback
@@ -113,7 +112,7 @@ from repro.core.checker import check_nbac
 from repro.core.metrics import messages_until_last_decision
 from repro.errors import ConfigurationError, SweepError
 from repro.exp.results import SweepAggregate, SweepResult, TrialResult
-from repro.exp.spec import GridSpec, TrialSpec
+from repro.exp.spec import SPAWN_AXIS_FIELDS, GridSpec, TrialSpec
 from repro.sim.runner import Simulation
 from repro.sim.trace import TRACE_LEVELS
 
@@ -520,6 +519,8 @@ def _one_of(what: str, value: Any, allowed: tuple) -> None:
 
 
 def _start_method_available(name: str) -> bool:
+    import multiprocessing
+
     try:
         return name in multiprocessing.get_all_start_methods()
     except Exception:  # pragma: no cover - exotic platforms
@@ -542,13 +543,10 @@ def ensure_spawn_safe(
     lambda, a parameter value that does not pickle, an unpicklable collector
     and a protocol class defined inside a function.
 
-    The fields checked come from
-    :data:`repro.lint.rules.spawn_safety.SPAWN_AXIS_FIELDS` — the same rule
-    table the static analyser (``python -m repro.lint``) scans, so the
-    runtime and static checks cannot drift apart.
+    The fields checked come from :data:`repro.exp.spec.SPAWN_AXIS_FIELDS` —
+    the same table the static analyser's SP001 rule (``python -m
+    tools.lint``) scans, so the runtime and static checks cannot drift apart.
     """
-    from repro.lint.rules.spawn_safety import SPAWN_AXIS_FIELDS
-
     seen: set = set()
 
     def _check(field: str, label: str, obj: Any) -> None:
@@ -664,8 +662,13 @@ def run_trials(
     # collector needs the live (full) trace
     level = trace_level or ("full" if full or collector is not None else "counters")
     n_workers = _resolve_workers(workers, len(trials))
-    method = _resolve_start_method(start_method, trials, collector)
-    pooled = n_workers > 1 and len(trials) >= _MIN_TRIALS_FOR_POOL and method is not None
+    pooled = n_workers > 1 and len(trials) >= _MIN_TRIALS_FOR_POOL
+    # an explicit start method is validated even when the sweep runs serially;
+    # the default is resolved only when a pool is wanted
+    method = None
+    if pooled or start_method is not None:
+        method = _resolve_start_method(start_method, trials, collector)
+        pooled = pooled and method is not None
     # four chunks per worker, so uneven cells still balance
     chunk = max(1, min(_MAX_CHUNK, len(trials) // (n_workers * 4))) if pooled else 1
     folded = pooled and hasattr(sink, "merge")
@@ -694,7 +697,8 @@ def run_trials(
     with contextlib.ExitStack() as stack:
         try:
             if pooled:
-                # lazy: only a pooled sweep pays for importing the executor machinery
+                # lazy: only a pooled sweep pays for importing the pool machinery
+                import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
                 from concurrent.futures.process import BrokenProcessPool as lost
 

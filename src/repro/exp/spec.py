@@ -383,6 +383,21 @@ class TrialSpec:
         return int.from_bytes(digest[:8], "big")
 
 
+#: GridSpec axis field -> TrialSpec attribute: the spec fields that cross a
+#: ``spawn`` pool boundary.  One table for both checks:
+#: :func:`repro.exp.engine.ensure_spawn_safe` pickles these attributes at run
+#: time, and the static analyser's SP001 rule (``python -m tools.lint``)
+#: scans the same ``GridSpec`` keywords for lambdas and local closures.
+SPAWN_AXIS_FIELDS: Tuple[Tuple[str, str], ...] = (
+    ("protocols", "protocol"),
+    ("delays", "delay"),
+    ("faults", "fault"),
+    ("votes", "votes"),
+    ("workloads", "workload"),
+    ("schedules", "schedule"),
+)
+
+
 @dataclass
 class GridSpec:
     """The cross product protocol x (n, f) x delay x fault x votes x workload x schedule x seed."""

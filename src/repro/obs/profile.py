@@ -58,13 +58,6 @@ _SORT_KEYS = ("cumulative", "tottime", "calls", "ncalls", "filename", "name")
 _sequence = 0
 
 
-def is_enabled(environ=None) -> bool:
-    """True when ``REPRO_PROFILE`` is set to a non-empty, non-"0" value."""
-    environ = os.environ if environ is None else environ
-    value = environ.get(ENV_FLAG, "")
-    return value not in ("", "0", "false", "False")
-
-
 def profile_dir(environ=None) -> str:
     environ = os.environ if environ is None else environ
     return environ.get(ENV_DIR, "") or DEFAULT_DIR

@@ -150,7 +150,7 @@ class INBAC(AtomicCommitProcess):
         # collection1, keyed by sender.  Acknowledged collections travel as
         # sorted tuples, never as raw sets: payload reprs feed the trace
         # fingerprint, and a set's repr order is implementation-defined
-        # (repro.lint rule FP002).  Each is kept as the shared tuple object
+        # (static-analyser rule FP002).  Each is kept as the shared tuple object
         # it travelled as, so a delivery never hashes one.
         self._acks: Dict[int, Any] = {}
         #: a sender's later, *different* collections (never the case on

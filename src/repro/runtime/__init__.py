@@ -27,7 +27,8 @@ Layout:
   ``repro.db.cluster.run_cluster(..., backend="asyncio")``).
 
 This package intentionally reads the wall clock; the determinism lint rule
-DET002 is scoped out of ``src/repro/runtime/`` (see :mod:`repro.lint.rules`).
+DET002 is scoped out of ``src/repro/runtime/`` (see ``tools.lint.rules``,
+the static analyser).
 The simulator remains the deterministic oracle — nothing under
 :mod:`repro.sim`, :mod:`repro.db` (sim backend) or :mod:`repro.exp` imports
 this package except through the explicit backend dispatch in

@@ -44,8 +44,8 @@ is :class:`repro.db.cluster.Cluster`'s, paced by
 
 This module deliberately reads the wall clock (``time.monotonic()``); the lint
 suite's determinism rule DET002 is *scoped out* of ``src/repro/runtime/``
-(see :mod:`repro.lint.rules`) because wall-clock time is this package's whole
-purpose, not an accident.  Nothing under :mod:`repro.sim` reads it.
+(see ``tools.lint.rules``, the static analyser) because wall-clock time is
+this package's whole purpose, not an accident.  Nothing under :mod:`repro.sim` reads it.
 """
 
 from __future__ import annotations

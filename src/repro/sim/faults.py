@@ -254,9 +254,17 @@ class FaultPlan:
         for pid, at in self.crashes.items():
             if math.isnan(at):
                 raise ConfigurationError(f"P{pid}'s crash time is NaN")
+            if at < 0:
+                raise ConfigurationError(
+                    f"P{pid}'s crash time {at} is before the run starts at 0"
+                )
         for pid, rejoin_at in self.recoveries.items():
             if math.isnan(rejoin_at):
                 raise ConfigurationError(f"P{pid}'s rejoin time is NaN")
+            if rejoin_at < 0:
+                raise ConfigurationError(
+                    f"P{pid}'s rejoin time {rejoin_at} is before the run starts at 0"
+                )
             if pid not in self.crashes:
                 raise ConfigurationError(
                     f"recovery of P{pid} has no matching crash in the plan"
@@ -266,3 +274,10 @@ class FaultPlan:
                     f"P{pid} rejoins at {rejoin_at} but only crashes at "
                     f"{self.crashes[pid]}"
                 )
+        for rule in self.delay_rules:
+            for end, pid in (("src", rule.src), ("dst", rule.dst)):
+                if pid is not None and not 1 <= pid <= n:
+                    raise ConfigurationError(
+                        f"delay rule {rule!r} has {end}={pid}, but the system's "
+                        f"processes are P1..P{n}"
+                    )

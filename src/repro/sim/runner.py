@@ -170,6 +170,10 @@ class Scheduler:
             raise ConfigurationError(
                 f"unknown trace_level {trace_level!r}; expected one of {TRACE_LEVELS}"
             )
+        # `not >= 0` also refuses NaN, under which every `time > max_time`
+        # comparison is False and the run would have no horizon
+        if not max_time >= 0:
+            raise ConfigurationError(f"max_time must be a number >= 0, got {max_time}")
         self.n = n
         self.f = f
         self.seed = seed
@@ -801,6 +805,10 @@ class Simulation:
             raise ConfigurationError(
                 f"unknown trace_level {trace_level!r}; expected one of {TRACE_LEVELS}"
             )
+        # `not >= 0` also refuses NaN, under which every `time > max_time`
+        # comparison is False and the run would have no horizon
+        if not max_time >= 0:
+            raise ConfigurationError(f"max_time must be a number >= 0, got {max_time}")
         self.n = n
         self.f = f
         #: the horizon in units of U; a paced run waits at most this long

@@ -220,3 +220,21 @@ class TestReportAggregates:
         # the rank is ceil(0.95 * 12) = 12, as every percentile in the tree
         # (repro.sim.trace.digest_percentile); round() made it 11
         assert report.p95_commit_latency() == 12.0
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize(
+        "fields",
+        [{"max_time": float("nan")}, {"max_time": -1.0}, {"commit_f": 0}],
+        ids=["nan-horizon", "negative-horizon", "no-fault-tolerance"],
+    )
+    def test_a_config_without_a_horizon_or_a_fault_budget_is_refused(self, fields):
+        with pytest.raises(ConfigurationError, match=next(iter(fields))):
+            ClusterConfig(**fields)
+
+    def test_commit_f_above_a_transactions_participants_is_clamped_per_transaction(self):
+        # a two-partition transaction runs at f = 1 whatever commit_f says
+        config = ClusterConfig(num_partitions=3, commit_f=2, seed=3)
+        workload = uniform_workload(6, 3, keys_per_partition=4, participants_per_txn=2, seed=3)
+        report = run_cluster(config, workload.transactions)
+        assert report.incomplete == 0 and report.invariants.holds

@@ -291,7 +291,7 @@ class TestCrossHashSeedDeterminism:
     leaked into the bytes somewhere in the pipeline."""
 
     def test_fingerprints_identical_across_hash_seeds_and_pools(self):
-        from repro.lint.sanitizer import run_hashseed_check
+        from tools.lint.hashseed import run_hashseed_check
 
         out = run_hashseed_check(
             seeds=(101, 202), start_methods=("serial", "fork", "spawn")

@@ -13,7 +13,7 @@ the resulting bytes.
 
 from __future__ import annotations
 
-from repro.lint.sanitizer import _find_unordered
+from repro.sanitizer import _find_unordered
 from repro.protocols import INBAC
 from repro.sim import FaultPlan, Simulation
 

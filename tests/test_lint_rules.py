@@ -1,10 +1,12 @@
-"""The repro.lint rule set against its fixture corpus and the live tree.
+"""The tools.lint rule set against its fixture corpus and the live tree.
 
 Every rule gets a fixture-backed positive test (the known-bad snippet fires
-at the expected file:line) and rides the shared negative tests (the
-known-good snippets produce zero findings).  The battery also pins the
-engine-level behaviours the determinism contract depends on: the allowlist
-pragma policy, fixture-directory exclusion from normal walks, the JSON
+at the expected file:line) and the per-file rules ride the shared negative
+tests (the known-good snippets produce zero findings).  The live trees are
+linted once, in a pass every per-rule assertion shares.  The battery also
+pins the engine-level behaviours the determinism contract depends on: the
+allowlist pragma policy, the allow tables of the whole-system rules (a stale
+entry is a finding), fixture-directory exclusion from normal walks, the JSON
 report shape, CLI exit codes, and the shared spawn-safety rule table that
 keeps the static rule and :func:`repro.exp.engine.ensure_spawn_safe` from
 drifting apart.
@@ -16,17 +18,38 @@ import dataclasses
 import json
 from pathlib import Path
 
-from repro.lint import default_rules, lint_file, lint_paths
-from repro.lint.cli import main as lint_main
-from repro.lint.rules.spawn_safety import SPAWN_AXIS_FIELDS
+import pytest
+
+from repro.exp.spec import SPAWN_AXIS_FIELDS
+from tools.lint.ast_checks import (
+    LIVE_TREES,
+    ProjectRule,
+    iter_python_files,
+    lint_paths,
+)
+from tools.lint.cli import main as lint_main
+from tools.lint.rules import NoCallerRule, UnsetParameterRule, default_rules
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
+#: the per-file rules: a fixture linted with these reads no other file
+FILE_RULES = [rule for rule in default_rules() if not isinstance(rule, ProjectRule)]
 
-def findings_of(name: str, kind: str = "src"):
-    report = lint_file(FIXTURES / name, kind=kind, root=REPO_ROOT)
-    return report
+ALL_RULE_IDS = (
+    "DET001", "DET002", "DET003", "FP001", "FP002", "FP003",
+    "OBS001", "SP001", "IMP001", "CALL001", "KNOB001",
+)
+
+
+@pytest.fixture(scope="module")
+def live():
+    """One lint pass over every live tree, shared by the assertions below."""
+    return lint_paths([REPO_ROOT / name for name in LIVE_TREES], root=REPO_ROOT)
+
+
+def findings_of(name: str, kind: str = "src", rules=FILE_RULES):
+    return lint_paths([FIXTURES / name], rules=rules, kind=kind, root=FIXTURES)
 
 
 def locations(report, rule: str):
@@ -102,6 +125,39 @@ class TestBadFixtures:
         # the malformed pragma is itself a finding AND does not suppress
         assert rules == {"LNT000", "DET001"}
 
+    def test_imp001_unused_imports_by_scope(self):
+        report = findings_of("bad_imp001_unused.py")
+        # json and Tuple at module level, re inside f(); os (read as
+        # os.path), List, the noqa'd sys, the __all__ export and the
+        # function-local chain are all used
+        assert locations(report, "IMP001") == [
+            ("IMP001", 3), ("IMP001", 5), ("IMP001", 13),
+        ]
+        names = sorted(f.message.split("'")[1] for f in report.findings)
+        assert names == ["Tuple", "json", "re"]
+
+    def test_imp001_covers_every_tree(self):
+        for kind in ("tests", "benchmarks", "examples", "other"):
+            report = findings_of("bad_imp001_unused.py", kind=kind)
+            assert len(locations(report, "IMP001")) == 3, kind
+
+    def test_call001_definitions_without_a_caller(self):
+        report = findings_of("bad_call001_orphan.py", rules=[NoCallerRule()])
+        # helper, Widget and size are referenced; a method read only as a
+        # bare name (shadowed) is not; dunders and visit_* never fire
+        assert locations(report, "CALL001") == [
+            ("CALL001", 4), ("CALL001", 16), ("CALL001", 19), ("CALL001", 29),
+        ]
+
+    def test_knob001_defaulted_parameters_no_call_sets(self):
+        report = findings_of("bad_knob001_unset.py", rules=[UnsetParameterRule()])
+        # factor is set by position, width by keyword, label through the
+        # subclass, splatted's by a * splat; strategy is registered
+        assert locations(report, "KNOB001") == [("KNOB001", 4), ("KNOB001", 9)]
+        messages = " ".join(f.message for f in report.findings)
+        assert "'offset'" in messages and "'height'" in messages
+        assert "Box.__init__" in messages
+
 
 # --------------------------------------------------------------------------- #
 # negative fixtures: sanctioned idioms never fire
@@ -125,18 +181,19 @@ class TestGoodFixtures:
 # --------------------------------------------------------------------------- #
 class TestEngine:
     def test_fixture_directory_skipped_by_normal_walks(self):
-        report = lint_paths([Path(__file__).resolve().parent], root=REPO_ROOT)
-        assert not any("lint_fixtures" in f.path for f in report.findings)
+        walked = list(iter_python_files([Path(__file__).resolve().parent]))
+        assert walked and not any("lint_fixtures" in p.parts for p in walked)
 
-    def test_full_tree_is_clean(self):
-        report = lint_paths(
-            [REPO_ROOT / name for name in ("src", "benchmarks", "tests", "examples")],
-            root=REPO_ROOT,
-        )
-        assert report.ok, report.render_text()
+    def test_live_trees_are_clean(self, live):
+        assert live.ok, live.render_text()
+        assert live.files_checked >= 150
+
+    @pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
+    def test_live_trees_have_no_finding_of(self, live, rule_id):
+        assert locations(live, rule_id) == []
 
     def test_examples_are_a_kind_of_their_own(self):
-        from repro.lint.ast_checks import classify_path
+        from tools.lint.ast_checks import classify_path
 
         path = REPO_ROOT / "examples" / "quickstart.py"
         assert classify_path(path, REPO_ROOT) == ("examples", "examples/quickstart.py")
@@ -154,14 +211,85 @@ class TestEngine:
         rules = default_rules()
         ids = [r.rule_id for r in rules]
         assert len(ids) == len(set(ids))
-        assert set(ids) == {
-            "DET001", "DET002", "DET003", "FP001", "FP002", "FP003",
-            "OBS001", "SP001",
-        }
+        assert set(ids) == set(ALL_RULE_IDS)
         for rule in rules:
             assert rule.kinds and all(
-                k in ("src", "benchmarks", "tests", "examples") for k in rule.kinds
+                k in ("src", "benchmarks", "tests", "examples", "other")
+                for k in rule.kinds
             )
+
+
+# --------------------------------------------------------------------------- #
+# allow tables of the whole-system rules
+# --------------------------------------------------------------------------- #
+_PACKAGE = {
+    "src/repro/__init__.py": "",
+    "src/repro/mod.py": (
+        "def used():\n    return 1\n\n\n"
+        "def orphan():\n    return 2\n\n\n"
+        "def knob(x=1):  # lint: allow[CALL001] the probe of a pragma\n"
+        "    return x\n\n\n"
+        "VALUE = used()\n"
+    ),
+    "scripts/run.py": "from repro.mod import orphan\n",
+}
+
+
+class TestAllowTables:
+    @pytest.fixture
+    def package(self, tmp_path):
+        for relpath, text in _PACKAGE.items():
+            path = tmp_path / relpath
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        return tmp_path
+
+    @staticmethod
+    def _rule(cls, allowed):
+        rule = cls()
+        rule.allowed = allowed
+        return rule
+
+    def test_allowed_names_are_silent_and_stale_entries_are_findings(self, package):
+        rule = self._rule(NoCallerRule, {
+            "mod.orphan": "kept for the probe",
+            "mod.used": "gained a caller",
+            "mod.gone": "deleted",
+        })
+        report = lint_paths([package / "src"], rules=[rule], root=package)
+        stale = sorted(f.message.split("'")[1] for f in report.findings)
+        assert stale == ["mod.gone", "mod.used"]
+        # the pragma'd knob() is suppressed with its reason, not dropped
+        assert [f.justification for f in report.suppressed] == ["the probe of a pragma"]
+
+    def test_a_caller_outside_the_linted_trees_counts_and_a_test_never(self, package):
+        # scripts/ is a caller tree even when the run lints src/ alone; a
+        # test's call keeps nothing alive, even when the run lints tests/
+        rule = self._rule(NoCallerRule, {})
+        calls = "from repro.mod import orphan, knob\n{}()\n"
+        (package / "scripts" / "run.py").write_text(calls.format("orphan"))
+        (package / "tests").mkdir()
+        (package / "tests" / "test_mod.py").write_text(calls.format("knob"))
+        report = lint_paths([package / "src", package / "tests"], rules=[rule], root=package)
+        assert report.findings == []
+        assert [f.snippet for f in report.suppressed] == [
+            "def knob(x=1):  # lint: allow[CALL001] the probe of a pragma"
+        ]
+
+    def test_stale_parameter_entries_are_findings(self, package):
+        rule = self._rule(UnsetParameterRule, {
+            "mod.knob(x=)": "kept for the probe",
+            "mod.knob(y=)": "a parameter that was deleted",
+        })
+        report = lint_paths([package / "src"], rules=[rule], root=package)
+        assert [f.message.split("'")[1] for f in report.findings] == ["mod.knob(y=)"]
+
+    def test_a_partial_run_judges_no_entry(self, package):
+        rule = self._rule(NoCallerRule, {"mod.gone": "deleted"})
+        mod = package / "src" / "repro" / "mod.py"
+        report = lint_paths([mod], rules=[rule], root=package)
+        assert [f.rule for f in report.findings] == ["CALL001"]  # orphan() only
+        assert "'orphan'" in report.findings[0].message
 
 
 # --------------------------------------------------------------------------- #
@@ -169,7 +297,7 @@ class TestEngine:
 # --------------------------------------------------------------------------- #
 class TestScopeExemptions:
     def test_policy_table_names_known_rules_and_posix_prefixes(self):
-        from repro.lint.rules import SCOPE_EXEMPTIONS
+        from tools.lint.rules import SCOPE_EXEMPTIONS
 
         known = {r.rule_id for r in default_rules()}
         for rule_id, prefixes in SCOPE_EXEMPTIONS.items():
@@ -182,7 +310,7 @@ class TestScopeExemptions:
         # policy: only the two packages that exist to read the wall clock are
         # exempt, and only from DET002 (OBS001 keeps obs out of deterministic
         # layers)
-        from repro.lint.rules import SCOPE_EXEMPTIONS
+        from tools.lint.rules import SCOPE_EXEMPTIONS
 
         assert SCOPE_EXEMPTIONS == {
             "DET002": ("src/repro/runtime/", "src/repro/obs/")
@@ -193,7 +321,7 @@ class TestScopeExemptions:
         # wall clock, and DET002 really stays silent about it
         runtime_py = REPO_ROOT / "src" / "repro" / "runtime" / "runtime.py"
         assert "time.monotonic()" in runtime_py.read_text(encoding="utf-8")
-        report = lint_file(runtime_py, root=REPO_ROOT)
+        report = lint_paths([runtime_py], rules=FILE_RULES, root=REPO_ROOT)
         assert locations(report, "DET002") == []
 
     def test_det002_still_fires_outside_the_exempt_prefix(self):
@@ -201,8 +329,8 @@ class TestScopeExemptions:
         assert locations(report, "DET002")
 
     def test_other_rules_still_cover_the_runtime_package(self):
-        from repro.lint.ast_checks import load_context
-        from repro.lint.rules import (
+        from tools.lint.ast_checks import load_context
+        from tools.lint.rules import (
             UnorderedIterationRule,
             WallClockAndGlobalRandomRule,
         )
@@ -221,7 +349,7 @@ class TestScopeExemptions:
         assert UnorderedIterationRule().applies_to(ctx)
 
     def test_exempt_prefix_does_not_leak_to_sibling_paths(self):
-        from repro.lint.ast_checks import load_context
+        from tools.lint.ast_checks import load_context
 
         ctx = load_context(
             REPO_ROOT / "src" / "repro" / "sim" / "runner.py", root=REPO_ROOT
@@ -234,7 +362,7 @@ class TestScopeExemptions:
         # read the wall clock, and DET002 really stays silent about it
         progress_py = REPO_ROOT / "src" / "repro" / "obs" / "progress.py"
         assert "time.monotonic()" in progress_py.read_text(encoding="utf-8")
-        report = lint_file(progress_py, root=REPO_ROOT)
+        report = lint_paths([progress_py], rules=FILE_RULES, root=REPO_ROOT)
         assert locations(report, "DET002") == []
 
 
@@ -247,7 +375,8 @@ class TestObsIsolation:
         path = tmp_path / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source, encoding="utf-8")
-        return lint_file(path, root=tmp_path)
+        rules = [rule for rule in FILE_RULES if rule.rule_id == "OBS001"]
+        return lint_paths([path], rules=rules, root=tmp_path)
 
     def test_obs_import_in_sim_fires(self, tmp_path):
         report = self._lint_under(
@@ -301,19 +430,18 @@ class TestObsIsolation:
         )
         assert locations(report, "OBS001") == []
 
-    def test_live_deterministic_tree_is_obs_free(self):
+    def test_live_deterministic_tree_is_obs_free(self, live):
         # both directions pinned: the rule exists AND the real tree obeys it
-        from repro.lint.rules.obs_isolation import PROTECTED_PREFIXES
+        from tools.lint.rules.obs_isolation import PROTECTED_PREFIXES
 
-        report = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
-        assert locations(report, "OBS001") == []
+        assert locations(live, "OBS001") == []
         assert any(p.startswith("src/repro/db") for p in PROTECTED_PREFIXES)
 
 
 class TestCli:
     def test_cli_exit_zero_on_clean_tree(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
-        assert lint_main(["src", "benchmarks", "tests"]) == 0
+        assert lint_main(["examples"]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
 
@@ -326,17 +454,14 @@ class TestCli:
 
     def test_cli_json_format(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
-        assert lint_main(["--format=json", "src"]) == 0
+        assert lint_main(["--format=json", "examples"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True
 
     def test_cli_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (
-            "DET001", "DET002", "DET003", "FP001", "FP002", "FP003",
-            "OBS001", "SP001",
-        ):
+        for rule_id in ALL_RULE_IDS:
             assert rule_id in out
 
 
@@ -357,3 +482,11 @@ class TestSharedRuleTable:
         from repro.exp.engine import ensure_spawn_safe
 
         assert "SPAWN_AXIS_FIELDS" in inspect.getsource(ensure_spawn_safe)
+
+    def test_static_rule_scans_the_axis_keywords_only(self, tmp_path):
+        path = tmp_path / "grid.py"
+        path.write_text(
+            "GridSpec(delays=[lambda s: s], seeds=[lambda: 0])\n", encoding="utf-8"
+        )
+        report = lint_paths([path], rules=FILE_RULES, root=tmp_path, kind="benchmarks")
+        assert [f.col for f in report.findings if f.rule == "SP001"] == [18]

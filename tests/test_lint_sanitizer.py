@@ -1,4 +1,4 @@
-"""The runtime determinism sanitizer (``repro.lint.sanitizer``).
+"""The runtime determinism sanitizer (``repro.sanitizer``).
 
 The wrappers must (a) stay invisible on the deterministic code paths the
 repo actually runs — clean traces and accumulators produce the same bytes
@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import DeterminismError
 from repro.exp.results import CellAccumulator
-from repro.lint import sanitizer
+from repro import sanitizer
 from repro.sim import FaultPlan, Simulation
 from repro.sim.trace import CounterTrace, Trace
 
@@ -52,13 +52,6 @@ class TestInstall:
         assert Trace.fingerprint is original
         assert not sanitizer.is_installed()
 
-    def test_maybe_install_follows_env_flag(self, monkeypatch):
-        monkeypatch.delenv(sanitizer.ENV_FLAG, raising=False)
-        assert sanitizer.maybe_install() is False
-        assert not sanitizer.is_installed()
-        monkeypatch.setenv(sanitizer.ENV_FLAG, "1")
-        assert sanitizer.maybe_install() is True
-        assert sanitizer.is_installed()
 
 
 class TestPayloadRejection:
@@ -135,7 +128,9 @@ class TestRowPerturbation:
 
 class TestSanitizedSweep:
     def test_reference_sweep_runs_clean_under_wrappers(self):
-        out = sanitizer.run_sanitized_sweep()
+        from tools.lint.hashseed import run_sanitized_sweep
+
+        out = run_sanitized_sweep()
         assert set(out["fingerprints"]) == {
             "serial:aggregate",
             "serial:trials",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import glob
 import json
@@ -43,16 +44,28 @@ COLLECTOR_LINE = re.compile(
 
 
 class TestEnvironmentGate:
+    """The sweep engine's gate: a profiled unit only when REPRO_PROFILE is truthy."""
+
+    @staticmethod
+    def _profiled(monkeypatch, value):
+        from repro.exp.engine import _maybe_profiled
+
+        if value is None:
+            monkeypatch.delenv(profile.ENV_FLAG, raising=False)
+        else:
+            monkeypatch.setenv(profile.ENV_FLAG, value)
+        return not isinstance(_maybe_profiled("unit"), contextlib.nullcontext)
+
     @pytest.mark.parametrize("value", ["1", "yes", "true", "on"])
-    def test_truthy_values_enable(self, value):
-        assert profile.is_enabled({profile.ENV_FLAG: value}) is True
+    def test_truthy_values_enable(self, value, monkeypatch):
+        assert self._profiled(monkeypatch, value) is True
 
     @pytest.mark.parametrize("value", ["", "0", "false", "False"])
-    def test_falsey_values_disable(self, value):
-        assert profile.is_enabled({profile.ENV_FLAG: value}) is False
+    def test_falsey_values_disable(self, value, monkeypatch):
+        assert self._profiled(monkeypatch, value) is False
 
-    def test_unset_disables(self):
-        assert profile.is_enabled({}) is False
+    def test_unset_disables(self, monkeypatch):
+        assert self._profiled(monkeypatch, None) is False
 
     def test_profile_dir_override(self):
         assert profile.profile_dir({}) == profile.DEFAULT_DIR

@@ -38,8 +38,10 @@ class TestDiscovery:
     def test_the_new_subsystems_are_included(self):
         packages = discovered_packages()
         for required in ("repro", "repro.env", "repro.runtime", "repro.db",
-                         "repro.sim", "repro.lint", "repro.lint.rules"):
+                         "repro.sim"):
             assert required in packages, f"{required} missing from discovery"
+        # the static analyser is a developer tool (tools/lint), not shipped
+        assert not any(p.startswith("repro.lint") for p in packages)
 
     def test_setup_py_uses_discovery_not_a_hand_list(self):
         text = (REPO_ROOT / "setup.py").read_text(encoding="utf-8")

@@ -327,6 +327,54 @@ class TestFaultPlans:
                 [1, 1, 1, 1], fault_plan=plan
             )
 
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan.crash(1, at=-1.0),
+            FaultPlan.crash_recover(2, at=-2.0, rejoin_at=5.0),
+            FaultPlan(crashes={2: 1.0}, recoveries={2: -1.0}),
+        ],
+        ids=["crash", "crash-recover-at", "rejoin-at"],
+    )
+    def test_a_negative_crash_or_rejoin_time_is_refused_naming_the_pid(self, plan):
+        # a crash at -1.0 used to fail mid-run: "clock cannot run backwards"
+        pid = next(iter(plan.recoveries or plan.crashes))
+        with pytest.raises(ConfigurationError, match=f"P{pid}'s .* before the run starts"):
+            Simulation(n=4, f=2, process_class=TwoPhaseCommit).run(
+                [1, 1, 1, 1], fault_plan=plan
+            )
+
+    @pytest.mark.parametrize(
+        "rule", [DelayRule(src=9, extra=1.0), DelayRule(dst=0, delay=2.0)],
+        ids=["src", "dst"],
+    )
+    def test_a_delay_rule_on_a_process_that_does_not_exist_is_refused(self, rule):
+        # the src=9 rule used to run, and the run was classed network-failure
+        with pytest.raises(ConfigurationError, match=r"delay rule DelayRule\(.* P1\.\.P3"):
+            Simulation(n=3, f=1, process_class=TwoPhaseCommit).run(
+                [1, 1, 1], fault_plan=FaultPlan(delay_rules=[rule])
+            )
+
+    def test_a_delay_rule_on_every_existing_process_is_accepted(self):
+        rules = [DelayRule(src=1, dst=3, extra=0.5), DelayRule(src=3, extra=0.5)]
+        FaultPlan(delay_rules=rules).validate(n=3, f=1)
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("bad", [math.nan, -1.0], ids=["nan", "negative"])
+    def test_a_horizon_that_is_not_a_number_at_least_zero_is_refused(self, bad):
+        # under NaN every `time > max_time` comparison is False: the run
+        # used to go on without a horizon
+        with pytest.raises(ConfigurationError, match="max_time"):
+            Simulation(n=3, f=1, process_class=TwoPhaseCommit, max_time=bad)
+        with pytest.raises(ConfigurationError, match="max_time"):
+            Scheduler(3, 1, max_time=bad)
+
+    def test_a_zero_horizon_is_valid(self):
+        # the asyncio runtime starts its kernel at max_time=0.0 and raises it
+        # to the wall clock before every run()
+        assert Scheduler(3, 1, max_time=0.0).max_time == 0.0
+
 
 class TestTransitDelay:
     def test_overrides_take_precedence(self):

@@ -1,4 +1,4 @@
-"""AST rule engine for :mod:`repro.lint`.
+"""AST rule engine for :mod:`tools.lint`.
 
 The engine walks Python files, parses each once, and hands a
 :class:`FileContext` to every applicable rule.  Rules are small classes with
@@ -6,7 +6,10 @@ The engine walks Python files, parses each once, and hands a
 * ``rule_id`` — stable identifier (``DET001``, ``SP001``, ...),
 * ``applies_to(ctx)`` — path-based scoping (most determinism rules only run
   over ``src/``; spawn-safety also covers ``benchmarks/``),
-* ``check(ctx)`` — yields :class:`~repro.lint.report.Finding` objects.
+* ``check(ctx)`` — yields :class:`~tools.lint.report.Finding` objects.
+
+A :class:`ProjectRule` (the dead-code rules) reads the whole system at once
+instead, from the same parsed files plus its caller trees.
 
 Allowlist policy: a finding may be suppressed by an inline pragma on the
 flagged line or the line directly above it::
@@ -29,11 +32,19 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.report import Finding, LintReport
+from tools.lint.report import Finding, LintReport
+
+#: the trees CI lints: everything in the repo except the benchmark's own
+#: ``bench/``, which the dead-code rules read as a caller tree only
+LIVE_TREES = ("src", "benchmarks", "tests", "examples", "scripts", "tools")
+
+#: the code that makes up the system, read by the whole-system rules as
+#: callers whether linted or not; ``tests/`` is deliberately not one
+CALLER_TREES = ("src", "bench", "benchmarks", "examples", "scripts", "tools")
 
 #: directories the file walker never descends into
 SKIP_DIRS = {"__pycache__", "lint_fixtures", ".git", ".claude", ".pytest_cache"}
@@ -58,6 +69,22 @@ _ALLOW_RE = re.compile(
 
 
 # --------------------------------------------------------------------------- #
+# tree walks
+# --------------------------------------------------------------------------- #
+def walk(node: ast.AST) -> List[ast.AST]:
+    """``list(ast.walk(node))``, computed once per node.
+
+    Rules walk the same trees many times over (the module for each rule,
+    every function scope, every sink function), so a walk is kept on the
+    node it started from and each later walk of it is a list read.
+    """
+    nodes = node.__dict__.get("_lint_walk")
+    if nodes is None:
+        nodes = node._lint_walk = list(ast.walk(node))  # type: ignore[attr-defined]
+    return nodes
+
+
+# --------------------------------------------------------------------------- #
 # file context
 # --------------------------------------------------------------------------- #
 @dataclass
@@ -74,6 +101,10 @@ class FileContext:
     allow_pragmas: Dict[int, Tuple[Set[str], str]] = field(default_factory=dict)
     _parents: Optional[Dict[ast.AST, ast.AST]] = None
 
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order, walked once per file."""
+        return walk(self.tree)
+
     def snippet(self, line: int) -> str:
         if 1 <= line <= len(self.lines):
             return self.lines[line - 1].strip()
@@ -82,7 +113,7 @@ class FileContext:
     def parents(self) -> Dict[ast.AST, ast.AST]:
         if self._parents is None:
             self._parents = {}
-            for node in ast.walk(self.tree):
+            for node in self.nodes():
                 for child in ast.iter_child_nodes(node):
                     self._parents[child] = node
         return self._parents
@@ -108,7 +139,7 @@ class Rule:
     #: which tree kinds the rule runs over by default
     kinds: Tuple[str, ...] = ("src",)
     #: repo-relative posix path prefixes the rule is scoped *out* of — the
-    #: per-package policy (see ``repro.lint.rules.SCOPE_EXEMPTIONS``); unlike
+    #: per-package policy (see ``tools.lint.rules.SCOPE_EXEMPTIONS``); unlike
     #: an allowlist pragma this silences the rule for a whole package whose
     #: purpose conflicts with it, with the justification kept at the policy
     #: table instead of sprayed across call sites
@@ -280,7 +311,7 @@ def build_module_env(tree: ast.Module) -> SetEnv:
             if ann_is_set(node.returns):
                 env.set_returning_funcs.add(node.name)
     # self attributes: any `self.x: Set[...]` annotation anywhere in a class
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Attribute):
             target = node.target
             if isinstance(target.value, ast.Name) and target.value.id == "self":
@@ -310,7 +341,7 @@ def function_env(func: ast.AST, module_env: SetEnv) -> SetEnv:
     # two passes so `x = a | b` after `a = set()` resolves regardless of
     # statement distance; assignment-order subtleties stay conservative
     for _ in range(2):
-        for node in ast.walk(func):
+        for node in walk(func):
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 if ann_is_set(node.annotation):
                     env.set_names.add(node.target.id)
@@ -348,7 +379,7 @@ def consumed_safely(node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> bool:
 
 def _target_names(target: ast.AST) -> Set[str]:
     names: Set[str] = set()
-    for node in ast.walk(target):
+    for node in walk(target):
         if isinstance(node, ast.Name):
             names.add(node.id)
     return names
@@ -492,69 +523,129 @@ def load_context(
     )
 
 
-def lint_file(
-    path: Path,
-    rules: Optional[Sequence[Rule]] = None,
-    root: Optional[Path] = None,
-    kind: Optional[str] = None,
-) -> LintReport:
-    """Lint a single file; ``kind`` overrides path-based rule scoping."""
-    if rules is None:
-        from repro.lint.rules import default_rules
+@dataclass
+class Project:
+    """Everything a whole-system rule reads, each file parsed once."""
 
-        rules = default_rules()
-    report = LintReport(files_checked=1)
-    ctx = load_context(path, root=root, kind=kind)
-    _, malformed = parse_allow_pragmas(ctx.lines)
-    for lineno, snippet in malformed:
-        report.findings.append(
-            Finding(
-                rule="LNT000",
-                path=ctx.relpath,
-                line=lineno,
-                col=1,
-                message="allowlist pragma needs a one-line justification",
-                snippet=snippet,
+    #: the files the run reports on
+    linted: List[FileContext]
+    #: every file that counts as a caller: the linted files outside
+    #: ``tests/`` plus the caller trees under the repo root
+    system: List[FileContext]
+    #: the run linted every module of ``src/repro``, so an allow-table entry
+    #: that matches nothing is stale rather than merely out of scope
+    complete: bool
+
+
+class ProjectRule(Rule):
+    """A rule over the whole system rather than one file at a time.
+
+    It reports on the definitions of the linted files it
+    :meth:`~Rule.applies_to`, and reads the calls and references of every
+    file in :attr:`Project.system` (the linted files and ``CALLER_TREES``).
+    ``allowed`` maps a definition's dotted path to the reason it stays; an
+    entry that matches nothing in a :attr:`~Project.complete` run is itself
+    a finding, so the table cannot rot.
+    """
+
+    allowed: Dict[str, str] = {}
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        return iter(())
+
+    def check_project(self, project: Project) -> Iterator[Finding]:  # pragma: no cover
+        raise NotImplementedError
+
+    def stale(self, project: Project, unallowed: Set[str]) -> Iterator[Finding]:
+        """One finding per allow entry that names no current finding."""
+        if not project.complete:
+            return
+        for entry in sorted(set(self.allowed) - unallowed):
+            yield Finding(
+                rule=self.rule_id,
+                path=f"{self.rule_id} allow table",
+                line=0,
+                col=0,
+                message=f"allow entry {entry!r} is stale: it is gone or no "
+                "longer needs the exemption; delete the entry",
             )
-        )
-    for rule in rules:
-        if not rule.applies_to(ctx):
-            continue
-        for finding in rule.check(ctx):
-            pragma = ctx.allow_pragmas.get(finding.line)
-            if pragma and finding.rule in pragma[0]:
-                report.suppressed.append(
-                    Finding(
-                        rule=finding.rule,
-                        path=finding.path,
-                        line=finding.line,
-                        col=finding.col,
-                        message=finding.message,
-                        snippet=finding.snippet,
-                        justification=pragma[1],
-                    )
-                )
-            else:
-                report.findings.append(finding)
-    report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return report
+
+
+def module_of(relpath: str) -> str:
+    """Dotted module path under ``repro`` (``sim.runner`` for
+    ``src/repro/sim/runner.py``); a file elsewhere keeps its own path."""
+    path = relpath[len("src/repro/"):] if relpath.startswith("src/repro/") else relpath
+    parts = path[: -len(".py")].split("/")
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _suppress(report: LintReport, finding: Finding, ctx: Optional[FileContext]) -> None:
+    pragma = ctx.allow_pragmas.get(finding.line) if ctx is not None else None
+    if pragma and finding.rule in pragma[0]:
+        report.suppressed.append(replace(finding, justification=pragma[1]))
+    else:
+        report.findings.append(finding)
 
 
 def lint_paths(
     paths: Iterable[Path],
     rules: Optional[Sequence[Rule]] = None,
     root: Optional[Path] = None,
+    kind: Optional[str] = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths`` (``lint_fixtures`` excluded)."""
+    """Lint every Python file under ``paths`` (``lint_fixtures`` excluded).
+
+    ``root`` is the repo root (default: the working directory); ``kind``
+    overrides path-based rule scoping.  Each file is parsed once; a
+    :class:`ProjectRule` also reads its caller trees under ``root``.
+    """
     if rules is None:
-        from repro.lint.rules import default_rules
+        from tools.lint.rules import default_rules
 
         rules = default_rules()
-    report = LintReport()
-    for path in iter_python_files(paths):
-        sub = lint_file(path, rules=rules, root=root)
-        report.files_checked += 1
-        report.findings.extend(sub.findings)
-        report.suppressed.extend(sub.suppressed)
+    base = Path(root or Path.cwd())
+    linted = [load_context(path, root=base, kind=kind) for path in iter_python_files(paths)]
+    report = LintReport(files_checked=len(linted))
+    for ctx in linted:
+        _, malformed = parse_allow_pragmas(ctx.lines)
+        for lineno, snippet in malformed:
+            report.findings.append(
+                Finding(
+                    rule="LNT000",
+                    path=ctx.relpath,
+                    line=lineno,
+                    col=1,
+                    message="allowlist pragma needs a one-line justification",
+                    snippet=snippet,
+                )
+            )
+        for rule in rules:
+            if rule.applies_to(ctx):
+                for finding in rule.check(ctx):
+                    _suppress(report, finding, ctx)
+    project_rules = [
+        rule
+        for rule in rules
+        if isinstance(rule, ProjectRule) and any(rule.applies_to(ctx) for ctx in linted)
+    ]
+    if project_rules:
+        by_path = {ctx.relpath: ctx for ctx in linted}
+        for path in iter_python_files(base / tree for tree in CALLER_TREES):
+            relpath = classify_path(path, base)[1]
+            if relpath not in by_path:
+                by_path[relpath] = load_context(path, root=base)
+        package = {
+            classify_path(path, base)[1]
+            for path in iter_python_files([base / "src" / "repro"])
+        }
+        project = Project(
+            linted=linted,
+            system=[ctx for ctx in by_path.values() if ctx.kind != "tests"],
+            complete=bool(package) and package <= {ctx.relpath for ctx in linted},
+        )
+        for rule in project_rules:
+            for finding in rule.check_project(project):
+                _suppress(report, finding, by_path.get(finding.path))
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report
+

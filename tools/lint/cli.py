@@ -1,4 +1,4 @@
-"""Command-line interface: ``python -m repro.lint [paths...]``.
+"""Command-line interface: ``python -m tools.lint [paths...]``.
 
 Exit status is 0 when every rule passes (suppressed findings with a
 justified allowlist pragma do not fail the run) and 1 otherwise, so the
@@ -16,20 +16,20 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.lint.ast_checks import lint_paths
-from repro.lint.rules import default_rules
+from tools.lint.ast_checks import LIVE_TREES, lint_paths
+from tools.lint.rules import default_rules
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
-        description="determinism & spawn-safety static analysis",
+        prog="python -m tools.lint",
+        description="determinism, spawn-safety and dead-code static analysis",
     )
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src", "benchmarks", "tests", "examples"],
-        help="files or directories to lint (default: src benchmarks tests examples)",
+        default=list(LIVE_TREES),
+        help=f"files or directories to lint (default: {' '.join(LIVE_TREES)})",
     )
     parser.add_argument(
         "--format",
@@ -68,7 +68,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     status = 0 if report.ok else 1
 
     if args.sanitize:
-        from repro.lint.sanitizer import run_hashseed_check, run_sanitized_sweep
+        from tools.lint.hashseed import run_hashseed_check, run_sanitized_sweep
 
         sanitized = run_sanitized_sweep()
         print(

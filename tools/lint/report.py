@@ -1,8 +1,8 @@
-"""Findings and report rendering for :mod:`repro.lint`.
+"""Findings and report rendering for :mod:`tools.lint`.
 
 A :class:`Finding` is one rule violation anchored to a file and line.  The
 two renderers — compact text for humans, JSON for automation — consume the
-same finding list, so ``python -m repro.lint --format=json`` can be diffed
+same finding list, so ``python -m tools.lint --format=json`` can be diffed
 across revisions while the default output stays terminal-friendly.
 """
 

@@ -1,4 +1,4 @@
-"""Rule registry for :mod:`repro.lint`.
+"""Rule registry for :mod:`tools.lint`.
 
 ``default_rules()`` assembles one instance of every built-in rule; the CLI
 and the test suite both go through it so the active rule set has a single
@@ -18,19 +18,21 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.lint.ast_checks import Rule
-from repro.lint.rules.determinism import (
+from tools.lint.ast_checks import Rule
+from tools.lint.rules.determinism import (
     IdHashOrderingRule,
     UnorderedIterationRule,
     WallClockAndGlobalRandomRule,
 )
-from repro.lint.rules.fingerprint_paths import (
+from tools.lint.rules.fingerprint_paths import (
     DigestSerialisationRule,
     SetInMessagePayloadRule,
     UnsortedFoldRule,
 )
-from repro.lint.rules.obs_isolation import ObsIsolationRule
-from repro.lint.rules.spawn_safety import SpawnSafetyRule
+from tools.lint.rules.dead_code import NoCallerRule, UnsetParameterRule
+from tools.lint.rules.imports import UnusedImportRule
+from tools.lint.rules.obs_isolation import ObsIsolationRule
+from tools.lint.rules.spawn_safety import SpawnSafetyRule
 
 __all__ = [
     "default_rules",
@@ -43,6 +45,9 @@ __all__ = [
     "UnsortedFoldRule",
     "ObsIsolationRule",
     "SpawnSafetyRule",
+    "NoCallerRule",
+    "UnsetParameterRule",
+    "UnusedImportRule",
 ]
 
 #: rule id -> repo-relative path prefixes (posix) the rule does not run under.
@@ -72,6 +77,9 @@ def default_rules() -> List[Rule]:
         UnsortedFoldRule(),
         SpawnSafetyRule(),
         ObsIsolationRule(),
+        UnusedImportRule(),
+        NoCallerRule(),
+        UnsetParameterRule(),
     ]
     for rule in rules:
         rule.exempt_prefixes = SCOPE_EXEMPTIONS.get(rule.rule_id, ())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set, Tuple
 
-from repro.lint.ast_checks import (
+from tools.lint.ast_checks import (
     FileContext,
     Rule,
     body_is_order_free,
@@ -22,8 +22,9 @@ from repro.lint.ast_checks import (
     is_set_expr,
     unwrap_sorted,
     _target_names,
+    walk,
 )
-from repro.lint.report import Finding
+from tools.lint.report import Finding
 
 #: conversions that freeze an iteration order into an ordered value
 _ORDER_ESCAPES = frozenset({"list", "tuple", "enumerate", "repr"})
@@ -37,7 +38,7 @@ def iter_scopes(tree: ast.Module) -> Iterator[Tuple[ast.AST, List[ast.AST]]]:
     """
     scopes = [tree] + [
         node
-        for node in ast.walk(tree)
+        for node in walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
     for scope in scopes:
@@ -166,7 +167,7 @@ class WallClockAndGlobalRandomRule(Rule):
     kinds = ("src",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if isinstance(node, ast.ImportFrom):
                 if node.module == "random":
                     for alias in node.names:
@@ -263,7 +264,7 @@ class IdHashOrderingRule(Rule):
     kinds = ("src", "benchmarks", "tests", "examples")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = call_func_name(node)
@@ -284,7 +285,7 @@ class IdHashOrderingRule(Rule):
                         "across processes and PYTHONHASHSEED values",
                     )
                 elif isinstance(key, ast.Lambda):
-                    for sub in ast.walk(key.body):
+                    for sub in walk(key.body):
                         if (
                             isinstance(sub, ast.Call)
                             and isinstance(sub.func, ast.Name)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set
 
-from repro.lint.ast_checks import (
+from tools.lint.ast_checks import (
     FileContext,
     Rule,
     body_is_order_free,
@@ -36,8 +36,9 @@ from repro.lint.ast_checks import (
     is_set_expr,
     unwrap_sorted,
     _target_names,
+    walk,
 )
-from repro.lint.report import Finding
+from tools.lint.report import Finding
 
 #: function names that form the digest/fold pipeline (checked wherever they
 #: appear under src/ — the pipeline is defined by role, not by module list)
@@ -68,7 +69,7 @@ _FOLD_SAFE_CONSUMERS = frozenset(
 def _sink_functions(tree: ast.Module) -> List[ast.FunctionDef]:
     return [
         node
-        for node in ast.walk(tree)
+        for node in walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name in SINK_FUNCS
     ]
@@ -83,7 +84,7 @@ class DigestSerialisationRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for func in _sink_functions(ctx.tree):
-            for node in ast.walk(func):
+            for node in walk(func):
                 if not isinstance(node, ast.Call):
                     continue
                 if call_func_name(node) != "dumps":
@@ -120,14 +121,14 @@ class SetInMessagePayloadRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         module_env = build_module_env(ctx.tree)
-        for func in ast.walk(ctx.tree):
+        for func in walk(ctx.tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             env = function_env(func, module_env)
             # locals bound to an expression that embeds a set (the common
             # `ack = ("C", frozenset(...))` share-one-copy idiom)
             tainted: dict = {}
-            for node in ast.walk(func):
+            for node in walk(func):
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
                     target = node.targets[0]
                     if isinstance(target, ast.Name):
@@ -135,7 +136,7 @@ class SetInMessagePayloadRule(Rule):
                         if hit is not None:
                             tainted[target.id] = hit
             flagged: Set[int] = set()
-            for node in ast.walk(func):
+            for node in walk(func):
                 if not isinstance(node, ast.Call):
                     continue
                 if not (
@@ -146,7 +147,7 @@ class SetInMessagePayloadRule(Rule):
                 for arg in node.args:
                     hit = contains_set_expr(arg, env)
                     if hit is None:
-                        for sub in ast.walk(arg):
+                        for sub in walk(arg):
                             if isinstance(sub, ast.Name) and sub.id in tainted:
                                 hit = tainted[sub.id]
                                 break
@@ -174,7 +175,7 @@ class UnsortedFoldRule(Rule):
         flagged: Set[int] = set()
         for func in _sink_functions(ctx.tree):
             env = function_env(func, module_env)
-            for node in ast.walk(func):
+            for node in walk(func):
                 if isinstance(node, ast.For):
                     iterable = node.iter
                     if unwrap_sorted(iterable):

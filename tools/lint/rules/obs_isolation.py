@@ -21,8 +21,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Tuple
 
-from repro.lint.ast_checks import FileContext, Rule
-from repro.lint.report import Finding
+from tools.lint.ast_checks import FileContext, Rule, walk
+from tools.lint.report import Finding
 
 #: repo-relative prefixes (and exact files) where a repro.obs import is a
 #: layering violation: everything a trial's outcome is a pure function of
@@ -58,7 +58,7 @@ class ObsIsolationRule(Rule):
         return super().applies_to(ctx) and _is_protected(ctx.relpath)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == _OBS_PACKAGE or alias.name.startswith(

@@ -1,38 +1,27 @@
-"""Spawn-safety rule and the shared spec-field rule table.
+"""Spawn-safety rule (SP001).
 
 The sweep engine's ``spawn`` start method pickles every spec component, so a
 lambda (or a function defined inside another function) in a spec field dies
-at the pool boundary.  :data:`SPAWN_AXIS_FIELDS` is the single source of
-truth for *which* fields must survive pickling: the static rule here scans
-the same fields the runtime check (:func:`repro.exp.engine.ensure_spawn_safe`)
-pickles, so the two checks cannot drift apart.
+at the pool boundary.  :data:`repro.exp.spec.SPAWN_AXIS_FIELDS` is the single
+source of truth for *which* ``GridSpec`` fields must survive pickling: the
+static rule here scans those keywords, and the runtime check
+(:func:`repro.exp.engine.ensure_spawn_safe`) pickles the same fields, so the
+two checks cannot drift apart.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Set, Tuple
+from typing import Dict, Iterator, Set
 
-from repro.lint.ast_checks import FileContext, Rule, call_func_name
-from repro.lint.report import Finding
-
-#: GridSpec axis field -> TrialSpec attribute.  Shared rule table: the
-#: runtime check iterates these (field, attr) pairs and pickles each spec;
-#: the static rule flags lambdas/local closures in calls that build them.
-SPAWN_AXIS_FIELDS: Tuple[Tuple[str, str], ...] = (
-    ("protocols", "protocol"),
-    ("delays", "delay"),
-    ("faults", "fault"),
-    ("votes", "votes"),
-    ("workloads", "workload"),
-    ("schedules", "schedule"),
-)
+from repro.exp.spec import SPAWN_AXIS_FIELDS
+from tools.lint.ast_checks import FileContext, Rule, call_func_name, walk
+from tools.lint.report import Finding
 
 #: constructor/registration calls whose arguments become spec fields and
 #: therefore must be picklable end to end
 SPEC_CALLS = frozenset(
     {
-        "GridSpec",
         "TrialSpec",
         "make_cases",
         "ProtocolSpec",
@@ -54,8 +43,10 @@ SPEC_CALLS = frozenset(
     }
 )
 
-#: engine entry points where only specific keywords cross the pool boundary
+#: calls where only specific keywords cross the pool boundary: a grid's axes
+#: and the engine entry points' sinks
 RUN_CALL_KEYWORDS: Dict[str, Set[str]] = {
+    "GridSpec": {grid_field for grid_field, _ in SPAWN_AXIS_FIELDS},
     "run_sweep": {"collector", "reducer"},
     "run_trials": {"collector", "reducer"},
 }
@@ -64,12 +55,12 @@ RUN_CALL_KEYWORDS: Dict[str, Set[str]] = {
 def _local_def_names(tree: ast.Module) -> Dict[ast.AST, Set[str]]:
     """Per enclosing function: names of functions defined *inside* it."""
     out: Dict[ast.AST, Set[str]] = {}
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = {
                 sub.name
                 for stmt in node.body
-                for sub in ast.walk(stmt)
+                for sub in walk(stmt)
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
             }
             out[node] = inner
@@ -97,9 +88,9 @@ class SpawnSafetyRule(Rule):
         # which function each node sits in, to resolve local-closure refs
         for func, inner_names in [(None, set())] + list(local_defs.items()):
             nodes = (
-                ast.walk(ctx.tree)
+                walk(ctx.tree)
                 if func is None
-                else (n for stmt in func.body for n in ast.walk(stmt))
+                else (n for stmt in func.body for n in walk(stmt))
             )
             for node in nodes:
                 if not isinstance(node, ast.Call):
@@ -115,7 +106,7 @@ class SpawnSafetyRule(Rule):
                 else:
                     continue
                 for value in values:
-                    for sub in ast.walk(value):
+                    for sub in walk(value):
                         if isinstance(sub, ast.Lambda):
                             if id(sub) in flagged:
                                 continue
