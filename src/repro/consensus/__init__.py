@@ -12,7 +12,9 @@ single-decree Paxos with retrying proposers, which gives the commit protocols
 their indulgence (safety under arbitrary delays, liveness once the system
 stabilises with a correct majority).  It is a
 :class:`~repro.env.ProcessComponent` sub-protocol: attached to a host process,
-it shares the host's network links and timers.
+it shares the host's network links and timers.  A commit protocol builds it
+the first time it is used, so a nice execution holds none
+(:meth:`repro.protocols.base.AtomicCommitProcess.consensus`).
 """
 
 from repro.consensus.paxos import PaxosConsensus

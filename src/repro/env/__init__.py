@@ -60,12 +60,16 @@ Protocols that rely on an underlying service (the consensus module ``uc`` /
 ``iuc`` in the paper) attach a *component* to the process.  Components receive
 the messages addressed to them through a module-tagged envelope
 ``("__mod__", module_name, inner_payload)`` and share the host's timers via
-namespaced timer names (``"module:name"``).
+namespaced timer names (``"module:name"``).  A process may declare a
+component it builds only on first use (:meth:`Process.build_component`): an
+envelope for it builds it and is then delivered to it, so a run that never
+uses the service never allocates it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Protocol
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, Optional, Protocol
 
 from repro.errors import ProtocolViolationError
 
@@ -148,6 +152,10 @@ class ProcessComponent:
         raise NotImplementedError
 
 
+#: the components of a process that has attached none: shared, read-only
+_NO_COMPONENTS: Mapping[str, ProcessComponent] = MappingProxyType({})
+
+
 class Process:
     """Base class for all processes, independent of the hosting runtime.
 
@@ -163,13 +171,19 @@ class Process:
         The :class:`ProcessEnv` this process uses to interact with the world.
     """
 
+    #: the values a proposal to this process may take (compared with ``==``),
+    #: or None for any; the kernel refuses another before queuing it
+    proposal_values: Optional[tuple] = None
+    #: the attached components by name; the first attach gives the process
+    #: its own mapping
+    _components: Mapping[str, ProcessComponent] = _NO_COMPONENTS
+
     def __init__(self, pid: int, n: int, f: int, env: ProcessEnv):
         self.pid = pid
         self.n = n
         self.f = f
         self.env = env
         self.crashed = False
-        self._components: Dict[str, ProcessComponent] = {}
 
     # ------------------------------------------------------------------ #
     # identity helpers mirroring the paper's notation
@@ -195,8 +209,18 @@ class Process:
             raise ProtocolViolationError(
                 f"component {component.name!r} already attached to P{self.pid}"
             )
-        self._components[component.name] = component
+        self._components = {**self._components, component.name: component}
         return component
+
+    def build_component(self, name: str) -> Optional[ProcessComponent]:
+        """Build and attach the component this process declares as ``name``.
+
+        Called when an envelope arrives for a component not attached yet;
+        returns None for a name the process does not declare, and the
+        envelope is dropped.  The base class declares none; a subclass whose
+        component is built on first use answers for it here.
+        """
+        return None
 
     # ------------------------------------------------------------------ #
     # convenience wrappers over the environment
@@ -235,6 +259,8 @@ class Process:
         ):
             _, module_name, inner = payload
             component = self._components.get(module_name)
+            if component is None:
+                component = self.build_component(module_name)
             if component is not None:
                 component.on_deliver(src, inner)
             return

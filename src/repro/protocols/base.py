@@ -6,8 +6,8 @@ abort) and eventually trigger a single ``Decide(d)`` event.  The base class
 adds:
 
 * vote / decision bookkeeping with an idempotent :meth:`decide_once`;
-* a factory for the underlying uniform-consensus module (the paper's ``uc`` /
-  ``iuc``), :class:`~repro.consensus.paxos.PaxosConsensus`;
+* the underlying uniform-consensus module (the paper's ``uc`` / ``iuc``),
+  :class:`~repro.consensus.paxos.PaxosConsensus`, built on first use;
 * small helpers mirroring the paper's notation (``AND`` of votes, process
   ranges such as ``{P1, ..., Pf}``).
 
@@ -20,6 +20,17 @@ timer starts at time 1 when the first sending event happens"; subclasses that
 follow that convention set :attr:`timer_origin_shift` to ``1`` so that the
 pseudocode's timer values can be used verbatim while the simulator still works
 on the propose-at-0 scale.
+
+First use
+---------
+A protocol falls back to its consensus module only when something went wrong,
+and nice executions never do (the paper's cost measure).  So a protocol names
+its module in :attr:`AtomicCommitProcess.consensus_name` and never builds it
+itself: :meth:`AtomicCommitProcess.consensus` builds and attaches it the first
+time the protocol proposes, and so does the first envelope a peer's module
+sends it (:meth:`repro.env.Process.build_component`).  Containers that only a
+fallback path fills follow the same rule: the class holds an empty immutable
+default, and the first write gives the process its own.
 """
 
 from __future__ import annotations
@@ -56,6 +67,12 @@ class AtomicCommitProcess(Process):
     #: retires a finished commit instance).  A protocol whose decided
     #: processes keep answering peers leaves it False.
     finished: bool = False
+    #: a vote is 1 (willing to commit) or 0 (abort)
+    proposal_values = (ABORT, COMMIT)
+    #: the paper's name of this protocol's uniform-consensus module (``uc``
+    #: or ``iuc``), which also tags the module's messages; None if the
+    #: protocol has none
+    consensus_name: Optional[str] = None
 
     def __init__(self, pid: int, n: int, f: int, env: ProcessEnv):
         super().__init__(pid, n, f, env)
@@ -81,14 +98,24 @@ class AtomicCommitProcess(Process):
         return True
 
     # ------------------------------------------------------------------ #
-    # consensus module factory
+    # the consensus module, built on first use
     # ------------------------------------------------------------------ #
-    def make_consensus(self, name: str) -> PaxosConsensus:
-        """Create and attach the underlying uniform-consensus module (``uc`` or
-        ``iuc``), whose decision reaches :meth:`on_consensus_decide`."""
-        component = PaxosConsensus(self, name, self.on_consensus_decide)
-        self.attach_component(component)
+    def consensus(self) -> PaxosConsensus:
+        """The uniform-consensus module :attr:`consensus_name`, whose decision
+        reaches :meth:`on_consensus_decide`; the first call builds and
+        attaches it."""
+        component = self._components.get(self.consensus_name)
+        if component is None:
+            component = self.attach_component(
+                PaxosConsensus(self, self.consensus_name, self.on_consensus_decide)
+            )
         return component
+
+    def build_component(self, name: str) -> Optional[PaxosConsensus]:
+        """A peer's consensus module reached this process first: build ours."""
+        if name == self.consensus_name:
+            return self.consensus()
+        return None
 
     def on_consensus_decide(self, value: Any) -> None:
         """Upon Decide of the consensus module: adopt its decision."""

@@ -20,9 +20,10 @@ Protocol shape in a nice execution (all timers in units of the delay bound U):
 
 If an acknowledgement is missing or incomplete the process falls back to the
 underlying uniform-consensus module ``iuc`` (never invoked in nice
-executions), possibly after asking ``P_{f+1}..P_n`` for help — Figure 1's
-state machine, which this class records in :attr:`branch` for the Figure 1
-reproduction benchmark.
+executions, and so never built in them: it is built on first use, as are the
+containers only the fallback fills), possibly after asking ``P_{f+1}..P_n``
+for help — Figure 1's state machine, which this class records in
+:attr:`branch` for the Figure 1 reproduction benchmark.
 
 The optional *fast-abort* optimisation mentioned at the end of Section 5.2
 (a process voting 0 aborts immediately and tells everyone) is available behind
@@ -32,7 +33,7 @@ message delay without affecting nice executions.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import AbstractSet, Any, Dict, Optional, Set, Tuple
 
 from repro.protocols.base import ABORT, COMMIT, AtomicCommitProcess, logical_and
 
@@ -135,6 +136,14 @@ class INBAC(AtomicCommitProcess):
     """Indulgent NBAC, optimal at two message delays and ``2fn`` messages."""
 
     protocol_name = "INBAC"
+    consensus_name = "iuc"
+    #: a sender's later, *different* collections (never the case on
+    #: reliable channels), as ``(sender, collection)``; the first one gives
+    #: the process its own tuple
+    _more_acks: tuple = ()
+    #: the votes the HELPED replies carried; the first reply gives the
+    #: process its own set
+    collection_help: AbstractSet[Tuple[int, int]] = frozenset()
 
     def __init__(self, pid, n, f, env, fast_abort: bool = False):
         super().__init__(pid, n, f, env)
@@ -153,10 +162,6 @@ class INBAC(AtomicCommitProcess):
         # (static-analyser rule FP002).  Each is kept as the shared tuple object
         # it travelled as, so a delivery never hashes one.
         self._acks: Dict[int, Any] = {}
-        #: a sender's later, *different* collections (never the case on
-        #: reliable channels), as ``(sender, collection)``
-        self._more_acks: list = []
-        self.collection_help: Set[Tuple[int, int]] = set()
         self.wait = False
         self.val: Optional[int] = None
         self.proposal: Optional[int] = None
@@ -165,7 +170,6 @@ class INBAC(AtomicCommitProcess):
         # instrumentation for the Figure 1 reproduction
         self.branch: Optional[str] = None
         self.branch_history: list = []
-        self.iuc = self.make_consensus("iuc")
 
     # ------------------------------------------------------------------ #
     # Appendix A's collection0 / collection1
@@ -257,7 +261,7 @@ class INBAC(AtomicCommitProcess):
     def _cons_propose(self, value: int) -> None:
         self.proposed = True
         self.proposal = value
-        self.iuc.propose(value)
+        self.consensus().propose(value)
 
     def on_consensus_decide(self, value: Any) -> None:
         if not self.decided:
@@ -305,13 +309,15 @@ class INBAC(AtomicCommitProcess):
                 and first != collection
                 and (src, collection) not in self._more_acks
             ):
-                self._more_acks.append((src, collection))
+                self._more_acks += ((src, collection),)
             self.cnt += 1
             if self.wait:
                 self._maybe_finish_help()
         elif kind == "HELP" and self.phase == 2 and self.pid >= self.f + 1:
             self.send(src, ("HELPED", tuple(sorted(self.collection0))))
         elif kind == "HELPED" and self.pid >= self.f + 1:
+            if not self.collection_help:
+                self.collection_help = set()
             self.collection_help.update(payload[1])
             self.cnt_help += 1
             self._maybe_finish_help()

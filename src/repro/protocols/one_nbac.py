@@ -26,6 +26,7 @@ class OneNBAC(AtomicCommitProcess):
     """Synchronous NBAC in one message delay (and ``n² - n`` messages)."""
 
     protocol_name = "1NBAC"
+    consensus_name = "uc"
 
     def __init__(self, pid, n, f, env):
         super().__init__(pid, n, f, env)
@@ -34,7 +35,6 @@ class OneNBAC(AtomicCommitProcess):
         self.collection0: Set[int] = set()
         self.collection1: Set[int] = set()
         self.decision_var: int = COMMIT
-        self.uc = self.make_consensus("uc")
 
     # ------------------------------------------------------------------ #
     # events
@@ -70,4 +70,4 @@ class OneNBAC(AtomicCommitProcess):
                 if not self.collection1:
                     self.decision_var = ABORT
                 self.proposed = True
-                self.uc.propose(self.decision_var)
+                self.consensus().propose(self.decision_var)

@@ -36,17 +36,17 @@ from repro.protocols.base import ABORT, COMMIT, AtomicCommitProcess, logical_and
 class _PaxosCommitBase(AtomicCommitProcess):
     """State shared by PaxosCommit and FasterPaxosCommit."""
 
+    consensus_name = "uc"
+
     def __init__(self, pid, n, f, env):
         super().__init__(pid, n, f, env)
         # acceptor state: accepted vote per RM instance
         self.accepted: Dict[int, int] = {}
         # RM / leader view of the acceptors' phase-2b reports
         self.reports: Dict[int, Dict[int, int]] = {}
-        self.query_replies: Dict[int, Dict[int, int]] = {}
         self.proposed = False
         # wait before re-asking the acceptors; grows 1.5x per unanswered query
         self._query_backoff = 2.5
-        self.uc = self.make_consensus("uc")
 
     # -- roles ------------------------------------------------------------ #
     def acceptors(self) -> range:
@@ -65,7 +65,7 @@ class _PaxosCommitBase(AtomicCommitProcess):
     def _propose_uc(self, value: int) -> None:
         if not self.proposed and not self.decided:
             self.proposed = True
-            self.uc.propose(value)
+            self.consensus().propose(value)
 
     # -- shared helpers ----------------------------------------------------- #
     def _full_commit_reports(self, reports: Dict[int, Dict[int, int]]) -> bool:
@@ -94,7 +94,6 @@ class _PaxosCommitBase(AtomicCommitProcess):
         missing instance proves that no process fast-committed, so proposing
         abort cannot contradict a fast decision.
         """
-        self.query_replies[src] = dict(report)
         if self.decided or self.proposed:
             return
         if set(report) >= set(self.all_pids()):

@@ -35,6 +35,7 @@ class TwoNMinus2PlusFNBAC(AtomicCommitProcess):
 
     protocol_name = "(2n-2+f)NBAC"
     timer_origin_shift = 1.0
+    consensus_name = "uc"
 
     def __init__(self, pid, n, f, env):
         super().__init__(pid, n, f, env)
@@ -44,12 +45,11 @@ class TwoNMinus2PlusFNBAC(AtomicCommitProcess):
         self.received_z = False
         self.phase = 0
         self.proposed = False
-        self.uc = self.make_consensus("uc")
 
     def _propose_uc(self, value: int) -> None:
         if not self.proposed:
             self.proposed = True
-            self.uc.propose(value)
+            self.consensus().propose(value)
 
     # ------------------------------------------------------------------ #
     # events

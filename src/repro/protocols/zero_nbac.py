@@ -16,7 +16,7 @@ the outcome.
 
 from __future__ import annotations
 
-from typing import Any, Set
+from typing import AbstractSet, Any
 
 from repro.protocols.base import ABORT, COMMIT, AtomicCommitProcess
 
@@ -25,14 +25,16 @@ class ZeroNBAC(AtomicCommitProcess):
     """0 messages and one message delay in every nice execution."""
 
     protocol_name = "0NBAC"
+    consensus_name = "uc"
+    #: who acknowledged this process' [V, 0] / [B, 0]; the first ACK gives
+    #: the process its own set
+    myack: AbstractSet[int] = frozenset()
 
     def __init__(self, pid, n, f, env):
         super().__init__(pid, n, f, env)
         self.myvote: int = COMMIT
-        self.myack: Set[int] = set()
         self.zero = False
         self.phase = 0
-        self.uc = self.make_consensus("uc")
 
     # ------------------------------------------------------------------ #
     # events
@@ -54,6 +56,8 @@ class ZeroNBAC(AtomicCommitProcess):
             if not (self.myvote == COMMIT and self.decided):
                 self.send(src, ("ACK",))
         elif kind == "ACK":
+            if not self.myack:
+                self.myack = set()
             self.myack.add(src)
 
     def on_timeout(self, name: str) -> None:
@@ -73,6 +77,6 @@ class ZeroNBAC(AtomicCommitProcess):
         elif self.phase == 2 and not self.decided:
             # did every process acknowledge my [V, 0] / [B, 0] broadcast?
             if self.myack < set(self.all_pids()):
-                self.uc.propose(COMMIT)
+                self.consensus().propose(COMMIT)
             else:
-                self.uc.propose(ABORT)
+                self.consensus().propose(ABORT)

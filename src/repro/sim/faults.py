@@ -56,8 +56,13 @@ class DelayRule:
     def __post_init__(self) -> None:
         if (self.delay is None) == (self.extra is None):
             raise ConfigurationError("DelayRule needs exactly one of delay= or extra=")
-        if math.isnan(self.extra if self.delay is None else self.delay):
-            raise ConfigurationError("a DelayRule's delay= or extra= must not be NaN")
+        field, value = ("delay", self.delay) if self.extra is None else ("extra", self.extra)
+        if math.isnan(value):
+            raise ConfigurationError(f"a DelayRule's {field}= must not be NaN")
+        # in the paper's model a slow link still delivers: an infinite delay
+        # would turn it into a lost one
+        if math.isinf(value):
+            raise ConfigurationError(f"a DelayRule's {field}= must be finite, got {value}")
         for bound in (self.after_time, self.before_time):
             if bound is not None and math.isnan(bound):
                 raise ConfigurationError(

@@ -265,6 +265,19 @@ class Scheduler:
     # event production
     # ------------------------------------------------------------------ #
     def post_propose(self, pid: int, value: Any, at: float = 0.0) -> None:
+        """Queue ``value`` as ``pid``'s proposal at time ``at``.
+
+        A value outside the bound process' :attr:`~repro.env.Process.proposal_values`
+        is refused here, before it is queued.
+        """
+        process = self.processes.get(pid)
+        if process is not None:
+            allowed = process.proposal_values
+            if allowed is not None and value not in allowed:
+                raise ConfigurationError(
+                    f"P{pid} cannot be proposed {value!r}: "
+                    f"{type(process).__name__} takes one of {allowed}"
+                )
         self._queue.push(float(at), PRIORITY_PROPOSE, (pid, value))
 
     def send_many(

@@ -51,6 +51,12 @@ class TestPaxos:
         assert set(result.decisions().values()) == {1}
         assert len(result.decisions()) == 3
 
+    def test_any_value_may_be_proposed(self):
+        # only an atomic-commit process refuses a vote other than 0 or 1
+        result = run_consensus(PaxosHost, 3, 1, ["a", 2, None])
+        decided = set(result.decisions().values())
+        assert len(decided) == 1 and decided <= {"a", 2}
+
     def test_decided_value_was_proposed(self):
         result = run_consensus(PaxosHost, 5, 2, [0, 1, 0, 1, 1])
         decided = set(result.decisions().values())

@@ -53,6 +53,8 @@ class EagerINBAC(INBAC):
         super().__init__(pid, n, f, env, **kwargs)
         self.collection0 = set()
         self.collection1 = set()
+        # INBAC builds its own on the first HELPED reply
+        self.collection_help = set()
 
     def _all_votes_from(self, collections) -> Optional[Dict[int, int]]:
         """Extract one vote per process from a union of backed-up collections."""

@@ -175,8 +175,7 @@ class TestConsensusPluggability:
     def test_consensus_module_untouched_on_nice_path(self):
         result = run_protocol(INBAC, 5, 2, [1] * 5)
         for pid in range(1, 6):
-            assert not result.process(pid).iuc.proposed
-            assert not result.process(pid).iuc.decided
+            assert "iuc" not in result.process(pid)._components
 
 
 class TestBranchHistory:

@@ -204,6 +204,15 @@ class TestDelayRules:
         with pytest.raises(ConfigurationError):
             DelayRule(src=1, **{field: math.nan})
 
+    @pytest.mark.parametrize("field", ["delay", "extra"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_an_infinite_delay_is_refused_naming_the_field(self, field, value):
+        # an infinite extra= used to turn a slow link into a lost one: INBAC
+        # at (3,1) ran, only P1 decided, and the run was classed
+        # network-failure; in the paper's model a slow link still delivers
+        with pytest.raises(ConfigurationError, match=f"{field}= must be finite"):
+            DelayRule(src=1, **{field: value})
+
     @pytest.mark.parametrize("bound", ["after_time", "before_time"])
     def test_a_nan_window_is_refused(self, bound):
         # every comparison with NaN is False: a NaN after_time matched from
@@ -374,6 +383,25 @@ class TestHorizon:
         # the asyncio runtime starts its kernel at max_time=0.0 and raises it
         # to the wall clock before every run()
         assert Scheduler(3, 1, max_time=0.0).max_time == 0.0
+
+
+class TestVotes:
+    @pytest.mark.parametrize(
+        "votes", [[1, 2, 1], {1: 1, 2: 2, 3: 0}, [1, 2, None]], ids=["list", "dict", "two-bad"]
+    )
+    def test_a_vote_other_than_0_or_1_is_refused_naming_the_pid(self, votes):
+        # a vote of 2 used to run, and 2PC committed it
+        with pytest.raises(ConfigurationError, match=r"P2 cannot be proposed 2\b"):
+            Simulation(n=3, f=1, process_class=TwoPhaseCommit).run(votes)
+
+    def test_the_refusal_comes_before_the_first_event(self):
+        scheduler = Scheduler(3, 1)
+        scheduler.bind_processes(TwoPhaseCommit)
+        scheduler.post_propose(1, 1)
+        with pytest.raises(ConfigurationError, match="P3 cannot be proposed 'yes'"):
+            scheduler.post_propose(3, "yes")
+        scheduler.run()
+        assert scheduler.trace.votes() == {1: 1}
 
 
 class TestTransitDelay:
