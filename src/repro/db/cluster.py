@@ -63,7 +63,6 @@ class ClusterConfig:
     num_partitions: int = 4
     commit_protocol: Union[str, type] = "2PC"
     commit_f: int = 1
-    protocol_kwargs: Dict[str, Any] = field(default_factory=dict)
     delay_model: Optional[DelayModel] = None
     fault_plan: Optional[FaultPlan] = None
     seed: int = 0
@@ -279,7 +278,6 @@ class Cluster:
             coordinator=self.client_pid,
             commit_protocol=config.resolve_protocol(),
             commit_f=config.commit_f,
-            protocol_kwargs=config.protocol_kwargs,
         )
 
     def bind(self, transactions: Sequence[Transaction] = ()) -> ClientCoordinator:

@@ -134,7 +134,6 @@ class PartitionServer(Process):
         coordinator: int,
         commit_protocol: type = TwoPhaseCommit,
         commit_f: int = 1,
-        protocol_kwargs: Optional[Dict[str, Any]] = None,
     ):
         super().__init__(pid, n, f, env)
         self.coordinator = coordinator
@@ -143,7 +142,6 @@ class PartitionServer(Process):
         self.wal = WriteAheadLog()
         self.commit_protocol = commit_protocol
         self.commit_f = commit_f
-        self.protocol_kwargs = dict(protocol_kwargs or {})
         #: the commit instance of each transaction this incarnation prepared
         #: and has not retired; None for a single-participant one, decided
         #: when its round starts
@@ -256,9 +254,7 @@ class PartitionServer(Process):
             # ClusterConfig.commit_f is at least 1; a transaction with few
             # participants tolerates at most all but one of them crashing
             local_f = min(self.commit_f, local_n - 1)
-            instance = self.commit_protocol(
-                local_pid, local_n, local_f, commit_env, **self.protocol_kwargs
-            )
+            instance = self.commit_protocol(local_pid, local_n, local_f, commit_env)
         self.instances[txn_id] = instance
         # align the start of the commit round across participants
         self.env.set_timer(start_time, name=f"{_TIMER_PREFIX}{txn_id}/{_PROPOSE_TIMER}")

@@ -187,7 +187,6 @@ def _run_trial(trial: TrialSpec, collector: Optional[Collector], level: str) -> 
             f=trial.f,
             process_class=trial.protocol.cls,
             max_time=trial.max_time,
-            protocol_kwargs=trial.protocol.protocol_kwargs(),
             trace_level=level,
         )
         votes = trial.votes.build(trial.n, seed)
@@ -298,7 +297,6 @@ def _run_cluster_trial(
             num_partitions=trial.n,
             commit_protocol=trial.protocol.cls,
             commit_f=trial.f,
-            protocol_kwargs=trial.protocol.protocol_kwargs(),
             delay_model=delay_model,
             fault_plan=fault_plan,
             seed=seed,

@@ -242,9 +242,9 @@ def _build_rejoin(
 
 def _build_literal_plan(plan: FaultPlan) -> FaultPlan:
     # the literal form ``(label, FaultPlan)``: every trial of the cell gets
-    # the one plan object, and Scheduler.__init__ zeroes its rules' match
-    # counters, so no per-trial copy is needed.  Spawn-safe whenever the plan
-    # pickles (a DelayRule with a lambda predicate does not: fork only).
+    # the one plan object, which a run only reads, so no per-trial copy is
+    # needed.  Spawn-safe whenever the plan pickles (a DelayRule with a
+    # lambda predicate does not: fork only).
     return plan
 
 

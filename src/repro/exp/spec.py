@@ -33,8 +33,8 @@ form                       axes      what a trial builds                spawn-sa
 ``(label, "name")``        all five  the same, under another label      yes
 ``(label, "name", {...})`` all five  the builder with those parameters  if the
                                                                         values are
-``(label, FaultPlan)``,    faults    ``plan``: that plan object, its    unless a
-bare ``FaultPlan``                   rule counters reset per execution  rule holds
+``(label, FaultPlan)``,    faults    ``plan``: that plan object, which  unless a
+bare ``FaultPlan``                   holds no per-execution state       rule holds
                                                                         a lambda
 ``(label, [1, 1, 0])``     votes     ``fixed``: that vote vector        yes
 ``(label, transactions)``  workloads ``verbatim``: that transaction     yes
@@ -83,10 +83,6 @@ class ProtocolSpec:
 
     label: str
     cls: type
-    kwargs: Tuple[Tuple[str, Any], ...] = ()
-
-    def protocol_kwargs(self) -> Dict[str, Any]:
-        return dict(self.kwargs)
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,9 @@ class DelayRule:
     src: Optional[int] = None
     dst: Optional[int] = None
     after_time: Optional[float] = None
-    before_time: Optional[float] = None
     predicate: Optional[Callable[[object], bool]] = None
     delay: Optional[float] = None
     extra: Optional[float] = None
-    #: if set, the rule only applies to the k-th matching message (0-based)
-    nth_match: Optional[int] = None
 
     def __post_init__(self) -> None:
         if (self.delay is None) == (self.extra is None):
@@ -63,23 +60,8 @@ class DelayRule:
         # would turn it into a lost one
         if math.isinf(value):
             raise ConfigurationError(f"a DelayRule's {field}= must be finite, got {value}")
-        for bound in (self.after_time, self.before_time):
-            if bound is not None and math.isnan(bound):
-                raise ConfigurationError(
-                    "a DelayRule's after_time= or before_time= must not be NaN"
-                )
-        self._matches_seen = 0
-
-    def reset(self) -> None:
-        """Forget the matches seen so far.
-
-        ``nth_match`` makes a rule stateful: a plan reused across runs (for
-        instance a literal plan on a sweep's faults axis, which every trial of
-        its cell runs) would silently stop matching after the first one.  The
-        scheduler calls :meth:`FaultPlan.reset_rules` at the start of every
-        execution so each run counts matches from zero.
-        """
-        self._matches_seen = 0
+        if self.after_time is not None and math.isnan(self.after_time):
+            raise ConfigurationError("a DelayRule's after_time= must not be NaN")
 
     def apply(
         self,
@@ -87,7 +69,6 @@ class DelayRule:
         dst: int,
         payload: object,
         send_time: float,
-        msg_index: int,
         nominal: float,
     ) -> Optional[float]:
         """Return the overridden transmission delay, or ``None`` if no match.
@@ -101,13 +82,7 @@ class DelayRule:
             return None
         if self.after_time is not None and send_time < self.after_time:
             return None
-        if self.before_time is not None and send_time >= self.before_time:
-            return None
         if self.predicate is not None and not self.predicate(payload):
-            return None
-        matched_index = self._matches_seen
-        self._matches_seen += 1
-        if self.nth_match is not None and matched_index != self.nth_match:
             return None
         if self.delay is not None:
             return self.delay
@@ -210,11 +185,6 @@ class FaultPlan:
             recoveries=recoveries,
         )
 
-    def reset_rules(self) -> None:
-        """Reset every delay rule's match counter (see :meth:`DelayRule.reset`)."""
-        for rule in self.delay_rules:
-            rule.reset()
-
     def transit_delay(
         self,
         model: DelayModel,
@@ -222,7 +192,6 @@ class FaultPlan:
         dst: int,
         payload: object,
         send_time: float,
-        msg_index: int,
     ) -> float:
         """The delay of one message: ``model``'s, unless a rule overrides it.
 
@@ -232,7 +201,7 @@ class FaultPlan:
         """
         nominal = model.delay(src, dst, payload, send_time)
         for rule in self.delay_rules:
-            override = rule.apply(src, dst, payload, send_time, msg_index, nominal)
+            override = rule.apply(src, dst, payload, send_time, nominal)
             if override is not None:
                 if override <= 0:
                     raise SimulationError(

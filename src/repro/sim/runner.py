@@ -81,7 +81,6 @@ builds its replayable :class:`~repro.explore.ScheduleTrace`.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import random
@@ -183,9 +182,6 @@ class Scheduler:
         self.delay_model = delay_model or FixedDelay()
         self.fault_plan = fault_plan or FaultPlan.failure_free()
         self.fault_plan.validate(n, f)
-        # nth_match rules count matches; a plan reused across runs (a literal
-        # plan on a sweep's faults axis) must start every execution from zero
-        self.fault_plan.reset_rules()
         trace_cls = Trace if trace_level == "full" else CounterTrace
         self.trace = trace_cls(n=n, f=f)
         self.processes: Dict[int, Process] = {}
@@ -334,7 +330,7 @@ class Scheduler:
                     recv_time = send_time + draw()
                 else:
                     recv_time = send_time + self.fault_plan.transit_delay(
-                        self.delay_model, src, dst, payload, send_time, msg_id
+                        self.delay_model, src, dst, payload, send_time
                     )
                 if recv_time != run_time:
                     if run:
@@ -807,7 +803,6 @@ class Simulation:
         seed: int = 0,
         max_time: float = 500.0,
         stop_when_all_correct_decided: bool = True,
-        protocol_kwargs: Optional[Dict[str, Any]] = None,
         trace_level: str = "full",
     ):
         if (process_class is None) == (process_factory is None):
@@ -831,13 +826,9 @@ class Simulation:
         self._seed = seed
         self._stop_when_decided = stop_when_all_correct_decided
         self._trace_level = trace_level
-        # a partial, not a closure over self: the Simulation stays acyclic,
-        # so reference counting frees it with its trial
-        self._factory = (
-            process_factory
-            if process_factory is not None
-            else functools.partial(process_class, **(protocol_kwargs or {}))
-        )
+        # the class itself, not a closure over self: the Simulation stays
+        # acyclic, so reference counting frees it with its trial
+        self._factory = process_factory if process_factory is not None else process_class
         self._protocol_name = (
             process_class.__name__ if process_class is not None else "custom"
         )

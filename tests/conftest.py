@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import signal
 from collections import Counter
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import pytest
 
@@ -22,7 +22,6 @@ def run_protocol(
     fault_plan: Optional[FaultPlan] = None,
     delay_model: Optional[DelayModel] = None,
     max_time: float = 300.0,
-    protocol_kwargs: Optional[Dict[str, Any]] = None,
     seed: int = 0,
 ) -> SimulationResult:
     """Run one execution of a protocol and return its result."""
@@ -33,7 +32,6 @@ def run_protocol(
         fault_plan=fault_plan,
         delay_model=delay_model or FixedDelay(1.0),
         max_time=max_time,
-        protocol_kwargs=protocol_kwargs,
         seed=seed,
     )
     return sim.run(votes)

@@ -349,24 +349,6 @@ class TestTheThreeDefects:
 
 
 class TestBuiltPerTrial:
-    def test_literal_plan_rule_counter_is_fresh_in_every_trial_of_a_cell(self):
-        # the plan object is shared by the cell's trials (no per-trial copy);
-        # the scheduler zeroes nth_match counters before each execution
-        rule = DelayRule(nth_match=0, delay=50.0)
-        plan = FaultPlan(delay_rules=[rule], description="first msg late")
-        grid = GridSpec(
-            protocols=["2PC"], systems=[(4, 1)], faults=[("late-first", plan)],
-            seeds=range(4),
-        )
-        trials = grid.trials()
-        assert all(t.fault.build() is plan for t in trials)
-        results = [run_trial(t) for t in trials]
-        assert rule._matches_seen > 1  # the one shared rule did the counting
-        # a spent counter would let the first vote through and 2PC commit;
-        # every trial instead sees it late, times out and aborts
-        assert [r.all_committed for r in results] == [False] * 4
-        assert {r.execution_class for r in results} == {"network-failure"}
-
     def test_votes_are_built_per_trial_not_per_cell(self):
         grid = GridSpec(
             protocols=["2PC"], systems=[(6, 2)], votes=["mixed:0.5"], seeds=range(8)
@@ -402,7 +384,7 @@ class TestSpawnPool:
             systems=[(5, 2)],
             delays=[None, ("u", "uniform", {"lo": 0.2, "hi": 1.0})],
             faults=[None, ("crash P1", FaultPlan.crash(1, at=0.5)),
-                    ("late", FaultPlan(delay_rules=[DelayRule(src=2, nth_match=1, delay=9.0)]))],
+                    ("late", FaultPlan(delay_rules=[DelayRule(src=2, dst=3, delay=9.0)]))],
             votes=["all-yes", ("p3-no", [1, 1, 0, 1, 1]), "mixed:0.4"],
             seeds=range(2),
         )

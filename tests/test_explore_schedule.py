@@ -15,7 +15,7 @@ from repro.explore import (
     TimestampOrder,
 )
 from repro.protocols.two_phase import TwoPhaseCommit
-from repro.sim.faults import DelayRule, FaultPlan
+from repro.sim.faults import FaultPlan
 from repro.sim.runner import Simulation
 
 #: aggregate + trial fingerprints of a reference grid, captured on the
@@ -215,28 +215,3 @@ class TestReplay:
         assert walk.seed == 4
         with pytest.raises(ConfigurationError, match="unknown schedule strategy"):
             coerce_axis("schedules", "no-such-strategy")
-
-
-class TestDelayRuleReset:
-    def test_fault_plan_reused_across_runs_keeps_matching(self):
-        # regression: _matches_seen was never reset, so a plan reused across
-        # runs (e.g. via a per-cell cached Simulation) silently stopped
-        # matching nth_match rules after the first trial
-        plan = FaultPlan(
-            delay_rules=[DelayRule(nth_match=0, delay=50.0)],
-            description="first msg late",
-        )
-        sim = Simulation(n=4, f=1, process_class=TwoPhaseCommit, max_time=400)
-        first = sim.run([1] * 4, fault_plan=plan)
-        second = sim.run([1] * 4, fault_plan=plan)
-        assert first.trace.fingerprint() == second.trace.fingerprint()
-        late = [m for m in second.trace.messages if m.recv_time - m.send_time >= 50.0]
-        assert len(late) == 1
-
-    def test_rule_reset_clears_match_counter(self):
-        rule = DelayRule(nth_match=1, delay=9.0)
-        assert rule.apply(1, 2, None, 0.0, 0, 1.0) is None
-        assert rule.apply(1, 2, None, 0.0, 1, 1.0) == 9.0
-        rule.reset()
-        assert rule.apply(1, 2, None, 0.0, 0, 1.0) is None
-        assert rule.apply(1, 2, None, 0.0, 1, 1.0) == 9.0

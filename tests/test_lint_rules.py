@@ -28,7 +28,12 @@ from tools.lint.ast_checks import (
     lint_paths,
 )
 from tools.lint.cli import main as lint_main
-from tools.lint.rules import NoCallerRule, UnsetParameterRule, default_rules
+from tools.lint.rules import (
+    NoCallerRule,
+    UnsetFieldRule,
+    UnsetParameterRule,
+    default_rules,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -38,7 +43,7 @@ FILE_RULES = [rule for rule in default_rules() if not isinstance(rule, ProjectRu
 
 ALL_RULE_IDS = (
     "DET001", "DET002", "DET003", "FP001", "FP002", "FP003",
-    "OBS001", "SP001", "IMP001", "CALL001", "KNOB001",
+    "OBS001", "SP001", "IMP001", "CALL001", "KNOB001", "KNOB002",
 )
 
 
@@ -157,6 +162,17 @@ class TestBadFixtures:
         messages = " ".join(f.message for f in report.findings)
         assert "'offset'" in messages and "'height'" in messages
         assert "Box.__init__" in messages
+
+    def test_knob002_defaulted_dataclass_fields_no_call_sets(self):
+        report = findings_of("bad_knob002_unset.py", rules=[UnsetFieldRule()])
+        # dst is set by keyword, delay by position through the subclass,
+        # extra by cls(...) in a classmethod, window by replace(), label by
+        # an attribute store, Plan's fields by a ** splat; seen and matched
+        # are state, kind a ClassVar, and Manual writes its own __init__
+        assert locations(report, "KNOB002") == [("KNOB002", 12), ("KNOB002", 26)]
+        messages = " ".join(f.message for f in report.findings)
+        assert "'nth' of 'bad_knob002_unset.Rule'" in messages
+        assert "'late' of 'bad_knob002_unset.LateRule'" in messages
 
 
 # --------------------------------------------------------------------------- #
@@ -283,6 +299,34 @@ class TestAllowTables:
         })
         report = lint_paths([package / "src"], rules=[rule], root=package)
         assert [f.message.split("'")[1] for f in report.findings] == ["mod.knob(y=)"]
+
+    def test_stale_field_entries_are_findings(self, package):
+        (package / "src" / "repro" / "box.py").write_text(
+            "from dataclasses import dataclass\n\n\n@dataclass\nclass Box:\n    x: int = 1\n"
+        )
+        rule = self._rule(UnsetFieldRule, {
+            "box.Box(x=)": "kept for the probe",
+            "box.Box(y=)": "a field that was deleted",
+        })
+        report = lint_paths([package / "src"], rules=[rule], root=package)
+        assert [f.message.split("'")[1] for f in report.findings] == ["box.Box(y=)"]
+
+    def test_a_field_store_counts_only_where_the_class_is_named(self, package):
+        src = package / "src" / "repro"
+        (src / "box.py").write_text(
+            "from dataclasses import dataclass\n\n\n@dataclass\nclass Box:\n"
+            "    x: int = 1\n    y: int = 2\n    z: int = 3\n\n\n"
+            "class Crate(Box):\n    pass\n\n\nCrate(z=0)\n"
+        )
+        (src / "user.py").write_text(
+            "from repro.box import Box\n\n\ndef grow(box: Box):\n    box.x = 5\n"
+        )
+        (src / "other.py").write_text("def push(cart):\n    cart.y = 5\n")
+        report = lint_paths([package / "src"], rules=[self._rule(UnsetFieldRule, {})],
+                            root=package)
+        # x is stored where Box is named, z is bound through the plain
+        # subclass's inherited __init__; y's store is on something else
+        assert [f.message.split("'")[1] for f in report.findings] == ["y"]
 
     def test_a_partial_run_judges_no_entry(self, package):
         rule = self._rule(NoCallerRule, {"mod.gone": "deleted"})

@@ -86,8 +86,8 @@ FAULTS = {
     "failure-free": FaultPlan.failure_free,
     # one rule is enough to route every message through transit_delay; the
     # nominal delay must still be drawn for each, overridden or not
-    "nth-match-rule": lambda: FaultPlan(
-        delay_rules=[DelayRule(src=1, nth_match=2, delay=7.5)]
+    "link-rule": lambda: FaultPlan(
+        delay_rules=[DelayRule(src=1, dst=2, delay=7.5)]
     ),
 }
 

@@ -1,7 +1,7 @@
 """No pre-draw, no numpy: the delay path's shape, guarded by an AST walk.
 
 A delay is one ``draw()`` on the trial's own model per counted message
-(docs/performance.md, "Delay draws").  What that replaced — a sampler
+(docs/performance.md, "The message path").  What that replaced — a sampler
 pre-drawing 512 delays per trial from models that opted in with ``iid_delays``
 / ``sample_batch``, refilled through a numpy state round trip, threaded through
 as ``delay_sampler=`` — cost more than the draws it saved at every size the

@@ -41,10 +41,10 @@ DELAYS = {
 
 FAULTS = {
     "failure-free": FaultPlan.failure_free,
-    # the third message P1 sends is held back: the rule counts matches, so a
-    # batch that consulted it out of order or not per message would miss it
-    "nth-delay-rule": lambda: FaultPlan(
-        delay_rules=[DelayRule(src=1, nth_match=2, delay=7.5)]
+    # P1's messages to P4 are held back: the rule matches in the middle of a
+    # batch, so a batch that did not consult it per message would miss them
+    "link-delay-rule": lambda: FaultPlan(
+        delay_rules=[DelayRule(src=1, dst=4, delay=7.5)]
     ),
     "crash": lambda: FaultPlan.crash(3, at=0.5),
 }
@@ -141,10 +141,7 @@ def queue_contents(scheduler):
 
 def delay_source_position(scheduler):
     rng = getattr(scheduler.delay_model, "_rng", None)
-    return (
-        None if rng is None else rng.getstate(),
-        [rule._matches_seen for rule in scheduler.fault_plan.delay_rules],
-    )
+    return None if rng is None else rng.getstate()
 
 
 def state(scheduler):
@@ -222,9 +219,9 @@ def test_message_ids_follow_dsts_order():
 def test_unknown_destination_mid_batch_leaves_the_prefix_sent(level, delay):
     bad = ((lambda: [2, 3, 9, 4], ("ping", "bad"), "main"),)
     prefix = ((lambda: [2, 3], ("ping", "bad"), "main"),)
-    many = build(True, delay, "nth-delay-rule", level, script=bad)
-    loop = build(False, delay, "nth-delay-rule", level, script=bad)
-    sent = build(False, delay, "nth-delay-rule", level, script=prefix)
+    many = build(True, delay, "link-delay-rule", level, script=bad)
+    loop = build(False, delay, "link-delay-rule", level, script=bad)
+    sent = build(False, delay, "link-delay-rule", level, script=prefix)
     for scheduler in (many, loop):
         with pytest.raises(SimulationError, match="unknown process P9"):
             scheduler.run()
@@ -239,7 +236,7 @@ def test_unknown_destination_mid_batch_leaves_the_prefix_sent(level, delay):
 
 def test_failing_delay_rule_mid_batch_leaves_the_prefix_sent():
     def plan():
-        return FaultPlan(delay_rules=[DelayRule(src=1, nth_match=1, delay=-1.0)])
+        return FaultPlan(delay_rules=[DelayRule(src=1, dst=3, delay=-1.0)])
 
     schedulers = []
     for batched in (True, False):

@@ -29,7 +29,7 @@ from tools.lint.rules.fingerprint_paths import (
     SetInMessagePayloadRule,
     UnsortedFoldRule,
 )
-from tools.lint.rules.dead_code import NoCallerRule, UnsetParameterRule
+from tools.lint.rules.dead_code import NoCallerRule, UnsetFieldRule, UnsetParameterRule
 from tools.lint.rules.imports import UnusedImportRule
 from tools.lint.rules.obs_isolation import ObsIsolationRule
 from tools.lint.rules.spawn_safety import SpawnSafetyRule
@@ -47,6 +47,7 @@ __all__ = [
     "SpawnSafetyRule",
     "NoCallerRule",
     "UnsetParameterRule",
+    "UnsetFieldRule",
     "UnusedImportRule",
 ]
 
@@ -80,6 +81,7 @@ def default_rules() -> List[Rule]:
         UnusedImportRule(),
         NoCallerRule(),
         UnsetParameterRule(),
+        UnsetFieldRule(),
     ]
     for rule in rules:
         rule.exempt_prefixes = SCOPE_EXEMPTIONS.get(rule.rule_id, ())

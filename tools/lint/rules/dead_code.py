@@ -1,7 +1,8 @@
-"""CALL001 and KNOB001: no name without a caller, no knob without a second value.
+"""CALL001, KNOB001 and KNOB002: no name without a caller, no knob without a
+second value, whether the knob is a parameter or a dataclass field.
 
-Both report on definitions under ``src/repro`` and read the code that makes
-up the system (``CALLER_TREES``); tests do not count, since a
+All three report on definitions under ``src/repro`` and read the code that
+makes up the system (``CALLER_TREES``); tests do not count, since a
 name or a parameter value only tests reach is test scaffolding shipped as
 library code.  Calls and references are matched by name, not by type
 (``obj.size`` anywhere keeps every definition called ``size``), which errs
@@ -102,6 +103,18 @@ KNOBS_ALLOWED: Dict[str, str] = {
             "one signature for the named_* helpers; named_delay(label=) is set"),
     **_each("core.table1.CellBound.as_fraction", "n f", _FORMULA),
     **_each("core.table1.message_lower_bound", "n f", _FORMULA),
+}
+
+#: ``dotted.Class(field=)`` -> why the dataclass field stays without a caller setting it
+FIELDS_ALLOWED: Dict[str, str] = {
+    **_each("db.coordinator.RetryPolicy", "max_attempts timeout_units", "client "
+            'retry (docs/runtime.md, "Crash recovery: rejoin by WAL replay"); '
+            "the recovery tests set both"),
+    "db.cluster.ClusterConfig(retry_policy=)": "how a cluster gets the client "
+    "retry policy above; the recovery tests set it",
+    "sim.faults.DelayRule(extra=)": "a rule that adds to the drawn delay "
+    "instead of replacing it (a link slowed past U, the paper's network "
+    "failure); the fault-injection tests set it",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -302,5 +315,179 @@ class UnsetParameterRule(ProjectRule):
                         f"parameter {param!r} of {dotted!r} is never set in "
                         f"{', '.join(CALLER_TREES)}; make it the constant "
                         "it always is, or give a reason in the allow table",
+                    )
+        yield from self.stale(project, unset)
+
+
+def _last_name(node: ast.AST) -> str:
+    """``dataclass`` for ``dataclass``, ``dataclasses.dataclass`` or a call of
+    either; ``ClassVar`` for ``typing.ClassVar``."""
+    target = node.func if isinstance(node, ast.Call) else node
+    if isinstance(target, ast.Name):
+        return target.id
+    return target.attr if isinstance(target, ast.Attribute) else ""
+
+
+def _keyword(call: ast.Call, name: str) -> Optional[ast.AST]:
+    return next((k.value for k in call.keywords if k.arg == name), None)
+
+
+def _is_false(node: Optional[ast.AST]) -> bool:
+    return isinstance(node, ast.Constant) and node.value is False
+
+
+def _generates_init(cls: ast.ClassDef) -> bool:
+    """A ``@dataclass`` that writes its own ``__init__`` (none in the body,
+    no ``init=False``); a hand-written ``__init__`` is KNOB001's."""
+    for node in cls.decorator_list:
+        if _last_name(node) == "dataclass":
+            if isinstance(node, ast.Call) and _is_false(_keyword(node, "init")):
+                return False
+            return not _defines_init(cls)
+    return False
+
+
+def _defines_init(cls: ast.ClassDef) -> bool:
+    return any(isinstance(stmt, _FUNCTIONS) and stmt.name == "__init__" for stmt in cls.body)
+
+
+def _init_fields(cls: ast.ClassDef) -> List[Tuple[str, Optional[ast.AnnAssign]]]:
+    """``(name, node)`` of each ``__init__`` field the class body declares, in
+    order; node is None unless the field is a knob (a plain default, or
+    ``field(default=...)``).  ``ClassVar``s and ``init=False`` fields are not
+    init fields; ``default_factory`` ones are state, not knobs."""
+    out: List[Tuple[str, Optional[ast.AnnAssign]]] = []
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        ann = stmt.annotation
+        if _last_name(ann.value if isinstance(ann, ast.Subscript) else ann) == "ClassVar":
+            continue
+        knob = stmt.value is not None
+        if isinstance(stmt.value, ast.Call) and call_func_name(stmt.value) == "field":
+            if _is_false(_keyword(stmt.value, "init")):
+                continue
+            knob = _keyword(stmt.value, "default") is not None
+        out.append((stmt.target.id, stmt if knob else None))
+    return out
+
+
+def _constructions(ctx: FileContext) -> Iterator[Tuple[str, ast.Call]]:
+    """``(class name, call)`` of every call that may build an instance:
+    ``C(...)`` by name, and ``cls(...)`` as a call to its enclosing class."""
+    for name, call in _calls(ctx):
+        if name == "cls" and isinstance(call.func, ast.Name):
+            scope = ctx.parents().get(call)
+            while scope is not None and not isinstance(scope, ast.ClassDef):
+                scope = ctx.parents().get(scope)
+            if scope is not None:
+                name = scope.name
+        yield name, call
+
+
+class UnsetFieldRule(ProjectRule):
+    """KNOB002 — a defaulted dataclass field no call in the system sets.
+
+    A field is set when a construction binds it by keyword, by position (its
+    place among the class's init fields, a dataclass base's first) or through
+    a ``*`` / ``**`` splat.  ``C(...)`` builds ``C`` and every dataclass base
+    of ``C``; ``cls(...)`` inside a class body builds that class; and
+    ``dataclasses.replace(obj, name=...)`` sets ``name`` on whatever it copies.
+    A field the system assigns as an attribute (``obj.name = ...``) in a
+    module that names the class or a subclass of it is state written after
+    construction, not a knob; so is one declared with ``default_factory`` or
+    ``init=False``.  Both are exempt.  A store in a module that names neither
+    sets a field of the same name on some other class, and does not count.
+    """
+
+    rule_id = "KNOB002"
+    description = "defaulted dataclass field that no call in the system sets (tests do not count)"
+    kinds = ("src",)
+    allowed = FIELDS_ALLOWED
+
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        every = [
+            node for ctx in project.system for node in ctx.nodes()
+            if isinstance(node, ast.ClassDef)
+        ]
+        # the dataclasses, then the classes that may inherit a dataclass's
+        # ``__init__`` (none of their own, e.g. ``DelaySpec``)
+        classes: Dict[str, ast.ClassDef] = {}
+        for node in [c for c in every if _generates_init(c)] + [
+            c for c in every if not _defines_init(c)
+        ]:
+            classes.setdefault(node.name, node)
+
+        def bases(name: str) -> List[str]:
+            return [b for b in _base_names(classes[name]) if b in classes and b != name]
+
+        def fields(name: str) -> List[str]:
+            """The init fields of ``name`` in ``__init__`` order."""
+            out: Dict[str, None] = {}
+            for base in reversed(bases(name)):
+                out.update(dict.fromkeys(fields(base)))
+            if _generates_init(classes[name]):
+                out.update(dict.fromkeys(f for f, _ in _init_fields(classes[name])))
+            return list(out)
+
+        def builds(name: str, target: str) -> bool:
+            """Whether ``name(...)`` builds a ``target``: it is one, or a subclass."""
+            return name == target or any(builds(base, target) for base in bases(name))
+
+        calls: Dict[str, List[ast.Call]] = {}
+        replaced: List[ast.Call] = []
+        # (names the module mentions, attribute names it stores) per module
+        modules: List[Tuple[Set[str], Set[str]]] = []
+        for ctx in project.system:
+            for name, call in _constructions(ctx):
+                if name in classes:
+                    calls.setdefault(name, []).append(call)
+                elif name == "replace" and call.args:
+                    replaced.append(call)
+            named: Set[str] = set()
+            stored: Set[str] = set()
+            for node in ctx.nodes():
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.ClassDef):
+                    named.add(node.name)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                    if isinstance(node.ctx, ast.Store):
+                        stored.add(node.attr)
+            modules.append((named, stored))
+        unset: Set[str] = set()
+        for ctx, cls, dotted, _ in _system_definitions(self, project):
+            if not isinstance(cls, ast.ClassDef) or not _generates_init(cls):
+                continue
+            builders = [(name, fields(name)) for name in classes if builds(name, cls.name)]
+            stored = set().union(*(
+                attrs for named, attrs in modules
+                if any(name in named for name, _ in builders)
+            ))
+            for field_name, node in _init_fields(cls):
+                if node is None or field_name in stored or any(
+                    _binds(call, field_name, None) for call in replaced
+                ):
+                    continue
+                # a class of the same name elsewhere may lack the field: then
+                # only a keyword or a splat binds it
+                if any(
+                    _binds(
+                        call, field_name,
+                        order.index(field_name) if field_name in order else None,
+                    )
+                    for name, order in builders
+                    for call in calls.get(name, ())
+                ):
+                    continue
+                entry = f"{dotted}({field_name}=)"
+                unset.add(entry)
+                if entry not in self.allowed:
+                    yield ctx.finding(
+                        self.rule_id, node,
+                        f"field {field_name!r} of {dotted!r} is never set in "
+                        f"{', '.join(CALLER_TREES)}; make it the constant it "
+                        "always is, or give a reason in the allow table",
                     )
         yield from self.stale(project, unset)
