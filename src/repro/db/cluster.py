@@ -184,9 +184,9 @@ class ClusterReport:
     def retry_counts(self) -> Dict[str, int]:
         """txn id -> resubmissions (only transactions that retried appear)."""
         return {
-            o.txn_id: len(o.submissions) - 1
+            o.txn_id: len(o.sent_times) - 1
             for o in self.outcomes
-            if len(o.submissions) > 1
+            if len(o.sent_times) > 1
         }
 
     def commit_latencies(self) -> List[float]:
@@ -340,6 +340,7 @@ class Cluster:
             if decide_times and kernel.backend == "sim"
             else messages_total
         )
+        snapshots = {pid: server.store.snapshot() for pid, server in partitions.items()}
         return ClusterReport(
             protocol=self.config.protocol_label(),
             num_partitions=self.config.num_partitions,
@@ -347,13 +348,11 @@ class Cluster:
             messages_total=messages_total,
             messages_by_module=trace.module_histogram(),
             end_time=trace.end_time,
-            store_snapshots={
-                pid: server.store.snapshot() for pid, server in partitions.items()
-            },
+            store_snapshots=snapshots,
             messages_until_last_decision=messages_until_last,
             execution_class=kernel.execution_class(),
             crashes=dict(trace.crashes),
-            invariants=check_cluster(partitions),
+            invariants=check_cluster(partitions, snapshots),
             pending_transactions=client.pending_transactions(),
             schedule_decisions=list(kernel.applied_schedule_actions),
             # the fingerprint is O(trace); only controlled runs need it (replay

@@ -77,9 +77,15 @@ class TransactionOutcome:
     ack_time: Optional[float] = None
     #: the one participant tuple every EXEC of the transaction carries
     participants: Tuple[int, ...] = ()
-    #: ``(sent_at, round_start)`` of each submission, first one first: when
-    #: the EXEC requests went out and the commit-round start they carried
-    submissions: Tuple[Tuple[float, float], ...] = ()
+    #: when each submission's EXEC requests went out, first one first
+    sent_times: Tuple[float, ...] = ()
+
+    @property
+    def submissions(self) -> Tuple[Tuple[float, float], ...]:
+        """``(sent_at, round_start)`` of each submission, first one first:
+        every EXEC carries the round start ``_PREPARE_MARGIN`` after it was
+        sent."""
+        return tuple((sent_at, sent_at + _PREPARE_MARGIN) for sent_at in self.sent_times)
 
     @property
     def commit_latency(self) -> Optional[float]:
@@ -177,18 +183,19 @@ class ClientCoordinator(Process):
             )
 
     def _submit(self, txn: Transaction) -> None:
-        start_time = self.now() + _PREPARE_MARGIN
+        sent_at = self.now()
+        start_time = sent_at + _PREPARE_MARGIN
         outcome = self.outcomes.get(txn.txn_id)
         if outcome is None:
             # latency is measured from the first submission; a retried
             # transaction keeps its original submit time
             outcome = self.outcomes[txn.txn_id] = TransactionOutcome(
                 txn_id=txn.txn_id,
-                submit_time=self.now(),
+                submit_time=sent_at,
                 participants=tuple(txn.participants()),
             )
             self._incomplete += 1
-        outcome.submissions += ((self.now(), start_time),)
+        outcome.sent_times += (sent_at,)
         # one tuple for every EXEC of every attempt: the partitions' commit
         # instances and PREPARE records hold this same object
         participants = outcome.participants
@@ -204,7 +211,7 @@ class ClientCoordinator(Process):
                     txn.write_set(partition),
                 ),
             )
-        self._arm_retry(txn.txn_id, len(outcome.submissions))
+        self._arm_retry(txn.txn_id, len(outcome.sent_times))
 
     # ------------------------------------------------------------------ #
     # retry (see RetryPolicy)
@@ -225,7 +232,7 @@ class ClientCoordinator(Process):
         outcome = self.outcomes[txn_id]
         if outcome.completed:
             return
-        if len(outcome.submissions) >= self.retry_policy.max_attempts:
+        if len(outcome.sent_times) >= self.retry_policy.max_attempts:
             return
         self._submit(self._txn_by_id[txn_id])
 

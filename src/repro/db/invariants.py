@@ -50,7 +50,7 @@ every admissible schedule; a protocol that loses atomicity under a crash
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.db.locks import LockMode
 from repro.db.wal import ABORT as WAL_ABORT
@@ -89,58 +89,56 @@ class InvariantReport:
         return "\n".join(self.violations)
 
 
-def _wal_outcomes(server: "object") -> Dict[str, Optional[str]]:
-    """txn id -> decided outcome (COMMIT/ABORT, latest wins) or None.
+def _decided(server: "object") -> Iterator[Tuple[str, str]]:
+    """``(txn id, outcome)`` of each transaction the partition's log decided.
 
-    One forward pass over the log — equivalent to calling
-    :meth:`~repro.db.wal.WriteAheadLog.outcome_of` per transaction (torn
-    records skipped, the last intact decision wins) without re-scanning the
-    records for every transaction.
+    The outcome is :meth:`~repro.db.wal.WriteAheadLog.outcome_of`'s (torn
+    records skipped, the last intact decision wins), and the transactions
+    come in the order of each one's first intact record.  Nothing is
+    collected: a record is a transaction's first intact one when every
+    record its ``prev`` chain reaches is torn.
     """
-    outcomes: Dict[str, Optional[str]] = {}
-    for record in server.wal.records():
+    wal = server.wal
+    for record in wal.records():
         if record.torn:
             continue
-        if record.kind in (WAL_COMMIT, WAL_ABORT):
-            outcomes[record.txn_id] = record.kind
-        else:
-            outcomes.setdefault(record.txn_id, None)
-    return outcomes
+        earlier = record.prev
+        while earlier is not None and earlier.torn:
+            earlier = earlier.prev
+        if earlier is not None:
+            continue
+        outcome = wal.outcome_of(record.txn_id)
+        if outcome is not None:
+            yield record.txn_id, outcome
 
 
-def check_atomicity(
-    partitions: Dict[int, "object"],
-    wal_outcomes: Dict[int, Dict[str, Optional[str]]],
-) -> List[str]:
+def check_atomicity(partitions: Dict[int, "object"]) -> List[str]:
     """Conflicting transaction outcomes across (or within) partitions.
 
     Two checks per transaction: no ``COMMIT``/``ABORT`` split across the
     participant WALs, and no store holding versions of a transaction its own
-    WAL did not record as committed.  ``wal_outcomes`` is each partition's
-    :func:`_wal_outcomes`, read once by :func:`check_cluster` for every check.
+    WAL did not record as committed.
     """
     violations: List[str] = []
-    locals_by_pid: Dict[int, Dict[str, Optional[str]]] = {}
-    # txn id -> the outcome its first deciding partition logged
+    # txn id -> the outcome its first deciding partition (in pid order) logged
     first: Dict[str, str] = {}
     split: Set[str] = set()
     for pid in sorted(partitions):
         server = partitions[pid]
-        local = locals_by_pid[pid] = wal_outcomes[pid]
-        for txn_id, outcome in local.items():
-            if outcome is not None and first.setdefault(txn_id, outcome) != outcome:
-                split.add(txn_id)
         for txn_id in server.store.transactions_applied():
-            if local.get(txn_id) != WAL_COMMIT:
+            if server.wal.outcome_of(txn_id) != WAL_COMMIT:
                 violations.append(
                     f"atomicity: partition {pid} applied writes of {txn_id!r} "
                     f"without a COMMIT record in its WAL"
                 )
+        for txn_id, outcome in _decided(server):
+            if first.setdefault(txn_id, outcome) != outcome:
+                split.add(txn_id)
     # pid lists only for the transactions whose outcome is split
     for txn_id in sorted(split):
         by_outcome: Dict[str, List[int]] = {WAL_COMMIT: [], WAL_ABORT: []}
-        for pid, local in locals_by_pid.items():
-            outcome = local.get(txn_id)
+        for pid in sorted(partitions):
+            outcome = partitions[pid].wal.outcome_of(txn_id)
             if outcome is not None:
                 by_outcome[outcome].append(pid)
         violations.append(
@@ -151,12 +149,15 @@ def check_atomicity(
     return violations
 
 
-def check_durability(partitions: Dict[int, "object"]) -> List[str]:
+def check_durability(
+    partitions: Dict[int, "object"], snapshots: Dict[int, Dict[str, object]]
+) -> List[str]:
     """WAL replay must reconstruct exactly each partition's committed state.
 
     The replayed snapshot is the log's committed writes folded into one
     dict, latest last, as :meth:`~repro.db.wal.WriteAheadLog.replay` would
-    apply them to a fresh store.
+    apply them to a fresh store; ``snapshots`` holds each partition's live
+    store snapshot (``store.snapshot()``, which a report keeps anyway).
     """
     violations: List[str] = []
     for pid in sorted(partitions):
@@ -164,7 +165,7 @@ def check_durability(partitions: Dict[int, "object"]) -> List[str]:
         replayed: Dict[str, object] = {}
         for _, writes in server.wal.committed_writes():
             replayed.update(writes)
-        live = server.store.snapshot()
+        live = snapshots[pid]
         if replayed == live:
             continue
         differing = sorted(
@@ -179,10 +180,7 @@ def check_durability(partitions: Dict[int, "object"]) -> List[str]:
     return violations
 
 
-def check_lock_safety(
-    partitions: Dict[int, "object"],
-    wal_outcomes: Dict[int, Dict[str, Optional[str]]],
-) -> List[str]:
+def check_lock_safety(partitions: Dict[int, "object"]) -> List[str]:
     """No two exclusive holders; decided transactions hold no locks."""
     violations: List[str] = []
     for pid in sorted(partitions):
@@ -194,9 +192,8 @@ def check_lock_safety(
                     f"lock-safety: partition {pid} key {key!r} is EXCLUSIVE "
                     f"with {len(holders)} holders {sorted(holders)}"
                 )
-        for txn_id, outcome in wal_outcomes[pid].items():
-            if outcome is None:
-                continue  # in doubt: holding locks is the protocol's point
+        # an undecided transaction is in doubt: holding locks is the point
+        for txn_id, outcome in _decided(server):
             held = server.locks.keys_held_by(txn_id)
             if held:
                 violations.append(
@@ -206,13 +203,14 @@ def check_lock_safety(
     return violations
 
 
-def check_cluster(partitions: Dict[int, "object"]) -> InvariantReport:
-    """Run the full battery over the live partition servers of one run."""
-    # one WAL pass per partition, shared by the atomicity and lock checks
-    wal_outcomes = {pid: _wal_outcomes(server) for pid, server in partitions.items()}
-    atomicity = check_atomicity(partitions, wal_outcomes)
-    durability = check_durability(partitions)
-    lock_safety = check_lock_safety(partitions, wal_outcomes)
+def check_cluster(
+    partitions: Dict[int, "object"], snapshots: Dict[int, Dict[str, object]]
+) -> InvariantReport:
+    """Run the full battery over the live partition servers of one run and
+    their store snapshots."""
+    atomicity = check_atomicity(partitions)
+    durability = check_durability(partitions, snapshots)
+    lock_safety = check_lock_safety(partitions)
     return InvariantReport(
         atomicity=not atomicity,
         durability=not durability,

@@ -40,7 +40,7 @@ from repro.db.store import VersionedStore
 from repro.db.wal import ABORT as WAL_ABORT
 from repro.db.wal import COMMIT as WAL_COMMIT
 from repro.db.wal import PREPARE as WAL_PREPARE
-from repro.db.wal import WalRecord, WriteAheadLog
+from repro.db.wal import WalRecord, WriteAheadLog, Writes
 from repro.protocols.base import ABORT, COMMIT, AtomicCommitProcess
 from repro.protocols.two_phase import TwoPhaseCommit
 from repro.env import Process
@@ -297,8 +297,12 @@ class PartitionServer(Process):
             return None
         return COMMIT if outcome == WAL_COMMIT else ABORT
 
-    def _log_outcome(self, txn_id: str, decision: int, writes: Dict[str, object]) -> None:
-        """Log the outcome, apply a commit's writes, release the locks."""
+    def _log_outcome(self, txn_id: str, decision: int, writes: Writes) -> None:
+        """Log the outcome, apply a commit's writes, release the locks.
+
+        ``writes`` is the PREPARE record's tuple, which the COMMIT record
+        shares; an ABORT record logs none.
+        """
         if decision == COMMIT:
             self.wal.append(WAL_COMMIT, txn_id, writes=writes, timestamp=self.now())
             if writes:
@@ -334,7 +338,7 @@ class PartitionServer(Process):
             writes = wal.prepare_record_of(txn_id).writes
             if writes:
                 self.locks.try_acquire_all(
-                    txn_id, {key: LockMode.EXCLUSIVE for key in writes}
+                    txn_id, {key: LockMode.EXCLUSIVE for key, _ in writes}
                 )
         return len({txn_id for txn_id, _ in wal.committed_writes()})
 

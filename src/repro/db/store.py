@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import StorageError
 
@@ -50,11 +50,14 @@ class VersionedStore:
         self._append(key, record)
         return record.version
 
-    def apply_many(self, writes: Dict[str, object], txn_id: Optional[str] = None) -> int:
-        """Commit a batch of writes atomically (single version for the batch)."""
+    def apply_many(
+        self, writes: Iterable[Tuple[str, object]], txn_id: Optional[str] = None
+    ) -> int:
+        """Commit a batch of ``(key, value)`` writes atomically (single
+        version for the batch), as a write-ahead log record holds them."""
         self._version_counter += 1
         version = self._version_counter
-        for key, value in writes.items():
+        for key, value in writes:
             self._append(key, VersionRecord(version=version, value=value, txn_id=txn_id))
         return version
 

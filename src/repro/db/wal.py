@@ -6,12 +6,18 @@ then ``COMMIT`` or ``ABORT``).  The store is only mutated when a ``COMMIT``
 record is appended, so replaying the log after a crash reconstructs exactly
 the committed state — the replay tests in ``tests/test_db_components.py``
 exercise this.
+
+A write set is logged as a tuple of ``(key, value)`` pairs: a ``PREPARE``
+converts the mapping it is given once, its ``COMMIT`` holds that same tuple
+and an ``ABORT`` holds ``()``.  A transaction's records are linked newest to
+oldest through :attr:`WalRecord.prev` (ARIES' PrevLSN), so the log indexes
+only each transaction's latest record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.db.store import VersionedStore
 from repro.errors import StorageError
@@ -19,6 +25,9 @@ from repro.errors import StorageError
 PREPARE = "PREPARE"
 COMMIT = "COMMIT"
 ABORT = "ABORT"
+
+#: a logged write set: ``(key, value)`` pairs, in the order they were given
+Writes = Tuple[Tuple[str, object], ...]
 
 
 @dataclass(slots=True)
@@ -36,7 +45,9 @@ class WalRecord:
     lsn: int
     kind: str
     txn_id: str
-    writes: Dict[str, object] = field(default_factory=dict)
+    #: the write set as ``(key, value)`` pairs; a partition's COMMIT holds
+    #: its PREPARE's tuple, an ABORT ``()``
+    writes: Writes = ()
     timestamp: float = 0.0
     torn: bool = False
     #: participant pids logged with PREPARE, so a recovering partition knows
@@ -46,6 +57,16 @@ class WalRecord:
     vote: Optional[int] = None
     #: the agreed commit-round start logged with PREPARE
     round_start: Optional[float] = None
+    #: the same transaction's previous record (PrevLSN), None for its first;
+    #: a link, not part of the record's value
+    prev: Optional["WalRecord"] = field(default=None, compare=False, repr=False)
+
+    def chain(self) -> Iterator["WalRecord"]:
+        """This record and its transaction's earlier ones, newest first."""
+        record: Optional[WalRecord] = self
+        while record is not None:
+            yield record
+            record = record.prev
 
 
 def in_doubt_of(records: Iterable[WalRecord]) -> List[str]:
@@ -69,23 +90,24 @@ def in_doubt_of(records: Iterable[WalRecord]) -> List[str]:
 class WriteAheadLog:
     """Append-only per-partition log.
 
-    The record list is the log.  ``_by_txn`` indexes the *same* record
-    objects by transaction id, in log order, so the per-transaction questions
-    the commit path asks on every EXEC (``outcome_of``, ``prepare_record_of``)
-    read that transaction's two or three records instead of the whole log.
-    ``torn`` is consulted on the record at read time, so tearing a record
-    needs no index maintenance.
+    The record list is the log.  ``_latest`` indexes each transaction's
+    latest record, one of the log's own objects, and the records link back
+    through ``prev``, so the per-transaction questions the commit path asks
+    on every EXEC (``outcome_of``, ``prepare_record_of``) walk that
+    transaction's two or three records instead of the whole log.  ``torn``
+    is consulted on the record at read time, so tearing a record needs no
+    index maintenance.
     """
 
     def __init__(self) -> None:
         self._records: List[WalRecord] = []
-        self._by_txn: Dict[str, Tuple[WalRecord, ...]] = {}
+        self._latest: Dict[str, WalRecord] = {}
 
     def append(
         self,
         kind: str,
         txn_id: str,
-        writes: Optional[Dict[str, object]] = None,
+        writes: Union[Mapping[str, object], Writes] = (),
         timestamp: float = 0.0,
         participants: Tuple[int, ...] = (),
         vote: Optional[int] = None,
@@ -93,26 +115,26 @@ class WriteAheadLog:
     ) -> WalRecord:
         """Append one record and return it.
 
-        The record keeps the ``writes`` mapping it is given, not a copy: a
-        partition logs its EXEC's write set at PREPARE and the same mapping
-        again at COMMIT.  A logged mapping is never mutated, by the log or
-        by its caller.
+        A mapping of writes is logged as a tuple of its items; a tuple of
+        pairs is kept as given, not copied, so a partition's COMMIT holds
+        its PREPARE's tuple.
         """
         if kind not in (PREPARE, COMMIT, ABORT):
             raise StorageError(f"unknown WAL record kind {kind!r}")
+        latest = self._latest
         record = WalRecord(
             lsn=len(self._records) + 1,
             kind=kind,
             txn_id=txn_id,
-            writes={} if writes is None else writes,
+            writes=writes if type(writes) is tuple else tuple(writes.items()),
             timestamp=timestamp,
             participants=tuple(participants),
             vote=vote,
             round_start=round_start,
+            prev=latest.get(txn_id),
         )
         self._records.append(record)
-        # a transaction has two or three records: a tuple, grown by copying
-        self._by_txn[txn_id] = self._by_txn.get(txn_id, ()) + (record,)
+        latest[txn_id] = record
         return record
 
     def tear_final_record(self) -> Optional[WalRecord]:
@@ -131,13 +153,19 @@ class WriteAheadLog:
         return list(self._records)
 
     def records_for(self, txn_id: str) -> List[WalRecord]:
-        return list(self._by_txn.get(txn_id, ()))
+        """Every record of ``txn_id``, torn ones included, in log order."""
+        latest = self._latest.get(txn_id)
+        records = [] if latest is None else list(latest.chain())
+        records.reverse()
+        return records
 
     def outcome_of(self, txn_id: str) -> Optional[str]:
         """COMMIT / ABORT if decided, None if only prepared (in doubt)."""
-        for record in reversed(self._by_txn.get(txn_id, ())):
-            if not record.torn and record.kind in (COMMIT, ABORT):
+        record = self._latest.get(txn_id)
+        while record is not None:
+            if not record.torn and record.kind != PREPARE:
                 return record.kind
+            record = record.prev
         return None
 
     def prepare_record_of(self, txn_id: str) -> Optional[WalRecord]:
@@ -146,9 +174,11 @@ class WriteAheadLog:
         Recovery reads the buffered writes and the participant set from here
         when re-installing locks and issuing termination queries.
         """
-        for record in reversed(self._by_txn.get(txn_id, ())):
+        record = self._latest.get(txn_id)
+        while record is not None:
             if not record.torn and record.kind == PREPARE:
                 return record
+            record = record.prev
         return None
 
     def in_doubt(self) -> List[str]:
@@ -156,21 +186,24 @@ class WriteAheadLog:
         (:func:`in_doubt_of` over this log)."""
         return in_doubt_of(self._records)
 
-    def committed_writes(self) -> Iterator[Tuple[str, Dict[str, object]]]:
+    def committed_writes(self) -> Iterator[Tuple[str, Writes]]:
         """``(txn id, writes)`` of every intact COMMIT record, in log order.
 
-        A COMMIT logged without writes takes its PREPARE's.  The one pass
-        over the log that :meth:`replay` and the durability invariant
+        A COMMIT logged without writes takes those of the latest intact
+        PREPARE before it.  The one pass over the log that :meth:`replay`
+        and the durability invariant
         (:func:`repro.db.invariants.check_durability`) both fold.
         """
-        prepared: Dict[str, Dict[str, object]] = {}
         for record in self._records:
-            if record.torn:
+            if record.torn or record.kind != COMMIT:
                 continue
-            if record.kind == PREPARE:
-                prepared[record.txn_id] = record.writes
-            elif record.kind == COMMIT:
-                yield record.txn_id, record.writes or prepared.get(record.txn_id, {})
+            writes = record.writes
+            if not writes:
+                for earlier in record.chain():
+                    if not earlier.torn and earlier.kind == PREPARE:
+                        writes = earlier.writes
+                        break
+            yield record.txn_id, writes
 
     def replay(self, store: Optional[VersionedStore] = None) -> VersionedStore:
         """Rebuild the committed store state from the log.

@@ -108,7 +108,7 @@ class TraceContext:
                 add("EXEC", txn_id, client, sent_at, starts_at, attempt=attempt)
             if outcome.completed:
                 # the envelope of the submission that was acknowledged
-                last_sent = outcome.submissions[-1][0]
+                last_sent = outcome.sent_times[-1]
                 add("txn", txn_id, client, last_sent, outcome.ack_time, decision=decision)
                 add("DONE", txn_id, client, outcome.decide_time, outcome.ack_time,
                     decision=decision)

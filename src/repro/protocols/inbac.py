@@ -144,6 +144,10 @@ class INBAC(AtomicCommitProcess):
     #: the votes the HELPED replies carried; the first reply gives the
     #: process its own set
     collection_help: AbstractSet[Tuple[int, int]] = frozenset()
+    #: the votes this process backs up.  Only the backups P1..Pf+1 are sent
+    #: ``V``, and each gets its own set; an outsider keeps this empty default
+    #: until the phase-1 timeout's fold, which only a HELP reply reads
+    _collection0: AbstractSet[Tuple[int, int]] = frozenset()
 
     def __init__(self, pid, n, f, env, fast_abort: bool = False):
         super().__init__(pid, n, f, env)
@@ -151,7 +155,8 @@ class INBAC(AtomicCommitProcess):
         # state variables, named as in Appendix A
         self.phase = 0
         self.proposed = False
-        self._collection0: Set[Tuple[int, int]] = set()
+        if pid <= f + 1:
+            self._collection0 = set()
         #: ``(acknowledged collections, own vote pair)`` as they stood at the
         #: phase-1 timeout, until the first read of ``collection0`` folds
         #: them in; a fast decision never reads it
@@ -175,7 +180,7 @@ class INBAC(AtomicCommitProcess):
     # Appendix A's collection0 / collection1
     # ------------------------------------------------------------------ #
     @property
-    def collection0(self) -> Set[Tuple[int, int]]:
+    def collection0(self) -> AbstractSet[Tuple[int, int]]:
         """The votes this process backs up, plus — from the phase-1 timeout
         on — every vote acknowledged to it by then and its own."""
         pending = self._union_at_timeout

@@ -28,22 +28,29 @@ acknowledgement argument).
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from types import MappingProxyType
+from typing import Any, Dict, Mapping
 
 from repro.protocols.base import ABORT, COMMIT, AtomicCommitProcess, logical_and
+
+#: the shared, read-only empty state of a process that was sent nothing
+_NOTHING: Mapping = MappingProxyType({})
 
 
 class _PaxosCommitBase(AtomicCommitProcess):
     """State shared by PaxosCommit and FasterPaxosCommit."""
 
     consensus_name = "uc"
+    #: acceptor state: accepted vote per RM instance.  Only the ``f + 1``
+    #: acceptors are sent ``P2A``; the first one gives the process its dict
+    accepted: Mapping[int, int] = _NOTHING
+    #: RM / leader view of the acceptors' phase-2b reports, by acceptor; in
+    #: Paxos Commit only the leader is sent ``P2B``, and the first one gives
+    #: the process its dict
+    reports: Mapping[int, Dict[int, int]] = _NOTHING
 
     def __init__(self, pid, n, f, env):
         super().__init__(pid, n, f, env)
-        # acceptor state: accepted vote per RM instance
-        self.accepted: Dict[int, int] = {}
-        # RM / leader view of the acceptors' phase-2b reports
-        self.reports: Dict[int, Dict[int, int]] = {}
         self.proposed = False
         # wait before re-asking the acceptors; grows 1.5x per unanswered query
         self._query_backoff = 2.5
@@ -68,7 +75,7 @@ class _PaxosCommitBase(AtomicCommitProcess):
             self.consensus().propose(value)
 
     # -- shared helpers ----------------------------------------------------- #
-    def _full_commit_reports(self, reports: Dict[int, Dict[int, int]]) -> bool:
+    def _full_commit_reports(self, reports: Mapping[int, Dict[int, int]]) -> bool:
         """Every acceptor reported, and every instance is accepted with vote 1."""
         if set(reports) != set(self.acceptors()):
             return False
@@ -111,7 +118,15 @@ class _PaxosCommitBase(AtomicCommitProcess):
 
     # -- common message handling -------------------------------------------- #
     def _accept_vote(self, rm: int, vote: int) -> None:
+        if not self.accepted:
+            self.accepted = {}
         self.accepted.setdefault(rm, vote)
+
+    def _record_report(self, acceptor: int, report: Dict[int, int]) -> None:
+        """Keep a copy of one acceptor's phase-2b report."""
+        if not self.reports:
+            self.reports = {}
+        self.reports[acceptor] = dict(report)
 
     def on_deliver(self, src: int, payload: Any) -> None:
         kind = payload[0]
@@ -160,7 +175,7 @@ class PaxosCommit(_PaxosCommitBase):
     def on_deliver_protocol(self, src: int, payload: Any) -> None:
         kind = payload[0]
         if kind == "P2B" and self.pid == self.leader:
-            self.reports[src] = dict(payload[1])
+            self._record_report(src, payload[1])
         elif kind == "OUTCOME":
             self.decide_once(payload[1])
 
@@ -205,7 +220,7 @@ class FasterPaxosCommit(_PaxosCommitBase):
 
     def on_deliver_protocol(self, src: int, payload: Any) -> None:
         if payload[0] == "P2B":
-            self.reports[src] = dict(payload[1])
+            self._record_report(src, payload[1])
 
     def on_timeout_protocol(self, name: str) -> None:
         if name == "acceptor-broadcast" and self.is_acceptor:

@@ -5,7 +5,10 @@ consensus-using protocols builds its module in one, on the simulator or as
 the commit layer of a cluster.  A run that falls back builds it on first use:
 on a process that proposes to it, and on one that only receives its peers'
 consensus traffic (the envelope builds it, then is delivered to it).  The
-containers only a fallback path fills are not built in a nice run either.
+containers only a fallback path fills are not built in a nice run either,
+nor those only one role is sent what fills: INBAC's backed-up votes on an
+outsider, Paxos Commit's accepted votes on a non-acceptor and its phase-2b
+reports on a process other than the leader.
 """
 
 from __future__ import annotations
@@ -35,6 +38,19 @@ FALLBACK_ONLY = {
     "0NBAC": ("myack",),
 }
 
+#: the attributes a nice run gives only the processes of one role its own
+ROLE_ONLY = {
+    "INBAC": {"_collection0": lambda p: p.pid <= p.f + 1},
+    "PaxosCommit": {
+        "accepted": lambda p: p.pid <= p.f + 1,
+        "reports": lambda p: p.pid == 1,
+    },
+    "FasterPaxosCommit": {
+        "accepted": lambda p: p.pid <= p.f + 1,
+        "reports": lambda p: True,
+    },
+}
+
 
 def _modules(process):
     return dict(process._components)
@@ -51,6 +67,19 @@ def test_a_nice_run_builds_no_consensus_module(name, n, f):
         assert _modules(process) == {}, f"P{pid}"
         for attribute in FALLBACK_ONLY.get(name, ()):
             assert attribute not in vars(process), f"P{pid}.{attribute}"
+
+
+@pytest.mark.parametrize("name", sorted(ROLE_ONLY))
+@pytest.mark.parametrize("n,f", [(3, 1), (5, 2)])
+def test_a_nice_run_builds_role_state_only_in_its_role(name, n, f):
+    result = run_nice_execution(get_protocol(name).cls, n, f)
+    assert set(result.decisions().values()) == {1}
+    for pid, process in result.processes.items():
+        for attribute, in_role in ROLE_ONLY[name].items():
+            built = attribute in vars(process)
+            assert built == in_role(process), f"P{pid}.{attribute}"
+            if built:
+                assert getattr(process, attribute), f"P{pid}.{attribute}"
 
 
 def test_a_fallback_builds_the_module_on_the_proposer_and_on_a_receiver():

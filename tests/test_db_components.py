@@ -37,7 +37,7 @@ class TestVersionedStore:
 
     def test_apply_many_is_one_version(self):
         store = VersionedStore()
-        version = store.apply_many({"a": 1, "b": 2}, txn_id="t1")
+        version = store.apply_many((("a", 1), ("b", 2)), txn_id="t1")
         assert [rec.version for rec in store.versions("a")] == [version]
         assert [rec.version for rec in store.versions("b")] == [version]
         assert store.snapshot() == {"a": 1, "b": 2}

@@ -10,7 +10,6 @@ from repro.db.invariants import (
     check_cluster,
     check_durability,
     check_lock_safety,
-    _wal_outcomes,
 )
 from repro.db.locks import LockManager, LockMode, _KeyLock
 from repro.db.store import VersionedStore
@@ -19,17 +18,17 @@ from repro.explore import CrashPoint
 from repro.workloads import bank_transfer_workload
 
 
-def _atomicity(partitions):
-    return check_atomicity(partitions, _outcomes(partitions))
+def _snapshots(partitions):
+    """What a cluster's report takes before it runs the battery."""
+    return {pid: server.store.snapshot() for pid, server in partitions.items()}
 
 
-def _lock_safety(partitions):
-    return check_lock_safety(partitions, _outcomes(partitions))
+def _durability(partitions):
+    return check_durability(partitions, _snapshots(partitions))
 
 
-def _outcomes(partitions):
-    """What :func:`check_cluster` passes: one WAL pass per partition."""
-    return {pid: _wal_outcomes(server) for pid, server in partitions.items()}
+def _battery(partitions):
+    return check_cluster(partitions, _snapshots(partitions))
 
 
 class FakePartition:
@@ -43,7 +42,7 @@ class FakePartition:
     def commit(self, txn_id, writes):
         self.wal.append(PREPARE, txn_id, writes=writes)
         self.wal.append(COMMIT, txn_id, writes=writes)
-        self.store.apply_many(writes, txn_id=txn_id)
+        self.store.apply_many(writes.items(), txn_id=txn_id)
 
     def abort(self, txn_id, writes):
         self.wal.append(PREPARE, txn_id, writes=writes)
@@ -57,13 +56,13 @@ class TestAtomicity:
         b.commit("t1", {"y": 2})
         a.abort("t2", {"x": 9})
         b.abort("t2", {"y": 9})
-        assert _atomicity({1: a, 2: b}) == []
+        assert check_atomicity({1: a, 2: b}) == []
 
     def test_commit_abort_split_is_reported(self):
         a, b = FakePartition(), FakePartition()
         a.commit("t1", {"x": 1})
         b.abort("t1", {"y": 2})
-        violations = _atomicity({1: a, 2: b})
+        violations = check_atomicity({1: a, 2: b})
         assert len(violations) == 1
         assert "'t1'" in violations[0]
         assert "committed on partitions [1]" in violations[0]
@@ -72,8 +71,8 @@ class TestAtomicity:
     def test_applied_without_commit_record_is_reported(self):
         a = FakePartition()
         a.abort("t1", {"x": 1})
-        a.store.apply_many({"x": 1}, txn_id="t1")  # sneaky apply after abort
-        violations = _atomicity({1: a})
+        a.store.apply_many([("x", 1)], txn_id="t1")  # sneaky apply after abort
+        violations = check_atomicity({1: a})
         assert any("without a COMMIT record" in v for v in violations)
 
     def test_in_doubt_alongside_commit_is_not_a_violation(self):
@@ -81,7 +80,7 @@ class TestAtomicity:
         a, b = FakePartition(), FakePartition()
         a.commit("t1", {"x": 1})
         b.wal.append(PREPARE, "t1", writes={"y": 2})
-        assert _atomicity({1: a, 2: b}) == []
+        assert check_atomicity({1: a, 2: b}) == []
 
     def test_violations_are_listed_in_a_fixed_order_and_wording(self):
         # pid lists sorted, splits after the store checks and sorted by id,
@@ -98,7 +97,7 @@ class TestAtomicity:
         a.wal.append(PREPARE, "t4", writes={"x": 4})
         b.commit("t4", {"y": 4})
         c.abort("t4", {"z": 4})
-        d.store.apply_many({"w": 9}, txn_id="t9")
+        d.store.apply_many([("w", 9)], txn_id="t9")
         expected = [
             "atomicity: partition 4 applied writes of 't9' without a COMMIT "
             "record in its WAL",
@@ -109,8 +108,8 @@ class TestAtomicity:
             "atomicity: 't4' committed on partitions [2] but aborted on "
             "partitions [3]",
         ]
-        assert _atomicity({3: c, 1: a, 4: d, 2: b}) == expected
-        assert check_cluster({3: c, 1: a, 4: d, 2: b}).violations[:4] == expected
+        assert check_atomicity({3: c, 1: a, 4: d, 2: b}) == expected
+        assert _battery({3: c, 1: a, 4: d, 2: b}).violations[:4] == expected
 
 
 class TestDurability:
@@ -119,13 +118,13 @@ class TestDurability:
         a.commit("t1", {"x": 1})
         a.commit("t2", {"x": 2, "y": 3})
         a.abort("t3", {"x": 99})
-        assert check_durability({1: a}) == []
+        assert _durability({1: a}) == []
 
     def test_unlogged_write_is_reported(self):
         a = FakePartition()
         a.commit("t1", {"x": 1})
         a.store.apply("y", 42, txn_id=None)  # store mutation the WAL never saw
-        violations = check_durability({1: a})
+        violations = _durability({1: a})
         assert len(violations) == 1
         assert "partition 1" in violations[0] and "['y']" in violations[0]
 
@@ -133,7 +132,7 @@ class TestDurability:
         a = FakePartition()
         a.wal.append(PREPARE, "t1", writes={"x": 1})
         a.wal.append(COMMIT, "t1", writes={"x": 1})  # committed but never applied
-        violations = check_durability({1: a})
+        violations = _durability({1: a})
         assert violations and "'x'" in violations[0]
 
 
@@ -143,13 +142,13 @@ class TestLockSafety:
         a.commit("t1", {"x": 1})
         a.locks.try_acquire("t2", "x", LockMode.EXCLUSIVE)  # undecided holder: fine
         a.wal.append(PREPARE, "t2", writes={"x": 5})
-        assert _lock_safety({1: a}) == []
+        assert check_lock_safety({1: a}) == []
 
     def test_locks_surviving_a_decision_are_reported(self):
         a = FakePartition()
         a.locks.try_acquire("t1", "x", LockMode.EXCLUSIVE)
         a.commit("t1", {"x": 1})  # decided, but the lock was never released
-        violations = _lock_safety({1: a})
+        violations = check_lock_safety({1: a})
         assert len(violations) == 1
         assert "after COMMIT" in violations[0] and "'x'" in violations[0]
 
@@ -159,7 +158,7 @@ class TestLockSafety:
         a.locks._locks["x"] = _KeyLock(
             mode=LockMode.EXCLUSIVE, holders={"t1", "t2"}
         )
-        violations = _lock_safety({1: a})
+        violations = check_lock_safety({1: a})
         assert violations and "EXCLUSIVE with 2 holders" in violations[0]
 
     def test_mode_of_accessor(self):
@@ -289,3 +288,125 @@ class TestClusterIntegration:
         assert report.pending_transactions == [t.txn_id for t in workload.transactions]
         # safety is untouched by losing the client
         assert report.invariants.holds, report.invariants.violations
+
+
+# --------------------------------------------------------------------------- #
+# the battery against a reference that holds every partition's outcome map
+# --------------------------------------------------------------------------- #
+def _outcome_map(server):
+    """txn id -> the last intact decision, or None; first intact record first."""
+    outcomes = {}
+    for record in server.wal.records():
+        if record.torn:
+            continue
+        if record.kind == PREPARE:
+            outcomes.setdefault(record.txn_id, None)
+        else:
+            outcomes[record.txn_id] = record.kind
+    return outcomes
+
+
+def reference_battery(partitions):
+    """The battery as it read the logs before it walked ``prev`` chains: every
+    partition's outcome map built up front, splits found against the first
+    partition (in pid order) that decided each transaction."""
+    maps = {pid: _outcome_map(partitions[pid]) for pid in sorted(partitions)}
+    atomicity, first, split = [], {}, set()
+    for pid, local in maps.items():
+        for txn_id, outcome in local.items():
+            if outcome is not None and first.setdefault(txn_id, outcome) != outcome:
+                split.add(txn_id)
+        for txn_id in partitions[pid].store.transactions_applied():
+            if local.get(txn_id) != COMMIT:
+                atomicity.append(
+                    f"atomicity: partition {pid} applied writes of {txn_id!r} "
+                    f"without a COMMIT record in its WAL"
+                )
+    for txn_id in sorted(split):
+        pids = {COMMIT: [], ABORT: []}
+        for pid, local in maps.items():
+            if local.get(txn_id) is not None:
+                pids[local[txn_id]].append(pid)
+        atomicity.append(
+            f"atomicity: {txn_id!r} committed on partitions {pids[COMMIT]} "
+            f"but aborted on partitions {pids[ABORT]}"
+        )
+    durability = _durability(partitions)
+    lock_safety = []
+    for pid, local in maps.items():
+        locks = partitions[pid].locks
+        for key in locks.locked_keys():
+            holders = locks.holders(key)
+            if len(holders) > 1 and locks.mode_of(key) == LockMode.EXCLUSIVE:
+                lock_safety.append(
+                    f"lock-safety: partition {pid} key {key!r} is EXCLUSIVE "
+                    f"with {len(holders)} holders {sorted(holders)}"
+                )
+        for txn_id, outcome in local.items():
+            if outcome is not None and locks.keys_held_by(txn_id):
+                lock_safety.append(
+                    f"lock-safety: partition {pid} still holds "
+                    f"{sorted(locks.keys_held_by(txn_id))} for {txn_id!r} after {outcome}"
+                )
+    return InvariantReport(
+        atomicity=not atomicity,
+        durability=not durability,
+        lock_safety=not lock_safety,
+        violations=atomicity + durability + lock_safety,
+    )
+
+
+class TestBatteryAgreesWithReference:
+    def test_split_brain_anomaly_runs(self):
+        from repro.db.cluster import Cluster
+        from repro.sim.runner import Scheduler
+        from repro.workloads import uniform_workload
+
+        workload = uniform_workload(6, num_partitions=3, participants_per_txn=3, seed=1)
+        broken = 0
+        for pid in (1, 2, 3, 4):
+            for point in range(1, 7):
+                config = ClusterConfig(
+                    num_partitions=3,
+                    commit_protocol=SplitBrainCommit,
+                    controller=CrashPoint(pid=pid, point=point),
+                    max_time=300.0,
+                )
+                cluster = Cluster(config, Scheduler, max_time=config.max_time)
+                cluster.bind(workload.transactions)
+                cluster.kernel.run()
+                partitions = {p: cluster.kernel.processes[p] for p in (1, 2, 3)}
+                report = cluster.report()
+                assert report.invariants == reference_battery(partitions)
+                broken += not report.invariants.holds
+                cluster.kernel.release()
+        assert broken
+
+    def test_random_hand_built_partitions(self):
+        import random
+
+        rng = random.Random(7)
+        for _ in range(400):
+            partitions = {}
+            for pid in rng.sample(range(1, 7), rng.randint(1, 4)):
+                part = FakePartition()
+                for _ in range(rng.randint(0, 14)):
+                    choice, txn = rng.random(), f"t{rng.randint(1, 5)}"
+                    if choice < 0.1:
+                        part.wal.tear_final_record()
+                    elif choice < 0.15:
+                        for record in part.wal.records():
+                            record.torn ^= rng.random() < 0.3
+                    elif choice < 0.6:
+                        kind = rng.choice([PREPARE, PREPARE, COMMIT, ABORT])
+                        writes = {rng.choice("xyz"): rng.randint(0, 3)} if kind != ABORT else {}
+                        part.wal.append(kind, txn, writes=writes)
+                    elif choice < 0.75:
+                        part.store.apply(rng.choice("xyzw"), 1, txn_id=rng.choice([txn, None]))
+                    elif choice < 0.9:
+                        mode = rng.choice([LockMode.SHARED, LockMode.EXCLUSIVE])
+                        part.locks.try_acquire(txn, rng.choice("xyz"), mode)
+                    else:
+                        part.locks.release_all(txn)
+                partitions[pid] = part
+            assert _battery(partitions) == reference_battery(partitions)

@@ -1,7 +1,8 @@
 """The WAL's per-transaction index against a linear-scan reference.
 
 ``WriteAheadLog`` answers ``outcome_of`` / ``prepare_record_of`` /
-``records_for`` from a ``txn_id -> records`` index instead of scanning the
+``records_for`` by walking a transaction's records back from its latest one
+(each links to the one before through ``prev``) instead of scanning the
 log; ``in_doubt`` is one pass.  The reference below is the scan the log used
 to do, kept here as the oracle: every accessor must return the same thing for
 every log a sequence of appends and torn tails can build — repeated PREPAREs,
@@ -20,7 +21,6 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.store import VersionedStore
 from repro.db.wal import ABORT, COMMIT, PREPARE, WalRecord, WriteAheadLog
 
 
@@ -53,13 +53,14 @@ class ScanModel:
         ]
 
     def snapshot(self):
-        store, prepared = VersionedStore(), {}
+        """The committed state, folding each write set as a dict."""
+        snapshot, prepared = {}, {}
         for r in self.intact:
             if r.kind == PREPARE:
-                prepared[r.txn_id] = r.writes
-            elif r.kind == COMMIT and (r.writes or prepared.get(r.txn_id)):
-                store.apply_many(r.writes or prepared[r.txn_id], txn_id=r.txn_id)
-        return store.snapshot()
+                prepared[r.txn_id] = dict(r.writes)
+            elif r.kind == COMMIT:
+                snapshot.update(dict(r.writes) or prepared.get(r.txn_id, {}))
+        return snapshot
 
 
 TXNS = ["t1", "t2", "t3", "t4"]
@@ -84,7 +85,11 @@ def build(op_list):
             wal.tear_final_record()
         else:
             kind, txn, writes = op
-            wal.append(kind, txn, writes=writes if kind != ABORT else None)
+            if kind == ABORT:
+                assert wal.append(kind, txn).writes == ()
+            else:
+                # a mapping is logged as its (key, value) pairs
+                assert dict(wal.append(kind, txn, writes=writes).writes) == writes
     return wal
 
 

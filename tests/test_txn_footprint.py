@@ -2,10 +2,11 @@
 
 ``ClientCoordinator._submit`` builds one participant tuple per transaction;
 every EXEC carries it, and the outcome and the PREPARE record hold that same
-object.  A partition prepares with the EXEC payload's writes dict itself, the
-PREPARE record keeps it and the COMMIT record shares it; the embedded commit
-environment reads the transaction off that record, and the partition keeps
-only the commit instance beside it.  The identities are asserted with
+object.  The PREPARE record logs the EXEC payload's writes dict once, as a
+tuple of ``(key, value)`` pairs; the COMMIT record shares that tuple and an
+ABORT record holds ``()``.  The embedded commit environment reads the
+transaction off the PREPARE record, and the partition keeps only the commit
+instance beside it.  The identities are asserted with
 ``is``; what they save is held by a budget on the bytes a simulated run
 retains per transaction, the same on any machine.  A 2PC instance retires
 once it has proposed and decided, so a finished 2PC transaction leaves only
@@ -36,16 +37,20 @@ from repro.workloads.transactions import bank_transfer_workload, uniform_workloa
 #: traced bytes the whole run may retain per transaction of the budget run;
 #: before one copy was kept it retained about 4 300, with a per-transaction
 #: entry beside the log about 2 850, with every decided instance kept about
-#: 2 700, now 1 763 (CPython 3.11.7): the budget is that plus about 5 %
-BUDGET_BYTES_PER_TXN = 1850
+#: 2 700, with write sets logged as dicts and a per-transaction tuple of
+#: records 1 763, now 1 465 (CPython 3.11.7): the budget is that plus about 5 %
+BUDGET_BYTES_PER_TXN = 1540
 BUDGET_TXNS = 400
 #: traced bytes one live commit instance holds on the budget run, for the
 #: protocols that keep their instances (what dropping them all frees, per
 #: instance).  With the consensus module and the fallback-only containers
 #: built in every instance's ``__init__`` it was 1 846 for INBAC and 1 512
 #: for Paxos Commit; built on first use, which a nice run never reaches, it
-#: is 991 and 817 (CPython 3.11.7): each budget is that plus about 5 %
-BUDGET_BYTES_PER_LIVE_INSTANCE = {"INBAC": 1040, "PaxosCommit": 860}
+#: is 991 and 817, and with Paxos Commit's phase-2b reports built only by
+#: the process sent one (the leader), 991 and 786 (CPython 3.11.7; every
+#: INBAC process of a 2-participant transaction is a backup, sent ``V``):
+#: each budget is that plus about 5 %
+BUDGET_BYTES_PER_LIVE_INSTANCE = {"INBAC": 1040, "PaxosCommit": 825}
 
 
 def run_to_completion(config: ClusterConfig, transactions) -> Cluster:
@@ -91,7 +96,8 @@ class TestOneCopy:
                 # may not have logged its outcome yet
                 prepare, *decided = server.wal.records_for(txn_id)
                 assert prepare.kind == PREPARE
-                assert prepare.writes is writes
+                assert type(prepare.writes) is tuple
+                assert prepare.writes == tuple(writes.items())
                 assert prepare.participants is participants
                 instance = server.instances.get(txn_id)
                 if protocol == "2PC":
@@ -106,8 +112,11 @@ class TestOneCopy:
                 assert env.record is prepare
                 assert env.participants is participants
                 for record in decided:
+                    assert record.prev is prepare
                     if record.kind == COMMIT:
-                        assert record.writes is writes
+                        assert record.writes is prepare.writes
+                    else:
+                        assert record.writes == ()
             cluster.kernel.release()
         assert retired > len(workload.transactions)
 
